@@ -265,7 +265,6 @@ class RunContext:
         self.spec = parse_measure_id(cfg.measure)
         self._grid = None
         self._ensemble = None
-        self._stats = None
         self._frame = None
 
     @property
@@ -289,9 +288,7 @@ class RunContext:
         return self._ensemble
 
     def stats(self):
-        if self._stats is None:
-            self._stats = localization.ensemble_stats(self.ensemble())
-        return self._stats
+        return self.ensemble().stats()
 
     def frame(self):
         if self._frame is None:

@@ -265,8 +265,8 @@ def check_gamma_properties(frame: FrameEnsemble, sigma: float = 4.0,
 
     # (ii) E v (x) v = (Id - E Gamma) / (1 - r), entrywise, t > 0
     one_minus_r = 1.0 - r
-    per_path = (np.einsum("mki,mkj->mkij", frame.v, frame.v)
-                - (eye - frame.gamma) / one_minus_r[None, :, None, None])
+    vv = np.einsum("mki,mkj->mkij", frame.v, frame.v)
+    per_path = vv - (eye - frame.gamma) / one_minus_r[None, :, None, None]
     mean_ii = per_path.mean(axis=0)
     se_ii = jackknife_se(per_path, axis=0)
     subs.append(_entrywise_gate("score-covariance", np.abs(mean_ii),
@@ -285,7 +285,6 @@ def check_gamma_properties(frame: FrameEnsemble, sigma: float = 4.0,
 
     if k_pts >= 5:
         # (iii) d/dr E v (x) v = E (Id - Gamma)^2 / (1 - r)^2
-        vv = np.einsum("mki,mkj->mkij", frame.v, frame.v)
         res = eye - frame.gamma
         rhs3 = (res @ res) / one_minus_r[None, :, None, None] ** 2
         g3 = central_difference(vv, r, axis=1) - rhs3[:, 1:-1]

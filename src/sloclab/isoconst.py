@@ -29,12 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import streams
 from .errors import InputValidationError, SingularCovariance
 from .infotheory import differential_entropy
 from .localization import TimeGrid, simulate_ensemble
 from .measures import (BallMarginalFactor, BallSpec, GaussianSpec, MeasureSpec,
-                       ProductSpec, SampleEnsemble, SubspaceBasis,
+                       ProductSpec, SubspaceBasis,
                        DEFAULT_CATALOG, parse_measure_id)
 from .numerics import jackknife_se
 from .reports import EstimatorResult, LemmaReport, gate
@@ -92,14 +91,13 @@ def isotropic_constant(spec: MeasureSpec, entropy_method: str = "auto",
 # Marginals
 
 
-def marginal(spec: MeasureSpec, basis: SubspaceBasis, n_samples: int = 8192,
-             seed: int = 0):
+def marginal(spec: MeasureSpec, basis: SubspaceBasis) -> MeasureSpec:
     """The pushforward of ``spec`` under projection onto the basis columns.
 
     Exact routes: Gaussians (rotation invariance), coordinate subspaces of
     products (independence), and one-dimensional subspaces of balls (rotation
     invariance again; the radial exponent drops by ambient dimension minus
-    one).  Everything else returns projected samples.
+    one).  Any other subspace raises InputValidationError.
     """
     if basis.columns.shape[0] != spec.dim:
         raise InputValidationError("basis ambient dimension does not match the measure")
@@ -112,8 +110,9 @@ def marginal(spec: MeasureSpec, basis: SubspaceBasis, n_samples: int = 8192,
         return ProductSpec([spec.factors[i] for i in idx], family=family)
     if isinstance(spec, BallSpec) and k == 1:
         return ProductSpec([BallMarginalFactor(spec.dim)])
-    pts = spec.sample(streams.generator(seed, "marginal"), n_samples)
-    return SampleEnsemble(pts @ basis.columns)
+    raise InputValidationError(
+        "marginal is only sample-tractable; the domination check needs a "
+        "localizable marginal (coordinate product, Gaussian, or 1D ball slice)")
 
 
 def check_projection_domination(spec: MeasureSpec, basis: SubspaceBasis, t: float,
@@ -127,11 +126,7 @@ def check_projection_domination(spec: MeasureSpec, basis: SubspaceBasis, t: floa
     families (Gaussian, coordinate products) an entrywise equality sub-report
     is attached.
     """
-    sub_spec = marginal(spec, basis, seed=seed)
-    if not isinstance(sub_spec, MeasureSpec):
-        raise InputValidationError(
-            "marginal is only sample-tractable; the domination check needs a "
-            "localizable marginal (coordinate product, Gaussian, or 1D ball slice)")
+    sub_spec = marginal(spec, basis)
     if t <= 0:
         raise InputValidationError("need t > 0")
     grid = TimeGrid(np.array([0.0, float(t)]), kind="two-point")

@@ -38,7 +38,7 @@ from .errors import GridMismatch, InputValidationError
 from .measures import GaussianSpec, MeasureSpec
 from .numerics import central_difference, fd_error_budget, jackknife_se
 from .reports import LemmaReport, gate, info
-from .tilt import product_tilt_table, tilt_moments_rejection
+from .tilt import _as_key, product_tilt_table, tilt_moments_rejection
 
 MAX_STEP_RATIO = 1.5
 
@@ -154,10 +154,6 @@ class PathEnsemble:
         if not self._stats_cache:
             self._stats_cache.append(ensemble_stats(self))
         return self._stats_cache[0]
-
-
-def _as_key(stream):
-    return stream if isinstance(stream, tuple) else (stream,)
 
 
 def _brownian(key, dt: np.ndarray, dim: int) -> np.ndarray:
@@ -324,17 +320,16 @@ def stack_paths(paths) -> PathEnsemble:
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Per-time ensemble means with jackknife standard errors."""
+    """Per-time ensemble means and their standard errors s / sqrt(m).
+
+    Holds only what the checks and `simulate`'s stats.csv read.
+    """
 
     t: np.ndarray
     r: np.ndarray
     n_paths: int
     dim: int
-    mean_a: np.ndarray            # (K, n)
     mean_cov: np.ndarray          # (K, n, n)  E A_t
-    se_cov: np.ndarray
-    mean_outer: np.ndarray        # (K, n, n)  E a (x) a
-    se_outer: np.ndarray
     mean_decomp: np.ndarray       # (K, n, n)  E[A + a (x) a]
     se_decomp: np.ndarray
     mean_tr_cov: np.ndarray       # (K,)
@@ -360,8 +355,8 @@ def ensemble_stats(ensemble) -> EnsembleStats:
     t = ensemble.grid.points
     m, k_pts, n = a.shape
 
-    outer = np.einsum("mki,mkj->mkij", a, a)
-    decomp = cov + outer
+    decomp = np.einsum("mki,mkj->mkij", a, a)
+    decomp += cov
     tr_cov = np.trace(cov, axis1=-2, axis2=-1)
     cov_sq = cov @ cov
     tr_cov_sq = np.trace(cov_sq, axis1=-2, axis2=-1)
@@ -382,9 +377,7 @@ def ensemble_stats(ensemble) -> EnsembleStats:
 
     return EnsembleStats(
         t=t, r=ensemble.grid.r_points, n_paths=m, dim=n,
-        mean_a=a.mean(axis=0),
-        mean_cov=mean_cov, se_cov=jackknife_se(cov, axis=0),
-        mean_outer=outer.mean(axis=0), se_outer=jackknife_se(outer, axis=0),
+        mean_cov=mean_cov,
         mean_decomp=decomp.mean(axis=0), se_decomp=jackknife_se(decomp, axis=0),
         mean_tr_cov=tr_cov.mean(axis=0), se_tr_cov=jackknife_se(tr_cov, axis=0),
         mean_tr_cov_sq=tr_cov_sq.mean(axis=0), se_tr_cov_sq=jackknife_se(tr_cov_sq, axis=0),

@@ -541,21 +541,6 @@ class AffineImageSpec(MeasureSpec):
         return f"affine({self.base.measure_id()})"
 
 
-@dataclass(frozen=True)
-class SampleEnsemble:
-    """Fallback marginal representation: a cloud of projected draws."""
-
-    points: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        idx = rng.integers(0, len(self.points), size)
-        return self.points[idx]
-
-
 # ---------------------------------------------------------------------------
 # Constructors, catalog, ids
 

@@ -1,5 +1,5 @@
-"""Shared numerical kernels: truncated-normal algebra, jackknife errors,
-non-uniform finite differences, PSD hygiene.
+"""Shared numerical kernels: truncated-normal algebra, standard errors of
+ensemble means, non-uniform finite differences.
 
 The truncated-normal kernel is the workhorse of the closed-form tilt route.
 All branches are arranged so that no exponent is ever positive and same-sign
@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr
-
-from .errors import SingularCovariance
 
 _SQRT2 = np.sqrt(2.0)
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
@@ -122,20 +120,17 @@ def trunc_normal_moments(m, s, lo, hi):
 
 
 def jackknife_se(values: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Jackknife standard error of the mean along ``axis``.
+    """Standard error of the mean along ``axis``: s / sqrt(m).
 
-    Leave-one-out means over i.i.d. draws; for a plain mean this reduces to
-    s/sqrt(m), but it is kept in jackknife form so derived per-draw statistics
-    inherit the right error.
+    For a plain mean of i.i.d. draws this equals the leave-one-out jackknife
+    error exactly; callers pass per-draw values of whatever they average.
+    Zero for fewer than two draws.
     """
     values = np.asarray(values, float)
     m = values.shape[axis]
     if m < 2:
         return np.zeros_like(values.mean(axis=axis))
-    mean = values.mean(axis=axis, keepdims=True)
-    loo = (mean * m - values) / (m - 1)
-    var = ((loo - mean) ** 2).sum(axis=axis) * (m - 1) / m
-    return np.sqrt(var)
+    return values.std(axis=axis, ddof=1) / np.sqrt(m)
 
 
 def central_difference(y: np.ndarray, x: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -197,24 +192,3 @@ def fd_error_budget(mean_y: np.ndarray, x: np.ndarray, axis: int = 0) -> np.ndar
     for node in np.where(~valid)[0]:
         budget[node] = budget[idx[np.argmin(np.abs(idx - node))]]
     return np.moveaxis(budget, 0, axis)
-
-
-def symmetrize_psd(mat: np.ndarray, floor: float = 1e-10) -> np.ndarray:
-    """Symmetrize and clamp tiny negative eigenvalues to zero.
-
-    Eigenvalues in [-floor, 0) are treated as roundoff and clipped; anything
-    more negative raises SingularCovariance.
-    """
-    mat = np.asarray(mat, float)
-    sym = 0.5 * (mat + np.swapaxes(mat, -1, -2))
-    w, v = np.linalg.eigh(sym)
-    if w.min() < -floor:
-        raise SingularCovariance(float(w.min()))
-    w = np.clip(w, 0.0, None)
-    return (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
-
-
-def eig_range(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda_min, lambda_max) of a stack of symmetric matrices."""
-    w = np.linalg.eigvalsh(0.5 * (mat + np.swapaxes(mat, -1, -2)))
-    return w[..., 0], w[..., -1]

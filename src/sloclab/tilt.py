@@ -197,40 +197,69 @@ def tilt_moments_quadrature(spec: MeasureSpec, t: float, theta) -> TiltState:
 # Rejection route
 
 
+def _proposal(spec: MeasureSpec, t: float, theta: np.ndarray):
+    """The rejection route's proposal for p_{t,theta}.
+
+    Returns (draw, log_accept, log_z): draw(rng, k) gives k proposals;
+    log_accept(x) gives their log acceptance probabilities, or is None when
+    the proposals are exact draws; log_z(acceptance) recovers log Z from the
+    measured acceptance rate.  Gaussians are conjugate, t > 0 proposes from
+    the matched Gaussian N(theta/t, Id/t) thinned by rho/sup rho, and a t = 0
+    ball proposes from the base measure thinned by exp(theta.x - R|theta|).
+    """
+    if isinstance(spec, GaussianSpec):
+        tau = 1.0 + t
+
+        def draw(rng, k):
+            return theta / tau + rng.standard_normal((k, spec.dim)) / math.sqrt(tau)
+
+        return draw, None, lambda acceptance: gaussian_tilt(spec.dim, t, theta)[0]
+    if t > 0:
+        peak = spec.peak_log_density()
+        center = theta / t
+        scale = 1.0 / math.sqrt(t)
+
+        def draw(rng, k):
+            return center + scale * rng.standard_normal((k, spec.dim))
+
+        # Z = E_proposal[rho] * (2 pi / t)^{n/2} exp(|theta|^2 / 2t)
+        def log_z(acceptance):
+            return (peak + math.log(acceptance)
+                    + 0.5 * spec.dim * math.log(2.0 * math.pi / t)
+                    + float(theta @ theta) / (2.0 * t))
+
+        return draw, lambda x: spec.log_density(x) - peak, log_z
+    if not np.any(theta):
+        return spec.sample, None, lambda acceptance: 0.0
+    if not isinstance(spec, BallSpec):
+        raise InputValidationError("t=0 rejection tilts are supported on balls only")
+    sup = spec.radius * float(np.linalg.norm(theta))
+    return (spec.sample, lambda x: x @ theta - sup,
+            lambda acceptance: sup + math.log(acceptance))
+
+
 def tilt_sample_batch(spec: MeasureSpec, t: float, theta, rng: np.random.Generator,
                       size: int):
-    """Draw `size` points of p_{t,theta} by rejection.
+    """Draw `size` points of p_{t,theta} by rejection from `_proposal`.
 
-    Proposal is the matched Gaussian N(theta/t, Id/t) thinned by
-    rho(x)/sup rho; for t = 0 on a bounded-support spec the base measure
-    proposes and the exponential factor thins.  Returns
-    (samples, proposals, accepted); `accepted` counts every accepted proposal
-    including surplus beyond `size`, so accepted/proposals estimates the true
-    acceptance probability without truncation bias.  Raises RejectionStall
-    when the measured acceptance falls below 1e-6.
+    Returns (samples, proposals, accepted); `accepted` counts every accepted
+    proposal including surplus beyond `size`, so accepted/proposals estimates
+    the true acceptance probability without truncation bias.  Raises
+    RejectionStall when the measured acceptance falls below 1e-6.
     """
     theta = _validate(spec, t, theta)
-    if isinstance(spec, GaussianSpec):  # conjugate: no rejection loop at all
-        tau = 1.0 + t
-        pts = theta / tau + rng.standard_normal((size, spec.dim)) / math.sqrt(tau)
-        return pts, size, size
-    if t == 0.0 and np.any(theta != 0.0):
-        return _tilt_sample_base_proposal(spec, theta, rng, size)
-    if t == 0.0:
-        return spec.sample(rng, size), size, size
+    draw, log_accept, _ = _proposal(spec, t, theta)
+    if log_accept is None:
+        return draw(rng, size), size, size
 
-    peak = spec.peak_log_density()
-    center = theta / t
-    scale = 1.0 / math.sqrt(t)
     out = np.empty((size, spec.dim))
     filled = 0
     accepted = 0
     proposed = 0
     batch = max(4 * size, 4096)
     while filled < size:
-        x = center + scale * rng.standard_normal((batch, spec.dim))
-        log_ratio = spec.log_density(x) - peak
-        keep = x[rng.random(batch) < np.exp(log_ratio)]
+        x = draw(rng, batch)
+        keep = x[rng.random(batch) < np.exp(log_accept(x))]
         take = min(len(keep), size - filled)
         out[filled:filled + take] = keep[:take]
         filled += take
@@ -238,32 +267,6 @@ def tilt_sample_batch(spec: MeasureSpec, t: float, theta, rng: np.random.Generat
         proposed += batch
         if proposed >= _STALL_MIN_PROPOSALS and (accepted / proposed) < STALL_ACCEPTANCE:
             raise RejectionStall(accepted / proposed, proposed, t, float(np.linalg.norm(theta)))
-        batch = min(batch * 4, 1 << 21)
-    return out, proposed, accepted
-
-
-def _tilt_sample_base_proposal(spec, theta, rng, size):
-    # t = 0, theta != 0 on a bounded-support spec: propose from the base
-    # measure, thin by exp(theta.x - sup theta.x)
-    if isinstance(spec, BallSpec):
-        sup = spec.radius * float(np.linalg.norm(theta))
-    else:
-        raise InputValidationError("t=0 rejection tilts are supported on balls only")
-    out = np.empty((size, spec.dim))
-    filled = 0
-    accepted = 0
-    proposed = 0
-    batch = max(4 * size, 4096)
-    while filled < size:
-        x = spec.sample(rng, batch)
-        keep = x[rng.random(batch) < np.exp(x @ theta - sup)]
-        take = min(len(keep), size - filled)
-        out[filled:filled + take] = keep[:take]
-        filled += take
-        accepted += len(keep)
-        proposed += batch
-        if proposed >= _STALL_MIN_PROPOSALS and (accepted / proposed) < STALL_ACCEPTANCE:
-            raise RejectionStall(accepted / proposed, proposed, 0.0, float(np.linalg.norm(theta)))
         batch = min(batch * 4, 1 << 21)
     return out, proposed, accepted
 
@@ -290,7 +293,9 @@ def tilt_moments_rejection(spec: MeasureSpec, t: float, theta,
     centered = pts - mean
     cov = centered.T @ centered / (n_samples - 1)
 
-    n_blocks = 16
+    # batch means over at least two draws per block, so every block
+    # covariance is defined
+    n_blocks = min(16, n_samples // 2)
     usable = (n_samples // n_blocks) * n_blocks
     blocks = pts[:usable].reshape(n_blocks, -1, spec.dim)
     b_mean = blocks.mean(axis=1)
@@ -299,16 +304,7 @@ def tilt_moments_rejection(spec: MeasureSpec, t: float, theta,
     se_mean = b_mean.std(axis=0, ddof=1) / math.sqrt(n_blocks)
     se_cov = b_cov.std(axis=0, ddof=1) / math.sqrt(n_blocks)
 
-    # Z = E_proposal[rho] * (2 pi / t)^{n/2} exp(|theta|^2 / 2t) recovers log Z
-    # from the acceptance rate
-    acceptance = accepted / proposed
-    if t > 0:
-        log_z = (spec.peak_log_density() + math.log(acceptance)
-                 + 0.5 * spec.dim * math.log(2.0 * math.pi / t)
-                 + float(theta @ theta) / (2.0 * t))
-    else:
-        sup = spec.radius * float(np.linalg.norm(theta)) if isinstance(spec, BallSpec) else 0.0
-        log_z = sup + math.log(acceptance)
+    log_z = _proposal(spec, t, theta)[2](accepted / proposed)
     return TiltState(t, theta, log_z, mean, cov, REJECTION, n_samples, se_mean, se_cov)
 
 

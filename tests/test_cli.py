@@ -213,6 +213,17 @@ def test_verify_passes_small_gaussian(capsys):
     assert "verdict: 3 pass / 0 fail / 0 info" in out
 
 
+def test_verify_few_tilt_samples_has_finite_tolerance(capsys):
+    # 16 rejection samples still give every batch-means block two draws
+    code = main(["verify", "--measure", "ball:3", "--paths", "8", "--grid-points", "10",
+                 "--t-min", "1", "--t-max", "4", "--tilt-samples", "16",
+                 "--checks", "spectral-bound"])
+    out = capsys.readouterr().out
+    assert "tol=nan" not in out
+    assert "[PASS] spectral-bound" in out
+    assert code == 0
+
+
 def test_verify_fails_with_absurd_sigma(capsys):
     code = main(["verify", "--measure", "cube:2", *FAST,
                  "--sigma", "0.001", "--checks", "variance-decomposition"])

@@ -19,7 +19,6 @@ from sloclab.measures import (
     GaussianSpec,
     LaplaceFactor,
     ProductSpec,
-    SampleEnsemble,
     coordinate_subspace,
     make_ball,
     make_cube,
@@ -128,13 +127,11 @@ def test_marginal_ball_line_slice():
     assert sub.cov()[0, 0] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_marginal_fallback_returns_samples():
+def test_marginal_without_exact_route_raises():
     rng = streams.generator(3, "marg-rot")
     basis = random_subspace(3, 2, rng)
-    sub = marginal(make_cube(3), basis, n_samples=4096, seed=7)
-    assert isinstance(sub, SampleEnsemble)
-    assert sub.points.shape == (4096, 2)
-    assert np.abs(sub.points.mean(axis=0)).max() < 0.1
+    with pytest.raises(InputValidationError, match="localizable marginal"):
+        marginal(make_cube(3), basis)
 
 
 def test_marginal_ambient_mismatch():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sloclab.errors import InputValidationError, SingularCovariance, UnknownMeasureError
@@ -178,6 +180,21 @@ def test_catalog_is_isotropic(measure_id):
     spec = parse_measure_id(measure_id)
     assert spec.isotropic
     assert spec.measure_id() == measure_id
+
+
+MEASURE_IDS = st.one_of(
+    st.builds("{}:{}".format, st.sampled_from(["gaussian", "cube", "ball"]),
+              st.integers(1, 64)),
+    st.lists(st.sampled_from(FACTOR_TAGS), min_size=1, max_size=6).map(
+        lambda tags: "product:" + ",".join(tags)),
+    st.sampled_from(DEFAULT_CATALOG),
+)
+
+
+@settings(deadline=None)
+@given(MEASURE_IDS)
+def test_measure_id_round_trips(measure_id):
+    assert parse_measure_id(measure_id).measure_id() == measure_id
 
 
 @pytest.mark.parametrize("measure_id", DEFAULT_CATALOG)

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import truncnorm
 
-from sloclab.errors import SingularCovariance
 from sloclab.numerics import (
     central_difference,
-    eig_range,
     fd_error_budget,
     jackknife_se,
-    symmetrize_psd,
     trunc_normal_moments,
 )
 
@@ -65,20 +62,29 @@ class TestTruncNormal:
         assert log_mass.shape == mean.shape == var.shape == (3, 4)
 
 
+def _leave_one_out_se(x, axis=0):
+    """Reference: the jackknife standard error from the leave-one-out means."""
+    x = np.moveaxis(x, axis, 0)
+    m = len(x)
+    loo = (x.sum(axis=0) - x) / (m - 1)
+    return np.sqrt((m - 1) / m * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
+
+
 class TestJackknife:
     def test_plain_mean_reduces_to_classical_se(self):
         rng = np.random.default_rng(11)
-        x = rng.normal(size=200)
-        se = jackknife_se(x)
-        classical = x.std(ddof=1) / np.sqrt(len(x))
-        assert se == pytest.approx(classical, rel=1e-12)
+        for m in (2, 3, 17, 200):
+            x = rng.normal(size=(m, 5, 3, 3)) * rng.uniform(0.1, 10.0, size=(5, 3, 3))
+            se = jackknife_se(x)
+            assert se.shape == (5, 3, 3)
+            assert np.allclose(se, _leave_one_out_se(x), rtol=1e-12, atol=0.0)
 
     def test_axis_and_shape(self):
         rng = np.random.default_rng(12)
-        x = rng.normal(size=(50, 4, 3))
-        se = jackknife_se(x, axis=0)
+        x = rng.normal(size=(4, 50, 3))
+        se = jackknife_se(x, axis=1)
         assert se.shape == (4, 3)
-        assert np.allclose(se, x.std(axis=0, ddof=1) / np.sqrt(50))
+        assert np.allclose(se, _leave_one_out_se(x, axis=1), rtol=1e-12, atol=0.0)
 
     def test_single_draw_returns_zero(self):
         assert jackknife_se(np.array([3.0])) == 0.0
@@ -115,22 +121,3 @@ class TestCentralDifference:
     def test_error_budget_needs_five_points(self):
         with pytest.raises(ValueError):
             fd_error_budget(np.zeros(4), np.linspace(0, 1, 4))
-
-
-class TestPsdHygiene:
-    def test_symmetrize_clips_roundoff(self):
-        mat = np.array([[1.0, 0.0], [0.0, -1e-12]])
-        out = symmetrize_psd(mat)
-        w = np.linalg.eigvalsh(out)
-        assert w.min() >= 0.0
-
-    def test_symmetrize_rejects_real_negative(self):
-        mat = np.diag([1.0, -0.5])
-        with pytest.raises(SingularCovariance):
-            symmetrize_psd(mat)
-
-    def test_eig_range_on_stack(self):
-        mats = np.stack([np.diag([1.0, 4.0]), np.diag([-2.0, 0.5])])
-        lo, hi = eig_range(mats)
-        assert np.allclose(lo, [1.0, -2.0])
-        assert np.allclose(hi, [4.0, 0.5])

@@ -229,15 +229,26 @@ def test_positive_t_never_diverges():
 
 
 def test_rejection_matches_closed_form_on_product():
-    spec = make_product("exp,uniform")
     t, theta = 1.0, np.array([0.5, -0.3])
-    closed = tilt_moments(spec, t, theta)
-    rej = tilt_moments_rejection(spec, t, theta, streams.generator(11, "rej"), 4096)
-    assert rej.method == REJECTION
-    assert rej.n_samples == 4096
-    assert np.abs(rej.mean - closed.mean).max() < 5.0 * rej.se_mean.max() + 1e-3
-    assert np.abs(rej.cov - closed.cov).max() < 5.0 * rej.se_cov.max() + 1e-3
-    assert rej.log_z == pytest.approx(closed.log_z, abs=0.05)
+    for measure in ("product:exp,uniform", "gaussian:2"):
+        spec = parse_measure_id(measure)
+        closed = tilt_moments(spec, t, theta)
+        rej = tilt_moments_rejection(spec, t, theta, streams.generator(11, "rej"), 4096)
+        assert rej.method == REJECTION
+        assert rej.n_samples == 4096
+        assert np.abs(rej.mean - closed.mean).max() < 5.0 * rej.se_mean.max() + 1e-3
+        assert np.abs(rej.cov - closed.cov).max() < 5.0 * rej.se_cov.max() + 1e-3
+        assert rej.log_z == pytest.approx(closed.log_z, abs=0.05), measure
+
+
+@pytest.mark.parametrize("n_samples", [16, 24, 31])
+def test_rejection_errors_finite_below_32_samples(n_samples):
+    spec = make_ball(3)
+    rej = tilt_moments_rejection(spec, 2.0, np.array([0.4, -0.2, 0.1]),
+                                 streams.generator(4, "few"), n_samples)
+    assert rej.n_samples == n_samples
+    assert np.isfinite(rej.se_mean).all()
+    assert np.isfinite(rej.se_cov).all()
 
 
 def test_rejection_acceptance_rate_oracle():
