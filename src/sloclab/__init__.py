@@ -10,7 +10,6 @@ tolerance-gated verdicts.
 from .errors import (
     ConfigError,
     DivergentTilt,
-    GridMismatch,
     InputValidationError,
     RejectionStall,
     SingularCovariance,
@@ -36,7 +35,6 @@ __all__ = [
     "DEFAULT_CATALOG",
     "DivergentTilt",
     "EstimatorResult",
-    "GridMismatch",
     "InputValidationError",
     "LemmaReport",
     "MeasureSpec",

@@ -37,9 +37,5 @@ class RejectionStall(SloclabError):
         )
 
 
-class GridMismatch(InputValidationError):
-    """Paths simulated on different grids were mixed in one ensemble."""
-
-
 class ConfigError(SloclabError):
     """Experiment configuration is invalid; CLI maps this to exit code 1."""

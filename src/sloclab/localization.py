@@ -26,19 +26,17 @@ plus the diagnostic ratio sup_t E tr[A_t^2] / n.
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import ks_2samp
 
 from . import streams
-from .errors import GridMismatch, InputValidationError
-from .measures import GaussianSpec, MeasureSpec
+from .errors import InputValidationError
+from .measures import MeasureSpec
 from .numerics import central_difference, fd_error_budget, jackknife_se
 from .reports import LemmaReport, gate, info
-from .tilt import _as_key, product_tilt_table, tilt_moments_rejection
+from .tilt import tilt_table
 
 MAX_STEP_RATIO = 1.5
 
@@ -112,20 +110,6 @@ def make_uniform(t_max: float, n_steps: int) -> TimeGrid:
 
 
 @dataclass(frozen=True)
-class LocalizationPath:
-    """One realized localization path with its tilt moments."""
-
-    grid: TimeGrid
-    theta: np.ndarray           # (K, n)
-    mean: np.ndarray            # a(t_k, theta_k), (K, n)
-    cov: np.ndarray             # A(t_k, theta_k), (K, n, n)
-    log_z: np.ndarray           # (K,)
-    driver: str
-    x: np.ndarray | None = None  # the conditioning sample (direct driver)
-    se_cov: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class PathEnsemble:
     """Path-indexed arrays for a whole ensemble (axis 0 = path)."""
 
@@ -144,12 +128,6 @@ class PathEnsemble:
     def n_paths(self) -> int:
         return self.theta.shape[0]
 
-    def path(self, i: int) -> LocalizationPath:
-        return LocalizationPath(
-            self.grid, self.theta[i], self.mean[i], self.cov[i], self.log_z[i],
-            self.driver, None if self.x is None else self.x[i],
-            None if self.se_cov is None else self.se_cov[i])
-
     def stats(self) -> "EnsembleStats":
         if not self._stats_cache:
             self._stats_cache.append(ensemble_stats(self))
@@ -161,80 +139,18 @@ def _brownian(key, dt: np.ndarray, dim: int) -> np.ndarray:
     return incr * np.sqrt(dt)[:, None]
 
 
-def _drift_batch(spec, t, thetas, keys, step_index, tilt_samples):
-    if t == 0.0:
-        # theta = 0 at t = 0; the drift is the barycenter, zero by centering
-        return np.tile(spec.mean(), (len(thetas), 1))
-    if isinstance(spec, GaussianSpec):
-        return thetas / (1.0 + t)
-    if spec.factors is not None:
-        _, mean, _ = product_tilt_table(spec, t, thetas)
-        return mean
-    out = np.empty_like(thetas)
-    for i, key in enumerate(keys):
-        rng = streams.generator(*key, "drift", step_index)
-        out[i] = tilt_moments_rejection(spec, t, thetas[i], rng, tilt_samples).mean
-    return out
-
-
-def _tilt_tables(spec, grid, theta, keys, tilt_samples, workers):
-    """Tilt moments at every (path, grid time).  theta is (m, K, n)."""
-    m, k_pts, n = theta.shape
-    t = grid.points
-    mean = np.empty((m, k_pts, n))
-    cov = np.empty((m, k_pts, n, n))
-    log_z = np.empty((m, k_pts))
-    se_cov = None
-
-    # t = 0: theta = 0 and the tilted measure is the base measure
-    mean[:, 0] = spec.mean()
-    cov[:, 0] = spec.cov()
-    log_z[:, 0] = 0.0
-
-    if isinstance(spec, GaussianSpec):
-        tau = 1.0 + t[1:]
-        mean[:, 1:] = theta[:, 1:] / tau[None, :, None]
-        cov[:, 1:] = np.eye(n) / tau[:, None, None]
-        log_z[:, 1:] = (-0.5 * n * np.log(tau)
-                        + 0.5 * (theta[:, 1:] ** 2).sum(axis=-1) / tau)
-        return mean, cov, log_z, se_cov
-
-    if spec.factors is not None:
-        cov[:, 1:] = 0.0
-        idx = np.arange(n)
-        for k in range(1, k_pts):
-            lz, mu, var = product_tilt_table(spec, t[k], theta[:, k])
-            log_z[:, k] = lz
-            mean[:, k] = mu
-            cov[:, k, idx, idx] = var
-        return mean, cov, log_z, se_cov
-
-    se_cov = np.zeros((m, k_pts, n, n))
-
-    def fill(i):
-        for k in range(1, k_pts):
-            rng = streams.generator(*keys[i], "tilt", k)
-            st = tilt_moments_rejection(spec, t[k], theta[i, k], rng, tilt_samples)
-            mean[i, k] = st.mean
-            cov[i, k] = st.cov
-            log_z[i, k] = st.log_z
-            se_cov[i, k] = st.se_cov
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(m)))
-    else:
-        for i in range(m):
-            fill(i)
-    return mean, cov, log_z, se_cov
-
-
 def _simulate(spec, grid, keys, driver, tilt_samples, workers):
     t = grid.points
     k_pts = len(t)
     dt = np.diff(t)
     n = spec.dim
     m = len(keys)
+
+    def table(k, theta_k, stream):
+        # path i's tilt at grid time k draws from the key (*keys[i], stream, k)
+        return tilt_table(spec, t[k], theta_k,
+                          lambda i: streams.generator(*keys[i], stream, k),
+                          tilt_samples, workers)
 
     incr = np.empty((m, k_pts - 1, n))
     for i, key in enumerate(keys):
@@ -251,26 +167,22 @@ def _simulate(spec, grid, keys, driver, tilt_samples, workers):
         theta = np.empty((m, k_pts, n))
         theta[:, 0] = 0.0
         for k in range(k_pts - 1):
-            a_k = _drift_batch(spec, t[k], theta[:, k], keys, k, tilt_samples)
+            a_k = table(k, theta[:, k], "drift")[1]
             theta[:, k + 1] = theta[:, k] + a_k * dt[k] + incr[:, k]
     else:
         raise InputValidationError(f"unknown driver {driver!r}")
 
-    mean, cov, log_z, se_cov = _tilt_tables(spec, grid, theta, keys, tilt_samples, workers)
+    mean = np.empty((m, k_pts, n))
+    cov = np.empty((m, k_pts, n, n))
+    log_z = np.empty((m, k_pts))
+    se_cov = None
+    for k in range(k_pts):
+        log_z[:, k], mean[:, k], cov[:, k], se, _ = table(k, theta[:, k], "tilt")
+        if se is not None:
+            if se_cov is None:
+                se_cov = np.zeros((m, k_pts, n, n))
+            se_cov[:, k] = se
     return PathEnsemble(spec, grid, driver, theta, mean, cov, log_z, x, se_cov)
-
-
-def drive_direct(spec: MeasureSpec, grid: TimeGrid, stream) -> LocalizationPath:
-    """Exact realization theta_t = t X + W_t with tilt moments at grid times."""
-    ens = _simulate(spec, grid, [_as_key(stream)], "direct", 1024, 1)
-    return ens.path(0)
-
-
-def drive_sde(spec: MeasureSpec, grid: TimeGrid, stream,
-              tilt_samples: int = 1024) -> LocalizationPath:
-    """Euler-Maruyama realization of d theta = dW + a(t, theta) dt."""
-    ens = _simulate(spec, grid, [_as_key(stream)], "sde", tilt_samples, 1)
-    return ens.path(0)
 
 
 def simulate_ensemble(spec: MeasureSpec, grid: TimeGrid, n_paths: int, seed: int,
@@ -279,39 +191,13 @@ def simulate_ensemble(spec: MeasureSpec, grid: TimeGrid, n_paths: int, seed: int
     """Simulate ``n_paths`` independent paths.
 
     Path i uses the stream key ``(seed, i)`` (or ``(seed, salt, i)``), so its
-    arrays agree bitwise with ``drive_direct(spec, grid, (seed, i))`` and the
-    two drivers share Brownian increments for equal keys.
+    arrays depend on neither ``n_paths`` nor ``workers``, and the two drivers
+    share Brownian increments for equal keys.
     """
     if n_paths < 1:
         raise InputValidationError("n_paths must be >= 1")
     keys = [(seed, salt, i) if salt else (seed, i) for i in range(n_paths)]
     return _simulate(spec, grid, keys, driver, tilt_samples, max(1, workers))
-
-
-def stack_paths(paths) -> PathEnsemble:
-    """Assemble individually driven paths into an ensemble."""
-    paths = list(paths)
-    if not paths:
-        raise InputValidationError("no paths given")
-    grid = paths[0].grid
-    for p in paths[1:]:
-        if len(p.grid.points) != len(grid.points) or (p.grid.points != grid.points).any():
-            raise GridMismatch("paths were simulated on different grids")
-        if p.driver != paths[0].driver:
-            raise GridMismatch("paths mix drivers")
-    x = None
-    if all(p.x is not None for p in paths):
-        x = np.stack([p.x for p in paths])
-    se = None
-    if all(p.se_cov is not None for p in paths):
-        se = np.stack([p.se_cov for p in paths])
-    return PathEnsemble(
-        spec=None, grid=grid, driver=paths[0].driver,
-        theta=np.stack([p.theta for p in paths]),
-        mean=np.stack([p.mean for p in paths]),
-        cov=np.stack([p.cov for p in paths]),
-        log_z=np.stack([p.log_z for p in paths]),
-        x=x, se_cov=se)
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +232,8 @@ class EnsembleStats:
     deriv_tr_budget: np.ndarray | None
 
 
-def ensemble_stats(ensemble) -> EnsembleStats:
-    """Reduce an ensemble (or list of paths) to per-time statistics."""
-    if isinstance(ensemble, (list, tuple)):
-        ensemble = stack_paths(ensemble)
+def ensemble_stats(ensemble: PathEnsemble) -> EnsembleStats:
+    """Reduce an ensemble to per-time statistics."""
     a = ensemble.mean
     cov = ensemble.cov
     t = ensemble.grid.points
@@ -388,11 +272,7 @@ def ensemble_stats(ensemble) -> EnsembleStats:
 
 
 def _coerce_stats(obj) -> EnsembleStats:
-    if isinstance(obj, EnsembleStats):
-        return obj
-    if isinstance(obj, PathEnsemble):
-        return obj.stats()
-    return ensemble_stats(obj)
+    return obj if isinstance(obj, EnsembleStats) else obj.stats()
 
 
 def _entrywise_gate(check_id, gap, tol, se=None, notes="") -> LemmaReport:

@@ -458,8 +458,6 @@ class ProductSpec(MeasureSpec):
     def measure_id(self):
         if self.family == "cube":
             return f"cube:{self.dim}"
-        if self.family == "box":
-            return f"box:{self.dim}"
         return "product:" + ",".join(f.tag for f in self.factors)
 
 
@@ -552,11 +550,6 @@ def make_gaussian(dim: int) -> GaussianSpec:
 def make_cube(dim: int) -> ProductSpec:
     """Isotropic cube: uniform on [-sqrt(3), sqrt(3)]^n."""
     return ProductSpec([UniformFactor() for _ in range(dim)], family="cube")
-
-
-def make_uniform_box(half_widths) -> ProductSpec:
-    half_widths = np.atleast_1d(np.asarray(half_widths, float))
-    return ProductSpec([UniformFactor(w) for w in half_widths], family="box")
 
 
 def make_ball(dim: int) -> BallSpec:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 PASS = "PASS"
@@ -64,10 +65,17 @@ class LemmaReport:
 
 def gate(check_id: str, gap: float, tolerance: float, stderr: float = 0.0,
          notes: str = "", sub: tuple = ()) -> LemmaReport:
-    """PASS/FAIL report for ``gap <= tolerance``."""
+    """PASS/FAIL report for ``gap <= tolerance``.
+
+    A non-finite gap or tolerance FAILs, and ``notes`` says which.
+    """
     verdict = PASS if gap <= tolerance else FAIL
     if any(s.verdict == FAIL for s in sub):
         verdict = FAIL
+    for name, value in (("statistic", gap), ("tolerance", tolerance)):
+        if not math.isfinite(value):
+            verdict = FAIL
+            notes = f"{notes}, non-finite {name}" if notes else f"non-finite {name}"
     return LemmaReport(check_id, verdict, float(gap), float(stderr),
                        float(tolerance), notes, tuple(sub))
 

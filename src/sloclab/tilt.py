@@ -15,6 +15,9 @@ A(t, theta) of p_{t,theta} along three routes:
 * rejection     -- proposal N(theta/t, Id/t) thinned by rho/sup(rho); the
                    route for non-product specs (balls, affine images).
 
+`tilt_table` picks the route for a batch of thetas at one t; it is the one
+place that branches on the measure family.
+
 A t = 0 tilt is accepted only where the exponential moment is finite; the
 divergent cases raise DivergentTilt.
 """
@@ -22,6 +25,7 @@ divergent cases raise DivergentTilt.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +74,6 @@ def _validate(spec: MeasureSpec, t: float, theta) -> np.ndarray:
     return theta
 
 
-def _exact_base_state(spec: MeasureSpec) -> TiltState:
-    return TiltState(0.0, np.zeros(spec.dim), 0.0, spec.mean(), spec.cov(), CLOSED_FORM)
-
-
 def _check_rates(spec: ProductSpec, theta: np.ndarray) -> None:
     for j, f in enumerate(spec.factors):
         left, right = f.tilt_rates()
@@ -88,9 +88,14 @@ def _check_rates(spec: ProductSpec, theta: np.ndarray) -> None:
 
 
 def gaussian_tilt(dim: int, t: float, theta: np.ndarray):
-    """Conjugate closed form: p_{t,theta} = N(theta/(1+t), Id/(1+t))."""
+    """Conjugate closed form: p_{t,theta} = N(theta/(1+t), Id/(1+t)).
+
+    ``theta`` has shape (..., dim), a batch of thetas.  Returns (log_z (...),
+    mean (..., dim), cov (dim, dim)); the covariance is the same for every
+    theta.
+    """
     tau = 1.0 + t
-    log_z = -0.5 * dim * math.log(tau) + float(theta @ theta) / (2.0 * tau)
+    log_z = -0.5 * dim * np.log(tau) + 0.5 * (theta ** 2).sum(axis=-1) / tau
     return log_z, theta / tau, np.eye(dim) / tau
 
 
@@ -213,7 +218,7 @@ def _proposal(spec: MeasureSpec, t: float, theta: np.ndarray):
         def draw(rng, k):
             return theta / tau + rng.standard_normal((k, spec.dim)) / math.sqrt(tau)
 
-        return draw, None, lambda acceptance: gaussian_tilt(spec.dim, t, theta)[0]
+        return draw, None, lambda acceptance: float(gaussian_tilt(spec.dim, t, theta)[0])
     if t > 0:
         peak = spec.peak_log_density()
         center = theta / t
@@ -286,8 +291,13 @@ def _as_key(stream):
 
 def tilt_moments_rejection(spec: MeasureSpec, t: float, theta,
                            rng: np.random.Generator, n_samples: int = 1024) -> TiltState:
-    """Monte Carlo tilt moments with batch-means standard errors."""
+    """Monte Carlo tilt moments with batch-means standard errors.
+
+    Needs n_samples >= 4: two batch-means blocks of two draws each.
+    """
     theta = _validate(spec, t, theta)
+    if n_samples < 4:
+        raise InputValidationError("rejection moments need n_samples >= 4")
     pts, proposed, accepted = tilt_sample_batch(spec, t, theta, rng, n_samples)
     mean = pts.mean(axis=0)
     centered = pts - mean
@@ -312,31 +322,76 @@ def tilt_moments_rejection(spec: MeasureSpec, t: float, theta,
 # Dispatch
 
 
-def tilt_moments(spec: MeasureSpec, t: float, theta, *, stream=None,
-                 n_samples: int = 1024) -> TiltState:
-    """Moments of p_{t,theta} along the best route for the measure.
+def _stack_states(states, method):
+    se_cov = None if states[0].se_cov is None else np.stack([s.se_cov for s in states])
+    return (np.array([s.log_z for s in states]), np.stack([s.mean for s in states]),
+            np.stack([s.cov for s in states]), se_cov, method)
 
-    Gaussians and coordinate products are exact (closed form, with quadrature
-    filling in factors without one); balls and affine images use rejection
-    sampling and need a `stream` key.
+
+def tilt_table(spec: MeasureSpec, t: float, thetas: np.ndarray, rng_for,
+               n_samples: int = 1024, workers: int = 1):
+    """Tilt moments for a batch of thetas (m, n) at one t, by the best route.
+
+    Returns (log_z (m,), mean (m, n), cov (m, n, n), se_cov, method).  The
+    base measure answers t = 0 with theta = 0; Gaussians are conjugate;
+    coordinate products are exact (closed form, with quadrature filling in
+    factors without one and every factor at t = 0); other specs use rejection
+    sampling with ``rng_for(i)`` as row i's generator, over ``workers``
+    threads.  ``se_cov`` is None except on the rejection route, and
+    ``rng_for`` is called on no other route.
     """
-    theta = _validate(spec, t, theta)
-    if t == 0.0 and not np.any(theta):
-        return _exact_base_state(spec)
+    m, n = thetas.shape
+    if t == 0.0 and not np.any(thetas):
+        return (np.zeros(m), np.tile(spec.mean(), (m, 1)),
+                np.tile(spec.cov(), (m, 1, 1)), None, CLOSED_FORM)
     if isinstance(spec, GaussianSpec):
-        log_z, mean, cov = gaussian_tilt(spec.dim, t, theta)
-        return TiltState(t, theta, log_z, mean, cov, CLOSED_FORM)
+        log_z, mean, cov = gaussian_tilt(n, t, thetas)
+        return log_z, mean, np.tile(cov, (m, 1, 1)), None, CLOSED_FORM
     if spec.factors is not None:
         if t == 0.0:
-            _check_rates(spec, theta)
-            return tilt_moments_quadrature(spec, t, theta)
-        log_z, mean, var = product_tilt_table(spec, t, theta[None, :])
-        method = CLOSED_FORM if all(f.has_closed_tilt for f in spec.factors) else QUADRATURE
-        return TiltState(t, theta, float(log_z[0]), mean[0], np.diag(var[0]), method)
-    if stream is None:
-        raise InputValidationError(f"{spec.family} spec needs a stream for rejection moments")
-    rng = streams.generator(*_as_key(stream))
-    return tilt_moments_rejection(spec, t, theta, rng, n_samples)
+            for theta in thetas:
+                _check_rates(spec, theta)
+            return _stack_states([tilt_moments_quadrature(spec, t, theta)
+                                  for theta in thetas], QUADRATURE)
+        log_z, mean, var = product_tilt_table(spec, t, thetas)
+        cov = np.zeros((m, n, n))
+        cov[:, np.arange(n), np.arange(n)] = var
+        closed = all(f.has_closed_tilt for f in spec.factors)
+        return log_z, mean, cov, None, CLOSED_FORM if closed else QUADRATURE
+
+    def row(i):
+        return tilt_moments_rejection(spec, t, thetas[i], rng_for(i), n_samples)
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            states = list(pool.map(row, range(m)))
+    else:
+        states = [row(i) for i in range(m)]
+    return _stack_states(states, REJECTION)
+
+
+def tilt_moments(spec: MeasureSpec, t: float, theta, *, stream=None,
+                 n_samples: int = 1024) -> TiltState:
+    """Moments of p_{t,theta}: `tilt_table` on a batch of one.
+
+    Balls and affine images use rejection sampling and need a `stream` key;
+    their state carries `se_cov` (`tilt_moments_rejection` also gives
+    `se_mean`).
+    """
+    theta = _validate(spec, t, theta)
+
+    def rng_for(i):
+        if stream is None:
+            raise InputValidationError(
+                f"{spec.family} spec needs a stream for rejection moments")
+        return streams.generator(*_as_key(stream))
+
+    log_z, mean, cov, se_cov, method = tilt_table(spec, t, theta[None, :], rng_for,
+                                                  n_samples)
+    if se_cov is None:
+        return TiltState(t, theta, float(log_z[0]), mean[0], cov[0], method)
+    return TiltState(t, theta, float(log_z[0]), mean[0], cov[0], method, n_samples,
+                     se_cov=se_cov[0])
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +413,13 @@ def conditional_covariance_identity_check(spec: MeasureSpec, t: float, seed: int
         raise InputValidationError("t must be positive")
     dim = spec.dim
 
-    covs = np.empty((n_outer, dim, dim))
+    thetas = np.empty((n_outer, dim))
     for i in range(n_outer):
         rng = streams.generator(seed, i, "cond-analytic")
         x = spec.sample(rng, 1)[0]
-        theta = t * x + math.sqrt(t) * rng.standard_normal(dim)
-        state = tilt_moments(spec, t, theta, stream=(seed, i, "cond-analytic-tilt"))
-        covs[i] = state.cov
+        thetas[i] = t * x + math.sqrt(t) * rng.standard_normal(dim)
+    covs = tilt_table(spec, t, thetas,
+                      lambda i: streams.generator(seed, i, "cond-analytic-tilt"))[2]
     lhs = covs.mean(axis=0)
     se_lhs = jackknife_se(covs, axis=0)
 

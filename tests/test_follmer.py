@@ -1,5 +1,6 @@
 """Clock change to r = t/(1+t): frame algebra, Fisher energy, Gamma process."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from sloclab.follmer import (
     marginal_fisher_information,
     to_follmer,
 )
-from sloclab.localization import drive_direct, make_geometric, simulate_ensemble, stack_paths
+from sloclab.localization import make_geometric, simulate_ensemble
 from sloclab.measures import SQRT3, make_ball, make_cube, make_gaussian, make_product
 
 
@@ -204,7 +205,6 @@ def test_xr_law_passes(cube2_frame):
 def test_xr_law_needs_spec():
     spec = make_product("exp,exp")
     grid = make_geometric(0.1, 2.0, 9)
-    stacked = stack_paths([drive_direct(spec, grid, (7, i)) for i in range(8)])
-    frame = to_follmer(stacked)
+    frame = dataclasses.replace(to_follmer(simulate_ensemble(spec, grid, 8, seed=7)), spec=None)
     with pytest.raises(InputValidationError, match="measure reference"):
         check_xr_law(frame, seed=0)

@@ -27,11 +27,12 @@ from sloclab.localization import make_geometric, simulate_ensemble
 from sloclab.measures import (
     GAUSSIAN_ENTROPY_RATE,
     LaplaceFactor,
+    ProductSpec,
+    UniformFactor,
     make_ball,
     make_cube,
     make_gaussian,
     make_product,
-    make_uniform_box,
     parse_measure_id,
 )
 
@@ -108,7 +109,7 @@ def test_kl_additive_over_factors():
 
 def test_kl_requires_isotropic():
     with pytest.raises(InputValidationError, match="isotropize"):
-        kl_to_gaussian(make_uniform_box([1.0, 2.0]))
+        kl_to_gaussian(ProductSpec([UniformFactor(1.0), UniformFactor(2.0)]))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +184,6 @@ def test_epi_deficit_laplace_grid_vs_closed_density():
 
 
 def test_factor_grid_deficit_matches_closed_uniform():
-    from sloclab.measures import UniformFactor
     grid_route = _factor_grid_deficit(UniformFactor(), 1 << 14, 12.0)
     assert grid_route == pytest.approx(0.5 - 0.5 * math.log(2.0), abs=1e-4)
 

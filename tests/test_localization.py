@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sloclab import streams
-from sloclab.errors import GridMismatch, InputValidationError
+from sloclab.errors import InputValidationError
 from sloclab.localization import (
     PathEnsemble,
     TimeGrid,
@@ -17,13 +17,9 @@ from sloclab.localization import (
     check_orthogonality,
     check_spectral_bound,
     check_variance_decomposition,
-    drive_direct,
-    drive_sde,
-    ensemble_stats,
     make_geometric,
     make_uniform,
     simulate_ensemble,
-    stack_paths,
     trace_square_ratio,
 )
 from sloclab.measures import make_ball, make_cube, make_gaussian, parse_measure_id
@@ -92,15 +88,15 @@ def test_direct_driver_reproduces_documented_streams():
     spec = make_cube(2)
     grid = make_geometric(0.1, 2.0, 9)
     seed, i = 13, 5
-    path = drive_direct(spec, grid, (seed, i))
+    ens = simulate_ensemble(spec, grid, i + 1, seed)
 
     x = spec.sample(streams.generator(seed, i, "x"), 1)[0]
     dt = np.diff(grid.points)
     incr = streams.generator(seed, i, "w").standard_normal((len(dt), 2)) * np.sqrt(dt)[:, None]
     w = np.concatenate([np.zeros((1, 2)), np.cumsum(incr, axis=0)])
     expect = grid.points[:, None] * x[None, :] + w
-    assert np.array_equal(path.theta, expect)
-    assert np.array_equal(path.x, x)
+    assert np.array_equal(ens.theta[i], expect)
+    assert np.array_equal(ens.x[i], x)
 
 
 def test_direct_driver_marginal_variance():
@@ -189,28 +185,32 @@ def test_drivers_share_brownian_increments():
 
 
 def test_sde_path_runs_on_product_and_ball():
-    p1 = drive_sde(parse_measure_id("product:exp,uniform"), make_uniform(0.5, 8), (1, 0))
-    assert p1.driver == "sde"
-    assert np.isfinite(p1.theta).all()
-    p2 = drive_sde(make_ball(2), make_uniform(0.5, 4), (1, 1), tilt_samples=128)
-    assert np.isfinite(p2.theta).all()
-    assert p2.se_cov is not None
+    e1 = simulate_ensemble(parse_measure_id("product:exp,uniform"), make_uniform(0.5, 8), 1,
+                           seed=1, driver="sde")
+    assert e1.driver == "sde"
+    assert np.isfinite(e1.theta).all()
+    assert e1.se_cov is None
+    e2 = simulate_ensemble(make_ball(2), make_uniform(0.5, 4), 2, seed=1, driver="sde",
+                           tilt_samples=128)
+    assert np.isfinite(e2.theta).all()
+    assert e2.se_cov is not None
 
 
 # ---------------------------------------------------------------------------
-# Stacking and determinism
+# Determinism
 
 
-def test_stack_matches_ensemble_bitwise():
-    spec = make_cube(2)
-    grid = make_geometric(0.1, 2.0, 9)
-    ens = simulate_ensemble(spec, grid, 6, seed=21)
-    paths = [drive_direct(spec, grid, (21, i)) for i in range(6)]
-    stacked = stack_paths(paths)
-    assert np.array_equal(stacked.theta, ens.theta)
-    assert np.array_equal(stacked.mean, ens.mean)
-    assert np.array_equal(stacked.cov, ens.cov)
-    assert np.array_equal(stacked.log_z, ens.log_z)
+def test_ensemble_prefix_matches_bitwise():
+    # path i depends only on its key (seed, i), never on n_paths
+    for spec, driver in ((make_cube(2), "direct"), (make_ball(2), "sde")):
+        grid = make_geometric(0.5, 2.0, 5)
+        six = simulate_ensemble(spec, grid, 6, seed=21, driver=driver, tilt_samples=64)
+        three = simulate_ensemble(spec, grid, 3, seed=21, driver=driver, tilt_samples=64)
+        for name in ("theta", "mean", "cov", "log_z", "x", "se_cov"):
+            full, prefix = getattr(six, name), getattr(three, name)
+            assert (full is None) == (prefix is None), name
+            if full is not None:
+                assert np.array_equal(full[:3], prefix), name
 
 
 def test_simulation_is_deterministic():
@@ -239,28 +239,6 @@ def test_workers_do_not_change_results():
     assert np.array_equal(one.mean, three.mean)
     assert np.array_equal(one.cov, three.cov)
     assert np.array_equal(one.se_cov, three.se_cov)
-
-
-def test_stack_rejects_mismatched_grids():
-    spec = make_cube(1)
-    p1 = drive_direct(spec, make_uniform(1.0, 4), (0, 0))
-    p2 = drive_direct(spec, make_uniform(2.0, 4), (0, 1))
-    with pytest.raises(GridMismatch, match="different grids"):
-        stack_paths([p1, p2])
-
-
-def test_stack_rejects_mixed_drivers():
-    spec = make_cube(1)
-    grid = make_uniform(1.0, 4)
-    p1 = drive_direct(spec, grid, (0, 0))
-    p2 = drive_sde(spec, grid, (0, 1))
-    with pytest.raises(GridMismatch, match="mix drivers"):
-        stack_paths([p1, p2])
-
-
-def test_stack_rejects_empty():
-    with pytest.raises(InputValidationError):
-        stack_paths([])
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +272,6 @@ def test_stats_derivative_fields_need_five_points():
     assert stats.deriv_gap_mean is None
     with pytest.raises(InputValidationError, match="5 grid times"):
         check_derivative_identity(stats)
-
-
-def test_stats_accepts_path_list():
-    spec = make_cube(1)
-    grid = make_uniform(1.0, 4)
-    paths = [drive_direct(spec, grid, (3, i)) for i in range(4)]
-    stats = ensemble_stats(paths)
-    assert stats.n_paths == 4
-    assert stats.dim == 1
 
 
 # ---------------------------------------------------------------------------

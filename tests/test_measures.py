@@ -13,8 +13,10 @@ from sloclab.measures import (
     DEFAULT_CATALOG,
     AffineImageSpec,
     BallMarginalFactor,
+    ProductSpec,
     SQRT3,
     SubspaceBasis,
+    UniformFactor,
     coordinate_subspace,
     isotropize,
     make_ball,
@@ -22,7 +24,6 @@ from sloclab.measures import (
     make_factor,
     make_gaussian,
     make_product,
-    make_uniform_box,
     parse_measure_id,
     random_subspace,
 )
@@ -138,9 +139,8 @@ def test_cube_potential_inside_and_outside():
 
 
 def test_uniform_box_density():
-    box = make_uniform_box([1.0])
+    box = ProductSpec([UniformFactor(1.0)])
     assert np.exp(box.log_density(np.array([0.3]))) == pytest.approx(0.5)
-    assert box.measure_id() == "box:1"
     assert box.cov()[0, 0] == pytest.approx(1.0 / 3.0)
 
 
@@ -274,7 +274,7 @@ def test_isotropize_identity_is_noop():
 
 
 def test_isotropize_box():
-    box = make_uniform_box([1.0, 2.0])
+    box = ProductSpec([UniformFactor(1.0), UniformFactor(2.0)])
     iso = isotropize(box)
     assert isinstance(iso, AffineImageSpec)
     assert np.allclose(iso.mat, np.diag([SQRT3, SQRT3 / 2.0]))

@@ -36,6 +36,7 @@ from sloclab.tilt import (
     tilt_moments_rejection,
     tilt_sample,
     tilt_sample_batch,
+    tilt_table,
 )
 
 
@@ -162,6 +163,42 @@ def test_product_tilt_table_matches_scalar_route():
         assert np.allclose(var[i], np.diag(state.cov), atol=1e-12)
 
 
+TABLE_CASES = {  # case -> (measure, t, thetas, expected route)
+    "gaussian": ("gaussian:3", 1.5, [[0.2, -0.4, 1.0], [0.0, 0.0, 0.0], [3.0, 1.0, -2.0]],
+                 CLOSED_FORM),
+    "cube": ("cube:2", 0.8, [[0.5, -0.3], [0.0, 0.0], [-2.0, 4.0]], CLOSED_FORM),
+    "product-t0": ("product:exp,laplace,uniform", 0.0, [[-0.5, 0.3, 1.0], [0.4, -0.6, 0.0]],
+                   QUADRATURE),
+    "ball": ("ball:3", 2.0, [[0.4, -0.2, 0.1], [0.0, 0.0, 0.0], [2.0, 1.0, -1.0]], REJECTION),
+    "ball-base": ("ball:3", 0.0, [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], CLOSED_FORM),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_tilt_table_matches_tilt_moments(case):
+    measure, t, rows, route = TABLE_CASES[case]
+    spec = parse_measure_id(measure)
+    thetas = np.array(rows)
+    rng_calls = []
+
+    def rng_for(i):
+        rng_calls.append(i)
+        return streams.generator(17, i)
+
+    log_z, mean, cov, se_cov, method = tilt_table(spec, t, thetas, rng_for, 64)
+    assert method == route
+    assert (se_cov is not None) == (method == REJECTION)
+    assert sorted(rng_calls) == (list(range(len(rows))) if method == REJECTION else [])
+    for i, theta in enumerate(thetas):
+        state = tilt_moments(spec, t, theta, stream=(17, i), n_samples=64)
+        assert state.method == method
+        assert log_z[i] == state.log_z
+        assert np.array_equal(mean[i], state.mean)
+        assert np.array_equal(cov[i], state.cov)
+        if se_cov is not None:
+            assert np.array_equal(se_cov[i], state.se_cov)
+
+
 # ---------------------------------------------------------------------------
 # log Z is the moment generating function: gradients recover the moments
 
@@ -247,6 +284,16 @@ def test_rejection_errors_finite_below_32_samples(n_samples):
     rej = tilt_moments_rejection(spec, 2.0, np.array([0.4, -0.2, 0.1]),
                                  streams.generator(4, "few"), n_samples)
     assert rej.n_samples == n_samples
+    assert np.isfinite(rej.se_mean).all()
+    assert np.isfinite(rej.se_cov).all()
+
+
+def test_rejection_needs_four_samples():
+    spec, theta = make_ball(3), np.array([0.4, -0.2, 0.1])
+    for n_samples in (1, 2, 3):
+        with pytest.raises(InputValidationError, match="n_samples >= 4"):
+            tilt_moments_rejection(spec, 2.0, theta, streams.generator(4, "few"), n_samples)
+    rej = tilt_moments_rejection(spec, 2.0, theta, streams.generator(4, "few"), 4)
     assert np.isfinite(rej.se_mean).all()
     assert np.isfinite(rej.se_cov).all()
 
