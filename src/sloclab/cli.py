@@ -287,9 +287,6 @@ class RunContext:
                 workers=self.cfg.workers)
         return self._ensemble
 
-    def stats(self):
-        return self.ensemble().stats()
-
     def frame(self):
         if self._frame is None:
             self._frame = follmer.to_follmer(self.ensemble())
@@ -355,13 +352,13 @@ _REGISTRY = (
         "E A_t + E a_t (x) a_t = Id at every grid time",
         lambda ctx: True,
         lambda ctx: localization.check_variance_decomposition(
-            ctx.stats(), sigma=ctx.cfg.tolerance_sigma)),
+            ctx.ensemble(), sigma=ctx.cfg.tolerance_sigma)),
     CheckDef(
         "derivative-identity", "gate",
         "d/dt E A_t = -E A_t^2, finite differences with a step-halving budget",
         lambda ctx: ctx.grid.n_points >= 5,
         lambda ctx: localization.check_derivative_identity(
-            ctx.stats(), sigma=ctx.cfg.tolerance_sigma),
+            ctx.ensemble(), sigma=ctx.cfg.tolerance_sigma),
         why_not="needs at least 5 grid times"),
     CheckDef(
         "spectral-bound", "gate",
@@ -458,7 +455,7 @@ _REGISTRY = (
         "trace-ratio", "info",
         "sup_t tr E A_t^2 / n; no universal constant is gated, value only",
         lambda ctx: True,
-        lambda ctx: localization.trace_square_ratio(ctx.stats())),
+        lambda ctx: localization.trace_square_ratio(ctx.ensemble())),
     CheckDef(
         "projection-domination", "gate",
         "E A_t of a marginal dominates the projection of E A_t",
@@ -524,7 +521,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
         raise ConfigError("simulate needs an output directory "
                           "(--out, config output_dir, or SLOCLAB_OUT)")
     ctx = RunContext(cfg)
-    stats = ctx.stats()
+    stats = ctx.ensemble().stats()
     frame = ctx.frame()
     os.makedirs(cfg.out, exist_ok=True)
 

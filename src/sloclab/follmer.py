@@ -32,10 +32,10 @@ from scipy.special import ndtr
 
 from . import streams
 from .errors import InputValidationError
-from .localization import PathEnsemble, _entrywise_gate
+from .localization import PathEnsemble, spectral_margin
 from .measures import GaussianSpec, MeasureSpec, UniformFactor
-from .numerics import central_difference, fd_error_budget, jackknife_se
-from .reports import EstimatorResult, LemmaReport, gate
+from .numerics import jackknife_se
+from .reports import LemmaReport, derivative_gate, entrywise_gate, gate
 
 _QUAD_KW = dict(epsabs=1e-12, epsrel=1e-11, limit=200)
 
@@ -91,34 +91,20 @@ class FisherCurve:
     bound: np.ndarray     # 4 n / (1 - r)^2
 
 
-def fisher_energy(frame: FrameEnsemble, r: float | None = None):
-    """Monte Carlo Fisher energy E |v_r|^2 with jackknife errors.
-
-    With ``r`` omitted, returns the whole curve on the grid image; with a
-    scalar ``r`` (which must be a grid point), returns one EstimatorResult
-    whose notes record the a-priori bound 4 n / (1 - r)^2.
-    """
+def fisher_energy(frame: FrameEnsemble) -> FisherCurve:
+    """Monte Carlo Fisher energy E |v_r|^2 on the grid image, with s / sqrt(m) errors."""
     sq = (frame.v ** 2).sum(axis=-1)
-    cur = FisherCurve(
+    return FisherCurve(
         r=frame.r, value=sq.mean(axis=0), stderr=jackknife_se(sq, axis=0),
         bound=4.0 * frame.dim / (1.0 - frame.r) ** 2)
-    if r is None:
-        return cur
-    k = int(np.argmin(np.abs(frame.r - r)))
-    if abs(frame.r[k] - r) > 1e-6:
-        raise InputValidationError(f"r={r} is not in the grid image")
-    ok = cur.value[k] <= cur.bound[k] + 4.0 * cur.stderr[k]
-    return EstimatorResult(
-        float(cur.value[k]), float(cur.stderr[k]), frame.n_paths, "plug-in-mc",
-        notes=f"bound 4n/(1-r)^2 = {cur.bound[k]:.6g}: {'holds' if ok else 'VIOLATED'}")
 
 
 def check_fisher_bound(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaReport:
     """E |v_r|^2 <= 4 n / (1 - r)^2 along the whole grid."""
     cur = fisher_energy(frame)
     gap = cur.value - cur.bound
-    return _entrywise_gate("fisher-bound", gap, sigma * cur.stderr + 1e-9, cur.stderr,
-                           notes=f"n={frame.dim}, n_paths={frame.n_paths},")
+    return entrywise_gate("fisher-bound", gap, sigma * cur.stderr + 1e-9, cur.stderr,
+                          notes=f"n={frame.dim}, n_paths={frame.n_paths},")
 
 
 def check_fisher_monotone(frame: FrameEnsemble, sigma: float = 4.0,
@@ -128,8 +114,8 @@ def check_fisher_monotone(frame: FrameEnsemble, sigma: float = 4.0,
     d = sq[:, 1:] - sq[:, :-1]
     mean = d.mean(axis=0)
     se = jackknife_se(d, axis=0)
-    return _entrywise_gate("fisher-monotone", -mean, sigma * se + atol, se,
-                           notes="consecutive r increments,")
+    return entrywise_gate("fisher-monotone", -mean, sigma * se + atol, se,
+                          notes="consecutive r increments,")
 
 
 def _uniform_marginal_fisher(half_width: float, r: float) -> float:
@@ -240,9 +226,8 @@ def check_fisher_identity(frame: FrameEnsemble, indices=None, sigma: float = 4.0
     if not subs:
         raise InputValidationError("no interior r values to check")
     worst = max(subs, key=lambda s: s.statistic - s.tolerance)
-    verdict = "FAIL" if any(s.failed for s in subs) else "PASS"
-    return LemmaReport("fisher-identity", verdict, worst.statistic, worst.stderr,
-                       worst.tolerance, notes=f"{len(subs)} r values", sub=tuple(subs))
+    return gate("fisher-identity", worst.statistic, worst.tolerance, worst.stderr,
+                notes=f"{len(subs)} r values", sub=tuple(subs))
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +245,8 @@ def check_gamma_properties(frame: FrameEnsemble, sigma: float = 4.0,
     # (i) algebraic rescaling back to the t-frame covariance
     back = frame.gamma / (1.0 + frame.t)[None, :, None, None]
     gap_i = np.abs(back - frame.cov_t)
-    subs.append(_entrywise_gate("gamma-rescaling", gap_i, 1e-13,
-                                notes="float roundoff only,"))
+    subs.append(entrywise_gate("gamma-rescaling", gap_i, 1e-13,
+                               notes="float roundoff only,"))
 
     # (ii) E v (x) v = (Id - E Gamma) / (1 - r), entrywise, t > 0
     one_minus_r = 1.0 - r
@@ -269,8 +254,8 @@ def check_gamma_properties(frame: FrameEnsemble, sigma: float = 4.0,
     per_path = vv - (eye - frame.gamma) / one_minus_r[None, :, None, None]
     mean_ii = per_path.mean(axis=0)
     se_ii = jackknife_se(per_path, axis=0)
-    subs.append(_entrywise_gate("score-covariance", np.abs(mean_ii),
-                                sigma * se_ii + atol, se_ii))
+    subs.append(entrywise_gate("score-covariance", np.abs(mean_ii),
+                               sigma * se_ii + atol, se_ii))
 
     # (ii') 0 <= E Gamma <= Id in the spectral sense
     mean_g = frame.gamma.mean(axis=0)
@@ -279,47 +264,29 @@ def check_gamma_properties(frame: FrameEnsemble, sigma: float = 4.0,
     slack = sigma * n * se_g.max(axis=(-2, -1)) + atol
     gap_lo = -eig[..., 0]
     gap_hi = eig[..., -1] - 1.0
-    lo_rep = _entrywise_gate("gamma-psd", gap_lo, slack, notes="lambda_min >= 0,")
-    hi_rep = _entrywise_gate("gamma-below-identity", gap_hi, slack, notes="lambda_max <= 1,")
+    lo_rep = entrywise_gate("gamma-psd", gap_lo, slack, notes="lambda_min >= 0,")
+    hi_rep = entrywise_gate("gamma-below-identity", gap_hi, slack, notes="lambda_max <= 1,")
     subs.extend([lo_rep, hi_rep])
 
     if k_pts >= 5:
         # (iii) d/dr E v (x) v = E (Id - Gamma)^2 / (1 - r)^2
         res = eye - frame.gamma
         rhs3 = (res @ res) / one_minus_r[None, :, None, None] ** 2
-        g3 = central_difference(vv, r, axis=1) - rhs3[:, 1:-1]
-        mean3 = g3.mean(axis=0)
-        se3 = jackknife_se(g3, axis=0)
-        bud3 = fd_error_budget(vv.mean(axis=0), r, axis=0)
-        subs.append(_entrywise_gate("score-energy-derivative", np.abs(mean3),
-                                    sigma * (se3 + bud3) + atol, se3))
+        subs.append(derivative_gate("score-energy-derivative", vv, r, rhs3, sigma, atol))
 
         # (iv) d/dr E Gamma = (E Gamma - E Gamma^2) / (1 - r)
         rhs4 = (frame.gamma - frame.gamma @ frame.gamma) / one_minus_r[None, :, None, None]
-        g4 = central_difference(frame.gamma, r, axis=1) - rhs4[:, 1:-1]
-        mean4 = g4.mean(axis=0)
-        se4 = jackknife_se(g4, axis=0)
-        bud4 = fd_error_budget(mean_g, r, axis=0)
-        subs.append(_entrywise_gate("gamma-derivative", np.abs(mean4),
-                                    sigma * (se4 + bud4) + atol, se4))
+        subs.append(derivative_gate("gamma-derivative", frame.gamma, r, rhs4, sigma, atol))
 
     # (v) Gamma_r <= Id / r pathwise (r > 0); rejection tilts get a noise
     # allowance like the t-clock spectral check
-    lam = np.linalg.eigvalsh(
-        0.5 * (frame.gamma + np.swapaxes(frame.gamma, -1, -2)))[..., -1]
-    margin = lam[:, 1:] * r[None, 1:] - 1.0
-    slack_v = np.full_like(margin, 1e-6)
-    if frame.se_gamma is not None:
-        se_scale = frame.se_gamma.max(axis=(-2, -1)) * n
-        slack_v = slack_v + sigma * se_scale[:, 1:] * r[None, 1:]
-    subs.append(_entrywise_gate("gamma-spectral-bound", margin, slack_v,
-                                notes="pathwise r * lambda_max <= 1,"))
+    margin, slack_v = spectral_margin(frame.gamma, r, frame.se_gamma, sigma, 1e-6)
+    subs.append(entrywise_gate("gamma-spectral-bound", margin, slack_v,
+                               notes="pathwise r * lambda_max <= 1,"))
 
-    failed = any(s.failed for s in subs)
     worst = max(subs, key=lambda s: s.statistic - s.tolerance)
-    return LemmaReport("gamma-properties", "FAIL" if failed else "PASS",
-                       worst.statistic, worst.stderr, worst.tolerance,
-                       notes=f"{len(subs)} properties", sub=tuple(subs))
+    return gate("gamma-properties", worst.statistic, worst.tolerance, worst.stderr,
+                notes=f"{len(subs)} properties", sub=tuple(subs))
 
 
 def check_xr_law(frame: FrameEnsemble, seed: int, r: float = 0.5,
@@ -340,13 +307,13 @@ def check_xr_law(frame: FrameEnsemble, seed: int, r: float = 0.5,
 
     mean = frame.x.mean(axis=0)
     se_mean = jackknife_se(frame.x, axis=0)
-    r_mean = _entrywise_gate("xr-mean", np.abs(mean), sigma * se_mean + atol, se_mean)
+    r_mean = entrywise_gate("xr-mean", np.abs(mean), sigma * se_mean + atol, se_mean)
 
     xx = np.einsum("mki,mkj->mkij", frame.x, frame.x)
     target = r[:, None, None] * np.eye(n)[None]
     gap_cov = np.abs(xx.mean(axis=0) - target)
     se_cov = jackknife_se(xx, axis=0)
-    r_cov = _entrywise_gate("xr-covariance", gap_cov, sigma * se_cov + atol, se_cov)
+    r_cov = entrywise_gate("xr-covariance", gap_cov, sigma * se_cov + atol, se_cov)
 
     k = int(np.argmin(np.abs(r - r_target)))
     rk = float(r[k])
@@ -358,7 +325,5 @@ def check_xr_law(frame: FrameEnsemble, seed: int, r: float = 0.5,
     r_ks = gate("xr-ks", float(-pvals[worst]), float(-ks_level),
                 notes=f"min p-value {pvals[worst]:.4f} at r={rk:.4g}, level {ks_level}")
 
-    failed = r_mean.failed or r_cov.failed or r_ks.failed
-    return LemmaReport("xr-law", "FAIL" if failed else "PASS",
-                       r_cov.statistic, r_cov.stderr, r_cov.tolerance,
-                       notes=f"n_paths={m}", sub=(r_mean, r_cov, r_ks))
+    return gate("xr-law", r_cov.statistic, r_cov.tolerance, r_cov.stderr,
+                notes=f"n_paths={m}", sub=(r_mean, r_cov, r_ks))

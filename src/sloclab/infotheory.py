@@ -38,11 +38,10 @@ from scipy.special import digamma, gammaln, xlogy
 
 from . import streams
 from .errors import InputValidationError
-from .follmer import FrameEnsemble, to_follmer
-from .localization import PathEnsemble, _entrywise_gate
+from .follmer import FrameEnsemble
 from .measures import GAUSSIAN_ENTROPY_RATE, GaussianSpec, MeasureSpec
 from .numerics import jackknife_se, trapezoid
-from .reports import EstimatorResult, LemmaReport, gate, info
+from .reports import EstimatorResult, LemmaReport, entrywise_gate, gate, info
 
 CLOSED_FORM = "closed-form"
 GRID_CONVOLUTION = "grid-convolution"
@@ -122,7 +121,7 @@ def kl_to_gaussian(spec: MeasureSpec, entropy: EstimatorResult | None = None) ->
 # de Bruijn identity
 
 
-def de_bruijn_check(spec: MeasureSpec, frames, sigma: float = 4.0,
+def de_bruijn_check(spec: MeasureSpec, frame: FrameEnsemble, sigma: float = 4.0,
                     rel_tol: float = 0.02, atol: float = 1e-12) -> LemmaReport:
     """KL equals half the r-integral of the Fisher energy.
 
@@ -131,7 +130,6 @@ def de_bruijn_check(spec: MeasureSpec, frames, sigma: float = 4.0,
     underestimate by monotonicity, and the residual is absorbed into the
     relative tolerance.  Tolerance: max(rel_tol * KL, sigma * stderr) + atol.
     """
-    frame = frames if isinstance(frames, FrameEnsemble) else to_follmer(frames)
     r = frame.r
     if len(r) < 10:
         raise InputValidationError("grid too coarse for the identity (need >= 10 r-points)")
@@ -231,9 +229,8 @@ def epi_deficit(spec: MeasureSpec, seed: int = 0, n_samples: int = 1 << 17,
     nonneg = gate("deficit-nonnegative", -delta.value, slack, stderr=delta.stderr)
     upper = gate("deficit-dimension-bound", delta.value - 2.0 * n, slack,
                  stderr=delta.stderr, notes=f"bound 2n = {2 * n}")
-    verdict = "FAIL" if (nonneg.failed or upper.failed) else "PASS"
-    bounds = LemmaReport("deficit-bounds", verdict, delta.value, delta.stderr,
-                         2.0 * n, notes=delta.notes, sub=(nonneg, upper))
+    bounds = gate("deficit-bounds", delta.value, 2.0 * n, delta.stderr,
+                  notes=delta.notes, sub=(nonneg, upper))
     return DeficitReport(delta, 2.0 * n, bounds, low_confidence)
 
 
@@ -319,8 +316,9 @@ def deficit_lower_bound(frame: FrameEnsemble, xi: float = 0.5,
 # Proof-chain audit
 
 
-def deficit_chain_audit(spec: MeasureSpec, frame, xi: float = 0.5, seed: int = 0,
-                        sigma: float = 4.0, atol: float = 1e-9) -> LemmaReport:
+def deficit_chain_audit(spec: MeasureSpec, frame: FrameEnsemble, xi: float = 0.5,
+                        seed: int = 0, sigma: float = 4.0,
+                        atol: float = 1e-9) -> LemmaReport:
     """Numerical walk through the deficit inequality chain, one verdict per line.
 
     Lines, in the order they are glued together:
@@ -336,8 +334,6 @@ def deficit_chain_audit(spec: MeasureSpec, frame, xi: float = 0.5, seed: int = 0
       6. the a-priori bound E|v_xi|^2 <= 4n/(1-xi)^2;
       7. INFO: the empirical constant (1/n) int_0^{r_max} E|v|^2 dr.
     """
-    if isinstance(frame, PathEnsemble):
-        frame = to_follmer(frame)
     n = frame.dim
     m = frame.n_paths
     r_full = frame.r
@@ -353,8 +349,8 @@ def deficit_chain_audit(spec: MeasureSpec, frame, xi: float = 0.5, seed: int = 0
     gbar = g.mean(axis=0)
     plug = _frob_sq(g - gbar).mean(axis=0)
     split = _frob_sq(eye - g).mean(axis=0) - _frob_sq(eye - gbar)
-    subs.append(_entrywise_gate("variance-split-exact", np.abs(plug - split), 1e-10,
-                                notes="algebraic identity of estimators,"))
+    subs.append(entrywise_gate("variance-split-exact", np.abs(plug - split), 1e-10,
+                               notes="algebraic identity of estimators,"))
 
     # 2. truncated integration by parts
     resid_sq = _frob_sq(eye[None, None] - g) / (1.0 - r)
@@ -379,17 +375,17 @@ def deficit_chain_audit(spec: MeasureSpec, frame, xi: float = 0.5, seed: int = 0
     loo_v = (m * vsq.mean(axis=0)[None] - vsq) / (m - 1.0)
     reps = _frob_sq(eye - loo_g) / (1.0 - r) - (1.0 - c_tilde) * loo_v
     se3 = _jack_se_from_replicates(reps)
-    subs.append(_entrywise_gate("score-trace-bound", lhs - rhs, sigma * se3 + atol,
-                                se3, notes=f"empirical floor c={c_tilde:.4g},"))
+    subs.append(entrywise_gate("score-trace-bound", lhs - rhs, sigma * se3 + atol,
+                               se3, notes=f"empirical floor c={c_tilde:.4g},"))
 
     # 4. r * EGamma_r monotone in the PSD order (whole grid)
     rg = frame.gamma * r_full[None, :, None, None]
     d = rg[:, 1:] - rg[:, :-1]
     lam_min = np.linalg.eigvalsh(d.mean(axis=0))[..., 0]
     se4 = jackknife_se(d, axis=0).max(axis=(-2, -1)) * n
-    subs.append(_entrywise_gate("clocked-gamma-monotone", -lam_min,
-                                sigma * se4 + atol,
-                                notes="lambda_min of consecutive increments,"))
+    subs.append(entrywise_gate("clocked-gamma-monotone", -lam_min,
+                               sigma * se4 + atol,
+                               notes="lambda_min of consecutive increments,"))
 
     # 5. the deficit chain
     def_rep = epi_deficit(spec, seed=seed, sigma=sigma)
@@ -418,8 +414,6 @@ def deficit_chain_audit(spec: MeasureSpec, frame, xi: float = 0.5, seed: int = 0
                      notes="(1/n) integral of E|v_r|^2 over the realized grid"))
 
     gated = [s for s in subs if s.verdict != "INFO"]
-    failed = any(s.failed for s in gated)
     worst = max(gated, key=lambda s: s.statistic - s.tolerance)
-    return LemmaReport("deficit-chain", "FAIL" if failed else "PASS",
-                       worst.statistic, worst.stderr, worst.tolerance,
-                       notes=f"xi={xi}, n_paths={m}", sub=tuple(subs))
+    return gate("deficit-chain", worst.statistic, worst.tolerance, worst.stderr,
+                notes=f"xi={xi}, n_paths={m}", sub=tuple(subs))

@@ -1,9 +1,13 @@
-"""Report containers shared by every check in the laboratory."""
+"""Report containers, and the gates every check builds its verdict with."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
+
+from .numerics import central_difference, fd_error_budget, jackknife_se
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -78,6 +82,33 @@ def gate(check_id: str, gap: float, tolerance: float, stderr: float = 0.0,
             notes = f"{notes}, non-finite {name}" if notes else f"non-finite {name}"
     return LemmaReport(check_id, verdict, float(gap), float(stderr),
                        float(tolerance), notes, tuple(sub))
+
+
+def entrywise_gate(check_id: str, gap, tol, se=None, notes: str = "") -> LemmaReport:
+    """`gate` at the entry where ``gap - tol`` is largest; ``notes`` gains its index."""
+    gap = np.asarray(gap, float)
+    tol = np.broadcast_to(np.asarray(tol, float), gap.shape)
+    worst = np.unravel_index(np.argmax(gap - tol), gap.shape)
+    stderr = 0.0 if se is None else float(np.broadcast_to(se, gap.shape)[worst])
+    where = f" worst at index {tuple(int(v) for v in worst)}"
+    return gate(check_id, float(gap[worst]), float(tol[worst]), stderr=stderr,
+                notes=notes + where)
+
+
+def derivative_gate(check_id: str, y: np.ndarray, x: np.ndarray, rhs: np.ndarray,
+                    sigma: float, atol: float) -> LemmaReport:
+    """Entrywise gate for d/dx E y = E rhs at the interior grid nodes.
+
+    ``y`` and ``rhs`` are per-path arrays (m, K, ...) on the grid ``x`` (K,).
+    The statistic is |mean over paths of the central difference of y minus
+    rhs|; the tolerance is sigma * (its standard error + the step-doubling
+    budget of the mean curve E y) + atol.
+    """
+    gap = central_difference(y, x, axis=1) - rhs[:, 1:-1]
+    se = jackknife_se(gap, axis=0)
+    budget = fd_error_budget(y.mean(axis=0), x, axis=0)
+    return entrywise_gate(check_id, np.abs(gap.mean(axis=0)),
+                          sigma * (se + budget) + atol, se)
 
 
 def info(check_id: str, statistic: float, stderr: float = 0.0, notes: str = "") -> LemmaReport:

@@ -276,13 +276,6 @@ def tilt_sample_batch(spec: MeasureSpec, t: float, theta, rng: np.random.Generat
     return out, proposed, accepted
 
 
-def tilt_sample(spec: MeasureSpec, t: float, theta, stream) -> np.ndarray:
-    """One exact draw from p_{t,theta}; `stream` is an RNG key tuple or int."""
-    rng = streams.generator(*_as_key(stream))
-    pts, _, _ = tilt_sample_batch(spec, t, theta, rng, 1)
-    return pts[0]
-
-
 def _as_key(stream):
     if isinstance(stream, tuple):
         return stream

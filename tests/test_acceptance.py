@@ -14,12 +14,7 @@ import numpy as np
 import pytest
 
 from sloclab import cli
-from sloclab.follmer import (
-    check_fisher_bound,
-    check_fisher_identity,
-    check_gamma_properties,
-    to_follmer,
-)
+from sloclab.follmer import check_gamma_properties, to_follmer
 from sloclab.infotheory import (
     de_bruijn_check,
     deficit_chain_audit,
@@ -39,7 +34,6 @@ from sloclab.localization import (
     check_orthogonality,
     check_spectral_bound,
     check_variance_decomposition,
-    ensemble_stats,
     make_geometric,
     simulate_ensemble,
     trace_square_ratio,
@@ -72,9 +66,8 @@ def _gate_detail(rep) -> str:
 
 @pytest.fixture(scope="module")
 def cube8():
-    ens = simulate_ensemble(make_cube(8), make_geometric(0.01, 100.0, 40),
-                            4096, seed=0)
-    return ens, ensemble_stats(ens)
+    return simulate_ensemble(make_cube(8), make_geometric(0.01, 100.0, 40),
+                             4096, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -137,23 +130,20 @@ def test_c01_gaussian_closed_form_suite():
 
 
 def test_c02_variance_decomposition_at_scale(cube8):
-    _, stats = cube8
-    rep = check_variance_decomposition(stats, sigma=4.0)
+    rep = check_variance_decomposition(cube8, sigma=4.0)
     _verdict("C02 variance decomposition cube:8 x4096", not rep.failed,
              _gate_detail(rep))
 
 
 def test_c03_covariance_derivative_identity(cube8):
-    _, stats = cube8
-    rep = check_derivative_identity(stats, sigma=4.0)
+    rep = check_derivative_identity(cube8, sigma=4.0)
     ok = not rep.failed
     _verdict("C03 derivative identity cube:8 x4096", ok,
              _gate_detail(rep) + f" subs={[s.check_id for s in rep.sub]}")
 
 
 def test_c04_pathwise_spectral_bound(cube8):
-    ens, _ = cube8
-    rep = check_spectral_bound(ens, sigma=4.0)
+    rep = check_spectral_bound(cube8, sigma=4.0)
     ok = not rep.failed and "violations=0" in rep.notes
     _verdict("C04 spectral bound cube:8 x4096", ok, rep.notes)
 
@@ -182,7 +172,7 @@ def test_c07_de_bruijn_identity():
     ok = True
     for spec in (make_product("laplace"), make_cube(1)):
         ens = simulate_ensemble(spec, grid, 8192, seed=11)
-        rep = de_bruijn_check(spec, ens, sigma=4.0, rel_tol=0.02)
+        rep = de_bruijn_check(spec, to_follmer(ens), sigma=4.0, rel_tol=0.02)
         ok = ok and not rep.failed
         details.append(f"{spec.measure_id()} {_gate_detail(rep)}")
     kl_pin = abs(kl_to_gaussian(make_product('laplace')).value - 0.0723649)
@@ -263,7 +253,7 @@ def test_c12_trace_square_ratio_catalog():
     for mid in DEFAULT_CATALOG:
         spec = parse_measure_id(mid)
         ens = simulate_ensemble(spec, grid, 128, seed=1, tilt_samples=256)
-        rep = trace_square_ratio(ensemble_stats(ens))
+        rep = trace_square_ratio(ens)
         ok = ok and rep.verdict == "INFO" and np.isfinite(rep.stderr)
         if spec.family == "gaussian":
             ok = ok and rep.statistic == 1.0

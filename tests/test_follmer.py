@@ -1,7 +1,6 @@
 """Clock change to r = t/(1+t): frame algebra, Fisher energy, Gamma process."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -93,15 +92,6 @@ def test_fisher_energy_curve_shape(cube2_frame):
     assert np.allclose(cur.bound, 8.0 / (1.0 - cur.r) ** 2)
 
 
-def test_fisher_energy_point_result(cube1_frame):
-    est = fisher_energy(cube1_frame, r=0.5)
-    assert est.n == 512
-    assert est.method == "plug-in-mc"
-    assert "holds" in est.notes
-    with pytest.raises(InputValidationError, match="not in the grid"):
-        fisher_energy(cube1_frame, r=0.123456)
-
-
 def test_trace_of_score_outer_equals_energy(cube2_frame):
     vv = np.einsum("mki,mkj->mkij", cube2_frame.v, cube2_frame.v)
     tr = np.trace(vv.mean(axis=0), axis1=-2, axis2=-1)
@@ -116,7 +106,9 @@ def test_fisher_energy_cube_three_routes(cube1_frame):
     information.  A and B agree to quadrature accuracy, the simulation to
     Monte Carlo accuracy.
     """
-    est = fisher_energy(cube1_frame, r=0.5)
+    cur = fisher_energy(cube1_frame)
+    k = int(np.argmin(np.abs(cur.r - 0.5)))
+    assert cur.r[k] == pytest.approx(0.5, abs=1e-12)
 
     def drift(th):
         a, b = -SQRT3 - th, SQRT3 - th
@@ -129,7 +121,7 @@ def test_fisher_energy_cube_three_routes(cube1_frame):
                       -SQRT3 - 10.0, SQRT3 + 10.0, limit=200)
     route_b = marginal_fisher_information(make_cube(1), 0.5)
     assert route_a == pytest.approx(route_b, abs=1e-8)
-    assert est.value == pytest.approx(route_a, abs=5.0 * est.stderr)
+    assert cur.value[k] == pytest.approx(route_a, abs=5.0 * cur.stderr[k])
 
 
 def test_marginal_fisher_gaussian_is_zero():
@@ -187,6 +179,14 @@ def test_gamma_properties_pass(cube2_frame):
     assert ids == ["gamma-rescaling", "score-covariance", "gamma-psd",
                    "gamma-below-identity", "score-energy-derivative",
                    "gamma-derivative", "gamma-spectral-bound"]
+
+
+def test_gamma_derivative_flags_scaled_time(cube2_frame):
+    gamma = cube2_frame.gamma.copy()
+    gamma[:, 8] *= 1.2
+    rep = check_gamma_properties(dataclasses.replace(cube2_frame, gamma=gamma))
+    assert rep.failed
+    assert {s.check_id: s for s in rep.sub}["gamma-derivative"].failed
 
 
 def test_gamma_properties_with_rejection_noise():

@@ -1,0 +1,79 @@
+"""Source hygiene, checked with `ast` alone (no linter is required).
+
+* Every imported name in ``src/`` and ``tests/`` is read somewhere in its
+  module (a ``__all__`` entry counts as a read).
+* No ``sloclab`` module imports a private (``_name``) from another one:
+  what modules share is public.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "sloclab").rglob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").rglob("*.py"))
+
+
+def _rel(path: Path) -> str:
+    return path.relative_to(ROOT).as_posix()
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def unused_imports(tree: ast.Module) -> list:
+    """(line, name) of every imported name the module never reads."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names if a.name != "*"]
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read |= {e.value for e in ast.walk(node.value)
+                     if isinstance(e, ast.Constant) and isinstance(e.value, str)}
+    return sorted((line, name) for line, name in bound if name not in read)
+
+
+def private_imports(tree: ast.Module) -> list:
+    """(line, name) of every ``_name`` imported from a sloclab module."""
+    return sorted((node.lineno, a.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").split(".")[0] == "sloclab")
+                  for a in node.names
+                  if a.name.startswith("_") and not a.name.startswith("__"))
+
+
+def _scan(paths, scanner) -> list:
+    assert paths
+    return [f"{_rel(p)}:{line} {name}" for p in paths for line, name in scanner(_tree(p))]
+
+
+def test_no_unused_imports():
+    assert Path(__file__).resolve() in SOURCES
+    assert _scan(SOURCES, unused_imports) == []
+
+
+def test_no_private_imports_between_modules():
+    assert _scan(PACKAGE, private_imports) == []
+
+
+def test_scanners_flag_what_they_look_for():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os\n"
+                     "import numpy.linalg\n"
+                     "from math import pi, tau as turn\n"
+                     "from .tilt import _as_key, __doc__\n"
+                     "from sloclab.cli import _REGISTRY\n"
+                     "from . import streams\n"
+                     "__all__ = ['streams']\n"
+                     "def f(x: np.ndarray) -> float:\n"
+                     "    return numpy.linalg.norm(x) * pi\n")
+    assert unused_imports(tree) == [(2, "os"), (4, "turn"), (5, "__doc__"),
+                                    (5, "_as_key"), (6, "_REGISTRY")]
+    assert private_imports(tree) == [(5, "_as_key"), (6, "_REGISTRY")]

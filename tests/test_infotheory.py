@@ -26,7 +26,6 @@ from sloclab.infotheory import (
 from sloclab.localization import make_geometric, simulate_ensemble
 from sloclab.measures import (
     GAUSSIAN_ENTROPY_RATE,
-    LaplaceFactor,
     ProductSpec,
     UniformFactor,
     make_ball,
@@ -118,14 +117,14 @@ def test_kl_requires_isotropic():
 
 def test_de_bruijn_gaussian_is_exact():
     ens = simulate_ensemble(make_gaussian(2), make_geometric(0.01, 100.0, 40), 64, seed=0)
-    rep = de_bruijn_check(make_gaussian(2), ens)
+    rep = de_bruijn_check(make_gaussian(2), to_follmer(ens))
     assert not rep.failed
     assert rep.statistic < 1e-10  # v = 0 and KL = 0, both sides vanish
 
 
 def test_de_bruijn_cube():
     ens = simulate_ensemble(make_cube(1), make_geometric(0.01, 20_000.0, 48), 2048, seed=2)
-    rep = de_bruijn_check(make_cube(1), ens)
+    rep = de_bruijn_check(make_cube(1), to_follmer(ens))
     assert not rep.failed
     assert "tail-rectangle" in rep.notes
     assert "kl=0.17648" in rep.notes
@@ -134,7 +133,7 @@ def test_de_bruijn_cube():
 def test_de_bruijn_needs_fine_grid():
     ens = simulate_ensemble(make_cube(1), make_geometric(0.1, 1.0, 7), 16, seed=0)
     with pytest.raises(InputValidationError, match=">= 10"):
-        de_bruijn_check(make_cube(1), ens)
+        de_bruijn_check(make_cube(1), to_follmer(ens))
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +234,3 @@ def test_deficit_chain_audit_cube(cube2_frame_anchored):
     assert rep.sub[-1].verdict == "INFO"
     assert "xi=0.5" in rep.notes
 
-
-def test_deficit_chain_audit_accepts_raw_ensemble():
-    ens = simulate_ensemble(make_cube(1), make_geometric(0.05, 20.0, 16, include=(1.0,)),
-                            256, seed=3)
-    rep = deficit_chain_audit(make_cube(1), ens, xi=0.5, seed=3)
-    assert not rep.failed

@@ -1,5 +1,6 @@
 """Localization drivers, grids, ensemble statistics, and the process checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -260,18 +261,16 @@ def test_trace_square_at_time_zero():
     ens = simulate_ensemble(make_cube(8), make_geometric(0.1, 1.0, 7), 3, seed=0)
     stats = ens.stats()
     assert stats.mean_tr_cov_sq[0] == pytest.approx(8.0, abs=1e-12)
-    rep = trace_square_ratio(stats)
+    rep = trace_square_ratio(ens)
     assert rep.verdict == "INFO"
     assert rep.statistic == pytest.approx(1.0, abs=1e-12)
     assert "t=0" in rep.notes
 
 
-def test_stats_derivative_fields_need_five_points():
+def test_derivative_identity_needs_five_points():
     ens = simulate_ensemble(make_cube(1), make_uniform(1.0, 3), 8, seed=0)
-    stats = ens.stats()
-    assert stats.deriv_gap_mean is None
     with pytest.raises(InputValidationError, match="5 grid times"):
-        check_derivative_identity(stats)
+        check_derivative_identity(ens)
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +283,13 @@ def cube2_ensemble():
 
 
 def test_variance_decomposition_passes(cube2_ensemble):
-    rep = check_variance_decomposition(cube2_ensemble.stats())
+    rep = check_variance_decomposition(cube2_ensemble)
     assert not rep.failed
     assert rep.check_id == "variance-decomposition"
 
 
 def test_derivative_identity_passes(cube2_ensemble):
-    rep = check_derivative_identity(cube2_ensemble.stats())
+    rep = check_derivative_identity(cube2_ensemble)
     assert not rep.failed
     assert {s.check_id for s in rep.sub} == {"derivative-identity",
                                              "derivative-identity-trace"}
@@ -332,6 +331,26 @@ def test_spectral_bound_flags_offending_path():
     rep = check_spectral_bound(ens)
     assert rep.failed
     assert "offending paths [3]" in rep.notes
+
+
+def test_derivative_identity_flags_scaled_time(cube2_ensemble):
+    cube2_ensemble.stats()  # a cached reduction must not leak into the copy
+    cov = cube2_ensemble.cov.copy()
+    cov[:, 8] *= 1.2
+    bad = dataclasses.replace(cube2_ensemble, cov=cov)
+    rep = check_derivative_identity(bad)
+    assert rep.failed
+    assert [s.check_id for s in rep.sub if s.failed] == ["derivative-identity",
+                                                          "derivative-identity-trace"]
+    assert check_variance_decomposition(bad).failed
+
+
+def test_derivative_identity_flags_non_finite_path(cube2_ensemble):
+    cov = cube2_ensemble.cov.copy()
+    cov[0, 5, 0, 0] = np.nan
+    rep = check_derivative_identity(dataclasses.replace(cube2_ensemble, cov=cov))
+    assert rep.failed
+    assert "non-finite statistic" in rep.notes
 
 
 def test_martingale_cube():

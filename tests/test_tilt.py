@@ -26,15 +26,12 @@ from sloclab.tilt import (
     CLOSED_FORM,
     QUADRATURE,
     REJECTION,
-    TiltState,
     conditional_covariance_identity_check,
     factor_tilt_quadrature,
-    gaussian_tilt,
     product_tilt_table,
     tilt_moments,
     tilt_moments_quadrature,
     tilt_moments_rejection,
-    tilt_sample,
     tilt_sample_batch,
     tilt_table,
 )
@@ -352,11 +349,16 @@ def test_rejection_spec_needs_stream():
 
 
 def test_tilt_sample_single_draw():
-    x = tilt_sample(make_ball(3), 1.0, np.zeros(3), (3, "single"))
-    assert x.shape == (3,)
-    assert np.linalg.norm(x) <= math.sqrt(5.0)
+    def draw():
+        pts, _, _ = tilt_sample_batch(make_ball(3), 1.0, np.zeros(3),
+                                      streams.generator(3, "single"), size=1)
+        return pts
+
+    x = draw()
+    assert x.shape == (1, 3)
+    assert np.linalg.norm(x[0]) <= math.sqrt(5.0)
     # same key, same draw
-    assert np.array_equal(x, tilt_sample(make_ball(3), 1.0, np.zeros(3), (3, "single")))
+    assert np.array_equal(x, draw())
 
 
 # ---------------------------------------------------------------------------
