@@ -7,9 +7,13 @@ In the new frame the driving data become
     Gamma_r = (1 + t) A_t        (rescaled tilt covariance)
 
 with r running over [0, 1).  The energy E |v_r|^2 equals the relative Fisher
-information J(nu_r || N(0, r Id)) of the law nu_r of x_r, which this module
-also computes by an independent density-convolution quadrature for product
-measures.  The Gamma process satisfies
+information J(nu_r || N(0, r Id)) of the law nu_r of x_r.  For product
+measures this module also computes J independently of the tilts: each
+catalog factor has a closed-form density and score for r X + sqrt(r (1 - r)) Z
+(Gaussian, a Phi-window for uniform and truncgauss, an exponentially modified
+Gaussian for exp and its two-sided mixture for laplace), so J is one scalar
+quadrature per factor.  A nested convolution quadrature serves the factors
+without a closed form, today only ``ballmarg``.  The Gamma process satisfies
 
     (i)   (1 - r) Gamma_r = A_t                       (algebraic rescaling)
     (ii)  E v (x) v = (Id - E Gamma) / (1 - r),  0 <= E Gamma <= Id
@@ -28,16 +32,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
-from scipy.special import ndtr
+from scipy.special import log_ndtr
 
 from . import streams
 from .errors import InputValidationError
 from .localization import PathEnsemble, spectral_margin
-from .measures import GaussianSpec, MeasureSpec, UniformFactor
+from .measures import GaussianSpec, MeasureSpec
 from .numerics import jackknife_se
-from .reports import LemmaReport, derivative_gate, entrywise_gate, gate
+from .reports import EstimatorResult, LemmaReport, derivative_gate, entrywise_gate, gate
 
 _QUAD_KW = dict(epsabs=1e-12, epsrel=1e-11, limit=200)
+_U_CUT = 40.0   # unbounded factor supports end here; their densities are below e^-40
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -118,36 +124,84 @@ def check_fisher_monotone(frame: FrameEnsemble, sigma: float = 4.0,
                           notes="consecutive r increments,")
 
 
-def _uniform_marginal_fisher(half_width: float, r: float) -> float:
-    """J(nu_r || N(0, r)) for one uniform factor, via the closed-form density.
+def _emg(w: float, lam: float, s: float) -> tuple[float, float]:
+    """(log density, score) at w of E / lam + s Z with E ~ Exp(1).
 
-    nu_r is the convolution of uniform[-rw, rw] with N(0, r(1-r)); its density
-    is a difference of Gaussian CDFs, differentiable in closed form.
+    This is the exponentially modified Gaussian with rate lam.
     """
-    w = half_width
+    z = (w - lam * s * s) / s
+    log_cdf = log_ndtr(z)
+    return (math.log(lam) + 0.5 * (lam * s) ** 2 - lam * w + log_cdf,
+            -lam + math.exp(-0.5 * z * z - log_cdf - _LOG_SQRT_2PI) / s)
+
+
+def _gauss_window(lo: float, hi: float) -> tuple[float, float]:
+    """(log(Phi(hi) - Phi(lo)), (phi(hi) - phi(lo)) / (Phi(hi) - Phi(lo))) for lo < hi.
+
+    The difference is taken in the lower tail, where log_ndtr keeps precision.
+    """
+    a, b = (hi, lo) if lo <= 0.0 else (-lo, -hi)
+    log_a = log_ndtr(a)
+    log_d = log_a + math.log(-math.expm1(log_ndtr(b) - log_a))
+    ratio = (math.exp(-0.5 * hi * hi - log_d - _LOG_SQRT_2PI)
+             - math.exp(-0.5 * lo * lo - log_d - _LOG_SQRT_2PI))
+    return log_d, ratio
+
+
+def _closed_marginal(factor, r: float):
+    """y -> (log f(y), f'(y) / f(y)) for the law of r X + s Z, or None.
+
+    X ~ ``factor``, s = sqrt(r (1 - r)).  The formulas come from convolving
+    the factor's density with the Gaussian, not from its tilt, so a wrong
+    closed tilt cannot cancel against them.  Factors without a closed form
+    (today only ``ballmarg``) return None.
+    """
     s = math.sqrt(r * (1.0 - r))
+    if factor.tag == "gaussian":
+        # nu_r is exactly N(0, r)
+        log_norm = -0.5 * math.log(2.0 * math.pi * r)
+        return lambda y: (log_norm - 0.5 * y * y / r, -y / r)
+    if factor.tag == "uniform":
+        # Phi-window of half-width r w around y, over 2 r w
+        c = r * factor.half_width
 
-    def dens(y):
-        return (ndtr((y + r * w) / s) - ndtr((y - r * w) / s)) / (2.0 * r * w)
+        def uniform(y):
+            log_d, ratio = _gauss_window((y - c) / s, (y + c) / s)
+            return log_d - math.log(2.0 * c), ratio / s
+        return uniform
+    if factor.tag == "exp":
+        # r X + r is Exp(rate 1 / r)
+        return lambda y: _emg(y + r, 1.0 / r, s)
+    if factor.tag == "laplace":
+        # r X is an equal mixture of Exp(rate lam) and its mirror image
+        lam = 1.0 / (r * factor.scale)
 
-    def ddens(y):
-        pa = math.exp(-0.5 * ((y + r * w) / s) ** 2)
-        pb = math.exp(-0.5 * ((y - r * w) / s) ** 2)
-        return (pa - pb) / (2.0 * r * w * s * math.sqrt(2.0 * math.pi))
+        def laplace(y):
+            g_right, d_right = _emg(y, lam, s)
+            g_left, d_left = _emg(-y, lam, s)
+            log_f = float(np.logaddexp(g_right, g_left))
+            p = math.exp(g_right - log_f)
+            return log_f - math.log(2.0), p * d_right - (1.0 - p) * d_left
+        return laplace
+    if factor.tag == "truncgauss":
+        # X = U / sigma with U ~ N(0, 1) cut at |U| <= c.  With a = r / sigma,
+        # Y = a U + s Z is N(0, a^2 + s^2) times P(|U| <= c | Y = y) / Z_c,
+        # where U | Y = y is N(a y / tau2, s^2 / tau2).
+        a = r / factor.sigma
+        tau2 = a * a + s * s
+        sd = s / math.sqrt(tau2)
+        log_norm = -0.5 * math.log(2.0 * math.pi * tau2) - math.log(factor.z_cut)
 
-    def integrand(y):
-        f = dens(y)
-        if f < 1e-280:
-            return 0.0
-        return (ddens(y) / f + y / r) ** 2 * f
-
-    hi = r * w + 10.0 * s
-    val, _ = quad(integrand, -hi, hi, **_QUAD_KW)
-    return val
+        def truncgauss(y):
+            mu = a * y / tau2
+            log_d, ratio = _gauss_window((-factor.cut - mu) / sd, (factor.cut - mu) / sd)
+            return log_norm - 0.5 * y * y / tau2 + log_d, -y / tau2 - ratio * a / (tau2 * sd)
+        return truncgauss
+    return None
 
 
-def _generic_marginal_fisher(factor, r: float) -> float:
-    """Nested-quadrature J(nu_r || N(0, r)) for one 1D factor.
+def _nested_integrand(factor, r: float):
+    """Fisher integrand of nu_r by nested quadrature, for factors with no closed form.
 
     Slow but independent of the tilt machinery: both the density of
     r X + sqrt(r (1 - r)) Z and its derivative are computed as raw
@@ -155,8 +209,8 @@ def _generic_marginal_fisher(factor, r: float) -> float:
     """
     s = math.sqrt(r * (1.0 - r))
     s2 = s * s
-    lo_u = max(factor.lo, -40.0)
-    hi_u = min(factor.hi, 40.0)
+    lo_u = max(factor.lo, -_U_CUT)
+    hi_u = min(factor.hi, _U_CUT)
     norm = 1.0 / math.sqrt(2.0 * math.pi * s2)
 
     def kernel(y, u, moment):
@@ -173,40 +227,51 @@ def _generic_marginal_fisher(factor, r: float) -> float:
         df, _ = quad(lambda u: kernel(y, u, 1), lo_u, hi_u, **_QUAD_KW)
         return (df / f + y / r) ** 2 * f
 
-    lo_y = r * lo_u - 10.0 * s if np.isfinite(factor.lo) else -r * 40 - 10 * s
-    hi_y = r * hi_u + 10.0 * s if np.isfinite(factor.hi) else r * 40 + 10 * s
-    val, _ = quad(integrand, lo_y, hi_y, **_QUAD_KW)
-    return val
+    return integrand
 
 
-def marginal_fisher_information(spec: MeasureSpec, r: float) -> float:
+def _factor_fisher(factor, r: float) -> tuple[float, float]:
+    """(J(nu_r || N(0, r)), quad's error estimate) for one 1D factor."""
+    s = math.sqrt(r * (1.0 - r))
+    dens = _closed_marginal(factor, r)
+    if dens is None:
+        integrand = _nested_integrand(factor, r)
+    else:
+        def integrand(y):
+            log_f, score = dens(y)
+            return (score + y / r) ** 2 * math.exp(log_f)
+    # images of the factor's kinks: its support ends, and 0 for laplace
+    kinks = sorted({r * u for u in (factor.lo, 0.0, factor.hi) if math.isfinite(u)})
+    lo_y = r * max(factor.lo, -_U_CUT) - 10.0 * s
+    hi_y = r * min(factor.hi, _U_CUT) + 10.0 * s
+    return quad(integrand, lo_y, hi_y, points=kinks, **_QUAD_KW)
+
+
+def marginal_fisher_information(spec: MeasureSpec, r: float) -> EstimatorResult:
     """J(nu_r || N(0, r Id)) by density quadrature; nu_r = law(r X + sqrt(r(1-r)) Z).
 
     Factorizes over coordinates for product measures; identically zero for the
-    Gaussian (nu_r is exactly N(0, r Id)).
+    Gaussian (nu_r is exactly N(0, r Id)).  ``stderr`` is the sum of the
+    per-factor quadrature error estimates.
     """
     if not 0.0 < r < 1.0:
         raise InputValidationError("need 0 < r < 1")
     if isinstance(spec, GaussianSpec):
-        return 0.0
+        return EstimatorResult(0.0, 0.0, method="closed form")
     if spec.factors is None:
         raise InputValidationError("quadrature route needs a product (or Gaussian) measure")
-    total = 0.0
-    for f in spec.factors:
-        if isinstance(f, UniformFactor):
-            total += _uniform_marginal_fisher(f.half_width, r)
-        else:
-            total += _generic_marginal_fisher(f, r)
-    return total
+    parts = [_factor_fisher(f, r) for f in spec.factors]
+    return EstimatorResult(sum(v for v, _ in parts), sum(e for _, e in parts),
+                           method="quadrature")
 
 
-def check_fisher_identity(frame: FrameEnsemble, indices=None, sigma: float = 4.0,
-                          quad_tol: float = 1e-6) -> LemmaReport:
+def check_fisher_identity(frame: FrameEnsemble, indices=None,
+                          sigma: float = 4.0) -> LemmaReport:
     """E |v_r|^2 equals the marginal relative Fisher information J(nu_r || gamma_r).
 
     The left side is the simulated energy, the right side an independent
-    density-convolution quadrature; disagreement beyond Monte Carlo error
-    fails the check.
+    density quadrature; disagreement beyond sigma Monte Carlo standard errors
+    plus the quadrature's error estimate fails the check.
     """
     cur = fisher_energy(frame)
     if indices is None:
@@ -218,11 +283,11 @@ def check_fisher_identity(frame: FrameEnsemble, indices=None, sigma: float = 4.0
         if not 0.0 < r < 1.0:
             continue
         j_quad = marginal_fisher_information(frame.spec, r)
-        gap = abs(float(cur.value[k]) - j_quad)
-        tol = sigma * float(cur.stderr[k]) + quad_tol
+        gap = abs(float(cur.value[k]) - j_quad.value)
+        tol = sigma * float(cur.stderr[k]) + j_quad.stderr
         subs.append(gate(f"fisher-identity@r={r:.4g}", gap, tol,
                          stderr=float(cur.stderr[k]),
-                         notes=f"mc={cur.value[k]:.6g} quad={j_quad:.6g}"))
+                         notes=f"mc={cur.value[k]:.6g} quad={j_quad.value:.6g}"))
     if not subs:
         raise InputValidationError("no interior r values to check")
     worst = max(subs, key=lambda s: s.statistic - s.tolerance)

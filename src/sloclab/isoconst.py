@@ -77,9 +77,9 @@ def isotropic_constant(spec: MeasureSpec, entropy_method: str = "auto",
                     notes=f"L={l_val:.8g} <= f(0)-pin={mid:.8g}")
     high_side = gate("sandwich-upper", mid - math.e * l_val, tol * math.e, stderr=l_se,
                      notes=f"f(0)-pin={mid:.8g} <= e*L={math.e * l_val:.8g}")
-    verdict = "FAIL" if (low_side.failed or high_side.failed) else "PASS"
-    sandwich = LemmaReport("density-sandwich", verdict, mid, l_se, math.e * l_val,
-                           sub=(low_side, high_side))
+    worst = max((low_side, high_side), key=lambda s: s.statistic - s.tolerance)
+    sandwich = gate("density-sandwich", worst.statistic, worst.tolerance, worst.stderr,
+                    notes="L <= f(0)-pin <= e*L", sub=(low_side, high_side))
 
     lower = gate("l-lower-bound", GAUSSIAN_L - 1e-9 - l_val, sigma * l_se,
                  stderr=l_se, notes=f"floor (2 pi e)^(-1/2) = {GAUSSIAN_L:.8g}")

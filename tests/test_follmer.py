@@ -1,6 +1,7 @@
 """Clock change to r = t/(1+t): frame algebra, Fisher energy, Gamma process."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.stats import truncnorm
 
 from sloclab.errors import InputValidationError
 from sloclab.follmer import (
+    _closed_marginal,
     check_fisher_bound,
     check_fisher_identity,
     check_fisher_monotone,
@@ -20,7 +22,14 @@ from sloclab.follmer import (
     to_follmer,
 )
 from sloclab.localization import make_geometric, simulate_ensemble
-from sloclab.measures import SQRT3, make_ball, make_cube, make_gaussian, make_product
+from sloclab.measures import (
+    SQRT3,
+    make_ball,
+    make_cube,
+    make_factor,
+    make_gaussian,
+    make_product,
+)
 
 
 @pytest.fixture(scope="module")
@@ -119,13 +128,14 @@ def test_fisher_energy_cube_three_routes(cube1_frame):
 
     route_a, _ = quad(lambda th: (2.0 * drift(th) - th) ** 2 * theta_density(th),
                       -SQRT3 - 10.0, SQRT3 + 10.0, limit=200)
-    route_b = marginal_fisher_information(make_cube(1), 0.5)
+    route_b = marginal_fisher_information(make_cube(1), 0.5).value
     assert route_a == pytest.approx(route_b, abs=1e-8)
     assert cur.value[k] == pytest.approx(route_a, abs=5.0 * cur.stderr[k])
 
 
 def test_marginal_fisher_gaussian_is_zero():
-    assert marginal_fisher_information(make_gaussian(3), 0.5) == 0.0
+    j = marginal_fisher_information(make_gaussian(3), 0.5)
+    assert (j.value, j.stderr) == (0.0, 0.0)
 
 
 def test_marginal_fisher_validation():
@@ -138,16 +148,86 @@ def test_marginal_fisher_validation():
 def test_marginal_fisher_factorizes():
     j1 = marginal_fisher_information(make_cube(1), 0.3)
     j2 = marginal_fisher_information(make_cube(2), 0.3)
-    assert j2 == pytest.approx(2.0 * j1, rel=1e-10)
+    assert j2.value == pytest.approx(2.0 * j1.value, rel=1e-10)
+    assert j2.stderr == pytest.approx(2.0 * j1.stderr, rel=1e-10)
 
 
-def test_uniform_fisher_routes_agree():
-    # closed-form density route vs the generic nested-convolution route
-    from sloclab.follmer import _generic_marginal_fisher, _uniform_marginal_fisher
-    from sloclab.measures import UniformFactor
-    fast = _uniform_marginal_fisher(SQRT3, 0.4)
-    slow = _generic_marginal_fisher(UniformFactor(), 0.4)
-    assert fast == pytest.approx(slow, rel=1e-7)
+FACTOR_TAGS = ("gaussian", "uniform", "exp", "laplace", "truncgauss")
+LEGENDRE = np.polynomial.legendre.leggauss(200)
+
+
+def _support_y(factor, r):
+    """Where the law of r X + sqrt(r (1 - r)) Z lives, and the images of the factor's kinks."""
+    s = math.sqrt(r * (1.0 - r))
+    kinks = [u for u in (factor.lo, 0.0, factor.hi) if math.isfinite(u)]
+    lo = r * max(factor.lo, -40.0) - 12.0 * s
+    hi = r * min(factor.hi, 40.0) + 12.0 * s
+    return lo, hi, sorted({r * u for u in kinks}), kinks
+
+
+def _nested_fisher_oracle(factor, r):
+    """J(nu_r || N(0, r)) from the factor's log density alone.
+
+    The density of r X + s Z and its derivative are Gauss-Legendre sums over
+    the Gaussian kernel's +-12 sd window in u, split at the factor's kinks;
+    an adaptive quadrature in y integrates the Fisher integrand.
+    """
+    s = math.sqrt(r * (1.0 - r))
+    lo_y, hi_y, kinks_y, kinks_u = _support_y(factor, r)
+    nodes, weights = LEGENDRE
+
+    def integrand(y):
+        c, h = y / r, 12.0 * s / r
+        a0, b0 = max(c - h, factor.lo), min(c + h, factor.hi)
+        if a0 >= b0:
+            return 0.0
+        edges = sorted({a0, b0} | {u for u in kinks_u if a0 < u < b0})
+        f = df = 0.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            u = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+            k = (np.exp(-0.5 * ((y - r * u) / s) ** 2 + factor.log_density(u))
+                 * 0.5 * (b - a) * weights)
+            f += k.sum()
+            df += (k * (r * u - y)).sum() / (s * s)
+        if f < 1e-280:
+            return 0.0
+        return (df / f + y / r) ** 2 * f / (math.sqrt(2.0 * math.pi) * s)
+
+    val, _ = quad(integrand, lo_y, hi_y, points=kinks_y, epsabs=1e-14, epsrel=1e-11,
+                  limit=200)
+    return val
+
+
+@pytest.mark.parametrize("r", [0.05, 0.2, 0.5, 0.8, 0.95])
+@pytest.mark.parametrize("tag", FACTOR_TAGS)
+def test_closed_marginal_route(tag, r):
+    """Each factor's closed density is the law of r X + s Z, and J matches the oracle."""
+    factor = make_factor(tag)
+    dens = _closed_marginal(factor, r)
+    lo_y, hi_y, kinks_y, _ = _support_y(factor, r)
+    mass, mean, second = (
+        quad(lambda y: y ** k * math.exp(dens(y)[0]), lo_y, hi_y, points=kinks_y,
+             epsabs=1e-13, epsrel=1e-12, limit=200)[0] for k in range(3))
+    assert abs(mass - 1.0) < 1e-10
+    assert abs(mean) < 1e-10
+    assert abs(second - r) < 1e-10
+    j = marginal_fisher_information(make_product(tag), r)
+    assert j.value == pytest.approx(_nested_fisher_oracle(factor, r), rel=1e-8, abs=1e-15)
+    assert 0.0 <= j.stderr < 1e-9
+
+
+@pytest.mark.parametrize("r", [1e-3, 0.999])
+@pytest.mark.parametrize("tag", FACTOR_TAGS)
+def test_marginal_fisher_finite_at_clock_ends(tag, r):
+    j = marginal_fisher_information(make_product(tag), r)
+    assert math.isfinite(j.value) and j.value >= 0.0
+    assert math.isfinite(j.stderr)
+
+
+def test_laplace_fisher_at_high_r():
+    # an unsplit nested quadrature gave 0.508941 here, with only a warning
+    j = marginal_fisher_information(make_product("laplace"), 0.95)
+    assert j.value == pytest.approx(0.5068226962, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +250,16 @@ def test_fisher_identity_passes(cube1_frame):
     assert rep.sub
     for s in rep.sub:
         assert s.check_id.startswith("fisher-identity@r=")
+
+
+def test_fisher_identity_flags_scaled_drift():
+    # 1.1 v raises E |v_r|^2 by 21%; with 8192 paths the gap at r = 0.8 is 1.75-2.45
+    # times the 4-sigma tolerance at seeds 0-3
+    spec = make_product("exp,laplace,truncgauss")
+    frame = to_follmer(simulate_ensemble(spec, make_geometric(0.05, 20.0, 16), 8192, seed=0))
+    assert not check_fisher_identity(frame).failed
+    rep = check_fisher_identity(dataclasses.replace(frame, v=1.1 * frame.v))
+    assert rep.failed
 
 
 def test_gamma_properties_pass(cube2_frame):

@@ -4,6 +4,8 @@
   module (a ``__all__`` entry counts as a read).
 * No ``sloclab`` module imports a private (``_name``) from another one:
   what modules share is public.
+* Only ``reports.py`` calls ``LemmaReport(``: every other module and test
+  builds its verdicts through ``reports.gate`` and its relatives.
 """
 
 import ast
@@ -49,6 +51,14 @@ def private_imports(tree: ast.Module) -> list:
                   if a.name.startswith("_") and not a.name.startswith("__"))
 
 
+def report_constructions(tree: ast.Module) -> list:
+    """(line, name) of every call that constructs a ``LemmaReport`` directly."""
+    return sorted((node.lineno, "LemmaReport") for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and (getattr(node.func, "id", None) == "LemmaReport"
+                       or getattr(node.func, "attr", None) == "LemmaReport"))
+
+
 def _scan(paths, scanner) -> list:
     assert paths
     return [f"{_rel(p)}:{line} {name}" for p in paths for line, name in scanner(_tree(p))]
@@ -61,6 +71,12 @@ def test_no_unused_imports():
 
 def test_no_private_imports_between_modules():
     assert _scan(PACKAGE, private_imports) == []
+
+
+def test_reports_are_built_only_in_reports_module():
+    outside = [p for p in SOURCES if p != ROOT / "src" / "sloclab" / "reports.py"]
+    assert len(outside) == len(SOURCES) - 1
+    assert _scan(outside, report_constructions) == []
 
 
 def test_scanners_flag_what_they_look_for():
@@ -77,3 +93,10 @@ def test_scanners_flag_what_they_look_for():
     assert unused_imports(tree) == [(2, "os"), (4, "turn"), (5, "__doc__"),
                                     (5, "_as_key"), (6, "_REGISTRY")]
     assert private_imports(tree) == [(5, "_as_key"), (6, "_REGISTRY")]
+    built = ast.parse("from sloclab import reports\n"
+                      "from sloclab.reports import LemmaReport, gate\n"
+                      "a = LemmaReport('x', 'PASS', 0.0)\n"
+                      "b = reports.LemmaReport('x', 'PASS', 0.0)\n"
+                      "c = gate('x', 0.0, 1.0)\n"
+                      "d: LemmaReport = c\n")
+    assert report_constructions(built) == [(3, "LemmaReport"), (4, "LemmaReport")]

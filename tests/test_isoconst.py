@@ -73,9 +73,12 @@ def test_sandwich_holds_on_closed_catalog():
 
 
 def test_sandwich_is_tight_for_exponential():
-    # density at the barycenter is exp(-1) per factor, exactly L
+    # density at the barycenter is exp(-1) per factor, exactly L: the lower
+    # side's gap L - f(0)-pin vanishes
     rep = isotropic_constant(make_product("exp,exp"))
-    assert rep.sandwich.statistic == pytest.approx(rep.l_value.value, rel=1e-12)
+    low = rep.sandwich.sub[0]
+    assert low.check_id == "sandwich-lower"
+    assert abs(low.statistic) <= 1e-12 * rep.l_value.value
 
 
 def test_mc_entropy_route_keeps_gates():
