@@ -23,6 +23,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -227,6 +228,11 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(str(e)) from e
     if cfg.n_paths < 2:
         raise ConfigError("n_paths must be at least 2")
+    for name in ("tolerance_sigma", "t_min", "t_max"):
+        if not math.isfinite(getattr(cfg, name)):
+            raise ConfigError(f"{name} must be a finite number")
+    if not all(math.isfinite(a) for a in cfg.include):
+        raise ConfigError("grid include anchors must be finite numbers")
     if cfg.t_min <= 0:
         raise ConfigError("t_min must be positive")
     if cfg.t_max <= cfg.t_min:
@@ -247,6 +253,9 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"grid kind must be 'geometric' or 'uniform', not {cfg.grid_kind!r}")
     if any(a <= 0 for a in cfg.include):
         raise ConfigError("grid include anchors must be positive times")
+    if cfg.include and cfg.grid_kind == "uniform":
+        raise ConfigError("grid include anchors need a geometric grid; "
+                          "a uniform grid has no anchors")
     bad = [c for c in cfg.checks if c not in _CHECK_IDS]
     if bad:
         raise ConfigError(
@@ -326,7 +335,7 @@ def _run_conditional_covariance(ctx: RunContext) -> LemmaReport:
     t = ctx.nearest_time(1.0)
     return tilt.conditional_covariance_identity_check(
         ctx.spec, t, ctx.cfg.seed, n_outer=min(ctx.cfg.n_paths, 1024),
-        n_inner=64, sigma=ctx.cfg.tolerance_sigma)
+        n_inner=64, sigma=ctx.cfg.tolerance_sigma, tilt_samples=ctx.cfg.tilt_samples)
 
 
 def _run_deficit_chain(ctx: RunContext) -> LemmaReport:
@@ -334,8 +343,7 @@ def _run_deficit_chain(ctx: RunContext) -> LemmaReport:
     k = int(np.argmin(np.abs(frame.r - 0.5)))
     k = min(k, len(frame.r) - 2)
     return infotheory.deficit_chain_audit(
-        ctx.spec, frame, xi=float(frame.r[k]), seed=ctx.cfg.seed,
-        sigma=ctx.cfg.tolerance_sigma)
+        ctx.spec, frame, xi=float(frame.r[k]), sigma=ctx.cfg.tolerance_sigma)
 
 
 def _run_projection(ctx: RunContext) -> LemmaReport:
@@ -443,7 +451,7 @@ _REGISTRY = (
         "0 <= delta_EPI(mu) <= 2 n",
         lambda ctx: True,
         lambda ctx: infotheory.epi_deficit(
-            ctx.spec, seed=ctx.cfg.seed, sigma=ctx.cfg.tolerance_sigma).bounds),
+            ctx.spec, sigma=ctx.cfg.tolerance_sigma).bounds),
     CheckDef(
         "deficit-chain", "gate",
         "delta_EPI >= (xi / 4) integral on (xi, 1) of "
@@ -592,7 +600,7 @@ def _cmd_tilt_probe(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def _cmd_lk_table(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     catalog = (cfg.measure,) if args.measure else DEFAULT_CATALOG
-    rows, floor = isoconst.l_bounds_sweep(catalog, seed=cfg.seed)
+    rows, floor = isoconst.l_bounds_sweep(catalog)
 
     lines = [["measure", "dim", "l_value", "l_stderr", "entropy",
               "entropy_se", "det_cov_pow", "sandwich", "floor"]]

@@ -1,4 +1,4 @@
-"""Entropy, relative entropy, the de Bruijn identity, and the EPI deficit.
+"""Relative entropy, the de Bruijn identity, and the EPI deficit.
 
 Conventions: natural logarithms throughout, gamma_1 is the standard Gaussian
 in the relevant dimension, and all relative quantities are against gamma_1.
@@ -16,8 +16,12 @@ The EPI deficit of mu is
 
     delta(mu) = Ent((X1 + X2)/sqrt(2)) - Ent(X)      (X1, X2 iid mu, centered)
 
-which is nonnegative, at most 2n for isotropic log-concave mu, and bounded
-below by the variance of the Gamma process:
+which is nonnegative, at most 2n for isotropic log-concave mu, and invariant
+under invertible affine maps.  Every catalog measure has an exact route:
+zero for the Gaussian, per-factor sums for products (the closed sum entropy,
+or grid convolution for factors without one), and for the ball one radial
+quadrature of the lens volume of two balls.  It is bounded below by the
+variance of the Gamma process:
 
     delta(mu) >= eps * integral_xi^1 E |Gamma_r - E Gamma_r|^2 / (4 (1-r)) dr
 
@@ -32,88 +36,29 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.signal import fftconvolve
-from scipy.spatial import cKDTree
-from scipy.special import digamma, gammaln, xlogy
+from scipy.special import betainc, gammaln, xlogy
 
-from . import streams
 from .errors import InputValidationError
 from .follmer import FrameEnsemble
-from .measures import GAUSSIAN_ENTROPY_RATE, GaussianSpec, MeasureSpec
+from .measures import (GAUSSIAN_ENTROPY_RATE, AffineImageSpec, BallSpec, GaussianSpec,
+                       MeasureSpec)
 from .numerics import jackknife_se, trapezoid
 from .reports import EstimatorResult, LemmaReport, entrywise_gate, gate, info
 
 CLOSED_FORM = "closed-form"
 GRID_CONVOLUTION = "grid-convolution"
+LENS_QUADRATURE = "lens-quadrature"
 PLUGIN_MC = "plug-in-mc"
-KNN = "knn"
 
 
-# ---------------------------------------------------------------------------
-# Entropy estimators
-
-
-def knn_entropy(points: np.ndarray, k: int = 5) -> EstimatorResult:
-    """Nearest-neighbor entropy estimate (Kozachenko-Leonenko form).
-
-    H ~ psi(N) - psi(k) + ln V_d + (d/N) sum_i ln eps_i with eps_i the distance
-    to the k-th neighbor.  The quoted stderr ignores neighbor correlations and
-    the small-sample bias, so treat it as low-confidence.
-    """
-    pts = np.asarray(points, float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    n_pts, d = pts.shape
-    if n_pts <= k + 1:
-        raise InputValidationError("need more points than neighbors")
-    dist, _ = cKDTree(pts).query(pts, k=k + 1)
-    eps = np.maximum(dist[:, k], 1e-300)
-    log_vd = 0.5 * d * math.log(math.pi) - gammaln(0.5 * d + 1.0)
-    terms = d * np.log(eps)
-    value = float(digamma(n_pts) - digamma(k) + log_vd + terms.mean())
-    stderr = float(terms.std(ddof=1) / math.sqrt(n_pts))
-    return EstimatorResult(value, stderr, n_pts, KNN,
-                           notes="low-confidence: neighbor terms are correlated")
-
-
-def differential_entropy(spec: MeasureSpec, method: str = "auto",
-                         n_samples: int = 200_000, seed: int = 0,
-                         k: int = 5) -> EstimatorResult:
-    """Differential entropy of a catalog measure, in nats.
-
-    ``auto`` uses the measure's own closed form (1D quadrature for the odd
-    factor without one).  ``mc`` averages -log rho over fresh samples; ``knn``
-    is the sample-only cross-check.
-    """
-    if method in ("auto", CLOSED_FORM):
-        return EstimatorResult(spec.entropy(), 0.0, 0, CLOSED_FORM)
-    if method in ("mc", PLUGIN_MC):
-        rng = streams.generator(seed, "entropy-mc")
-        x = spec.sample(rng, n_samples)
-        vals = -spec.log_density(x)
-        return EstimatorResult(float(vals.mean()),
-                               float(vals.std(ddof=1) / math.sqrt(n_samples)),
-                               n_samples, PLUGIN_MC)
-    if method == KNN:
-        rng = streams.generator(seed, "entropy-knn")
-        return knn_entropy(spec.sample(rng, n_samples), k)
-    raise InputValidationError(f"unknown entropy method {method!r}")
-
-
-def _require_isotropic(spec: MeasureSpec):
-    mean = np.asarray(spec.mean(), float)
-    cov = np.asarray(spec.cov(), float)
-    if (np.abs(mean).max() > 1e-9
-            or np.abs(cov - np.eye(spec.dim)).max() > 1e-9):
-        raise InputValidationError("measure is not isotropic; isotropize it first")
-
-
-def kl_to_gaussian(spec: MeasureSpec, entropy: EstimatorResult | None = None) -> EstimatorResult:
+def kl_to_gaussian(spec: MeasureSpec) -> EstimatorResult:
     """D(mu || gamma_1) = (n/2) ln(2 pi e) - Ent(mu) for isotropic mu."""
-    _require_isotropic(spec)
-    ent = entropy if entropy is not None else differential_entropy(spec)
-    value = spec.dim * GAUSSIAN_ENTROPY_RATE - ent.value
-    return EstimatorResult(float(value), ent.stderr, ent.n, ent.method,
+    if not spec.isotropic:
+        raise InputValidationError("measure is not isotropic; isotropize it first")
+    value = spec.dim * GAUSSIAN_ENTROPY_RATE - spec.entropy()
+    return EstimatorResult(float(value), 0.0, 0, CLOSED_FORM,
                            notes="relative entropy against the standard Gaussian")
 
 
@@ -138,7 +83,7 @@ def de_bruijn_check(spec: MeasureSpec, frame: FrameEnsemble, sigma: float = 4.0,
     vsq = (frame.v ** 2).sum(axis=-1)
     per_path = 0.5 * trapezoid(vsq, r, axis=1) + 0.5 * vsq[:, -1] * (1.0 - r[-1])
     rhs = float(per_path.mean())
-    se = float(np.hypot(jackknife_se(per_path, axis=0), lhs.stderr))
+    se = float(jackknife_se(per_path, axis=0))
 
     mean_curve = 0.5 * vsq.mean(axis=0)
     coarse = sorted(set(range(0, len(r), 2)) | {len(r) - 1})
@@ -160,9 +105,7 @@ def de_bruijn_check(spec: MeasureSpec, frame: FrameEnsemble, sigma: float = 4.0,
 @dataclass(frozen=True)
 class DeficitReport:
     delta: EstimatorResult      # Ent((X1+X2)/sqrt 2) - Ent(X)
-    upper_bound: float          # dimension bound 2n
-    bounds: LemmaReport         # nonnegativity and the dimension bound
-    low_confidence: bool = False
+    bounds: LemmaReport         # nonnegativity and the dimension bound 2n
 
 
 def _factor_grid_deficit(f, grid_points: int, span_sd: float) -> float:
@@ -186,18 +129,44 @@ def _factor_grid_deficit(f, grid_points: int, span_sd: float) -> float:
     return h_sum - h_base
 
 
-def epi_deficit(spec: MeasureSpec, seed: int = 0, n_samples: int = 1 << 17,
-                grid_points: int = 1 << 14, span_sd: float = 12.0, k: int = 5,
+def _ball_sum_density(spec: BallSpec, s):
+    """Density of X1 + X2 at a point of radius s, for X1, X2 iid uniform on the ball.
+
+    The two balls of radius R centred a distance s apart overlap in the
+    fraction I_{1 - s^2/4R^2}((n+1)/2, 1/2) of one ball (two caps, Li 2011),
+    and the density is that fraction over vol(B_R).
+    """
+    x = 1.0 - (np.asarray(s, float) / (2.0 * spec.radius)) ** 2
+    return betainc(0.5 * (spec.dim + 1), 0.5, np.clip(x, 0.0, 1.0)) * math.exp(-spec.entropy())
+
+
+def _ball_deficit(spec: BallSpec) -> EstimatorResult:
+    """delta of the ball: Ent(X1 + X2) by one radial quadrature, minus (n/2) ln 2 + Ent(X)."""
+    n = spec.dim
+    sphere = math.exp(math.log(2.0) + 0.5 * n * math.log(math.pi) - gammaln(0.5 * n))
+
+    def integrand(s):
+        g = _ball_sum_density(spec, s)
+        return -sphere * s ** (n - 1) * float(xlogy(g, g))
+
+    h_sum, err = quad(integrand, 0.0, 2.0 * spec.radius, epsabs=1e-12, epsrel=1e-11,
+                      limit=200)
+    return EstimatorResult(h_sum - 0.5 * n * math.log(2.0) - spec.entropy(), err, 0,
+                           LENS_QUADRATURE, notes="radial quadrature of the lens volume")
+
+
+def epi_deficit(spec: MeasureSpec, grid_points: int = 1 << 14, span_sd: float = 12.0,
                 sigma: float = 4.0) -> DeficitReport:
     """EPI deficit delta(mu) = Ent((X1+X2)/sqrt 2) - Ent(X) for centered mu.
 
-    Products factorize: per-coordinate deficits use the closed sum entropy
-    when one exists and grid convolution otherwise; both are deterministic.
-    Everything else falls back to nearest-neighbor entropies of fresh samples
-    (flagged low-confidence).
+    Affine images take their base's deficit.  Products factorize: per-coordinate
+    deficits use the closed sum entropy when one exists and grid convolution
+    otherwise.  The ball's is one radial quadrature, with quad's error
+    estimate as its stderr.
     """
     n = spec.dim
-    low_confidence = False
+    while isinstance(spec, AffineImageSpec):
+        spec = spec.base
     if isinstance(spec, GaussianSpec):
         delta = EstimatorResult(0.0, 0.0, 0, CLOSED_FORM,
                                 notes="Gaussian is a fixed point of the convolution")
@@ -214,16 +183,10 @@ def epi_deficit(spec: MeasureSpec, seed: int = 0, n_samples: int = 1 << 17,
         method = CLOSED_FORM if all_closed else GRID_CONVOLUTION
         delta = EstimatorResult(float(total), 0.0, 0, method,
                                 notes=f"per-factor sums, grid {grid_points} points")
+    elif isinstance(spec, BallSpec):
+        delta = _ball_deficit(spec)
     else:
-        x1 = spec.sample(streams.generator(seed, "epi", "x1"), n_samples)
-        x2 = spec.sample(streams.generator(seed, "epi", "x2"), n_samples)
-        h_sum = knn_entropy((x1 + x2) / math.sqrt(2.0), k)
-        h_base = knn_entropy(spec.sample(streams.generator(seed, "epi", "x0"), n_samples), k)
-        delta = EstimatorResult(h_sum.value - h_base.value,
-                                float(np.hypot(h_sum.stderr, h_base.stderr)),
-                                n_samples, KNN,
-                                notes="low-confidence: nearest-neighbor entropies")
-        low_confidence = True
+        raise InputValidationError(f"no EPI deficit route for {spec!r}")
 
     slack = sigma * delta.stderr + 1e-12
     nonneg = gate("deficit-nonnegative", -delta.value, slack, stderr=delta.stderr)
@@ -231,7 +194,7 @@ def epi_deficit(spec: MeasureSpec, seed: int = 0, n_samples: int = 1 << 17,
                  stderr=delta.stderr, notes=f"bound 2n = {2 * n}")
     bounds = gate("deficit-bounds", delta.value, 2.0 * n, delta.stderr,
                   notes=delta.notes, sub=(nonneg, upper))
-    return DeficitReport(delta, 2.0 * n, bounds, low_confidence)
+    return DeficitReport(delta, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +280,7 @@ def deficit_lower_bound(frame: FrameEnsemble, xi: float = 0.5,
 
 
 def deficit_chain_audit(spec: MeasureSpec, frame: FrameEnsemble, xi: float = 0.5,
-                        seed: int = 0, sigma: float = 4.0,
-                        atol: float = 1e-9) -> LemmaReport:
+                        sigma: float = 4.0, atol: float = 1e-9) -> LemmaReport:
     """Numerical walk through the deficit inequality chain, one verdict per line.
 
     Lines, in the order they are glued together:
@@ -388,16 +350,14 @@ def deficit_chain_audit(spec: MeasureSpec, frame: FrameEnsemble, xi: float = 0.5
                                notes="lambda_min of consecutive increments,"))
 
     # 5. the deficit chain
-    def_rep = epi_deficit(spec, seed=seed, sigma=sigma)
+    delta = epi_deficit(spec, sigma=sigma).delta
     low = deficit_lower_bound(frame, xi=xi, sigma=sigma)
-    delta = def_rep.delta
     up = gate("chain-upper", delta.value - 2.0 * n, sigma * delta.stderr + atol,
               stderr=delta.stderr, notes=f"delta={delta.value:.6g} <= 2n={2 * n}")
     comb = math.hypot(delta.stderr, low.estimate.stderr)
     lo = gate("chain-lower", low.estimate.value - delta.value, sigma * comb + atol,
               stderr=comb,
-              notes=f"lower={low.estimate.value:.6g} <= delta={delta.value:.6g}"
-                    + (" [low-confidence delta]" if def_rep.low_confidence else ""))
+              notes=f"lower={low.estimate.value:.6g} <= delta={delta.value:.6g}")
     subs.extend([up, lo, low.parity])
 
     # 6. a-priori Fisher bound at xi

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputValidationError, SingularCovariance
-from .infotheory import differential_entropy
+from .infotheory import CLOSED_FORM
 from .localization import TimeGrid, simulate_ensemble
 from .measures import (BallMarginalFactor, BallSpec, GaussianSpec, MeasureSpec,
                        ProductSpec, SubspaceBasis,
@@ -51,9 +51,8 @@ class IsotropicConstantReport:
     lower_bound: LemmaReport    # universal Gaussian floor
 
 
-def isotropic_constant(spec: MeasureSpec, entropy_method: str = "auto",
-                       seed: int = 0, sigma: float = 4.0) -> IsotropicConstantReport:
-    """L_mu with its entropy source, sandwich check, and the universal floor.
+def isotropic_constant(spec: MeasureSpec) -> IsotropicConstantReport:
+    """L_mu with its closed-form entropy, sandwich check, and the universal floor.
 
     Requires a centered measure (the two-sided f(0) pin only holds at the
     barycenter); isotropize non-centered inputs first.
@@ -61,28 +60,27 @@ def isotropic_constant(spec: MeasureSpec, entropy_method: str = "auto",
     n = spec.dim
     if np.abs(np.asarray(spec.mean(), float)).max() > 1e-9:
         raise InputValidationError("measure is not centered; isotropize it first")
-    ent = differential_entropy(spec, method=entropy_method, seed=seed)
+    ent = EstimatorResult(spec.entropy(), 0.0, 0, CLOSED_FORM)
     sign, logdet = np.linalg.slogdet(np.asarray(spec.cov(), float))
     if sign <= 0:
         raise SingularCovariance(float(sign))
     det_pow = math.exp(logdet / (2.0 * n))
     l_val = math.exp(-ent.value / n) * det_pow
-    l_se = l_val * ent.stderr / n
-    l_est = EstimatorResult(l_val, l_se, ent.n, ent.method)
+    l_est = EstimatorResult(l_val, 0.0, 0, CLOSED_FORM)
 
     log_f0 = float(np.asarray(spec.log_density(np.zeros(n)), float))
     mid = math.exp(log_f0 / n) * det_pow
-    tol = sigma * l_se + 1e-10
-    low_side = gate("sandwich-lower", l_val - mid, tol, stderr=l_se,
+    tol = 1e-10  # L and the pin are closed forms: only rounding separates them
+    low_side = gate("sandwich-lower", l_val - mid, tol, stderr=0.0,
                     notes=f"L={l_val:.8g} <= f(0)-pin={mid:.8g}")
-    high_side = gate("sandwich-upper", mid - math.e * l_val, tol * math.e, stderr=l_se,
+    high_side = gate("sandwich-upper", mid - math.e * l_val, tol * math.e, stderr=0.0,
                      notes=f"f(0)-pin={mid:.8g} <= e*L={math.e * l_val:.8g}")
     worst = max((low_side, high_side), key=lambda s: s.statistic - s.tolerance)
     sandwich = gate("density-sandwich", worst.statistic, worst.tolerance, worst.stderr,
                     notes="L <= f(0)-pin <= e*L", sub=(low_side, high_side))
 
-    lower = gate("l-lower-bound", GAUSSIAN_L - 1e-9 - l_val, sigma * l_se,
-                 stderr=l_se, notes=f"floor (2 pi e)^(-1/2) = {GAUSSIAN_L:.8g}")
+    lower = gate("l-lower-bound", GAUSSIAN_L - 1e-9 - l_val, 0.0,
+                 stderr=0.0, notes=f"floor (2 pi e)^(-1/2) = {GAUSSIAN_L:.8g}")
     return IsotropicConstantReport(spec.measure_id(), l_est, ent, det_pow,
                                    sandwich, lower)
 
@@ -157,8 +155,7 @@ def check_projection_domination(spec: MeasureSpec, basis: SubspaceBasis, t: floa
                 notes=f"t={t:g}, subspace dim {k}, n_paths={n_paths}", sub=subs)
 
 
-def l_bounds_sweep(catalog=DEFAULT_CATALOG, entropy_method: str = "auto",
-                   seed: int = 0):
+def l_bounds_sweep(catalog=DEFAULT_CATALOG):
     """L_mu for every catalog member, with the universal floor asserted.
 
     Returns (rows, worst_floor_report): rows are IsotropicConstantReports in
@@ -168,7 +165,7 @@ def l_bounds_sweep(catalog=DEFAULT_CATALOG, entropy_method: str = "auto",
     rows = []
     for mid in catalog:
         spec = parse_measure_id(mid)
-        rows.append(isotropic_constant(spec, entropy_method=entropy_method, seed=seed))
+        rows.append(isotropic_constant(spec))
     worst = max(rows, key=lambda rep: rep.lower_bound.statistic)
     floor = gate("l-lower-bound-sweep", worst.lower_bound.statistic,
                  worst.lower_bound.tolerance, stderr=worst.lower_bound.stderr,

@@ -652,12 +652,6 @@ class SubspaceBasis:
     def dim(self) -> int:
         return self.columns.shape[1]
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, float) @ self.columns
-
-    def projector(self) -> np.ndarray:
-        return self.columns @ self.columns.T
-
     @property
     def is_coordinate(self) -> bool:
         cols = self.columns
@@ -676,10 +670,3 @@ def coordinate_subspace(ambient_dim: int, indices) -> SubspaceBasis:
     for j, i in enumerate(indices):
         cols[i, j] = 1.0
     return SubspaceBasis(cols)
-
-
-def random_subspace(ambient_dim: int, dim: int, rng: np.random.Generator) -> SubspaceBasis:
-    g = rng.standard_normal((ambient_dim, dim))
-    q, r = np.linalg.qr(g)
-    q *= np.sign(np.diag(r))
-    return SubspaceBasis(q)

@@ -393,10 +393,12 @@ def tilt_moments(spec: MeasureSpec, t: float, theta, *, stream=None,
 
 def conditional_covariance_identity_check(spec: MeasureSpec, t: float, seed: int,
                                           n_outer: int = 1024, n_inner: int = 64,
-                                          sigma: float = 4.0, atol: float = 1e-8) -> LemmaReport:
+                                          sigma: float = 4.0, atol: float = 1e-8,
+                                          tilt_samples: int = 1024) -> LemmaReport:
     """Check E A_t = E cov(X | X + sqrt(s) Z) with s = 1/t.
 
-    Left side: tilt moments along simulated theta_t = t X + W_t.  Right side:
+    Left side: tilt moments along simulated theta_t = t X + W_t, with
+    ``tilt_samples`` draws per tilt on the rejection route.  Right side:
     a quadrature-free estimate -- for fresh pairs y = x + sqrt(s) z the
     conditional law of X given y is p_{t, t y}, sampled by rejection, and the
     empirical covariance of those draws estimates cov(X | y).  Both sides use
@@ -412,7 +414,8 @@ def conditional_covariance_identity_check(spec: MeasureSpec, t: float, seed: int
         x = spec.sample(rng, 1)[0]
         thetas[i] = t * x + math.sqrt(t) * rng.standard_normal(dim)
     covs = tilt_table(spec, t, thetas,
-                      lambda i: streams.generator(seed, i, "cond-analytic-tilt"))[2]
+                      lambda i: streams.generator(seed, i, "cond-analytic-tilt"),
+                      n_samples=tilt_samples)[2]
     lhs = covs.mean(axis=0)
     se_lhs = jackknife_se(covs, axis=0)
 

@@ -187,7 +187,7 @@ def test_c08_epi_deficit_bounds(cube2_frame):
 
     worst = ""
     for mid in DEFAULT_CATALOG:
-        rep = epi_deficit(parse_measure_id(mid), seed=3)
+        rep = epi_deficit(parse_measure_id(mid))
         if rep.bounds.failed:
             ok = False
             worst += f" {mid}!"
@@ -263,7 +263,7 @@ def test_c12_trace_square_ratio_catalog():
 
 def test_c13_deficit_chain_audit(cube4):
     ens, frame = cube4
-    rep = deficit_chain_audit(make_cube(4), frame, xi=0.5, seed=0, sigma=4.0)
+    rep = deficit_chain_audit(make_cube(4), frame, xi=0.5, sigma=4.0)
     subs = {s.check_id: s for s in rep.sub}
     energy = subs["energy-constant"]
     ok = (not rep.failed

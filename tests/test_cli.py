@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import sloclab
+from sloclab import tilt
 from sloclab.cli import _CHECK_IDS, _REGISTRY, RunContext, _build_parser, build_config, main
 from sloclab.errors import ConfigError
 
@@ -151,6 +152,46 @@ def test_invariant_messages(argv, msg):
         parse_cfg(argv)
 
 
+@pytest.mark.parametrize("argv, msg", [
+    pytest.param(["verify", "--measure", "cube:2", "--include", "nan"],
+                 "anchors must be finite", id="include-nan"),
+    pytest.param(["verify", "--sigma", "inf"],
+                 "tolerance_sigma must be a finite number", id="sigma-inf"),
+    pytest.param(["verify", "--sigma", "nan"],
+                 "tolerance_sigma must be a finite number", id="sigma-nan"),
+    pytest.param(["verify", "--t-min", "nan"], "t_min must be a finite number", id="t-min-nan"),
+    pytest.param(["verify", "--t-max", "inf"], "t_max must be a finite number", id="t-max-inf"),
+    pytest.param(["verify", "--grid-kind", "uniform", "--include", "0.5"],
+                 "need a geometric grid", id="uniform-include"),
+])
+def test_silently_mishandled_flags_are_rejected(argv, msg, capsys):
+    with pytest.raises(ConfigError, match=msg):
+        parse_cfg(argv)
+    assert main(argv) == 1
+    assert msg in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config_text, env, msg", [
+    pytest.param('{"grid": {"include": [1.0, NaN]}}', None,
+                 "anchors must be finite", id="config-include-nan"),
+    pytest.param('{"grid": {"t_max": Infinity}}', None,
+                 "t_max must be a finite number", id="config-t-max-inf"),
+    pytest.param('{"tolerance_sigma": NaN}', None,
+                 "tolerance_sigma must be a finite number", id="config-sigma-nan"),
+    pytest.param('{"grid": {"kind": "uniform", "include": [0.5]}}', None,
+                 "need a geometric grid", id="config-uniform-include"),
+    pytest.param("{}", "inf", "tolerance_sigma must be a finite number", id="env-sigma-inf"),
+])
+def test_mishandled_config_and_env_values_are_rejected(tmp_path, monkeypatch,
+                                                        config_text, env, msg):
+    path = tmp_path / "cfg.json"
+    path.write_text(config_text, encoding="utf-8")
+    if env is not None:
+        monkeypatch.setenv("SLOCLAB_SIGMA", env)
+    with pytest.raises(ConfigError, match=msg):
+        parse_cfg(["verify", "--config", str(path)])
+
+
 def test_unknown_check_lists_registry():
     with pytest.raises(ConfigError, match="variance-decomposition"):
         parse_cfg(["verify", "--checks", "bogus"])
@@ -222,6 +263,22 @@ def test_verify_few_tilt_samples_has_finite_tolerance(capsys):
     assert "tol=nan" not in out
     assert "[PASS] spectral-bound" in out
     assert code == 0
+
+
+def test_tilt_samples_reach_conditional_covariance(monkeypatch, capsys):
+    seen = []
+    real = tilt.tilt_table
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("n_samples"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tilt, "tilt_table", recording)
+    code = main(["verify", "--measure", "gaussian:2", *FAST, "--tilt-samples", "16",
+                 "--checks", "conditional-covariance"])
+    capsys.readouterr()
+    assert code in (0, 2)
+    assert seen == [16]
 
 
 def test_verify_fails_with_absurd_sigma(capsys):

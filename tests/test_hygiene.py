@@ -6,14 +6,20 @@
   what modules share is public.
 * Only ``reports.py`` calls ``LemmaReport(``: every other module and test
   builds its verdicts through ``reports.gate`` and its relatives.
+* Every function and method defined in ``src/`` is read somewhere in ``src/``
+  or ``perfbench/`` outside its own body: no helper exists only for tests.
+  A read is a name, an attribute or an identifier string (perfbench binds
+  functions by name); dunder methods are called implicitly and are exempt.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "sloclab").rglob("*.py"))
 SOURCES = PACKAGE + sorted((ROOT / "tests").rglob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _rel(path: Path) -> str:
@@ -59,6 +65,27 @@ def report_constructions(tree: ast.Module) -> list:
                        or getattr(node.func, "attr", None) == "LemmaReport"))
 
 
+def names_read(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``: names, attributes, identifier strings."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store):
+            out[n.attr] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            out[n.value] += 1
+    return out
+
+
+def unread_functions(tree: ast.Module, reads: Counter) -> list:
+    """(line, name) of every function in ``tree`` read nowhere outside its own body."""
+    return sorted((node.lineno, node.name) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not (node.name.startswith("__") and node.name.endswith("__"))
+                  and reads[node.name] <= names_read(node)[node.name])
+
+
 def _scan(paths, scanner) -> list:
     assert paths
     return [f"{_rel(p)}:{line} {name}" for p in paths for line, name in scanner(_tree(p))]
@@ -77,6 +104,12 @@ def test_reports_are_built_only_in_reports_module():
     outside = [p for p in SOURCES if p != ROOT / "src" / "sloclab" / "reports.py"]
     assert len(outside) == len(SOURCES) - 1
     assert _scan(outside, report_constructions) == []
+
+
+def test_every_source_function_is_read_outside_tests():
+    assert BENCH
+    reads = sum((names_read(_tree(p)) for p in PACKAGE + BENCH), Counter())
+    assert _scan(PACKAGE, lambda tree: unread_functions(tree, reads)) == []
 
 
 def test_scanners_flag_what_they_look_for():
@@ -100,3 +133,19 @@ def test_scanners_flag_what_they_look_for():
                       "c = gate('x', 0.0, 1.0)\n"
                       "d: LemmaReport = c\n")
     assert report_constructions(built) == [(3, "LemmaReport"), (4, "LemmaReport")]
+    defs = ast.parse("class Basis:\n"
+                     "    def __init__(self):\n"
+                     "        self.cols = used(1)\n"
+                     "    def project(self, x):\n"
+                     "        return self.project(x)\n"
+                     "    @property\n"
+                     "    def dim(self):\n"
+                     "        return 2\n"
+                     "def used(k):\n"
+                     "    return k\n"
+                     "def bound_by_name():\n"
+                     "    pass\n"
+                     "BINDINGS = ('bound_by_name',)\n"
+                     "def orphan():\n"
+                     "    return Basis().dim\n")
+    assert unread_functions(defs, names_read(defs)) == [(4, "project"), (14, "orphan")]
