@@ -56,7 +56,7 @@ class ExperimentConfig:
     n_paths: int = 1024
     seed: int = 0
     grid_kind: str = "geometric"
-    t_min: float = 0.01
+    t_min: float | None = None    # geometric grids only; build_config fills the default
     t_max: float = 100.0
     grid_points: int = 40
     include: tuple = ()
@@ -68,6 +68,7 @@ class ExperimentConfig:
     driver: str = "direct"
 
 
+GEOMETRIC_T_MIN = 0.01
 _TOP_ALIASES = {"measure_id": "measure", "output_dir": "out"}
 _TOP_KEYS = {"measure", "dim", "n_paths", "seed", "grid", "checks", "out",
              "tolerance_sigma", "workers", "tilt_samples", "driver"}
@@ -216,6 +217,8 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
                 "give either a bare family plus dim, or family:dim")
         values["measure"] = f"{values['measure']}:{dim}"
 
+    if values["t_min"] is None and values["grid_kind"] == "geometric":
+        values["t_min"] = GEOMETRIC_T_MIN
     cfg = ExperimentConfig(**values)
     _validate_config(cfg)
     return cfg
@@ -229,13 +232,20 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     if cfg.n_paths < 2:
         raise ConfigError("n_paths must be at least 2")
     for name in ("tolerance_sigma", "t_min", "t_max"):
-        if not math.isfinite(getattr(cfg, name)):
+        value = getattr(cfg, name)
+        if value is not None and not math.isfinite(value):
             raise ConfigError(f"{name} must be a finite number")
     if not all(math.isfinite(a) for a in cfg.include):
         raise ConfigError("grid include anchors must be finite numbers")
-    if cfg.t_min <= 0:
+    if cfg.grid_kind == "uniform":
+        if cfg.t_min is not None:
+            raise ConfigError("t_min needs a geometric grid; "
+                              "a uniform grid runs from t = 0 to t_max")
+        if cfg.t_max <= 0:
+            raise ConfigError("t_max must be positive")
+    elif cfg.t_min <= 0:
         raise ConfigError("t_min must be positive")
-    if cfg.t_max <= cfg.t_min:
+    elif cfg.t_max <= cfg.t_min:
         raise ConfigError("t_max must exceed t_min")
     if cfg.grid_points < 10:
         raise ConfigError("grid needs at least 10 points")
@@ -306,8 +316,13 @@ class RunContext:
         return float(pts[int(np.argmin(np.abs(pts - target)))])
 
 
-def _closed_drift(spec) -> bool:
-    # ball / affine drifts need per-step rejection; too slow for path sweeps
+def _exact_drift(spec) -> bool:
+    # every catalog family has an exact tilt; affine images would need
+    # per-step rejection, too slow for path sweeps
+    return spec.family in ("gaussian", "ball") or spec.factors is not None
+
+
+def _fisher_quadrature(spec) -> bool:
     return spec.family == "gaussian" or spec.factors is not None
 
 
@@ -397,11 +412,11 @@ _REGISTRY = (
     CheckDef(
         "driver-equivalence", "gate",
         "theta_t from the Euler scheme agrees in law with t X + W_t",
-        lambda ctx: _closed_drift(ctx.spec),
+        lambda ctx: _exact_drift(ctx.spec),
         lambda ctx: localization.check_driver_equivalence(
             ctx.spec, ctx.cfg.seed, n_paths=ctx.cfg.n_paths,
             sigma=ctx.cfg.tolerance_sigma),
-        why_not="needs closed-form drifts (Gaussian or coordinate product)"),
+        why_not="needs exact drifts (Gaussian, coordinate product or ball)"),
     CheckDef(
         "conditional-covariance", "gate",
         "E A_t = E Cov(X | X + s^(1/2) Z) with s = 1/t",
@@ -429,7 +444,7 @@ _REGISTRY = (
     CheckDef(
         "fisher-identity", "gate",
         "E |v_r|^2 = J(law(x_r) || N(0, r Id)) by direct quadrature",
-        lambda ctx: _closed_drift(ctx.spec),
+        lambda ctx: _fisher_quadrature(ctx.spec),
         lambda ctx: follmer.check_fisher_identity(
             ctx.frame(), sigma=ctx.cfg.tolerance_sigma),
         why_not="quadrature route needs a Gaussian or coordinate product"),
@@ -582,19 +597,15 @@ def _cmd_tilt_probe(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             line += f" se_mean=({_fmt_vec(state.se_mean)})"
         print(line)
 
-    probed = False
-    if spec.family == "gaussian" or spec.factors is not None:
+    if spec.family == "ball":
+        show("quadrature", tilt.tilt_moments(spec, t, theta))
+    else:
         show("analytic", tilt.tilt_moments(spec, t, theta))
-        probed = True
     if spec.factors is not None:
         show("quadrature", tilt.tilt_moments_quadrature(spec, t, theta))
-        probed = True
     rng = streams.generator(cfg.seed, "tilt-probe")
     state = tilt.tilt_moments_rejection(spec, t, theta, rng, cfg.tilt_samples)
     show("rejection", state)
-    if not probed:
-        print(f"note: {spec.family} has no closed or quadrature route; "
-              "rejection is the reference")
     return 0
 
 
@@ -657,7 +668,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--sigma", type=float, metavar="S",
                         help="tolerance multiplier for stochastic gates")
     common.add_argument("--workers", type=int, metavar="W",
-                        help="worker threads for rejection tilts")
+                        help="worker threads for rejection tilts; every catalog "
+                             "measure has an exact tilt, so no CLI run uses them")
     common.add_argument("--tilt-samples", type=int, dest="tilt_samples",
                         metavar="N", help="samples per rejection tilt")
     common.add_argument("--grid-kind", dest="grid_kind",

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import betaln, gammaln, ndtr
+from scipy.special import betaln, exp1, gammaln, ndtr, xlogy
 
 from .errors import InputValidationError, SingularCovariance, UnknownMeasureError
-from .numerics import trunc_normal_moments
+from .numerics import radial_tilt_moments, trunc_normal_moments
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _SUPPORT_TOL = 1e-12
@@ -49,7 +49,6 @@ class Factor1D:
     lo = -np.inf
     hi = np.inf
     var = 1.0
-    has_closed_tilt = True
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -73,7 +72,7 @@ class Factor1D:
         return np.inf, np.inf
 
     def tilt_stats(self, t: float, theta: np.ndarray):
-        """Closed-form (log Z, mean, var) of the tilted factor, t > 0."""
+        """Batched (log Z, mean, var) of the tilted factor, t > 0."""
         raise NotImplementedError
 
     def sum_entropy(self) -> float | None:
@@ -231,6 +230,12 @@ class LaplaceFactor(Factor1D):
         m2 = w_r * (v_r + mu_r**2) + w_l * (v_l + mu_l**2)
         return log_z, mean, np.maximum(m2 - mean * mean, 0.0)
 
+    def sum_entropy(self):
+        # X + X' has density e^{-w} (1 + w) / (4b) at w = |z|/b; integrating
+        # -g log g over w gives 1 + log(4b) - e E1(1) / 2
+        return (1.0 + math.log(4.0 * self.scale) - 0.5 * math.e * exp1(1.0)
+                - 0.5 * math.log(2.0))
+
 
 class TruncGaussFactor(Factor1D):
     """Standard normal conditioned on [-c, c], rescaled to unit variance."""
@@ -289,12 +294,11 @@ class TruncGaussFactor(Factor1D):
 class BallMarginalFactor(Factor1D):
     """1D marginal of the isotropic ball in R^nu: density ~ (R^2 - y^2)^((nu-1)/2).
 
-    Unit variance by construction (R = sqrt(nu + 2)).  No closed tilt; the
-    quadrature route handles it.
+    Unit variance by construction (R = sqrt(nu + 2)).  Its tilt has no closed
+    form; `tilt_stats` integrates it by `radial_tilt_moments`.
     """
 
     tag = "ballmarg"
-    has_closed_tilt = False
 
     def __init__(self, ambient_dim: int):
         if ambient_dim < 1:
@@ -329,6 +333,14 @@ class BallMarginalFactor(Factor1D):
 
     def peak_log_density(self):
         return self.exponent * math.log(self.radius**2) - self._log_norm
+
+    def tilt_stats(self, t, theta):
+        # weight exp(theta y - t y^2 / 2) (R^2 - y^2)^exponent, any t >= 0
+        theta = np.asarray(theta, float)
+        log_int, mean, var, _, _ = radial_tilt_moments(
+            theta.ravel(), t, self.radius, lambda gap: xlogy(self.exponent, gap))
+        return ((log_int - self._log_norm).reshape(theta.shape), mean.reshape(theta.shape),
+                var.reshape(theta.shape))
 
 
 _FACTORY = {

@@ -1,5 +1,6 @@
-"""Shared numerical kernels: truncated-normal algebra, standard errors of
-ensemble means, non-uniform finite differences.
+"""Shared numerical kernels: truncated-normal algebra, the radial
+Gauss-Legendre rule for ball tilts, standard errors of ensemble means,
+non-uniform finite differences.
 
 The truncated-normal kernel is the workhorse of the closed-form tilt route.
 All branches are arranged so that no exponent is ever positive and same-sign
@@ -117,6 +118,62 @@ def trunc_normal_moments(m, s, lo, hi):
     mean = m + s * r1
     var = np.maximum(s * s * (1.0 + r2 - r1 * r1), 0.0)
     return log_mass.reshape(shape), mean.reshape(shape), var.reshape(shape)
+
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
+_SCAN = np.linspace(0.0, 1.0, 33)
+_WINDOW_DROP = 40.0  # e^-40 ~ 4e-18: the log-weight drop that ends the window
+
+
+def radial_tilt_moments(s, t: float, radius: float, log_h):
+    """Moments of u on [-R, R] under the weight exp(s u - t u^2/2) h(R^2 - u^2).
+
+    ``s`` has shape (m,), one weight per row; ``log_h`` maps R^2 - u^2 to
+    log h and must make the weight log-concave in u, so that the window
+    {log weight >= max - 40} is one interval.  Three 33-point scans, each
+    inside the last one's bracket, locate it, and one 64-point Gauss-Legendre
+    rule integrates over it in phi with u = R cos(phi), which keeps every
+    integrand analytic at u = +-R.  Moments are taken about the scan mode so
+    that small variances do not cancel.
+
+    Returns (log_int, mean, var, gap, prob): log of the weight's integral
+    over u, the mean and variance of u, and R^2 - u^2 and the probability
+    of each node, both (m, 64), for further moments.
+    """
+    s = np.asarray(s, float)[:, None]
+    rows = np.arange(s.shape[0])
+
+    def log_weight(u, gap):
+        with np.errstate(divide="ignore"):
+            return s * u - 0.5 * t * u * u + log_h(gap)
+
+    lo = np.full(s.shape[0], -radius)
+    hi = np.full(s.shape[0], radius)
+    for _ in range(3):
+        u = lo[:, None] + (hi - lo)[:, None] * _SCAN
+        lw = log_weight(u, (radius - u) * (radius + u))
+        best = lw.argmax(axis=1)
+        above = lw >= lw[rows, best][:, None] - _WINDOW_DROP
+        first = np.maximum(above.argmax(axis=1) - 1, 0)
+        last = np.minimum(len(_SCAN) - above[:, ::-1].argmax(axis=1), len(_SCAN) - 1)
+        lo, hi, centre = u[rows, first], u[rows, last], u[rows, best]
+
+    phi_lo = np.arccos(np.clip(hi / radius, -1.0, 1.0))
+    phi_hi = np.arccos(np.clip(lo / radius, -1.0, 1.0))
+    half = 0.5 * (phi_hi - phi_lo)
+    phi = (phi_lo + half)[:, None] + half[:, None] * _GL_X
+    u = radius * np.cos(phi)
+    sin = np.sin(phi)
+    gap = (radius * sin) ** 2
+    log_f = log_weight(u, gap) + np.log(radius * sin)
+    top = log_f.max(axis=1)
+    f = np.exp(log_f - top[:, None]) * _GL_W * half[:, None]
+    total = f.sum(axis=1)
+    prob = f / total[:, None]
+    d = u - centre[:, None]
+    d1 = (prob * d).sum(axis=1)
+    var = (prob * d * d).sum(axis=1) - d1 * d1
+    return top + np.log(total), centre + d1, np.maximum(var, 0.0), gap, prob
 
 
 def jackknife_se(values: np.ndarray, axis: int = 0) -> np.ndarray:

@@ -9,11 +9,13 @@ A(t, theta) of p_{t,theta} along three routes:
 
 * closed form   -- Gaussian conjugacy, and truncated-normal algebra for the
                    coordinate-product factors (the hot path for drivers);
-* quadrature    -- adaptive 1D integration per factor, abs tol ~1e-12; the
-                   independent oracle for the closed forms and the only route
-                   for factors without one;
+* quadrature    -- adaptive 1D integration per factor, abs tol ~1e-12, the
+                   independent oracle for the closed forms and the t = 0
+                   product route; and one fixed Gauss-Legendre rule over
+                   u = x . theta/|theta| for the ball and its 1D marginal
+                   (`ball_tilt_table`, `numerics.radial_tilt_moments`);
 * rejection     -- proposal N(theta/t, Id/t) thinned by rho/sup(rho); the
-                   route for non-product specs (balls, affine images).
+                   route for affine images, and the cross-check for the ball.
 
 `tilt_table` picks the route for a batch of thetas at one t; it is the one
 place that branches on the measure family.
@@ -31,12 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
+from scipy.special import gammainc
 
 from . import streams
 from .errors import DivergentTilt, InputValidationError, RejectionStall
-from .measures import (BallSpec, GaussianFactor, GaussianSpec, MeasureSpec,
-                       ProductSpec)
-from .numerics import jackknife_se
+from .measures import (BallMarginalFactor, BallSpec, GaussianFactor, GaussianSpec,
+                       MeasureSpec, ProductSpec)
+from .numerics import jackknife_se, radial_tilt_moments
 from .reports import LemmaReport, gate
 
 CLOSED_FORM = "closed_form"
@@ -100,10 +103,11 @@ def gaussian_tilt(dim: int, t: float, theta: np.ndarray):
 
 
 def product_tilt_table(spec: ProductSpec, t: float, thetas: np.ndarray):
-    """Vectorized closed-form tilt moments for a batch of thetas at one t > 0.
+    """Vectorized tilt moments for a batch of thetas at one t > 0.
 
-    Returns (log_z (m,), mean (m, n), var (m, n)); var is the diagonal of A,
-    which is diagonal for coordinate products.
+    Every factor's batched `tilt_stats` serves its column.  Returns
+    (log_z (m,), mean (m, n), var (m, n)); var is the diagonal of A, which is
+    diagonal for coordinate products.
     """
     thetas = np.asarray(thetas, float)
     m = thetas.shape[0]
@@ -111,23 +115,52 @@ def product_tilt_table(spec: ProductSpec, t: float, thetas: np.ndarray):
     mean = np.empty((m, spec.dim))
     var = np.empty((m, spec.dim))
     for j, f in enumerate(spec.factors):
-        if not f.has_closed_tilt:
-            lz, mu, v = _factor_quad_batch(f, t, thetas[:, j])
-        else:
-            lz, mu, v = f.tilt_stats(t, thetas[:, j])
+        lz, mu, v = f.tilt_stats(t, thetas[:, j])
         log_z += lz
         mean[:, j] = mu
         var[:, j] = v
     return log_z, mean, var
 
 
-def _factor_quad_batch(f, t, theta_col):
-    lz = np.empty_like(theta_col)
-    mu = np.empty_like(theta_col)
-    v = np.empty_like(theta_col)
-    for i, th in enumerate(theta_col):
-        lz[i], mu[i], v[i] = factor_tilt_quadrature(f, t, float(th))
-    return lz, mu, v
+def ball_tilt_table(spec: BallSpec, t: float, thetas: np.ndarray):
+    """Exact tilt moments of the uniform ball for a batch of thetas (m, n) at one t.
+
+    Write x = u e + y with e = theta/|theta| and y orthogonal to e.  Given u,
+    y is N(0, Id/t) cut to the (n-1)-ball of radius (R^2 - u^2)^(1/2), so u
+    has the weight exp(|theta| u - t u^2/2) P(chi2_{n-1} <= t (R^2 - u^2))
+    and E[|y|^2 | u] = (n-1)/t P(chi2_{n+1} <= .)/P(chi2_{n-1} <= .).  At
+    t = 0 u follows the tilted 1D marginal and E[|y|^2 | u] is
+    (n-1)/(n+1) (R^2 - u^2).  One `radial_tilt_moments` call integrates u,
+    and mean = E[u] e, cov = Var(u) e e^T + E|y|^2/(n-1) (Id - e e^T).
+
+    Returns (log_z (m,), mean (m, n), cov (m, n, n)).
+    """
+    m, n = thetas.shape
+    radius = spec.radius
+    k = n - 1
+    s = np.linalg.norm(thetas, axis=1)
+    e = np.zeros_like(thetas)
+    e[:, 0] = 1.0  # theta = 0 is isotropic: any direction serves
+    moving = s > 0.0
+    e[moving] = thetas[moving] / s[moving, None]
+
+    if t == 0.0:
+        log_z, mean_u, var_u = BallMarginalFactor(n).tilt_stats(0.0, s)
+        across = (radius * radius - mean_u * mean_u - var_u) / (n + 1)
+    else:
+        def inside(gap):  # P(chi2_{n-1} <= t gap), 1 when there is no y
+            return gammainc(0.5 * k, 0.5 * t * gap) if k else np.ones_like(gap)
+
+        log_int, mean_u, var_u, gap, prob = radial_tilt_moments(
+            s, t, radius, lambda gap: np.log(inside(gap)))
+        log_z = log_int + 0.5 * k * math.log(2.0 * math.pi / t) - spec.entropy()
+        lower = inside(gap)
+        ratio = np.divide(gammainc(0.5 * k + 1.0, 0.5 * t * gap), lower,
+                          out=np.zeros_like(gap), where=lower > 0.0)
+        across = (prob * ratio).sum(axis=1) / t
+    cov = across[:, None, None] * np.eye(n) + ((var_u - across)[:, None, None]
+                                               * e[:, :, None] * e[:, None, :])
+    return log_z, mean_u[:, None] * e, cov
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +360,12 @@ def tilt_table(spec: MeasureSpec, t: float, thetas: np.ndarray, rng_for,
 
     Returns (log_z (m,), mean (m, n), cov (m, n, n), se_cov, method).  The
     base measure answers t = 0 with theta = 0; Gaussians are conjugate;
-    coordinate products are exact (closed form, with quadrature filling in
-    factors without one and every factor at t = 0); other specs use rejection
-    sampling with ``rng_for(i)`` as row i's generator, over ``workers``
-    threads.  ``se_cov`` is None except on the rejection route, and
-    ``rng_for`` is called on no other route.
+    coordinate products are exact (closed form, with the ballmarg factor by
+    quadrature, and adaptive quadrature for every factor at t = 0); balls
+    use `ball_tilt_table` at every t; other specs (affine images) use
+    rejection sampling with ``rng_for(i)`` as row i's generator, over
+    ``workers`` threads.  ``se_cov`` is None except on the rejection route,
+    and ``rng_for`` is called on no other route.
     """
     m, n = thetas.shape
     if t == 0.0 and not np.any(thetas):
@@ -349,8 +383,10 @@ def tilt_table(spec: MeasureSpec, t: float, thetas: np.ndarray, rng_for,
         log_z, mean, var = product_tilt_table(spec, t, thetas)
         cov = np.zeros((m, n, n))
         cov[:, np.arange(n), np.arange(n)] = var
-        closed = all(f.has_closed_tilt for f in spec.factors)
+        closed = not any(isinstance(f, BallMarginalFactor) for f in spec.factors)
         return log_z, mean, cov, None, CLOSED_FORM if closed else QUADRATURE
+    if isinstance(spec, BallSpec):
+        return (*ball_tilt_table(spec, t, thetas), None, QUADRATURE)
 
     def row(i):
         return tilt_moments_rejection(spec, t, thetas[i], rng_for(i), n_samples)
@@ -367,9 +403,8 @@ def tilt_moments(spec: MeasureSpec, t: float, theta, *, stream=None,
                  n_samples: int = 1024) -> TiltState:
     """Moments of p_{t,theta}: `tilt_table` on a batch of one.
 
-    Balls and affine images use rejection sampling and need a `stream` key;
-    their state carries `se_cov` (`tilt_moments_rejection` also gives
-    `se_mean`).
+    Affine images use rejection sampling and need a `stream` key; their
+    state carries `se_cov` (`tilt_moments_rejection` also gives `se_mean`).
     """
     theta = _validate(spec, t, theta)
 

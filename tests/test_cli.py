@@ -163,6 +163,10 @@ def test_invariant_messages(argv, msg):
     pytest.param(["verify", "--t-max", "inf"], "t_max must be a finite number", id="t-max-inf"),
     pytest.param(["verify", "--grid-kind", "uniform", "--include", "0.5"],
                  "need a geometric grid", id="uniform-include"),
+    pytest.param(["verify", "--grid-kind", "uniform", "--t-min", "3", "--t-max", "4"],
+                 "t_min needs a geometric grid", id="uniform-t-min"),
+    pytest.param(["verify", "--grid-kind", "uniform", "--t-max", "0"],
+                 "t_max must be positive", id="uniform-t-max-zero"),
 ])
 def test_silently_mishandled_flags_are_rejected(argv, msg, capsys):
     with pytest.raises(ConfigError, match=msg):
@@ -180,6 +184,8 @@ def test_silently_mishandled_flags_are_rejected(argv, msg, capsys):
                  "tolerance_sigma must be a finite number", id="config-sigma-nan"),
     pytest.param('{"grid": {"kind": "uniform", "include": [0.5]}}', None,
                  "need a geometric grid", id="config-uniform-include"),
+    pytest.param('{"grid": {"kind": "uniform", "t_min": 3.0, "t_max": 4.0}}', None,
+                 "t_min needs a geometric grid", id="config-uniform-t-min"),
     pytest.param("{}", "inf", "tolerance_sigma must be a finite number", id="env-sigma-inf"),
 ])
 def test_mishandled_config_and_env_values_are_rejected(tmp_path, monkeypatch,
@@ -235,8 +241,21 @@ def test_nearest_time_snaps_to_grid():
 def test_uniform_grid_kind():
     ctx = RunContext(parse_cfg(["verify", "--grid-kind", "uniform",
                                 "--t-max", "2.0", "--grid-points", "10"]))
+    assert ctx.cfg.t_min is None
     assert ctx.grid.points[0] == 0.0
     assert ctx.grid.points[-1] == 2.0
+    # no default t_min stands in the way of a short uniform grid
+    short = RunContext(parse_cfg(["verify", "--grid-kind", "uniform", "--t-max", "0.005"]))
+    assert short.grid.points[-1] == 0.005
+    assert RunContext(parse_cfg(["verify"])).cfg.t_min == 0.01
+
+
+def test_config_t_min_meets_uniform_flag(tmp_path):
+    # a t_min from --config is rejected once a flag makes the grid uniform
+    path = tmp_path / "cfg.json"
+    path.write_text('{"grid": {"t_min": 3.0}}', encoding="utf-8")
+    with pytest.raises(ConfigError, match="t_min needs a geometric grid"):
+        parse_cfg(["verify", "--config", str(path), "--grid-kind", "uniform"])
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +274,8 @@ def test_verify_passes_small_gaussian(capsys):
 
 
 def test_verify_few_tilt_samples_has_finite_tolerance(capsys):
-    # 16 rejection samples still give every batch-means block two draws
+    # --tilt-samples at its floor of 16 (rejection unit tests cover the
+    # batch-means blocks; the ball's tilt is exact)
     code = main(["verify", "--measure", "ball:3", "--paths", "8", "--grid-points", "10",
                  "--t-min", "1", "--t-max", "4", "--tilt-samples", "16",
                  "--checks", "spectral-bound"])
@@ -371,10 +391,17 @@ def test_tilt_probe_routes_agree(capsys):
 
 def test_tilt_probe_ball_notes_reference_route(capsys):
     code = main(["tilt-probe", "--measure", "ball:3", "--t", "1.0",
-                 "--theta", "0.2,0.0,0.0", "--tilt-samples", "4096"])
+                 "--theta", "0.2,0.0,0.0", "--tilt-samples", "20000"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "rejection is the reference" in out
+    logz = {}
+    for line in out.splitlines():
+        m = re.match(r"route=(\w+) log_z=([-+0-9.e]+)", line)
+        if m:
+            logz[m.group(1)] = float(m.group(2))
+    assert set(logz) == {"quadrature", "rejection"}
+    assert logz["rejection"] == pytest.approx(logz["quadrature"], abs=0.05)
+    assert "note:" not in out
 
 
 def test_lk_table_written(tmp_path, capsys):

@@ -24,6 +24,7 @@ from sloclab.follmer import (
 from sloclab.localization import make_geometric, simulate_ensemble
 from sloclab.measures import (
     SQRT3,
+    AffineImageSpec,
     make_ball,
     make_cube,
     make_factor,
@@ -82,7 +83,9 @@ def test_frame_at_r_zero(cube2_frame):
 
 
 def test_rejection_frame_carries_sampling_error():
-    ens = simulate_ensemble(make_ball(2), make_geometric(0.5, 2.0, 5), 4, seed=4,
+    # a sheared cube is an affine image, so its tilts go through rejection
+    skew = AffineImageSpec(make_cube(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+    ens = simulate_ensemble(skew, make_geometric(0.5, 2.0, 5), 4, seed=4,
                             tilt_samples=128)
     frame = to_follmer(ens)
     assert frame.se_gamma is not None
@@ -280,8 +283,13 @@ def test_gamma_derivative_flags_scaled_time(cube2_frame):
 
 
 def test_gamma_properties_with_rejection_noise():
-    ens = simulate_ensemble(make_ball(3), make_geometric(0.5, 8.0, 8), 24, seed=5,
+    # a rotated ball is isotropic and, as an affine image, tilts by rejection
+    c, s = math.cos(0.6), math.sin(0.6)
+    rotated = AffineImageSpec(make_ball(3), np.array([[c, -s, 0.0], [s, c, 0.0],
+                                                      [0.0, 0.0, 1.0]]))
+    ens = simulate_ensemble(rotated, make_geometric(0.5, 8.0, 8), 24, seed=5,
                             tilt_samples=512)
+    assert ens.se_cov is not None
     rep = check_gamma_properties(to_follmer(ens))
     assert not rep.failed
 

@@ -26,6 +26,7 @@ from sloclab.measures import (
     DEFAULT_CATALOG,
     GAUSSIAN_ENTROPY_RATE,
     AffineImageSpec,
+    LaplaceFactor,
     ProductSpec,
     UniformFactor,
     make_ball,
@@ -150,18 +151,24 @@ def test_epi_deficit_exp_pin():
 
 def test_epi_deficit_laplace_grid_vs_closed_density():
     # sum of two iid Laplace(b) draws has density e^{-|z|/b} (1 + |z|/b)/(4b);
-    # integrate it directly and compare with the fft grid route
-    rep = epi_deficit(make_product("laplace"))
-    assert rep.delta.method == GRID_CONVOLUTION
+    # integrate it directly: the closed sum entropy serves epi_deficit, and
+    # the fft grid route stays within its discretization error of it
     b = 1.0 / math.sqrt(2.0)
 
     def f_sum(z):
         az = abs(z) / b
         return math.exp(-az) * (1.0 + az) / (4.0 * b)
 
-    h_sum, _ = quad(lambda z: -f_sum(z) * math.log(f_sum(z)), -40.0, 40.0, limit=300)
-    delta_ref = (h_sum - 0.5 * math.log(2.0)) - (1.0 + math.log(2.0 * b))
-    assert rep.delta.value == pytest.approx(delta_ref, abs=1e-4)
+    h_sum, _ = quad(lambda z: -f_sum(z) * math.log(f_sum(z)), 0.0, 60.0,
+                    epsabs=1e-14, epsrel=1e-13, limit=300)
+    delta_ref = (2.0 * h_sum - 0.5 * math.log(2.0)) - (1.0 + math.log(2.0 * b))
+    rep = epi_deficit(make_product("laplace"))
+    assert rep.delta.method == CLOSED_FORM
+    assert rep.delta.value == pytest.approx(delta_ref, abs=1e-10)
+    grid_route = _factor_grid_deficit(LaplaceFactor(), 1 << 14, 12.0)
+    assert grid_route == pytest.approx(delta_ref, abs=1e-6)
+    # truncgauss has no closed sum entropy, so the grid route serves it
+    assert epi_deficit(make_product("laplace,truncgauss")).delta.method == GRID_CONVOLUTION
 
 
 def test_factor_grid_deficit_matches_closed_uniform():

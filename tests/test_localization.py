@@ -23,7 +23,11 @@ from sloclab.localization import (
     simulate_ensemble,
     trace_square_ratio,
 )
-from sloclab.measures import make_ball, make_cube, make_gaussian, parse_measure_id
+from sloclab.measures import (AffineImageSpec, make_ball, make_cube, make_gaussian,
+                              parse_measure_id)
+
+# a sheared cube: an affine image, so its tilts go through rejection
+SKEW = AffineImageSpec(make_cube(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +195,13 @@ def test_sde_path_runs_on_product_and_ball():
     assert e1.driver == "sde"
     assert np.isfinite(e1.theta).all()
     assert e1.se_cov is None
-    e2 = simulate_ensemble(make_ball(2), make_uniform(0.5, 4), 2, seed=1, driver="sde",
-                           tilt_samples=128)
+    e2 = simulate_ensemble(make_ball(2), make_uniform(0.5, 4), 2, seed=1, driver="sde")
     assert np.isfinite(e2.theta).all()
-    assert e2.se_cov is not None
+    assert e2.se_cov is None  # the ball's tilt is exact
+    e3 = simulate_ensemble(SKEW, make_uniform(0.5, 4), 2, seed=1, driver="sde",
+                           tilt_samples=128)
+    assert np.isfinite(e3.theta).all()
+    assert e3.se_cov is not None
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +210,7 @@ def test_sde_path_runs_on_product_and_ball():
 
 def test_ensemble_prefix_matches_bitwise():
     # path i depends only on its key (seed, i), never on n_paths
-    for spec, driver in ((make_cube(2), "direct"), (make_ball(2), "sde")):
+    for spec, driver in ((make_cube(2), "direct"), (make_ball(2), "sde"), (SKEW, "sde")):
         grid = make_geometric(0.5, 2.0, 5)
         six = simulate_ensemble(spec, grid, 6, seed=21, driver=driver, tilt_samples=64)
         three = simulate_ensemble(spec, grid, 3, seed=21, driver=driver, tilt_samples=64)
@@ -215,7 +222,7 @@ def test_ensemble_prefix_matches_bitwise():
 
 
 def test_simulation_is_deterministic():
-    spec = make_ball(2)
+    spec = SKEW
     grid = make_geometric(0.5, 2.0, 5)
     a = simulate_ensemble(spec, grid, 4, seed=8, tilt_samples=128)
     b = simulate_ensemble(spec, grid, 4, seed=8, tilt_samples=128)
@@ -233,7 +240,7 @@ def test_salt_gives_independent_ensemble():
 
 
 def test_workers_do_not_change_results():
-    spec = make_ball(2)
+    spec = SKEW
     grid = make_geometric(0.5, 2.0, 5)
     one = simulate_ensemble(spec, grid, 6, seed=4, tilt_samples=128, workers=1)
     three = simulate_ensemble(spec, grid, 6, seed=4, tilt_samples=128, workers=3)

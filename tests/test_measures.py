@@ -84,7 +84,14 @@ def test_factor_sum_entropies():
     assert make_factor("uniform").sum_entropy() == pytest.approx(0.5 + math.log(SQRT3 * math.sqrt(2.0)))
     assert make_factor("exp").sum_entropy() == pytest.approx(1.0 + np.euler_gamma - 0.5 * math.log(2.0))
     assert make_factor("gaussian").sum_entropy() == pytest.approx(make_factor("gaussian").entropy())
-    assert make_factor("laplace").sum_entropy() is None
+    # X + X' for Laplace(b) has density e^{-w} (1 + w)/(4b), w = |z|/b
+    b = make_factor("laplace").scale
+    h_sum = 2.0 * quad(lambda w: -math.exp(-w) * (1.0 + w) / 4.0
+                       * math.log(math.exp(-w) * (1.0 + w) / (4.0 * b)),
+                       0.0, 80.0, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+    assert make_factor("laplace").sum_entropy() == pytest.approx(
+        h_sum - 0.5 * math.log(2.0), abs=1e-12)
+    assert make_factor("truncgauss").sum_entropy() is None
 
 
 def test_factor_tilt_rates():
@@ -101,7 +108,11 @@ def test_ball_marginal_factor_standardized():
     m2, _ = quad(lambda y: y * y * rho(y), f.lo, f.hi, limit=200)
     assert mass == pytest.approx(1.0, abs=1e-10)
     assert m2 == pytest.approx(1.0, abs=1e-10)
-    assert not f.has_closed_tilt
+    # the untilted batch route returns the base moments
+    log_z, mean, var = f.tilt_stats(0.0, np.zeros(2))
+    assert np.allclose(log_z, 0.0, atol=1e-13)
+    assert np.allclose(mean, 0.0, atol=1e-13)
+    assert np.allclose(var, 1.0, atol=1e-12)
 
 
 def test_ball_marginal_one_dim_is_uniform():

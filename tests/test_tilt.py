@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import ndtr
+from scipy.special import gammainc, ndtr, xlogy
 
 from sloclab import streams
 from sloclab.errors import DivergentTilt, InputValidationError, RejectionStall
@@ -26,6 +26,7 @@ from sloclab.tilt import (
     CLOSED_FORM,
     QUADRATURE,
     REJECTION,
+    ball_tilt_table,
     conditional_covariance_identity_check,
     factor_tilt_quadrature,
     product_tilt_table,
@@ -35,6 +36,9 @@ from sloclab.tilt import (
     tilt_sample_batch,
     tilt_table,
 )
+
+# a sheared cube: an affine image, so its tilts go through rejection
+SKEW = AffineImageSpec(make_cube(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +170,17 @@ TABLE_CASES = {  # case -> (measure, t, thetas, expected route)
     "cube": ("cube:2", 0.8, [[0.5, -0.3], [0.0, 0.0], [-2.0, 4.0]], CLOSED_FORM),
     "product-t0": ("product:exp,laplace,uniform", 0.0, [[-0.5, 0.3, 1.0], [0.4, -0.6, 0.0]],
                    QUADRATURE),
-    "ball": ("ball:3", 2.0, [[0.4, -0.2, 0.1], [0.0, 0.0, 0.0], [2.0, 1.0, -1.0]], REJECTION),
+    "ball": ("ball:3", 2.0, [[0.4, -0.2, 0.1], [0.0, 0.0, 0.0], [2.0, 1.0, -1.0]], QUADRATURE),
+    "ball-t0": ("ball:3", 0.0, [[0.4, -0.2, 0.1], [-1.0, 0.5, 2.0]], QUADRATURE),
     "ball-base": ("ball:3", 0.0, [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], CLOSED_FORM),
+    "skew": (SKEW, 2.0, [[0.4, -0.2], [0.0, 0.0], [2.0, -1.0]], REJECTION),
 }
 
 
 @pytest.mark.parametrize("case", sorted(TABLE_CASES))
 def test_tilt_table_matches_tilt_moments(case):
     measure, t, rows, route = TABLE_CASES[case]
-    spec = parse_measure_id(measure)
+    spec = measure if isinstance(measure, AffineImageSpec) else parse_measure_id(measure)
     thetas = np.array(rows)
     rng_calls = []
 
@@ -338,14 +344,13 @@ def test_ball_t_zero_tilt_against_marginal_quadrature():
 
 
 def test_t_zero_rejection_needs_bounded_support():
-    skew = AffineImageSpec(make_cube(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(InputValidationError, match="balls only"):
-        tilt_sample_batch(skew, 0.0, np.array([1.0, 0.0]), streams.generator(9, "t0"), 16)
+        tilt_sample_batch(SKEW, 0.0, np.array([1.0, 0.0]), streams.generator(9, "t0"), 16)
 
 
 def test_rejection_spec_needs_stream():
     with pytest.raises(InputValidationError, match="stream"):
-        tilt_moments(make_ball(3), 1.0, np.ones(3))
+        tilt_moments(SKEW, 1.0, np.ones(2))
 
 
 def test_tilt_sample_single_draw():
@@ -359,6 +364,129 @@ def test_tilt_sample_single_draw():
     assert np.linalg.norm(x[0]) <= math.sqrt(5.0)
     # same key, same draw
     assert np.array_equal(x, draw())
+
+
+# ---------------------------------------------------------------------------
+# The ball's radial quadrature
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_ball_tilt_matches_rejection(n):
+    # the same stream gives tilt_moments_rejection and the raw draws, whose
+    # per-draw spread is the standard error of every sample moment
+    spec = make_ball(n)
+    dirs = streams.generator(n, "ball-sweep-dirs").standard_normal((2, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    size = 4096
+    worst = 0.0
+    for t in (0.0, 0.05, 1.0, 4.0, 20.0):
+        for j, scale in enumerate((0.3, 1.5 * t or 1.0)):
+            theta = scale * dirs[j]
+            exact = tilt_moments(spec, t, theta)
+            assert exact.method == QUADRATURE
+            key = (n, "ball-sweep", j, int(100 * t))
+            rej = tilt_moments_rejection(spec, t, theta, streams.generator(*key), size)
+            pts, proposed, accepted = tilt_sample_batch(spec, t, theta,
+                                                        streams.generator(*key), size)
+            centred = pts - rej.mean
+            se_mean = centred.std(axis=0, ddof=1) / math.sqrt(size)
+            prods = centred[:, :, None] * centred[:, None, :]
+            se_cov = prods.std(axis=0, ddof=1) / math.sqrt(size)
+            # all proposals accepted: log Z is exact up to the count's resolution
+            se_log_z = math.sqrt(max(1.0 - accepted / proposed, 1.0 / proposed) / accepted)
+            worst = max(worst, float((np.abs(exact.mean - rej.mean) / se_mean).max()),
+                        float((np.abs(exact.cov - rej.cov) / se_cov).max()),
+                        abs(exact.log_z - rej.log_z) / se_log_z)
+    assert worst <= 4.0
+
+
+def _ball_phi_oracle(n, t, s):
+    """(log Z, E u, Var u, E|y|^2/(n-1)) of the ball's tilt by adaptive quad in phi."""
+    radius = math.sqrt(n + 2.0)
+    spec = make_ball(n)
+    k = n - 1
+
+    def parts(phi):
+        u, gap = radius * np.cos(phi), (radius * np.sin(phi)) ** 2
+        if t == 0.0:
+            return s * u + xlogy(0.5 * k, gap), gap * k / (n + 1)
+        lower = gammainc(0.5 * k, 0.5 * t * gap) if k else np.ones_like(gap)
+        upper = gammainc(0.5 * k + 1.0, 0.5 * t * gap)
+        return (s * u - 0.5 * t * u * u + np.log(lower),
+                k / t * np.divide(upper, lower, out=np.zeros_like(gap), where=lower > 0))
+
+    grid = np.linspace(1e-9, math.pi - 1e-9, 4001)
+    with np.errstate(divide="ignore"):
+        log_w = parts(grid)[0] + np.log(np.sin(grid))
+    top, peak = float(log_w.max()), float(grid[log_w.argmax()])
+
+    def integrand(phi, power):
+        with np.errstate(divide="ignore"):
+            log_f, y2 = parts(np.array(phi))
+        w = math.exp(float(log_f) - top) * radius * math.sin(phi)
+        # u - u(peak), stable where both sit near +-R
+        d = -2.0 * radius * math.sin(0.5 * (phi + peak)) * math.sin(0.5 * (phi - peak))
+        return w * float(y2) if power == "y" else w * d ** power
+
+    kw = dict(epsabs=0.0, epsrel=1e-13, limit=500, points=[peak])
+    i0, i1, i2, iy = (quad(integrand, 0.0, math.pi, args=(p,), **kw)[0]
+                      for p in (0, 1, 2, "y"))
+    if t == 0.0:
+        log_z = top + math.log(i0) - n * math.log(radius) - math.log(
+            math.gamma(0.5) * math.gamma(0.5 * n + 0.5) / math.gamma(0.5 * n + 1.0))
+    else:
+        log_z = top + math.log(i0) + 0.5 * k * math.log(2.0 * math.pi / t) - spec.entropy()
+    d1 = i1 / i0
+    return log_z, radius * math.cos(peak) + d1, i2 / i0 - d1 * d1, iy / i0 / max(k, 1)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("n", [1, 3, 4])
+@pytest.mark.parametrize("t", [0.0, 0.05, 1.0, 20.0, 100.0, 1e4])
+def test_ball_tilt_matches_adaptive_quadrature(n, t):
+    spec = make_ball(n)
+    sizes = [0.0, 1.8, 0.9 * t * spec.radius + 0.5, 1.1 * t * spec.radius + 3.0]
+    thetas = np.zeros((len(sizes), n))
+    thetas[:, 0] = sizes
+    log_z, mean, cov = ball_tilt_table(spec, t, thetas)
+    for i, size in enumerate(sizes):
+        lz, mu, var, across = _ball_phi_oracle(n, t, size)
+        assert log_z[i] == pytest.approx(lz, rel=1e-10, abs=1e-10)
+        assert mean[i, 0] == pytest.approx(mu, abs=1e-10 * max(abs(mu), math.sqrt(var)))
+        assert cov[i, 0, 0] == pytest.approx(var, rel=1e-10)
+        if n > 1:
+            assert cov[i, 1, 1] == pytest.approx(across, rel=1e-10)
+            assert np.abs(cov[i, 0, 1:]).max() == 0.0
+
+
+@pytest.mark.parametrize("nu", [1, 2, 4])
+def test_ball_marginal_batch_matches_adaptive_quadrature(nu):
+    f = BallMarginalFactor(nu)
+    thetas = np.array([-2.5, 0.0, 0.7, 3.0])
+    for t in (0.0, 0.05, 1.0, 20.0, 100.0):
+        log_z, mean, var = f.tilt_stats(t, thetas)
+        for i, theta in enumerate(thetas):
+            lz_q, mu_q, v_q = factor_tilt_quadrature(f, t, float(theta))
+            assert log_z[i] == pytest.approx(lz_q, abs=1e-10)
+            assert mean[i] == pytest.approx(mu_q, abs=1e-10)
+            assert var[i] == pytest.approx(v_q, abs=1e-10)
+
+
+def test_ball_tilt_finite_where_rejection_stalls():
+    # ball:4 at t = 0.05, |theta| = 1.8: rejection from N(theta/t, Id/t)
+    # accepts almost nothing there
+    spec = make_ball(4)
+    thetas = np.array([[1.8, 0.0, 0.0, 0.0], [0.0, -1.0, 1.5, 0.0]])
+
+    def no_rng(i):
+        raise AssertionError("the ball's route draws nothing")
+
+    log_z, mean, cov, se_cov, method = tilt_table(spec, 0.05, thetas, no_rng)
+    assert method == QUADRATURE and se_cov is None
+    assert np.isfinite(log_z).all() and np.isfinite(mean).all() and np.isfinite(cov).all()
+    lam = np.linalg.eigvalsh(cov)
+    assert lam.min() > 0.0 and 0.05 * lam.max() <= 1.0
+    assert (np.linalg.norm(mean, axis=1) < spec.radius).all()
 
 
 # ---------------------------------------------------------------------------
