@@ -586,7 +586,14 @@ def _cmd_tilt_probe(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     theta = np.asarray(_parse_float_list("--theta", args.theta), float)
     t = float(args.t)
 
-    def show(route: str, state) -> None:
+    # every route runs before any prints, so a route that cannot run prints nothing
+    routes = [("quadrature" if spec.family == "ball" else "analytic",
+               tilt.tilt_moments(spec, t, theta))]
+    if spec.factors is not None:
+        routes.append(("quadrature", tilt.tilt_moments_quadrature(spec, t, theta)))
+    routes.append(("rejection", tilt.tilt_moments_rejection(
+        spec, t, theta, streams.generator(cfg.seed, "tilt-probe"), cfg.tilt_samples)))
+    for route, state in routes:
         cov = np.asarray(state.cov, float)
         off = cov - np.diag(np.diag(cov))
         line = (f"route={route} log_z={_fmt(state.log_z)} "
@@ -596,16 +603,6 @@ def _cmd_tilt_probe(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         if state.se_mean is not None:
             line += f" se_mean=({_fmt_vec(state.se_mean)})"
         print(line)
-
-    if spec.family == "ball":
-        show("quadrature", tilt.tilt_moments(spec, t, theta))
-    else:
-        show("analytic", tilt.tilt_moments(spec, t, theta))
-    if spec.factors is not None:
-        show("quadrature", tilt.tilt_moments_quadrature(spec, t, theta))
-    rng = streams.generator(cfg.seed, "tilt-probe")
-    state = tilt.tilt_moments_rejection(spec, t, theta, rng, cfg.tilt_samples)
-    show("rejection", state)
     return 0
 
 

@@ -8,12 +8,12 @@ In the new frame the driving data become
 
 with r running over [0, 1).  The energy E |v_r|^2 equals the relative Fisher
 information J(nu_r || N(0, r Id)) of the law nu_r of x_r.  For product
-measures this module also computes J independently of the tilts: each
-catalog factor has a closed-form density and score for r X + sqrt(r (1 - r)) Z
-(Gaussian, a Phi-window for uniform and truncgauss, an exponentially modified
-Gaussian for exp and its two-sided mixture for laplace), so J is one scalar
-quadrature per factor.  A nested convolution quadrature serves the factors
-without a closed form, today only ``ballmarg``.  The Gamma process satisfies
+measures this module also computes J independently of the tilts: every
+truncated-Gaussian piece exp(k - c x^2/2 - b x) on [lo, hi] of a catalog
+factor convolves with the Gaussian into one closed formula for the density
+and score of r X + sqrt(r (1 - r)) Z (a Gaussian times a Phi-window), so J
+is one scalar quadrature per factor.  A nested convolution quadrature serves
+the factors without pieces, today only ``ballmarg``.  The Gamma process satisfies
 
     (i)   (1 - r) Gamma_r = A_t                       (algebraic rescaling)
     (ii)  E v (x) v = (Id - E Gamma) / (1 - r),  0 <= E Gamma <= Id
@@ -124,17 +124,6 @@ def check_fisher_monotone(frame: FrameEnsemble, sigma: float = 4.0,
                           notes="consecutive r increments,")
 
 
-def _emg(w: float, lam: float, s: float) -> tuple[float, float]:
-    """(log density, score) at w of E / lam + s Z with E ~ Exp(1).
-
-    This is the exponentially modified Gaussian with rate lam.
-    """
-    z = (w - lam * s * s) / s
-    log_cdf = log_ndtr(z)
-    return (math.log(lam) + 0.5 * (lam * s) ** 2 - lam * w + log_cdf,
-            -lam + math.exp(-0.5 * z * z - log_cdf - _LOG_SQRT_2PI) / s)
-
-
 def _gauss_window(lo: float, hi: float) -> tuple[float, float]:
     """(log(Phi(hi) - Phi(lo)), (phi(hi) - phi(lo)) / (Phi(hi) - Phi(lo))) for lo < hi.
 
@@ -151,53 +140,39 @@ def _gauss_window(lo: float, hi: float) -> tuple[float, float]:
 def _closed_marginal(factor, r: float):
     """y -> (log f(y), f'(y) / f(y)) for the law of r X + s Z, or None.
 
-    X ~ ``factor``, s = sqrt(r (1 - r)).  The formulas come from convolving
-    the factor's density with the Gaussian, not from its tilt, so a wrong
-    closed tilt cannot cancel against them.  Factors without a closed form
-    (today only ``ballmarg``) return None.
+    X ~ ``factor``, s = sqrt(r (1 - r)).  A piece exp(k - c x^2/2 - b x) on
+    [lo, hi] convolves with the Gaussian in closed form: with q = c s^2 + r^2,
+    P = q / s^2 and mu = (r y / s^2 - b) / P,
+
+        log f = k + (-c y^2 - 2 r b y + b^2 s^2) / 2q - log(q) / 2
+                + log(Phi(sqrt(P) (hi - mu)) - Phi(sqrt(P) (lo - mu))),
+        score = -(c y + r b) / q - ratio r / (s^2 sqrt(P)),
+
+    with ratio the Phi-window's (phi(hi) - phi(lo)) / (Phi(hi) - Phi(lo)),
+    and several pieces add.  The formula comes from the convolution, not from
+    the tilt, so a wrong closed tilt cannot cancel against it.  Factors
+    without pieces (today only ``ballmarg``) return None.
     """
-    s = math.sqrt(r * (1.0 - r))
-    if factor.tag == "gaussian":
-        # nu_r is exactly N(0, r)
-        log_norm = -0.5 * math.log(2.0 * math.pi * r)
-        return lambda y: (log_norm - 0.5 * y * y / r, -y / r)
-    if factor.tag == "uniform":
-        # Phi-window of half-width r w around y, over 2 r w
-        c = r * factor.half_width
+    if not factor.pieces:
+        return None
+    s2 = r * (1.0 - r)
 
-        def uniform(y):
-            log_d, ratio = _gauss_window((y - c) / s, (y + c) / s)
-            return log_d - math.log(2.0 * c), ratio / s
-        return uniform
-    if factor.tag == "exp":
-        # r X + r is Exp(rate 1 / r)
-        return lambda y: _emg(y + r, 1.0 / r, s)
-    if factor.tag == "laplace":
-        # r X is an equal mixture of Exp(rate lam) and its mirror image
-        lam = 1.0 / (r * factor.scale)
+    def piece(y, c, b, lo, hi, k):
+        q = c * s2 + r * r
+        root_p = math.sqrt(q / s2)
+        mu = (r * y - b * s2) / q
+        log_d, ratio = _gauss_window(root_p * (lo - mu), root_p * (hi - mu))
+        return (k + (-c * y * y - 2.0 * r * b * y + b * b * s2) / (2.0 * q)
+                - 0.5 * math.log(q) + log_d,
+                -(c * y + r * b) / q - ratio * r / (s2 * root_p))
 
-        def laplace(y):
-            g_right, d_right = _emg(y, lam, s)
-            g_left, d_left = _emg(-y, lam, s)
-            log_f = float(np.logaddexp(g_right, g_left))
-            p = math.exp(g_right - log_f)
-            return log_f - math.log(2.0), p * d_right - (1.0 - p) * d_left
-        return laplace
-    if factor.tag == "truncgauss":
-        # X = U / sigma with U ~ N(0, 1) cut at |U| <= c.  With a = r / sigma,
-        # Y = a U + s Z is N(0, a^2 + s^2) times P(|U| <= c | Y = y) / Z_c,
-        # where U | Y = y is N(a y / tau2, s^2 / tau2).
-        a = r / factor.sigma
-        tau2 = a * a + s * s
-        sd = s / math.sqrt(tau2)
-        log_norm = -0.5 * math.log(2.0 * math.pi * tau2) - math.log(factor.z_cut)
-
-        def truncgauss(y):
-            mu = a * y / tau2
-            log_d, ratio = _gauss_window((-factor.cut - mu) / sd, (factor.cut - mu) / sd)
-            return log_norm - 0.5 * y * y / tau2 + log_d, -y / tau2 - ratio * a / (tau2 * sd)
-        return truncgauss
-    return None
+    def marginal(y):
+        parts = [piece(y, *p) for p in factor.pieces]
+        if len(parts) == 1:
+            return parts[0]
+        log_f = float(np.logaddexp.reduce([log_p for log_p, _ in parts]))
+        return log_f, sum(math.exp(log_p - log_f) * score for log_p, score in parts)
+    return marginal
 
 
 def _nested_integrand(factor, r: float):

@@ -13,7 +13,9 @@ constructor is explicitly told otherwise:
 1D factor tags: ``gaussian``, ``uniform`` (half-width sqrt(3)), ``exp``
 (centered exponential, density e^{-(x+1)} on [-1, inf)), ``laplace``
 (scale 1/sqrt(2)), ``truncgauss`` (standard normal cut at |x| <= 1 and
-rescaled to unit variance).  All have mean 0 and variance 1.
+rescaled to unit variance).  All have mean 0 and variance 1, and each is a
+list of truncated-Gaussian ``pieces`` (see `Factor1D`); ``ballmarg``, the
+ball's 1D marginal, is the one factor without them.
 
 Affine images T(x) = M x + b are first-class; `isotropize` uses them to
 whiten any spec with known (or supplied) moments.
@@ -43,15 +45,29 @@ GAUSSIAN_ENTROPY_RATE = 0.5 * math.log(2.0 * math.pi * math.e)  # per dimension
 
 
 class Factor1D:
-    """One-dimensional log-concave factor, density exp(-psi) on [lo, hi]."""
+    """One-dimensional log-concave factor, density exp(-psi) on [lo, hi].
+
+    A closed-form factor lists its density as ``pieces``, tuples
+    (c, b, lo, hi, k) that each mean exp(k - c x^2/2 - b x) on [lo, hi] with
+    c >= 0.  The density, its peak, the t = 0 decay rates and the tilt all
+    follow from them.  A factor without pieces overrides the density, the
+    peak and the tilt; its rates default to (inf, inf), as for any bounded
+    support.
+    """
 
     tag = ""
     lo = -np.inf
     hi = np.inf
     var = 1.0
+    pieces: tuple = ()
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        x = np.asarray(x, float)
+        out = np.full(x.shape, -np.inf)
+        for c, b, lo, hi, k in self.pieces:
+            inside = (x >= lo - _SUPPORT_TOL) & (x <= hi + _SUPPORT_TOL)
+            out = np.where(inside, np.maximum(out, k - x * (0.5 * c * x + b)), out)
+        return out
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
@@ -60,50 +76,66 @@ class Factor1D:
         raise NotImplementedError
 
     def peak_log_density(self) -> float:
-        """sup_x log rho(x); needed by the rejection sampler."""
-        raise NotImplementedError
+        """sup_x log rho(x); needed by the rejection sampler.
+
+        Each piece peaks at -b/c clipped to [lo, hi], or at the end its slope
+        points to when c = 0.
+        """
+        modes = [min(max(-b / c, lo), hi) if c else (lo if b > 0 else hi)
+                 for c, b, lo, hi, _ in self.pieces]
+        return float(np.max(self.log_density(np.array(modes))))
 
     def tilt_rates(self) -> tuple[float, float]:
         """Exponential decay rates of the density at -inf / +inf.
 
         The t = 0 tilt by exp(theta * x) has a finite partition function iff
-        -left_rate < theta < right_rate.
+        -left_rate < theta < right_rate.  A Gaussian piece decays faster
+        than any exponential; a piece with c = 0 decays at rate |b|.
         """
-        return np.inf, np.inf
+        left = min((np.inf if c else -b for c, b, lo, _, _ in self.pieces if lo == -np.inf),
+                   default=np.inf)
+        right = min((np.inf if c else b for c, b, _, hi, _ in self.pieces if hi == np.inf),
+                    default=np.inf)
+        return left, right
 
     def tilt_stats(self, t: float, theta: np.ndarray):
-        """Batched (log Z, mean, var) of the tilted factor, t > 0."""
-        raise NotImplementedError
+        """Batched (log Z, mean, var) of the tilted factor, t > 0.
+
+        Tilted, a piece is N((theta - b)/tau, 1/tau) cut to [lo, hi] with
+        tau = t + c, and log Z = k + log(2 pi/tau)/2 + (theta - b)^2/2tau + log
+        of the cut mass.  Several pieces mix in proportion to their Z.
+        """
+        theta = np.asarray(theta, float)
+        parts = []
+        for c, b, lo, hi, k in self.pieces:
+            tau = t + c
+            shifted = theta - b
+            log_mass, mean, var = trunc_normal_moments(shifted / tau, 1.0 / math.sqrt(tau),
+                                                       lo, hi)
+            parts.append((k + 0.5 * math.log(2.0 * math.pi / tau)
+                          + shifted * shifted / (2.0 * tau) + log_mass, mean, var))
+        if len(parts) == 1:
+            return parts[0]
+        log_zs, means, variances = (np.stack(column) for column in zip(*parts))
+        log_z = np.logaddexp.reduce(log_zs, axis=0)
+        weights = np.exp(log_zs - log_z)
+        mean = (weights * means).sum(axis=0)
+        return log_z, mean, (weights * (variances + (means - mean) ** 2)).sum(axis=0)
 
     def sum_entropy(self) -> float | None:
         """Closed-form entropy of (X + X')/sqrt(2) when one exists."""
         return None
 
-    def _inside(self, x):
-        return (x >= self.lo - _SUPPORT_TOL) & (x <= self.hi + _SUPPORT_TOL)
-
 
 class GaussianFactor(Factor1D):
     tag = "gaussian"
-
-    def log_density(self, x):
-        x = np.asarray(x, float)
-        return -0.5 * x * x - 0.5 * _LOG_2PI
+    pieces = ((1.0, 0.0, -np.inf, np.inf, -0.5 * _LOG_2PI),)
 
     def sample(self, rng, size):
         return rng.standard_normal(size)
 
     def entropy(self):
         return GAUSSIAN_ENTROPY_RATE
-
-    def peak_log_density(self):
-        return -0.5 * _LOG_2PI
-
-    def tilt_stats(self, t, theta):
-        theta = np.asarray(theta, float)
-        tau = 1.0 + t
-        log_z = -0.5 * math.log(tau) + theta * theta / (2.0 * tau)
-        return log_z, theta / tau, np.full_like(theta, 1.0 / tau)
 
     def sum_entropy(self):
         return GAUSSIAN_ENTROPY_RATE  # Gaussian is stable under this convolution
@@ -121,27 +153,13 @@ class UniformFactor(Factor1D):
         self.lo = -self.half_width
         self.hi = self.half_width
         self.var = self.half_width**2 / 3.0
-
-    def log_density(self, x):
-        x = np.asarray(x, float)
-        return np.where(self._inside(x), -math.log(2.0 * self.half_width), -np.inf)
+        self.pieces = ((0.0, 0.0, self.lo, self.hi, -math.log(2.0 * self.half_width)),)
 
     def sample(self, rng, size):
         return rng.uniform(-self.half_width, self.half_width, size)
 
     def entropy(self):
         return math.log(2.0 * self.half_width)
-
-    def peak_log_density(self):
-        return -math.log(2.0 * self.half_width)
-
-    def tilt_stats(self, t, theta):
-        theta = np.asarray(theta, float)
-        s = 1.0 / math.sqrt(t)
-        log_mass, mean, var = trunc_normal_moments(theta / t, s, self.lo, self.hi)
-        log_z = (-math.log(2.0 * self.half_width) + 0.5 * math.log(2.0 * math.pi / t)
-                 + theta * theta / (2.0 * t) + log_mass)
-        return log_z, mean, var
 
     def sum_entropy(self):
         # (X + X')/sqrt(2) is triangular with half-width w*sqrt(2)
@@ -153,11 +171,7 @@ class ExpFactor(Factor1D):
 
     tag = "exp"
     lo = -1.0
-
-    def log_density(self, x):
-        x = np.asarray(x, float)
-        out = np.where(self._inside(x), -(x + 1.0), -np.inf)
-        return out
+    pieces = ((0.0, 1.0, -1.0, np.inf, -1.0),)
 
     def sample(self, rng, size):
         return rng.exponential(1.0, size) - 1.0
@@ -165,70 +179,24 @@ class ExpFactor(Factor1D):
     def entropy(self):
         return 1.0
 
-    def peak_log_density(self):
-        return 0.0
-
-    def tilt_rates(self):
-        return np.inf, 1.0
-
-    def tilt_stats(self, t, theta):
-        theta = np.asarray(theta, float)
-        shifted = theta - 1.0
-        s = 1.0 / math.sqrt(t)
-        log_mass, mean, var = trunc_normal_moments(shifted / t, s, -1.0, np.inf)
-        log_z = (-1.0 + 0.5 * math.log(2.0 * math.pi / t)
-                 + shifted * shifted / (2.0 * t) + log_mass)
-        return log_z, mean, var
-
     def sum_entropy(self):
         # X + X' is a shifted Gamma(2): entropy 1 + euler_gamma
         return 1.0 + np.euler_gamma - 0.5 * math.log(2.0)
 
 
 class LaplaceFactor(Factor1D):
-    """Laplace with scale 1/sqrt(2) (unit variance)."""
+    """Laplace with scale 1/sqrt(2) (unit variance): two exponential pieces glued at 0."""
 
     tag = "laplace"
     scale = 1.0 / math.sqrt(2.0)
-
-    def log_density(self, x):
-        x = np.asarray(x, float)
-        return -np.abs(x) / self.scale - math.log(2.0 * self.scale)
+    pieces = ((0.0, -1.0 / scale, -np.inf, 0.0, -math.log(2.0 * scale)),
+              (0.0, 1.0 / scale, 0.0, np.inf, -math.log(2.0 * scale)))
 
     def sample(self, rng, size):
         return rng.laplace(0.0, self.scale, size)
 
     def entropy(self):
         return 1.0 + math.log(2.0 * self.scale)
-
-    def peak_log_density(self):
-        return -math.log(2.0 * self.scale)
-
-    def tilt_rates(self):
-        rate = 1.0 / self.scale
-        return rate, rate
-
-    def tilt_stats(self, t, theta):
-        # tilted density splits into two truncated normals glued at 0
-        theta = np.asarray(theta, float)
-        s = 1.0 / math.sqrt(t)
-        rate = 1.0 / self.scale
-        base = -math.log(2.0 * self.scale) + 0.5 * math.log(2.0 * math.pi / t)
-
-        sh_r = theta - rate
-        lm_r, mu_r, v_r = trunc_normal_moments(sh_r / t, s, 0.0, np.inf)
-        log_z_r = base + sh_r * sh_r / (2.0 * t) + lm_r
-
-        sh_l = theta + rate
-        lm_l, mu_l, v_l = trunc_normal_moments(sh_l / t, s, -np.inf, 0.0)
-        log_z_l = base + sh_l * sh_l / (2.0 * t) + lm_l
-
-        log_z = np.logaddexp(log_z_r, log_z_l)
-        w_r = np.exp(log_z_r - log_z)
-        w_l = 1.0 - w_r
-        mean = w_r * mu_r + w_l * mu_l
-        m2 = w_r * (v_r + mu_r**2) + w_l * (v_l + mu_l**2)
-        return log_z, mean, np.maximum(m2 - mean * mean, 0.0)
 
     def sum_entropy(self):
         # X + X' has density e^{-w} (1 + w) / (4b) at w = |z|/b; integrating
@@ -251,16 +219,8 @@ class TruncGaussFactor(Factor1D):
         self.sigma = math.sqrt(1.0 - 2.0 * cut * phi_c / self.z_cut)
         self.lo = -cut / self.sigma
         self.hi = cut / self.sigma
-
-    def log_density(self, x):
-        x = np.asarray(x, float)
-        u = self.sigma * x
-        out = np.where(
-            self._inside(x),
-            math.log(self.sigma) - 0.5 * u * u - 0.5 * _LOG_2PI - math.log(self.z_cut),
-            -np.inf,
-        )
-        return out
+        self.pieces = ((self.sigma**2, 0.0, self.lo, self.hi,
+                        math.log(self.sigma) - math.log(self.z_cut) - 0.5 * _LOG_2PI),)
 
     def sample(self, rng, size):
         out = np.empty(size)
@@ -276,19 +236,6 @@ class TruncGaussFactor(Factor1D):
     def entropy(self):
         base = 0.5 * self.sigma**2 + 0.5 * _LOG_2PI + math.log(self.z_cut)
         return base - math.log(self.sigma)
-
-    def peak_log_density(self):
-        return math.log(self.sigma) - 0.5 * _LOG_2PI - math.log(self.z_cut)
-
-    def tilt_stats(self, t, theta):
-        # Gaussian core folds into the tilt: effective precision t + sigma^2
-        theta = np.asarray(theta, float)
-        tau = t + self.sigma**2
-        s = 1.0 / math.sqrt(tau)
-        log_mass, mean, var = trunc_normal_moments(theta / tau, s, self.lo, self.hi)
-        log_z = (math.log(self.sigma) - math.log(self.z_cut) - 0.5 * math.log(tau)
-                 + theta * theta / (2.0 * tau) + log_mass)
-        return log_z, mean, var
 
 
 class BallMarginalFactor(Factor1D):
@@ -314,13 +261,8 @@ class BallMarginalFactor(Factor1D):
     def log_density(self, x):
         x = np.asarray(x, float)
         gap = np.maximum(self.radius**2 - x * x, 0.0)
-        with np.errstate(divide="ignore"):
-            out = np.where(self._inside(x) & (gap > 0.0),
-                           self.exponent * np.log(np.maximum(gap, 1e-300)) - self._log_norm,
-                           -np.inf)
-        if self.exponent == 0.0:
-            out = np.where(self._inside(x), -self._log_norm, -np.inf)
-        return out
+        return np.where(np.abs(x) <= self.radius + _SUPPORT_TOL,
+                        xlogy(self.exponent, gap) - self._log_norm, -np.inf)
 
     def sample(self, rng, size):
         a = self.exponent + 1.0
@@ -332,12 +274,12 @@ class BallMarginalFactor(Factor1D):
         return float(val)
 
     def peak_log_density(self):
-        return self.exponent * math.log(self.radius**2) - self._log_norm
+        return float(self.log_density(0.0))
 
     def tilt_stats(self, t, theta):
         # weight exp(theta y - t y^2 / 2) (R^2 - y^2)^exponent, any t >= 0
         theta = np.asarray(theta, float)
-        log_int, mean, var, _, _ = radial_tilt_moments(
+        log_int, mean, var, _, _, _ = radial_tilt_moments(
             theta.ravel(), t, self.radius, lambda gap: xlogy(self.exponent, gap))
         return ((log_int - self._log_norm).reshape(theta.shape), mean.reshape(theta.shape),
                 var.reshape(theta.shape))

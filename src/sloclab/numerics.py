@@ -136,22 +136,17 @@ def radial_tilt_moments(s, t: float, radius: float, log_h):
     integrand analytic at u = +-R.  Moments are taken about the scan mode so
     that small variances do not cancel.
 
-    Returns (log_int, mean, var, gap, prob): log of the weight's integral
-    over u, the mean and variance of u, and R^2 - u^2 and the probability
-    of each node, both (m, 64), for further moments.
+    Returns (log_int, mean, var, gap, log_h, prob): log of the weight's
+    integral over u, the mean and variance of u, and R^2 - u^2, log h and
+    the probability of each node, all three (m, 64), for further moments.
     """
     s = np.asarray(s, float)[:, None]
     rows = np.arange(s.shape[0])
-
-    def log_weight(u, gap):
-        with np.errstate(divide="ignore"):
-            return s * u - 0.5 * t * u * u + log_h(gap)
-
     lo = np.full(s.shape[0], -radius)
     hi = np.full(s.shape[0], radius)
     for _ in range(3):
         u = lo[:, None] + (hi - lo)[:, None] * _SCAN
-        lw = log_weight(u, (radius - u) * (radius + u))
+        lw = s * u - 0.5 * t * u * u + log_h((radius - u) * (radius + u))
         best = lw.argmax(axis=1)
         above = lw >= lw[rows, best][:, None] - _WINDOW_DROP
         first = np.maximum(above.argmax(axis=1) - 1, 0)
@@ -165,7 +160,8 @@ def radial_tilt_moments(s, t: float, radius: float, log_h):
     u = radius * np.cos(phi)
     sin = np.sin(phi)
     gap = (radius * sin) ** 2
-    log_f = log_weight(u, gap) + np.log(radius * sin)
+    log_h_nodes = log_h(gap)
+    log_f = s * u - 0.5 * t * u * u + log_h_nodes + np.log(radius * sin)
     top = log_f.max(axis=1)
     f = np.exp(log_f - top[:, None]) * _GL_W * half[:, None]
     total = f.sum(axis=1)
@@ -173,7 +169,7 @@ def radial_tilt_moments(s, t: float, radius: float, log_h):
     d = u - centre[:, None]
     d1 = (prob * d).sum(axis=1)
     var = (prob * d * d).sum(axis=1) - d1 * d1
-    return top + np.log(total), centre + d1, np.maximum(var, 0.0), gap, prob
+    return top + np.log(total), centre + d1, np.maximum(var, 0.0), gap, log_h_nodes, prob
 
 
 def jackknife_se(values: np.ndarray, axis: int = 0) -> np.ndarray:

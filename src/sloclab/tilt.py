@@ -77,8 +77,8 @@ def _validate(spec: MeasureSpec, t: float, theta) -> np.ndarray:
     return theta
 
 
-def _check_rates(spec: ProductSpec, theta: np.ndarray) -> None:
-    for j, f in enumerate(spec.factors):
+def _check_rates(factors, theta) -> None:
+    for j, f in enumerate(factors):
         left, right = f.tilt_rates()
         if theta[j] >= right or -theta[j] >= left:
             raise DivergentTilt(
@@ -148,13 +148,14 @@ def ball_tilt_table(spec: BallSpec, t: float, thetas: np.ndarray):
         log_z, mean_u, var_u = BallMarginalFactor(n).tilt_stats(0.0, s)
         across = (radius * radius - mean_u * mean_u - var_u) / (n + 1)
     else:
-        def inside(gap):  # P(chi2_{n-1} <= t gap), 1 when there is no y
-            return gammainc(0.5 * k, 0.5 * t * gap) if k else np.ones_like(gap)
+        def log_inside(gap):  # log P(chi2_{n-1} <= t gap), 0 when there is no y
+            return np.log(gammainc(0.5 * k, 0.5 * t * gap)) if k else np.zeros_like(gap)
 
-        log_int, mean_u, var_u, gap, prob = radial_tilt_moments(
-            s, t, radius, lambda gap: np.log(inside(gap)))
+        with np.errstate(divide="ignore"):
+            log_int, mean_u, var_u, gap, log_h, prob = radial_tilt_moments(
+                s, t, radius, log_inside)
         log_z = log_int + 0.5 * k * math.log(2.0 * math.pi / t) - spec.entropy()
-        lower = inside(gap)
+        lower = np.exp(log_h)
         ratio = np.divide(gammainc(0.5 * k + 1.0, 0.5 * t * gap), lower,
                           out=np.zeros_like(gap), where=lower > 0.0)
         across = (prob * ratio).sum(axis=1) / t
@@ -170,9 +171,7 @@ def ball_tilt_table(spec: BallSpec, t: float, thetas: np.ndarray):
 def factor_tilt_quadrature(f, t: float, theta: float):
     """(log Z, mean, var) of one tilted 1D factor by adaptive quadrature."""
     if t == 0.0:
-        left, right = f.tilt_rates()
-        if theta >= right or -theta >= left:
-            raise DivergentTilt(f"t=0 tilt diverges on factor {f.tag}")
+        _check_rates([f], [theta])
 
     def exponent(x):
         return float(theta * x - 0.5 * t * x * x + f.log_density(np.asarray(x, float)))
@@ -220,6 +219,8 @@ def tilt_moments_quadrature(spec: MeasureSpec, t: float, theta) -> TiltState:
         spec = ProductSpec([GaussianFactor() for _ in range(spec.dim)])
     if spec.factors is None:
         raise InputValidationError("quadrature route needs a coordinate product")
+    if t == 0.0:
+        _check_rates(spec.factors, theta)
     log_z = 0.0
     mean = np.empty(spec.dim)
     var = np.empty(spec.dim)
@@ -242,8 +243,10 @@ def _proposal(spec: MeasureSpec, t: float, theta: np.ndarray):
     log_accept(x) gives their log acceptance probabilities, or is None when
     the proposals are exact draws; log_z(acceptance) recovers log Z from the
     measured acceptance rate.  Gaussians are conjugate, t > 0 proposes from
-    the matched Gaussian N(theta/t, Id/t) thinned by rho/sup rho, and a t = 0
-    ball proposes from the base measure thinned by exp(theta.x - R|theta|).
+    the matched Gaussian N(theta/t, Id/t) thinned by rho/sup rho, and t = 0
+    proposes from the base measure thinned by exp(theta.x - sup theta.x),
+    with the sup over the support: R|theta| for a ball and
+    sum_j max(theta_j lo_j, theta_j hi_j) for a product, which must be finite.
     """
     if isinstance(spec, GaussianSpec):
         tau = 1.0 + t
@@ -269,9 +272,18 @@ def _proposal(spec: MeasureSpec, t: float, theta: np.ndarray):
         return draw, lambda x: spec.log_density(x) - peak, log_z
     if not np.any(theta):
         return spec.sample, None, lambda acceptance: 0.0
-    if not isinstance(spec, BallSpec):
-        raise InputValidationError("t=0 rejection tilts are supported on balls only")
-    sup = spec.radius * float(np.linalg.norm(theta))
+    if isinstance(spec, BallSpec):
+        sup = spec.radius * float(np.linalg.norm(theta))
+    elif spec.factors is not None:
+        ends = [f.hi if th > 0 else f.lo for f, th in zip(spec.factors, theta)]
+        for j, (f, th, end) in enumerate(zip(spec.factors, theta, ends)):
+            if th and not math.isfinite(end):
+                raise InputValidationError(
+                    f"t=0 rejection tilt needs the support bounded in theta's direction; "
+                    f"factor {j} ({f.tag}) is unbounded {'above' if th > 0 else 'below'}")
+        sup = float(sum(th * end for th, end in zip(theta, ends) if th))
+    else:
+        raise InputValidationError("t=0 rejection tilts need a ball or a product")
     return (spec.sample, lambda x: x @ theta - sup,
             lambda acceptance: sup + math.log(acceptance))
 
@@ -376,14 +388,12 @@ def tilt_table(spec: MeasureSpec, t: float, thetas: np.ndarray, rng_for,
         return log_z, mean, np.tile(cov, (m, 1, 1)), None, CLOSED_FORM
     if spec.factors is not None:
         if t == 0.0:
-            for theta in thetas:
-                _check_rates(spec, theta)
             return _stack_states([tilt_moments_quadrature(spec, t, theta)
                                   for theta in thetas], QUADRATURE)
         log_z, mean, var = product_tilt_table(spec, t, thetas)
         cov = np.zeros((m, n, n))
         cov[:, np.arange(n), np.arange(n)] = var
-        closed = not any(isinstance(f, BallMarginalFactor) for f in spec.factors)
+        closed = all(f.pieces for f in spec.factors)
         return log_z, mean, cov, None, CLOSED_FORM if closed else QUADRATURE
     if isinstance(spec, BallSpec):
         return (*ball_tilt_table(spec, t, thetas), None, QUADRATURE)

@@ -1,6 +1,7 @@
 """Command surface: config precedence, validation messages, artifacts, exit codes."""
 
 import json
+import math
 import os
 import re
 import shutil
@@ -15,6 +16,7 @@ import sloclab
 from sloclab import tilt
 from sloclab.cli import _CHECK_IDS, _REGISTRY, RunContext, _build_parser, build_config, main
 from sloclab.errors import ConfigError
+from sloclab.measures import SQRT3
 
 
 def parse_cfg(argv):
@@ -387,6 +389,29 @@ def test_tilt_probe_routes_agree(capsys):
     assert set(logz) == {"analytic", "quadrature", "rejection"}
     assert logz["analytic"] == pytest.approx(logz["quadrature"], abs=1e-9)
     assert logz["rejection"] == pytest.approx(logz["analytic"], abs=0.05)
+
+
+def test_tilt_probe_t_zero_on_a_product(capsys):
+    code = main(["tilt-probe", "--measure", "cube:2", "--t", "0",
+                 "--theta", "0.3,0", "--tilt-samples", "20000"])
+    out = capsys.readouterr().out
+    assert code == 0
+    logz = dict(re.findall(r"route=(\w+) log_z=([-+0-9.e]+)", out))
+    assert set(logz) == {"analytic", "quadrature", "rejection"}
+    # closed form: log of sinh(sqrt(3) theta) / (sqrt(3) theta)
+    closed = math.log(math.sinh(SQRT3 * 0.3) / (SQRT3 * 0.3))
+    assert float(logz["analytic"]) == pytest.approx(closed, abs=1e-9)
+    assert float(logz["rejection"]) == pytest.approx(closed, abs=0.05)
+
+
+def test_tilt_probe_t_zero_unbounded_factor_prints_nothing(capsys):
+    # exp is unbounded above, so the t = 0 proposal has no finite sup of theta . x
+    code = main(["tilt-probe", "--measure", "product:exp,uniform", "--t", "0",
+                 "--theta", "0.3,0.1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "factor 0 (exp)" in captured.err
 
 
 def test_tilt_probe_ball_notes_reference_route(capsys):

@@ -10,6 +10,9 @@
   or ``perfbench/`` outside its own body: no helper exists only for tests.
   A read is a name, an attribute or an identifier string (perfbench binds
   functions by name); dunder methods are called implicitly and are exempt.
+* Nothing in ``src/`` compares against a ``.tag`` attribute: a factor's
+  behaviour follows from its data (its ``pieces``), never from branching on
+  its name.
 """
 
 import ast
@@ -86,6 +89,14 @@ def unread_functions(tree: ast.Module, reads: Counter) -> list:
                   and reads[node.name] <= names_read(node)[node.name])
 
 
+def tag_comparisons(tree: ast.Module) -> list:
+    """(line, "tag") of every comparison with a ``.tag`` attribute on either side."""
+    return sorted((node.lineno, "tag") for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare)
+                  and any(isinstance(side, ast.Attribute) and side.attr == "tag"
+                          for side in [node.left, *node.comparators]))
+
+
 def _scan(paths, scanner) -> list:
     assert paths
     return [f"{_rel(p)}:{line} {name}" for p in paths for line, name in scanner(_tree(p))]
@@ -110,6 +121,10 @@ def test_every_source_function_is_read_outside_tests():
     assert BENCH
     reads = sum((names_read(_tree(p)) for p in PACKAGE + BENCH), Counter())
     assert _scan(PACKAGE, lambda tree: unread_functions(tree, reads)) == []
+
+
+def test_no_branching_on_factor_tags():
+    assert _scan(PACKAGE, tag_comparisons) == []
 
 
 def test_scanners_flag_what_they_look_for():
@@ -149,3 +164,10 @@ def test_scanners_flag_what_they_look_for():
                      "def orphan():\n"
                      "    return Basis().dim\n")
     assert unread_functions(defs, names_read(defs)) == [(4, "project"), (14, "orphan")]
+    tags = ast.parse("if factor.tag == 'exp':\n"
+                     "    pass\n"
+                     "ok = 'laplace' != f.tag\n"
+                     "inside = f.tag in ('uniform', 'truncgauss')\n"
+                     "name = f'{f.tag}'\n"
+                     "same = tag == 'exp'\n")
+    assert tag_comparisons(tags) == [(1, "tag"), (3, "tag"), (4, "tag")]

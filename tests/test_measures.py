@@ -26,7 +26,10 @@ from sloclab.measures import (
     make_product,
     parse_measure_id,
 )
+from sloclab.numerics import trunc_normal_moments
 from sloclab.streams import generator
+
+FACTOR_TAGS = ("gaussian", "uniform", "exp", "laplace", "truncgauss")
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +102,44 @@ def test_factor_tilt_rates():
     r = make_factor("laplace").tilt_rates()
     assert r[0] == r[1] == pytest.approx(math.sqrt(2.0))
     assert make_factor("gaussian").tilt_rates() == (np.inf, np.inf)
+    assert make_factor("uniform").tilt_rates() == (np.inf, np.inf)
+    assert make_factor("truncgauss").tilt_rates() == (np.inf, np.inf)
+
+
+PEAK_FACTORS = [make_factor(tag) for tag in FACTOR_TAGS] + [
+    BallMarginalFactor(nu) for nu in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("f", PEAK_FACTORS, ids=lambda f: f.tag + str(getattr(f, "ambient_dim", "")))
+def test_peak_log_density_is_the_max(f):
+    # a peak below sup log rho would bias every rejection draw
+    lo, hi = max(f.lo, -12.0), min(f.hi, 12.0)
+    grid = np.concatenate([np.linspace(lo, hi, 200_001), [lo, 0.0, hi]])
+    dens = f.log_density(grid)
+    peak = f.peak_log_density()
+    assert peak >= dens.max()
+    assert peak == pytest.approx(dens.max(), abs=1e-12)
+
+
+def test_closed_factors_derive_everything_from_pieces():
+    for tag in FACTOR_TAGS:
+        cls = type(make_factor(tag))
+        assert not {"log_density", "peak_log_density", "tilt_rates", "tilt_stats"} & set(vars(cls))
+        assert make_factor(tag).pieces
+    assert len(make_factor("laplace").pieces) == 2
+
+
+def test_laplace_mixture_variance_does_not_cancel():
+    # far left the right piece has no weight, so the mixture is the left piece
+    # alone; E x^2 - (E x)^2 would lose 2e-12 of the variance here to cancellation
+    f = make_factor("laplace")
+    t, theta = 1e4, -30005.0
+    c, b, lo, hi, _ = f.pieces[0]
+    _, mean_left, var_left = trunc_normal_moments((theta - b) / (t + c),
+                                                  1.0 / math.sqrt(t + c), lo, hi)
+    _, mean, var = f.tilt_stats(t, np.array(theta))
+    assert float(mean) == pytest.approx(float(mean_left), rel=1e-15, abs=0.0)
+    assert float(var) == pytest.approx(float(var_left), rel=1e-15, abs=0.0)
 
 
 def test_ball_marginal_factor_standardized():

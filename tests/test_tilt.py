@@ -344,8 +344,23 @@ def test_ball_t_zero_tilt_against_marginal_quadrature():
 
 
 def test_t_zero_rejection_needs_bounded_support():
-    with pytest.raises(InputValidationError, match="balls only"):
+    with pytest.raises(InputValidationError, match="need a ball or a product"):
         tilt_sample_batch(SKEW, 0.0, np.array([1.0, 0.0]), streams.generator(9, "t0"), 16)
+
+
+def test_product_t_zero_rejection_matches_quadrature():
+    # thinned by exp(theta . x - sup theta . x), sup = sum_j max(theta_j lo_j, theta_j hi_j)
+    spec = make_product("exp,uniform")
+    theta = np.array([-0.3, 0.4])
+    rej = tilt_moments_rejection(spec, 0.0, theta, streams.generator(10, "t0prod"), 8192)
+    ref = tilt_moments_quadrature(spec, 0.0, theta)
+    assert rej.method == REJECTION
+    assert np.all(np.abs(rej.mean - ref.mean) <= 4.0 * rej.se_mean)
+    assert np.all(np.abs(rej.cov - ref.cov) <= 4.0 * rej.se_cov + 1e-12)
+    assert rej.log_z == pytest.approx(ref.log_z, abs=0.05)
+    # theta_0 > 0 points exp's unbounded end at the tilt: no finite sup
+    with pytest.raises(InputValidationError, match=r"factor 0 \(exp\) is unbounded above"):
+        tilt_sample_batch(spec, 0.0, np.array([0.3, 0.4]), streams.generator(9, "t0"), 16)
 
 
 def test_rejection_spec_needs_stream():
