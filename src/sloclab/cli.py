@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import follmer, infotheory, isoconst, localization, streams, tilt
+from . import covariance, follmer, infotheory, isoconst, localization, streams, tilt
 from .errors import ConfigError, SloclabError
 from .localization import TimeGrid
 from .measures import DEFAULT_CATALOG, coordinate_subspace, parse_measure_id
@@ -563,9 +563,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
                         _fmt(dev)])
 
     curve = follmer.fisher_energy(frame)
-    mean_gamma = frame.gamma.mean(axis=0)
-    mean_gamma = 0.5 * (mean_gamma + np.swapaxes(mean_gamma, -1, -2))
-    geig = np.linalg.eigvalsh(mean_gamma)
+    geig_min, geig_max = covariance.eig_extremes(frame.gamma.mean(axis=0, keepdims=True))
     follmer_path = os.path.join(cfg.out, "follmer.csv")
     with open(follmer_path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -574,7 +572,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
         for k in range(len(curve.r)):
             w.writerow([_fmt(curve.r[k]), _fmt(curve.value[k]),
                         _fmt(curve.stderr[k]), _fmt(curve.bound[k]),
-                        _fmt(geig[k, 0]), _fmt(geig[k, -1])])
+                        _fmt(geig_min[0, k]), _fmt(geig_max[0, k])])
 
     print(f"wrote {stats_path} and {follmer_path} "
           f"({len(stats.t)} grid times, {cfg.n_paths} paths, measure {cfg.measure})")

@@ -21,7 +21,9 @@ the factors without pieces, today only ``ballmarg``.  The Gamma process satisfie
     (iv)  d/dr E Gamma = (E Gamma - E Gamma^2) / (1 - r)
     (v)   Gamma_r <= Id / r almost surely
 
-and E |v_r|^2 <= 4 n / (1 - r)^2 on the whole catalog.
+and E |v_r|^2 <= 4 n / (1 - r)^2 on the whole catalog.  Gamma_r keeps the
+layout of A_t: the diagonals (m, K, n) for Gaussians and coordinate
+products, full matrices (m, K, n, n) otherwise (see `covariance`).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp
 from scipy.special import log_ndtr
 
-from . import streams
+from . import covariance, streams
 from .errors import InputValidationError
 from .localization import PathEnsemble, spectral_margin
 from .measures import GaussianSpec, MeasureSpec
@@ -48,7 +50,12 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class FrameEnsemble:
-    """Localization ensemble transported to the r-clock."""
+    """Localization ensemble transported to the r-clock.
+
+    ``gamma`` and ``cov_t`` have the layout of the ensemble's ``cov``:
+    (m, K, n) diagonals for Gaussians and coordinate products, (m, K, n, n)
+    otherwise.  ``cov_t`` is the ensemble's ``cov`` itself, not a copy.
+    """
 
     spec: MeasureSpec
     driver: str
@@ -56,8 +63,8 @@ class FrameEnsemble:
     r: np.ndarray               # (K,) r = t / (1 + t)
     x: np.ndarray               # (m, K, n)
     v: np.ndarray               # (m, K, n)
-    gamma: np.ndarray           # (m, K, n, n)
-    cov_t: np.ndarray           # (m, K, n, n) original A_t, kept for (i)
+    gamma: np.ndarray           # (m, K, n) or (m, K, n, n)
+    cov_t: np.ndarray           # original A_t, kept for (i)
     se_gamma: np.ndarray | None = None   # sampling error when tilts use rejection
 
     @property
@@ -74,13 +81,13 @@ def to_follmer(ensemble: PathEnsemble) -> FrameEnsemble:
     scale = (1.0 + t)[None, :, None]
     se_gamma = None
     if ensemble.se_cov is not None:
-        se_gamma = ensemble.se_cov * (1.0 + t)[None, :, None, None]
+        se_gamma = ensemble.se_cov * covariance.per_time(1.0 + t, ensemble.se_cov)
     return FrameEnsemble(
         spec=ensemble.spec, driver=ensemble.driver,
         t=t, r=ensemble.grid.r_points,
         x=ensemble.theta / scale,
         v=ensemble.mean * scale - ensemble.theta,
-        gamma=ensemble.cov * (1.0 + t)[None, :, None, None],
+        gamma=ensemble.cov * covariance.per_time(1.0 + t, ensemble.cov),
         cov_t=ensemble.cov,
         se_gamma=se_gamma)
 
@@ -279,48 +286,47 @@ def check_gamma_properties(frame: FrameEnsemble, sigma: float = 4.0,
     """All five structural properties of the Gamma process, as sub-reports."""
     r = frame.r
     m, k_pts, n = frame.v.shape
-    eye = np.eye(n)
+    gamma = frame.gamma
     subs = []
 
     # (i) algebraic rescaling back to the t-frame covariance
-    back = frame.gamma / (1.0 + frame.t)[None, :, None, None]
+    back = gamma / covariance.per_time(1.0 + frame.t, gamma)
     gap_i = np.abs(back - frame.cov_t)
     subs.append(entrywise_gate("gamma-rescaling", gap_i, 1e-13,
                                notes="float roundoff only,"))
 
     # (ii) E v (x) v = (Id - E Gamma) / (1 - r), entrywise, t > 0
     one_minus_r = 1.0 - r
-    vv = np.einsum("mki,mkj->mkij", frame.v, frame.v)
-    per_path = vv - (eye - frame.gamma) / one_minus_r[None, :, None, None]
-    mean_ii = per_path.mean(axis=0)
-    se_ii = jackknife_se(per_path, axis=0)
+    eye = covariance.identity(gamma)
+    mean_ii, se_ii = covariance.outer_mean_se(
+        frame.v, frame.v, (gamma - eye) / covariance.per_time(one_minus_r, gamma))
     subs.append(entrywise_gate("score-covariance", np.abs(mean_ii),
                                sigma * se_ii + atol, se_ii))
 
     # (ii') 0 <= E Gamma <= Id in the spectral sense
-    mean_g = frame.gamma.mean(axis=0)
-    se_g = jackknife_se(frame.gamma, axis=0)
-    eig = np.linalg.eigvalsh(0.5 * (mean_g + np.swapaxes(mean_g, -1, -2)))
-    slack = sigma * n * se_g.max(axis=(-2, -1)) + atol
-    gap_lo = -eig[..., 0]
-    gap_hi = eig[..., -1] - 1.0
-    lo_rep = entrywise_gate("gamma-psd", gap_lo, slack, notes="lambda_min >= 0,")
-    hi_rep = entrywise_gate("gamma-below-identity", gap_hi, slack, notes="lambda_max <= 1,")
+    lam_lo, lam_hi = covariance.eig_extremes(gamma.mean(axis=0, keepdims=True))
+    se_g = jackknife_se(gamma, axis=0)
+    slack = sigma * n * se_g.reshape(k_pts, -1).max(axis=1) + atol
+    lo_rep = entrywise_gate("gamma-psd", -lam_lo[0], slack, notes="lambda_min >= 0,")
+    hi_rep = entrywise_gate("gamma-below-identity", lam_hi[0] - 1.0, slack,
+                            notes="lambda_max <= 1,")
     subs.extend([lo_rep, hi_rep])
 
     if k_pts >= 5:
-        # (iii) d/dr E v (x) v = E (Id - Gamma)^2 / (1 - r)^2
-        res = eye - frame.gamma
-        rhs3 = (res @ res) / one_minus_r[None, :, None, None] ** 2
+        # (iii) d/dr E v (x) v = E (Id - Gamma)^2 / (1 - r)^2, entrywise
+        # over the full matrices, since v (x) v is not diagonal
+        vv = np.einsum("mki,mkj->mkij", frame.v, frame.v)
+        res_sq = covariance.dense(covariance.square(eye - gamma))
+        rhs3 = res_sq / one_minus_r[None, :, None, None] ** 2
         subs.append(derivative_gate("score-energy-derivative", vv, r, rhs3, sigma, atol))
 
         # (iv) d/dr E Gamma = (E Gamma - E Gamma^2) / (1 - r)
-        rhs4 = (frame.gamma - frame.gamma @ frame.gamma) / one_minus_r[None, :, None, None]
-        subs.append(derivative_gate("gamma-derivative", frame.gamma, r, rhs4, sigma, atol))
+        rhs4 = (gamma - covariance.square(gamma)) / covariance.per_time(one_minus_r, gamma)
+        subs.append(derivative_gate("gamma-derivative", gamma, r, rhs4, sigma, atol))
 
     # (v) Gamma_r <= Id / r pathwise (r > 0); rejection tilts get a noise
     # allowance like the t-clock spectral check
-    margin, slack_v = spectral_margin(frame.gamma, r, frame.se_gamma, sigma, 1e-6)
+    margin, slack_v = spectral_margin(gamma, r, frame.se_gamma, sigma, 1e-6)
     subs.append(entrywise_gate("gamma-spectral-bound", margin, slack_v,
                                notes="pathwise r * lambda_max <= 1,"))
 
@@ -349,10 +355,9 @@ def check_xr_law(frame: FrameEnsemble, seed: int, r: float = 0.5,
     se_mean = jackknife_se(frame.x, axis=0)
     r_mean = entrywise_gate("xr-mean", np.abs(mean), sigma * se_mean + atol, se_mean)
 
-    xx = np.einsum("mki,mkj->mkij", frame.x, frame.x)
+    mean_xx, se_cov = covariance.outer_mean_se(frame.x, frame.x)
     target = r[:, None, None] * np.eye(n)[None]
-    gap_cov = np.abs(xx.mean(axis=0) - target)
-    se_cov = jackknife_se(xx, axis=0)
+    gap_cov = np.abs(mean_xx - target)
     r_cov = entrywise_gate("xr-covariance", gap_cov, sigma * se_cov + atol, se_cov)
 
     k = int(np.argmin(np.abs(r - r_target)))

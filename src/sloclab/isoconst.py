@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import covariance
 from .errors import InputValidationError, SingularCovariance
 from .infotheory import CLOSED_FORM
 from .localization import TimeGrid, simulate_ensemble
@@ -134,8 +135,8 @@ def check_projection_domination(spec: MeasureSpec, basis: SubspaceBasis, t: floa
                              tilt_samples=tilt_samples, workers=workers)
 
     v = basis.columns
-    proj = np.einsum("ik,mij,jl->mkl", v, full.cov[:, 1], v)
-    lhs = part.cov[:, 1]
+    proj = np.einsum("ik,mij,jl->mkl", v, covariance.dense(full.cov[:, 1:])[:, 0], v)
+    lhs = covariance.dense(part.cov[:, 1:])[:, 0]
     diff = lhs.mean(axis=0) - proj.mean(axis=0)
     se = np.hypot(jackknife_se(lhs, axis=0), jackknife_se(proj, axis=0))
     k = v.shape[1]

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import ks_2samp
 
-from . import streams
+from . import covariance, streams
 from .errors import InputValidationError
 from .measures import MeasureSpec
 from .numerics import jackknife_se
@@ -111,14 +111,20 @@ def make_uniform(t_max: float, n_steps: int) -> TimeGrid:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Path-indexed arrays for a whole ensemble (axis 0 = path)."""
+    """Path-indexed arrays for a whole ensemble (axis 0 = path).
+
+    ``cov`` holds the tilt covariances A_t in the shape of their structure
+    (see `covariance`): the diagonals (m, K, n) for Gaussians and coordinate
+    products, full matrices (m, K, n, n) for balls and affine images.
+    ``se_cov``, set only by the rejection route, is always full.
+    """
 
     spec: MeasureSpec
     grid: TimeGrid
     driver: str
     theta: np.ndarray           # (m, K, n)
     mean: np.ndarray            # (m, K, n)
-    cov: np.ndarray             # (m, K, n, n)
+    cov: np.ndarray             # (m, K, n) or (m, K, n, n)
     log_z: np.ndarray           # (m, K)
     x: np.ndarray | None = None
     se_cov: np.ndarray | None = None
@@ -174,11 +180,14 @@ def _simulate(spec, grid, keys, driver, tilt_samples, workers):
         raise InputValidationError(f"unknown driver {driver!r}")
 
     mean = np.empty((m, k_pts, n))
-    cov = np.empty((m, k_pts, n, n))
+    cov = None
     log_z = np.empty((m, k_pts))
     se_cov = None
     for k in range(k_pts):
-        log_z[:, k], mean[:, k], cov[:, k], se, _ = table(k, theta[:, k], "tilt")
+        log_z[:, k], mean[:, k], cov_k, se, _ = table(k, theta[:, k], "tilt")
+        if cov is None:
+            cov = np.empty((m, k_pts) + cov_k.shape[1:])
+        cov[:, k] = cov_k
         if se is not None:
             if se_cov is None:
                 se_cov = np.zeros((m, k_pts, n, n))
@@ -228,26 +237,28 @@ class EnsembleStats:
 
 
 def ensemble_stats(ensemble: PathEnsemble) -> EnsembleStats:
-    """Reduce an ensemble to per-time statistics."""
+    """Reduce an ensemble to per-time statistics.
+
+    E[a (x) a + A] and its error come from moment reductions
+    (`covariance.outer_mean_se`), so no per-path outer product is built.
+    """
     a = ensemble.mean
     cov = ensemble.cov
     m, _, n = a.shape
 
-    decomp = np.einsum("mki,mkj->mkij", a, a)
-    decomp += cov
-    tr_cov = np.trace(cov, axis1=-2, axis2=-1)
-    tr_cov_sq = np.trace(cov @ cov, axis1=-2, axis2=-1)
-
-    mean_cov = cov.mean(axis=0)
-    eig = np.linalg.eigvalsh(0.5 * (mean_cov + np.swapaxes(mean_cov, -1, -2)))
+    mean_decomp, se_decomp = covariance.outer_mean_se(a, a, cov)
+    tr_cov = covariance.trace(cov)
+    tr_cov_sq = covariance.trace(covariance.square(cov))
+    mean_cov = cov.mean(axis=0, keepdims=True)
+    eig_min, eig_max = covariance.eig_extremes(mean_cov)
 
     return EnsembleStats(
         t=ensemble.grid.points, r=ensemble.grid.r_points, n_paths=m, dim=n,
-        mean_cov=mean_cov,
-        mean_decomp=decomp.mean(axis=0), se_decomp=jackknife_se(decomp, axis=0),
+        mean_cov=covariance.dense(mean_cov)[0],
+        mean_decomp=mean_decomp, se_decomp=se_decomp,
         mean_tr_cov=tr_cov.mean(axis=0), se_tr_cov=jackknife_se(tr_cov, axis=0),
         mean_tr_cov_sq=tr_cov_sq.mean(axis=0), se_tr_cov_sq=jackknife_se(tr_cov_sq, axis=0),
-        eig_min=eig[..., 0], eig_max=eig[..., -1],
+        eig_min=eig_min[0], eig_max=eig_max[0],
     )
 
 
@@ -278,11 +289,10 @@ def check_derivative_identity(ensemble: PathEnsemble, sigma: float = 4.0,
     if len(t) < 5:
         raise InputValidationError("need at least 5 grid times for the derivative check")
     cov = ensemble.cov
-    cov_sq = cov @ cov
+    cov_sq = covariance.square(cov)
     mat = derivative_gate("derivative-identity", cov, t, -cov_sq, sigma, atol)
-    tr = derivative_gate("derivative-identity-trace",
-                         np.trace(cov, axis1=-2, axis2=-1), t,
-                         -np.trace(cov_sq, axis1=-2, axis2=-1), sigma, atol)
+    tr = derivative_gate("derivative-identity-trace", covariance.trace(cov), t,
+                         -covariance.trace(cov_sq), sigma, atol)
     return gate("derivative-identity", mat.statistic, mat.tolerance, mat.stderr,
                 notes=f"interior times {len(t) - 2}", sub=(mat, tr))
 
@@ -291,16 +301,17 @@ def spectral_margin(mats: np.ndarray, clock: np.ndarray, se: np.ndarray | None,
                     sigma: float, slack_exact: float):
     """Pathwise margin clock * lambda_max(mats) - 1 and its slack, for clock > 0.
 
-    ``mats`` is (m, K, n, n) on the grid ``clock`` (K,), whose first point is
-    0 and is dropped.  Exact states get the flat slack ``slack_exact``; states
-    with a sampling error ``se`` get sigma * n * max|se| * clock on top.
-    Returns two (m, K-1) arrays.
+    ``mats`` is a covariance array on the grid ``clock`` (K,), diagonal
+    (m, K, n) or full (m, K, n, n); the first grid point is 0 and is
+    dropped.  Exact states get the flat slack ``slack_exact``; states with a
+    sampling error ``se`` get sigma * n * max|se| * clock on top.  Returns
+    two (m, K-1) arrays.
     """
-    lam = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))[..., -1]
+    lam = covariance.eig_extremes(mats)[1]
     margin = lam[:, 1:] * clock[None, 1:] - 1.0
     slack = np.full_like(margin, slack_exact)
     if se is not None:
-        se_scale = se.max(axis=(-2, -1)) * mats.shape[-1]
+        se_scale = se.reshape(se.shape[:2] + (-1,)).max(axis=-1) * mats.shape[-1]
         slack = slack + sigma * se_scale[:, 1:] * clock[None, 1:]
     return margin, slack
 
@@ -337,9 +348,7 @@ def check_orthogonality(ensemble: PathEnsemble, sigma: float = 4.0,
     """E (a_t - theta_t/(1+t)) (x) theta_t = 0 entrywise at every grid time."""
     t = ensemble.grid.points
     resid = ensemble.mean - ensemble.theta / (1.0 + t)[None, :, None]
-    stat = np.einsum("mki,mkj->mkij", resid, ensemble.theta)
-    mean = stat.mean(axis=0)
-    se = jackknife_se(stat, axis=0)
+    mean, se = covariance.outer_mean_se(resid, ensemble.theta)
     return entrywise_gate("orthogonality", np.abs(mean), sigma * se + atol, se,
                           notes=f"n_paths={ensemble.n_paths},")
 
@@ -347,7 +356,7 @@ def check_orthogonality(ensemble: PathEnsemble, sigma: float = 4.0,
 def check_monotone_trace(ensemble: PathEnsemble, sigma: float = 4.0,
                          atol: float = 1e-9) -> LemmaReport:
     """t -> E tr A_t is non-increasing (paired consecutive differences)."""
-    tr = np.trace(ensemble.cov, axis1=-2, axis2=-1)
+    tr = covariance.trace(ensemble.cov)
     d = tr[:, 1:] - tr[:, :-1]
     mean = d.mean(axis=0)
     se = jackknife_se(d, axis=0)

@@ -35,7 +35,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import gammainc
 
-from . import streams
+from . import covariance, streams
 from .errors import DivergentTilt, InputValidationError, RejectionStall
 from .measures import (BallMarginalFactor, BallSpec, GaussianFactor, GaussianSpec,
                        MeasureSpec, ProductSpec)
@@ -94,12 +94,12 @@ def gaussian_tilt(dim: int, t: float, theta: np.ndarray):
     """Conjugate closed form: p_{t,theta} = N(theta/(1+t), Id/(1+t)).
 
     ``theta`` has shape (..., dim), a batch of thetas.  Returns (log_z (...),
-    mean (..., dim), cov (dim, dim)); the covariance is the same for every
-    theta.
+    mean (..., dim), var (..., dim)); var is the diagonal of the covariance,
+    1/(1+t) for every theta.
     """
     tau = 1.0 + t
     log_z = -0.5 * dim * np.log(tau) + 0.5 * (theta ** 2).sum(axis=-1) / tau
-    return log_z, theta / tau, np.eye(dim) / tau
+    return log_z, theta / tau, np.full(np.shape(theta), 1.0 / tau)
 
 
 def product_tilt_table(spec: ProductSpec, t: float, thetas: np.ndarray):
@@ -360,41 +360,39 @@ def tilt_moments_rejection(spec: MeasureSpec, t: float, theta,
 # Dispatch
 
 
-def _stack_states(states, method):
-    se_cov = None if states[0].se_cov is None else np.stack([s.se_cov for s in states])
-    return (np.array([s.log_z for s in states]), np.stack([s.mean for s in states]),
-            np.stack([s.cov for s in states]), se_cov, method)
-
-
 def tilt_table(spec: MeasureSpec, t: float, thetas: np.ndarray, rng_for,
                n_samples: int = 1024, workers: int = 1):
     """Tilt moments for a batch of thetas (m, n) at one t, by the best route.
 
-    Returns (log_z (m,), mean (m, n), cov (m, n, n), se_cov, method).  The
-    base measure answers t = 0 with theta = 0; Gaussians are conjugate;
-    coordinate products are exact (closed form, with the ballmarg factor by
-    quadrature, and adaptive quadrature for every factor at t = 0); balls
-    use `ball_tilt_table` at every t; other specs (affine images) use
-    rejection sampling with ``rng_for(i)`` as row i's generator, over
-    ``workers`` threads.  ``se_cov`` is None except on the rejection route,
-    and ``rng_for`` is called on no other route.
+    Returns (log_z (m,), mean (m, n), cov, se_cov, method).  ``cov`` is in
+    the shape of its structure: the variances (m, n) for Gaussians and
+    coordinate products, whose tilts have diagonal covariances, and full
+    matrices (m, n, n) otherwise.  The base measure answers t = 0 with
+    theta = 0; Gaussians are conjugate; coordinate products are exact
+    (closed form, with the ballmarg factor by quadrature, and adaptive
+    quadrature for every factor at t = 0); balls use `ball_tilt_table` at
+    every t; other specs (affine images) use rejection sampling with
+    ``rng_for(i)`` as row i's generator, over ``workers`` threads.
+    ``se_cov`` (m, n, n) is None except on the rejection route, and
+    ``rng_for`` is called on no other route.
     """
     m, n = thetas.shape
     if t == 0.0 and not np.any(thetas):
+        cov = spec.cov()
+        if isinstance(spec, GaussianSpec) or spec.factors is not None:
+            cov = np.diag(cov)
         return (np.zeros(m), np.tile(spec.mean(), (m, 1)),
-                np.tile(spec.cov(), (m, 1, 1)), None, CLOSED_FORM)
+                np.tile(cov, (m,) + (1,) * cov.ndim), None, CLOSED_FORM)
     if isinstance(spec, GaussianSpec):
-        log_z, mean, cov = gaussian_tilt(n, t, thetas)
-        return log_z, mean, np.tile(cov, (m, 1, 1)), None, CLOSED_FORM
+        return (*gaussian_tilt(n, t, thetas), None, CLOSED_FORM)
     if spec.factors is not None:
         if t == 0.0:
-            return _stack_states([tilt_moments_quadrature(spec, t, theta)
-                                  for theta in thetas], QUADRATURE)
-        log_z, mean, var = product_tilt_table(spec, t, thetas)
-        cov = np.zeros((m, n, n))
-        cov[:, np.arange(n), np.arange(n)] = var
+            states = [tilt_moments_quadrature(spec, t, theta) for theta in thetas]
+            return (np.array([s.log_z for s in states]), np.stack([s.mean for s in states]),
+                    np.stack([np.diag(s.cov) for s in states]), None, QUADRATURE)
         closed = all(f.pieces for f in spec.factors)
-        return log_z, mean, cov, None, CLOSED_FORM if closed else QUADRATURE
+        return (*product_tilt_table(spec, t, thetas), None,
+                CLOSED_FORM if closed else QUADRATURE)
     if isinstance(spec, BallSpec):
         return (*ball_tilt_table(spec, t, thetas), None, QUADRATURE)
 
@@ -406,7 +404,9 @@ def tilt_table(spec: MeasureSpec, t: float, thetas: np.ndarray, rng_for,
             states = list(pool.map(row, range(m)))
     else:
         states = [row(i) for i in range(m)]
-    return _stack_states(states, REJECTION)
+    return (np.array([s.log_z for s in states]), np.stack([s.mean for s in states]),
+            np.stack([s.cov for s in states]), np.stack([s.se_cov for s in states]),
+            REJECTION)
 
 
 def tilt_moments(spec: MeasureSpec, t: float, theta, *, stream=None,
@@ -426,9 +426,10 @@ def tilt_moments(spec: MeasureSpec, t: float, theta, *, stream=None,
 
     log_z, mean, cov, se_cov, method = tilt_table(spec, t, theta[None, :], rng_for,
                                                   n_samples)
+    cov = covariance.dense(cov[:, None])[0, 0]
     if se_cov is None:
-        return TiltState(t, theta, float(log_z[0]), mean[0], cov[0], method)
-    return TiltState(t, theta, float(log_z[0]), mean[0], cov[0], method, n_samples,
+        return TiltState(t, theta, float(log_z[0]), mean[0], cov, method)
+    return TiltState(t, theta, float(log_z[0]), mean[0], cov, method, n_samples,
                      se_cov=se_cov[0])
 
 
@@ -461,6 +462,7 @@ def conditional_covariance_identity_check(spec: MeasureSpec, t: float, seed: int
     covs = tilt_table(spec, t, thetas,
                       lambda i: streams.generator(seed, i, "cond-analytic-tilt"),
                       n_samples=tilt_samples)[2]
+    covs = covariance.dense(covs[:, None])[:, 0]
     lhs = covs.mean(axis=0)
     se_lhs = jackknife_se(covs, axis=0)
 

@@ -102,10 +102,10 @@ def test_c01_gaussian_closed_form_suite():
     shrink = 1.0 / (1.0 + t)
 
     drift_dev = float(np.abs(ens.mean - ens.theta * shrink[None, :, None]).max())
-    cov_dev = float(np.abs(ens.cov - np.eye(3) * shrink[None, :, None, None]).max())
+    cov_dev = float(np.abs(ens.cov - np.ones(3) * shrink[None, :, None]).max())
     frame = to_follmer(ens)
     v_dev = float(np.abs(frame.v).max())
-    gamma_dev = float(np.abs(frame.gamma - np.eye(3)).max())
+    gamma_dev = float(np.abs(frame.gamma - np.ones(3)).max())
     kl = kl_to_gaussian(spec).value
     delta = epi_deficit(spec).delta.value
     l_val = isotropic_constant(spec).l_value.value

@@ -55,7 +55,7 @@ def test_gaussian_frame_is_degenerate():
     ens = simulate_ensemble(make_gaussian(2), make_geometric(0.1, 10.0, 13), 16, seed=2)
     frame = to_follmer(ens)
     assert np.abs(frame.v).max() < 1e-12
-    assert np.abs(frame.gamma - np.eye(2)).max() < 1e-13
+    assert np.abs(frame.gamma - np.ones(2)).max() < 1e-13
     assert frame.se_gamma is None
 
 
@@ -70,7 +70,7 @@ def test_clock_round_trip(cube2_frame):
 def test_gamma_is_rescaled_covariance_bitwise():
     ens = simulate_ensemble(make_cube(2), make_geometric(0.1, 2.0, 9), 8, seed=3)
     frame = to_follmer(ens)
-    expect = ens.cov * (1.0 + ens.grid.points)[None, :, None, None]
+    expect = ens.cov * (1.0 + ens.grid.points)[None, :, None]
     assert np.array_equal(frame.gamma, expect)
     assert np.array_equal(frame.cov_t, ens.cov)
     assert np.array_equal(frame.x, ens.theta / (1.0 + ens.grid.points)[None, :, None])
@@ -79,7 +79,7 @@ def test_gamma_is_rescaled_covariance_bitwise():
 def test_frame_at_r_zero(cube2_frame):
     assert np.all(cube2_frame.x[:, 0] == 0.0)
     assert np.all(cube2_frame.v[:, 0] == 0.0)
-    assert np.allclose(cube2_frame.gamma[:, 0], np.eye(2))
+    assert np.allclose(cube2_frame.gamma[:, 0], np.ones(2))
 
 
 def test_rejection_frame_carries_sampling_error():

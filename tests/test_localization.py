@@ -121,12 +121,12 @@ def test_time_zero_state_is_exact():
     assert np.all(ens.theta[:, 0] == 0.0)
     assert np.all(ens.log_z[:, 0] == 0.0)
     assert np.allclose(ens.mean[:, 0], 0.0)
-    assert np.allclose(ens.cov[:, 0], np.eye(2))
+    assert np.allclose(ens.cov[:, 0], np.ones(2))
 
 
 def test_cube_pathwise_spectral_bound_tight_at_large_t():
     ens = simulate_ensemble(make_cube(2), make_geometric(1.0, 100.0, 13), 64, seed=3)
-    lam_max = np.linalg.eigvalsh(ens.cov)[..., -1]
+    lam_max = ens.cov.max(axis=-1)
     t = ens.grid.points
     assert (lam_max[:, 1:] * t[1:] <= 1.0 + 1e-9).all()
     # at t = 100 the bound is nearly saturated
@@ -354,7 +354,7 @@ def test_derivative_identity_flags_scaled_time(cube2_ensemble):
 
 def test_derivative_identity_flags_non_finite_path(cube2_ensemble):
     cov = cube2_ensemble.cov.copy()
-    cov[0, 5, 0, 0] = np.nan
+    cov[0, 5, 0] = np.nan
     rep = check_derivative_identity(dataclasses.replace(cube2_ensemble, cov=cov))
     assert rep.failed
     assert "non-finite statistic" in rep.notes

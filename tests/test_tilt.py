@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.special import gammainc, ndtr, xlogy
 
 from sloclab import streams
+from sloclab.numerics import trunc_normal_moments
 from sloclab.errors import DivergentTilt, InputValidationError, RejectionStall
 from sloclab.measures import (
     AffineImageSpec,
@@ -29,6 +30,7 @@ from sloclab.tilt import (
     ball_tilt_table,
     conditional_covariance_identity_check,
     factor_tilt_quadrature,
+    gaussian_tilt,
     product_tilt_table,
     tilt_moments,
     tilt_moments_quadrature,
@@ -153,6 +155,25 @@ def test_quadrature_route_requires_products():
         tilt_moments_quadrature(make_ball(3), 1.0, np.zeros(3))
 
 
+@pytest.mark.parametrize("t", [0.0, 0.7, 5.0, 1e3])
+def test_untruncated_gaussian_piece_matches_conjugate_form(t):
+    thetas = np.linspace(-30.0, 30.0, 1024)
+    m, s = thetas / (1.0 + t), 1.0 / math.sqrt(1.0 + t)
+    # infinite bounds given as arrays take the masked branches; as scalars
+    # they skip them, with the same numbers
+    fast = trunc_normal_moments(m, s, -np.inf, np.inf)
+    masked = trunc_normal_moments(m, s, np.full(1024, -np.inf), np.full(1024, np.inf))
+    assert all(np.array_equal(a, b) for a, b in zip(fast, masked))
+
+    log_z, mean, var = make_factor("gaussian").tilt_stats(t, thetas)
+    ref_log_z, ref_mean, ref_var = gaussian_tilt(1, t, thetas[:, None])
+    assert np.array_equal(mean, ref_mean[:, 0])
+    # the piece's log Z and (tau^-1/2)^2 round apart from the conjugate
+    # -log(tau)/2 + theta^2/2tau and 1/tau by an ulp or two
+    assert np.abs(var - ref_var[:, 0]).max() <= 1e-15 * ref_var.max()
+    assert (np.abs(log_z - ref_log_z) <= 1e-15 * np.maximum(1.0, np.abs(ref_log_z))).all()
+
+
 def test_product_tilt_table_matches_scalar_route():
     spec = make_product("exp,laplace,uniform")
     thetas = np.array([[0.2, -0.5, 1.0], [0.0, 0.0, 0.0], [-1.5, 2.0, -0.3]])
@@ -197,7 +218,8 @@ def test_tilt_table_matches_tilt_moments(case):
         assert state.method == method
         assert log_z[i] == state.log_z
         assert np.array_equal(mean[i], state.mean)
-        assert np.array_equal(cov[i], state.cov)
+        # Gaussians and products return the diagonal (m, n), the rest (m, n, n)
+        assert np.array_equal(cov[i], np.diag(state.cov) if cov.ndim == 2 else state.cov)
         if se_cov is not None:
             assert np.array_equal(se_cov[i], state.se_cov)
 
