@@ -17,12 +17,22 @@ from .numerics import jackknife_se
 
 
 def _diagonal(cov: np.ndarray) -> bool:
+    if cov.ndim not in (3, 4):
+        raise ValueError("a covariance array is (m, K, n) or (m, K, n, n), "
+                         f"got shape {cov.shape}")
     return cov.ndim == 3
+
+
+def _embed(diag: np.ndarray) -> np.ndarray:
+    n = diag.shape[-1]
+    out = np.zeros(diag.shape + (n,))
+    out[..., np.arange(n), np.arange(n)] = diag
+    return out
 
 
 def per_time(values: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """Per-time values (K,) shaped to scale ``cov`` along its time axis."""
-    return np.reshape(values, (-1,) + (1,) * (cov.ndim - 2))
+    return np.reshape(values, (-1,) + (1,) * (1 if _diagonal(cov) else 2))
 
 
 def identity(cov: np.ndarray) -> np.ndarray:
@@ -33,12 +43,19 @@ def identity(cov: np.ndarray) -> np.ndarray:
 
 def dense(cov: np.ndarray) -> np.ndarray:
     """Full matrices (m, K, n, n) in either layout."""
-    if not _diagonal(cov):
-        return cov
-    n = cov.shape[-1]
-    out = np.zeros(cov.shape + (n,))
-    out[..., np.arange(n), np.arange(n)] = cov
-    return out
+    return _embed(cov) if _diagonal(cov) else cov
+
+
+def dense_rows(cov: np.ndarray) -> np.ndarray:
+    """Full matrices (m, n, n) from one covariance per row.
+
+    ``cov`` is (m, n) diagonals or (m, n, n) matrices, as `tilt.tilt_table`
+    returns them and as a covariance array holds them at one grid time.
+    """
+    if cov.ndim not in (2, 3):
+        raise ValueError("a covariance per row is (m, n) or (m, n, n), "
+                         f"got shape {cov.shape}")
+    return _embed(cov) if cov.ndim == 2 else cov
 
 
 def trace(cov: np.ndarray) -> np.ndarray:

@@ -135,8 +135,8 @@ def check_projection_domination(spec: MeasureSpec, basis: SubspaceBasis, t: floa
                              tilt_samples=tilt_samples, workers=workers)
 
     v = basis.columns
-    proj = np.einsum("ik,mij,jl->mkl", v, covariance.dense(full.cov[:, 1:])[:, 0], v)
-    lhs = covariance.dense(part.cov[:, 1:])[:, 0]
+    proj = np.einsum("ik,mij,jl->mkl", v, covariance.dense_rows(full.cov[:, 1]), v)
+    lhs = covariance.dense_rows(part.cov[:, 1])
     diff = lhs.mean(axis=0) - proj.mean(axis=0)
     se = np.hypot(jackknife_se(lhs, axis=0), jackknife_se(proj, axis=0))
     k = v.shape[1]

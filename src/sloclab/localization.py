@@ -239,8 +239,10 @@ class EnsembleStats:
 def ensemble_stats(ensemble: PathEnsemble) -> EnsembleStats:
     """Reduce an ensemble to per-time statistics.
 
-    E[a (x) a + A] and its error come from moment reductions
-    (`covariance.outer_mean_se`), so no per-path outer product is built.
+    E[a (x) a + A] and its error come from `covariance.outer_mean_se`: for
+    diagonal covariances (Gaussians and coordinate products) by moment
+    reductions, with no per-path outer product; full covariances (balls and
+    affine images) still take the per-path route.
     """
     a = ensemble.mean
     cov = ensemble.cov

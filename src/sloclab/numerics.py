@@ -47,13 +47,8 @@ def trunc_normal_moments(m, s, lo, hi):
 
     Broadcasts over all arguments; lo/hi may be -inf/+inf.  Returns
     ``(log_mass, mean, var)`` where log_mass is the log-probability that an
-    unconditioned draw lands in [lo, hi].  With no cut at all (scalar
-    lo = -inf and hi = +inf) that is (0, m, s^2), returned without the
-    masked branches below, which would give the same numbers.
+    unconditioned draw lands in [lo, hi].
     """
-    if np.ndim(lo) == 0 and np.ndim(hi) == 0 and lo == -np.inf and hi == np.inf:
-        m, s = np.broadcast_arrays(np.asarray(m, float), np.asarray(s, float))
-        return np.zeros(m.shape), m + 0.0, s * s
     m, s, lo, hi = np.broadcast_arrays(
         np.asarray(m, float), np.asarray(s, float), np.asarray(lo, float), np.asarray(hi, float)
     )

@@ -426,7 +426,7 @@ def tilt_moments(spec: MeasureSpec, t: float, theta, *, stream=None,
 
     log_z, mean, cov, se_cov, method = tilt_table(spec, t, theta[None, :], rng_for,
                                                   n_samples)
-    cov = covariance.dense(cov[:, None])[0, 0]
+    cov = covariance.dense_rows(cov)[0]
     if se_cov is None:
         return TiltState(t, theta, float(log_z[0]), mean[0], cov, method)
     return TiltState(t, theta, float(log_z[0]), mean[0], cov, method, n_samples,
@@ -462,7 +462,7 @@ def conditional_covariance_identity_check(spec: MeasureSpec, t: float, seed: int
     covs = tilt_table(spec, t, thetas,
                       lambda i: streams.generator(seed, i, "cond-analytic-tilt"),
                       n_samples=tilt_samples)[2]
-    covs = covariance.dense(covs[:, None])[:, 0]
+    covs = covariance.dense_rows(covs)
     lhs = covs.mean(axis=0)
     se_lhs = jackknife_se(covs, axis=0)
 

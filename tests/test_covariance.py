@@ -145,3 +145,18 @@ def test_diagonal_helpers_match_full_matrix_algebra():
         assert np.allclose(covariance.dense(cov - covariance.identity(cov)), full - np.eye(3))
         scaled = cov * covariance.per_time(np.arange(1.0, 6.0), cov)
         assert np.allclose(covariance.dense(scaled), full * np.arange(1.0, 6.0)[:, None, None])
+    # one grid time, as tilt_table returns it
+    assert np.array_equal(covariance.dense_rows(diag[:, 2]), full[:, 2])
+    rows = full[:, 2]
+    assert covariance.dense_rows(rows) is rows
+
+
+@pytest.mark.parametrize("helper", [covariance.trace, covariance.square, covariance.frob_sq,
+                                    covariance.eig_extremes, covariance.identity,
+                                    covariance.dense])
+def test_helpers_reject_arrays_without_path_and_time_axes(helper):
+    # a path reduction without keepdims has lost an axis and is no layout
+    with pytest.raises(ValueError, match="covariance array"):
+        helper(np.ones((5, 3)))
+    with pytest.raises(ValueError, match="covariance per row"):
+        covariance.dense_rows(np.ones((6, 5, 3, 3)))
