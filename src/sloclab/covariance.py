@@ -5,8 +5,8 @@ products and Gaussians have diagonal tilt covariances A_t and Gamma_r on
 every path, and store only the diagonals, (m, K, n); balls and affine
 images store full matrices, (m, K, n, n).  A reduction over paths keeps its
 path axis (``keepdims=True``) when it comes back here.  These helpers are
-the only code that tells the two layouts apart, and they read the layout
-from the number of axes.
+the only code that tells the two layouts apart; they read the layout from
+the number of axes and raise ValueError on any other number.
 """
 
 from __future__ import annotations
