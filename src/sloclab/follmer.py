@@ -33,14 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.stats import ks_2samp
 from scipy.special import log_ndtr
 
 from . import covariance, streams
 from .errors import InputValidationError
 from .localization import PathEnsemble, spectral_margin
 from .measures import GaussianSpec, MeasureSpec
-from .numerics import jackknife_se
+from .numerics import jackknife_se, ks_pvalues
 from .reports import EstimatorResult, LemmaReport, derivative_gate, entrywise_gate, gate
 
 _QUAD_KW = dict(epsabs=1e-12, epsrel=1e-11, limit=200)
@@ -365,7 +364,7 @@ def check_xr_law(frame: FrameEnsemble, seed: int, r: float = 0.5,
     fresh_x = frame.spec.sample(streams.generator(seed, "xr-law", "x"), m)
     fresh_z = streams.generator(seed, "xr-law", "z").standard_normal((m, n))
     synth = rk * fresh_x + math.sqrt(rk * (1.0 - rk)) * fresh_z
-    pvals = np.array([ks_2samp(frame.x[:, k, j], synth[:, j]).pvalue for j in range(n)])
+    pvals = ks_pvalues(frame.x[:, k], synth)
     worst = int(np.argmin(pvals))
     r_ks = gate("xr-ks", float(-pvals[worst]), float(-ks_level),
                 notes=f"min p-value {pvals[worst]:.4f} at r={rk:.4g}, level {ks_level}")

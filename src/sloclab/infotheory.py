@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.signal import fftconvolve
 from scipy.special import betainc, gammaln, xlogy
 
 from . import covariance
@@ -119,6 +118,8 @@ def _factor_grid_deficit(f, grid_points: int, span_sd: float) -> float:
     +2.6e-6 from 2^14 to 2^15 at span 12, and that error is not in any
     tolerance.
     """
+    from scipy.signal import fftconvolve  # only route that needs it; 0.15 s to import
+
     lo = max(f.lo, -span_sd)
     hi = min(f.hi, span_sd)
     g = np.linspace(lo, hi, grid_points)

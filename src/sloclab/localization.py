@@ -29,12 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from . import covariance, streams
 from .errors import InputValidationError
 from .measures import MeasureSpec
-from .numerics import jackknife_se
+from .numerics import jackknife_se, ks_pvalues
 from .reports import LemmaReport, derivative_gate, entrywise_gate, gate, info
 from .tilt import tilt_table
 
@@ -419,8 +418,7 @@ def check_driver_equivalence(spec: MeasureSpec, seed: int, t_max: float = 1.0,
     r_var = entrywise_gate("driver-equivalence-second-moment", np.abs(m2),
                            sigma * s2 + atol, s2, notes="paired theta(t_max)^2,")
 
-    pvals = np.array([ks_2samp(a[:, j], fresh.theta[:, -1, j]).pvalue
-                      for j in range(spec.dim)])
+    pvals = ks_pvalues(a, fresh.theta[:, -1])
     worst = int(np.argmin(pvals))
     r_ks = gate("driver-equivalence-ks", float(-pvals[worst]), float(-ks_level),
                 notes=f"min p-value {pvals[worst]:.4f} (coordinate {worst}), level {ks_level}")

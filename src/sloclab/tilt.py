@@ -443,12 +443,15 @@ def conditional_covariance_identity_check(spec: MeasureSpec, t: float, seed: int
                                           tilt_samples: int = 1024) -> LemmaReport:
     """Check E A_t = E cov(X | X + sqrt(s) Z) with s = 1/t.
 
-    Left side: tilt moments along simulated theta_t = t X + W_t, with
-    ``tilt_samples`` draws per tilt on the rejection route.  Right side:
-    a quadrature-free estimate -- for fresh pairs y = x + sqrt(s) z the
-    conditional law of X given y is p_{t, t y}, sampled by rejection, and the
-    empirical covariance of those draws estimates cov(X | y).  Both sides use
-    disjoint streams, so the errors combine in quadrature.
+    Left side: tilt moments along simulated theta_t = t X + W_t from
+    `tilt_table`, exact for every catalog family (closed form for Gaussians
+    and coordinate products, the radial quadrature for balls); only affine
+    images reach the rejection route, with ``tilt_samples`` draws per tilt.
+    Right side: a quadrature-free estimate -- for fresh pairs
+    y = x + sqrt(s) z the conditional law of X given y is p_{t, t y},
+    sampled by rejection, and the empirical covariance of those draws
+    estimates cov(X | y).  Both sides use disjoint streams, so the errors
+    combine in quadrature.
     """
     if t <= 0:
         raise InputValidationError("t must be positive")

@@ -300,6 +300,16 @@ def test_xr_law_passes(cube2_frame):
     assert {s.check_id for s in rep.sub} == {"xr-mean", "xr-covariance", "xr-ks"}
 
 
+def test_xr_law_ks_fails_on_nan(cube2_frame):
+    x = cube2_frame.x.copy()
+    x[3, :, 1] = np.nan
+    rep = check_xr_law(dataclasses.replace(cube2_frame, x=x), seed=11)
+    ks = next(s for s in rep.sub if s.check_id == "xr-ks")
+    assert ks.failed
+    assert "non-finite statistic" in ks.notes
+    assert rep.failed
+
+
 def test_xr_law_needs_spec():
     spec = make_product("exp,exp")
     grid = make_geometric(0.1, 2.0, 9)

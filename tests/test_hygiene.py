@@ -13,9 +13,16 @@
 * Nothing in ``src/`` compares against a ``.tag`` attribute: a factor's
   behaviour follows from its data (its ``pieces``), never from branching on
   its name.
+* Nothing in ``src/`` imports ``scipy.stats``, and a fresh
+  ``import sloclab.cli`` loads neither ``scipy.stats`` nor ``scipy.signal``:
+  together they cost about 0.7 s of start-up that no command needs
+  (``scipy.signal`` is imported inside the one function that uses it).
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -97,6 +104,20 @@ def tag_comparisons(tree: ast.Module) -> list:
                           for side in [node.left, *node.comparators]))
 
 
+def scipy_stats_imports(tree: ast.Module) -> list:
+    """(line, module) of every import of ``scipy.stats`` or one of its submodules."""
+    def is_stats(name):
+        return name == "scipy.stats" or name.startswith("scipy.stats.")
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, a.name) for a in node.names if is_stats(a.name)]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out += [(node.lineno, f"{node.module}.{a.name}") for a in node.names
+                    if is_stats(node.module) or is_stats(f"{node.module}.{a.name}")]
+    return sorted(out)
+
+
 def _scan(paths, scanner) -> list:
     assert paths
     return [f"{_rel(p)}:{line} {name}" for p in paths for line, name in scanner(_tree(p))]
@@ -125,6 +146,27 @@ def test_every_source_function_is_read_outside_tests():
 
 def test_no_branching_on_factor_tags():
     assert _scan(PACKAGE, tag_comparisons) == []
+
+
+def test_no_scipy_stats_in_package():
+    assert _scan(PACKAGE, scipy_stats_imports) == []
+
+
+def test_cli_import_leaves_out_scipy_stats_and_signal():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    probe = ("import sys, sloclab.cli\n"
+             "print(sloclab.cli.__file__)\n"
+             "print(*sorted(m for m in sys.modules if m.startswith('scipy.')))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    where, loaded = proc.stdout.splitlines()
+    assert Path(where).resolve() == ROOT / "src" / "sloclab" / "cli.py"
+    loaded = set(loaded.split())
+    assert "scipy.special" in loaded
+    assert not {m for m in loaded if m.split(".")[1] in ("stats", "signal")}
 
 
 def test_scanners_flag_what_they_look_for():
@@ -171,3 +213,12 @@ def test_scanners_flag_what_they_look_for():
                      "name = f'{f.tag}'\n"
                      "same = tag == 'exp'\n")
     assert tag_comparisons(tags) == [(1, "tag"), (3, "tag"), (4, "tag")]
+    stats = ast.parse("import scipy.stats\n"
+                      "import scipy.special, scipy.stats.mstats as ms\n"
+                      "from scipy import stats, signal\n"
+                      "from scipy.stats import ks_2samp\n"
+                      "from scipy.special import ndtr\n"
+                      "from .stats import summary\n"
+                      "import scipy.statsmodels\n")
+    assert scipy_stats_imports(stats) == [(1, "scipy.stats"), (2, "scipy.stats.mstats"),
+                                          (3, "scipy.stats"), (4, "scipy.stats.ks_2samp")]

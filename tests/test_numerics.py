@@ -1,13 +1,16 @@
 """Numerical kernels checked against scipy and hand-computed cases."""
 
+import warnings
+
 import numpy as np
 import pytest
-from scipy.stats import truncnorm
+from scipy.stats import ks_2samp, truncnorm
 
 from sloclab.numerics import (
     central_difference,
     fd_error_budget,
     jackknife_se,
+    ks_pvalues,
     trunc_normal_moments,
 )
 
@@ -121,3 +124,62 @@ class TestCentralDifference:
     def test_error_budget_needs_five_points(self):
         with pytest.raises(ValueError):
             fd_error_budget(np.zeros(4), np.linspace(0, 1, 4))
+
+
+class TestKsPvalues:
+    """`ks_pvalues` against scipy's ``ks_2samp`` under ``==``, not approx."""
+
+    @pytest.mark.parametrize("m", [2, 3, 7, 64, 1024, 4096, 10000])
+    def test_equals_scipy(self, m):
+        rng = np.random.default_rng(m)
+        for decimals in (None, 1):        # continuous, and rounded (ties)
+            for shift in (0.0, 0.05, 0.5):  # the null, and two alternatives
+                a = rng.standard_normal((m, 6))
+                b = rng.standard_normal((m, 6)) + shift
+                if decimals is not None:
+                    a, b = np.round(a, decimals), np.round(b, decimals)
+                got = ks_pvalues(a, b)
+                assert got.shape == (6,)
+                for j in range(6):
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        ref = ks_2samp(a[:, j], b[:, j])
+                    if caught:
+                        # D <= 2/m: scipy's Horner sum rounded above 1, so it
+                        # left its exact route for an asymptotic formula; the
+                        # exact tail is 1 to double precision
+                        assert "Exact calculation unsuccessful" in str(caught[0].message)
+                        assert round(ref.statistic * m) <= 2
+                        assert got[j] == 1.0 and ref.pvalue == pytest.approx(1.0, abs=1e-4)
+                    else:
+                        assert got[j] == ref.pvalue, (decimals, shift, j)
+
+    def test_exact_where_scipy_leaves_its_exact_route(self):
+        # perfectly interleaved samples: D = 1/m, whose exact p-value is 1
+        x = np.arange(7.0)[:, None]
+        with pytest.warns(RuntimeWarning, match="Exact calculation unsuccessful"):
+            ref = ks_2samp(x[:, 0], x[:, 0] + 0.5).pvalue
+        assert ref < 1.0
+        assert ks_pvalues(x, x + 0.5)[0] == 1.0
+        assert ks_pvalues(x, x)[0] == 1.0  # D = 0
+
+    def test_stays_exact_above_scipy_auto_limit(self):
+        rng = np.random.default_rng(16384)
+        a, b = rng.standard_normal((2, 16384, 2))
+        got = ks_pvalues(a, b)
+        for j in range(2):
+            assert got[j] == ks_2samp(a[:, j], b[:, j], method="exact").pvalue
+
+    def test_nan_stays_in_its_column(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal((2, 64, 3))
+        clean = ks_pvalues(a, b)
+        a[5, 1] = np.nan
+        got = ks_pvalues(a, b)
+        assert np.isnan(got[1]) and np.isnan(ks_2samp(a[:, 1], b[:, 1]).pvalue)
+        assert got[0] == clean[0] and got[2] == clean[2]
+        assert np.isnan(ks_pvalues(b, a)[1])
+
+    def test_rejects_unequal_shapes(self):
+        with pytest.raises(ValueError, match="one shape"):
+            ks_pvalues(np.zeros((4, 2)), np.zeros((5, 2)))
