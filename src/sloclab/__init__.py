@@ -11,7 +11,6 @@ from .errors import (
     ConfigError,
     DivergentTilt,
     InputValidationError,
-    RejectionStall,
     SingularCovariance,
     SloclabError,
     UnknownMeasureError,
@@ -38,7 +37,6 @@ __all__ = [
     "InputValidationError",
     "LemmaReport",
     "MeasureSpec",
-    "RejectionStall",
     "SingularCovariance",
     "SloclabError",
     "SubspaceBasis",

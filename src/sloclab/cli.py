@@ -302,8 +302,7 @@ class RunContext:
         if self._ensemble is None:
             self._ensemble = localization.simulate_ensemble(
                 self.spec, self.grid, self.cfg.n_paths, self.cfg.seed,
-                driver=self.cfg.driver, tilt_samples=self.cfg.tilt_samples,
-                workers=self.cfg.workers)
+                driver=self.cfg.driver)
         return self._ensemble
 
     def frame(self):
@@ -314,12 +313,6 @@ class RunContext:
     def nearest_time(self, target: float) -> float:
         pts = self.grid.points[1:]
         return float(pts[int(np.argmin(np.abs(pts - target)))])
-
-
-def _exact_drift(spec) -> bool:
-    # every catalog family has an exact tilt; affine images would need
-    # per-step rejection, too slow for path sweeps
-    return spec.family in ("gaussian", "ball") or spec.factors is not None
 
 
 def _fisher_quadrature(spec) -> bool:
@@ -350,7 +343,7 @@ def _run_conditional_covariance(ctx: RunContext) -> LemmaReport:
     t = ctx.nearest_time(1.0)
     return tilt.conditional_covariance_identity_check(
         ctx.spec, t, ctx.cfg.seed, n_outer=min(ctx.cfg.n_paths, 1024),
-        n_inner=64, sigma=ctx.cfg.tolerance_sigma, tilt_samples=ctx.cfg.tilt_samples)
+        n_inner=64, sigma=ctx.cfg.tolerance_sigma)
 
 
 def _run_deficit_chain(ctx: RunContext) -> LemmaReport:
@@ -365,8 +358,7 @@ def _run_projection(ctx: RunContext) -> LemmaReport:
     return isoconst.check_projection_domination(
         ctx.spec, _default_basis(ctx.spec), ctx.nearest_time(1.0),
         n_paths=ctx.cfg.n_paths, seed=ctx.cfg.seed,
-        sigma=ctx.cfg.tolerance_sigma, tilt_samples=ctx.cfg.tilt_samples,
-        workers=ctx.cfg.workers)
+        sigma=ctx.cfg.tolerance_sigma)
 
 
 _REGISTRY = (
@@ -387,8 +379,7 @@ _REGISTRY = (
         "spectral-bound", "gate",
         "t lambda_max(A_t) <= 1 for every path and time",
         lambda ctx: True,
-        lambda ctx: localization.check_spectral_bound(
-            ctx.ensemble(), sigma=ctx.cfg.tolerance_sigma)),
+        lambda ctx: localization.check_spectral_bound(ctx.ensemble())),
     CheckDef(
         "orthogonality", "gate",
         "E (a_t - theta_t / (1 + t)) (x) theta_t = 0",
@@ -412,11 +403,10 @@ _REGISTRY = (
     CheckDef(
         "driver-equivalence", "gate",
         "theta_t from the Euler scheme agrees in law with t X + W_t",
-        lambda ctx: _exact_drift(ctx.spec),
+        lambda ctx: True,
         lambda ctx: localization.check_driver_equivalence(
             ctx.spec, ctx.cfg.seed, n_paths=ctx.cfg.n_paths,
-            sigma=ctx.cfg.tolerance_sigma),
-        why_not="needs exact drifts (Gaussian, coordinate product or ball)"),
+            sigma=ctx.cfg.tolerance_sigma)),
     CheckDef(
         "conditional-covariance", "gate",
         "E A_t = E Cov(X | X + s^(1/2) Z) with s = 1/t",
@@ -585,22 +575,22 @@ def _cmd_tilt_probe(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     t = float(args.t)
 
     # every route runs before any prints, so a route that cannot run prints nothing
-    routes = [("quadrature" if spec.family == "ball" else "analytic",
+    states = [("quadrature" if spec.family == "ball" else "analytic",
                tilt.tilt_moments(spec, t, theta))]
     if spec.factors is not None:
-        routes.append(("quadrature", tilt.tilt_moments_quadrature(spec, t, theta)))
-    routes.append(("rejection", tilt.tilt_moments_rejection(
-        spec, t, theta, streams.generator(cfg.seed, "tilt-probe"), cfg.tilt_samples)))
-    for route, state in routes:
-        cov = np.asarray(state.cov, float)
+        states.append(("quadrature", tilt.tilt_moments_quadrature(spec, t, theta)))
+    routes = [(route, f"log_z={_fmt(s.log_z)} ", s.mean, s.cov, "") for route, s in states]
+    # the sample route: moments of exact draws, with the standard error of their mean
+    draws = tilt.tilt_sample_batch(spec, t, theta, streams.generator(cfg.seed, "tilt-probe"),
+                                   cfg.tilt_samples)[0]
+    se_mean = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
+    routes.append(("sample", "", draws.mean(axis=0), np.atleast_2d(np.cov(draws, rowvar=False)),
+                   f" se_mean=({_fmt_vec(se_mean)})"))
+    for route, log_z, mean, cov, tail in routes:
         off = cov - np.diag(np.diag(cov))
-        line = (f"route={route} log_z={_fmt(state.log_z)} "
-                f"mean=({_fmt_vec(state.mean)}) "
-                f"cov_diag=({_fmt_vec(np.diag(cov))}) "
-                f"max_offdiag={_fmt(np.abs(off).max() if spec.dim > 1 else 0.0)}")
-        if state.se_mean is not None:
-            line += f" se_mean=({_fmt_vec(state.se_mean)})"
-        print(line)
+        print(f"route={route} {log_z}mean=({_fmt_vec(mean)}) "
+              f"cov_diag=({_fmt_vec(np.diag(cov))}) "
+              f"max_offdiag={_fmt(np.abs(off).max() if spec.dim > 1 else 0.0)}{tail}")
     return 0
 
 
@@ -663,10 +653,11 @@ def _build_parser() -> _Parser:
     common.add_argument("--sigma", type=float, metavar="S",
                         help="tolerance multiplier for stochastic gates")
     common.add_argument("--workers", type=int, metavar="W",
-                        help="worker threads for rejection tilts; every catalog "
-                             "measure has an exact tilt, so no CLI run uses them")
+                        help="accepted and validated, but has no effect: every "
+                             "tilt is exact and runs in one thread")
     common.add_argument("--tilt-samples", type=int, dest="tilt_samples",
-                        metavar="N", help="samples per rejection tilt")
+                        metavar="N", help="exact draws on tilt-probe's sample route; "
+                                          "no other command uses it")
     common.add_argument("--grid-kind", dest="grid_kind",
                         choices=("geometric", "uniform"))
     common.add_argument("--grid-points", dest="grid_points", type=int, metavar="K")

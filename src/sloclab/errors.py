@@ -25,17 +25,5 @@ class DivergentTilt(SloclabError):
     """Tilted partition function is infinite for the requested (t, theta)."""
 
 
-class RejectionStall(SloclabError):
-    """Rejection sampler acceptance rate collapsed below the stall threshold."""
-
-    def __init__(self, acceptance: float, proposals: int, t: float, theta_norm: float):
-        self.acceptance = acceptance
-        self.proposals = proposals
-        super().__init__(
-            "rejection sampler stalled: acceptance %.3e over %d proposals "
-            "(t=%.3e, |theta|=%.3e)" % (acceptance, proposals, t, theta_norm)
-        )
-
-
 class ConfigError(SloclabError):
     """Experiment configuration is invalid; CLI maps this to exit code 1."""

@@ -64,7 +64,7 @@ class FrameEnsemble:
     v: np.ndarray               # (m, K, n)
     gamma: np.ndarray           # (m, K, n) or (m, K, n, n)
     cov_t: np.ndarray           # original A_t, kept for (i)
-    se_gamma: np.ndarray | None = None   # sampling error when tilts use rejection
+    se_gamma: np.ndarray | None = None   # always None; only perfbench/spans.py reads it
 
     @property
     def n_paths(self) -> int:
@@ -78,17 +78,13 @@ class FrameEnsemble:
 def to_follmer(ensemble: PathEnsemble) -> FrameEnsemble:
     t = ensemble.grid.points
     scale = (1.0 + t)[None, :, None]
-    se_gamma = None
-    if ensemble.se_cov is not None:
-        se_gamma = ensemble.se_cov * covariance.per_time(1.0 + t, ensemble.se_cov)
     return FrameEnsemble(
         spec=ensemble.spec, driver=ensemble.driver,
         t=t, r=ensemble.grid.r_points,
         x=ensemble.theta / scale,
         v=ensemble.mean * scale - ensemble.theta,
         gamma=ensemble.cov * covariance.per_time(1.0 + t, ensemble.cov),
-        cov_t=ensemble.cov,
-        se_gamma=se_gamma)
+        cov_t=ensemble.cov)
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +319,8 @@ def check_gamma_properties(frame: FrameEnsemble, sigma: float = 4.0,
         rhs4 = (gamma - covariance.square(gamma)) / covariance.per_time(one_minus_r, gamma)
         subs.append(derivative_gate("gamma-derivative", gamma, r, rhs4, sigma, atol))
 
-    # (v) Gamma_r <= Id / r pathwise (r > 0); rejection tilts get a noise
-    # allowance like the t-clock spectral check
-    margin, slack_v = spectral_margin(gamma, r, frame.se_gamma, sigma, 1e-6)
-    subs.append(entrywise_gate("gamma-spectral-bound", margin, slack_v,
+    # (v) Gamma_r <= Id / r pathwise (r > 0), as the t-clock spectral check
+    subs.append(entrywise_gate("gamma-spectral-bound", spectral_margin(gamma, r), 1e-6,
                                notes="pathwise r * lambda_max <= 1,"))
 
     worst = max(subs, key=lambda s: s.statistic - s.tolerance)

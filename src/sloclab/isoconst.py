@@ -116,7 +116,6 @@ def marginal(spec: MeasureSpec, basis: SubspaceBasis) -> MeasureSpec:
 
 def check_projection_domination(spec: MeasureSpec, basis: SubspaceBasis, t: float,
                                 n_paths: int, seed: int = 0, sigma: float = 4.0,
-                                tilt_samples: int = 512, workers: int = 1,
                                 atol: float = 1e-9) -> LemmaReport:
     """Localizing the marginal keeps at least the projected covariance.
 
@@ -129,10 +128,8 @@ def check_projection_domination(spec: MeasureSpec, basis: SubspaceBasis, t: floa
     if t <= 0:
         raise InputValidationError("need t > 0")
     grid = TimeGrid(np.array([0.0, float(t)]), kind="two-point")
-    full = simulate_ensemble(spec, grid, n_paths, seed,
-                             tilt_samples=tilt_samples, workers=workers)
-    part = simulate_ensemble(sub_spec, grid, n_paths, seed, salt="marginal",
-                             tilt_samples=tilt_samples, workers=workers)
+    full = simulate_ensemble(spec, grid, n_paths, seed)
+    part = simulate_ensemble(sub_spec, grid, n_paths, seed, salt="marginal")
 
     v = basis.columns
     proj = np.einsum("ik,mij,jl->mkl", v, covariance.dense_rows(full.cov[:, 1]), v)

@@ -114,8 +114,7 @@ class PathEnsemble:
 
     ``cov`` holds the tilt covariances A_t in the shape of their structure
     (see `covariance`): the diagonals (m, K, n) for Gaussians and coordinate
-    products, full matrices (m, K, n, n) for balls and affine images.
-    ``se_cov``, set only by the rejection route, is always full.
+    products, full matrices (m, K, n, n) for balls.
     """
 
     spec: MeasureSpec
@@ -126,7 +125,6 @@ class PathEnsemble:
     cov: np.ndarray             # (m, K, n) or (m, K, n, n)
     log_z: np.ndarray           # (m, K)
     x: np.ndarray | None = None
-    se_cov: np.ndarray | None = None
     # init=False: dataclasses.replace starts a fresh cache instead of sharing one
     _stats_cache: list = field(default_factory=list, init=False, repr=False, compare=False)
 
@@ -145,18 +143,12 @@ def _brownian(key, dt: np.ndarray, dim: int) -> np.ndarray:
     return incr * np.sqrt(dt)[:, None]
 
 
-def _simulate(spec, grid, keys, driver, tilt_samples, workers):
+def _simulate(spec, grid, keys, driver):
     t = grid.points
     k_pts = len(t)
     dt = np.diff(t)
     n = spec.dim
     m = len(keys)
-
-    def table(k, theta_k, stream):
-        # path i's tilt at grid time k draws from the key (*keys[i], stream, k)
-        return tilt_table(spec, t[k], theta_k,
-                          lambda i: streams.generator(*keys[i], stream, k),
-                          tilt_samples, workers)
 
     incr = np.empty((m, k_pts - 1, n))
     for i, key in enumerate(keys):
@@ -173,7 +165,7 @@ def _simulate(spec, grid, keys, driver, tilt_samples, workers):
         theta = np.empty((m, k_pts, n))
         theta[:, 0] = 0.0
         for k in range(k_pts - 1):
-            a_k = table(k, theta[:, k], "drift")[1]
+            a_k = tilt_table(spec, t[k], theta[:, k])[1]
             theta[:, k + 1] = theta[:, k] + a_k * dt[k] + incr[:, k]
     else:
         raise InputValidationError(f"unknown driver {driver!r}")
@@ -181,32 +173,26 @@ def _simulate(spec, grid, keys, driver, tilt_samples, workers):
     mean = np.empty((m, k_pts, n))
     cov = None
     log_z = np.empty((m, k_pts))
-    se_cov = None
     for k in range(k_pts):
-        log_z[:, k], mean[:, k], cov_k, se, _ = table(k, theta[:, k], "tilt")
+        log_z[:, k], mean[:, k], cov_k, _ = tilt_table(spec, t[k], theta[:, k])
         if cov is None:
             cov = np.empty((m, k_pts) + cov_k.shape[1:])
         cov[:, k] = cov_k
-        if se is not None:
-            if se_cov is None:
-                se_cov = np.zeros((m, k_pts, n, n))
-            se_cov[:, k] = se
-    return PathEnsemble(spec, grid, driver, theta, mean, cov, log_z, x, se_cov)
+    return PathEnsemble(spec, grid, driver, theta, mean, cov, log_z, x)
 
 
 def simulate_ensemble(spec: MeasureSpec, grid: TimeGrid, n_paths: int, seed: int,
-                      driver: str = "direct", *, tilt_samples: int = 1024,
-                      workers: int = 1, salt: str = "") -> PathEnsemble:
+                      driver: str = "direct", *, salt: str = "") -> PathEnsemble:
     """Simulate ``n_paths`` independent paths.
 
     Path i uses the stream key ``(seed, i)`` (or ``(seed, salt, i)``), so its
-    arrays depend on neither ``n_paths`` nor ``workers``, and the two drivers
-    share Brownian increments for equal keys.
+    arrays do not depend on ``n_paths``, and the two drivers share Brownian
+    increments for equal keys.
     """
     if n_paths < 1:
         raise InputValidationError("n_paths must be >= 1")
     keys = [(seed, salt, i) if salt else (seed, i) for i in range(n_paths)]
-    return _simulate(spec, grid, keys, driver, tilt_samples, max(1, workers))
+    return _simulate(spec, grid, keys, driver)
 
 
 # ---------------------------------------------------------------------------
@@ -298,41 +284,27 @@ def check_derivative_identity(ensemble: PathEnsemble, sigma: float = 4.0,
                 notes=f"interior times {len(t) - 2}", sub=(mat, tr))
 
 
-def spectral_margin(mats: np.ndarray, clock: np.ndarray, se: np.ndarray | None,
-                    sigma: float, slack_exact: float):
-    """Pathwise margin clock * lambda_max(mats) - 1 and its slack, for clock > 0.
+def spectral_margin(mats: np.ndarray, clock: np.ndarray) -> np.ndarray:
+    """Pathwise margin clock * lambda_max(mats) - 1, (m, K-1), for clock > 0.
 
     ``mats`` is a covariance array on the grid ``clock`` (K,), diagonal
     (m, K, n) or full (m, K, n, n); the first grid point is 0 and is
-    dropped.  Exact states get the flat slack ``slack_exact``; states with a
-    sampling error ``se`` get sigma * n * max|se| * clock on top.  Returns
-    two (m, K-1) arrays.
+    dropped.  Every tilt is exact, so callers gate it with a flat slack.
     """
     lam = covariance.eig_extremes(mats)[1]
-    margin = lam[:, 1:] * clock[None, 1:] - 1.0
-    slack = np.full_like(margin, slack_exact)
-    if se is not None:
-        se_scale = se.reshape(se.shape[:2] + (-1,)).max(axis=-1) * mats.shape[-1]
-        slack = slack + sigma * se_scale[:, 1:] * clock[None, 1:]
-    return margin, slack
+    return lam[:, 1:] * clock[None, 1:] - 1.0
 
 
-def check_spectral_bound(ensemble: PathEnsemble, sigma: float = 3.0,
-                         slack_exact: float = 1e-6) -> LemmaReport:
-    """Pathwise bound t * lambda_max(A_t) <= 1 at every t > 0.
-
-    Exact tilt routes get the flat slack ``slack_exact``; rejection-based
-    states get sigma times their covariance standard error on top.
-    """
-    margin, slack = spectral_margin(ensemble.cov, ensemble.grid.points,
-                                    ensemble.se_cov, sigma, slack_exact)
-    bad = margin > slack
-    worst = np.unravel_index(np.argmax(margin - slack), margin.shape)
+def check_spectral_bound(ensemble: PathEnsemble, slack_exact: float = 1e-6) -> LemmaReport:
+    """Pathwise bound t * lambda_max(A_t) <= 1 at every t > 0, up to ``slack_exact``."""
+    margin = spectral_margin(ensemble.cov, ensemble.grid.points)
+    bad = margin > slack_exact
+    worst = np.unravel_index(np.argmax(margin), margin.shape)
     notes = f"paths={ensemble.n_paths}, violations={int(bad.sum())}"
     if bad.any():
         ids = sorted(set(np.where(bad)[0].tolist()))[:8]
         notes += f", offending paths {ids}"
-    return gate("spectral-bound", float(margin[worst]), float(slack[worst]), notes=notes)
+    return gate("spectral-bound", float(margin[worst]), slack_exact, notes=notes)
 
 
 def trace_square_ratio(ensemble: PathEnsemble) -> LemmaReport:

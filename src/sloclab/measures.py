@@ -49,9 +49,9 @@ class Factor1D:
 
     A closed-form factor lists its density as ``pieces``, tuples
     (c, b, lo, hi, k) that each mean exp(k - c x^2/2 - b x) on [lo, hi] with
-    c >= 0.  The density, its peak, the t = 0 decay rates and the tilt all
-    follow from them.  A factor without pieces overrides the density, the
-    peak and the tilt; its rates default to (inf, inf), as for any bounded
+    c >= 0.  The density, the tilted mode, the t = 0 decay rates and the
+    tilt all follow from them.  A factor without pieces overrides the density
+    and the tilt; its rates default to (inf, inf), as for any bounded
     support.
     """
 
@@ -75,15 +75,20 @@ class Factor1D:
     def entropy(self) -> float:
         raise NotImplementedError
 
-    def peak_log_density(self) -> float:
-        """sup_x log rho(x); needed by the rejection sampler.
+    def tilt_mode(self, t: float, theta: float) -> float:
+        """Mode of the tilted density exp(theta x - t x^2/2) rho(x); NaN without pieces.
 
-        Each piece peaks at -b/c clipped to [lo, hi], or at the end its slope
-        points to when c = 0.
+        Tilted, each piece peaks at (theta - b)/(t + c) clipped to [lo, hi],
+        or at the end its slope points to when t + c = 0; the mode is the
+        best of those points.  The tilt must have a finite mass.
         """
-        modes = [min(max(-b / c, lo), hi) if c else (lo if b > 0 else hi)
-                 for c, b, lo, hi, _ in self.pieces]
-        return float(np.max(self.log_density(np.array(modes))))
+        if not self.pieces:
+            return math.nan
+        modes = np.array([min(max((theta - b) / (t + c), lo), hi) if t + c
+                          else (hi if theta > b else lo)
+                          for c, b, lo, hi, _ in self.pieces])
+        return float(modes[np.argmax(theta * modes - 0.5 * t * modes * modes
+                                     + self.log_density(modes))])
 
     def tilt_rates(self) -> tuple[float, float]:
         """Exponential decay rates of the density at -inf / +inf.
@@ -273,9 +278,6 @@ class BallMarginalFactor(Factor1D):
                       self.lo, self.hi, epsabs=1e-12, epsrel=1e-12, limit=200)
         return float(val)
 
-    def peak_log_density(self):
-        return float(self.log_density(0.0))
-
     def tilt_stats(self, t, theta):
         # weight exp(theta y - t y^2 / 2) (R^2 - y^2)^exponent, any t >= 0
         theta = np.asarray(theta, float)
@@ -335,9 +337,6 @@ class MeasureSpec:
     def cov(self) -> np.ndarray:
         return np.eye(self.dim)
 
-    def peak_log_density(self) -> float:
-        raise NotImplementedError
-
     def measure_id(self) -> str:
         raise NotImplementedError
 
@@ -368,9 +367,6 @@ class GaussianSpec(MeasureSpec):
 
     def entropy(self):
         return self.dim * GAUSSIAN_ENTROPY_RATE
-
-    def peak_log_density(self):
-        return -0.5 * self.dim * _LOG_2PI
 
     def measure_id(self):
         return f"gaussian:{self.dim}"
@@ -406,9 +402,6 @@ class ProductSpec(MeasureSpec):
     def cov(self):
         return np.diag([f.var for f in self.factors])
 
-    def peak_log_density(self):
-        return float(sum(f.peak_log_density() for f in self.factors))
-
     def measure_id(self):
         if self.family == "cube":
             return f"cube:{self.dim}"
@@ -442,9 +435,6 @@ class BallSpec(MeasureSpec):
 
     def entropy(self):
         return float(self._log_vol)
-
-    def peak_log_density(self):
-        return -float(self._log_vol)
 
     def measure_id(self):
         return f"ball:{self.dim}"
@@ -485,9 +475,6 @@ class AffineImageSpec(MeasureSpec):
 
     def cov(self):
         return self.mat @ self.base.cov() @ self.mat.T
-
-    def peak_log_density(self):
-        return self.base.peak_log_density() - self._log_abs_det
 
     def measure_id(self):
         return f"affine({self.base.measure_id()})"

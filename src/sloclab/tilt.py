@@ -1,11 +1,11 @@
-"""Gaussian-tilted measures and their moments.
+"""Gaussian-tilted measures: their moments and exact draws.
 
 For a measure rho and parameters (t, theta) the tilted probability density is
 
     p_{t,theta}(x) = exp(theta . x - t |x|^2 / 2) rho(x) / Z(t, theta).
 
 This module computes log Z, the barycenter a(t, theta) and the covariance
-A(t, theta) of p_{t,theta} along three routes:
+A(t, theta) of p_{t,theta} along two routes:
 
 * closed form   -- Gaussian conjugacy, and truncated-normal algebra for the
                    coordinate-product factors (the hot path for drivers);
@@ -13,12 +13,15 @@ A(t, theta) of p_{t,theta} along three routes:
                    independent oracle for the closed forms and the t = 0
                    product route; and one fixed Gauss-Legendre rule over
                    u = x . theta/|theta| for the ball and its 1D marginal
-                   (`ball_tilt_table`, `numerics.radial_tilt_moments`);
-* rejection     -- proposal N(theta/t, Id/t) thinned by rho/sup(rho); the
-                   route for affine images, and the cross-check for the ball.
+                   (`ball_tilt_table`, `numerics.radial_tilt_moments`).
 
 `tilt_table` picks the route for a batch of thetas at one t; it is the one
-place that branches on the measure family.
+place that branches on the measure family.  Affine images have no route.
+
+`tilt_sample_batch` draws exact points of p_{t,theta} for every catalog
+family from one sampler for 1D log-concave densities
+(`sample_log_concave`): a product coordinate by coordinate, a ball through
+u, then |y| given u, then y's direction.
 
 A t = 0 tilt is accepted only where the exponential moment is finite; the
 divergent cases raise DivergentTilt.
@@ -27,16 +30,14 @@ divergent cases raise DivergentTilt.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
-from scipy.special import gammainc
+from scipy.special import gammainc, xlogy
 
 from . import covariance, streams
-from .errors import DivergentTilt, InputValidationError, RejectionStall
+from .errors import DivergentTilt, InputValidationError
 from .measures import (BallMarginalFactor, BallSpec, GaussianFactor, GaussianSpec,
                        MeasureSpec, ProductSpec)
 from .numerics import jackknife_se, radial_tilt_moments
@@ -44,11 +45,8 @@ from .reports import LemmaReport, gate
 
 CLOSED_FORM = "closed_form"
 QUADRATURE = "quadrature"
-REJECTION = "rejection"
 
 _QUAD_KW = dict(epsabs=1e-13, epsrel=1e-12, limit=300)
-STALL_ACCEPTANCE = 1e-6
-_STALL_MIN_PROPOSALS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -61,9 +59,6 @@ class TiltState:
     mean: np.ndarray          # a(t, theta)
     cov: np.ndarray           # A(t, theta)
     method: str
-    n_samples: int = 0
-    se_mean: np.ndarray | None = None
-    se_cov: np.ndarray | None = None
 
 
 def _validate(spec: MeasureSpec, t: float, theta) -> np.ndarray:
@@ -122,6 +117,14 @@ def product_tilt_table(spec: ProductSpec, t: float, thetas: np.ndarray):
     return log_z, mean, var
 
 
+def _log_inside(k: int, t: float, gap):
+    """log P(chi2_k <= t gap): the log mass of N(0, Id_k/t) in the k-ball of radius gap^(1/2).
+
+    0 when k = 0, where there is no y.
+    """
+    return np.log(gammainc(0.5 * k, 0.5 * t * gap)) if k else np.zeros_like(gap)
+
+
 def ball_tilt_table(spec: BallSpec, t: float, thetas: np.ndarray):
     """Exact tilt moments of the uniform ball for a batch of thetas (m, n) at one t.
 
@@ -148,12 +151,9 @@ def ball_tilt_table(spec: BallSpec, t: float, thetas: np.ndarray):
         log_z, mean_u, var_u = BallMarginalFactor(n).tilt_stats(0.0, s)
         across = (radius * radius - mean_u * mean_u - var_u) / (n + 1)
     else:
-        def log_inside(gap):  # log P(chi2_{n-1} <= t gap), 0 when there is no y
-            return np.log(gammainc(0.5 * k, 0.5 * t * gap)) if k else np.zeros_like(gap)
-
         with np.errstate(divide="ignore"):
             log_int, mean_u, var_u, gap, log_h, prob = radial_tilt_moments(
-                s, t, radius, log_inside)
+                s, t, radius, lambda gap: _log_inside(k, t, gap))
         log_z = log_int + 0.5 * k * math.log(2.0 * math.pi / t) - spec.entropy()
         lower = np.exp(log_h)
         ratio = np.divide(gammainc(0.5 * k + 1.0, 0.5 * t * gap), lower,
@@ -174,28 +174,12 @@ def factor_tilt_quadrature(f, t: float, theta: float):
         _check_rates([f], [theta])
 
     def exponent(x):
-        return float(theta * x - 0.5 * t * x * x + f.log_density(np.asarray(x, float)))
+        return theta * x - 0.5 * t * x * x + f.log_density(np.asarray(x, float))
 
-    # locate the mode of the concave exponent to anchor the integrand; the
-    # mode sits near theta/t for t > 0, near 0 for t = 0, or at a finite
-    # support endpoint
-    if t > 0:
-        center = theta / t
-        width = 60.0 / math.sqrt(t) + 10.0
-    else:
-        center = 0.0
-        width = 200.0
-    lower = f.lo if np.isfinite(f.lo) else min(center, 0.0) - width
-    upper = f.hi if np.isfinite(f.hi) else max(center, 0.0) + width
-    res = minimize_scalar(lambda x: -exponent(x), bounds=(lower, upper),
-                          method="bounded", options={"xatol": 1e-12})
-    candidates = [float(res.x)]
-    if np.isfinite(f.lo):
-        candidates.append(float(f.lo))
-    if np.isfinite(f.hi):
-        candidates.append(float(f.hi))
-    x_star = max(candidates, key=exponent)
-    m_log = exponent(x_star)
+    # anchor the integrand at the mode of the concave exponent
+    x_star = float(_find_mode(exponent, np.array([f.lo]), np.array([f.hi]),
+                              np.array([f.tilt_mode(t, theta)]))[0])
+    m_log = float(exponent(x_star))
 
     def h(x, k):
         return (x - x_star) ** k * np.exp(exponent(x) - m_log)
@@ -233,204 +217,280 @@ def tilt_moments_quadrature(spec: MeasureSpec, t: float, theta) -> TiltState:
 
 
 # ---------------------------------------------------------------------------
-# Rejection route
+# Exact draws: one sampler for 1D log-concave densities
 
 
-def _proposal(spec: MeasureSpec, t: float, theta: np.ndarray):
-    """The rejection route's proposal for p_{t,theta}.
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+_MODE_STEPS = 60     # golden-section steps: the bracket shrinks by 0.618^60 ~ 3e-13
+_DROP_STEPS = 24     # bisection steps for a drop point: 2^-24 of its bracket
 
-    Returns (draw, log_accept, log_z): draw(rng, k) gives k proposals;
-    log_accept(x) gives their log acceptance probabilities, or is None when
-    the proposals are exact draws; log_z(acceptance) recovers log Z from the
-    measured acceptance rate.  Gaussians are conjugate, t > 0 proposes from
-    the matched Gaussian N(theta/t, Id/t) thinned by rho/sup rho, and t = 0
-    proposes from the base measure thinned by exp(theta.x - sup theta.x),
-    with the sup over the support: R|theta| for a ball and
-    sum_j max(theta_j lo_j, theta_j hi_j) for a product, which must be finite.
+
+def _at(log_density, x):
+    """log_density at one point x (m,) per row, as an (m,) array."""
+    return log_density(x[:, None])[:, 0]
+
+
+def _find_mode(log_density, lo, hi, mode):
+    """Each row's mode: ``mode`` where it is known in closed form; in NaN rows
+    golden section on the finite support [lo, hi], then the best of its point
+    and both ends, where a concave log density may peak."""
+    search = np.isnan(mode)
+    if not search.any():
+        return mode
+    if not (np.isfinite(lo[search]).all() and np.isfinite(hi[search]).all()):
+        raise InputValidationError("a mode search needs a finite support")
+    lo, hi = np.where(search, lo, mode), np.where(search, hi, mode)
+    a, b = lo.copy(), hi.copy()
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = _at(log_density, c), _at(log_density, d)
+    for _ in range(_MODE_STEPS):
+        right = fd > fc                      # the mode lies in [c, b]
+        a, b = np.where(right, c, a), np.where(right, b, d)
+        new = np.where(right, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
+        f_new = _at(log_density, new)
+        c, fc, d, fd = (np.where(right, d, new), np.where(right, fd, f_new),
+                        np.where(right, new, c), np.where(right, f_new, fc))
+    points = np.stack([0.5 * (a + b), lo, hi], axis=1)
+    values = np.nan_to_num(log_density(points), nan=-np.inf)
+    return points[np.arange(len(lo)), values.argmax(axis=1)]
+
+
+def _drop_point(log_density, mode, top, end, sign):
+    """(point, drop) per row, going from ``mode`` toward ``end``.
+
+    ``point`` is where log_density has dropped by ``drop`` >= 1 from
+    ``top``: a bisection bracket end, found by doubling steps from the mode
+    when ``end`` is infinite.  A side whose support ends before the density
+    drops by 1 has no tail: point = end and drop = inf.
     """
-    if isinstance(spec, GaussianSpec):
-        tau = 1.0 + t
+    finite = np.isfinite(end)
+    no_tail = finite & (_at(log_density, np.where(finite, end, mode)) >= top - 1.0)
+    near, far = mode.copy(), np.where(finite, end, mode)
+    grow, step = ~finite, 1.0
+    while grow.any():
+        far = np.where(grow, mode + sign * step, far)
+        grow &= _at(log_density, far) > top - 1.0
+        near = np.where(grow, far, near)
+        step *= 2.0
+    for _ in range(_DROP_STEPS):
+        mid = 0.5 * (near + far)
+        inside = _at(log_density, mid) > top - 1.0
+        near, far = np.where(inside, mid, near), np.where(inside, far, mid)
+    drop = top - _at(log_density, far)
+    return np.where(no_tail, end, far), np.where(no_tail, np.inf, drop)
 
-        def draw(rng, k):
-            return theta / tau + rng.standard_normal((k, spec.dim)) / math.sqrt(tau)
 
-        return draw, None, lambda acceptance: float(gaussian_tilt(spec.dim, t, theta)[0])
-    if t > 0:
-        peak = spec.peak_log_density()
-        center = theta / t
-        scale = 1.0 / math.sqrt(t)
+@dataclass(frozen=True)
+class Envelope:
+    """Devroye's envelope for m log-concave densities, one per row.
 
-        def draw(rng, k):
-            return center + scale * rng.standard_normal((k, spec.dim))
+    It is flat at ``top`` (m,) = log rho(mode) between ``ends`` (2, m), the
+    left and right points where log rho has dropped by ``drops`` (2, m) >= 1
+    (inf where the support ends first).  Beyond an end, concavity keeps
+    log rho below the chord from the mode through it: top - drop - slope
+    |x - end|, with ``slopes`` = drops / |end - mode|.  The flat part holds
+    at least 1 - 1/e of the density's mass over its width, so at least
+    1/(e+1) of the proposals are accepted.
+    """
 
-        # Z = E_proposal[rho] * (2 pi / t)^{n/2} exp(|theta|^2 / 2t)
-        def log_z(acceptance):
-            return (peak + math.log(acceptance)
-                    + 0.5 * spec.dim * math.log(2.0 * math.pi / t)
-                    + float(theta @ theta) / (2.0 * t))
+    top: np.ndarray
+    ends: np.ndarray
+    drops: np.ndarray
+    slopes: np.ndarray
 
-        return draw, lambda x: spec.log_density(x) - peak, log_z
-    if not np.any(theta):
-        return spec.sample, None, lambda acceptance: 0.0
-    if isinstance(spec, BallSpec):
-        sup = spec.radius * float(np.linalg.norm(theta))
-    elif spec.factors is not None:
-        ends = [f.hi if th > 0 else f.lo for f, th in zip(spec.factors, theta)]
-        for j, (f, th, end) in enumerate(zip(spec.factors, theta, ends)):
-            if th and not math.isfinite(end):
-                raise InputValidationError(
-                    f"t=0 rejection tilt needs the support bounded in theta's direction; "
-                    f"factor {j} ({f.tag}) is unbounded {'above' if th > 0 else 'below'}")
-        sup = float(sum(th * end for th, end in zip(theta, ends) if th))
-    else:
-        raise InputValidationError("t=0 rejection tilts need a ball or a product")
-    return (spec.sample, lambda x: x @ theta - sup,
-            lambda acceptance: sup + math.log(acceptance))
+    def draw(self, rng: np.random.Generator, k: int):
+        """k proposals per row (m, k) and the log envelope at each."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mass = np.exp(-self.drops) / self.slopes     # each tail's, 0 without one
+        width = self.ends[1] - self.ends[0]
+        pick, pos = rng.random((2, len(self.top), k))
+        pick *= (mass[0] + width + mass[1])[:, None]
+        side = (pick >= (mass[0] + width)[:, None]).astype(int)   # 1: right tail
+        in_tail = (side == 1) | (pick < mass[0][:, None])
+        rows = np.arange(len(self.top))[:, None]
+        depth = -np.log1p(-pos)                      # Exp(1), into a tail
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.where(in_tail, self.ends[side, rows]
+                         + (2 * side - 1) * depth / self.slopes[side, rows],
+                         self.ends[0][:, None] + pos * width[:, None])
+        return x, self.top[:, None] - np.where(in_tail, self.drops[side, rows] + depth, 0.0)
+
+
+def envelope(log_density, lo, hi, mode=None) -> Envelope:
+    """The `Envelope` of m log-concave densities on [lo, hi] (each (m,)).
+
+    ``log_density`` maps x (m, k) to log rho (m, k), each row up to its own
+    constant and -inf outside its support.  ``mode`` (m,) gives each row's
+    mode where it is known in closed form; NaN rows, or all rows when it is
+    None, are found by golden section, which needs a finite support.
+    """
+    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
+    mode = _find_mode(log_density, lo, hi, np.full(lo.shape, np.nan) if mode is None
+                      else np.asarray(mode, float))
+    top = _at(log_density, mode)
+    if not np.isfinite(top).all():
+        raise DivergentTilt("tilted density has no finite peak")
+    (left, drop_left), (right, drop_right) = (_drop_point(log_density, mode, top, lo, -1.0),
+                                              _drop_point(log_density, mode, top, hi, 1.0))
+    ends, drops = np.stack([left, right]), np.stack([drop_left, drop_right])
+    with np.errstate(divide="ignore"):
+        return Envelope(top, ends, drops, drops / np.abs(ends - mode))
+
+
+def sample_log_concave(log_density, lo, hi, rng: np.random.Generator, size: int,
+                       mode=None):
+    """Exact draws from m 1D log-concave densities, ``size`` per row.
+
+    Rejection from the rows' `envelope` (arguments as there), which accepts
+    at least 1/(e+1) of its proposals whatever the density.  Returns (draws
+    (m, size), proposals, accepted); ``accepted`` counts every accepted
+    proposal, surplus included, so accepted/proposals estimates the
+    acceptance rate without truncation bias.
+    """
+    env = envelope(log_density, lo, hi, mode)
+    m = len(env.top)
+    out = np.empty((m, size))
+    filled = np.zeros(m, dtype=int)
+    proposals = accepted = 0
+    while (filled < size).any():
+        pending = filled < size
+        k = 2 * int((size - filled).max()) + 4
+        x, log_env = env.draw(rng, k)
+        with np.errstate(invalid="ignore"):
+            keep = np.log(rng.random((m, k))) < log_density(x) - log_env
+        keep &= pending[:, None]
+        rank = np.cumsum(keep, axis=1) - 1
+        take = keep & (rank < (size - filled)[:, None])
+        rows, cols = np.nonzero(take)
+        out[rows, filled[rows] + rank[rows, cols]] = x[rows, cols]
+        filled += take.sum(axis=1)
+        proposals += k * int(pending.sum())
+        accepted += int(keep.sum())
+    return out, proposals, accepted
+
+
+def _product_draws(spec: ProductSpec, t: float, theta: np.ndarray, rng, size: int):
+    """Each coordinate j from exp(theta_j x - t x^2/2) rho_j(x); draws are (n, size)."""
+    groups = {}  # factors with equal pieces share one density evaluation
+    for j, f in enumerate(spec.factors):
+        groups.setdefault(f.pieces or id(f), (f, []))[1].append(j)
+
+    def log_density(x):
+        out = theta[:, None] * x - 0.5 * t * x * x
+        for f, rows in groups.values():
+            out[rows] += f.log_density(x[rows])
+        return out
+
+    return sample_log_concave(
+        log_density, [f.lo for f in spec.factors], [f.hi for f in spec.factors], rng, size,
+        mode=[f.tilt_mode(t, th) for f, th in zip(spec.factors, theta)])
+
+
+def _ball_draws(spec: BallSpec, t: float, theta: np.ndarray, rng, size: int):
+    """x = u e + y as in `ball_tilt_table`, (size, n): u from its weight (at
+    t = 0 the tilted `ballmarg` density), then |y| from rho^(n-2)
+    exp(-t rho^2/2) on [0, (R^2 - u^2)^(1/2)], then y's direction uniformly
+    in e's orthogonal complement."""
+    n, radius = spec.dim, spec.radius
+    s = float(np.linalg.norm(theta))
+    e = theta / s if s > 0.0 else np.eye(n)[0]  # theta = 0 is isotropic
+    marginal = BallMarginalFactor(n)
+
+    def u_weight(u):
+        if t == 0.0:
+            return s * u + marginal.log_density(u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inside = _log_inside(n - 1, t, (radius - u) * (radius + u))
+        return np.where(np.abs(u) <= radius, s * u - 0.5 * t * u * u + inside, -np.inf)
+
+    u, proposals, accepted = sample_log_concave(u_weight, [-radius], [radius], rng, size)
+    u = u[0]
+    if n == 1:
+        return u[:, None] * e, proposals, accepted
+    reach = np.sqrt(np.maximum((radius - u) * (radius + u), 0.0))
+
+    def radial(rho):
+        with np.errstate(divide="ignore"):
+            inside = (rho >= 0.0) & (rho <= reach[:, None])
+            return np.where(inside, xlogy(n - 2, rho) - 0.5 * t * rho * rho, -np.inf)
+
+    peak = math.sqrt((n - 2) / t) if t > 0.0 else np.inf
+    rho, p, a = sample_log_concave(radial, np.zeros(size), reach, rng, 1,
+                                   mode=np.minimum(peak, reach))
+    g = rng.standard_normal((size, n))
+    g -= (g @ e)[:, None] * e
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return u[:, None] * e + rho * g, proposals + p, accepted + a
 
 
 def tilt_sample_batch(spec: MeasureSpec, t: float, theta, rng: np.random.Generator,
                       size: int):
-    """Draw `size` points of p_{t,theta} by rejection from `_proposal`.
+    """Draw ``size`` exact points of p_{t,theta}, shape (size, n).
 
-    Returns (samples, proposals, accepted); `accepted` counts every accepted
-    proposal including surplus beyond `size`, so accepted/proposals estimates
-    the true acceptance probability without truncation bias.  Raises
-    RejectionStall when the measured acceptance falls below 1e-6.
+    Gaussians are conjugate; products and balls go through
+    `sample_log_concave`.  Returns (samples, proposals, accepted), the
+    counts summed over every 1D draw (size, size for Gaussians).
     """
     theta = _validate(spec, t, theta)
-    draw, log_accept, _ = _proposal(spec, t, theta)
-    if log_accept is None:
-        return draw(rng, size), size, size
-
-    out = np.empty((size, spec.dim))
-    filled = 0
-    accepted = 0
-    proposed = 0
-    batch = max(4 * size, 4096)
-    while filled < size:
-        x = draw(rng, batch)
-        keep = x[rng.random(batch) < np.exp(log_accept(x))]
-        take = min(len(keep), size - filled)
-        out[filled:filled + take] = keep[:take]
-        filled += take
-        accepted += len(keep)
-        proposed += batch
-        if proposed >= _STALL_MIN_PROPOSALS and (accepted / proposed) < STALL_ACCEPTANCE:
-            raise RejectionStall(accepted / proposed, proposed, t, float(np.linalg.norm(theta)))
-        batch = min(batch * 4, 1 << 21)
-    return out, proposed, accepted
-
-
-def _as_key(stream):
-    if isinstance(stream, tuple):
-        return stream
-    return (stream,)
-
-
-def tilt_moments_rejection(spec: MeasureSpec, t: float, theta,
-                           rng: np.random.Generator, n_samples: int = 1024) -> TiltState:
-    """Monte Carlo tilt moments with batch-means standard errors.
-
-    Needs n_samples >= 4: two batch-means blocks of two draws each.
-    """
-    theta = _validate(spec, t, theta)
-    if n_samples < 4:
-        raise InputValidationError("rejection moments need n_samples >= 4")
-    pts, proposed, accepted = tilt_sample_batch(spec, t, theta, rng, n_samples)
-    mean = pts.mean(axis=0)
-    centered = pts - mean
-    cov = centered.T @ centered / (n_samples - 1)
-
-    # batch means over at least two draws per block, so every block
-    # covariance is defined
-    n_blocks = min(16, n_samples // 2)
-    usable = (n_samples // n_blocks) * n_blocks
-    blocks = pts[:usable].reshape(n_blocks, -1, spec.dim)
-    b_mean = blocks.mean(axis=1)
-    b_cov = np.einsum("bki,bkj->bij", blocks - b_mean[:, None, :],
-                      blocks - b_mean[:, None, :]) / (blocks.shape[1] - 1)
-    se_mean = b_mean.std(axis=0, ddof=1) / math.sqrt(n_blocks)
-    se_cov = b_cov.std(axis=0, ddof=1) / math.sqrt(n_blocks)
-
-    log_z = _proposal(spec, t, theta)[2](accepted / proposed)
-    return TiltState(t, theta, log_z, mean, cov, REJECTION, n_samples, se_mean, se_cov)
+    if isinstance(spec, GaussianSpec):
+        tau = 1.0 + t
+        return (theta / tau + rng.standard_normal((size, spec.dim)) / math.sqrt(tau),
+                size, size)
+    if spec.factors is not None:
+        if t == 0.0:
+            _check_rates(spec.factors, theta)
+        draws, proposals, accepted = _product_draws(spec, t, theta, rng, size)
+        return draws.T, proposals, accepted
+    if isinstance(spec, BallSpec):
+        return _ball_draws(spec, t, theta, rng, size)
+    raise InputValidationError(_NO_ROUTE.format(spec.measure_id()))
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
 
+_NO_ROUTE = "{} has no tilt route: tilts exist for Gaussians, coordinate products and balls"
 
-def tilt_table(spec: MeasureSpec, t: float, thetas: np.ndarray, rng_for,
-               n_samples: int = 1024, workers: int = 1):
+
+def tilt_table(spec: MeasureSpec, t: float, thetas: np.ndarray):
     """Tilt moments for a batch of thetas (m, n) at one t, by the best route.
 
-    Returns (log_z (m,), mean (m, n), cov, se_cov, method).  ``cov`` is in
-    the shape of its structure: the variances (m, n) for Gaussians and
-    coordinate products, whose tilts have diagonal covariances, and full
-    matrices (m, n, n) otherwise.  The base measure answers t = 0 with
-    theta = 0; Gaussians are conjugate; coordinate products are exact
-    (closed form, with the ballmarg factor by quadrature, and adaptive
-    quadrature for every factor at t = 0); balls use `ball_tilt_table` at
-    every t; other specs (affine images) use rejection sampling with
-    ``rng_for(i)`` as row i's generator, over ``workers`` threads.
-    ``se_cov`` (m, n, n) is None except on the rejection route, and
-    ``rng_for`` is called on no other route.
+    Returns (log_z (m,), mean (m, n), cov, method).  ``cov`` is in the shape
+    of its structure: the variances (m, n) for Gaussians and coordinate
+    products, whose tilts have diagonal covariances, and full matrices
+    (m, n, n) for balls.  The base measure answers t = 0 with theta = 0;
+    Gaussians are conjugate; coordinate products are exact (closed form,
+    with the ballmarg factor by quadrature, and adaptive quadrature for
+    every factor at t = 0); balls use `ball_tilt_table` at every t.  Other
+    specs (affine images) raise InputValidationError.
     """
+    if not (isinstance(spec, (GaussianSpec, BallSpec)) or spec.factors is not None):
+        raise InputValidationError(_NO_ROUTE.format(spec.measure_id()))
     m, n = thetas.shape
     if t == 0.0 and not np.any(thetas):
         cov = spec.cov()
         if isinstance(spec, GaussianSpec) or spec.factors is not None:
             cov = np.diag(cov)
         return (np.zeros(m), np.tile(spec.mean(), (m, 1)),
-                np.tile(cov, (m,) + (1,) * cov.ndim), None, CLOSED_FORM)
+                np.tile(cov, (m,) + (1,) * cov.ndim), CLOSED_FORM)
     if isinstance(spec, GaussianSpec):
-        return (*gaussian_tilt(n, t, thetas), None, CLOSED_FORM)
+        return (*gaussian_tilt(n, t, thetas), CLOSED_FORM)
     if spec.factors is not None:
         if t == 0.0:
             states = [tilt_moments_quadrature(spec, t, theta) for theta in thetas]
             return (np.array([s.log_z for s in states]), np.stack([s.mean for s in states]),
-                    np.stack([np.diag(s.cov) for s in states]), None, QUADRATURE)
+                    np.stack([np.diag(s.cov) for s in states]), QUADRATURE)
         closed = all(f.pieces for f in spec.factors)
-        return (*product_tilt_table(spec, t, thetas), None,
-                CLOSED_FORM if closed else QUADRATURE)
-    if isinstance(spec, BallSpec):
-        return (*ball_tilt_table(spec, t, thetas), None, QUADRATURE)
-
-    def row(i):
-        return tilt_moments_rejection(spec, t, thetas[i], rng_for(i), n_samples)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            states = list(pool.map(row, range(m)))
-    else:
-        states = [row(i) for i in range(m)]
-    return (np.array([s.log_z for s in states]), np.stack([s.mean for s in states]),
-            np.stack([s.cov for s in states]), np.stack([s.se_cov for s in states]),
-            REJECTION)
+        return (*product_tilt_table(spec, t, thetas), CLOSED_FORM if closed else QUADRATURE)
+    return (*ball_tilt_table(spec, t, thetas), QUADRATURE)
 
 
-def tilt_moments(spec: MeasureSpec, t: float, theta, *, stream=None,
-                 n_samples: int = 1024) -> TiltState:
-    """Moments of p_{t,theta}: `tilt_table` on a batch of one.
-
-    Affine images use rejection sampling and need a `stream` key; their
-    state carries `se_cov` (`tilt_moments_rejection` also gives `se_mean`).
-    """
+def tilt_moments(spec: MeasureSpec, t: float, theta) -> TiltState:
+    """Moments of p_{t,theta}: `tilt_table` on a batch of one."""
     theta = _validate(spec, t, theta)
-
-    def rng_for(i):
-        if stream is None:
-            raise InputValidationError(
-                f"{spec.family} spec needs a stream for rejection moments")
-        return streams.generator(*_as_key(stream))
-
-    log_z, mean, cov, se_cov, method = tilt_table(spec, t, theta[None, :], rng_for,
-                                                  n_samples)
-    cov = covariance.dense_rows(cov)[0]
-    if se_cov is None:
-        return TiltState(t, theta, float(log_z[0]), mean[0], cov, method)
-    return TiltState(t, theta, float(log_z[0]), mean[0], cov, method, n_samples,
-                     se_cov=se_cov[0])
+    log_z, mean, cov, method = tilt_table(spec, t, theta[None, :])
+    return TiltState(t, theta, float(log_z[0]), mean[0], covariance.dense_rows(cov)[0],
+                     method)
 
 
 # ---------------------------------------------------------------------------
@@ -439,19 +499,17 @@ def tilt_moments(spec: MeasureSpec, t: float, theta, *, stream=None,
 
 def conditional_covariance_identity_check(spec: MeasureSpec, t: float, seed: int,
                                           n_outer: int = 1024, n_inner: int = 64,
-                                          sigma: float = 4.0, atol: float = 1e-8,
-                                          tilt_samples: int = 1024) -> LemmaReport:
+                                          sigma: float = 4.0, atol: float = 1e-8) -> LemmaReport:
     """Check E A_t = E cov(X | X + sqrt(s) Z) with s = 1/t.
 
     Left side: tilt moments along simulated theta_t = t X + W_t from
     `tilt_table`, exact for every catalog family (closed form for Gaussians
-    and coordinate products, the radial quadrature for balls); only affine
-    images reach the rejection route, with ``tilt_samples`` draws per tilt.
-    Right side: a quadrature-free estimate -- for fresh pairs
-    y = x + sqrt(s) z the conditional law of X given y is p_{t, t y},
-    sampled by rejection, and the empirical covariance of those draws
-    estimates cov(X | y).  Both sides use disjoint streams, so the errors
-    combine in quadrature.
+    and coordinate products, the radial quadrature for balls).
+    Right side: for fresh pairs y = x + sqrt(s) z the conditional law of X
+    given y is p_{t, t y}; `tilt_sample_batch` draws from it exactly, and
+    the empirical covariance of those draws estimates cov(X | y).  The right
+    side uses draws only and shares no quadrature with the left, and the two
+    sides use disjoint streams, so their errors combine in quadrature.
     """
     if t <= 0:
         raise InputValidationError("t must be positive")
@@ -462,10 +520,7 @@ def conditional_covariance_identity_check(spec: MeasureSpec, t: float, seed: int
         rng = streams.generator(seed, i, "cond-analytic")
         x = spec.sample(rng, 1)[0]
         thetas[i] = t * x + math.sqrt(t) * rng.standard_normal(dim)
-    covs = tilt_table(spec, t, thetas,
-                      lambda i: streams.generator(seed, i, "cond-analytic-tilt"),
-                      n_samples=tilt_samples)[2]
-    covs = covariance.dense_rows(covs)
+    covs = covariance.dense_rows(tilt_table(spec, t, thetas)[2])
     lhs = covs.mean(axis=0)
     se_lhs = jackknife_se(covs, axis=0)
 

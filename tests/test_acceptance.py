@@ -143,7 +143,7 @@ def test_c03_covariance_derivative_identity(cube8):
 
 
 def test_c04_pathwise_spectral_bound(cube8):
-    rep = check_spectral_bound(cube8, sigma=4.0)
+    rep = check_spectral_bound(cube8)
     ok = not rep.failed and "violations=0" in rep.notes
     _verdict("C04 spectral bound cube:8 x4096", ok, rep.notes)
 
@@ -236,7 +236,7 @@ def test_c11_projection_domination():
     details = []
     for spec, basis, wants_equality in cases:
         rep = check_projection_domination(spec, basis, t=1.0, n_paths=1024,
-                                          seed=2, sigma=4.0, tilt_samples=512)
+                                          seed=2, sigma=4.0)
         has_eq = any(s.check_id == "projection-equality" and not s.failed
                      for s in rep.sub)
         case_ok = not rep.failed and (has_eq == wants_equality)
@@ -252,7 +252,7 @@ def test_c12_trace_square_ratio_catalog():
     ok = True
     for mid in DEFAULT_CATALOG:
         spec = parse_measure_id(mid)
-        ens = simulate_ensemble(spec, grid, 128, seed=1, tilt_samples=256)
+        ens = simulate_ensemble(spec, grid, 128, seed=1)
         rep = trace_square_ratio(ens)
         ok = ok and rep.verdict == "INFO" and np.isfinite(rep.stderr)
         if spec.family == "gaussian":

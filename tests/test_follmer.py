@@ -24,7 +24,6 @@ from sloclab.follmer import (
 from sloclab.localization import make_geometric, simulate_ensemble
 from sloclab.measures import (
     SQRT3,
-    AffineImageSpec,
     make_ball,
     make_cube,
     make_factor,
@@ -80,17 +79,6 @@ def test_frame_at_r_zero(cube2_frame):
     assert np.all(cube2_frame.x[:, 0] == 0.0)
     assert np.all(cube2_frame.v[:, 0] == 0.0)
     assert np.allclose(cube2_frame.gamma[:, 0], np.ones(2))
-
-
-def test_rejection_frame_carries_sampling_error():
-    # a sheared cube is an affine image, so its tilts go through rejection
-    skew = AffineImageSpec(make_cube(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
-    ens = simulate_ensemble(skew, make_geometric(0.5, 2.0, 5), 4, seed=4,
-                            tilt_samples=128)
-    frame = to_follmer(ens)
-    assert frame.se_gamma is not None
-    expect = ens.se_cov * (1.0 + ens.grid.points)[None, :, None, None]
-    assert np.array_equal(frame.se_gamma, expect)
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +268,6 @@ def test_gamma_derivative_flags_scaled_time(cube2_frame):
     rep = check_gamma_properties(dataclasses.replace(cube2_frame, gamma=gamma))
     assert rep.failed
     assert {s.check_id: s for s in rep.sub}["gamma-derivative"].failed
-
-
-def test_gamma_properties_with_rejection_noise():
-    # a rotated ball is isotropic and, as an affine image, tilts by rejection
-    c, s = math.cos(0.6), math.sin(0.6)
-    rotated = AffineImageSpec(make_ball(3), np.array([[c, -s, 0.0], [s, c, 0.0],
-                                                      [0.0, 0.0, 1.0]]))
-    ens = simulate_ensemble(rotated, make_geometric(0.5, 8.0, 8), 24, seed=5,
-                            tilt_samples=512)
-    assert ens.se_cov is not None
-    rep = check_gamma_properties(to_follmer(ens))
-    assert not rep.failed
 
 
 def test_xr_law_passes(cube2_frame):

@@ -17,9 +17,15 @@
   ``import sloclab.cli`` loads neither ``scipy.stats`` nor ``scipy.signal``:
   together they cost about 0.7 s of start-up that no command needs
   (``scipy.signal`` is imported inside the one function that uses it).
+* Nothing in ``src/`` imports ``concurrent.futures``, and no library
+  function takes a sampling or threading knob (``workers``, ``n_samples``,
+  ``tilt_samples``, ``rng_for``, ``stream``): every tilt is exact and runs in
+  one thread.
 """
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -118,6 +124,30 @@ def scipy_stats_imports(tree: ast.Module) -> list:
     return sorted(out)
 
 
+def futures_imports(tree: ast.Module) -> list:
+    """(line, module) of every import of ``concurrent.futures`` or from it."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, a.name) for a in node.names
+                    if a.name.startswith("concurrent")]
+        elif (isinstance(node, ast.ImportFrom) and not node.level
+              and (node.module or "").startswith("concurrent")):
+            out += [(node.lineno, node.module)]
+    return sorted(out)
+
+
+KNOBS = {"workers", "n_samples", "tilt_samples", "rng_for", "stream"}
+
+
+def knob_parameters(tree: ast.Module) -> list:
+    """(line, "function(knob)") of every function parameter named in KNOBS."""
+    return sorted((node.lineno, f"{node.name}({a.arg})") for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for a in (node.args.posonlyargs + node.args.args + node.args.kwonlyargs)
+                  if a.arg in KNOBS)
+
+
 def _scan(paths, scanner) -> list:
     assert paths
     return [f"{_rel(p)}:{line} {name}" for p in paths for line, name in scanner(_tree(p))]
@@ -150,6 +180,20 @@ def test_no_branching_on_factor_tags():
 
 def test_no_scipy_stats_in_package():
     assert _scan(PACKAGE, scipy_stats_imports) == []
+
+
+def test_no_concurrent_futures_in_package():
+    assert _scan(PACKAGE, futures_imports) == []
+
+
+def test_no_sampling_knobs_in_library_signatures():
+    assert _scan(PACKAGE, knob_parameters) == []
+    for mod, fn in (("tilt", "tilt_table"), ("tilt", "tilt_moments"),
+                    ("localization", "simulate_ensemble"),
+                    ("isoconst", "check_projection_domination")):
+        params = inspect.signature(
+            getattr(importlib.import_module("sloclab." + mod), fn)).parameters
+        assert not KNOBS & set(params), f"{mod}.{fn}"
 
 
 def test_cli_import_leaves_out_scipy_stats_and_signal():
@@ -222,3 +266,16 @@ def test_scanners_flag_what_they_look_for():
                       "import scipy.statsmodels\n")
     assert scipy_stats_imports(stats) == [(1, "scipy.stats"), (2, "scipy.stats.mstats"),
                                           (3, "scipy.stats"), (4, "scipy.stats.ks_2samp")]
+    futures = ast.parse("from concurrent.futures import ThreadPoolExecutor\n"
+                        "import concurrent.futures as cf\n"
+                        "from .concurrent import pool\n"
+                        "import threading\n")
+    assert futures_imports(futures) == [(1, "concurrent.futures"), (2, "concurrent.futures")]
+    knobs = ast.parse("def table(spec, t, thetas, rng_for, n_samples=1024, *, workers=1):\n"
+                      "    pass\n"
+                      "def moments(spec, t, theta, *, stream=None):\n"
+                      "    pass\n"
+                      "def simulate(spec, grid, n_paths, seed, driver='direct'):\n"
+                      "    samples = 3\n")
+    assert knob_parameters(knobs) == [(1, "table(n_samples)"), (1, "table(rng_for)"),
+                                      (1, "table(workers)"), (3, "moments(stream)")]

@@ -28,6 +28,7 @@ from sloclab.measures import (
 )
 from sloclab.numerics import trunc_normal_moments
 from sloclab.streams import generator
+from sloclab.tilt import envelope
 
 FACTOR_TAGS = ("gaussian", "uniform", "exp", "laplace", "truncgauss")
 
@@ -112,19 +113,24 @@ PEAK_FACTORS = [make_factor(tag) for tag in FACTOR_TAGS] + [
 
 @pytest.mark.parametrize("f", PEAK_FACTORS, ids=lambda f: f.tag + str(getattr(f, "ambient_dim", "")))
 def test_peak_log_density_is_the_max(f):
-    # a peak below sup log rho would bias every rejection draw
+    # the sampler's envelope is flat at the tilted density's peak: pieces give
+    # the mode in closed form, golden section finds ballmarg's; a peak below
+    # sup log rho would bias every draw
     lo, hi = max(f.lo, -12.0), min(f.hi, 12.0)
     grid = np.concatenate([np.linspace(lo, hi, 200_001), [lo, 0.0, hi]])
-    dens = f.log_density(grid)
-    peak = f.peak_log_density()
-    assert peak >= dens.max()
-    assert peak == pytest.approx(dens.max(), abs=1e-12)
+    for t, theta in ((0.0, 0.0), (0.0, -0.7), (1.0, 0.8), (20.0, -30.0)):
+        dens = theta * grid - 0.5 * t * grid**2 + f.log_density(grid)
+        peak = envelope(lambda x: theta * x - 0.5 * t * x * x + f.log_density(x),
+                        [f.lo], [f.hi], [f.tilt_mode(t, theta)]).top[0]
+        assert peak >= dens.max()
+        assert peak == pytest.approx(dens.max(), abs=1e-7 * max(1.0, abs(peak)))
+    assert np.isnan(f.tilt_mode(1.0, 0.8)) == (not f.pieces)
 
 
 def test_closed_factors_derive_everything_from_pieces():
     for tag in FACTOR_TAGS:
         cls = type(make_factor(tag))
-        assert not {"log_density", "peak_log_density", "tilt_rates", "tilt_stats"} & set(vars(cls))
+        assert not {"log_density", "tilt_mode", "tilt_rates", "tilt_stats"} & set(vars(cls))
         assert make_factor(tag).pieces
     assert len(make_factor("laplace").pieces) == 2
 
