@@ -12,8 +12,9 @@ measures this module also computes J independently of the tilts: every
 truncated-Gaussian piece exp(k - c x^2/2 - b x) on [lo, hi] of a catalog
 factor convolves with the Gaussian into one closed formula for the density
 and score of r X + sqrt(r (1 - r)) Z (a Gaussian times a Phi-window), so J
-is one scalar quadrature per factor.  A nested convolution quadrature serves
-the factors without pieces, today only ``ballmarg``.  The Gamma process satisfies
+is one scalar quadrature per factor.  A factor without pieces (``ballmarg``,
+which only the ball's projections build) has no Fisher route and is
+rejected with its name.  The Gamma process satisfies
 
     (i)   (1 - r) Gamma_r = A_t                       (algebraic rescaling)
     (ii)  E v (x) v = (Id - E Gamma) / (1 - r),  0 <= E Gamma <= Id
@@ -33,18 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import log_ndtr
 
 from . import covariance, streams
 from .errors import InputValidationError
 from .localization import PathEnsemble, spectral_margin
-from .measures import GaussianSpec, MeasureSpec
-from .numerics import jackknife_se, ks_pvalues
-from .reports import EstimatorResult, LemmaReport, derivative_gate, entrywise_gate, gate
+from .measures import GaussianSpec, MeasureSpec, require_pieces
+from .numerics import U_CUT, gauss_window, jackknife_se, ks_pvalues
+from .reports import (EstimatorResult, LemmaReport, composite_gate, derivative_gate,
+                      entrywise_gate, gate)
 
 _QUAD_KW = dict(epsabs=1e-12, epsrel=1e-11, limit=200)
-_U_CUT = 40.0   # unbounded factor supports end here; their densities are below e^-40
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -126,21 +125,8 @@ def check_fisher_monotone(frame: FrameEnsemble, sigma: float = 4.0,
                           notes="consecutive r increments,")
 
 
-def _gauss_window(lo: float, hi: float) -> tuple[float, float]:
-    """(log(Phi(hi) - Phi(lo)), (phi(hi) - phi(lo)) / (Phi(hi) - Phi(lo))) for lo < hi.
-
-    The difference is taken in the lower tail, where log_ndtr keeps precision.
-    """
-    a, b = (hi, lo) if lo <= 0.0 else (-lo, -hi)
-    log_a = log_ndtr(a)
-    log_d = log_a + math.log(-math.expm1(log_ndtr(b) - log_a))
-    ratio = (math.exp(-0.5 * hi * hi - log_d - _LOG_SQRT_2PI)
-             - math.exp(-0.5 * lo * lo - log_d - _LOG_SQRT_2PI))
-    return log_d, ratio
-
-
 def _closed_marginal(factor, r: float):
-    """y -> (log f(y), f'(y) / f(y)) for the law of r X + s Z, or None.
+    """y -> (log f(y), f'(y) / f(y)) for the law of r X + s Z.
 
     X ~ ``factor``, s = sqrt(r (1 - r)).  A piece exp(k - c x^2/2 - b x) on
     [lo, hi] convolves with the Gaussian in closed form: with q = c s^2 + r^2,
@@ -152,18 +138,15 @@ def _closed_marginal(factor, r: float):
 
     with ratio the Phi-window's (phi(hi) - phi(lo)) / (Phi(hi) - Phi(lo)),
     and several pieces add.  The formula comes from the convolution, not from
-    the tilt, so a wrong closed tilt cannot cancel against it.  Factors
-    without pieces (today only ``ballmarg``) return None.
+    the tilt, so a wrong closed tilt cannot cancel against it.
     """
-    if not factor.pieces:
-        return None
     s2 = r * (1.0 - r)
 
     def piece(y, c, b, lo, hi, k):
         q = c * s2 + r * r
         root_p = math.sqrt(q / s2)
         mu = (r * y - b * s2) / q
-        log_d, ratio = _gauss_window(root_p * (lo - mu), root_p * (hi - mu))
+        log_d, ratio = gauss_window(root_p * (lo - mu), root_p * (hi - mu))
         return (k + (-c * y * y - 2.0 * r * b * y + b * b * s2) / (2.0 * q)
                 - 0.5 * math.log(q) + log_d,
                 -(c * y + r * b) / q - ratio * r / (s2 * root_p))
@@ -177,50 +160,18 @@ def _closed_marginal(factor, r: float):
     return marginal
 
 
-def _nested_integrand(factor, r: float):
-    """Fisher integrand of nu_r by nested quadrature, for factors with no closed form.
-
-    Slow but independent of the tilt machinery: both the density of
-    r X + sqrt(r (1 - r)) Z and its derivative are computed as raw
-    convolution integrals against the factor density.
-    """
-    s = math.sqrt(r * (1.0 - r))
-    s2 = s * s
-    lo_u = max(factor.lo, -_U_CUT)
-    hi_u = min(factor.hi, _U_CUT)
-    norm = 1.0 / math.sqrt(2.0 * math.pi * s2)
-
-    def kernel(y, u, moment):
-        z = (y - r * u) / s
-        base = norm * math.exp(-0.5 * z * z + factor.log_density(u))
-        if moment == 0:
-            return base
-        return base * (r * u - y) / s2  # d/dy of the Gaussian kernel
-
-    def integrand(y):
-        f, _ = quad(lambda u: kernel(y, u, 0), lo_u, hi_u, **_QUAD_KW)
-        if f < 1e-280:
-            return 0.0
-        df, _ = quad(lambda u: kernel(y, u, 1), lo_u, hi_u, **_QUAD_KW)
-        return (df / f + y / r) ** 2 * f
-
-    return integrand
-
-
 def _factor_fisher(factor, r: float) -> tuple[float, float]:
     """(J(nu_r || N(0, r)), quad's error estimate) for one 1D factor."""
     s = math.sqrt(r * (1.0 - r))
     dens = _closed_marginal(factor, r)
-    if dens is None:
-        integrand = _nested_integrand(factor, r)
-    else:
-        def integrand(y):
-            log_f, score = dens(y)
-            return (score + y / r) ** 2 * math.exp(log_f)
+
+    def integrand(y):
+        log_f, score = dens(y)
+        return (score + y / r) ** 2 * math.exp(log_f)
     # images of the factor's kinks: its support ends, and 0 for laplace
     kinks = sorted({r * u for u in (factor.lo, 0.0, factor.hi) if math.isfinite(u)})
-    lo_y = r * max(factor.lo, -_U_CUT) - 10.0 * s
-    hi_y = r * min(factor.hi, _U_CUT) + 10.0 * s
+    lo_y = r * max(factor.lo, -U_CUT) - 10.0 * s
+    hi_y = r * min(factor.hi, U_CUT) + 10.0 * s
     return quad(integrand, lo_y, hi_y, points=kinks, **_QUAD_KW)
 
 
@@ -237,6 +188,7 @@ def marginal_fisher_information(spec: MeasureSpec, r: float) -> EstimatorResult:
         return EstimatorResult(0.0, 0.0, method="closed form")
     if spec.factors is None:
         raise InputValidationError("quadrature route needs a product (or Gaussian) measure")
+    require_pieces(spec.factors, "the Fisher quadrature")
     parts = [_factor_fisher(f, r) for f in spec.factors]
     return EstimatorResult(sum(v for v, _ in parts), sum(e for _, e in parts),
                            method="quadrature")
@@ -267,9 +219,7 @@ def check_fisher_identity(frame: FrameEnsemble, indices=None,
                          notes=f"mc={cur.value[k]:.6g} quad={j_quad.value:.6g}"))
     if not subs:
         raise InputValidationError("no interior r values to check")
-    worst = max(subs, key=lambda s: s.statistic - s.tolerance)
-    return gate("fisher-identity", worst.statistic, worst.tolerance, worst.stderr,
-                notes=f"{len(subs)} r values", sub=tuple(subs))
+    return composite_gate("fisher-identity", subs, notes=f"{len(subs)} r values")
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +273,7 @@ def check_gamma_properties(frame: FrameEnsemble, sigma: float = 4.0,
     subs.append(entrywise_gate("gamma-spectral-bound", spectral_margin(gamma, r), 1e-6,
                                notes="pathwise r * lambda_max <= 1,"))
 
-    worst = max(subs, key=lambda s: s.statistic - s.tolerance)
-    return gate("gamma-properties", worst.statistic, worst.tolerance, worst.stderr,
-                notes=f"{len(subs)} properties", sub=tuple(subs))
+    return composite_gate("gamma-properties", subs, notes=f"{len(subs)} properties")
 
 
 def check_xr_law(frame: FrameEnsemble, seed: int, r: float = 0.5,
@@ -363,5 +311,4 @@ def check_xr_law(frame: FrameEnsemble, seed: int, r: float = 0.5,
     r_ks = gate("xr-ks", float(-pvals[worst]), float(-ks_level),
                 notes=f"min p-value {pvals[worst]:.4f} at r={rk:.4g}, level {ks_level}")
 
-    return gate("xr-law", r_cov.statistic, r_cov.tolerance, r_cov.stderr,
-                notes=f"n_paths={m}", sub=(r_mean, r_cov, r_ks))
+    return composite_gate("xr-law", (r_mean, r_cov, r_ks), notes=f"n_paths={m}")

@@ -37,7 +37,7 @@ from .measures import (BallMarginalFactor, BallSpec, GaussianSpec, MeasureSpec,
                        ProductSpec, SubspaceBasis,
                        DEFAULT_CATALOG, parse_measure_id)
 from .numerics import jackknife_se
-from .reports import EstimatorResult, LemmaReport, gate
+from .reports import EstimatorResult, LemmaReport, composite_gate, gate
 
 GAUSSIAN_L = 1.0 / math.sqrt(2.0 * math.pi * math.e)
 
@@ -76,9 +76,8 @@ def isotropic_constant(spec: MeasureSpec) -> IsotropicConstantReport:
                     notes=f"L={l_val:.8g} <= f(0)-pin={mid:.8g}")
     high_side = gate("sandwich-upper", mid - math.e * l_val, tol * math.e, stderr=0.0,
                      notes=f"f(0)-pin={mid:.8g} <= e*L={math.e * l_val:.8g}")
-    worst = max((low_side, high_side), key=lambda s: s.statistic - s.tolerance)
-    sandwich = gate("density-sandwich", worst.statistic, worst.tolerance, worst.stderr,
-                    notes="L <= f(0)-pin <= e*L", sub=(low_side, high_side))
+    sandwich = composite_gate("density-sandwich", (low_side, high_side),
+                              notes="L <= f(0)-pin <= e*L")
 
     lower = gate("l-lower-bound", GAUSSIAN_L - 1e-9 - l_val, 0.0,
                  stderr=0.0, notes=f"floor (2 pi e)^(-1/2) = {GAUSSIAN_L:.8g}")

@@ -34,7 +34,7 @@ from . import covariance, streams
 from .errors import InputValidationError
 from .measures import MeasureSpec
 from .numerics import jackknife_se, ks_pvalues
-from .reports import LemmaReport, derivative_gate, entrywise_gate, gate, info
+from .reports import LemmaReport, composite_gate, derivative_gate, entrywise_gate, gate, info
 from .tilt import tilt_table
 
 MAX_STEP_RATIO = 1.5
@@ -210,7 +210,6 @@ class EnsembleStats:
     r: np.ndarray
     n_paths: int
     dim: int
-    mean_cov: np.ndarray          # (K, n, n)  E A_t
     mean_decomp: np.ndarray       # (K, n, n)  E[A + a (x) a]
     se_decomp: np.ndarray
     mean_tr_cov: np.ndarray       # (K,)
@@ -236,12 +235,10 @@ def ensemble_stats(ensemble: PathEnsemble) -> EnsembleStats:
     mean_decomp, se_decomp = covariance.outer_mean_se(a, a, cov)
     tr_cov = covariance.trace(cov)
     tr_cov_sq = covariance.trace(covariance.square(cov))
-    mean_cov = cov.mean(axis=0, keepdims=True)
-    eig_min, eig_max = covariance.eig_extremes(mean_cov)
+    eig_min, eig_max = covariance.eig_extremes(cov.mean(axis=0, keepdims=True))
 
     return EnsembleStats(
         t=ensemble.grid.points, r=ensemble.grid.r_points, n_paths=m, dim=n,
-        mean_cov=covariance.dense(mean_cov)[0],
         mean_decomp=mean_decomp, se_decomp=se_decomp,
         mean_tr_cov=tr_cov.mean(axis=0), se_tr_cov=jackknife_se(tr_cov, axis=0),
         mean_tr_cov_sq=tr_cov_sq.mean(axis=0), se_tr_cov_sq=jackknife_se(tr_cov_sq, axis=0),
@@ -280,8 +277,8 @@ def check_derivative_identity(ensemble: PathEnsemble, sigma: float = 4.0,
     mat = derivative_gate("derivative-identity", cov, t, -cov_sq, sigma, atol)
     tr = derivative_gate("derivative-identity-trace", covariance.trace(cov), t,
                          -covariance.trace(cov_sq), sigma, atol)
-    return gate("derivative-identity", mat.statistic, mat.tolerance, mat.stderr,
-                notes=f"interior times {len(t) - 2}", sub=(mat, tr))
+    return composite_gate("derivative-identity", (mat, tr),
+                          notes=f"interior times {len(t) - 2}")
 
 
 def spectral_margin(mats: np.ndarray, clock: np.ndarray) -> np.ndarray:
@@ -395,6 +392,5 @@ def check_driver_equivalence(spec: MeasureSpec, seed: int, t_max: float = 1.0,
     r_ks = gate("driver-equivalence-ks", float(-pvals[worst]), float(-ks_level),
                 notes=f"min p-value {pvals[worst]:.4f} (coordinate {worst}), level {ks_level}")
 
-    return gate("driver-equivalence", r_mean.statistic, r_mean.tolerance, r_mean.stderr,
-                notes=f"dt={t_max / n_steps:g}, n_paths={n_paths}",
-                sub=(r_mean, r_var, r_ks))
+    return composite_gate("driver-equivalence", (r_mean, r_var, r_ks),
+                          notes=f"dt={t_max / n_steps:g}, n_paths={n_paths}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import betaln, exp1, gammaln, ndtr, xlogy
+from scipy.special import betaln, gammaln, ndtr, xlogy
 
 from .errors import InputValidationError, SingularCovariance, UnknownMeasureError
 from .numerics import radial_tilt_moments, trunc_normal_moments
@@ -50,9 +50,11 @@ class Factor1D:
     A closed-form factor lists its density as ``pieces``, tuples
     (c, b, lo, hi, k) that each mean exp(k - c x^2/2 - b x) on [lo, hi] with
     c >= 0.  The density, the tilted mode, the t = 0 decay rates and the
-    tilt all follow from them.  A factor without pieces overrides the density
-    and the tilt; its rates default to (inf, inf), as for any bounded
-    support.
+    tilt all follow from them, and so do the sum law behind the EPI deficit
+    and the Fisher information of r X + sqrt(r (1 - r)) Z.  A factor without
+    pieces overrides the density and the tilt; its rates default to
+    (inf, inf), as for any bounded support, and it has no deficit or Fisher
+    route (`require_pieces`).
     """
 
     tag = ""
@@ -127,10 +129,6 @@ class Factor1D:
         mean = (weights * means).sum(axis=0)
         return log_z, mean, (weights * (variances + (means - mean) ** 2)).sum(axis=0)
 
-    def sum_entropy(self) -> float | None:
-        """Closed-form entropy of (X + X')/sqrt(2) when one exists."""
-        return None
-
 
 class GaussianFactor(Factor1D):
     tag = "gaussian"
@@ -141,9 +139,6 @@ class GaussianFactor(Factor1D):
 
     def entropy(self):
         return GAUSSIAN_ENTROPY_RATE
-
-    def sum_entropy(self):
-        return GAUSSIAN_ENTROPY_RATE  # Gaussian is stable under this convolution
 
 
 class UniformFactor(Factor1D):
@@ -166,10 +161,6 @@ class UniformFactor(Factor1D):
     def entropy(self):
         return math.log(2.0 * self.half_width)
 
-    def sum_entropy(self):
-        # (X + X')/sqrt(2) is triangular with half-width w*sqrt(2)
-        return 0.5 + math.log(self.half_width * math.sqrt(2.0))
-
 
 class ExpFactor(Factor1D):
     """Centered standard exponential: density e^{-(x+1)} on [-1, inf)."""
@@ -183,10 +174,6 @@ class ExpFactor(Factor1D):
 
     def entropy(self):
         return 1.0
-
-    def sum_entropy(self):
-        # X + X' is a shifted Gamma(2): entropy 1 + euler_gamma
-        return 1.0 + np.euler_gamma - 0.5 * math.log(2.0)
 
 
 class LaplaceFactor(Factor1D):
@@ -202,12 +189,6 @@ class LaplaceFactor(Factor1D):
 
     def entropy(self):
         return 1.0 + math.log(2.0 * self.scale)
-
-    def sum_entropy(self):
-        # X + X' has density e^{-w} (1 + w) / (4b) at w = |z|/b; integrating
-        # -g log g over w gives 1 + log(4b) - e E1(1) / 2
-        return (1.0 + math.log(4.0 * self.scale) - 0.5 * math.e * exp1(1.0)
-                - 0.5 * math.log(2.0))
 
 
 class TruncGaussFactor(Factor1D):
@@ -285,6 +266,14 @@ class BallMarginalFactor(Factor1D):
             theta.ravel(), t, self.radius, lambda gap: xlogy(self.exponent, gap))
         return ((log_int - self._log_norm).reshape(theta.shape), mean.reshape(theta.shape),
                 var.reshape(theta.shape))
+
+
+def require_pieces(factors, route: str) -> None:
+    """Raise InputValidationError naming the first factor without pieces."""
+    for f in factors:
+        if not f.pieces:
+            raise InputValidationError(
+                f"{route} needs truncated-Gaussian pieces; factor {f.tag!r} has none")
 
 
 _FACTORY = {

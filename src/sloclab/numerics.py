@@ -1,7 +1,7 @@
-"""Shared numerical kernels: truncated-normal algebra, the radial
-Gauss-Legendre rule for ball tilts, standard errors of ensemble means,
-the exact two-sample Kolmogorov-Smirnov p-value, non-uniform finite
-differences.
+"""Shared numerical kernels: truncated-normal algebra and the Gaussian
+window, the radial Gauss-Legendre rule for ball tilts, standard errors of
+ensemble means, the exact two-sample Kolmogorov-Smirnov p-value,
+non-uniform finite differences and the trapezoid's step-halving budget.
 
 The truncated-normal kernel is the workhorse of the closed-form tilt route.
 All branches are arranged so that no exponent is ever positive and same-sign
@@ -11,6 +11,8 @@ hundred.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr
 
@@ -19,6 +21,8 @@ _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+U_CUT = 40.0   # unbounded factor supports end here; their densities are below e^-40
 
 
 def _phi(z):
@@ -119,6 +123,19 @@ def trunc_normal_moments(m, s, lo, hi):
     mean = m + s * r1
     var = np.maximum(s * s * (1.0 + r2 - r1 * r1), 0.0)
     return log_mass.reshape(shape), mean.reshape(shape), var.reshape(shape)
+
+
+def gauss_window(lo: float, hi: float) -> tuple[float, float]:
+    """(log(Phi(hi) - Phi(lo)), (phi(hi) - phi(lo)) / (Phi(hi) - Phi(lo))) for lo < hi.
+
+    The difference is taken in the lower tail, where log_ndtr keeps precision.
+    """
+    a, b = (hi, lo) if lo <= 0.0 else (-lo, -hi)
+    log_a = log_ndtr(a)
+    log_d = log_a + math.log(-math.expm1(log_ndtr(b) - log_a))
+    ratio = (math.exp(-0.5 * hi * hi - log_d - _LOG_SQRT_2PI)
+             - math.exp(-0.5 * lo * lo - log_d - _LOG_SQRT_2PI))
+    return log_d, ratio
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
@@ -222,6 +239,28 @@ def ks_pvalues(a, b) -> np.ndarray:
     return out
 
 
+def trapezoid_budget(curve: np.ndarray, x: np.ndarray) -> float:
+    """Step-halving error estimate of ``trapezoid(curve, x)``.
+
+    The coarse rule keeps every other node and the last one; the trapezoid
+    error is second order, so the fine rule's error is about a third of the
+    difference of the two.
+    """
+    coarse = sorted(set(range(0, len(x), 2)) | {len(x) - 1})
+    return abs(float(trapezoid(curve, x)) - float(trapezoid(curve[coarse], x[coarse]))) / 3.0
+
+
+def _stencil(y: np.ndarray, x: np.ndarray, stride: int) -> np.ndarray:
+    """Three-point derivative along axis 0 from nodes i - stride, i, i + stride."""
+    h1 = x[stride:-stride] - x[:-2 * stride]
+    h2 = x[2 * stride:] - x[stride:-stride]
+    pad = (slice(None),) + (None,) * (y.ndim - 1)
+    h1p, h2p = h1[pad], h2[pad]
+    num = (h1p**2 * y[2 * stride:] + (h2p**2 - h1p**2) * y[stride:-stride]
+           - h2p**2 * y[:-2 * stride])
+    return num / (h1p * h2p * (h1p + h2p))
+
+
 def central_difference(y: np.ndarray, x: np.ndarray, axis: int = 0) -> np.ndarray:
     """Three-point derivative of y(x) at interior nodes of a non-uniform grid.
 
@@ -229,14 +268,7 @@ def central_difference(y: np.ndarray, x: np.ndarray, axis: int = 0) -> np.ndarra
     shaped like y with the ``axis`` dimension shortened by 2.
     """
     y = np.moveaxis(np.asarray(y, float), axis, 0)
-    x = np.asarray(x, float)
-    h1 = x[1:-1] - x[:-2]
-    h2 = x[2:] - x[1:-1]
-    pad = (slice(None),) + (None,) * (y.ndim - 1)
-    h1p, h2p = h1[pad], h2[pad]
-    num = h1p**2 * y[2:] + (h2p**2 - h1p**2) * y[1:-1] - h2p**2 * y[:-2]
-    d = num / (h1p * h2p * (h1p + h2p))
-    return np.moveaxis(d, 0, axis)
+    return np.moveaxis(_stencil(y, np.asarray(x, float), 1), 0, axis)
 
 
 def fd_error_budget(mean_y: np.ndarray, x: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -244,40 +276,17 @@ def fd_error_budget(mean_y: np.ndarray, x: np.ndarray, axis: int = 0) -> np.ndar
 
     Step-doubling Richardson: the stride-2 stencil shares the leading
     f''' h1 h2 / 6 error with a larger h1 h2, so the difference of the two
-    derivatives calibrates the constant.  Edge interior nodes (no stride-2
-    stencil) inherit the nearest estimate.
+    derivatives calibrates the constant.  Nodes 1 and K - 2 have no stride-2
+    stencil and copy their neighbour's estimate.  Non-finite data stay
+    non-finite, so a gate that reads the budget FAILs on them.
     """
     x = np.asarray(x, float)
-    k = len(x)
-    if k < 5:
+    if len(x) < 5:
         raise ValueError("need at least 5 grid points for an error budget")
-    d_fine = central_difference(mean_y, x, axis=axis)
-    y_m = np.moveaxis(np.asarray(mean_y, float), axis, 0)
-    d_coarse = central_difference(y_m[::2], x[::2], axis=0)  # nodes 2, 4, ...
-    # also the odd-offset coarse stencil: nodes 3, 5, ...
-    d_coarse_odd = central_difference(y_m[1::2], x[1::2], axis=0)
-
-    h1 = x[1:-1] - x[:-2]
-    h2 = x[2:] - x[1:-1]
-    prod_fine = h1 * h2
-
-    budget = np.full(np.moveaxis(d_fine, axis, 0).shape, np.nan)
-    d_fine_m = np.moveaxis(d_fine, axis, 0)
-
-    xe = x[::2]
-    ph_even = (xe[1:-1] - xe[:-2]) * (xe[2:] - xe[1:-1])
-    for j, node in enumerate(range(2, k - 2, 2)):
-        scale = prod_fine[node - 1] / max(ph_even[j] - prod_fine[node - 1], 1e-300)
-        budget[node - 1] = np.abs(d_fine_m[node - 1] - d_coarse[j]) * scale
-    xo = x[1::2]
-    ph_odd = (xo[1:-1] - xo[:-2]) * (xo[2:] - xo[1:-1])
-    for j, node in enumerate(range(3, k - 2, 2)):
-        scale = prod_fine[node - 1] / max(ph_odd[j] - prod_fine[node - 1], 1e-300)
-        budget[node - 1] = np.abs(d_fine_m[node - 1] - d_coarse_odd[j]) * scale
-
-    # fill edges with nearest computed budget
-    valid = ~np.isnan(budget.reshape(budget.shape[0], -1)).any(axis=1)
-    idx = np.where(valid)[0]
-    for node in np.where(~valid)[0]:
-        budget[node] = budget[idx[np.argmin(np.abs(idx - node))]]
-    return np.moveaxis(budget, 0, axis)
+    y = np.moveaxis(np.asarray(mean_y, float), axis, 0)
+    pad = (slice(None),) + (None,) * (y.ndim - 1)
+    prod_fine = ((x[1:-1] - x[:-2]) * (x[2:] - x[1:-1]))[1:-1]    # nodes 2 .. K-3
+    prod_coarse = (x[2:-2] - x[:-4]) * (x[4:] - x[2:-2])
+    scale = prod_fine / np.maximum(prod_coarse - prod_fine, 1e-300)
+    budget = np.abs(_stencil(y, x, 1)[1:-1] - _stencil(y, x, 2)) * scale[pad]
+    return np.moveaxis(np.concatenate([budget[:1], budget, budget[-1:]]), 0, axis)

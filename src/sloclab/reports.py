@@ -84,11 +84,31 @@ def gate(check_id: str, gap: float, tolerance: float, stderr: float = 0.0,
                        float(tolerance), notes, tuple(sub))
 
 
+def composite_gate(check_id: str, subs, notes: str = "") -> LemmaReport:
+    """`gate` over sub-reports, headlined by one of its gated parts.
+
+    The headline is the first gated part that FAILs, or else the one with
+    the largest ``statistic - tolerance``, so a FAIL line always shows the
+    comparison that failed and a PASS line the tightest margin.
+    """
+    gated = [s for s in subs if s.verdict != INFO]
+    failing = [s for s in gated if s.failed]
+    head = failing[0] if failing else max(gated, key=lambda s: s.statistic - s.tolerance)
+    return gate(check_id, head.statistic, head.tolerance, head.stderr, notes=notes,
+                sub=tuple(subs))
+
+
 def entrywise_gate(check_id: str, gap, tol, se=None, notes: str = "") -> LemmaReport:
-    """`gate` at the entry where ``gap - tol`` is largest; ``notes`` gains its index."""
+    """`gate` at the entry where ``gap - tol`` is largest; ``notes`` gains its index.
+
+    A non-finite gap, and after it a non-finite tolerance, outranks every
+    margin, so the report names the entry that made it FAIL.
+    """
     gap = np.asarray(gap, float)
     tol = np.broadcast_to(np.asarray(tol, float), gap.shape)
-    worst = np.unravel_index(np.argmax(gap - tol), gap.shape)
+    rank = 2 * ~np.isfinite(gap) + ~np.isfinite(tol)
+    worst = np.unravel_index(np.argmax(rank) if rank.any() else np.argmax(gap - tol),
+                             gap.shape)
     stderr = 0.0 if se is None else float(np.broadcast_to(se, gap.shape)[worst])
     where = f" worst at index {tuple(int(v) for v in worst)}"
     return gate(check_id, float(gap[worst]), float(tol[worst]), stderr=stderr,

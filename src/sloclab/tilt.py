@@ -38,8 +38,7 @@ from scipy.special import gammainc, xlogy
 
 from . import covariance, streams
 from .errors import DivergentTilt, InputValidationError
-from .measures import (BallMarginalFactor, BallSpec, GaussianFactor, GaussianSpec,
-                       MeasureSpec, ProductSpec)
+from .measures import BallMarginalFactor, BallSpec, GaussianSpec, MeasureSpec, ProductSpec
 from .numerics import jackknife_se, radial_tilt_moments
 from .reports import LemmaReport, gate
 
@@ -199,8 +198,6 @@ def factor_tilt_quadrature(f, t: float, theta: float):
 def tilt_moments_quadrature(spec: MeasureSpec, t: float, theta) -> TiltState:
     """Per-factor adaptive quadrature; defined for coordinate products."""
     theta = _validate(spec, t, theta)
-    if isinstance(spec, GaussianSpec):
-        spec = ProductSpec([GaussianFactor() for _ in range(spec.dim)])
     if spec.factors is None:
         raise InputValidationError("quadrature route needs a coordinate product")
     if t == 0.0:

@@ -24,6 +24,8 @@ from sloclab.follmer import (
 from sloclab.localization import make_geometric, simulate_ensemble
 from sloclab.measures import (
     SQRT3,
+    BallMarginalFactor,
+    ProductSpec,
     make_ball,
     make_cube,
     make_factor,
@@ -134,6 +136,8 @@ def test_marginal_fisher_validation():
         marginal_fisher_information(make_cube(1), 1.0)
     with pytest.raises(InputValidationError, match="product"):
         marginal_fisher_information(make_ball(2), 0.5)
+    with pytest.raises(InputValidationError, match="'ballmarg' has none"):
+        marginal_fisher_information(ProductSpec([BallMarginalFactor(3)]), 0.5)
 
 
 def test_marginal_fisher_factorizes():
@@ -270,6 +274,17 @@ def test_gamma_derivative_flags_scaled_time(cube2_frame):
     assert {s.check_id: s for s in rep.sub}["gamma-derivative"].failed
 
 
+def test_gamma_derivatives_fail_on_a_non_finite_path(cube2_frame):
+    gamma = cube2_frame.gamma.copy()
+    gamma[0, :, 0] = np.nan
+    rep = check_gamma_properties(dataclasses.replace(cube2_frame, gamma=gamma))
+    subs = {s.check_id: s for s in rep.sub}
+    for check_id in ("score-energy-derivative", "gamma-derivative"):
+        assert subs[check_id].failed
+        assert "non-finite" in subs[check_id].notes
+    assert rep.failed and not rep.statistic <= rep.tolerance
+
+
 def test_xr_law_passes(cube2_frame):
     rep = check_xr_law(cube2_frame, seed=11)
     assert not rep.failed
@@ -284,6 +299,15 @@ def test_xr_law_ks_fails_on_nan(cube2_frame):
     assert ks.failed
     assert "non-finite statistic" in ks.notes
     assert rep.failed
+
+
+def test_xr_law_headlines_the_failing_ks_part(cube2_frame):
+    # a KS p-value below the level FAILs xr-law, and the headline shows it
+    rep = check_xr_law(cube2_frame, seed=11, ks_level=1.0)
+    ks = next(s for s in rep.sub if s.check_id == "xr-ks")
+    assert ks.failed and rep.failed
+    assert (rep.statistic, rep.tolerance) == (ks.statistic, ks.tolerance)
+    assert rep.statistic > rep.tolerance
 
 
 def test_xr_law_needs_spec():

@@ -13,10 +13,10 @@
 * Nothing in ``src/`` compares against a ``.tag`` attribute: a factor's
   behaviour follows from its data (its ``pieces``), never from branching on
   its name.
-* Nothing in ``src/`` imports ``scipy.stats``, and a fresh
-  ``import sloclab.cli`` loads neither ``scipy.stats`` nor ``scipy.signal``:
-  together they cost about 0.7 s of start-up that no command needs
-  (``scipy.signal`` is imported inside the one function that uses it).
+* Nothing in ``src/`` imports ``scipy.stats`` or ``scipy.signal``, and a
+  fresh ``import sloclab.cli`` loads neither: together they cost about 0.7 s
+  of start-up that no command needs (the EPI deficit of a product is one
+  quadrature of its closed sum density, not an FFT convolution).
 * Nothing in ``src/`` imports ``concurrent.futures``, and no library
   function takes a sampling or threading knob (``workers``, ``n_samples``,
   ``tilt_samples``, ``rng_for``, ``stream``): every tilt is exact and runs in
@@ -110,17 +110,17 @@ def tag_comparisons(tree: ast.Module) -> list:
                           for side in [node.left, *node.comparators]))
 
 
-def scipy_stats_imports(tree: ast.Module) -> list:
-    """(line, module) of every import of ``scipy.stats`` or one of its submodules."""
-    def is_stats(name):
-        return name == "scipy.stats" or name.startswith("scipy.stats.")
+def scipy_imports(tree: ast.Module, sub: str) -> list:
+    """(line, module) of every import of ``scipy.<sub>`` or one of its submodules."""
+    def is_sub(name):
+        return name == f"scipy.{sub}" or name.startswith(f"scipy.{sub}.")
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            out += [(node.lineno, a.name) for a in node.names if is_stats(a.name)]
+            out += [(node.lineno, a.name) for a in node.names if is_sub(a.name)]
         elif isinstance(node, ast.ImportFrom) and not node.level:
             out += [(node.lineno, f"{node.module}.{a.name}") for a in node.names
-                    if is_stats(node.module) or is_stats(f"{node.module}.{a.name}")]
+                    if is_sub(node.module) or is_sub(f"{node.module}.{a.name}")]
     return sorted(out)
 
 
@@ -179,7 +179,11 @@ def test_no_branching_on_factor_tags():
 
 
 def test_no_scipy_stats_in_package():
-    assert _scan(PACKAGE, scipy_stats_imports) == []
+    assert _scan(PACKAGE, lambda tree: scipy_imports(tree, "stats")) == []
+
+
+def test_no_scipy_signal_in_package():
+    assert _scan(PACKAGE, lambda tree: scipy_imports(tree, "signal")) == []
 
 
 def test_no_concurrent_futures_in_package():
@@ -264,8 +268,9 @@ def test_scanners_flag_what_they_look_for():
                       "from scipy.special import ndtr\n"
                       "from .stats import summary\n"
                       "import scipy.statsmodels\n")
-    assert scipy_stats_imports(stats) == [(1, "scipy.stats"), (2, "scipy.stats.mstats"),
-                                          (3, "scipy.stats"), (4, "scipy.stats.ks_2samp")]
+    assert scipy_imports(stats, "stats") == [(1, "scipy.stats"), (2, "scipy.stats.mstats"),
+                                             (3, "scipy.stats"), (4, "scipy.stats.ks_2samp")]
+    assert scipy_imports(stats, "signal") == [(3, "scipy.signal")]
     futures = ast.parse("from concurrent.futures import ThreadPoolExecutor\n"
                         "import concurrent.futures as cf\n"
                         "from .concurrent import pool\n"

@@ -5,16 +5,17 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import exp1
 
 from sloclab import streams
 from sloclab.errors import InputValidationError
 from sloclab.follmer import to_follmer
 from sloclab.infotheory import (
     CLOSED_FORM,
-    GRID_CONVOLUTION,
     LENS_QUADRATURE,
+    SUM_QUADRATURE,
     _ball_sum_density,
-    _factor_grid_deficit,
+    _sum_log_density,
     de_bruijn_check,
     deficit_chain_audit,
     deficit_lower_bound,
@@ -25,12 +26,14 @@ from sloclab.localization import make_geometric, simulate_ensemble
 from sloclab.measures import (
     DEFAULT_CATALOG,
     GAUSSIAN_ENTROPY_RATE,
+    SQRT3,
     AffineImageSpec,
-    LaplaceFactor,
+    BallMarginalFactor,
     ProductSpec,
     UniformFactor,
     make_ball,
     make_cube,
+    make_factor,
     make_gaussian,
     make_product,
     parse_measure_id,
@@ -135,7 +138,7 @@ def test_epi_deficit_uniform_pin():
     # (X1+X2)/sqrt 2 is triangular: delta = 1/2 - ln(2)/2 per coordinate
     rep = epi_deficit(make_cube(1))
     pin = 0.5 - 0.5 * math.log(2.0)
-    assert rep.delta.method == CLOSED_FORM
+    assert rep.delta.method == SUM_QUADRATURE
     assert rep.delta.value == pytest.approx(pin, abs=1e-12)
     assert rep.delta.value == pytest.approx(0.1534264, abs=5e-7)
     rep3 = epi_deficit(make_cube(3))
@@ -149,10 +152,28 @@ def test_epi_deficit_exp_pin():
     assert not rep.bounds.failed
 
 
-def test_epi_deficit_laplace_grid_vs_closed_density():
+def test_epi_deficit_matches_closed_sum_entropies():
+    # Ent((X + X')/sqrt 2) in closed form: the Gaussian is stable, the
+    # uniform's sum is triangular with half-width w sqrt 2, exp's is a shifted
+    # Gamma(2), and Laplace(b)'s has density e^{-w} (1 + w)/(4b) at w = |z|/b,
+    # whose entropy is 1 + log(4b) - e E1(1)/2
+    b = make_factor("laplace").scale
+    sum_entropy = {
+        "gaussian": GAUSSIAN_ENTROPY_RATE,
+        "uniform": 0.5 + math.log(SQRT3 * math.sqrt(2.0)),
+        "exp": 1.0 + EULER_GAMMA - 0.5 * math.log(2.0),
+        "laplace": 1.0 + math.log(4.0 * b) - 0.5 * math.e * exp1(1.0) - 0.5 * math.log(2.0),
+    }
+    for tag, h_sum in sum_entropy.items():
+        rep = epi_deficit(make_product(tag))
+        assert rep.delta.value == pytest.approx(h_sum - make_factor(tag).entropy(), abs=1e-12)
+        assert 0.0 <= rep.delta.stderr < 1e-10
+        assert not rep.bounds.failed
+
+
+def test_epi_deficit_laplace_matches_direct_density():
     # sum of two iid Laplace(b) draws has density e^{-|z|/b} (1 + |z|/b)/(4b);
-    # integrate it directly: the closed sum entropy serves epi_deficit, and
-    # the fft grid route stays within its discretization error of it
+    # integrate it directly
     b = 1.0 / math.sqrt(2.0)
 
     def f_sum(z):
@@ -162,18 +183,79 @@ def test_epi_deficit_laplace_grid_vs_closed_density():
     h_sum, _ = quad(lambda z: -f_sum(z) * math.log(f_sum(z)), 0.0, 60.0,
                     epsabs=1e-14, epsrel=1e-13, limit=300)
     delta_ref = (2.0 * h_sum - 0.5 * math.log(2.0)) - (1.0 + math.log(2.0 * b))
-    rep = epi_deficit(make_product("laplace"))
-    assert rep.delta.method == CLOSED_FORM
-    assert rep.delta.value == pytest.approx(delta_ref, abs=1e-10)
-    grid_route = _factor_grid_deficit(LaplaceFactor(), 1 << 14, 12.0)
-    assert grid_route == pytest.approx(delta_ref, abs=1e-6)
-    # truncgauss has no closed sum entropy, so the grid route serves it
-    assert epi_deficit(make_product("laplace,truncgauss")).delta.method == GRID_CONVOLUTION
+    assert epi_deficit(make_product("laplace")).delta.value == pytest.approx(delta_ref, abs=1e-12)
 
 
-def test_factor_grid_deficit_matches_closed_uniform():
-    grid_route = _factor_grid_deficit(UniformFactor(), 1 << 14, 12.0)
-    assert grid_route == pytest.approx(0.5 - 0.5 * math.log(2.0), abs=1e-4)
+def _nested_sum_entropy(f):
+    """Ent(X1 + X2) from the factor's log density alone: the sum density is an
+    inner adaptive quadrature of rho(x) rho(y - x), the entropy an outer one."""
+    def rho(x):
+        return math.exp(float(f.log_density(np.array(x))))
+
+    def g(y):
+        a, b = max(f.lo, y - f.hi), min(f.hi, y - f.lo)
+        if a >= b:
+            return 0.0
+        return quad(lambda x: rho(x) * rho(y - x), a, b, epsabs=1e-15, epsrel=1e-13)[0]
+
+    def integrand(y):
+        val = g(y)
+        return -val * math.log(val) if val > 0.0 else 0.0
+
+    return quad(integrand, 2.0 * f.lo, 2.0 * f.hi, points=[0.0], epsabs=1e-14,
+                epsrel=1e-13, limit=200)[0]
+
+
+def test_epi_deficit_truncgauss_matches_nested_quadrature():
+    f = make_factor("truncgauss")
+    ref = _nested_sum_entropy(f) - 0.5 * math.log(2.0) - f.entropy()
+    rep = epi_deficit(make_product("truncgauss"))
+    assert rep.delta.value == pytest.approx(ref, abs=1e-10)
+    assert 0.0 < rep.delta.stderr < 1e-10
+
+
+@pytest.mark.parametrize("tag", ["uniform", "exp", "laplace", "truncgauss"])
+def test_sum_density_matches_sampled_pairs(tag):
+    # cross-entropy of the kernel's sum density against fresh pairs X1 + X2:
+    # it equals Ent(X1 + X2) only when the density is the law of the pairs
+    f = make_factor(tag)
+    m = 1 << 16
+    rng = streams.generator(0, "factor-sum", tag)
+    log_g = np.vectorize(_sum_log_density(f.pieces))
+    vals = -log_g(f.sample(rng, m) + f.sample(rng, m))
+    se = float(vals.std(ddof=1)) / math.sqrt(m)
+    h_sum = epi_deficit(make_product(tag)).delta.value + 0.5 * math.log(2.0) + f.entropy()
+    assert h_sum == pytest.approx(float(vals.mean()), abs=4.0 * se)
+
+
+@pytest.mark.parametrize("tag", ["gaussian", "uniform", "exp", "laplace", "truncgauss"])
+def test_sum_density_moments(tag):
+    # X1 + X2 of a unit-variance, centered factor: mass 1, mean 0, variance 2
+    f = make_factor(tag)
+    log_g = _sum_log_density(f.pieces)
+    lo, hi = 2.0 * max(f.lo, -40.0), 2.0 * min(f.hi, 40.0)
+    mass, mean, second = (
+        quad(lambda y: y ** k * math.exp(log_g(y)), lo, hi, points=[0.0],
+             epsabs=1e-13, epsrel=1e-12, limit=200)[0] for k in range(3))
+    assert abs(mass - 1.0) < 1e-10
+    assert abs(mean) < 1e-10
+    assert abs(second - 2.0) < 1e-10
+
+
+def test_epi_deficit_shares_one_quadrature_per_distinct_factor():
+    one = epi_deficit(make_cube(1)).delta
+    many = epi_deficit(make_cube(32)).delta
+    assert many.value == 32.0 * one.value
+    assert many.stderr == 32.0 * one.stderr
+    mixed = epi_deficit(make_product("exp,uniform,exp")).delta
+    exp = epi_deficit(make_product("exp")).delta
+    assert mixed.value == pytest.approx(2.0 * exp.value + one.value, rel=1e-14)
+    assert "2 distinct factors" in mixed.notes
+
+
+def test_epi_deficit_needs_pieces():
+    with pytest.raises(InputValidationError, match="'ballmarg' has none"):
+        epi_deficit(ProductSpec([make_factor("exp"), BallMarginalFactor(3)]))
 
 
 def _sphere_area(n):

@@ -255,8 +255,7 @@ def test_gaussian_stats_are_deterministic_in_cov():
     assert np.ptp(ens.cov, axis=0).max() == 0.0  # A_t = Id/(1+t) on every path
     stats = ens.stats()
     tau = 1.0 + stats.t
-    for k in range(len(stats.t)):
-        assert np.allclose(stats.mean_cov[k], np.eye(3) / tau[k], atol=1e-14)
+    assert np.allclose(ens.cov.mean(axis=0), 1.0 / tau[:, None], atol=1e-14)
     assert np.allclose(stats.eig_min, 1.0 / tau, atol=1e-14)
     assert np.allclose(stats.eig_max, 1.0 / tau, atol=1e-14)
 
@@ -355,6 +354,18 @@ def test_derivative_identity_flags_non_finite_path(cube2_ensemble):
     rep = check_derivative_identity(dataclasses.replace(cube2_ensemble, cov=cov))
     assert rep.failed
     assert "non-finite statistic" in rep.notes
+
+
+def test_derivative_identity_fails_on_a_non_finite_path():
+    # every entry of one coordinate is NaN: the budget has no finite node to
+    # copy from, and the check FAILs with its reason instead of raising
+    ens = simulate_ensemble(make_cube(2), make_geometric(0.05, 20.0, 16), 64, seed=0)
+    cov = ens.cov.copy()
+    cov[0, :, 0] = np.nan
+    rep = check_derivative_identity(dataclasses.replace(ens, cov=cov))
+    assert rep.failed
+    assert "non-finite" in rep.notes
+    assert all(s.failed and "non-finite" in s.notes for s in rep.sub)
 
 
 def test_martingale_cube():

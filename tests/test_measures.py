@@ -83,21 +83,6 @@ def test_factor_closed_entropies():
     assert make_factor("laplace").entropy() == pytest.approx(1.0 + 0.5 * math.log(2.0))
 
 
-def test_factor_sum_entropies():
-    # (X + X')/sqrt(2): uniform goes triangular, exp goes Gamma(2)
-    assert make_factor("uniform").sum_entropy() == pytest.approx(0.5 + math.log(SQRT3 * math.sqrt(2.0)))
-    assert make_factor("exp").sum_entropy() == pytest.approx(1.0 + np.euler_gamma - 0.5 * math.log(2.0))
-    assert make_factor("gaussian").sum_entropy() == pytest.approx(make_factor("gaussian").entropy())
-    # X + X' for Laplace(b) has density e^{-w} (1 + w)/(4b), w = |z|/b
-    b = make_factor("laplace").scale
-    h_sum = 2.0 * quad(lambda w: -math.exp(-w) * (1.0 + w) / 4.0
-                       * math.log(math.exp(-w) * (1.0 + w) / (4.0 * b)),
-                       0.0, 80.0, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
-    assert make_factor("laplace").sum_entropy() == pytest.approx(
-        h_sum - 0.5 * math.log(2.0), abs=1e-12)
-    assert make_factor("truncgauss").sum_entropy() is None
-
-
 def test_factor_tilt_rates():
     assert make_factor("exp").tilt_rates() == (np.inf, 1.0)
     r = make_factor("laplace").tilt_rates()

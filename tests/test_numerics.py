@@ -1,16 +1,21 @@
 """Numerical kernels checked against scipy and hand-computed cases."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.stats import ks_2samp, truncnorm
 
 from sloclab.numerics import (
     central_difference,
     fd_error_budget,
+    gauss_window,
     jackknife_se,
     ks_pvalues,
+    trapezoid,
+    trapezoid_budget,
     trunc_normal_moments,
 )
 
@@ -124,6 +129,71 @@ class TestCentralDifference:
     def test_error_budget_needs_five_points(self):
         with pytest.raises(ValueError):
             fd_error_budget(np.zeros(4), np.linspace(0, 1, 4))
+
+    @pytest.mark.parametrize("shape, axis", [((41,), 0), ((41, 3), 0), ((41, 3, 3), 0),
+                                             ((3, 41), 1)])
+    def test_error_budget_matches_per_node_stencils(self, shape, axis):
+        # node by node: the fine three-point derivative against the one from
+        # (i - 2, i, i + 2), scaled by h1 h2 / (H1 H2 - h1 h2); nodes 1 and
+        # K - 2 copy their neighbour
+        rng = np.random.default_rng(3)
+        x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, 40))])
+        y = rng.standard_normal(shape)
+        got = np.moveaxis(fd_error_budget(y, x, axis=axis), axis, 0)
+        y = np.moveaxis(y, axis, 0)
+        for i in range(2, 39):
+            fine = central_difference(y[i - 1:i + 2], x[i - 1:i + 2])[0]
+            coarse = central_difference(y[i - 2:i + 3:2], x[i - 2:i + 3:2])[0]
+            h = (x[i] - x[i - 1]) * (x[i + 1] - x[i])
+            big = (x[i] - x[i - 2]) * (x[i + 2] - x[i])
+            assert np.allclose(got[i - 1], np.abs(fine - coarse) * h / (big - h),
+                               rtol=1e-12, atol=0.0)
+        assert np.array_equal(got[0], got[1]) and np.array_equal(got[-1], got[-2])
+
+    def test_error_budget_keeps_non_finite_columns(self):
+        # a NaN column stays NaN (its gate then FAILs); the others are untouched
+        x = np.linspace(0.0, 1.0, 9)
+        y = np.stack([x**3, x**3], axis=1)
+        y[:, 0] = np.nan
+        budget = fd_error_budget(y, x)
+        assert np.isnan(budget[:, 0]).all()
+        assert np.array_equal(budget[:, 1], fd_error_budget(x**3, x))
+
+
+class TestTrapezoidBudget:
+    def test_is_a_third_of_the_step_halving_change(self):
+        x = np.linspace(0.0, 1.0, 9)
+        y = np.exp(x)
+        fine = trapezoid(y, x)
+        coarse = trapezoid(y[::2], x[::2])
+        assert trapezoid_budget(y, x) == abs(fine - coarse) / 3.0
+        # the Richardson estimate tracks the fine rule's true error
+        assert trapezoid_budget(y, x) == pytest.approx(abs(fine - (math.e - 1.0)), rel=2e-3)
+
+    def test_odd_node_count_keeps_the_last_node(self):
+        x = np.linspace(0.0, 1.0, 8)
+        y = x * x
+        coarse = [0, 2, 4, 6, 7]
+        assert trapezoid_budget(y, x) == abs(trapezoid(y, x) - trapezoid(y[coarse], x[coarse])) / 3.0
+
+
+class TestGaussWindow:
+    @pytest.mark.parametrize("lo, hi", [(-1.0, 2.0), (0.5, 3.0), (-4.0, -1.0), (-np.inf, 0.3),
+                                        (1.0, np.inf), (30.0, 31.0), (-31.0, -30.0)])
+    def test_log_mass_and_ratio_match_quadrature(self, lo, hi):
+        # integrate phi over [lo, hi] scaled by phi at the end nearest 0, so
+        # that far tails do not underflow
+        pivot = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
+        scaled, _ = quad(lambda z: math.exp(-0.5 * (z * z - pivot * pivot)), lo, hi,
+                         epsabs=0.0, epsrel=1e-13)
+        log_d, ratio = gauss_window(lo, hi)
+        assert log_d == pytest.approx(math.log(scaled) - 0.5 * pivot * pivot
+                                      - 0.5 * math.log(2.0 * math.pi), rel=1e-12, abs=1e-13)
+
+        def edge(z):
+            return math.exp(-0.5 * (z * z - pivot * pivot)) if math.isfinite(z) else 0.0
+
+        assert ratio == pytest.approx((edge(hi) - edge(lo)) / scaled, rel=1e-10)
 
 
 class TestKsPvalues:

@@ -1,10 +1,12 @@
-"""Report containers: gate verdicts, including non-finite inputs."""
+"""Report containers: gate verdicts, including non-finite inputs, and the
+headline of composite reports."""
 
 import math
 
+import numpy as np
 import pytest
 
-from sloclab.reports import FAIL, PASS, gate
+from sloclab.reports import FAIL, PASS, composite_gate, entrywise_gate, gate, info
 
 
 def test_gate_finite_inputs():
@@ -28,3 +30,45 @@ def test_gate_non_finite_fails_with_reason(gap, tol, reason):
     assert rep.verdict == FAIL
     assert rep.notes == reason
     assert gate("x", gap, tol, notes="t=1").notes == f"t=1, {reason}"
+
+
+def test_composite_headlines_the_first_failing_part():
+    ok = gate("a", 0.1, 1.0)
+    tight = gate("b", 0.9, 1.0)
+    bad_first = gate("c", -0.5, -1.0)
+    bad_second = gate("d", 5.0, 1.0)
+    rep = composite_gate("all", (ok, tight, bad_first, bad_second), notes="n=4")
+    assert rep.verdict == FAIL
+    assert (rep.statistic, rep.tolerance) == (-0.5, -1.0)
+    assert rep.notes == "n=4"
+    assert rep.sub == (ok, tight, bad_first, bad_second)
+
+
+def test_composite_passes_on_the_tightest_part_and_skips_info():
+    rep = composite_gate("all", (gate("a", 0.1, 1.0), gate("b", -0.2, -0.25 + 0.1),
+                                 info("i", 99.0)))
+    assert rep.verdict == PASS
+    assert (rep.statistic, rep.tolerance) == (-0.2, -0.25 + 0.1)
+
+
+@pytest.mark.parametrize("parts", [
+    ((0.1, 1.0), (2.0, 1.0)),
+    ((-0.0057, -0.01), (0.0, 1e-9), (math.nan, 1.0)),
+    ((0.5, math.nan), (0.2, 0.1)),
+])
+def test_composite_fail_line_never_shows_a_passing_comparison(parts):
+    rep = composite_gate("all", [gate(f"p{i}", g, t) for i, (g, t) in enumerate(parts)])
+    assert rep.verdict == FAIL
+    assert not rep.statistic <= rep.tolerance
+
+
+def test_entrywise_gate_names_a_non_finite_gap_first():
+    gap = np.array([0.1, 5.0, 0.2, math.nan])
+    tol = np.array([math.nan, 1.0, 1.0, 1.0])
+    rep = entrywise_gate("e", gap, tol)
+    assert rep.verdict == FAIL
+    assert rep.notes == " worst at index (3,), non-finite statistic"
+    rep = entrywise_gate("e", gap[:3], tol[:3])
+    assert rep.notes == " worst at index (0,), non-finite tolerance"
+    rep = entrywise_gate("e", gap[1:3], tol[1:3])
+    assert rep.notes == " worst at index (0,)"
