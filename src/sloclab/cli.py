@@ -581,8 +581,9 @@ def _cmd_tilt_probe(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         states.append(("quadrature", tilt.tilt_moments_quadrature(spec, t, theta)))
     routes = [(route, f"log_z={_fmt(s.log_z)} ", s.mean, s.cov, "") for route, s in states]
     # the sample route: moments of exact draws, with the standard error of their mean
-    draws = tilt.tilt_sample_batch(spec, t, theta, streams.generator(cfg.seed, "tilt-probe"),
-                                   cfg.tilt_samples)[0]
+    draws = tilt.tilt_sample_batch(spec, t, theta[None, :],
+                                   streams.generator(cfg.seed, "tilt-probe"),
+                                   cfg.tilt_samples)[0][0]
     se_mean = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
     routes.append(("sample", "", draws.mean(axis=0), np.atleast_2d(np.cov(draws, rowvar=False)),
                    f" se_mean=({_fmt_vec(se_mean)})"))

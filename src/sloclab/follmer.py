@@ -12,7 +12,7 @@ measures this module also computes J independently of the tilts: every
 truncated-Gaussian piece exp(k - c x^2/2 - b x) on [lo, hi] of a catalog
 factor convolves with the Gaussian into one closed formula for the density
 and score of r X + sqrt(r (1 - r)) Z (a Gaussian times a Phi-window), so J
-is one scalar quadrature per factor.  A factor without pieces (``ballmarg``,
+is one scalar quadrature per factor law.  A factor without pieces (``ballmarg``,
 which only the ball's projections build) has no Fisher route and is
 rejected with its name.  The Gamma process satisfies
 
@@ -178,9 +178,9 @@ def _factor_fisher(factor, r: float) -> tuple[float, float]:
 def marginal_fisher_information(spec: MeasureSpec, r: float) -> EstimatorResult:
     """J(nu_r || N(0, r Id)) by density quadrature; nu_r = law(r X + sqrt(r(1-r)) Z).
 
-    Factorizes over coordinates for product measures; identically zero for the
-    Gaussian (nu_r is exactly N(0, r Id)).  ``stderr`` is the sum of the
-    per-factor quadrature error estimates.
+    Factorizes over coordinates for products: one quadrature per factor law,
+    counted per column; identically zero for the Gaussian (nu_r is exactly
+    N(0, r Id)).  ``stderr`` sums the per-coordinate quadrature errors.
     """
     if not 0.0 < r < 1.0:
         raise InputValidationError("need 0 < r < 1")
@@ -189,9 +189,9 @@ def marginal_fisher_information(spec: MeasureSpec, r: float) -> EstimatorResult:
     if spec.factors is None:
         raise InputValidationError("quadrature route needs a product (or Gaussian) measure")
     require_pieces(spec.factors, "the Fisher quadrature")
-    parts = [_factor_fisher(f, r) for f in spec.factors]
-    return EstimatorResult(sum(v for v, _ in parts), sum(e for _, e in parts),
-                           method="quadrature")
+    parts = [(len(cols), _factor_fisher(f, r)) for f, cols in spec.laws]
+    return EstimatorResult(sum(count * v for count, (v, _) in parts),
+                           sum(count * e for count, (_, e) in parts), method="quadrature")
 
 
 def check_fisher_identity(frame: FrameEnsemble, indices=None,

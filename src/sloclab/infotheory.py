@@ -192,8 +192,8 @@ def epi_deficit(spec: MeasureSpec, sigma: float = 4.0) -> DeficitReport:
     """EPI deficit delta(mu) = Ent((X1+X2)/sqrt 2) - Ent(X) for centered mu.
 
     Affine images take their base's deficit.  Products factorize: each
-    distinct factor's deficit is one quadrature of its closed sum density,
-    shared by the factors with equal pieces.  The ball's is one radial
+    factor law's deficit (`ProductSpec.laws`) is one quadrature of its
+    closed sum density, counted once per column.  The ball's is one radial
     quadrature.  ``stderr`` is the sum of quad's error estimates.
     """
     n = spec.dim
@@ -204,10 +204,7 @@ def epi_deficit(spec: MeasureSpec, sigma: float = 4.0) -> DeficitReport:
                                 notes="Gaussian is a fixed point of the convolution")
     elif spec.factors is not None:
         require_pieces(spec.factors, "the EPI deficit")
-        groups = {}  # factors with equal pieces share one quadrature
-        for f in spec.factors:
-            groups.setdefault(f.pieces, []).append(f)
-        parts = [(len(fs), _factor_deficit(fs[0])) for fs in groups.values()]
+        parts = [(len(cols), _factor_deficit(f)) for f, cols in spec.laws]
         delta = EstimatorResult(sum(count * d for count, (d, _) in parts),
                                 sum(count * e for count, (_, e) in parts), 0, SUM_QUADRATURE,
                                 notes=f"sum-density quadrature, {len(parts)} distinct factors")

@@ -37,7 +37,7 @@ from .measures import (BallMarginalFactor, BallSpec, GaussianSpec, MeasureSpec,
                        ProductSpec, SubspaceBasis,
                        DEFAULT_CATALOG, parse_measure_id)
 from .numerics import jackknife_se
-from .reports import EstimatorResult, LemmaReport, composite_gate, gate
+from .reports import EstimatorResult, LemmaReport, composite_gate, entrywise_gate, gate
 
 GAUSSIAN_L = 1.0 / math.sqrt(2.0 * math.pi * math.e)
 
@@ -143,10 +143,8 @@ def check_projection_domination(spec: MeasureSpec, basis: SubspaceBasis, t: floa
     exact_equality = (isinstance(spec, GaussianSpec)
                       or (spec.factors is not None and basis.is_coordinate))
     if exact_equality:
-        worst = np.unravel_index(np.argmax(np.abs(diff) - sigma * se), diff.shape)
-        subs = (gate("projection-equality", float(np.abs(diff)[worst]),
-                     float(sigma * se[worst] + atol), stderr=float(se[worst]),
-                     notes="independent blocks carry no cross-information"),)
+        subs = (entrywise_gate("projection-equality", np.abs(diff), sigma * se + atol, se,
+                               notes="independent blocks carry no cross-information,"),)
 
     return gate("projection-domination", -lam_min, slack, stderr=float(se.max()),
                 notes=f"t={t:g}, subspace dim {k}, n_paths={n_paths}", sub=subs)

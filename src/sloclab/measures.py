@@ -77,20 +77,21 @@ class Factor1D:
     def entropy(self) -> float:
         raise NotImplementedError
 
-    def tilt_mode(self, t: float, theta: float) -> float:
-        """Mode of the tilted density exp(theta x - t x^2/2) rho(x); NaN without pieces.
+    def tilt_mode(self, t: float, theta: np.ndarray) -> np.ndarray:
+        """Batched mode of the tilted density exp(theta x - t x^2/2) rho(x); NaN without pieces.
 
         Tilted, each piece peaks at (theta - b)/(t + c) clipped to [lo, hi],
         or at the end its slope points to when t + c = 0; the mode is the
         best of those points.  The tilt must have a finite mass.
         """
+        theta = np.asarray(theta, float)
         if not self.pieces:
-            return math.nan
-        modes = np.array([min(max((theta - b) / (t + c), lo), hi) if t + c
-                          else (hi if theta > b else lo)
+            return np.full(theta.shape, np.nan)
+        modes = np.stack([np.clip((theta - b) / (t + c), lo, hi) if t + c
+                          else np.where(theta > b, hi, lo)
                           for c, b, lo, hi, _ in self.pieces])
-        return float(modes[np.argmax(theta * modes - 0.5 * t * modes * modes
-                                     + self.log_density(modes))])
+        best = np.argmax(theta * modes - 0.5 * t * modes * modes + self.log_density(modes), 0)
+        return np.take_along_axis(modes, best[None], axis=0)[0]
 
     def tilt_rates(self) -> tuple[float, float]:
         """Exponential decay rates of the density at -inf / +inf.
@@ -362,7 +363,12 @@ class GaussianSpec(MeasureSpec):
 
 
 class ProductSpec(MeasureSpec):
-    """Product of independent 1D factors; covers cubes and mixed products."""
+    """Product of independent 1D factors; covers cubes and mixed products.
+
+    ``laws``: the distinct factor laws in order of first appearance, each as
+    (factor, its columns).  Equal ``pieces`` make one law; a factor without
+    pieces (``ballmarg``) is its own.  Batched routes run once per law.
+    """
 
     def __init__(self, factors, family: str = "product"):
         factors = tuple(factors)
@@ -371,6 +377,10 @@ class ProductSpec(MeasureSpec):
         self.factors = factors
         self.family = family
         self.dim = len(factors)
+        laws = {}
+        for j, f in enumerate(factors):
+            laws.setdefault(f.pieces or f, (f, []))[1].append(j)
+        self.laws = tuple((f, np.array(cols)) for f, cols in laws.values())
 
     def potential(self, x):
         x = np.asarray(x, float)

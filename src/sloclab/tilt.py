@@ -18,10 +18,10 @@ A(t, theta) of p_{t,theta} along two routes:
 `tilt_table` picks the route for a batch of thetas at one t; it is the one
 place that branches on the measure family.  Affine images have no route.
 
-`tilt_sample_batch` draws exact points of p_{t,theta} for every catalog
-family from one sampler for 1D log-concave densities
-(`sample_log_concave`): a product coordinate by coordinate, a ball through
-u, then |y| given u, then y's direction.
+`tilt_sample_batch` draws exact points of p_{t,theta} for a batch of thetas
+(m, n), as `tilt_table` takes them, from one sampler for 1D log-concave
+densities (`sample_log_concave`): a product's m n coordinates in one call,
+a ball's m rows of u, then m size rows of |y| given u, then y's direction.
 
 A t = 0 tilt is accepted only where the exponential moment is finite; the
 divergent cases raise DivergentTilt.
@@ -40,7 +40,7 @@ from . import covariance, streams
 from .errors import DivergentTilt, InputValidationError
 from .measures import BallMarginalFactor, BallSpec, GaussianSpec, MeasureSpec, ProductSpec
 from .numerics import jackknife_se, radial_tilt_moments
-from .reports import LemmaReport, gate
+from .reports import LemmaReport, entrywise_gate
 
 CLOSED_FORM = "closed_form"
 QUADRATURE = "quadrature"
@@ -60,10 +60,12 @@ class TiltState:
     method: str
 
 
-def _validate(spec: MeasureSpec, t: float, theta) -> np.ndarray:
-    theta = np.atleast_1d(np.asarray(theta, float))
-    if theta.shape != (spec.dim,):
-        raise InputValidationError(f"theta must have shape ({spec.dim},)")
+def _validate(spec: MeasureSpec, t: float, theta, batch: bool = False) -> np.ndarray:
+    """theta as floats of shape (n,), or (m, n) for a batch; t >= 0 and both finite."""
+    theta = np.asarray(theta, float) if batch else np.atleast_1d(np.asarray(theta, float))
+    if theta.ndim != (2 if batch else 1) or theta.shape[-1] != spec.dim:
+        shape = f"(m, {spec.dim})" if batch else f"({spec.dim},)"
+        raise InputValidationError(f"theta must have shape {shape}")
     if not np.isfinite(theta).all() or not np.isfinite(t):
         raise InputValidationError("t and theta must be finite")
     if t < 0:
@@ -72,11 +74,14 @@ def _validate(spec: MeasureSpec, t: float, theta) -> np.ndarray:
 
 
 def _check_rates(factors, theta) -> None:
+    """Raise DivergentTilt unless every t = 0 tilt by theta (..., n) has a finite mass."""
+    theta = np.asarray(theta, float)
     for j, f in enumerate(factors):
         left, right = f.tilt_rates()
-        if theta[j] >= right or -theta[j] >= left:
+        bad = (theta[..., j] >= right) | (-theta[..., j] >= left)
+        if bad.any():
             raise DivergentTilt(
-                f"t=0 tilt diverges on factor {j} ({f.tag}): theta={theta[j]:.3g} "
+                f"t=0 tilt diverges on factor {j} ({f.tag}): theta={theta[..., j][bad][0]:.3g} "
                 f"outside (-{left:.3g}, {right:.3g})")
 
 
@@ -99,21 +104,16 @@ def gaussian_tilt(dim: int, t: float, theta: np.ndarray):
 def product_tilt_table(spec: ProductSpec, t: float, thetas: np.ndarray):
     """Vectorized tilt moments for a batch of thetas at one t > 0.
 
-    Every factor's batched `tilt_stats` serves its column.  Returns
-    (log_z (m,), mean (m, n), var (m, n)); var is the diagonal of A, which is
-    diagonal for coordinate products.
+    Each factor law's batched `tilt_stats` serves all of its columns at
+    once.  Returns (log_z (m,), mean (m, n), var (m, n)); var is the
+    diagonal of A, which is diagonal for coordinate products.
     """
     thetas = np.asarray(thetas, float)
-    m = thetas.shape[0]
-    log_z = np.zeros(m)
-    mean = np.empty((m, spec.dim))
-    var = np.empty((m, spec.dim))
-    for j, f in enumerate(spec.factors):
-        lz, mu, v = f.tilt_stats(t, thetas[:, j])
-        log_z += lz
-        mean[:, j] = mu
-        var[:, j] = v
-    return log_z, mean, var
+    log_zs, mean, var = (np.empty((len(thetas), spec.dim)) for _ in range(3))
+    for f, cols in spec.laws:
+        log_zs[:, cols], mean[:, cols], var[:, cols] = f.tilt_stats(t, thetas[:, cols])
+    # summed in column order, so log_z does not depend on how the laws group
+    return np.cumsum(log_zs, axis=1)[:, -1], mean, var
 
 
 def _log_inside(k: int, t: float, gap):
@@ -122,6 +122,12 @@ def _log_inside(k: int, t: float, gap):
     0 when k = 0, where there is no y.
     """
     return np.log(gammainc(0.5 * k, 0.5 * t * gap)) if k else np.zeros_like(gap)
+
+
+def _directions(thetas: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """theta/|theta| (m, n) given |theta| (m,); theta = 0 is isotropic, so e_1 serves."""
+    return np.where(s[:, None] > 0.0, thetas / np.where(s > 0.0, s, 1.0)[:, None],
+                    np.eye(thetas.shape[1])[0])
 
 
 def ball_tilt_table(spec: BallSpec, t: float, thetas: np.ndarray):
@@ -141,10 +147,7 @@ def ball_tilt_table(spec: BallSpec, t: float, thetas: np.ndarray):
     radius = spec.radius
     k = n - 1
     s = np.linalg.norm(thetas, axis=1)
-    e = np.zeros_like(thetas)
-    e[:, 0] = 1.0  # theta = 0 is isotropic: any direction serves
-    moving = s > 0.0
-    e[moving] = thetas[moving] / s[moving, None]
+    e = _directions(thetas, s)
 
     if t == 0.0:
         log_z, mean_u, var_u = BallMarginalFactor(n).tilt_stats(0.0, s)
@@ -177,17 +180,13 @@ def factor_tilt_quadrature(f, t: float, theta: float):
 
     # anchor the integrand at the mode of the concave exponent
     x_star = float(_find_mode(exponent, np.array([f.lo]), np.array([f.hi]),
-                              np.array([f.tilt_mode(t, theta)]))[0])
+                              f.tilt_mode(t, np.array([theta])))[0])
     m_log = float(exponent(x_star))
 
     def h(x, k):
         return (x - x_star) ** k * np.exp(exponent(x) - m_log)
 
-    a, b = f.lo, f.hi
-    kw = dict(_QUAD_KW)
-    i0 = quad(h, a, b, args=(0,), **kw)[0]
-    i1 = quad(h, a, b, args=(1,), **kw)[0]
-    i2 = quad(h, a, b, args=(2,), **kw)[0]
+    i0, i1, i2 = (quad(h, f.lo, f.hi, args=(k,), **_QUAD_KW)[0] for k in range(3))
     if i0 <= 0 or not np.isfinite(i0):
         raise DivergentTilt(f"tilt normalization failed on factor {f.tag}")
     mean_c = i1 / i0
@@ -202,15 +201,9 @@ def tilt_moments_quadrature(spec: MeasureSpec, t: float, theta) -> TiltState:
         raise InputValidationError("quadrature route needs a coordinate product")
     if t == 0.0:
         _check_rates(spec.factors, theta)
-    log_z = 0.0
-    mean = np.empty(spec.dim)
-    var = np.empty(spec.dim)
-    for j, f in enumerate(spec.factors):
-        lz, mu, v = factor_tilt_quadrature(f, t, float(theta[j]))
-        log_z += lz
-        mean[j] = mu
-        var[j] = v
-    return TiltState(t, theta, float(log_z), mean, np.diag(var), QUADRATURE)
+    log_z, mean, var = zip(*(factor_tilt_quadrature(f, t, float(th))
+                             for f, th in zip(spec.factors, theta)))
+    return TiltState(t, theta, float(sum(log_z)), np.array(mean), np.diag(var), QUADRATURE)
 
 
 # ---------------------------------------------------------------------------
@@ -366,45 +359,53 @@ def sample_log_concave(log_density, lo, hi, rng: np.random.Generator, size: int,
     return out, proposals, accepted
 
 
-def _product_draws(spec: ProductSpec, t: float, theta: np.ndarray, rng, size: int):
-    """Each coordinate j from exp(theta_j x - t x^2/2) rho_j(x); draws are (n, size)."""
-    groups = {}  # factors with equal pieces share one density evaluation
-    for j, f in enumerate(spec.factors):
-        groups.setdefault(f.pieces or id(f), (f, []))[1].append(j)
+def _product_draws(spec: ProductSpec, t: float, thetas: np.ndarray, rng, size: int):
+    """Coordinate j of row i from exp(theta_ij x - t x^2/2) rho_j(x): the m n
+    rows of one `sample_log_concave` call, returned as (m, size, n)."""
+    m, n = thetas.shape
+    mode = np.empty((m, n))
+    for f, cols in spec.laws:
+        mode[:, cols] = f.tilt_mode(t, thetas[:, cols])
 
     def log_density(x):
-        out = theta[:, None] * x - 0.5 * t * x * x
-        for f, rows in groups.values():
-            out[rows] += f.log_density(x[rows])
-        return out
+        x = x.reshape(m, n, -1)
+        out = thetas[:, :, None] * x - 0.5 * t * x * x
+        for f, cols in spec.laws:
+            out[:, cols] += f.log_density(x[:, cols])
+        return out.reshape(m * n, -1)
 
-    return sample_log_concave(
-        log_density, [f.lo for f in spec.factors], [f.hi for f in spec.factors], rng, size,
-        mode=[f.tilt_mode(t, th) for f, th in zip(spec.factors, theta)])
+    draws, proposals, accepted = sample_log_concave(
+        log_density, np.tile([f.lo for f in spec.factors], m),
+        np.tile([f.hi for f in spec.factors], m), rng, size, mode=mode.ravel())
+    return draws.reshape(m, n, size).transpose(0, 2, 1), proposals, accepted
 
 
-def _ball_draws(spec: BallSpec, t: float, theta: np.ndarray, rng, size: int):
-    """x = u e + y as in `ball_tilt_table`, (size, n): u from its weight (at
-    t = 0 the tilted `ballmarg` density), then |y| from rho^(n-2)
-    exp(-t rho^2/2) on [0, (R^2 - u^2)^(1/2)], then y's direction uniformly
-    in e's orthogonal complement."""
-    n, radius = spec.dim, spec.radius
-    s = float(np.linalg.norm(theta))
-    e = theta / s if s > 0.0 else np.eye(n)[0]  # theta = 0 is isotropic
+def _ball_draws(spec: BallSpec, t: float, thetas: np.ndarray, rng, size: int):
+    """x = u e + y as in `ball_tilt_table`, (m, size, n): u from its weight
+    (at t = 0 the tilted `ballmarg` density), m rows; then |y| from
+    rho^(n-2) exp(-t rho^2/2) on [0, (R^2 - u^2)^(1/2)], m size rows; then
+    y's direction uniformly in e's orthogonal complement."""
+    m, n = thetas.shape
+    radius = spec.radius
+    # |theta| by one dot product per row, as np.linalg.norm takes it for one
+    # theta: the axis=1 norm can differ by an ulp, which moves every seeded draw
+    s = np.sqrt((thetas[:, None, :] @ thetas[:, :, None])[:, 0, 0])
+    e = _directions(thetas, s)
     marginal = BallMarginalFactor(n)
 
     def u_weight(u):
         if t == 0.0:
-            return s * u + marginal.log_density(u)
+            return s[:, None] * u + marginal.log_density(u)
         with np.errstate(divide="ignore", invalid="ignore"):
             inside = _log_inside(n - 1, t, (radius - u) * (radius + u))
-        return np.where(np.abs(u) <= radius, s * u - 0.5 * t * u * u + inside, -np.inf)
+        return np.where(np.abs(u) <= radius, s[:, None] * u - 0.5 * t * u * u + inside,
+                        -np.inf)
 
-    u, proposals, accepted = sample_log_concave(u_weight, [-radius], [radius], rng, size)
-    u = u[0]
+    u, proposals, accepted = sample_log_concave(u_weight, np.full(m, -radius),
+                                                np.full(m, radius), rng, size)
     if n == 1:
-        return u[:, None] * e, proposals, accepted
-    reach = np.sqrt(np.maximum((radius - u) * (radius + u), 0.0))
+        return u[:, :, None] * e[:, None, :], proposals, accepted
+    reach = np.sqrt(np.maximum((radius - u) * (radius + u), 0.0)).ravel()
 
     def radial(rho):
         with np.errstate(divide="ignore"):
@@ -412,34 +413,34 @@ def _ball_draws(spec: BallSpec, t: float, theta: np.ndarray, rng, size: int):
             return np.where(inside, xlogy(n - 2, rho) - 0.5 * t * rho * rho, -np.inf)
 
     peak = math.sqrt((n - 2) / t) if t > 0.0 else np.inf
-    rho, p, a = sample_log_concave(radial, np.zeros(size), reach, rng, 1,
+    rho, p, a = sample_log_concave(radial, np.zeros(m * size), reach, rng, 1,
                                    mode=np.minimum(peak, reach))
-    g = rng.standard_normal((size, n))
-    g -= (g @ e)[:, None] * e
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    return u[:, None] * e + rho * g, proposals + p, accepted + a
+    g = rng.standard_normal((m, size, n))
+    g -= (g @ e[:, :, None]) * e[:, None, :]
+    g /= np.linalg.norm(g, axis=2, keepdims=True)
+    return (u[:, :, None] * e[:, None, :] + rho.reshape(m, size, 1) * g,
+            proposals + p, accepted + a)
 
 
-def tilt_sample_batch(spec: MeasureSpec, t: float, theta, rng: np.random.Generator,
+def tilt_sample_batch(spec: MeasureSpec, t: float, thetas, rng: np.random.Generator,
                       size: int):
-    """Draw ``size`` exact points of p_{t,theta}, shape (size, n).
+    """Draw ``size`` exact points of p_{t,theta} for each row of thetas (m, n).
 
-    Gaussians are conjugate; products and balls go through
-    `sample_log_concave`.  Returns (samples, proposals, accepted), the
-    counts summed over every 1D draw (size, size for Gaussians).
+    Returns (samples (m, size, n), proposals, accepted), the counts summed
+    over every 1D draw (m size, m size for Gaussians, which are conjugate).
     """
-    theta = _validate(spec, t, theta)
+    thetas = _validate(spec, t, thetas, batch=True)
+    m, n = thetas.shape
     if isinstance(spec, GaussianSpec):
         tau = 1.0 + t
-        return (theta / tau + rng.standard_normal((size, spec.dim)) / math.sqrt(tau),
-                size, size)
+        return (thetas[:, None, :] / tau + rng.standard_normal((m, size, n)) / math.sqrt(tau),
+                m * size, m * size)
     if spec.factors is not None:
         if t == 0.0:
-            _check_rates(spec.factors, theta)
-        draws, proposals, accepted = _product_draws(spec, t, theta, rng, size)
-        return draws.T, proposals, accepted
+            _check_rates(spec.factors, thetas)
+        return _product_draws(spec, t, thetas, rng, size)
     if isinstance(spec, BallSpec):
-        return _ball_draws(spec, t, theta, rng, size)
+        return _ball_draws(spec, t, thetas, rng, size)
     raise InputValidationError(_NO_ROUTE.format(spec.measure_id()))
 
 
@@ -502,11 +503,14 @@ def conditional_covariance_identity_check(spec: MeasureSpec, t: float, seed: int
     Left side: tilt moments along simulated theta_t = t X + W_t from
     `tilt_table`, exact for every catalog family (closed form for Gaussians
     and coordinate products, the radial quadrature for balls).
-    Right side: for fresh pairs y = x + sqrt(s) z the conditional law of X
-    given y is p_{t, t y}; `tilt_sample_batch` draws from it exactly, and
-    the empirical covariance of those draws estimates cov(X | y).  The right
-    side uses draws only and shares no quadrature with the left, and the two
-    sides use disjoint streams, so their errors combine in quadrature.
+    Right side: for n_outer fresh pairs y = x + sqrt(s) z the conditional
+    law of X given y is p_{t, t y}; one `tilt_sample_batch` call draws
+    n_inner exact points from each, and their empirical covariance
+    estimates cov(X | y).  Pairs and draws come from one stream key per
+    check, so they depend on n_outer (min(paths, 1024) in `verify`).  The
+    right side uses draws only and shares no quadrature with the left, and
+    the two sides use disjoint streams, so their errors combine in
+    quadrature.
     """
     if t <= 0:
         raise InputValidationError("t must be positive")
@@ -521,25 +525,14 @@ def conditional_covariance_identity_check(spec: MeasureSpec, t: float, seed: int
     lhs = covs.mean(axis=0)
     se_lhs = jackknife_se(covs, axis=0)
 
-    cond = np.empty((n_outer, dim, dim))
-    s = 1.0 / t
-    for i in range(n_outer):
-        rng = streams.generator(seed, i, "cond-empirical")
-        x = spec.sample(rng, 1)[0]
-        y = x + math.sqrt(s) * rng.standard_normal(dim)
-        draws, _, _ = tilt_sample_batch(spec, t, t * y, rng, n_inner)
-        mu = draws.mean(axis=0)
-        cond[i] = (draws - mu).T @ (draws - mu) / (n_inner - 1)
+    rng = streams.generator(seed, "cond-empirical")
+    y = spec.sample(rng, n_outer) + rng.standard_normal((n_outer, dim)) / math.sqrt(t)
+    draws = tilt_sample_batch(spec, t, t * y, rng, n_inner)[0]
+    centred = draws - draws.mean(axis=1, keepdims=True)
+    cond = centred.transpose(0, 2, 1) @ centred / (n_inner - 1)
     rhs = cond.mean(axis=0)
     se_rhs = jackknife_se(cond, axis=0)
 
-    gap = np.abs(lhs - rhs)
-    tol = sigma * np.sqrt(se_lhs**2 + se_rhs**2) + atol
-    worst = tuple(int(i) for i in np.unravel_index(np.argmax(gap - tol), gap.shape))
-    return gate(
-        "conditional-covariance",
-        float(gap[worst]),
-        float(tol[worst]),
-        stderr=float(np.sqrt(se_lhs**2 + se_rhs**2)[worst]),
-        notes=f"t={t:g}, worst entry {worst}, n_outer={n_outer}, n_inner={n_inner}",
-    )
+    se = np.sqrt(se_lhs**2 + se_rhs**2)
+    return entrywise_gate("conditional-covariance", np.abs(lhs - rhs), sigma * se + atol, se,
+                          notes=f"t={t:g}, n_outer={n_outer}, n_inner={n_inner},")

@@ -289,3 +289,17 @@ def test_c14_byte_identical_reruns(tmp_path, capsys):
     records = json.loads((dirs[0] / "reports.json").read_text())
     _verdict("C14 byte-identical reruns", same and len(records) >= 2,
              f"files=3 records={len(records)}")
+
+
+@pytest.mark.parametrize("measure", ["cube:8", "ball:8"])
+def test_c15_conditional_covariance_at_4096_paths(measure, capsys):
+    # the right side draws all 1024 x 64 tilted points in one batch
+    start = time.monotonic()
+    code = cli.main(["verify", "--measure", measure, "--paths", "4096", "--seed", "0",
+                     "--checks", "conditional-covariance"])
+    elapsed = time.monotonic() - start
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if "conditional-covariance" in ln)
+    _verdict(f"C15 conditional covariance {measure}",
+             code == 0 and line.startswith("[PASS]") and elapsed < 3.0,
+             f"{line} elapsed={elapsed:.1f}s")

@@ -147,6 +147,16 @@ def test_marginal_fisher_factorizes():
     assert j2.stderr == pytest.approx(2.0 * j1.stderr, rel=1e-10)
 
 
+def test_marginal_fisher_by_law_matches_per_coordinate_sum():
+    # the two uniform columns are one law, quadratured once and counted twice
+    spec = make_product("exp,uniform,uniform")
+    for r in (0.05, 0.5, 0.95):
+        by_law = marginal_fisher_information(spec, r)
+        each = [marginal_fisher_information(ProductSpec([f]), r) for f in spec.factors]
+        assert by_law.value == pytest.approx(sum(j.value for j in each), rel=1e-15, abs=0.0)
+        assert by_law.stderr == pytest.approx(sum(j.stderr for j in each), rel=1e-15, abs=0.0)
+
+
 FACTOR_TAGS = ("gaussian", "uniform", "exp", "laplace", "truncgauss")
 LEGENDRE = np.polynomial.legendre.leggauss(200)
 

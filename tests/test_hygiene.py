@@ -21,6 +21,9 @@
   function takes a sampling or threading knob (``workers``, ``n_samples``,
   ``tilt_samples``, ``rng_for``, ``stream``): every tilt is exact and runs in
   one thread.
+* No loop body or comprehension in ``src/`` calls ``tilt_sample_batch``: it
+  takes a batch of thetas, so one call serves every row, and per-row calls
+  would repeat its mode search once per row.
 """
 
 import ast
@@ -148,6 +151,21 @@ def knob_parameters(tree: ast.Module) -> list:
                   if a.arg in KNOBS)
 
 
+def loop_calls(tree: ast.Module, name: str) -> list:
+    """(line, name) of every call to ``name`` that a loop body or a comprehension repeats."""
+    repeated = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+            repeated += node.body
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            repeated.append(node.elt)
+        elif isinstance(node, ast.DictComp):
+            repeated += [node.key, node.value]
+    return sorted({(n.lineno, name) for part in repeated for n in ast.walk(part)
+                   if isinstance(n, ast.Call)
+                   and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))})
+
+
 def _scan(paths, scanner) -> list:
     assert paths
     return [f"{_rel(p)}:{line} {name}" for p in paths for line, name in scanner(_tree(p))]
@@ -198,6 +216,10 @@ def test_no_sampling_knobs_in_library_signatures():
         params = inspect.signature(
             getattr(importlib.import_module("sloclab." + mod), fn)).parameters
         assert not KNOBS & set(params), f"{mod}.{fn}"
+
+
+def test_no_tilt_draws_repeated_in_loops():
+    assert _scan(PACKAGE, lambda tree: loop_calls(tree, "tilt_sample_batch")) == []
 
 
 def test_cli_import_leaves_out_scipy_stats_and_signal():
@@ -284,3 +306,14 @@ def test_scanners_flag_what_they_look_for():
                       "    samples = 3\n")
     assert knob_parameters(knobs) == [(1, "table(n_samples)"), (1, "table(rng_for)"),
                                       (1, "table(workers)"), (3, "moments(stream)")]
+    loops = ast.parse("for theta in thetas:\n"
+                      "    draws = tilt.tilt_sample_batch(spec, t, theta[None], rng, 64)\n"
+                      "while pending:\n"
+                      "    pending = tilt_sample_batch(spec, t, thetas, rng, 1)[0].size\n"
+                      "rows = [tilt_sample_batch(spec, t, th[None], rng, 8) for th in thetas]\n"
+                      "for row in tilt_sample_batch(spec, t, thetas, rng, 64)[0]:\n"
+                      "    total = tilt_table(spec, t, thetas)\n"
+                      "once = tilt_sample_batch(spec, t, thetas, rng, 64)\n")
+    assert loop_calls(loops, "tilt_sample_batch") == [(2, "tilt_sample_batch"),
+                                                      (4, "tilt_sample_batch"),
+                                                      (5, "tilt_sample_batch")]

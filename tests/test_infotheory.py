@@ -171,6 +171,16 @@ def test_epi_deficit_matches_closed_sum_entropies():
         assert not rep.bounds.failed
 
 
+def test_epi_deficit_by_law_matches_per_coordinate_sum():
+    # the two uniform columns are one law, quadratured once and counted twice
+    spec = make_product("exp,uniform,uniform")
+    by_law = epi_deficit(spec).delta
+    each = [epi_deficit(ProductSpec([f])).delta for f in spec.factors]
+    assert by_law.value == pytest.approx(sum(d.value for d in each), rel=1e-15, abs=0.0)
+    assert by_law.stderr == pytest.approx(sum(d.stderr for d in each), rel=1e-15, abs=0.0)
+    assert "2 distinct factors" in by_law.notes
+
+
 def test_epi_deficit_laplace_matches_direct_density():
     # sum of two iid Laplace(b) draws has density e^{-|z|/b} (1 + |z|/b)/(4b);
     # integrate it directly

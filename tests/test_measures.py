@@ -112,6 +112,19 @@ def test_peak_log_density_is_the_max(f):
     assert np.isnan(f.tilt_mode(1.0, 0.8)) == (not f.pieces)
 
 
+def test_product_laws_group_columns_by_pieces():
+    # laws come in order of first appearance, each with every column it serves
+    spec = make_product("uniform,exp,uniform,laplace")
+    assert [(f.tag, cols.tolist()) for f, cols in spec.laws] == [
+        ("uniform", [0, 2]), ("exp", [1]), ("laplace", [3])]
+    assert all(f is spec.factors[cols[0]] for f, cols in spec.laws)
+    assert [cols.tolist() for _, cols in make_cube(32).laws] == [list(range(32))]
+    # ballmarg has no pieces, so equal parameters do not make two factors one law
+    twins = ProductSpec([BallMarginalFactor(4), BallMarginalFactor(4)])
+    assert [(f, cols.tolist()) for f, cols in twins.laws] == [(twins.factors[0], [0]),
+                                                              (twins.factors[1], [1])]
+
+
 def test_closed_factors_derive_everything_from_pieces():
     for tag in FACTOR_TAGS:
         cls = type(make_factor(tag))

@@ -171,14 +171,29 @@ def test_untruncated_gaussian_piece_matches_conjugate_form(t):
 
 
 def test_product_tilt_table_matches_scalar_route():
-    spec = make_product("exp,laplace,uniform")
-    thetas = np.array([[0.2, -0.5, 1.0], [0.0, 0.0, 0.0], [-1.5, 2.0, -0.3]])
-    log_z, mean, var = product_tilt_table(spec, 0.8, thetas)
-    for i, th in enumerate(thetas):
-        state = tilt_moments(spec, 0.8, th)
-        assert log_z[i] == pytest.approx(state.log_z, rel=1e-12)
-        assert np.allclose(mean[i], state.mean, atol=1e-12)
-        assert np.allclose(var[i], np.diag(state.cov), atol=1e-12)
+    # one law per column, laws out of column order, and one law for 32
+    # columns: mean and var are bit-equal to each coordinate's own
+    # tilt_stats, and log_z to their sum in column order
+    t = 0.8
+    inputs = [("product:exp,laplace,uniform", [[0.2, -0.5, 1.0], [0.0, 0.0, 0.0],
+                                               [-1.5, 2.0, -0.3]]),
+              ("product:uniform,exp,uniform,laplace", [[0.2, -0.5, 1.0, 0.3], [0.0] * 4,
+                                                       [-1.5, 2.0, -0.3, -1.2]]),
+              ("cube:32", 3.0 * streams.generator(17, "cube32-thetas").standard_normal((4, 32)))]
+    for measure, rows in inputs:
+        spec, thetas = parse_measure_id(measure), np.array(rows)
+        log_z, mean, var = product_tilt_table(spec, t, thetas)
+        total = 0.0
+        for j, f in enumerate(spec.factors):
+            lz, mu, v = f.tilt_stats(t, thetas[:, j])
+            assert np.array_equal(mean[:, j], mu) and np.array_equal(var[:, j], v), (measure, j)
+            total = total + lz
+        assert np.array_equal(log_z, total), measure
+        for i, th in enumerate(thetas):
+            state = tilt_moments(spec, t, th)
+            assert log_z[i] == pytest.approx(state.log_z, rel=1e-12)
+            assert np.allclose(mean[i], state.mean, atol=1e-12)
+            assert np.allclose(var[i], np.diag(state.cov), atol=1e-12)
 
 
 TABLE_CASES = {  # case -> (measure, t, thetas, expected route)
@@ -218,7 +233,7 @@ def test_tilt_table_rejects_affine_images():
     with pytest.raises(InputValidationError, match="no tilt route"):
         tilt_moments(SKEW, 1.0, np.ones(2))
     with pytest.raises(InputValidationError, match="no tilt route"):
-        tilt_sample_batch(SKEW, 1.0, np.ones(2), streams.generator(0), 4)
+        tilt_sample_batch(SKEW, 1.0, np.ones((1, 2)), streams.generator(0), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -360,39 +375,62 @@ def _grid_cdf(log_w, lo, hi, mean, sd):
 
 @pytest.mark.parametrize("tag", FACTOR_TAGS)
 def test_factor_draws_pass_ks_against_quadrature_cdf(tag):
-    f, spec = make_factor(tag), make_product(tag)
+    # every (t, theta) case alone; then per t one batch over a product of two
+    # equal factors, with a different theta in each row and coordinate, each
+    # column of each row against its own CDF
+    f = make_factor(tag)
+    cases = _factor_cases()
+    calls = [(make_product(tag), t, np.array([[theta]]), (41, tag, i))
+             for i, (t, theta) in enumerate(cases)]
+    pair = make_product(f"{tag},{tag}")
+    for t in sorted({t for t, _ in cases}):
+        col = np.array([theta for u, theta in cases if u == t])
+        calls.append((pair, t, np.stack([col, col[::-1]], axis=1),
+                      (41, tag, "batch", int(100 * t))))
     worst = 1.0
-    for i, (t, theta) in enumerate(_factor_cases()):
-        state = tilt_moments(spec, t, np.array([theta]))
-        cdf = _grid_cdf(_tilted(f, t, theta), f.lo, f.hi, state.mean[0],
-                        math.sqrt(state.cov[0, 0]))
-        pts, _, _ = tilt_sample_batch(spec, t, np.array([theta]),
-                                      streams.generator(41, tag, i), 4000)
-        worst = min(worst, kstest(pts[:, 0], cdf).pvalue)
+    for spec, t, thetas, key in calls:
+        pts, _, _ = tilt_sample_batch(spec, t, thetas, streams.generator(*key), 4000)
+        assert pts.shape == (len(thetas), 4000, spec.dim)
+        for (i, j), theta in np.ndenumerate(thetas):
+            state = tilt_moments(make_product(tag), t, np.array([theta]))
+            cdf = _grid_cdf(_tilted(f, t, theta), f.lo, f.hi, state.mean[0],
+                            math.sqrt(state.cov[0, 0]))
+            worst = min(worst, kstest(pts[i, :, j], cdf).pvalue)
     assert worst > 1e-4
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 32])
 def test_ball_draws_pass_ks_for_u_and_radius(n):
     # u against its quadrature CDF; |y| given u through its conditional CDF,
-    # a truncated chi distribution, whose values at the draws are uniform
+    # a truncated chi distribution, whose values at the draws are uniform.
+    # Every (t, |theta|) case alone along e_1; then per t one batch whose rows
+    # have different lengths and directions, each row against its own CDFs
     spec = make_ball(n)
     radius, k = spec.radius, n - 1
+    cases = _ball_cases()
+    dirs = streams.generator(43, n, "dirs").standard_normal((len(cases), n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    calls = [(t, s * np.eye(n)[:1], (43, n, i)) for i, (t, s) in enumerate(cases)]
+    calls += [(t, np.array([s * d for (u, s), d in zip(cases, dirs) if u == t]),
+               (43, n, "batch", int(100 * t))) for t in sorted({t for t, _ in cases})]
     worst = 1.0
-    for i, (t, s) in enumerate(_ball_cases()):
-        theta = np.zeros(n)
-        theta[0] = s
-        _, mean, cov = ball_tilt_table(spec, t, theta[None, :])
-        cdf = _grid_cdf(_ball_u_weight(n, t, s), -radius, radius, mean[0, 0],
-                        math.sqrt(cov[0, 0, 0]))
-        pts, _, _ = tilt_sample_batch(spec, t, theta, streams.generator(43, n, i), 4000)
-        u, y2 = pts[:, 0], (pts[:, 1:] ** 2).sum(axis=1)
-        reach2 = (radius - u) * (radius + u)
-        if t == 0.0:
-            pit = (y2 / reach2) ** (0.5 * k)
-        else:
-            pit = gammainc(0.5 * k, 0.5 * t * y2) / gammainc(0.5 * k, 0.5 * t * reach2)
-        worst = min(worst, kstest(u, cdf).pvalue, kstest(pit, "uniform").pvalue)
+    for t, thetas, key in calls:
+        _, mean, cov = ball_tilt_table(spec, t, thetas)
+        pts, _, _ = tilt_sample_batch(spec, t, thetas, streams.generator(*key), 4000)
+        for theta, x, mu, c in zip(thetas, pts, mean, cov):
+            s = float(np.linalg.norm(theta))
+            e = theta / s if s > 0.0 else np.eye(n)[0]
+            u = x @ e
+            y = x - u[:, None] * e
+            y2 = (y * y).sum(axis=1)
+            cdf = _grid_cdf(_ball_u_weight(n, t, s), -radius, radius, mu @ e,
+                            math.sqrt(e @ c @ e))
+            reach2 = (radius - u) * (radius + u)
+            if t == 0.0:
+                pit = (y2 / reach2) ** (0.5 * k)
+            else:
+                pit = gammainc(0.5 * k, 0.5 * t * y2) / gammainc(0.5 * k, 0.5 * t * reach2)
+            worst = min(worst, kstest(u, cdf).pvalue, kstest(pit, "uniform").pvalue)
     assert worst > 1e-4
 
 
@@ -415,7 +453,7 @@ def test_acceptance_stays_above_one_over_e_plus_one():
     # |theta| = 7.2, and balls up to n = 128
     whole = [(make_cube(8), 1e-4, np.zeros(8)), (make_cube(8), 0.889, np.full(8, 2.55))]
     whole += [(make_ball(n), t, np.full(n, 1.5 * t)) for n in (4, 16, 128) for t in (0.05, 0.9)]
-    counts += [tilt_sample_batch(spec, t, theta, rng, 2000)[1:] for spec, t, theta in whole]
+    counts += [tilt_sample_batch(spec, t, theta[None], rng, 2000)[1:] for spec, t, theta in whole]
     for proposed, accepted in counts:
         rate = accepted / proposed
         assert rate >= floor - 3.0 * math.sqrt(rate * (1.0 - rate) / proposed)
@@ -425,13 +463,13 @@ def test_rejection_acceptance_rate_oracle():
     # the tilted gaussian factor is N(theta/tau, 1/tau): its envelope is flat
     # on mean +- (2/tau)^(1/2), where log rho has dropped by 1, with tails of
     # rate (tau/2)^(1/2), so Z / envelope mass = pi^(1/2) / (2 (1 + 1/e))
-    _, proposed, accepted = tilt_sample_batch(make_product("gaussian"), 3.0, np.array([1.2]),
+    _, proposed, accepted = tilt_sample_batch(make_product("gaussian"), 3.0, np.array([[1.2]]),
                                               streams.generator(5, "acc"), 8192)
     p_true = math.sqrt(math.pi) / (2.0 * (1.0 + math.exp(-1.0)))
     se = math.sqrt(p_true * (1.0 - p_true) / proposed)
     assert accepted / proposed == pytest.approx(p_true, abs=4.0 * se)
     # a flat density never drops by 1, so its envelope is the density itself
-    pts, proposed, accepted = tilt_sample_batch(make_cube(2), 0.0, np.zeros(2),
+    pts, proposed, accepted = tilt_sample_batch(make_cube(2), 0.0, np.zeros((1, 2)),
                                                 streams.generator(5, "flat"), 1000)
     assert accepted == proposed
     assert (np.abs(pts) <= SQRT3).all()
@@ -442,7 +480,7 @@ def test_rejection_matches_closed_form_on_product():
     for measure in ("product:exp,uniform", "gaussian:2"):
         spec = parse_measure_id(measure)
         closed = tilt_moments(spec, t, theta)
-        pts, _, _ = tilt_sample_batch(spec, t, theta, streams.generator(11, "rej"), size)
+        pts = tilt_sample_batch(spec, t, theta[None], streams.generator(11, "rej"), size)[0][0]
         centred = pts - pts.mean(axis=0)
         prods = centred[:, :, None] * centred[:, None, :]
         se_mean = centred.std(axis=0, ddof=1) / math.sqrt(size)
@@ -466,7 +504,7 @@ def test_rejection_sample_mean_cube():
     spec = make_cube(2)
     t, theta = 4.0, np.array([2.0, 0.0])
     closed = tilt_moments(spec, t, theta)
-    pts, _, _ = tilt_sample_batch(spec, t, theta, streams.generator(6, "mean"), 4096)
+    pts = tilt_sample_batch(spec, t, theta[None], streams.generator(6, "mean"), 4096)[0][0]
     se = np.sqrt(np.diag(closed.cov) / 4096)
     assert np.abs(pts.mean(axis=0) - closed.mean).max() < 4.0 * se.max()
 
@@ -475,7 +513,7 @@ def test_ball_t_zero_tilt_against_marginal_quadrature():
     # theta = (c, 0, 0): everything reduces to the first-coordinate marginal
     spec = make_ball(3)
     theta = np.array([0.5, 0.0, 0.0])
-    pts, _, _ = tilt_sample_batch(spec, 0.0, theta, streams.generator(8, "ballt0"), 8192)
+    pts = tilt_sample_batch(spec, 0.0, theta[None], streams.generator(8, "ballt0"), 8192)[0][0]
     f = BallMarginalFactor(3)
     rho = lambda y: np.exp(f.log_density(y))
     z, _ = quad(lambda y: math.exp(0.5 * y) * rho(y), f.lo, f.hi, limit=200)
@@ -488,7 +526,7 @@ def test_ball_t_zero_tilt_against_marginal_quadrature():
 def test_product_t_zero_rejection_matches_quadrature():
     spec = make_product("exp,uniform")
     theta = np.array([-0.3, 0.4])
-    pts, _, _ = tilt_sample_batch(spec, 0.0, theta, streams.generator(10, "t0prod"), 8192)
+    pts = tilt_sample_batch(spec, 0.0, theta[None], streams.generator(10, "t0prod"), 8192)[0][0]
     ref = tilt_moments_quadrature(spec, 0.0, theta)
     root = math.sqrt(len(pts))
     assert np.all(np.abs(pts.mean(axis=0) - ref.mean) <= 4.0 * pts.std(axis=0, ddof=1) / root)
@@ -497,14 +535,14 @@ def test_product_t_zero_rejection_matches_quadrature():
                   <= 4.0 * sq.std(axis=0, ddof=1) / root)
     # exp decays at rate 1, so theta_0 >= 1 has no finite t = 0 tilt
     with pytest.raises(DivergentTilt, match=r"factor 0 \(exp\)"):
-        tilt_sample_batch(spec, 0.0, np.array([1.3, 0.4]), streams.generator(9, "t0"), 16)
+        tilt_sample_batch(spec, 0.0, np.array([[1.3, 0.4]]), streams.generator(9, "t0"), 16)
 
 
 def test_tilt_sample_single_draw():
     def draw():
-        pts, _, _ = tilt_sample_batch(make_ball(3), 1.0, np.zeros(3),
+        pts, _, _ = tilt_sample_batch(make_ball(3), 1.0, np.zeros((1, 3)),
                                       streams.generator(3, "single"), size=1)
-        return pts
+        return pts[0]
 
     x = draw()
     assert x.shape == (1, 3)
@@ -531,7 +569,7 @@ def test_ball_tilt_matches_rejection(n):
             exact = tilt_moments(spec, t, theta)
             assert exact.method == QUADRATURE
             key = (n, "ball-sweep", j, int(100 * t))
-            pts, _, _ = tilt_sample_batch(spec, t, theta, streams.generator(*key), size)
+            pts = tilt_sample_batch(spec, t, theta[None], streams.generator(*key), size)[0][0]
             mean = pts.mean(axis=0)
             centred = pts - mean
             se_mean = centred.std(axis=0, ddof=1) / math.sqrt(size)
