@@ -11,8 +11,9 @@ information J(nu_r || N(0, r Id)) of the law nu_r of x_r.  For product
 measures this module also computes J independently of the tilts: every
 truncated-Gaussian piece exp(k - c x^2/2 - b x) on [lo, hi] of a catalog
 factor convolves with the Gaussian into one closed formula for the density
-and score of r X + sqrt(r (1 - r)) Z (a Gaussian times a Phi-window), so J
-is one scalar quadrature per factor law.  A factor without pieces (``ballmarg``,
+and score of r X + sqrt(r (1 - r)) Z (a Gaussian times a Phi-window, whose
+log mass and ratio come from ``numerics.trunc_normal_moments``), so J is
+one scalar quadrature per factor law.  A factor without pieces (``ballmarg``,
 which only the ball's projections build) has no Fisher route and is
 rejected with its name.  The Gamma process satisfies
 
@@ -39,7 +40,7 @@ from . import covariance, streams
 from .errors import InputValidationError
 from .localization import PathEnsemble, spectral_margin
 from .measures import GaussianSpec, MeasureSpec, require_pieces
-from .numerics import U_CUT, gauss_window, jackknife_se, ks_pvalues
+from .numerics import U_CUT, jackknife_se, ks_pvalues, trunc_normal_moments
 from .reports import (EstimatorResult, LemmaReport, composite_gate, derivative_gate,
                       entrywise_gate, gate)
 
@@ -136,20 +137,22 @@ def _closed_marginal(factor, r: float):
                 + log(Phi(sqrt(P) (hi - mu)) - Phi(sqrt(P) (lo - mu))),
         score = -(c y + r b) / q - ratio r / (s^2 sqrt(P)),
 
-    with ratio the Phi-window's (phi(hi) - phi(lo)) / (Phi(hi) - Phi(lo)),
-    and several pieces add.  The formula comes from the convolution, not from
-    the tilt, so a wrong closed tilt cannot cancel against it.
+    with ratio the Phi-window's (phi(hi') - phi(lo')) / (Phi(hi') - Phi(lo'))
+    at the same two arguments, and several pieces add.  Both come from
+    `trunc_normal_moments` of N(mu, 1/P) on [lo, hi]: its log mass is the
+    log window and ratio / sqrt(P) = mu - mean.  The formula comes from the
+    convolution, not from the tilt, so a wrong closed tilt cannot cancel
+    against it.
     """
     s2 = r * (1.0 - r)
 
     def piece(y, c, b, lo, hi, k):
         q = c * s2 + r * r
-        root_p = math.sqrt(q / s2)
         mu = (r * y - b * s2) / q
-        log_d, ratio = gauss_window(root_p * (lo - mu), root_p * (hi - mu))
+        log_d, mean, _ = trunc_normal_moments(mu, math.sqrt(s2 / q), lo, hi)
         return (k + (-c * y * y - 2.0 * r * b * y + b * b * s2) / (2.0 * q)
                 - 0.5 * math.log(q) + log_d,
-                -(c * y + r * b) / q - ratio * r / (s2 * root_p))
+                -(c * y + r * b) / q - (mu - mean) * r / s2)
 
     def marginal(y):
         parts = [piece(y, *p) for p in factor.pieces]

@@ -20,9 +20,10 @@ which is nonnegative, at most 2n for isotropic log-concave mu, and invariant
 under invertible affine maps.  Every catalog measure has an exact route:
 zero for the Gaussian; for products, a sum over factors, each one
 quadrature of -g log g with g the closed convolution of the factor's
-truncated-Gaussian pieces (a Phi-window or an exponential per pair of
-pieces); and for the ball one radial quadrature of the lens volume of two
-balls.  It is bounded below by the variance of the Gamma process:
+truncated-Gaussian pieces (a Phi-window, from
+``numerics.trunc_normal_moments``, or an exponential per pair of pieces);
+and for the ball one radial quadrature of the lens volume of two balls.  It
+is bounded below by the variance of the Gamma process:
 
     delta(mu) >= eps * integral_xi^1 E |Gamma_r - E Gamma_r|^2 / (4 (1-r)) dr
 
@@ -45,7 +46,7 @@ from .errors import InputValidationError
 from .follmer import FrameEnsemble
 from .measures import (GAUSSIAN_ENTROPY_RATE, AffineImageSpec, BallSpec, GaussianSpec,
                        MeasureSpec, require_pieces)
-from .numerics import U_CUT, gauss_window, jackknife_se, trapezoid, trapezoid_budget
+from .numerics import U_CUT, jackknife_se, trapezoid, trapezoid_budget, trunc_normal_moments
 from .reports import EstimatorResult, LemmaReport, composite_gate, entrywise_gate, gate, info
 
 CLOSED_FORM = "closed-form"
@@ -113,7 +114,8 @@ def _sum_log_density(pieces):
     exp(k_p + k_q - c_p x^2/2 - b_p x - c_q (y-x)^2/2 - b_q (y-x)) over
     [max(lo_p, y - hi_q), min(hi_p, y - lo_q)].  In x the exponent is
     -C x^2/2 + L x + const with C = c_p + c_q and L = c_q y - b_p + b_q: a
-    Gaussian Phi-window when C > 0, an exponential when C = 0, and the
+    Gaussian Phi-window when C > 0 (the log mass of N(L/C, 1/C) on the
+    interval, by `trunc_normal_moments`), an exponential when C = 0, and the
     interval length when L = 0 as well.
     """
     pairs = [(p, q) for p in pieces for q in pieces]
@@ -127,8 +129,8 @@ def _sum_log_density(pieces):
             cc, lin = cp + cq, cq * y - bp + bq
             const = kp + kq - y * (0.5 * cq * y + bq)
             if cc > 0.0:
-                root, centre = math.sqrt(cc), lin / cc
-                log_w, _ = gauss_window(root * (a - centre), root * (b - centre))
+                centre = lin / cc
+                log_w = trunc_normal_moments(centre, 1.0 / math.sqrt(cc), a, b)[0]
                 logs.append(const + 0.5 * lin * centre + 0.5 * math.log(2.0 * math.pi / cc)
                             + log_w)
             elif lin:

@@ -460,8 +460,10 @@ def tilt_table(spec: MeasureSpec, t: float, thetas: np.ndarray):
     Gaussians are conjugate; coordinate products are exact (closed form,
     with the ballmarg factor by quadrature, and adaptive quadrature for
     every factor at t = 0); balls use `ball_tilt_table` at every t.  Other
-    specs (affine images) raise InputValidationError.
+    specs (affine images), a batch of another width, a non-finite entry and
+    t < 0 raise InputValidationError.
     """
+    thetas = _validate(spec, t, thetas, batch=True)
     if not (isinstance(spec, (GaussianSpec, BallSpec)) or spec.factors is not None):
         raise InputValidationError(_NO_ROUTE.format(spec.measure_id()))
     m, n = thetas.shape

@@ -24,6 +24,10 @@
 * No loop body or comprehension in ``src/`` calls ``tilt_sample_batch``: it
   takes a batch of thetas, so one call serves every row, and per-row calls
   would repeat its mode search once per row.
+* No ``src/`` module but ``numerics.py`` imports or reads ``log_ndtr`` or
+  ``erfcx``: every Gaussian window goes through
+  ``numerics.trunc_normal_moments``, so its tail arithmetic lives in one
+  place.
 """
 
 import ast
@@ -166,6 +170,20 @@ def loop_calls(tree: ast.Module, name: str) -> list:
                    and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))})
 
 
+WINDOW_SPECIALS = {"log_ndtr", "erfcx"}
+
+
+def special_uses(tree: ast.Module) -> list:
+    """(line, name) of every import or attribute read of a name in WINDOW_SPECIALS."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            out += [(node.lineno, a.name) for a in node.names if a.name in WINDOW_SPECIALS]
+        elif isinstance(node, ast.Attribute) and node.attr in WINDOW_SPECIALS:
+            out.append((node.lineno, node.attr))
+    return sorted(out)
+
+
 def _scan(paths, scanner) -> list:
     assert paths
     return [f"{_rel(p)}:{line} {name}" for p in paths for line, name in scanner(_tree(p))]
@@ -220,6 +238,12 @@ def test_no_sampling_knobs_in_library_signatures():
 
 def test_no_tilt_draws_repeated_in_loops():
     assert _scan(PACKAGE, lambda tree: loop_calls(tree, "tilt_sample_batch")) == []
+
+
+def test_gaussian_window_tails_only_in_numerics():
+    outside = [p for p in PACKAGE if p != ROOT / "src" / "sloclab" / "numerics.py"]
+    assert len(outside) == len(PACKAGE) - 1
+    assert _scan(outside, special_uses) == []
 
 
 def test_cli_import_leaves_out_scipy_stats_and_signal():
@@ -317,3 +341,9 @@ def test_scanners_flag_what_they_look_for():
     assert loop_calls(loops, "tilt_sample_batch") == [(2, "tilt_sample_batch"),
                                                       (4, "tilt_sample_batch"),
                                                       (5, "tilt_sample_batch")]
+    specials = ast.parse("from scipy.special import erfcx, ndtr\n"
+                         "from scipy.special import log_ndtr as tail\n"
+                         "import scipy.special\n"
+                         "z = scipy.special.log_ndtr(3.0) + ndtr(1.0)\n"
+                         "erfcx = 2\n")
+    assert special_uses(specials) == [(1, "erfcx"), (2, "log_ndtr"), (4, "log_ndtr")]

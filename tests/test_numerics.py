@@ -11,13 +11,41 @@ from scipy.stats import ks_2samp, truncnorm
 from sloclab.numerics import (
     central_difference,
     fd_error_budget,
-    gauss_window,
     jackknife_se,
     ks_pvalues,
     trapezoid,
     trapezoid_budget,
     trunc_normal_moments,
 )
+
+
+def _window_quad(lo, hi):
+    """(log mass, mean, var) of N(0, 1) cut to [lo, hi], by quad without cancellation.
+
+    A window below 0 is reflected onto the upper tail.  Each x is written as
+    p + y, with p the window's end nearest 0 (0 if it straddles 0), so that
+    phi(x) / phi(p) = exp(-y (y + 2p) / 2) neither underflows nor rounds y
+    at the scale of p; an unbounded end is cut where that ratio is e^-60.
+    The mean is p plus the mean of y, and the variance integrates
+    (y - mean)^2.
+    """
+    if hi < 0.0:
+        log_mass, mean, var = _window_quad(-hi, -lo)
+        return log_mass, -mean, var
+    p = max(lo, 0.0)
+    reach = 120.0 / (math.sqrt(p * p + 120.0) + p)
+
+    def scaled(y):
+        return math.exp(-0.5 * y * (y + 2.0 * p))
+
+    def integral(f):
+        return quad(f, max(lo - p, -reach), min(hi - p, reach),
+                    epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    mass = integral(scaled)
+    shift = integral(lambda y: y * scaled(y)) / mass
+    var = integral(lambda y: (y - shift) ** 2 * scaled(y)) / mass
+    return math.log(mass) - 0.5 * p * p - 0.5 * math.log(2.0 * math.pi), p + shift, var
 
 
 class TestTruncNormal:
@@ -42,6 +70,21 @@ class TestTruncNormal:
         assert np.isfinite(log_mass) and log_mass < -700.0
         assert 40.0 < mean < 41.0
         assert 0.0 < var < 1.0
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    @pytest.mark.parametrize("width", [1.0, np.inf])
+    @pytest.mark.parametrize("z", [5.0, 10.0, 20.0, 40.0, 100.0, 300.0])
+    def test_deep_tail_matches_quadrature(self, z, width, side):
+        # [z, z + width] and its reflection; the variance's rounding grows as
+        # z^4 eps (1.5e-6 at z = 300), the mean's stays at a few eps
+        lo, hi = sorted((side * z, side * (z + width)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_mass, mean, var = trunc_normal_moments(0.0, 1.0, lo, hi)
+        ref_log_mass, ref_mean, ref_var = _window_quad(lo, hi)
+        assert log_mass == pytest.approx(ref_log_mass, rel=1e-13)
+        assert mean == pytest.approx(ref_mean, rel=1e-13)
+        assert var == pytest.approx(ref_var, rel=1e-5)
 
     def test_lower_tail_reflects_upper(self):
         lm_u, mean_u, var_u = trunc_normal_moments(0.0, 1.0, 3.0, 5.0)
@@ -181,19 +224,11 @@ class TestGaussWindow:
     @pytest.mark.parametrize("lo, hi", [(-1.0, 2.0), (0.5, 3.0), (-4.0, -1.0), (-np.inf, 0.3),
                                         (1.0, np.inf), (30.0, 31.0), (-31.0, -30.0)])
     def test_log_mass_and_ratio_match_quadrature(self, lo, hi):
-        # integrate phi over [lo, hi] scaled by phi at the end nearest 0, so
-        # that far tails do not underflow
-        pivot = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-        scaled, _ = quad(lambda z: math.exp(-0.5 * (z * z - pivot * pivot)), lo, hi,
-                         epsabs=0.0, epsrel=1e-13)
-        log_d, ratio = gauss_window(lo, hi)
-        assert log_d == pytest.approx(math.log(scaled) - 0.5 * pivot * pivot
-                                      - 0.5 * math.log(2.0 * math.pi), rel=1e-12, abs=1e-13)
-
-        def edge(z):
-            return math.exp(-0.5 * (z * z - pivot * pivot)) if math.isfinite(z) else 0.0
-
-        assert ratio == pytest.approx((edge(hi) - edge(lo)) / scaled, rel=1e-10)
+        # the window's ratio (phi(hi) - phi(lo)) / (Phi(hi) - Phi(lo)) is -mean
+        log_mass, mean, _ = trunc_normal_moments(0.0, 1.0, lo, hi)
+        ref_log_mass, ref_mean, _ = _window_quad(lo, hi)
+        assert log_mass == pytest.approx(ref_log_mass, rel=1e-12, abs=1e-13)
+        assert mean == pytest.approx(ref_mean, rel=1e-10)
 
 
 class TestKsPvalues:

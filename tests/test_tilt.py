@@ -236,6 +236,20 @@ def test_tilt_table_rejects_affine_images():
         tilt_sample_batch(SKEW, 1.0, np.ones((1, 2)), streams.generator(0), 4)
 
 
+def test_tilt_table_validates_its_batch():
+    # a batch wider than the spec, a NaN row and t < 0 are each rejected
+    # with a message, not dropped, broadcast or passed on as numbers
+    nan_row = np.zeros((3, 2))
+    nan_row[1] = np.nan
+    cases = ((make_cube(2), 1.0, np.zeros((3, 3)), r"theta must have shape \(m, 2\)"),
+             (make_ball(2), 1.0, np.zeros((3, 3)), r"theta must have shape \(m, 2\)"),
+             (make_cube(2), 1.0, nan_row, "t and theta must be finite"),
+             (make_cube(2), -1.0, np.zeros((3, 2)), r"t must be >= 0"))
+    for spec, t, thetas, message in cases:
+        with pytest.raises(InputValidationError, match=message):
+            tilt_table(spec, t, thetas)
+
+
 # ---------------------------------------------------------------------------
 # log Z is the moment generating function: gradients recover the moments
 
