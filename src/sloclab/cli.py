@@ -50,61 +50,104 @@ def _fmt_vec(v) -> str:
 # Configuration
 
 
+@dataclass(frozen=True)
+class Setting:
+    """Where one ExperimentConfig field is read: JSON key, SLOCLAB_* variable, flag."""
+
+    kind: type                # int, float or str; for a list, the kind of its items
+    key: str                  # JSON key; "grid.<k>" sits inside the grid object
+    flag: str                 # its argparse dest is the field name
+    alias: str = ""           # a second JSON key
+    env: str = ""             # SLOCLAB_* variable, if any
+    command: str = ""         # the one subcommand that takes the flag, else all but list-checks
+    choices: tuple = ()
+    many: str = ""            # a list (JSON array, comma-separated text): its JSON type name
+    if_empty: str = ""        # a list that may not be empty: the error's tail
+    metavar: str | None = None
+    help: str | None = None
+
+
+def _setting(default, kind, key, flag, **where):
+    return dataclasses.field(default=default,
+                             metadata={"setting": Setting(kind, key, flag, **where)})
+
+
 @dataclass
 class ExperimentConfig:
-    measure: str = "gaussian:2"
-    n_paths: int = 1024
-    seed: int = 0
-    grid_kind: str = "geometric"
-    t_min: float | None = None    # geometric grids only; build_config fills the default
-    t_max: float = 100.0
-    grid_points: int = 40
-    include: tuple = ()
-    checks: tuple = ()
-    out: str = ""
-    tolerance_sigma: float = 4.0
-    workers: int = 1
-    tilt_samples: int = 1024
-    driver: str = "direct"
+    measure: str = _setting("gaussian:2", str, "measure", "--measure", alias="measure_id",
+                            env="SLOCLAB_MEASURE", metavar="ID", help="measure id, e.g. cube:8")
+    n_paths: int = _setting(1024, int, "n_paths", "--paths", env="SLOCLAB_PATHS",
+                            metavar="N", help="ensemble size")
+    seed: int = _setting(0, int, "seed", "--seed", env="SLOCLAB_SEED", metavar="U64",
+                         help="master seed")
+    grid_kind: str = _setting("geometric", str, "grid.kind", "--grid-kind",
+                              choices=("geometric", "uniform"))
+    # geometric grids only; build_config fills the default
+    t_min: float | None = _setting(None, float, "grid.t_min", "--t-min", metavar="T")
+    t_max: float = _setting(100.0, float, "grid.t_max", "--t-max", metavar="T")
+    grid_points: int = _setting(40, int, "grid.points", "--grid-points", metavar="K")
+    include: tuple = _setting((), float, "grid.include", "--include", many="list",
+                              metavar="T1,T2,...", help="extra grid times, comma separated")
+    checks: tuple = _setting(
+        (), str, "checks", "--checks", command="verify", many="list of ids",
+        if_empty="names no check id; leave it out to run every check that applies",
+        metavar="ID1,ID2,...", help="subset of check ids (default: all that apply)")
+    out: str = _setting("", str, "out", "--out", alias="output_dir", env="SLOCLAB_OUT",
+                        metavar="DIR", help="output directory")
+    tolerance_sigma: float = _setting(4.0, float, "tolerance_sigma", "--sigma",
+                                      env="SLOCLAB_SIGMA", metavar="S",
+                                      help="tolerance multiplier for stochastic gates")
+    workers: int = _setting(1, int, "workers", "--workers", env="SLOCLAB_WORKERS", metavar="W",
+                            help="accepted and validated, but has no effect: every "
+                                 "tilt is exact and runs in one thread")
+    tilt_samples: int = _setting(1024, int, "tilt_samples", "--tilt-samples",
+                                 env="SLOCLAB_TILT_SAMPLES", metavar="N",
+                                 help="exact draws on tilt-probe's sample route; "
+                                      "no other command uses it")
+    driver: str = _setting("direct", str, "driver", "--driver", command="simulate",
+                           choices=("direct", "sde"))
 
 
+SETTINGS = {f.name: f.metadata["setting"] for f in dataclasses.fields(ExperimentConfig)}
 GEOMETRIC_T_MIN = 0.01
-_TOP_ALIASES = {"measure_id": "measure", "output_dir": "out"}
-_TOP_KEYS = {"measure", "dim", "n_paths", "seed", "grid", "checks", "out",
-             "tolerance_sigma", "workers", "tilt_samples", "driver"}
-_GRID_KEYS = {"kind": "grid_kind", "t_min": "t_min", "t_max": "t_max",
-              "points": "grid_points", "include": "include"}
-
-_ENV_VARS = {
-    "SLOCLAB_MEASURE": ("measure", str),
-    "SLOCLAB_PATHS": ("n_paths", int),
-    "SLOCLAB_SEED": ("seed", int),
-    "SLOCLAB_OUT": ("out", str),
-    "SLOCLAB_SIGMA": ("tolerance_sigma", float),
-    "SLOCLAB_WORKERS": ("workers", int),
-    "SLOCLAB_TILT_SAMPLES": ("tilt_samples", int),
-}
 
 
 def _want(field, value, kind):
     """Coerce a JSON config value, rejecting silent type surprises."""
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"config field {field}: expected integer, got {value!r}")
-        return value
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config field {field}: expected number, got {value!r}")
-        return float(value)
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"config field {field}: expected string, got {value!r}")
-        return value
-    raise AssertionError(kind)
+    name, types = {int: ("integer", int), float: ("number", (int, float)),
+                   str: ("string", str)}[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"config field {field}: expected {name}, got {value!r}")
+    return kind(value)
+
+
+def _nonempty(source: str, s: Setting, items: tuple) -> tuple:
+    if s.if_empty and not items:
+        raise ConfigError(f"{source} {s.if_empty}")
+    return items
+
+
+def _json_value(s: Setting, value):
+    if not s.many:
+        return _want(s.key, value, s.kind)
+    if not isinstance(value, list):
+        raise ConfigError(f"config field {s.key}: expected {s.many}")
+    return _nonempty(f"config field {s.key}", s,
+                     tuple(_want(f"{s.key}[]", v, s.kind) for v in value))
+
+
+def _from_text(source: str, text: str, kind, many=False):
+    """Parse a SLOCLAB_* value, or comma-separated items; errors name the source."""
+    try:
+        if many:
+            return tuple(kind(s.strip()) for s in text.split(",") if s.strip())
+        return kind(text)
+    except ValueError as e:
+        raise ConfigError(f"{source}: {e}") from e
 
 
 def _load_config(path: str) -> dict:
-    """Parse a JSON config file into flat ExperimentConfig keys."""
+    """Parse a JSON config file into ExperimentConfig fields, plus "_dim"."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -116,99 +159,43 @@ def _load_config(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: top level must be an object")
 
+    keys = {k: name for name, s in SETTINGS.items() for k in (s.key, s.alias) if k}
+    top = {k: name for k, name in keys.items() if "." not in k}
+    grid = {k.removeprefix("grid."): name for k, name in keys.items() if k.startswith("grid.")}
     out: dict = {}
-    dim = None
     for key, value in raw.items():
-        key = _TOP_ALIASES.get(key, key)
-        if key not in _TOP_KEYS:
-            raise ConfigError(
-                f"config {path}: unknown key {key!r} "
-                f"(valid: {', '.join(sorted(_TOP_KEYS | set(_TOP_ALIASES)))})")
-        if key == "grid":
+        if key == "dim":
+            out["_dim"] = _want("dim", value, int)
+        elif key == "grid":
             if not isinstance(value, dict):
                 raise ConfigError(f"config field grid: expected object, got {value!r}")
             for gk, gv in value.items():
-                if gk not in _GRID_KEYS:
-                    raise ConfigError(
-                        f"config field grid.{gk}: unknown key "
-                        f"(valid: {', '.join(sorted(_GRID_KEYS))})")
-                if gk == "kind":
-                    out["grid_kind"] = _want("grid.kind", gv, str)
-                elif gk == "points":
-                    out["grid_points"] = _want("grid.points", gv, int)
-                elif gk == "include":
-                    if not isinstance(gv, list):
-                        raise ConfigError("config field grid.include: expected list")
-                    out["include"] = tuple(
-                        _want("grid.include[]", a, float) for a in gv)
-                else:
-                    out[_GRID_KEYS[gk]] = _want(f"grid.{gk}", gv, float)
-        elif key == "checks":
-            if not isinstance(value, list):
-                raise ConfigError("config field checks: expected list of ids")
-            out["checks"] = tuple(_want("checks[]", c, str) for c in value)
-        elif key == "dim":
-            dim = _want("dim", value, int)
-        elif key in ("n_paths", "seed", "workers", "tilt_samples"):
-            out[key] = _want(key, value, int)
-        elif key == "tolerance_sigma":
-            out[key] = _want(key, value, float)
+                if gk not in grid:
+                    raise ConfigError(f"config field grid.{gk}: unknown key "
+                                      f"(valid: {', '.join(sorted(grid))})")
+                out[grid[gk]] = _json_value(SETTINGS[grid[gk]], gv)
+        elif key in top:
+            out[top[key]] = _json_value(SETTINGS[top[key]], value)
         else:
-            out[key] = _want(key, value, str)
-    if dim is not None:
-        out["_dim"] = dim
+            raise ConfigError(f"config {path}: unknown key {key!r} "
+                              f"(valid: {', '.join(sorted([*top, 'dim', 'grid']))})")
     return out
-
-
-def _apply_env(values: dict) -> None:
-    for var, (key, kind) in _ENV_VARS.items():
-        raw = os.environ.get(var)
-        if raw is None:
-            continue
-        if kind is str:
-            values[key] = raw
-            continue
-        try:
-            values[key] = kind(raw)
-        except ValueError as e:
-            raise ConfigError(f"{var}: {e}") from e
-
-
-def _parse_float_list(field: str, text: str) -> tuple:
-    try:
-        return tuple(float(s) for s in text.split(",") if s.strip())
-    except ValueError as e:
-        raise ConfigError(f"{field}: {e}") from e
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge defaults, config file, environment, and flags, then validate."""
-    base = ExperimentConfig()
-    values = {f.name: getattr(base, f.name) for f in dataclasses.fields(base)}
-    dim = None
-
-    if getattr(args, "config", None):
-        loaded = _load_config(args.config)
-        dim = loaded.pop("_dim", None)
-        values.update(loaded)
-    _apply_env(values)
-
-    flag_map = {
-        "measure": "measure", "paths": "n_paths", "seed": "seed", "out": "out",
-        "sigma": "tolerance_sigma", "workers": "workers",
-        "tilt_samples": "tilt_samples", "driver": "driver",
-        "grid_kind": "grid_kind", "t_min": "t_min", "t_max": "t_max",
-        "grid_points": "grid_points",
-    }
-    for attr, key in flag_map.items():
-        val = getattr(args, attr, None)
+    values = dataclasses.asdict(ExperimentConfig())
+    loaded = _load_config(args.config) if getattr(args, "config", None) else {}
+    dim = loaded.pop("_dim", None)
+    values.update(loaded)
+    for name, s in SETTINGS.items():
+        if s.env and s.env in os.environ:
+            values[name] = _from_text(s.env, os.environ[s.env], s.kind)
+    for name, s in SETTINGS.items():
+        val = getattr(args, name, None)
         if val is not None:
-            values[key] = val
-    if getattr(args, "include", None) is not None:
-        values["include"] = _parse_float_list("--include", args.include)
-    if getattr(args, "checks", None) is not None:
-        values["checks"] = tuple(
-            s.strip() for s in args.checks.split(",") if s.strip())
+            values[name] = (_nonempty(s.flag, s, _from_text(s.flag, val, s.kind, many=True))
+                            if s.many else val)
 
     if dim is not None:
         if ":" in values["measure"]:
@@ -225,6 +212,10 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
+    for name, s in SETTINGS.items():
+        if s.choices and (value := getattr(cfg, name)) not in s.choices:
+            raise ConfigError(f"{name.replace('_', ' ')} must be "
+                              f"{' or '.join(map(repr, s.choices))}, not {value!r}")
     try:
         parse_measure_id(cfg.measure)
     except SloclabError as e:
@@ -257,10 +248,6 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("workers must be at least 1")
     if cfg.tilt_samples < 16:
         raise ConfigError("tilt_samples must be at least 16")
-    if cfg.driver not in ("direct", "sde"):
-        raise ConfigError(f"driver must be 'direct' or 'sde', not {cfg.driver!r}")
-    if cfg.grid_kind not in ("geometric", "uniform"):
-        raise ConfigError(f"grid kind must be 'geometric' or 'uniform', not {cfg.grid_kind!r}")
     if any(a <= 0 for a in cfg.include):
         raise ConfigError("grid include anchors must be positive times")
     if cfg.include and cfg.grid_kind == "uniform":
@@ -571,13 +558,13 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
 
 def _cmd_tilt_probe(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     spec = parse_measure_id(cfg.measure)
-    theta = np.asarray(_parse_float_list("--theta", args.theta), float)
+    theta = np.asarray(_from_text("--theta", args.theta, float, many=True))
     t = float(args.t)
 
     # every route runs before any prints, so a route that cannot run prints nothing
-    states = [("quadrature" if spec.family == "ball" else "analytic",
-               tilt.tilt_moments(spec, t, theta))]
-    if spec.factors is not None:
+    first = tilt.tilt_moments(spec, t, theta)
+    states = [("analytic" if first.method == tilt.CLOSED_FORM else "quadrature", first)]
+    if spec.factors is not None and states[0][0] == "analytic":
         states.append(("quadrature", tilt.tilt_moments_quadrature(spec, t, theta)))
     routes = [(route, f"log_z={_fmt(s.log_z)} ", s.mean, s.cov, "") for route, s in states]
     # the sample route: moments of exact draws, with the standard error of their mean
@@ -645,44 +632,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="JSON config file")
-    common.add_argument("--measure", metavar="ID", help="measure id, e.g. cube:8")
-    common.add_argument("--paths", type=int, metavar="N", help="ensemble size")
-    common.add_argument("--seed", type=int, metavar="U64", help="master seed")
-    common.add_argument("--out", metavar="DIR", help="output directory")
-    common.add_argument("--sigma", type=float, metavar="S",
-                        help="tolerance multiplier for stochastic gates")
-    common.add_argument("--workers", type=int, metavar="W",
-                        help="accepted and validated, but has no effect: every "
-                             "tilt is exact and runs in one thread")
-    common.add_argument("--tilt-samples", type=int, dest="tilt_samples",
-                        metavar="N", help="exact draws on tilt-probe's sample route; "
-                                          "no other command uses it")
-    common.add_argument("--grid-kind", dest="grid_kind",
-                        choices=("geometric", "uniform"))
-    common.add_argument("--grid-points", dest="grid_points", type=int, metavar="K")
-    common.add_argument("--t-min", dest="t_min", type=float, metavar="T")
-    common.add_argument("--t-max", dest="t_max", type=float, metavar="T")
-    common.add_argument("--include", metavar="T1,T2,...",
-                        help="extra grid times, comma separated")
-
     p = _Parser(prog="sloclab",
                 description="stochastic localization laboratory")
     sub = p.add_subparsers(dest="command", required=True)
-    sub.add_parser("simulate", parents=[common],
-                   help="simulate an ensemble, write per-time CSV summaries") \
-       .add_argument("--driver", choices=("direct", "sde"))
-    sub.add_parser("verify", parents=[common],
-                   help="run verification checks, write reports") \
-       .add_argument("--checks", metavar="ID1,ID2,...",
-                     help="subset of check ids (default: all that apply)")
-    probe = sub.add_parser("tilt-probe", parents=[common],
-                           help="print tilted moments along every route")
-    probe.add_argument("--t", type=float, required=True, metavar="T")
-    probe.add_argument("--theta", required=True, metavar="X1,X2,...")
-    sub.add_parser("lk-table", parents=[common],
-                   help="slicing constants across the measure catalog")
+    for command, text in (
+            ("simulate", "simulate an ensemble, write per-time CSV summaries"),
+            ("verify", "run verification checks, write reports"),
+            ("tilt-probe", "print tilted moments along every route"),
+            ("lk-table", "slicing constants across the measure catalog")):
+        cmd = sub.add_parser(command, help=text)
+        cmd.add_argument("--config", metavar="FILE", help="JSON config file")
+        for name, s in SETTINGS.items():
+            if s.command in ("", command):
+                cmd.add_argument(s.flag, dest=name, type=None if s.many else s.kind,
+                                 choices=s.choices or None, metavar=s.metavar, help=s.help)
+        if command == "tilt-probe":
+            cmd.add_argument("--t", type=float, required=True, metavar="T")
+            cmd.add_argument("--theta", required=True, metavar="X1,X2,...")
     sub.add_parser("list-checks", help="print the check registry")
     return p
 

@@ -2,9 +2,9 @@
 
 A covariance array has a path axis and a time axis in front.  Coordinate
 products and Gaussians have diagonal tilt covariances A_t and Gamma_r on
-every path, and store only the diagonals, (m, K, n); balls and affine
-images store full matrices, (m, K, n, n).  A reduction over paths keeps its
-path axis (``keepdims=True``) when it comes back here.  These helpers are
+every path, and store only the diagonals, (m, K, n); balls store full
+matrices, (m, K, n, n).  A reduction over paths keeps its path axis
+(``keepdims=True``) when it comes back here.  These helpers are
 the only code that tells the two layouts apart; they read the layout from
 the number of axes and raise ValueError on any other number.
 """

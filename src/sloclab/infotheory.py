@@ -9,8 +9,9 @@ The de Bruijn identity along the localization clock reads
     D(mu || gamma_1) = 1/2 * integral_0^1 E |v_r|^2 dr,
 
 verified here with the r-integral truncated at the last grid point and a
-rectangle tail estimate (monotonicity of the integrand makes the rectangle an
-underestimate, so the residual truncation sits inside the stated tolerance).
+rectangle tail estimate.  Monotonicity of the integrand makes the rectangle
+an underestimate, and a known one: the tolerance does not absorb it, so
+`de-bruijn` FAILs on healthy measures (ROADMAP item 1).
 
 The EPI deficit of mu is
 
@@ -74,8 +75,10 @@ def de_bruijn_check(spec: MeasureSpec, frame: FrameEnsemble, sigma: float = 4.0,
 
     The integral runs over the realized grid only; the tail over (r_max, 1)
     is replaced by the rectangle 1/2 * E|v_{r_max}|^2 * (1 - r_max), an
-    underestimate by monotonicity, and the residual is absorbed into the
-    relative tolerance.  Tolerance: max(rel_tol * KL, sigma * stderr) + atol.
+    underestimate by monotonicity.  The tolerance does not cover that
+    shortfall: on product:exp,uniform,uniform with 1024 paths at seed 0 the
+    gap is 0.152 against a tolerance of 0.102 (ROADMAP item 1).
+    Tolerance: max(rel_tol * KL, sigma * stderr) + atol.
     """
     r = frame.r
     if len(r) < 10:

@@ -224,8 +224,8 @@ def ensemble_stats(ensemble: PathEnsemble) -> EnsembleStats:
 
     E[a (x) a + A] and its error come from `covariance.outer_mean_se`: for
     diagonal covariances (Gaussians and coordinate products) by moment
-    reductions, with no per-path outer product; full covariances (balls and
-    affine images) still take the per-path route.
+    reductions, with no per-path outer product; full covariances (balls)
+    still take the per-path route.
     """
     a = ensemble.mean
     cov = ensemble.cov
@@ -281,14 +281,15 @@ def check_derivative_identity(ensemble: PathEnsemble, sigma: float = 4.0,
 
 
 def spectral_margin(mats: np.ndarray, clock: np.ndarray) -> np.ndarray:
-    """Pathwise margin clock * lambda_max(mats) - 1, (m, K-1), for clock > 0.
+    """Pathwise margin clock * lambda_max(mats) - 1, (m, K), indexed by grid time.
 
     ``mats`` is a covariance array on the grid ``clock`` (K,), diagonal
-    (m, K, n) or full (m, K, n, n); the first grid point is 0 and is
-    dropped.  Every tilt is exact, so callers gate it with a flat slack.
+    (m, K, n) or full (m, K, n, n).  The first grid point is 0, where the
+    margin is exactly -1, so it is never the worst entry.  Every tilt is
+    exact, so callers gate it with a flat slack.
     """
     lam = covariance.eig_extremes(mats)[1]
-    return lam[:, 1:] * clock[None, 1:] - 1.0
+    return lam * clock[None, :] - 1.0
 
 
 def check_spectral_bound(ensemble: PathEnsemble, slack_exact: float = 1e-6) -> LemmaReport:

@@ -1,5 +1,6 @@
 """Command surface: config precedence, validation messages, artifacts, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 
 import sloclab
-from sloclab.cli import _CHECK_IDS, _REGISTRY, RunContext, _build_parser, build_config, main
+from sloclab.cli import (_CHECK_IDS, _REGISTRY, SETTINGS, RunContext, _build_parser,
+                         build_config, main)
 from sloclab.errors import ConfigError
 from sloclab.measures import SQRT3
 
@@ -148,6 +150,7 @@ def test_bad_env_value(monkeypatch):
     (["verify", "--measure", "cube:0"], "dimension must be >= 1"),
     (["verify", "--include", "-1.0"], "anchors must be positive"),
     (["verify", "--checks", "bogus"], "unknown check id 'bogus'"),
+    (["verify", "--checks", ","], "--checks names no check id; leave it out"),
 ])
 def test_invariant_messages(argv, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -189,6 +192,11 @@ def test_silently_mishandled_flags_are_rejected(argv, msg, capsys):
     pytest.param('{"grid": {"kind": "uniform", "t_min": 3.0, "t_max": 4.0}}', None,
                  "t_min needs a geometric grid", id="config-uniform-t-min"),
     pytest.param("{}", "inf", "tolerance_sigma must be a finite number", id="env-sigma-inf"),
+    pytest.param('{"checks": []}', None, "config field checks names no check id",
+                 id="config-checks-empty"),
+    pytest.param('{"grid": {"kind": "log"}}', None,
+                 "grid kind must be 'geometric' or 'uniform', not 'log'",
+                 id="config-grid-kind-unknown"),
 ])
 def test_mishandled_config_and_env_values_are_rejected(tmp_path, monkeypatch,
                                                         config_text, env, msg):
@@ -214,6 +222,88 @@ def test_config_driver_validated(tmp_path):
     path = write_config(tmp_path, {"driver": "heun"})
     with pytest.raises(ConfigError, match="'direct' or 'sde'"):
         parse_cfg(["verify", "--config", path])
+
+
+# ---------------------------------------------------------------------------
+# The settings declaration
+
+# one value per setting, valid on its own and unlike the default
+SAMPLES = {
+    "measure": "cube:3", "n_paths": 7, "seed": 5, "grid_kind": "uniform", "t_min": 0.5,
+    "t_max": 50.0, "grid_points": 11, "include": (1.0, 2.0), "checks": ("martingale",),
+    "out": "elsewhere", "tolerance_sigma": 3.0, "workers": 2, "tilt_samples": 32,
+    "driver": "sde",
+}
+
+
+def _as_text(value):
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def _json_keys(s):
+    return [k for k in (s.key, s.alias) if k]
+
+
+@pytest.mark.parametrize("name", list(SETTINGS))
+def test_each_source_moves_only_its_field(name, tmp_path, monkeypatch):
+    s, value = SETTINGS[name], SAMPLES[name]
+    base = dataclasses.asdict(parse_cfg(["verify"]))
+    # a uniform grid has no default t_min
+    moved = {name, "t_min"} if name == "grid_kind" else {name}
+
+    def assert_moves(cfg, source):
+        got = dataclasses.asdict(cfg)
+        assert got[name] == value, source
+        assert {k for k in got if got[k] != base[k]} == moved, source
+
+    for key in _json_keys(s):
+        section, _, inner = key.rpartition(".")
+        payload = list(value) if isinstance(value, tuple) else value
+        config = {section: {inner: payload}} if section else {key: payload}
+        assert_moves(parse_cfg(["verify", "--config", write_config(tmp_path, config)]), key)
+    if s.env:
+        monkeypatch.setenv(s.env, _as_text(value))
+        assert_moves(parse_cfg(["verify"]), s.env)
+        monkeypatch.delenv(s.env)
+    assert_moves(parse_cfg([s.command or "verify", s.flag, _as_text(value)]), s.flag)
+
+
+def test_flags_are_where_the_declaration_puts_them():
+    parser = _build_parser()
+    for name, s in SETTINGS.items():
+        for command in ("simulate", "verify", "tilt-probe", "lk-table"):
+            argv = [command, s.flag, _as_text(SAMPLES[name])]
+            if command == "tilt-probe":
+                argv += ["--t", "1", "--theta", "0"]
+            if s.command in ("", command):
+                assert getattr(parser.parse_args(argv), name) is not None
+            else:
+                with pytest.raises(ConfigError, match="unrecognized arguments"):
+                    parser.parse_args(argv)
+
+
+def _readme_settings_rows():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.splitlines()
+    start = lines.index("| field | JSON key | variable | flag | default |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        rows[cells[0].strip("`")] = [re.findall(r"`([^`]+)`", c) for c in cells[1:4]] + [cells[3]]
+    return rows
+
+
+def test_readme_settings_table_matches_declaration():
+    rows = _readme_settings_rows()
+    assert list(rows) == list(SETTINGS)
+    for name, s in SETTINGS.items():
+        keys, env, flag, flag_cell = rows[name]
+        assert keys == _json_keys(s), name
+        assert env == ([s.env] if s.env else []), name
+        assert flag == [s.flag], name
+        assert (s.command in flag_cell) if s.command else ("only" not in flag_cell), name
 
 
 # ---------------------------------------------------------------------------
@@ -392,21 +482,22 @@ def test_tilt_probe_t_zero_on_a_product(capsys):
                  "--theta", "0.3,0", "--tilt-samples", "20000"])
     routes = _probe_routes(capsys.readouterr().out)
     assert code == 0
-    assert list(routes) == ["analytic", "quadrature", "sample"]
+    # at t = 0 a product's tilt is the per-factor quadrature itself, printed once
+    assert list(routes) == ["quadrature", "sample"]
     # closed form: log of sinh(sqrt(3) theta) / (sqrt(3) theta)
     closed = math.log(math.sinh(SQRT3 * 0.3) / (SQRT3 * 0.3))
-    assert routes["analytic"]["log_z"][0] == pytest.approx(closed, abs=1e-9)
-    _sample_agrees(routes, "analytic")
+    assert routes["quadrature"]["log_z"][0] == pytest.approx(closed, abs=1e-9)
+    _sample_agrees(routes, "quadrature")
 
 
 def test_tilt_probe_t_zero_unbounded_factor_prints_nothing(capsys):
     # exp's t = 0 tilt by theta < 1 is log-concave with an exponential tail,
-    # so all three routes print; theta >= 1 diverges and prints nothing
+    # so both routes print; theta >= 1 diverges and prints nothing
     code = main(["tilt-probe", "--measure", "product:exp,uniform", "--t", "0",
                  "--theta", "0.3,0.1"])
     routes = _probe_routes(capsys.readouterr().out)
     assert code == 0
-    assert list(routes) == ["analytic", "quadrature", "sample"]
+    assert list(routes) == ["quadrature", "sample"]
     _sample_agrees(routes, "quadrature")
     code = main(["tilt-probe", "--measure", "product:exp,uniform", "--t", "0",
                  "--theta", "1.3,0.1"])

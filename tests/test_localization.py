@@ -334,8 +334,8 @@ def test_spectral_bound_flags_offending_path():
     rep = check_spectral_bound(ens)
     assert rep.failed
     assert "offending paths [3]" in rep.notes
-    # the margin leaves out t = 0, so grid time 2 is its column 1
-    assert rep.notes.endswith(", worst at index (3, 1)")
+    # the index is (path, grid time)
+    assert rep.notes.endswith(", worst at index (3, 2)")
 
 
 def test_derivative_identity_flags_scaled_time(cube2_ensemble):
