@@ -182,12 +182,9 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge defaults, config file, environment, and flags, then validate."""
-    values = dataclasses.asdict(ExperimentConfig())
-    loaded = _load_config(args.config) if getattr(args, "config", None) else {}
-    dim = loaded.pop("_dim", None)
-    values.update(loaded)
+def _given(args: argparse.Namespace) -> dict:
+    """The fields some source sets: config file, then environment, then flags."""
+    values = _load_config(args.config) if getattr(args, "config", None) else {}
     for name, s in SETTINGS.items():
         if s.env and s.env in os.environ:
             values[name] = _from_text(s.env, os.environ[s.env], s.kind)
@@ -196,6 +193,15 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         if val is not None:
             values[name] = (_nonempty(s.flag, s, _from_text(s.flag, val, s.kind, many=True))
                             if s.many else val)
+    return values
+
+
+def build_config(args: argparse.Namespace) -> ExperimentConfig:
+    """Merge defaults, config file, environment, and flags, then validate."""
+    values = dataclasses.asdict(ExperimentConfig())
+    given = _given(args)
+    dim = given.pop("_dim", None)
+    values.update(given)
 
     if dim is not None:
         if ":" in values["measure"]:
@@ -453,7 +459,7 @@ _REGISTRY = (
         why_not="needs at least 10 grid times"),
     CheckDef(
         "trace-ratio", "info",
-        "sup_t tr E A_t^2 / n; no universal constant is gated, value only",
+        "sup_{t>0} E tr A_t^2 / n; no universal constant is gated, value only",
         lambda ctx: True,
         lambda ctx: localization.trace_square_ratio(ctx.ensemble())),
     CheckDef(
@@ -583,7 +589,8 @@ def _cmd_tilt_probe(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_lk_table(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    catalog = (cfg.measure,) if args.measure else DEFAULT_CATALOG
+    # the whole catalog unless a flag, SLOCLAB_MEASURE or the config names a measure
+    catalog = (cfg.measure,) if {"measure", "_dim"} & _given(args).keys() else DEFAULT_CATALOG
     rows, floor = isoconst.l_bounds_sweep(catalog)
 
     lines = [["measure", "dim", "l_value", "l_stderr", "entropy",

@@ -23,6 +23,7 @@ whiten any spec with known (or supplied) moments.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -71,7 +72,8 @@ class Factor1D:
             out = np.where(inside, np.maximum(out, k - x * (0.5 * c * x + b)), out)
         return out
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        """Draw ``size`` points; a ``(rows, size)`` draw equals ``rows`` successive size-draws."""
         raise NotImplementedError
 
     def entropy(self) -> float:
@@ -210,6 +212,9 @@ class TruncGaussFactor(Factor1D):
                         math.log(self.sigma) - math.log(self.z_cut) - 0.5 * _LOG_2PI),)
 
     def sample(self, rng, size):
+        if isinstance(size, tuple):  # the rejection batches follow size, so draw row by row
+            rows, size = size
+            return np.stack([self.sample(rng, size) for _ in range(rows)])
         out = np.empty(size)
         filled = 0
         while filled < size:
@@ -368,6 +373,8 @@ class ProductSpec(MeasureSpec):
     ``laws``: the distinct factor laws in order of first appearance, each as
     (factor, its columns).  Equal ``pieces`` make one law; a factor without
     pieces (``ballmarg``) is its own.  Batched routes run once per law.
+    ``runs``: the maximal runs of consecutive columns of one factor class and
+    law, each as (factor, run length); `sample` draws each run in one call.
     """
 
     def __init__(self, factors, family: str = "product"):
@@ -381,6 +388,9 @@ class ProductSpec(MeasureSpec):
         for j, f in enumerate(factors):
             laws.setdefault(f.pieces or f, (f, []))[1].append(j)
         self.laws = tuple((f, np.array(cols)) for f, cols in laws.values())
+        runs = [list(run) for _, run in
+                itertools.groupby(factors, lambda f: (type(f), f.pieces or f))]
+        self.runs = tuple((run[0], len(run)) for run in runs)
 
     def potential(self, x):
         x = np.asarray(x, float)
@@ -392,8 +402,9 @@ class ProductSpec(MeasureSpec):
         return total
 
     def sample(self, rng, size):
-        cols = [f.sample(rng, size) for f in self.factors]
-        return np.stack(cols, axis=-1)
+        # column j's draws follow column j-1's, as if each factor drew in turn
+        blocks = [f.sample(rng, (run, size)) for f, run in self.runs]
+        return np.ascontiguousarray(np.concatenate(blocks).T)
 
     def entropy(self):
         return float(sum(f.entropy() for f in self.factors))

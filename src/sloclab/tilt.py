@@ -519,8 +519,7 @@ def conditional_covariance_identity_check(spec: MeasureSpec, t: float, seed: int
     dim = spec.dim
 
     thetas = np.empty((n_outer, dim))
-    for i in range(n_outer):
-        rng = streams.generator(seed, i, "cond-analytic")
+    for i, rng in enumerate(streams.each((seed, i, "cond-analytic") for i in range(n_outer))):
         x = spec.sample(rng, 1)[0]
         thetas[i] = t * x + math.sqrt(t) * rng.standard_normal(dim)
     covs = covariance.dense_rows(tilt_table(spec, t, thetas)[2])

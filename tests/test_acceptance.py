@@ -255,8 +255,8 @@ def test_c12_trace_square_ratio_catalog():
         ens = simulate_ensemble(spec, grid, 128, seed=1)
         rep = trace_square_ratio(ens)
         ok = ok and rep.verdict == "INFO" and np.isfinite(rep.stderr)
-        if spec.family == "gaussian":
-            ok = ok and rep.statistic == 1.0
+        if spec.family == "gaussian":  # A_t = Id / (1 + t), largest at the first t > 0
+            ok = ok and abs(rep.statistic - 1.0 / (1.0 + grid.points[1]) ** 2) < 1e-12
         lines.append(f"{mid}={rep.statistic:.3f}±{rep.stderr:.3f}")
     _verdict("C12 sup trace ratio (info only)", ok, " ".join(lines))
 

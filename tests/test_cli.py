@@ -535,6 +535,23 @@ def test_lk_table_single_measure_to_stdout(capsys):
     assert out.splitlines()[1].startswith("cube:2,2,")
 
 
+@pytest.mark.parametrize("source", ["env", "config", "config-dim"])
+def test_lk_table_honours_measure_from_env_and_config(source, tmp_path, monkeypatch, capsys):
+    argv = ["lk-table"]
+    if source == "env":
+        monkeypatch.setenv("SLOCLAB_MEASURE", "cube:2")
+    else:
+        payload = {"measure_id": "cube:2"} if source == "config" else {"measure": "cube",
+                                                                        "dim": 2}
+        argv += ["--config", write_config(tmp_path, payload)]
+    code = main(argv)
+    rows = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert rows[0].startswith("measure,dim,l_value")
+    assert rows[1].startswith("cube:2,2,")
+    assert not rows[2].startswith(("gaussian:", "cube:", "ball:", "product:"))
+
+
 def _declared_console_script(name):
     """The ``module:attr`` value that pyproject.toml declares for console script ``name``."""
     if sys.version_info >= (3, 11):

@@ -28,6 +28,9 @@
   ``erfcx``: every Gaussian window goes through
   ``numerics.trunc_normal_moments``, so its tail arithmetic lives in one
   place.
+* No ``src/`` module but ``streams.py`` reads ``SeedSequence``, ``PCG64`` or
+  ``default_rng``, or calls ``Generator(``: every generator comes from a
+  stream key, through the one batched seeding route.
 """
 
 import ast
@@ -184,6 +187,25 @@ def special_uses(tree: ast.Module) -> list:
     return sorted(out)
 
 
+GENERATOR_BUILDERS = {"SeedSequence", "PCG64", "default_rng"}
+
+
+def generator_constructions(tree: ast.Module) -> list:
+    """(line, name) of every import or read of GENERATOR_BUILDERS and every ``Generator(`` call."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            out |= {(node.lineno, a.name) for a in node.names if a.name in GENERATOR_BUILDERS}
+        elif isinstance(node, ast.Attribute) and node.attr in GENERATOR_BUILDERS:
+            out.add((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in GENERATOR_BUILDERS:
+            out.add((node.lineno, node.id))
+        elif isinstance(node, ast.Call) and "Generator" in (getattr(node.func, "id", None),
+                                                            getattr(node.func, "attr", None)):
+            out.add((node.lineno, "Generator"))
+    return sorted(out)
+
+
 def _scan(paths, scanner) -> list:
     assert paths
     return [f"{_rel(p)}:{line} {name}" for p in paths for line, name in scanner(_tree(p))]
@@ -244,6 +266,14 @@ def test_gaussian_window_tails_only_in_numerics():
     outside = [p for p in PACKAGE if p != ROOT / "src" / "sloclab" / "numerics.py"]
     assert len(outside) == len(PACKAGE) - 1
     assert _scan(outside, special_uses) == []
+
+
+def test_generators_are_built_only_in_streams_module():
+    streams = ROOT / "src" / "sloclab" / "streams.py"
+    outside = [p for p in PACKAGE if p != streams]
+    assert len(outside) == len(PACKAGE) - 1
+    assert _scan(outside, generator_constructions) == []
+    assert _scan([streams], generator_constructions)
 
 
 def test_cli_import_leaves_out_scipy_stats_and_signal():
@@ -347,3 +377,14 @@ def test_scanners_flag_what_they_look_for():
                          "z = scipy.special.log_ndtr(3.0) + ndtr(1.0)\n"
                          "erfcx = 2\n")
     assert special_uses(specials) == [(1, "erfcx"), (2, "log_ndtr"), (4, "log_ndtr")]
+    rngs = ast.parse("import numpy as np\n"
+                     "from numpy.random import default_rng, SeedSequence\n"
+                     "a = np.random.Generator(np.random.PCG64(3))\n"
+                     "b = default_rng(0)\n"
+                     "def f(rng: np.random.Generator) -> np.random.Generator:\n"
+                     "    return rng.standard_normal(2)\n"
+                     "c = np.random.SeedSequence([1]).spawn(2)\n"
+                     "d = streams.generator(0, 'w')\n")
+    assert generator_constructions(rngs) == [(2, "SeedSequence"), (2, "default_rng"),
+                                             (3, "Generator"), (3, "PCG64"),
+                                             (4, "default_rng"), (7, "SeedSequence")]

@@ -264,10 +264,12 @@ def test_trace_square_at_time_zero():
     ens = simulate_ensemble(make_cube(8), make_geometric(0.1, 1.0, 7), 3, seed=0)
     stats = ens.stats()
     assert stats.mean_tr_cov_sq[0] == pytest.approx(8.0, abs=1e-12)
+    # A_0 = Id says nothing about the bound, so the maximum runs over t > 0 only
     rep = trace_square_ratio(ens)
     assert rep.verdict == "INFO"
-    assert rep.statistic == pytest.approx(1.0, abs=1e-12)
-    assert "t=0" in rep.notes
+    assert rep.statistic == stats.mean_tr_cov_sq[1:].max() / 8.0
+    assert rep.statistic < 1.0
+    assert "max at t=0.1;" in rep.notes
 
 
 def test_derivative_identity_needs_five_points():

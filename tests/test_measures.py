@@ -30,9 +30,6 @@ from sloclab.numerics import trunc_normal_moments
 from sloclab.streams import generator
 from sloclab.tilt import envelope
 
-FACTOR_TAGS = ("gaussian", "uniform", "exp", "laplace", "truncgauss")
-
-
 # ---------------------------------------------------------------------------
 # 1D factors
 
@@ -123,6 +120,30 @@ def test_product_laws_group_columns_by_pieces():
     twins = ProductSpec([BallMarginalFactor(4), BallMarginalFactor(4)])
     assert [(f, cols.tolist()) for f, cols in twins.laws] == [(twins.factors[0], [0]),
                                                               (twins.factors[1], [1])]
+
+
+def test_product_runs_group_consecutive_equal_factors():
+    assert [(f.tag, run) for f, run in make_product("exp,exp,uniform,exp").runs] == [
+        ("exp", 2), ("uniform", 1), ("exp", 1)]
+    assert [run for _, run in make_cube(32).runs] == [32]
+    twins = ProductSpec([BallMarginalFactor(4), BallMarginalFactor(4)])
+    assert [run for _, run in twins.runs] == [1, 1]
+    shared = BallMarginalFactor(4)
+    assert [run for _, run in ProductSpec([shared, shared]).runs] == [2]
+
+
+@pytest.mark.parametrize("size", [0, 1, 7])
+@pytest.mark.parametrize("tags", [",".join([tag] * 3) for tag in FACTOR_TAGS]
+                         + ["exp,uniform,exp", "truncgauss,truncgauss,uniform"])
+def test_product_sample_matches_per_factor_draws(tags, size):
+    # one draw per run of equal factors gives the numbers of one draw per column
+    spec = make_product(tags)
+    rng = generator(19, tags, size)
+    expect = np.stack([f.sample(rng, size) for f in spec.factors], axis=-1)
+    got = spec.sample(generator(19, tags, size), size)
+    assert got.shape == (size, spec.dim)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, expect)
 
 
 def test_closed_factors_derive_everything_from_pieces():
