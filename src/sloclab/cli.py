@@ -270,7 +270,11 @@ def _validate_config(cfg: ExperimentConfig) -> None:
 
 
 class RunContext:
-    """Lazily built shared state; one ensemble serves every selected check."""
+    """Lazily built shared state; one ensemble serves every selected check.
+
+    Only driver-equivalence and projection-domination's marginal side
+    simulate paths of their own.
+    """
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -303,9 +307,9 @@ class RunContext:
             self._frame = follmer.to_follmer(self.ensemble())
         return self._frame
 
-    def nearest_time(self, target: float) -> float:
-        pts = self.grid.points[1:]
-        return float(pts[int(np.argmin(np.abs(pts - target)))])
+    def nearest_index(self, target: float) -> int:
+        """Index of the grid time t > 0 nearest ``target``."""
+        return 1 + int(np.argmin(np.abs(self.grid.points[1:] - target)))
 
 
 def _fisher_quadrature(spec) -> bool:
@@ -333,10 +337,9 @@ class CheckDef:
 
 
 def _run_conditional_covariance(ctx: RunContext) -> LemmaReport:
-    t = ctx.nearest_time(1.0)
     return tilt.conditional_covariance_identity_check(
-        ctx.spec, t, ctx.cfg.seed, n_outer=min(ctx.cfg.n_paths, 1024),
-        n_inner=64, sigma=ctx.cfg.tolerance_sigma)
+        ctx.ensemble(), ctx.nearest_index(1.0), ctx.cfg.seed,
+        n_outer=min(ctx.cfg.n_paths, 1024), n_inner=64, sigma=ctx.cfg.tolerance_sigma)
 
 
 def _run_deficit_chain(ctx: RunContext) -> LemmaReport:
@@ -349,9 +352,8 @@ def _run_deficit_chain(ctx: RunContext) -> LemmaReport:
 
 def _run_projection(ctx: RunContext) -> LemmaReport:
     return isoconst.check_projection_domination(
-        ctx.spec, _default_basis(ctx.spec), ctx.nearest_time(1.0),
-        n_paths=ctx.cfg.n_paths, seed=ctx.cfg.seed,
-        sigma=ctx.cfg.tolerance_sigma)
+        ctx.ensemble(), _default_basis(ctx.spec), ctx.nearest_index(1.0),
+        seed=ctx.cfg.seed, sigma=ctx.cfg.tolerance_sigma)
 
 
 _REGISTRY = (
@@ -390,8 +392,7 @@ _REGISTRY = (
         "E p_(t, theta_t)(x) = rho(x) pointwise on a fixed x-grid",
         lambda ctx: ctx.spec.dim == 1,
         lambda ctx: localization.check_density_martingale(
-            ctx.spec, ctx.grid, ctx.cfg.n_paths, ctx.cfg.seed,
-            sigma=ctx.cfg.tolerance_sigma),
+            ctx.ensemble(), sigma=ctx.cfg.tolerance_sigma),
         why_not="needs a one-dimensional measure"),
     CheckDef(
         "driver-equivalence", "gate",

@@ -197,13 +197,14 @@ def marginal_fisher_information(spec: MeasureSpec, r: float) -> EstimatorResult:
                            sum(count * e for count, (_, e) in parts), method="quadrature")
 
 
-def check_fisher_identity(frame: FrameEnsemble, indices=None,
-                          sigma: float = 4.0) -> LemmaReport:
+def check_fisher_identity(frame: FrameEnsemble, indices=None, sigma: float = 4.0,
+                          atol: float = 1e-9) -> LemmaReport:
     """E |v_r|^2 equals the marginal relative Fisher information J(nu_r || gamma_r).
 
     The left side is the simulated energy, the right side an independent
     density quadrature; disagreement beyond sigma Monte Carlo standard errors
-    plus the quadrature's error estimate fails the check.
+    plus the quadrature's error estimate, floored at ``atol`` for rounding
+    (on a Gaussian both sides are 0 up to 1e-33), fails the check.
     """
     cur = fisher_energy(frame)
     if indices is None:
@@ -216,7 +217,7 @@ def check_fisher_identity(frame: FrameEnsemble, indices=None,
             continue
         j_quad = marginal_fisher_information(frame.spec, r)
         gap = abs(float(cur.value[k]) - j_quad.value)
-        tol = sigma * float(cur.stderr[k]) + j_quad.stderr
+        tol = max(sigma * float(cur.stderr[k]) + j_quad.stderr, atol)
         subs.append(gate(f"fisher-identity@r={r:.4g}", gap, tol,
                          stderr=float(cur.stderr[k]),
                          notes=f"mc={cur.value[k]:.6g} quad={j_quad.value:.6g}"))

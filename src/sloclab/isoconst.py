@@ -32,7 +32,7 @@ import numpy as np
 from . import covariance
 from .errors import InputValidationError, SingularCovariance
 from .infotheory import CLOSED_FORM
-from .localization import TimeGrid, simulate_ensemble
+from .localization import PathEnsemble, make_uniform, simulate_ensemble
 from .measures import (BallMarginalFactor, BallSpec, GaussianSpec, MeasureSpec,
                        ProductSpec, SubspaceBasis,
                        DEFAULT_CATALOG, parse_measure_id)
@@ -113,30 +113,29 @@ def marginal(spec: MeasureSpec, basis: SubspaceBasis) -> MeasureSpec:
         "localizable marginal (coordinate product, Gaussian, or 1D ball slice)")
 
 
-def check_projection_domination(spec: MeasureSpec, basis: SubspaceBasis, t: float,
-                                n_paths: int, seed: int = 0, sigma: float = 4.0,
+def check_projection_domination(ensemble: PathEnsemble, basis: SubspaceBasis, k: int,
+                                seed: int = 0, sigma: float = 4.0,
                                 atol: float = 1e-9) -> LemmaReport:
     """Localizing the marginal keeps at least the projected covariance.
 
-    Runs localization to time ``t`` on the measure and on its marginal and
-    gates lambda_min(E A_{E,t} - V^T E A_t V) >= -slack.  For exact-equality
-    families (Gaussian, coordinate products) an entrywise equality sub-report
-    is attached.
+    Reads A_t at grid index k > 0 of the run's ensemble; the marginal, another
+    measure, is localized here with as many paths on the grid [0, t].  Gates
+    lambda_min(E A_{E,t} - V^T E A_t V) >= -slack.  For exact-equality families
+    (Gaussian, coordinate products) an entrywise equality sub-report is attached.
     """
+    spec, n_paths = ensemble.spec, ensemble.n_paths
     sub_spec = marginal(spec, basis)
+    t = float(ensemble.grid.points[k])
     if t <= 0:
         raise InputValidationError("need t > 0")
-    grid = TimeGrid(np.array([0.0, float(t)]), kind="two-point")
-    full = simulate_ensemble(spec, grid, n_paths, seed)
-    part = simulate_ensemble(sub_spec, grid, n_paths, seed, salt="marginal")
+    part = simulate_ensemble(sub_spec, make_uniform(t, 1), n_paths, seed, salt="marginal")
 
     v = basis.columns
-    proj = np.einsum("ik,mij,jl->mkl", v, covariance.dense_rows(full.cov[:, 1]), v)
+    proj = np.einsum("ik,mij,jl->mkl", v, covariance.dense_rows(ensemble.cov[:, k]), v)
     lhs = covariance.dense_rows(part.cov[:, 1])
     diff = lhs.mean(axis=0) - proj.mean(axis=0)
     se = np.hypot(jackknife_se(lhs, axis=0), jackknife_se(proj, axis=0))
-    k = v.shape[1]
-    slack = sigma * k * float(se.max()) + atol
+    slack = sigma * v.shape[1] * float(se.max()) + atol
     lam_min = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0])
 
     subs = ()
@@ -147,7 +146,7 @@ def check_projection_domination(spec: MeasureSpec, basis: SubspaceBasis, t: floa
                                notes="independent blocks carry no cross-information,"),)
 
     return gate("projection-domination", -lam_min, slack, stderr=float(se.max()),
-                notes=f"t={t:g}, subspace dim {k}, n_paths={n_paths}", sub=subs)
+                notes=f"t={t:g}, subspace dim {v.shape[1]}, n_paths={n_paths}", sub=subs)
 
 
 def l_bounds_sweep(catalog=DEFAULT_CATALOG):

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import covariance, streams
 from .errors import InputValidationError
-from .measures import MeasureSpec
+from .measures import BallSpec, MeasureSpec
 from .numerics import jackknife_se, ks_pvalues
 from .reports import LemmaReport, composite_gate, derivative_gate, entrywise_gate, gate, info
 from .tilt import tilt_table
@@ -335,32 +335,32 @@ def check_monotone_trace(ensemble: PathEnsemble, sigma: float = 4.0,
                           notes="consecutive grid increments,")
 
 
-def check_density_martingale(spec: MeasureSpec, grid: TimeGrid, n_paths: int,
-                             seed: int, x_grid=None, sigma: float = 4.0,
+def check_density_martingale(ensemble: PathEnsemble, x_grid=None, sigma: float = 4.0,
                              atol: float = 1e-9) -> LemmaReport:
-    """E p_{t, theta_t}(x) = rho(x) pointwise on a fixed 1D x-grid."""
+    """E p_{t, theta_t}(x) = rho(x) at every grid time, on a 1D x-grid across the support."""
+    spec = ensemble.spec
     if spec.dim != 1:
         raise InputValidationError("density martingale check is 1D")
     if x_grid is None:
         f = spec.factors[0] if spec.factors else None
-        lo = max(f.lo, -4.0) if f is not None else -4.0
-        hi = min(f.hi, 4.0) if f is not None else 4.0
+        reach = spec.radius if isinstance(spec, BallSpec) else 4.0
+        lo = max(f.lo, -4.0) if f is not None else -reach
+        hi = min(f.hi, 4.0) if f is not None else reach
         pad = 0.05 * (hi - lo)
         x_grid = np.linspace(lo + pad, hi - pad, 21)
     x_grid = np.asarray(x_grid, float)
 
-    ens = simulate_ensemble(spec, grid, n_paths, seed)
     log_rho = spec.log_density(x_grid[:, None])
-    t = grid.points
-    expo = (ens.theta[:, :, 0, None] * x_grid[None, None, :]
+    t = ensemble.grid.points
+    expo = (ensemble.theta[:, :, 0, None] * x_grid[None, None, :]
             - 0.5 * t[None, :, None] * x_grid[None, None, :] ** 2
-            + log_rho[None, None, :] - ens.log_z[:, :, None])
+            + log_rho[None, None, :] - ensemble.log_z[:, :, None])
     p = np.exp(expo)
     mean = p.mean(axis=0)
     se = jackknife_se(p, axis=0)
     gap = np.abs(mean - np.exp(log_rho)[None, :])
     return entrywise_gate("martingale", gap, sigma * se + atol, se,
-                          notes=f"{len(x_grid)} x-points, n_paths={n_paths},")
+                          notes=f"{len(x_grid)} x-points, n_paths={ensemble.n_paths},")
 
 
 def check_driver_equivalence(spec: MeasureSpec, seed: int, t_max: float = 1.0,
@@ -371,12 +371,13 @@ def check_driver_equivalence(spec: MeasureSpec, seed: int, t_max: float = 1.0,
 
     Paired first/second moments via common random numbers, plus per-coordinate
     two-sample KS against an independent direct ensemble (independence keeps
-    the KS null distribution valid).
+    the KS null distribution valid), on the grid [0, t_max]: it reads only theta(t_max).
     """
     grid = make_uniform(t_max, n_steps)
     sde = simulate_ensemble(spec, grid, n_paths, seed, driver="sde")
     direct = simulate_ensemble(spec, grid, n_paths, seed, driver="direct")
-    fresh = simulate_ensemble(spec, grid, n_paths, seed, driver="direct", salt="ks")
+    fresh = simulate_ensemble(spec, make_uniform(t_max, 1), n_paths, seed, driver="direct",
+                              salt="ks")
 
     a, b = sde.theta[:, -1], direct.theta[:, -1]
     d1 = a - b

@@ -497,14 +497,13 @@ def tilt_moments(spec: MeasureSpec, t: float, theta) -> TiltState:
 # Conditional-covariance identity
 
 
-def conditional_covariance_identity_check(spec: MeasureSpec, t: float, seed: int,
-                                          n_outer: int = 1024, n_inner: int = 64,
-                                          sigma: float = 4.0, atol: float = 1e-8) -> LemmaReport:
-    """Check E A_t = E cov(X | X + sqrt(s) Z) with s = 1/t.
+def conditional_covariance_identity_check(ensemble, k: int, seed: int, n_outer: int = 1024,
+                                          n_inner: int = 64, sigma: float = 4.0,
+                                          atol: float = 1e-8) -> LemmaReport:
+    """Check E A_t = E cov(X | X + sqrt(s) Z) with s = 1/t, at grid time t = t_k.
 
-    Left side: tilt moments along simulated theta_t = t X + W_t from
-    `tilt_table`, exact for every catalog family (closed form for Gaussians
-    and coordinate products, the radial quadrature for balls).
+    Left side: the mean over paths of A_t in the run's `PathEnsemble` at
+    grid index k, exact tilts along theta_t = t X + W_t.
     Right side: for n_outer fresh pairs y = x + sqrt(s) z the conditional
     law of X given y is p_{t, t y}; one `tilt_sample_batch` call draws
     n_inner exact points from each, and their empirical covariance
@@ -514,15 +513,13 @@ def conditional_covariance_identity_check(spec: MeasureSpec, t: float, seed: int
     the two sides use disjoint streams, so their errors combine in
     quadrature.
     """
+    spec = ensemble.spec
+    t = float(ensemble.grid.points[k])
     if t <= 0:
         raise InputValidationError("t must be positive")
     dim = spec.dim
 
-    thetas = np.empty((n_outer, dim))
-    for i, rng in enumerate(streams.each((seed, i, "cond-analytic") for i in range(n_outer))):
-        x = spec.sample(rng, 1)[0]
-        thetas[i] = t * x + math.sqrt(t) * rng.standard_normal(dim)
-    covs = covariance.dense_rows(tilt_table(spec, t, thetas)[2])
+    covs = covariance.dense_rows(ensemble.cov[:, k])
     lhs = covs.mean(axis=0)
     se_lhs = jackknife_se(covs, axis=0)
 

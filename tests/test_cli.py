@@ -326,8 +326,8 @@ def test_registry_shape():
 
 def test_nearest_time_snaps_to_grid():
     ctx = RunContext(parse_cfg(["verify", "--include", "1.0"]))
-    assert ctx.nearest_time(1.0) == 1.0
-    assert ctx.nearest_time(0.0) == ctx.grid.points[1]
+    assert ctx.grid.points[ctx.nearest_index(1.0)] == 1.0
+    assert ctx.nearest_index(0.0) == 1  # t = 0 is never chosen
 
 
 def test_uniform_grid_kind():

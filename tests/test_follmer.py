@@ -257,6 +257,16 @@ def test_fisher_identity_passes(cube1_frame):
         assert s.check_id.startswith("fisher-identity@r=")
 
 
+def test_fisher_identity_passes_on_a_gaussian():
+    # both sides vanish: the energy is rounding noise (about 1e-33) with zero
+    # stderr and quadrature error, so only the rounding floor separates them
+    frame = to_follmer(simulate_ensemble(make_gaussian(3), make_geometric(0.01, 100.0, 40),
+                                         256, seed=0))
+    rep = check_fisher_identity(frame)
+    assert not rep.failed
+    assert all(s.tolerance == 1e-9 for s in rep.sub)
+
+
 def test_fisher_identity_flags_scaled_drift():
     # 1.1 v raises E |v_r|^2 by 21%; with 8192 paths the gap at r = 0.8 is 1.75-2.45
     # times the 4-sigma tolerance at seeds 0-3

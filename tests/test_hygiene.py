@@ -31,6 +31,10 @@
 * No ``src/`` module but ``streams.py`` reads ``SeedSequence``, ``PCG64`` or
   ``default_rng``, or calls ``Generator(``: every generator comes from a
   stream key, through the one batched seeding route.
+* ``simulate_ensemble`` is called in ``src/`` only by ``RunContext.ensemble``
+  (the run's one ensemble), ``check_driver_equivalence`` (its paired sde and
+  direct ensembles and its KS sample) and ``check_projection_domination``
+  (once, for the marginal): every other check reads the run's paths.
 """
 
 import ast
@@ -206,6 +210,24 @@ def generator_constructions(tree: ast.Module) -> list:
     return sorted(out)
 
 
+def scoped_calls(tree: ast.Module, name: str) -> list:
+    """(line, "Class.function") of every call to ``name``, named by the definitions around it."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                          getattr(child.func, "attr", None)):
+                out.append((child.lineno, ".".join(scope) or "<module>"))
+            visit(child, inner)
+
+    visit(tree, ())
+    return sorted(out)
+
+
 def _scan(paths, scanner) -> list:
     assert paths
     return [f"{_rel(p)}:{line} {name}" for p in paths for line, name in scanner(_tree(p))]
@@ -274,6 +296,14 @@ def test_generators_are_built_only_in_streams_module():
     assert len(outside) == len(PACKAGE) - 1
     assert _scan(outside, generator_constructions) == []
     assert _scan([streams], generator_constructions)
+
+
+def test_paths_are_simulated_only_where_a_check_needs_its_own():
+    found = Counter(f"{p.name}:{scope}" for p in PACKAGE
+                    for _, scope in scoped_calls(_tree(p), "simulate_ensemble"))
+    assert found == {"cli.py:RunContext.ensemble": 1,
+                     "localization.py:check_driver_equivalence": 3,
+                     "isoconst.py:check_projection_domination": 1}
 
 
 def test_cli_import_leaves_out_scipy_stats_and_signal():
@@ -385,6 +415,17 @@ def test_scanners_flag_what_they_look_for():
                      "    return rng.standard_normal(2)\n"
                      "c = np.random.SeedSequence([1]).spawn(2)\n"
                      "d = streams.generator(0, 'w')\n")
+    calls = ast.parse("ens = simulate_ensemble(spec, grid, 8, 0)\n"
+                      "class RunContext:\n"
+                      "    def ensemble(self):\n"
+                      "        return localization.simulate_ensemble(self.spec, self.grid, 8, 0)\n"
+                      "def check(spec):\n"
+                      "    def side(seed):\n"
+                      "        return simulate_ensemble(spec, grid, 8, seed)\n"
+                      "    return [side(0), simulate_ensemble]\n")
+    assert scoped_calls(calls, "simulate_ensemble") == [(1, "<module>"),
+                                                       (4, "RunContext.ensemble"),
+                                                       (7, "check.side")]
     assert generator_constructions(rngs) == [(2, "SeedSequence"), (2, "default_rng"),
                                              (3, "Generator"), (3, "PCG64"),
                                              (4, "default_rng"), (7, "SeedSequence")]

@@ -1,5 +1,6 @@
 """Isotropic constants, marginal dispatch, and projection domination."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from sloclab.isoconst import (
     l_bounds_sweep,
     marginal,
 )
+from sloclab.localization import make_geometric, make_uniform, simulate_ensemble
 from sloclab.measures import (
     AffineImageSpec,
     GaussianSpec,
@@ -154,38 +156,62 @@ def test_marginal_ambient_mismatch():
 
 
 def test_domination_gaussian_with_equality():
-    rep = check_projection_domination(make_gaussian(4), coordinate_subspace(4, [0, 1]),
-                                      t=1.0, n_paths=256, seed=0)
+    ens = simulate_ensemble(make_gaussian(4), make_uniform(1.0, 1), 256, seed=0)
+    rep = check_projection_domination(ens, coordinate_subspace(4, [0, 1]), 1, seed=0)
     assert not rep.failed
     assert [s.check_id for s in rep.sub] == ["projection-equality"]
 
 
 def test_domination_cube_coordinate_block():
-    rep = check_projection_domination(make_cube(4), coordinate_subspace(4, [0, 3]),
-                                      t=1.0, n_paths=256, seed=1)
+    ens = simulate_ensemble(make_cube(4), make_uniform(1.0, 1), 256, seed=1)
+    rep = check_projection_domination(ens, coordinate_subspace(4, [0, 3]), 1, seed=1)
     assert not rep.failed
     assert [s.check_id for s in rep.sub] == ["projection-equality"]
     assert "n_paths=256" in rep.notes
 
 
 def test_domination_ball_slice_is_one_sided():
-    rep = check_projection_domination(make_ball(3), coordinate_subspace(3, [0]),
-                                      t=1.0, n_paths=128, seed=2)
+    ens = simulate_ensemble(make_ball(3), make_uniform(1.0, 1), 128, seed=2)
+    rep = check_projection_domination(ens, coordinate_subspace(3, [0]), 1, seed=2)
     assert not rep.failed
     assert rep.sub == ()  # dependent coordinates: inequality only
 
 
+def test_domination_reads_the_ensemble_at_its_grid_index():
+    grid = make_geometric(0.1, 10.0, 13, include=(1.0,))
+    k = int(np.flatnonzero(grid.points == 1.0)[0])
+    rep = check_projection_domination(simulate_ensemble(make_cube(4), grid, 256, seed=1),
+                                      coordinate_subspace(4, [0, 3]), k, seed=1)
+    assert not rep.failed
+    assert rep.notes.startswith("t=1,")
+
+
+@pytest.mark.parametrize("measure", ["cube:4", "ball:4"])
+def test_domination_flags_an_inflated_ensemble_covariance(measure):
+    # A_t of the measure scaled by 1.2: its projection outgrows the marginal's
+    spec = parse_measure_id(measure)
+    basis = coordinate_subspace(4, [0, 3] if spec.family == "cube" else [0])
+    ens = simulate_ensemble(spec, make_uniform(1.0, 1), 1024, seed=0)
+    assert not check_projection_domination(ens, basis, 1, seed=0).failed
+    cov = ens.cov.copy()
+    cov[:, 1] *= 1.2
+    rep = check_projection_domination(dataclasses.replace(ens, cov=cov), basis, 1, seed=0)
+    assert rep.failed
+    equality = [s for s in rep.sub if s.check_id == "projection-equality"]
+    assert [s.failed for s in equality] == ([True] if spec.family == "cube" else [])
+
+
 def test_domination_needs_localizable_marginal(random_subspace):
     rng = streams.generator(1, "rot")
+    ens = simulate_ensemble(make_cube(3), make_uniform(1.0, 1), 32, seed=0)
     with pytest.raises(InputValidationError, match="localizable marginal"):
-        check_projection_domination(make_cube(3), random_subspace(3, 2, rng),
-                                    t=1.0, n_paths=32)
+        check_projection_domination(ens, random_subspace(3, 2, rng), 1)
 
 
 def test_domination_needs_positive_time():
+    ens = simulate_ensemble(make_gaussian(2), make_uniform(1.0, 1), 32, seed=0)
     with pytest.raises(InputValidationError, match="t > 0"):
-        check_projection_domination(make_gaussian(2), coordinate_subspace(2, [0]),
-                                    t=0.0, n_paths=32)
+        check_projection_domination(ens, coordinate_subspace(2, [0]), 0)
 
 
 # ---------------------------------------------------------------------------

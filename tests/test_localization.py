@@ -373,15 +373,38 @@ def test_derivative_identity_fails_on_a_non_finite_path():
 
 
 def test_martingale_cube():
-    rep = check_density_martingale(make_cube(1), make_geometric(0.05, 20.0, 16),
-                                   n_paths=512, seed=0)
+    ens = simulate_ensemble(make_cube(1), make_geometric(0.05, 20.0, 16), 512, seed=0)
+    rep = check_density_martingale(ens)
     assert not rep.failed
     assert "x-points" in rep.notes
 
 
 def test_martingale_needs_one_dim():
     with pytest.raises(InputValidationError, match="1D"):
-        check_density_martingale(make_cube(2), make_uniform(1.0, 4), 8, seed=0)
+        check_density_martingale(simulate_ensemble(make_cube(2), make_uniform(1.0, 4), 8,
+                                                   seed=0))
+
+
+@pytest.mark.parametrize("measure, lo, hi", [
+    ("ball:1", -math.sqrt(3.0), math.sqrt(3.0)),     # the ball's support, no factors
+    ("cube:1", -math.sqrt(3.0), math.sqrt(3.0)),
+    ("product:exp", -1.0, 4.0),                      # cut to [-4, 4]
+    ("gaussian:1", -4.0, 4.0),
+])
+def test_martingale_default_x_grid_spans_the_support(measure, lo, hi):
+    ens = simulate_ensemble(parse_measure_id(measure), make_geometric(0.05, 20.0, 16), 64,
+                            seed=0)
+    pad = 0.05 * (hi - lo)
+    explicit = check_density_martingale(ens, x_grid=np.linspace(lo + pad, hi - pad, 21))
+    assert check_density_martingale(ens) == explicit
+
+
+def test_martingale_fails_on_a_shifted_normalizer():
+    # log Z off by 0.05 on every path scales every E p_t(x) by exp(-0.05)
+    ens = simulate_ensemble(make_cube(1), make_geometric(0.05, 20.0, 16), 512, seed=0)
+    assert not check_density_martingale(ens).failed
+    rep = check_density_martingale(dataclasses.replace(ens, log_z=ens.log_z + 0.05))
+    assert rep.failed
 
 
 def test_driver_equivalence_cube():

@@ -13,6 +13,7 @@ from scipy.stats import kstest
 from sloclab import streams
 from sloclab.cli import main
 from sloclab.errors import DivergentTilt, InputValidationError
+from sloclab.localization import make_uniform, simulate_ensemble
 from sloclab.measures import (
     AffineImageSpec,
     BallMarginalFactor,
@@ -705,18 +706,31 @@ def test_tilt_state_is_frozen():
 
 
 def test_conditional_covariance_gaussian():
-    rep = conditional_covariance_identity_check(make_gaussian(2), 1.0, seed=3,
-                                                n_outer=128, n_inner=16)
+    ens = simulate_ensemble(make_gaussian(2), make_uniform(1.0, 1), 128, seed=3)
+    rep = conditional_covariance_identity_check(ens, 1, seed=3, n_outer=128, n_inner=16)
     assert not rep.failed
     assert rep.check_id == "conditional-covariance"
+    assert rep.notes.startswith("t=1,")
 
 
 def test_conditional_covariance_cube():
-    rep = conditional_covariance_identity_check(make_cube(2), 1.0, seed=4,
-                                                n_outer=64, n_inner=32)
+    ens = simulate_ensemble(make_cube(2), make_uniform(1.0, 1), 64, seed=4)
+    rep = conditional_covariance_identity_check(ens, 1, seed=4, n_outer=64, n_inner=32)
     assert not rep.failed
 
 
 def test_conditional_covariance_needs_positive_t():
-    with pytest.raises(InputValidationError):
-        conditional_covariance_identity_check(make_gaussian(2), 0.0, seed=0)
+    ens = simulate_ensemble(make_gaussian(2), make_uniform(1.0, 1), 8, seed=0)
+    with pytest.raises(InputValidationError, match="positive"):
+        conditional_covariance_identity_check(ens, 0, seed=0)
+
+
+@pytest.mark.parametrize("measure", ["cube:4", "ball:4"])
+def test_conditional_covariance_flags_an_inflated_ensemble_covariance(measure):
+    # the left side is the ensemble's own A_t: a defect in it must show
+    ens = simulate_ensemble(parse_measure_id(measure), make_uniform(1.0, 1), 1024, seed=0)
+    assert not conditional_covariance_identity_check(ens, 1, seed=0).failed
+    cov = ens.cov.copy()
+    cov[:, 1] *= 1.2
+    rep = conditional_covariance_identity_check(dataclasses.replace(ens, cov=cov), 1, seed=0)
+    assert rep.failed
