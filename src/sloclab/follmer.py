@@ -34,13 +34,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import covariance, streams
 from .errors import InputValidationError
 from .localization import PathEnsemble, spectral_margin
 from .measures import GaussianSpec, MeasureSpec, require_pieces
-from .numerics import U_CUT, jackknife_se, ks_pvalues, trunc_normal_moments
+from .numerics import U_CUT, jackknife_se, ks_pvalues, quad, trunc_normal_moments
 from .reports import (EstimatorResult, LemmaReport, composite_gate, derivative_gate,
                       entrywise_gate, gate)
 
@@ -127,7 +126,7 @@ def check_fisher_monotone(frame: FrameEnsemble, sigma: float = 4.0,
 
 
 def _closed_marginal(factor, r: float):
-    """y -> (log f(y), f'(y) / f(y)) for the law of r X + s Z.
+    """y -> (log f(y), f'(y) / f(y)) elementwise, for the law of r X + s Z.
 
     X ~ ``factor``, s = sqrt(r (1 - r)).  A piece exp(k - c x^2/2 - b x) on
     [lo, hi] convolves with the Gaussian in closed form: with q = c s^2 + r^2,
@@ -158,19 +157,19 @@ def _closed_marginal(factor, r: float):
         parts = [piece(y, *p) for p in factor.pieces]
         if len(parts) == 1:
             return parts[0]
-        log_f = float(np.logaddexp.reduce([log_p for log_p, _ in parts]))
-        return log_f, sum(math.exp(log_p - log_f) * score for log_p, score in parts)
+        log_f = np.logaddexp.reduce(np.array([log_p for log_p, _ in parts]), axis=0)
+        return log_f, sum(np.exp(log_p - log_f) * score for log_p, score in parts)
     return marginal
 
 
 def _factor_fisher(factor, r: float) -> tuple[float, float]:
-    """(J(nu_r || N(0, r)), quad's error estimate) for one 1D factor."""
+    """(J(nu_r || N(0, r)), its quadrature error estimate) for one 1D factor."""
     s = math.sqrt(r * (1.0 - r))
     dens = _closed_marginal(factor, r)
 
     def integrand(y):
         log_f, score = dens(y)
-        return (score + y / r) ** 2 * math.exp(log_f)
+        return (score + y / r) ** 2 * np.exp(log_f)
     # images of the factor's kinks: its support ends, and 0 for laplace
     kinks = sorted({r * u for u in (factor.lo, 0.0, factor.hi) if math.isfinite(u)})
     lo_y = r * max(factor.lo, -U_CUT) - 10.0 * s

@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import betainc, gammaln, xlogy
 
 from . import covariance
@@ -47,7 +46,8 @@ from .errors import InputValidationError
 from .follmer import FrameEnsemble
 from .measures import (GAUSSIAN_ENTROPY_RATE, AffineImageSpec, BallSpec, GaussianSpec,
                        MeasureSpec, require_pieces)
-from .numerics import U_CUT, jackknife_se, trapezoid, trapezoid_budget, trunc_normal_moments
+from .numerics import (U_CUT, jackknife_se, quad, trapezoid, trapezoid_budget,
+                       trunc_normal_moments)
 from .reports import EstimatorResult, LemmaReport, composite_gate, entrywise_gate, gate, info
 
 CLOSED_FORM = "closed-form"
@@ -111,43 +111,46 @@ class DeficitReport:
 
 
 def _sum_log_density(pieces):
-    """y -> log g(y), g the density of X1 + X2 for X1, X2 iid with these pieces.
+    """y -> log g(y) elementwise, g the density of X1 + X2 for X1, X2 iid with these pieces.
 
     Each pair of pieces (p, q) adds the integral of
     exp(k_p + k_q - c_p x^2/2 - b_p x - c_q (y-x)^2/2 - b_q (y-x)) over
-    [max(lo_p, y - hi_q), min(hi_p, y - lo_q)].  In x the exponent is
-    -C x^2/2 + L x + const with C = c_p + c_q and L = c_q y - b_p + b_q: a
-    Gaussian Phi-window when C > 0 (the log mass of N(L/C, 1/C) on the
-    interval, by `trunc_normal_moments`), an exponential when C = 0, and the
-    interval length when L = 0 as well.
+    [max(lo_p, y - hi_q), min(hi_p, y - lo_q)], at the y where that window
+    is not empty.  In x the exponent is -C x^2/2 + L x + const with
+    C = c_p + c_q and L = c_q y - b_p + b_q: a Gaussian Phi-window when C > 0
+    (the log mass of N(L/C, 1/C) on the interval, by `trunc_normal_moments`),
+    an exponential when C = 0, and the interval length when L = 0 as well.
     """
     pairs = [(p, q) for p in pieces for q in pieces]
 
     def log_g(y):
-        logs = []
-        for (cp, bp, lop, hip, kp), (cq, bq, loq, hiq, kq) in pairs:
-            a, b = max(lop, y - hiq), min(hip, y - loq)
-            if not a < b:
-                continue
-            cc, lin = cp + cq, cq * y - bp + bq
-            const = kp + kq - y * (0.5 * cq * y + bq)
+        y = np.asarray(y, float)
+        flat = y.ravel()
+        logs = np.full((len(pairs), flat.size), -np.inf)
+        for row, ((cp, bp, lop, hip, kp), (cq, bq, loq, hiq, kq)) in zip(logs, pairs):
+            a, b = np.maximum(lop, flat - hiq), np.minimum(hip, flat - loq)
+            some = a < b
+            ys, a, b = flat[some], a[some], b[some]
+            cc, lin = cp + cq, cq * ys - bp + bq
+            const = kp + kq - ys * (0.5 * cq * ys + bq)
             if cc > 0.0:
                 centre = lin / cc
                 log_w = trunc_normal_moments(centre, 1.0 / math.sqrt(cc), a, b)[0]
-                logs.append(const + 0.5 * lin * centre + 0.5 * math.log(2.0 * math.pi / cc)
-                            + log_w)
-            elif lin:
-                logs.append(const + max(lin * a, lin * b)
-                            + math.log(-math.expm1(-abs(lin) * (b - a))) - math.log(abs(lin)))
+                row[some] = (const + 0.5 * lin * centre + 0.5 * math.log(2.0 * math.pi / cc)
+                             + log_w)
+            elif bq != bp:  # C = 0, so c_q = 0 and L = b_q - b_p
+                lin = bq - bp
+                row[some] = (const + np.maximum(lin * a, lin * b)
+                             + np.log(-np.expm1(-abs(lin) * (b - a))) - math.log(abs(lin)))
             else:
-                logs.append(const + math.log(b - a))
-        return float(np.logaddexp.reduce(logs)) if logs else -math.inf
+                row[some] = const + np.log(b - a)
+        return np.logaddexp.reduce(logs, axis=0).reshape(y.shape)
 
     return log_g
 
 
 def _factor_deficit(f) -> tuple[float, float]:
-    """(delta of one factor, quad's error estimate): Ent(X1 + X2) by one
+    """(delta of one factor, its quadrature error estimate): Ent(X1 + X2) by one
     quadrature of -g log g, minus ln(2)/2 and Ent(X).
 
     The breakpoints are the sums of piece ends, where g has its kinks; an
@@ -157,12 +160,12 @@ def _factor_deficit(f) -> tuple[float, float]:
 
     def integrand(y):
         lg = log_g(y)
-        return -math.exp(lg) * lg if lg > -math.inf else 0.0
+        return -np.exp(lg) * np.where(lg > -np.inf, lg, 0.0)  # 0 where g = 0; NaN stays
 
     lo, hi = 2.0 * max(f.lo, -U_CUT), 2.0 * min(f.hi, U_CUT)
     ends = [end for _, _, p_lo, p_hi, _ in f.pieces for end in (p_lo, p_hi)]
     kinks = sorted({u + v for u in ends for v in ends if lo < u + v < hi})
-    h_sum, err = quad(integrand, lo, hi, points=kinks or None, epsabs=1e-12, epsrel=1e-11,
+    h_sum, err = quad(integrand, lo, hi, points=kinks, epsabs=1e-12, epsrel=1e-11,
                       limit=200)
     return h_sum - 0.5 * math.log(2.0) - f.entropy(), err
 
@@ -185,7 +188,7 @@ def _ball_deficit(spec: BallSpec) -> EstimatorResult:
 
     def integrand(s):
         g = _ball_sum_density(spec, s)
-        return -sphere * s ** (n - 1) * float(xlogy(g, g))
+        return -sphere * s ** (n - 1) * xlogy(g, g)
 
     h_sum, err = quad(integrand, 0.0, 2.0 * spec.radius, epsabs=1e-12, epsrel=1e-11,
                       limit=200)
@@ -199,7 +202,8 @@ def epi_deficit(spec: MeasureSpec, sigma: float = 4.0) -> DeficitReport:
     Affine images take their base's deficit.  Products factorize: each
     factor law's deficit (`ProductSpec.laws`) is one quadrature of its
     closed sum density, counted once per column.  The ball's is one radial
-    quadrature.  ``stderr`` is the sum of quad's error estimates.
+    quadrature.  ``stderr`` is the sum of the quadratures' error estimates
+    (`numerics.quad`).
     """
     n = spec.dim
     while isinstance(spec, AffineImageSpec):

@@ -28,8 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import betaln, gammaln, ndtr, xlogy
+from scipy.special import betaln, gammaln, ndtr, psi, xlogy
 
 from .errors import InputValidationError, SingularCovariance, UnknownMeasureError
 from .numerics import radial_tilt_moments, trunc_normal_moments
@@ -261,9 +260,10 @@ class BallMarginalFactor(Factor1D):
         return self.radius * (2.0 * rng.beta(a, a, size) - 1.0)
 
     def entropy(self):
-        val, _ = quad(lambda y: -np.exp(self.log_density(y)) * self.log_density(y),
-                      self.lo, self.hi, epsabs=1e-12, epsrel=1e-12, limit=200)
-        return float(val)
+        # log norm - e E log(R^2 - y^2), with 1 - y^2/R^2 ~ Beta(e + 1, 1/2)
+        e = self.exponent
+        return (self._log_norm
+                - e * (2.0 * math.log(self.radius) + psi(e + 1.0) - psi(e + 1.5)))
 
     def tilt_stats(self, t, theta):
         # weight exp(theta y - t y^2 / 2) (R^2 - y^2)^exponent, any t >= 0
@@ -323,7 +323,7 @@ class MeasureSpec:
         raise NotImplementedError
 
     def entropy(self) -> float:
-        """Differential entropy, closed form (or 1D quadrature for factors)."""
+        """Differential entropy, in closed form."""
         raise NotImplementedError
 
     def mean(self) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Shared numerical kernels: truncated-normal moments (the one Gaussian
-window), the radial Gauss-Legendre rule for ball tilts, standard errors of
-ensemble means, the exact two-sample Kolmogorov-Smirnov p-value,
-non-uniform finite differences and the trapezoid's step-halving budget.
+window), the radial Gauss-Legendre rule for ball tilts, adaptive
+Gauss-Kronrod quadrature, standard errors of ensemble means, the exact
+two-sample Kolmogorov-Smirnov p-value, non-uniform finite differences and
+the trapezoid's step-halving budget.
 
 The truncated-normal kernel is the one code that evaluates a Gaussian
 window Phi(beta) - Phi(alpha): the closed-form tilts, the Fisher identity's
@@ -13,6 +14,8 @@ whose rounding grows as z^4 eps, to 1.5e-6 at z = 300.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import erfcx, ndtr
@@ -138,6 +141,119 @@ def radial_tilt_moments(s, t: float, radius: float, log_h):
     d1 = (prob * d).sum(axis=1)
     var = (prob * d * d).sum(axis=1) - d1 * d1
     return top + np.log(total), centre + d1, np.maximum(var, 0.0), gap, log_h_nodes, prob
+
+
+# QUADPACK's 21-point Gauss-Kronrod rule (qk21): the Kronrod nodes in (0, 1]
+# from the outside in, then the centre; their weights; and the 10-point
+# Gauss weights, which sit at every second Kronrod node
+_XK = np.array([0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+                0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+                0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+                0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+                0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0])
+_WK = np.array([0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+                0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+                0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+                0.123491976262065851077208745815581, 0.134709217311473325928054001771707,
+                0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+                0.149445554002916905664936468389821])
+_WG = np.zeros(11)
+_WG[1:10:2] = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+               0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+               0.295524224714752870173892994651338)
+_X21 = np.concatenate([-_XK, _XK[-2::-1]])
+_WK21 = np.concatenate([_WK, _WK[-2::-1]])
+_WG21 = np.concatenate([_WG, _WG[-2::-1]])
+_EPS50 = 50.0 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def _gk21(f, a, b):
+    """qk21 on every interval [a_i, b_i] at once: (integrals, errors, floors).
+
+    The error estimate is QUADPACK's: resasc min(1, (200 |K - G| / resasc)^1.5),
+    floored at 50 eps times the integral of |f|, the rounding floor that
+    halving an interval cannot lower.
+    """
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    x = centre[:, None] + half[:, None] * _X21
+    fx = np.asarray(f(x.ravel()), float).reshape(x.shape)
+    resk = fx @ _WK21
+    gap = np.abs(resk - fx @ _WG21) * half
+    resabs = (np.abs(fx) @ _WK21) * half
+    resasc = (np.abs(fx - 0.5 * resk[:, None]) @ _WK21) * half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * gap / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (gap != 0.0), scaled, gap)
+    floor = np.where(resabs > _TINY / _EPS50, _EPS50 * resabs, 0.0)
+    return resk * half, np.maximum(floor, err), floor
+
+
+def _to_finite(f, lo: float, hi: float):
+    """(g, u_of_x, u_lo, u_hi): the integral of f over [lo, hi] as g's over [u_lo, u_hi].
+
+    A half-line maps by x = lo + u / (1 - u) (or x = hi + u / (1 + u)), the
+    whole line by x = u / (1 - u^2); g carries the Jacobian.
+    """
+    if math.isfinite(lo) and math.isfinite(hi):
+        return f, lambda x: x, lo, hi
+    if math.isfinite(lo):
+        return (lambda u: f(lo + u / (1.0 - u)) / (1.0 - u) ** 2,
+                lambda x: (x - lo) / (1.0 + x - lo), 0.0, 1.0)
+    if math.isfinite(hi):
+        return (lambda u: f(hi + u / (1.0 + u)) / (1.0 + u) ** 2,
+                lambda x: (x - hi) / (1.0 + hi - x), -1.0, 0.0)
+    return (lambda u: f(u / (1.0 - u * u)) * (1.0 + u * u) / (1.0 - u * u) ** 2,
+            lambda x: 2.0 * x / (1.0 + np.sqrt(1.0 + 4.0 * x * x)), -1.0, 1.0)
+
+
+def quad(f, lo: float, hi: float, points=(), epsabs: float = 1.49e-8,
+         epsrel: float = 1.49e-8, limit: int = 50) -> tuple[float, float]:
+    """Integral of ``f`` over [lo, hi] by adaptive 21-point Gauss-Kronrod: (value, err).
+
+    ``f`` maps an array of nodes to an array of values.  Bisection starts
+    from [lo, *points, hi], and each round halves the intervals with the
+    largest error estimates above their rounding floors, until the rest sum
+    below half the tolerance max(epsabs, epsrel |value|); all of a round's
+    new nodes go to ``f`` in one call.  Infinite ends are mapped onto finite
+    ones (`_to_finite`).  It stops when the summed error estimate meets the
+    tolerance; otherwise, once ``limit`` intervals are in use or no interval
+    above its floor can be halved in floating point, ``err`` is returned as
+    it stands, above the tolerance.  A non-finite value of ``f`` makes both
+    results non-finite.
+    """
+    lo, hi = float(lo), float(hi)
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    g, u_of_x, u_lo, u_hi = _to_finite(f, lo, hi)
+    inner = np.array([p for p in points if lo < p < hi], float)
+    edges = np.unique(np.concatenate([[u_lo, u_hi], u_of_x(inner)]))
+    a, b = edges[:-1], edges[1:]
+    value, err, floor = _gk21(g, a, b)
+    while True:
+        total, total_err = float(value.sum()), float(err.sum())
+        tol = max(epsabs, epsrel * abs(total))
+        if total_err <= tol or not math.isfinite(total + total_err) or len(a) >= limit:
+            return total, total_err
+        # halve the largest errors above their floors, until what is left
+        # sums below half the tolerance; a midpoint that rounds onto an end
+        # leaves its interval whole
+        order = np.argsort(err)[::-1]
+        order = order[err[order] > floor[order]]
+        count = int(np.searchsorted(np.cumsum(err[order]), total_err - 0.5 * tol)) + 1
+        split = order[:min(count, limit - len(a))]
+        mid = 0.5 * (a[split] + b[split])
+        halves = (a[split] < mid) & (mid < b[split])
+        split, mid = split[halves], mid[halves]
+        if not len(split):
+            return total, total_err
+        keep = np.ones(len(a), bool)
+        keep[split] = False
+        new_a, new_b = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
+        parts = _gk21(g, new_a, new_b)
+        a, b = np.concatenate([a[keep], new_a]), np.concatenate([b[keep], new_b])
+        value, err, floor = (np.concatenate([old[keep], new])
+                             for old, new in zip((value, err, floor), parts))
 
 
 def jackknife_se(values: np.ndarray, axis: int = 0) -> np.ndarray:

@@ -99,16 +99,26 @@ def composite_gate(check_id: str, subs, notes: str = "") -> LemmaReport:
 
 
 def entrywise_gate(check_id: str, gap, tol, se=None, notes: str = "") -> LemmaReport:
-    """`gate` at the entry where ``gap - tol`` is largest; ``notes`` gains its index.
+    """`gate` at the entry where ``gap / tol`` is largest; ``notes`` gains its index.
 
-    A non-finite gap, and after it a non-finite tolerance, outranks every
-    margin, so the report names the entry that made it FAIL.
+    The ratio is each entry's margin in units of its own tolerance, so a
+    PASS names the entry that came closest and a FAIL the one that failed
+    by the most.  An entry with tol <= 0 ranks above every ratio when it
+    FAILs and below every one when it PASSes, and a FAIL always names a
+    failing entry.  A non-finite gap, and after it a non-finite tolerance,
+    outranks everything, so the report names the entry that made it FAIL.
     """
     gap = np.asarray(gap, float)
     tol = np.broadcast_to(np.asarray(tol, float), gap.shape)
     rank = 2 * ~np.isfinite(gap) + ~np.isfinite(tol)
-    worst = np.unravel_index(np.argmax(rank) if rank.any() else np.argmax(gap - tol),
-                             gap.shape)
+    if rank.any():
+        flat = np.argmax(rank)
+    else:
+        failing = gap > tol
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio = np.where(tol > 0.0, gap / tol, np.where(failing, np.inf, -np.inf))
+        flat = np.argmax(np.where(failing | ~failing.any(), ratio, -np.inf))
+    worst = np.unravel_index(flat, gap.shape)
     stderr = 0.0 if se is None else float(np.broadcast_to(se, gap.shape)[worst])
     where = f" worst at index {tuple(int(v) for v in worst)}"
     return gate(check_id, float(gap[worst]), float(tol[worst]), stderr=stderr,

@@ -33,13 +33,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammainc, xlogy
 
 from . import covariance, streams
 from .errors import DivergentTilt, InputValidationError
 from .measures import BallMarginalFactor, BallSpec, GaussianSpec, MeasureSpec, ProductSpec
-from .numerics import jackknife_se, radial_tilt_moments
+from .numerics import jackknife_se, quad, radial_tilt_moments
 from .reports import LemmaReport, entrywise_gate
 
 CLOSED_FORM = "closed_form"
@@ -183,10 +182,14 @@ def factor_tilt_quadrature(f, t: float, theta: float):
                               f.tilt_mode(t, np.array([theta])))[0])
     m_log = float(exponent(x_star))
 
-    def h(x, k):
-        return (x - x_star) ** k * np.exp(exponent(x) - m_log)
+    def moment(k):
+        return lambda x: (x - x_star) ** k * np.exp(exponent(x) - m_log)
 
-    i0, i1, i2 = (quad(h, f.lo, f.hi, args=(k,), **_QUAD_KW)[0] for k in range(3))
+    # breakpoints at the mode, so that no rule straddles a narrow peak, and at
+    # the kinks between pieces, which a rule can miss between its outer nodes
+    points = [x_star] + [end for _, _, lo, hi, _ in f.pieces for end in (lo, hi)]
+    i0, i1, i2 = (quad(moment(k), f.lo, f.hi, points=points, **_QUAD_KW)[0]
+                  for k in range(3))
     if i0 <= 0 or not np.isfinite(i0):
         raise DivergentTilt(f"tilt normalization failed on factor {f.tag}")
     mean_c = i1 / i0

@@ -13,10 +13,13 @@
 * Nothing in ``src/`` compares against a ``.tag`` attribute: a factor's
   behaviour follows from its data (its ``pieces``), never from branching on
   its name.
-* Nothing in ``src/`` imports ``scipy.stats`` or ``scipy.signal``, and a
-  fresh ``import sloclab.cli`` loads neither: together they cost about 0.7 s
-  of start-up that no command needs (the EPI deficit of a product is one
-  quadrature of its closed sum density, not an FFT convolution).
+* Nothing in ``src/`` imports ``scipy.stats``, ``scipy.signal``,
+  ``scipy.integrate`` or ``scipy.optimize``, and a fresh
+  ``import sloclab.cli`` loads none of them, nor ``scipy.sparse``,
+  ``scipy.linalg`` or ``scipy.fft``, which ``scipy.integrate`` pulls in:
+  of scipy the CLI loads only ``scipy.special``.  Every quadrature is
+  ``numerics.quad``, and the EPI deficit of a product is one quadrature of
+  its closed sum density, not an FFT convolution.
 * Nothing in ``src/`` imports ``concurrent.futures``, and no library
   function takes a sampling or threading knob (``workers``, ``n_samples``,
   ``tilt_samples``, ``rng_for``, ``stream``): every tilt is exact and runs in
@@ -45,6 +48,8 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "sloclab").rglob("*.py"))
@@ -266,6 +271,11 @@ def test_no_scipy_signal_in_package():
     assert _scan(PACKAGE, lambda tree: scipy_imports(tree, "signal")) == []
 
 
+@pytest.mark.parametrize("sub", ["integrate", "optimize"])
+def test_no_scipy_quadrature_or_optimizer_in_package(sub):
+    assert _scan(PACKAGE, lambda tree: scipy_imports(tree, sub)) == []
+
+
 def test_no_concurrent_futures_in_package():
     assert _scan(PACKAGE, futures_imports) == []
 
@@ -306,7 +316,7 @@ def test_paths_are_simulated_only_where_a_check_needs_its_own():
                      "isoconst.py:check_projection_domination": 1}
 
 
-def test_cli_import_leaves_out_scipy_stats_and_signal():
+def test_cli_import_loads_only_scipy_special():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
@@ -320,7 +330,8 @@ def test_cli_import_leaves_out_scipy_stats_and_signal():
     assert Path(where).resolve() == ROOT / "src" / "sloclab" / "cli.py"
     loaded = set(loaded.split())
     assert "scipy.special" in loaded
-    assert not {m for m in loaded if m.split(".")[1] in ("stats", "signal")}
+    heavy = ("stats", "signal", "integrate", "optimize", "sparse", "linalg", "fft")
+    assert not {m for m in loaded if m.split(".")[1] in heavy}
 
 
 def test_scanners_flag_what_they_look_for():
@@ -373,10 +384,14 @@ def test_scanners_flag_what_they_look_for():
                       "from scipy.stats import ks_2samp\n"
                       "from scipy.special import ndtr\n"
                       "from .stats import summary\n"
-                      "import scipy.statsmodels\n")
+                      "import scipy.statsmodels\n"
+                      "from scipy.integrate import quad\n"
+                      "import scipy.optimize as opt\n")
     assert scipy_imports(stats, "stats") == [(1, "scipy.stats"), (2, "scipy.stats.mstats"),
                                              (3, "scipy.stats"), (4, "scipy.stats.ks_2samp")]
     assert scipy_imports(stats, "signal") == [(3, "scipy.signal")]
+    assert scipy_imports(stats, "integrate") == [(8, "scipy.integrate.quad")]
+    assert scipy_imports(stats, "optimize") == [(9, "scipy.optimize")]
     futures = ast.parse("from concurrent.futures import ThreadPoolExecutor\n"
                         "import concurrent.futures as cf\n"
                         "from .concurrent import pool\n"

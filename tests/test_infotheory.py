@@ -231,7 +231,7 @@ def test_sum_density_matches_sampled_pairs(tag):
     f = make_factor(tag)
     m = 1 << 16
     rng = streams.generator(0, "factor-sum", tag)
-    log_g = np.vectorize(_sum_log_density(f.pieces))
+    log_g = _sum_log_density(f.pieces)
     vals = -log_g(f.sample(rng, m) + f.sample(rng, m))
     se = float(vals.std(ddof=1)) / math.sqrt(m)
     h_sum = epi_deficit(make_product(tag)).delta.value + 0.5 * math.log(2.0) + f.entropy()

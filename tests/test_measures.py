@@ -188,6 +188,21 @@ def test_ball_marginal_one_dim_is_uniform():
     assert f.log_density(0.0) == pytest.approx(-math.log(2.0 * SQRT3))
 
 
+@pytest.mark.parametrize("nu", [1, 2, 4, 64])
+def test_ball_marginal_entropy_closed_form_matches_quadrature(nu):
+    f = BallMarginalFactor(nu)
+
+    def nll(y):
+        ld = f.log_density(y)
+        return -math.exp(ld) * ld
+
+    ref, err = quad(nll, f.lo, f.hi, epsabs=1e-13, epsrel=1e-13, limit=200)
+    assert err < 1e-12
+    assert f.entropy() == pytest.approx(ref, abs=1e-12)
+    if nu == 1:
+        assert f.entropy() == pytest.approx(math.log(2.0 * f.radius), abs=1e-15)
+
+
 def test_unknown_factor_tag():
     with pytest.raises(UnknownMeasureError, match="unknown factor tag"):
         make_factor("cauchy")

@@ -8,6 +8,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp, truncnorm
 
+from sloclab.infotheory import epi_deficit
+from sloclab.measures import ProductSpec, make_factor
 from sloclab.numerics import (
     central_difference,
     fd_error_budget,
@@ -17,6 +19,8 @@ from sloclab.numerics import (
     trapezoid_budget,
     trunc_normal_moments,
 )
+from sloclab.numerics import quad as gk_quad
+from sloclab.reports import FAIL
 
 
 def _window_quad(lo, hi):
@@ -288,3 +292,77 @@ class TestKsPvalues:
     def test_rejects_unequal_shapes(self):
         with pytest.raises(ValueError, match="one shape"):
             ks_pvalues(np.zeros((4, 2)), np.zeros((5, 2)))
+
+
+class TestQuad:
+    """Adaptive Gauss-Kronrod quadrature against scipy's QUADPACK."""
+
+    TIGHT = dict(epsabs=1e-13, epsrel=1e-12, limit=300)
+
+    @staticmethod
+    def _counted(f):
+        sizes = []
+
+        def g(x):
+            sizes.append(x.shape)
+            return f(x)
+        return g, sizes
+
+    def test_kinked_integrand_with_its_kink_as_a_point(self):
+        f = lambda x: np.abs(x - 1.0 / 3.0) * np.exp(x)
+        g, sizes = self._counted(f)
+        value, err = gk_quad(g, 0.0, 2.0, points=[1.0 / 3.0], **self.TIGHT)
+        ref, ref_err = quad(f, 0.0, 2.0, points=[1.0 / 3.0], **self.TIGHT)
+        assert abs(value - ref) <= err + ref_err
+        assert err <= 1e-12 * abs(value)
+        assert sizes == [(42,)]  # one call: both pieces converge in their first rule
+        # without the point the kink needs bisection, one call per round
+        value, err = gk_quad(g, 0.0, 2.0, **self.TIGHT)
+        assert abs(value - ref) <= err + ref_err
+        assert len(sizes) > 2 and all(len(s) == 1 and s[0] % 42 == 0 for s in sizes[2:])
+
+    @pytest.mark.parametrize("tag", ["exp", "gaussian"])
+    @pytest.mark.parametrize("t, theta", [(0.0, 0.5), (2.0, -1.0)])
+    def test_half_and_whole_line_tilt_oracle(self, tag, t, theta):
+        # exp lives on [-1, inf), gaussian on the whole line
+        f = make_factor(tag)
+        for k in range(3):
+            def h(x, k=k):
+                return x ** k * np.exp(theta * x - 0.5 * t * x * x + f.log_density(x))
+            value, err = gk_quad(h, f.lo, f.hi, **self.TIGHT)
+            ref, ref_err = quad(lambda x: float(h(np.asarray(x))), f.lo, f.hi, **self.TIGHT)
+            assert abs(value - ref) <= err + ref_err
+            assert err <= max(1e-13, 1e-12 * abs(value))
+
+    def test_identically_zero_integrand(self):
+        assert gk_quad(np.zeros_like, -1.0, np.inf) == (0.0, 0.0)
+        assert gk_quad(np.zeros_like, 0.0, 1.0, points=[0.5]) == (0.0, 0.0)
+
+    def test_exhausted_limit_returns_its_error(self):
+        tol = 1e-15
+        value, err = gk_quad(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0, epsabs=tol,
+                             epsrel=0.0, limit=4)
+        assert err > tol
+        assert abs(value - 5.0 / 18.0) <= err
+        value, err = gk_quad(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0, epsabs=tol,
+                             epsrel=0.0, limit=200)
+        assert abs(value - 5.0 / 18.0) <= err <= 1e-13
+
+    def test_nan_propagates(self):
+        value, err = gk_quad(lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0)
+        assert math.isnan(value) and math.isnan(err)
+
+    def test_nan_integrand_fails_the_deficit_gate(self):
+        # a NaN in the sum density becomes a non-finite deficit, and the
+        # deficit gates FAIL and say so instead of passing silently
+        f = make_factor("uniform")
+        f.pieces = tuple((c, b, lo, hi, math.nan) for c, b, lo, hi, _ in f.pieces)
+        with np.errstate(invalid="ignore"):
+            report = epi_deficit(ProductSpec([f])).bounds
+        assert report.verdict == FAIL
+        assert "non-finite statistic" in report.notes
+        assert all(s.verdict == FAIL and "non-finite" in s.notes for s in report.sub)
+
+    def test_rejects_an_empty_or_reversed_range(self):
+        with pytest.raises(ValueError, match="lo < hi"):
+            gk_quad(np.exp, 1.0, 1.0)

@@ -72,3 +72,23 @@ def test_entrywise_gate_names_a_non_finite_gap_first():
     assert rep.notes == " worst at index (0,), non-finite tolerance"
     rep = entrywise_gate("e", gap[1:3], tol[1:3])
     assert rep.notes == " worst at index (0,)"
+
+
+def test_entrywise_gate_names_the_entry_nearest_its_tolerance():
+    # gap - tol would name the trivial first entry, which sits at its 1e-8 floor
+    gap = np.array([1.1e-16, 0.5, 0.02])
+    tol = np.array([1e-8, 1.0, 0.025])
+    rep = entrywise_gate("e", gap, tol, se=np.array([0.0, 0.1, 0.005]))
+    assert rep.verdict == PASS
+    assert (rep.statistic, rep.tolerance, rep.stderr) == (0.02, 0.025, 0.005)
+    assert rep.notes == " worst at index (2,)"
+
+
+def test_entrywise_gate_ranks_a_failing_zero_tolerance_first():
+    rep = entrywise_gate("e", np.array([[5.0, 1e-12], [0.0, -1.0]]),
+                         np.array([[1.0, 0.0], [0.0, 0.0]]))
+    assert rep.verdict == FAIL
+    assert rep.notes == " worst at index (0, 1)"
+    rep = entrywise_gate("e", np.array([0.0, -1.0, 0.5]), np.array([0.0, 0.0, 1.0]))
+    assert rep.verdict == PASS
+    assert rep.notes == " worst at index (2,)"
