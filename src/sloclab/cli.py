@@ -270,7 +270,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
 
 
 class RunContext:
-    """Lazily built shared state; one ensemble serves every selected check.
+    """Lazily built shared state; one ensemble serves every selected check,
+    and one EPI deficit serves ``deficit-bounds`` and ``deficit-chain``.
 
     Only driver-equivalence and projection-domination's marginal side
     simulate paths of their own.
@@ -282,6 +283,7 @@ class RunContext:
         self._grid = None
         self._ensemble = None
         self._frame = None
+        self._deficit = None
 
     @property
     def grid(self) -> TimeGrid:
@@ -306,6 +308,11 @@ class RunContext:
         if self._frame is None:
             self._frame = follmer.to_follmer(self.ensemble())
         return self._frame
+
+    def deficit(self):
+        if self._deficit is None:
+            self._deficit = infotheory.epi_deficit(self.spec, sigma=self.cfg.tolerance_sigma)
+        return self._deficit
 
     def nearest_index(self, target: float) -> int:
         """Index of the grid time t > 0 nearest ``target``."""
@@ -347,7 +354,7 @@ def _run_deficit_chain(ctx: RunContext) -> LemmaReport:
     k = int(np.argmin(np.abs(frame.r - 0.5)))
     k = min(k, len(frame.r) - 2)
     return infotheory.deficit_chain_audit(
-        ctx.spec, frame, xi=float(frame.r[k]), sigma=ctx.cfg.tolerance_sigma)
+        ctx.deficit().delta, frame, xi=float(frame.r[k]), sigma=ctx.cfg.tolerance_sigma)
 
 
 def _run_projection(ctx: RunContext) -> LemmaReport:
@@ -449,8 +456,7 @@ _REGISTRY = (
         "deficit-bounds", "gate",
         "0 <= delta_EPI(mu) <= 2 n",
         lambda ctx: True,
-        lambda ctx: infotheory.epi_deficit(
-            ctx.spec, sigma=ctx.cfg.tolerance_sigma).bounds),
+        lambda ctx: ctx.deficit().bounds),
     CheckDef(
         "deficit-chain", "gate",
         "delta_EPI >= (xi / 4) integral on (xi, 1) of "

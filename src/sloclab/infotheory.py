@@ -39,15 +39,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gammaln, xlogy
 
 from . import covariance
 from .errors import InputValidationError
 from .follmer import FrameEnsemble
 from .measures import (GAUSSIAN_ENTROPY_RATE, AffineImageSpec, BallSpec, GaussianSpec,
                        MeasureSpec, require_pieces)
-from .numerics import (U_CUT, jackknife_se, quad, trapezoid, trapezoid_budget,
-                       trunc_normal_moments)
+from .numerics import (U_CUT, beta_inc, jackknife_se, quad, trapezoid, trapezoid_budget,
+                       trunc_normal_moments, xlogy)
 from .reports import EstimatorResult, LemmaReport, composite_gate, entrywise_gate, gate, info
 
 CLOSED_FORM = "closed-form"
@@ -178,13 +177,13 @@ def _ball_sum_density(spec: BallSpec, s):
     and the density is that fraction over vol(B_R).
     """
     x = 1.0 - (np.asarray(s, float) / (2.0 * spec.radius)) ** 2
-    return betainc(0.5 * (spec.dim + 1), 0.5, np.clip(x, 0.0, 1.0)) * math.exp(-spec.entropy())
+    return beta_inc(0.5 * (spec.dim + 1), 0.5, np.clip(x, 0.0, 1.0)) * math.exp(-spec.entropy())
 
 
 def _ball_deficit(spec: BallSpec) -> EstimatorResult:
     """delta of the ball: Ent(X1 + X2) by one radial quadrature, minus (n/2) ln 2 + Ent(X)."""
     n = spec.dim
-    sphere = math.exp(math.log(2.0) + 0.5 * n * math.log(math.pi) - gammaln(0.5 * n))
+    sphere = math.exp(math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n))
 
     def integrand(s):
         g = _ball_sum_density(spec, s)
@@ -309,9 +308,12 @@ def deficit_lower_bound(frame: FrameEnsemble, xi: float = 0.5,
 # Proof-chain audit
 
 
-def deficit_chain_audit(spec: MeasureSpec, frame: FrameEnsemble, xi: float = 0.5,
+def deficit_chain_audit(delta: EstimatorResult, frame: FrameEnsemble, xi: float = 0.5,
                         sigma: float = 4.0, atol: float = 1e-9) -> LemmaReport:
     """Numerical walk through the deficit inequality chain, one verdict per line.
+
+    ``delta`` is the measure's EPI deficit, `epi_deficit`'s ``.delta``, which a
+    run computes once for this check and ``deficit-bounds``.
 
     Lines, in the order they are glued together:
       1. exact split E|Gamma - EGamma|^2 = E|Id - Gamma|^2 - |Id - EGamma|^2
@@ -379,7 +381,6 @@ def deficit_chain_audit(spec: MeasureSpec, frame: FrameEnsemble, xi: float = 0.5
                                notes="lambda_min of consecutive increments,"))
 
     # 5. the deficit chain
-    delta = epi_deficit(spec, sigma=sigma).delta
     low = deficit_lower_bound(frame, xi=xi, sigma=sigma)
     up = gate("chain-upper", delta.value - 2.0 * n, sigma * delta.stderr + atol,
               stderr=delta.stderr, notes=f"delta={delta.value:.6g} <= 2n={2 * n}")

@@ -28,10 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, gammaln, ndtr, psi, xlogy
 
 from .errors import InputValidationError, SingularCovariance, UnknownMeasureError
-from .numerics import radial_tilt_moments, trunc_normal_moments
+from .numerics import gamma_half_step, radial_tilt_moments, trunc_normal_moments, xlogy
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _SUPPORT_TOL = 1e-12
@@ -202,7 +201,7 @@ class TruncGaussFactor(Factor1D):
         if cut <= 0:
             raise InputValidationError("cut must be positive")
         self.cut = float(cut)
-        self.z_cut = 2.0 * ndtr(cut) - 1.0
+        self.z_cut = math.erf(cut / math.sqrt(2.0))
         phi_c = math.exp(-0.5 * cut * cut) / math.sqrt(2.0 * math.pi)
         self.sigma = math.sqrt(1.0 - 2.0 * cut * phi_c / self.z_cut)
         self.lo = -cut / self.sigma
@@ -246,8 +245,10 @@ class BallMarginalFactor(Factor1D):
         self.exponent = 0.5 * (ambient_dim - 1.0)
         self.lo = -self.radius
         self.hi = self.radius
+        # log B(1/2, e + 1) = log Gamma(1/2) - (log Gamma(e + 3/2) - log Gamma(e + 1))
+        self._log_gap, self._psi_gap = gamma_half_step(self.exponent + 1.0)
         self._log_norm = ((2.0 * self.exponent + 1.0) * math.log(self.radius)
-                          + betaln(0.5, self.exponent + 1.0))
+                          + 0.5 * math.log(math.pi) - self._log_gap)
 
     def log_density(self, x):
         x = np.asarray(x, float)
@@ -260,10 +261,11 @@ class BallMarginalFactor(Factor1D):
         return self.radius * (2.0 * rng.beta(a, a, size) - 1.0)
 
     def entropy(self):
-        # log norm - e E log(R^2 - y^2), with 1 - y^2/R^2 ~ Beta(e + 1, 1/2)
-        e = self.exponent
-        return (self._log_norm
-                - e * (2.0 * math.log(self.radius) + psi(e + 1.0) - psi(e + 1.5)))
+        # log norm - e E log(R^2 - y^2), with 1 - y^2/R^2 ~ Beta(e + 1, 1/2), so
+        # E log(R^2 - y^2) = 2 log R + psi(e + 1) - psi(e + 3/2); the 2e log R
+        # cancels against log norm's before rounding
+        return (math.log(self.radius) + 0.5 * math.log(math.pi) - self._log_gap
+                + self.exponent * self._psi_gap)
 
     def tilt_stats(self, t, theta):
         # weight exp(theta y - t y^2 / 2) (R^2 - y^2)^exponent, any t >= 0
@@ -428,7 +430,7 @@ class BallSpec(MeasureSpec):
             raise InputValidationError("dim must be >= 1")
         self.dim = int(dim)
         self.radius = math.sqrt(dim + 2.0)
-        log_unit_vol = 0.5 * dim * math.log(math.pi) - gammaln(0.5 * dim + 1.0)
+        log_unit_vol = 0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim + 1.0)
         self._log_vol = log_unit_vol + dim * math.log(self.radius)
 
     def potential(self, x):

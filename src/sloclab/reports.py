@@ -98,8 +98,12 @@ def composite_gate(check_id: str, subs, notes: str = "") -> LemmaReport:
                 sub=tuple(subs))
 
 
-def entrywise_gate(check_id: str, gap, tol, se=None, notes: str = "") -> LemmaReport:
+def entrywise_gate(check_id: str, gap, tol, se=None, notes: str = "",
+                   first_row: int = 0) -> LemmaReport:
     """`gate` at the entry where ``gap / tol`` is largest; ``notes`` gains its index.
+
+    The index counts axis 0 from ``first_row``: a gap that starts at grid
+    node 1 passes 1, so the index names the grid time.
 
     The ratio is each entry's margin in units of its own tolerance, so a
     PASS names the entry that came closest and a FAIL the one that failed
@@ -120,7 +124,8 @@ def entrywise_gate(check_id: str, gap, tol, se=None, notes: str = "") -> LemmaRe
         flat = np.argmax(np.where(failing | ~failing.any(), ratio, -np.inf))
     worst = np.unravel_index(flat, gap.shape)
     stderr = 0.0 if se is None else float(np.broadcast_to(se, gap.shape)[worst])
-    where = f" worst at index {tuple(int(v) for v in worst)}"
+    index = tuple(int(v) + (first_row if axis == 0 else 0) for axis, v in enumerate(worst))
+    where = f" worst at index {index}"
     return gate(check_id, float(gap[worst]), float(tol[worst]), stderr=stderr,
                 notes=notes + where)
 
@@ -132,13 +137,14 @@ def derivative_gate(check_id: str, y: np.ndarray, x: np.ndarray, rhs: np.ndarray
     ``y`` and ``rhs`` are per-path arrays (m, K, ...) on the grid ``x`` (K,).
     The statistic is |mean over paths of the central difference of y minus
     rhs|; the tolerance is sigma * (its standard error + the step-doubling
-    budget of the mean curve E y) + atol.
+    budget of the mean curve E y) + atol.  The reported index is (k, ...)
+    for grid node x[k], 1 <= k <= K - 2.
     """
     gap = central_difference(y, x, axis=1) - rhs[:, 1:-1]
     se = jackknife_se(gap, axis=0)
     budget = fd_error_budget(y.mean(axis=0), x, axis=0)
     return entrywise_gate(check_id, np.abs(gap.mean(axis=0)),
-                          sigma * (se + budget) + atol, se)
+                          sigma * (se + budget) + atol, se, first_row=1)
 
 
 def info(check_id: str, statistic: float, stderr: float = 0.0, notes: str = "") -> LemmaReport:

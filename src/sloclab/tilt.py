@@ -33,12 +33,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, xlogy
 
 from . import covariance, streams
 from .errors import DivergentTilt, InputValidationError
 from .measures import BallMarginalFactor, BallSpec, GaussianSpec, MeasureSpec, ProductSpec
-from .numerics import jackknife_se, quad, radial_tilt_moments
+from .numerics import gamma_p, jackknife_se, quad, radial_tilt_moments, xlogy
 from .reports import LemmaReport, entrywise_gate
 
 CLOSED_FORM = "closed_form"
@@ -120,7 +119,7 @@ def _log_inside(k: int, t: float, gap):
 
     0 when k = 0, where there is no y.
     """
-    return np.log(gammainc(0.5 * k, 0.5 * t * gap)) if k else np.zeros_like(gap)
+    return np.log(gamma_p(0.5 * k, 0.5 * t * gap)) if k else np.zeros_like(gap)
 
 
 def _directions(thetas: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -157,7 +156,7 @@ def ball_tilt_table(spec: BallSpec, t: float, thetas: np.ndarray):
                 s, t, radius, lambda gap: _log_inside(k, t, gap))
         log_z = log_int + 0.5 * k * math.log(2.0 * math.pi / t) - spec.entropy()
         lower = np.exp(log_h)
-        ratio = np.divide(gammainc(0.5 * k + 1.0, 0.5 * t * gap), lower,
+        ratio = np.divide(gamma_p(0.5 * k + 1.0, 0.5 * t * gap), lower,
                           out=np.zeros_like(gap), where=lower > 0.0)
         across = (prob * ratio).sum(axis=1) / t
     cov = across[:, None, None] * np.eye(n) + ((var_u - across)[:, None, None]

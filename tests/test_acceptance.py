@@ -264,7 +264,7 @@ def test_c12_trace_square_ratio_catalog():
 
 def test_c13_deficit_chain_audit(cube4):
     ens, frame = cube4
-    rep = deficit_chain_audit(make_cube(4), frame, xi=0.5, sigma=4.0)
+    rep = deficit_chain_audit(epi_deficit(make_cube(4)).delta, frame, xi=0.5, sigma=4.0)
     subs = {s.check_id: s for s in rep.sub}
     energy = subs["energy-constant"]
     ok = (not rep.failed

@@ -10,7 +10,8 @@ import pytest
 from sloclab import covariance
 from sloclab.follmer import (check_gamma_properties, check_xr_law, fisher_energy,
                              to_follmer)
-from sloclab.infotheory import de_bruijn_check, deficit_chain_audit, deficit_lower_bound
+from sloclab.infotheory import (de_bruijn_check, deficit_chain_audit, deficit_lower_bound,
+                                 epi_deficit)
 from sloclab.localization import (check_derivative_identity, check_monotone_trace,
                                   check_orthogonality, check_spectral_bound,
                                   check_variance_decomposition, make_geometric,
@@ -42,7 +43,7 @@ def _reports(spec, ens, frame):
               check_spectral_bound(ens), check_orthogonality(ens), check_monotone_trace(ens),
               check_gamma_properties(frame), check_xr_law(frame, seed=0),
               de_bruijn_check(spec, frame), trace_square_ratio(ens),
-              deficit_chain_audit(spec, frame, xi=0.5)]
+              deficit_chain_audit(epi_deficit(spec).delta, frame, xi=0.5)]
     return [f for rep in checks for f in rep.flat()], deficit_lower_bound(frame, xi=0.5)
 
 

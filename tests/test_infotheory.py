@@ -344,7 +344,7 @@ def test_deficit_lower_bound_xi_snap(cube2_frame_anchored):
 
 
 def test_deficit_chain_audit_cube(cube2_frame_anchored):
-    rep = deficit_chain_audit(make_cube(2), cube2_frame_anchored, xi=0.5)
+    rep = deficit_chain_audit(epi_deficit(make_cube(2)).delta, cube2_frame_anchored, xi=0.5)
     assert not rep.failed
     ids = [s.check_id for s in rep.sub]
     assert ids == ["variance-split-exact", "ibp-balance", "score-trace-bound",

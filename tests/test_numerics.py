@@ -1,23 +1,30 @@
-"""Numerical kernels checked against scipy and hand-computed cases."""
+"""Numerical kernels checked against mpmath, scipy and hand-computed cases."""
 
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 from scipy.stats import ks_2samp, truncnorm
 
 from sloclab.infotheory import epi_deficit
-from sloclab.measures import ProductSpec, make_factor
+from sloclab.measures import BallMarginalFactor, ProductSpec, TruncGaussFactor, make_factor
 from sloclab.numerics import (
+    beta_inc,
     central_difference,
+    erfcx,
     fd_error_budget,
+    gamma_half_step,
+    gamma_p,
     jackknife_se,
     ks_pvalues,
     trapezoid,
     trapezoid_budget,
     trunc_normal_moments,
+    xlogy,
 )
 from sloclab.numerics import quad as gk_quad
 from sloclab.reports import FAIL
@@ -233,6 +240,99 @@ class TestGaussWindow:
         ref_log_mass, ref_mean, _ = _window_quad(lo, hi)
         assert log_mass == pytest.approx(ref_log_mass, rel=1e-12, abs=1e-13)
         assert mean == pytest.approx(ref_mean, rel=1e-10)
+
+
+def _mp(f, *args):
+    """float of an mpmath function at 40 digits."""
+    with mpmath.workdps(40):
+        return float(f(*(mpmath.mpf(float(v)) for v in args)))
+
+
+def _rel(got, want):
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    return np.max(np.abs(got - want) / np.abs(want))
+
+
+class TestSpecialFunctions:
+    """The numpy special functions against mpmath (the oracle) and scipy."""
+
+    def test_erfcx_on_zero_to_1e10(self):
+        x = np.concatenate([np.linspace(0.0, 10.0, 401),
+                            np.geomspace(1e-8, 1e10, 400), [1e-300, 1e10]])
+        ref = np.array([_mp(lambda v: mpmath.erfc(v) * mpmath.exp(v * v), v) for v in x])
+        assert _rel(erfcx(x), ref) <= 1e-15
+        assert _rel(special.erfcx(x), ref) <= 2e-15
+        assert erfcx(np.inf) == 0.0 and erfcx(0.0) == 1.0
+        assert isinstance(erfcx(1.0), np.float64)
+
+    def test_gamma_p_on_both_sides_of_a_plus_1(self):
+        for a in np.arange(1, 258) / 2.0:  # 1/2, 1, ..., 128.5
+            x = np.concatenate([[0.1 * a, 0.5 * a, a, a + 0.5, a + 1.0, a + 1.5,
+                                 2.0 * a + 2.0, 4.0 * a + 40.0],
+                                (a + 1.0) * (1.0 + np.array([-1e-12, 1e-12]))])
+            ref = np.array([_mp(lambda v: mpmath.gammainc(a, 0, v, regularized=True), v)
+                            for v in x])
+            assert _rel(gamma_p(a, x), ref) <= 2e-13, a
+            assert _rel(special.gammainc(a, x), ref) <= 2e-13, a
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.5, 8.0, 32.5, 128.5])
+    def test_log_gamma_p_as_x_goes_to_0(self, a):
+        # down to where P is about e^-600
+        x_min = max(math.exp((math.lgamma(a + 1.0) - 600.0) / a), 1e-200)
+        x = np.geomspace(x_min, max(1e-2, 10.0 * x_min), 25)
+        ref = np.array([_mp(lambda v: mpmath.log(mpmath.gammainc(a, 0, v, regularized=True)), v)
+                        for v in x])
+        assert _rel(np.log(gamma_p(a, x)), ref) <= 2e-13
+
+    def test_gamma_p_ends(self):
+        with np.errstate(invalid="ignore"):
+            got = gamma_p(1.5, np.array([0.0, np.inf, -1.0, np.nan]))
+        assert got[0] == 0.0 and got[1] == 1.0 and np.isnan(got[2:]).all()
+        with pytest.raises(ValueError, match="multiple of 1/2"):
+            gamma_p(0.3, 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 64])
+    def test_lens_beta_inc(self, n):
+        a = 0.5 * (n + 1)
+        x = np.concatenate([[0.0, 1.0], np.geomspace(1e-8, 1.0, 30)[:-1],
+                            1.0 - np.geomspace(1e-12, 0.5, 20), np.linspace(0.0, 1.0, 41)])
+        ref = np.array([_mp(lambda v: mpmath.betainc(a, 0.5, 0, v, regularized=True), v)
+                        for v in x])
+        assert np.max(np.abs(beta_inc(a, 0.5, x) - ref)) <= 1e-13
+        assert np.max(np.abs(special.betainc(a, 0.5, x) - ref)) <= 1e-13
+
+    def test_xlogy_keeps_0_log_0(self):
+        got = xlogy(np.array([0.0, 0.0, 2.0, 2.0, 1.5]), np.array([0.0, 3.0, 0.0, -1.0, 4.0]))
+        assert got[0] == 0.0 and got[1] == 0.0 and got[2] == -np.inf and np.isnan(got[3])
+        assert got[4] == special.xlogy(1.5, 4.0)
+        assert np.array_equal(xlogy(0.0, np.array([0.0, 1.0])), [0.0, 0.0])
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.5, 17.0, 33.5, 129.0, 1000.5])
+    def test_gamma_half_step(self, a):
+        log_step, psi_step = gamma_half_step(a)
+        ref_log = _mp(lambda v: mpmath.loggamma(v + 0.5) - mpmath.loggamma(v), a)
+        ref_psi = _mp(lambda v: mpmath.psi(0, v + 0.5) - mpmath.psi(0, v), a)
+        assert log_step == pytest.approx(ref_log, rel=4e-16, abs=4e-16)
+        assert psi_step == pytest.approx(ref_psi, rel=4e-16, abs=0.0)
+
+    @pytest.mark.parametrize("nu", [1, 2, 3, 4, 16, 64])
+    def test_ball_marginal_normalizer_and_entropy(self, nu):
+        f = BallMarginalFactor(nu)
+        e, log_r = f.exponent, math.log(f.radius)
+        log_norm = (2.0 * e + 1.0) * log_r + special.betaln(0.5, e + 1.0)
+        entropy = log_norm - e * (2.0 * log_r + special.psi(e + 1.0) - special.psi(e + 1.5))
+        # log_density(0) = e log R^2 - log norm
+        assert f.log_density(0.0) == pytest.approx(2.0 * e * log_r - log_norm,
+                                                   rel=1e-14, abs=1e-14)
+        assert f.entropy() == pytest.approx(entropy, rel=1e-14, abs=0.0)
+        ref = _mp(lambda r, e: mpmath.log(r) + mpmath.log(mpmath.beta(0.5, e + 1))
+                  + e * (mpmath.psi(0, e + 1.5) - mpmath.psi(0, e + 1)), f.radius, e)
+        assert f.entropy() == pytest.approx(ref, rel=4e-16, abs=0.0)
+
+    @pytest.mark.parametrize("cut", [0.1, 0.5, 1.0, 2.0, 5.0, 9.0])
+    def test_trunc_gauss_mass(self, cut):
+        assert TruncGaussFactor(cut).z_cut == pytest.approx(2.0 * special.ndtr(cut) - 1.0,
+                                                            rel=1e-14, abs=0.0)
 
 
 class TestKsPvalues:

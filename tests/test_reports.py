@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from sloclab.reports import FAIL, PASS, composite_gate, entrywise_gate, gate, info
+from sloclab.reports import (FAIL, PASS, composite_gate, derivative_gate, entrywise_gate,
+                             gate, info)
 
 
 def test_gate_finite_inputs():
@@ -92,3 +93,16 @@ def test_entrywise_gate_ranks_a_failing_zero_tolerance_first():
     rep = entrywise_gate("e", np.array([0.0, -1.0, 0.5]), np.array([0.0, 0.0, 1.0]))
     assert rep.verdict == PASS
     assert rep.notes == " worst at index (2,)"
+
+
+@pytest.mark.parametrize("j", [1, 4, 8])
+def test_derivative_gate_names_the_grid_time_of_a_defect(j):
+    # y = x^2 on every path, so dy/dx = 2x exactly at every interior node; a
+    # defect in the right-hand side at grid time j must be reported at x[j]
+    x = np.geomspace(0.1, 10.0, 10)
+    y = np.tile(x * x, (4, 1))[:, :, None] * np.ones(3)
+    rhs = np.tile(2.0 * x, (4, 1))[:, :, None] * np.ones(3)
+    rhs[:, j, 2] += 1.0
+    rep = derivative_gate("d", y, x, rhs, 4.0, 1e-8)
+    assert rep.failed
+    assert rep.notes == f" worst at index ({j}, 2)"
