@@ -11,7 +11,6 @@ from .errors import (
     ConfigError,
     DivergentTilt,
     InputValidationError,
-    SingularCovariance,
     SloclabError,
     UnknownMeasureError,
 )
@@ -20,7 +19,6 @@ from .measures import (
     MeasureSpec,
     SubspaceBasis,
     coordinate_subspace,
-    isotropize,
     make_ball,
     make_cube,
     make_gaussian,
@@ -37,14 +35,12 @@ __all__ = [
     "InputValidationError",
     "LemmaReport",
     "MeasureSpec",
-    "SingularCovariance",
     "SloclabError",
     "SubspaceBasis",
     "UnknownMeasureError",
     "coordinate_subspace",
     "gate",
     "info",
-    "isotropize",
     "make_ball",
     "make_cube",
     "make_gaussian",

@@ -601,14 +601,13 @@ def _cmd_lk_table(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     rows, floor = isoconst.l_bounds_sweep(catalog)
 
     lines = [["measure", "dim", "l_value", "l_stderr", "entropy",
-              "entropy_se", "det_cov_pow", "sandwich", "floor"]]
+              "entropy_se", "sandwich", "floor"]]
     for rep in rows:
         spec = parse_measure_id(rep.measure_id)
         lines.append([rep.measure_id, str(spec.dim),
                       _fmt(rep.l_value.value), _fmt(rep.l_value.stderr),
                       _fmt(rep.entropy.value), _fmt(rep.entropy.stderr),
-                      _fmt(rep.det_cov_pow), rep.sandwich.verdict,
-                      rep.lower_bound.verdict])
+                      rep.sandwich.verdict, rep.lower_bound.verdict])
 
     if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)

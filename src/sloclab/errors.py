@@ -13,16 +13,8 @@ class UnknownMeasureError(InputValidationError):
     """Measure id or factor tag not in the catalog."""
 
 
-class SingularCovariance(InputValidationError):
-    """Covariance not positive definite; carries the offending eigenvalue."""
-
-    def __init__(self, eigenvalue: float):
-        self.eigenvalue = float(eigenvalue)
-        super().__init__(f"covariance is singular (smallest eigenvalue {eigenvalue:.3e})")
-
-
 class DivergentTilt(SloclabError):
-    """Tilted partition function is infinite for the requested (t, theta)."""
+    """Tilted partition function is infinite, or not finite in floating point, at (t, theta)."""
 
 
 class ConfigError(SloclabError):

@@ -2,7 +2,8 @@
 
 Conventions: natural logarithms throughout, gamma_1 is the standard Gaussian
 in the relevant dimension, and all relative quantities are against gamma_1.
-For an isotropic measure, D(mu || gamma_1) = (n/2) ln(2 pi e) - Ent(mu).
+Every measure is isotropic by construction, so
+D(mu || gamma_1) = (n/2) ln(2 pi e) - Ent(mu).
 
 The de Bruijn identity along the localization clock reads
 
@@ -43,8 +44,7 @@ import numpy as np
 from . import covariance
 from .errors import InputValidationError
 from .follmer import FrameEnsemble
-from .measures import (GAUSSIAN_ENTROPY_RATE, AffineImageSpec, BallSpec, GaussianSpec,
-                       MeasureSpec, require_pieces)
+from .measures import GAUSSIAN_ENTROPY_RATE, BallSpec, GaussianSpec, MeasureSpec, require_pieces
 from .numerics import (U_CUT, beta_inc, jackknife_se, quad, trapezoid, trapezoid_budget,
                        trunc_normal_moments, xlogy)
 from .reports import EstimatorResult, LemmaReport, composite_gate, entrywise_gate, gate, info
@@ -56,9 +56,7 @@ PLUGIN_MC = "plug-in-mc"
 
 
 def kl_to_gaussian(spec: MeasureSpec) -> EstimatorResult:
-    """D(mu || gamma_1) = (n/2) ln(2 pi e) - Ent(mu) for isotropic mu."""
-    if not spec.isotropic:
-        raise InputValidationError("measure is not isotropic; isotropize it first")
+    """D(mu || gamma_1) = (n/2) ln(2 pi e) - Ent(mu); every spec is isotropic."""
     value = spec.dim * GAUSSIAN_ENTROPY_RATE - spec.entropy()
     return EstimatorResult(float(value), 0.0, 0, CLOSED_FORM,
                            notes="relative entropy against the standard Gaussian")
@@ -198,15 +196,12 @@ def _ball_deficit(spec: BallSpec) -> EstimatorResult:
 def epi_deficit(spec: MeasureSpec, sigma: float = 4.0) -> DeficitReport:
     """EPI deficit delta(mu) = Ent((X1+X2)/sqrt 2) - Ent(X) for centered mu.
 
-    Affine images take their base's deficit.  Products factorize: each
-    factor law's deficit (`ProductSpec.laws`) is one quadrature of its
-    closed sum density, counted once per column.  The ball's is one radial
-    quadrature.  ``stderr`` is the sum of the quadratures' error estimates
-    (`numerics.quad`).
+    Products factorize: each factor law's deficit (`ProductSpec.laws`) is
+    one quadrature of its closed sum density, counted once per column.  The
+    ball's is one radial quadrature.  ``stderr`` is the sum of the
+    quadratures' error estimates (`numerics.quad`).
     """
     n = spec.dim
-    while isinstance(spec, AffineImageSpec):
-        spec = spec.base
     if isinstance(spec, GaussianSpec):
         delta = EstimatorResult(0.0, 0.0, 0, CLOSED_FORM,
                                 notes="Gaussian is a fixed point of the convolution")

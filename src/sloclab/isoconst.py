@@ -6,10 +6,11 @@ covariance is
     L_mu = exp(-Ent(mu)/n) * det cov(mu)^(1/(2n)),
 
 an affine invariant minimized exactly at Gaussians, where it equals
-(2 pi e)^(-1/2).  For centered log-concave mu with density f the value is
-pinned by the density at the barycenter:
+(2 pi e)^(-1/2).  Every measure here is isotropic by construction, so the
+determinant is 1 and L_mu = exp(-Ent(mu)/n).  For centered log-concave mu
+with density f the value is pinned by the density at the barycenter:
 
-    L_mu <= f(0)^(1/n) * det cov(mu)^(1/(2n)) <= e * L_mu.
+    L_mu <= f(0)^(1/n) <= e * L_mu.
 
 Marginals of log-concave measures are log-concave, and conditioning on less
 information keeps more variance: if E is a subspace with orthonormal columns
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariance
-from .errors import InputValidationError, SingularCovariance
+from .errors import InputValidationError
 from .infotheory import CLOSED_FORM
 from .localization import PathEnsemble, make_uniform, simulate_ensemble
 from .measures import (BallMarginalFactor, BallSpec, GaussianSpec, MeasureSpec,
@@ -47,30 +48,23 @@ class IsotropicConstantReport:
     measure_id: str
     l_value: EstimatorResult
     entropy: EstimatorResult
-    det_cov_pow: float          # det cov^(1/(2n))
     sandwich: LemmaReport       # the f(0) two-sided pin
     lower_bound: LemmaReport    # universal Gaussian floor
 
 
 def isotropic_constant(spec: MeasureSpec) -> IsotropicConstantReport:
-    """L_mu with its closed-form entropy, sandwich check, and the universal floor.
+    """L_mu = exp(-Ent(mu)/n) with its closed-form entropy, sandwich check, and floor.
 
-    Requires a centered measure (the two-sided f(0) pin only holds at the
-    barycenter); isotropize non-centered inputs first.
+    The spec is isotropic by construction: its barycenter, where the
+    two-sided f(0) pin holds, is 0, and det cov(mu) = 1.
     """
     n = spec.dim
-    if np.abs(np.asarray(spec.mean(), float)).max() > 1e-9:
-        raise InputValidationError("measure is not centered; isotropize it first")
     ent = EstimatorResult(spec.entropy(), 0.0, 0, CLOSED_FORM)
-    sign, logdet = np.linalg.slogdet(np.asarray(spec.cov(), float))
-    if sign <= 0:
-        raise SingularCovariance(float(sign))
-    det_pow = math.exp(logdet / (2.0 * n))
-    l_val = math.exp(-ent.value / n) * det_pow
+    l_val = math.exp(-ent.value / n)
     l_est = EstimatorResult(l_val, 0.0, 0, CLOSED_FORM)
 
     log_f0 = float(np.asarray(spec.log_density(np.zeros(n)), float))
-    mid = math.exp(log_f0 / n) * det_pow
+    mid = math.exp(log_f0 / n)
     tol = 1e-10  # L and the pin are closed forms: only rounding separates them
     low_side = gate("sandwich-lower", l_val - mid, tol, stderr=0.0,
                     notes=f"L={l_val:.8g} <= f(0)-pin={mid:.8g}")
@@ -81,8 +75,7 @@ def isotropic_constant(spec: MeasureSpec) -> IsotropicConstantReport:
 
     lower = gate("l-lower-bound", GAUSSIAN_L - 1e-9 - l_val, 0.0,
                  stderr=0.0, notes=f"floor (2 pi e)^(-1/2) = {GAUSSIAN_L:.8g}")
-    return IsotropicConstantReport(spec.measure_id(), l_est, ent, det_pow,
-                                   sandwich, lower)
+    return IsotropicConstantReport(spec.measure_id(), l_est, ent, sandwich, lower)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Catalog of log-concave probability measures on R^n.
 
 Every measure is described by its potential psi with density
-rho(x) = exp(-psi(x)), psi convex (+inf outside the support).  The catalog
-members are built isotropic (barycenter 0, covariance identity) unless a
-constructor is explicitly told otherwise:
+rho(x) = exp(-psi(x)), psi convex (+inf outside the support).  Every catalog
+member is isotropic by construction (barycenter 0, covariance identity), as
+the slicing problem states its bodies; there is no whitening route, and no
+spec here carries its moments:
 
 * ``gaussian:n``   standard Gaussian
 * ``cube:n``       uniform on [-sqrt(3), sqrt(3)]^n
@@ -16,9 +17,6 @@ constructor is explicitly told otherwise:
 rescaled to unit variance).  All have mean 0 and variance 1, and each is a
 list of truncated-Gaussian ``pieces`` (see `Factor1D`); ``ballmarg``, the
 ball's 1D marginal, is the one factor without them.
-
-Affine images T(x) = M x + b are first-class; `isotropize` uses them to
-whiten any spec with known (or supplied) moments.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputValidationError, SingularCovariance, UnknownMeasureError
+from .errors import InputValidationError, UnknownMeasureError
 from .numerics import gamma_half_step, radial_tilt_moments, trunc_normal_moments, xlogy
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -59,7 +57,6 @@ class Factor1D:
     tag = ""
     lo = -np.inf
     hi = np.inf
-    var = 1.0
     pieces: tuple = ()
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
@@ -143,24 +140,18 @@ class GaussianFactor(Factor1D):
 
 
 class UniformFactor(Factor1D):
-    """Uniform on [-w, w]; isotropic for w = sqrt(3)."""
+    """Uniform on [-sqrt(3), sqrt(3)]."""
 
     tag = "uniform"
-
-    def __init__(self, half_width: float = SQRT3):
-        if half_width <= 0:
-            raise InputValidationError("half_width must be positive")
-        self.half_width = float(half_width)
-        self.lo = -self.half_width
-        self.hi = self.half_width
-        self.var = self.half_width**2 / 3.0
-        self.pieces = ((0.0, 0.0, self.lo, self.hi, -math.log(2.0 * self.half_width)),)
+    lo = -SQRT3
+    hi = SQRT3
+    pieces = ((0.0, 0.0, -SQRT3, SQRT3, -math.log(2.0 * SQRT3)),)
 
     def sample(self, rng, size):
-        return rng.uniform(-self.half_width, self.half_width, size)
+        return rng.uniform(-SQRT3, SQRT3, size)
 
     def entropy(self):
-        return math.log(2.0 * self.half_width)
+        return math.log(2.0 * SQRT3)
 
 
 class ExpFactor(Factor1D):
@@ -306,7 +297,10 @@ def make_factor(tag: str) -> Factor1D:
 
 
 class MeasureSpec:
-    """Base class: immutable description of a measure on R^n."""
+    """Base class: immutable description of an isotropic measure on R^n.
+
+    Mean 0 and covariance Id hold by construction, so a spec stores neither.
+    """
 
     family = ""
     dim = 0
@@ -328,20 +322,8 @@ class MeasureSpec:
         """Differential entropy, in closed form."""
         raise NotImplementedError
 
-    def mean(self) -> np.ndarray:
-        return np.zeros(self.dim)
-
-    def cov(self) -> np.ndarray:
-        return np.eye(self.dim)
-
     def measure_id(self) -> str:
         raise NotImplementedError
-
-    @property
-    def isotropic(self) -> bool:
-        mu, sigma = self.mean(), self.cov()
-        return (np.abs(mu).max(initial=0.0) < 1e-9
-                and np.abs(sigma - np.eye(self.dim)).max() < 1e-9)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.measure_id()}>"
@@ -411,9 +393,6 @@ class ProductSpec(MeasureSpec):
     def entropy(self):
         return float(sum(f.entropy() for f in self.factors))
 
-    def cov(self):
-        return np.diag([f.var for f in self.factors])
-
     def measure_id(self):
         if self.family == "cube":
             return f"cube:{self.dim}"
@@ -450,46 +429,6 @@ class BallSpec(MeasureSpec):
 
     def measure_id(self):
         return f"ball:{self.dim}"
-
-
-class AffineImageSpec(MeasureSpec):
-    """Pushforward of a base spec under T(x) = M x + b."""
-
-    family = "affine"
-
-    def __init__(self, base: MeasureSpec, mat: np.ndarray, shift: np.ndarray | None = None):
-        mat = np.asarray(mat, float)
-        if mat.shape != (base.dim, base.dim):
-            raise InputValidationError("mat must be square of the base dimension")
-        sign, logdet = np.linalg.slogdet(mat)
-        if sign == 0 or not np.isfinite(logdet):
-            raise InputValidationError("affine map must be invertible")
-        self.base = base
-        self.mat = mat
-        self.shift = np.zeros(base.dim) if shift is None else np.asarray(shift, float)
-        self.dim = base.dim
-        self._log_abs_det = float(logdet)
-        self._inv = np.linalg.inv(mat)
-
-    def potential(self, x):
-        x = np.asarray(x, float)
-        pre = (x - self.shift) @ self._inv.T
-        return self.base.potential(pre) + self._log_abs_det
-
-    def sample(self, rng, size):
-        return self.base.sample(rng, size) @ self.mat.T + self.shift
-
-    def entropy(self):
-        return self.base.entropy() + self._log_abs_det
-
-    def mean(self):
-        return self.shift + self.mat @ self.base.mean()
-
-    def cov(self):
-        return self.mat @ self.base.cov() @ self.mat.T
-
-    def measure_id(self):
-        return f"affine({self.base.measure_id()})"
 
 
 # ---------------------------------------------------------------------------
@@ -556,30 +495,7 @@ def _positive_int(arg: str, measure_id: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Isotropization and subspaces
-
-
-def isotropize(spec: MeasureSpec, mean: np.ndarray | None = None,
-               cov: np.ndarray | None = None) -> MeasureSpec:
-    """Whiten a spec: x -> cov^{-1/2} (x - mean).
-
-    Uses the measure's analytic moments unless explicit ones are supplied.
-    Already-isotropic specs are returned unchanged (the map is the identity).
-    Raises SingularCovariance when the covariance is not positive definite.
-    """
-    mu = spec.mean() if mean is None else np.asarray(mean, float)
-    sigma = spec.cov() if cov is None else np.asarray(cov, float)
-    if mu.shape != (spec.dim,) or sigma.shape != (spec.dim, spec.dim):
-        raise InputValidationError("moment shapes do not match the measure dimension")
-    if (mean is None and cov is None
-            and np.abs(mu).max(initial=0.0) < 1e-12
-            and np.abs(sigma - np.eye(spec.dim)).max() < 1e-12):
-        return spec
-    w, v = np.linalg.eigh(0.5 * (sigma + sigma.T))
-    if w.min() <= 0.0:
-        raise SingularCovariance(float(w.min()))
-    root_inv = (v / np.sqrt(w)) @ v.T
-    return AffineImageSpec(spec, root_inv, -root_inv @ mu)
+# Subspaces
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,10 @@ A(t, theta) of p_{t,theta} along two routes:
                    (`ball_tilt_table`, `numerics.radial_tilt_moments`).
 
 `tilt_table` picks the route for a batch of thetas at one t; it is the one
-place that branches on the measure family.  Affine images have no route.
+place that branches on the measure family.  Every catalog measure is
+isotropic by construction, so the untilted base state (t = 0, theta = 0)
+is mean 0 and covariance Id, with no moments to look up.  A spec outside
+the catalog's families has no route.
 
 `tilt_sample_batch` draws exact points of p_{t,theta} for a batch of thetas
 (m, n), as `tilt_table` takes them, from one sampler for 1D log-concave
@@ -139,7 +142,8 @@ def ball_tilt_table(spec: BallSpec, t: float, thetas: np.ndarray):
     (n-1)/(n+1) (R^2 - u^2).  One `radial_tilt_moments` call integrates u,
     and mean = E[u] e, cov = Var(u) e e^T + E|y|^2/(n-1) (Id - e e^T).
 
-    Returns (log_z (m,), mean (m, n), cov (m, n, n)).
+    Returns (log_z (m,), mean (m, n), cov (m, n, n)); raises DivergentTilt,
+    naming n, t and the first bad |theta|, where a row is not finite.
     """
     m, n = thetas.shape
     radius = spec.radius
@@ -151,7 +155,7 @@ def ball_tilt_table(spec: BallSpec, t: float, thetas: np.ndarray):
         log_z, mean_u, var_u = BallMarginalFactor(n).tilt_stats(0.0, s)
         across = (radius * radius - mean_u * mean_u - var_u) / (n + 1)
     else:
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):  # NaN rows raise below
             log_int, mean_u, var_u, gap, log_h, prob = radial_tilt_moments(
                 s, t, radius, lambda gap: _log_inside(k, t, gap))
         log_z = log_int + 0.5 * k * math.log(2.0 * math.pi / t) - spec.entropy()
@@ -159,6 +163,11 @@ def ball_tilt_table(spec: BallSpec, t: float, thetas: np.ndarray):
         ratio = np.divide(gamma_p(0.5 * k + 1.0, 0.5 * t * gap), lower,
                           out=np.zeros_like(gap), where=lower > 0.0)
         across = (prob * ratio).sum(axis=1) / t
+    finite = np.isfinite(log_z) & np.isfinite(mean_u) & np.isfinite(var_u) & np.isfinite(across)
+    if not finite.all():
+        # at small t and large n, P(chi2_{n-1} <= t (R^2 - u^2)) underflows at every node
+        raise DivergentTilt(f"ball:{n} tilt at t={t:g} is not finite at "
+                            f"|theta|={s[~finite][0]:.6g}")
     cov = across[:, None, None] * np.eye(n) + ((var_u - across)[:, None, None]
                                                * e[:, :, None] * e[:, None, :])
     return log_z, mean_u[:, None] * e, cov
@@ -458,23 +467,22 @@ def tilt_table(spec: MeasureSpec, t: float, thetas: np.ndarray):
     Returns (log_z (m,), mean (m, n), cov, method).  ``cov`` is in the shape
     of its structure: the variances (m, n) for Gaussians and coordinate
     products, whose tilts have diagonal covariances, and full matrices
-    (m, n, n) for balls.  The base measure answers t = 0 with theta = 0;
-    Gaussians are conjugate; coordinate products are exact (closed form,
-    with the ballmarg factor by quadrature, and adaptive quadrature for
-    every factor at t = 0); balls use `ball_tilt_table` at every t.  Other
-    specs (affine images), a batch of another width, a non-finite entry and
-    t < 0 raise InputValidationError.
+    (m, n, n) for balls.  At t = 0 with theta = 0 every measure is its own
+    base state, isotropic by construction: log Z = 0, mean 0, covariance
+    Id.  Gaussians are conjugate; coordinate products are exact (closed
+    form, with the ballmarg factor by quadrature, and adaptive quadrature
+    for every factor at t = 0); balls use `ball_tilt_table` at every t.
+    Other specs, a batch of another width, a non-finite entry and t < 0
+    raise InputValidationError.
     """
     thetas = _validate(spec, t, thetas, batch=True)
     if not (isinstance(spec, (GaussianSpec, BallSpec)) or spec.factors is not None):
         raise InputValidationError(_NO_ROUTE.format(spec.measure_id()))
     m, n = thetas.shape
     if t == 0.0 and not np.any(thetas):
-        cov = spec.cov()
-        if isinstance(spec, GaussianSpec) or spec.factors is not None:
-            cov = np.diag(cov)
-        return (np.zeros(m), np.tile(spec.mean(), (m, 1)),
-                np.tile(cov, (m,) + (1,) * cov.ndim), CLOSED_FORM)
+        # the base measure, isotropic by construction: mean 0, covariance Id
+        cov = np.tile(np.eye(n), (m, 1, 1)) if isinstance(spec, BallSpec) else np.ones((m, n))
+        return np.zeros(m), np.zeros((m, n)), cov, CLOSED_FORM
     if isinstance(spec, GaussianSpec):
         return (*gaussian_tilt(n, t, thetas), CLOSED_FORM)
     if spec.factors is not None:

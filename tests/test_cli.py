@@ -432,6 +432,17 @@ def test_simulate_artifacts_are_deterministic(tmp_path, capsys):
     assert header.startswith("t,r,trace_cov")
 
 
+def test_simulate_t_zero_row_is_exactly_isotropic(tmp_path, capsys):
+    # A_0 = Id exactly, so the t = 0 row carries no rounding
+    assert main(["simulate", "--measure", "cube:4", "--paths", "64", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    header, first = (line.split(",") for line in
+                     (tmp_path / "stats.csv").read_text().splitlines()[:2])
+    row = dict(zip(header, first))
+    assert row["t"] == "0"
+    assert (row["trace_cov"], row["trace_cov_sq_se"], row["decomp_dev"]) == ("4", "0", "0")
+
+
 def test_verify_reports_json(tmp_path, capsys):
     out = tmp_path / "rep"
     argv = ["verify", "--measure", "gaussian:2", *FAST, "--out", str(out),

@@ -6,10 +6,12 @@
   what modules share is public.
 * Only ``reports.py`` calls ``LemmaReport(``: every other module and test
   builds its verdicts through ``reports.gate`` and its relatives.
-* Every function and method defined in ``src/`` is read somewhere in ``src/``
-  or ``perfbench/`` outside its own body: no helper exists only for tests.
-  A read is a name, an attribute or an identifier string (perfbench binds
-  functions by name); dunder methods are called implicitly and are exempt.
+* Every function, method and class defined in ``src/`` is read somewhere in
+  ``src/`` or ``perfbench/`` outside its own body: no helper exists only for
+  tests.  A read is a name, an attribute or an identifier string (perfbench
+  binds functions by name); dunder methods are called implicitly and are
+  exempt.  ``__init__.py`` re-exports what tests and users import, so its
+  imports and ``__all__`` are not reads.
 * Nothing in ``src/`` compares against a ``.tag`` attribute: a factor's
   behaviour follows from its data (its ``pieces``), never from branching on
   its name.
@@ -113,10 +115,16 @@ def names_read(node: ast.AST) -> Counter:
     return out
 
 
+def source_reads(modules) -> Counter:
+    """`names_read` summed over ``modules``, (file name, tree) pairs, but ``__init__.py``."""
+    return sum((names_read(tree) for name, tree in modules if name != "__init__.py"),
+               Counter())
+
+
 def unread_functions(tree: ast.Module, reads: Counter) -> list:
-    """(line, name) of every function in ``tree`` read nowhere outside its own body."""
+    """(line, name) of every function or class in ``tree`` read nowhere outside its own body."""
     return sorted((node.lineno, node.name) for node in ast.walk(tree)
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                   and not (node.name.startswith("__") and node.name.endswith("__"))
                   and reads[node.name] <= names_read(node)[node.name])
 
@@ -260,7 +268,8 @@ def test_reports_are_built_only_in_reports_module():
 
 def test_every_source_function_is_read_outside_tests():
     assert BENCH
-    reads = sum((names_read(_tree(p)) for p in PACKAGE + BENCH), Counter())
+    assert ROOT / "src" / "sloclab" / "__init__.py" in PACKAGE
+    reads = source_reads((p.name, _tree(p)) for p in PACKAGE + BENCH)
     assert _scan(PACKAGE, lambda tree: unread_functions(tree, reads)) == []
 
 
@@ -377,6 +386,17 @@ def test_scanners_flag_what_they_look_for():
                      "def orphan():\n"
                      "    return Basis().dim\n")
     assert unread_functions(defs, names_read(defs)) == [(4, "project"), (14, "orphan")]
+    init = ast.parse("from .measures import whiten\n"
+                     "__all__ = ['whiten']\n")
+    lib = ast.parse("class Spec:\n"
+                    "    pass\n"
+                    "class Unused:\n"
+                    "    pass\n"
+                    "def whiten(spec):\n"
+                    "    return Spec()\n")
+    reads = source_reads([("__init__.py", init), ("measures.py", lib)])
+    assert unread_functions(lib, reads) == [(3, "Unused"), (5, "whiten")]
+    assert unread_functions(lib, names_read(init) + names_read(lib)) == [(3, "Unused")]
     tags = ast.parse("if factor.tag == 'exp':\n"
                      "    pass\n"
                      "ok = 'laplace' != f.tag\n"

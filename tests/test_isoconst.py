@@ -17,7 +17,7 @@ from sloclab.isoconst import (
 )
 from sloclab.localization import make_geometric, make_uniform, simulate_ensemble
 from sloclab.measures import (
-    AffineImageSpec,
+    BallMarginalFactor,
     GaussianSpec,
     LaplaceFactor,
     ProductSpec,
@@ -28,6 +28,7 @@ from sloclab.measures import (
     make_product,
     parse_measure_id,
 )
+from sloclab.numerics import quad
 
 # independent volume/entropy pins for the closed catalog members
 L_CUBE = 1.0 / (2.0 * math.sqrt(3.0))
@@ -62,7 +63,8 @@ def test_gaussian_attains_the_floor():
     assert rep.l_value.value == pytest.approx(GAUSSIAN_L, abs=1e-14)
     assert rep.l_value.stderr == 0.0
     assert not rep.lower_bound.failed
-    assert rep.det_cov_pow == pytest.approx(1.0, abs=1e-12)
+    # isotropic by construction: det cov = 1, so L is exp(-Ent/n) alone
+    assert rep.l_value.value == math.exp(-rep.entropy.value / 2)
 
 
 def test_sandwich_holds_on_closed_catalog():
@@ -89,19 +91,13 @@ def test_mc_entropy_route_keeps_gates():
     n_draws = 50_000
     vals = -spec.log_density(spec.sample(streams.generator(2, "mc-entropy"), n_draws))
     ent_se = float(vals.std(ddof=1)) / math.sqrt(n_draws)
-    l_mc = math.exp(-float(vals.mean()) / spec.dim) * rep.det_cov_pow
+    l_mc = math.exp(-float(vals.mean()) / spec.dim)
     l_se = l_mc * ent_se / spec.dim
     assert l_se > 0.0
     assert l_mc == pytest.approx(GAUSSIAN_L, abs=4.0 * l_se)
     assert rep.l_value.value == pytest.approx(l_mc, abs=4.0 * l_se)
     assert not rep.lower_bound.failed
     assert not rep.sandwich.failed
-
-
-def test_non_centered_measure_rejected():
-    shifted = AffineImageSpec(make_gaussian(2), np.eye(2), np.array([0.5, 0.0]))
-    with pytest.raises(InputValidationError, match="not centered"):
-        isotropic_constant(shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +131,12 @@ def test_marginal_ball_line_slice():
     sub = marginal(make_ball(3), coordinate_subspace(3, [0]))
     assert isinstance(sub, ProductSpec)
     assert sub.dim == 1
+    f = sub.factors[0]
+    assert isinstance(f, BallMarginalFactor) and f.ambient_dim == 3
     # one-dimensional shadow of the ball keeps unit variance
-    assert sub.cov()[0, 0] == pytest.approx(1.0, abs=1e-9)
+    var, _ = quad(lambda y: y * y * np.exp(f.log_density(y)), f.lo, f.hi,
+                  epsabs=1e-13, epsrel=1e-13, limit=200)
+    assert var == pytest.approx(1.0, abs=1e-9)
 
 
 def test_marginal_without_exact_route_raises(random_subspace):

@@ -1,4 +1,4 @@
-"""Measure catalog: densities, moments, entropies, whitening, subspaces."""
+"""Measure catalog: densities, moments, entropies, subspaces."""
 
 import math
 
@@ -8,17 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from sloclab.errors import InputValidationError, SingularCovariance, UnknownMeasureError
+from sloclab.errors import InputValidationError, UnknownMeasureError
 from sloclab.measures import (
     DEFAULT_CATALOG,
-    AffineImageSpec,
     BallMarginalFactor,
+    BallSpec,
     ProductSpec,
     SQRT3,
     SubspaceBasis,
     UniformFactor,
     coordinate_subspace,
-    isotropize,
     make_ball,
     make_cube,
     make_factor,
@@ -26,6 +25,7 @@ from sloclab.measures import (
     make_product,
     parse_measure_id,
 )
+from sloclab.numerics import quad as gk_quad
 from sloclab.numerics import trunc_normal_moments
 from sloclab.streams import generator
 from sloclab.tilt import envelope
@@ -218,7 +218,7 @@ def test_gaussian_entropy_and_potential():
     assert g1.potential(np.array([0.0])) == pytest.approx(0.5 * math.log(2 * math.pi))
     g3 = make_gaussian(3)
     assert g3.entropy() == pytest.approx(3 * g1.entropy())
-    assert np.allclose(g3.cov(), np.eye(3))
+    assert g3.potential(np.ones(3)) == pytest.approx(1.5 + 1.5 * math.log(2 * math.pi))
 
 
 def test_cube_potential_inside_and_outside():
@@ -230,9 +230,10 @@ def test_cube_potential_inside_and_outside():
 
 
 def test_uniform_box_density():
-    box = ProductSpec([UniformFactor(1.0)])
-    assert np.exp(box.log_density(np.array([0.3]))) == pytest.approx(0.5)
-    assert box.cov()[0, 0] == pytest.approx(1.0 / 3.0)
+    box = ProductSpec([UniformFactor()])
+    assert np.exp(box.log_density(np.array([0.3]))) == pytest.approx(1.0 / (2.0 * SQRT3))
+    assert box.log_density(np.array([1.8])) == -np.inf
+    assert (UniformFactor.lo, UniformFactor.hi) == (-SQRT3, SQRT3)
 
 
 def test_ball_radius_and_entropy():
@@ -266,11 +267,50 @@ def test_product_accepts_list_and_string():
     assert a.measure_id() == b.measure_id() == "product:exp,laplace"
 
 
+def _factor_moments(f):
+    """[mass, E x, E x^2] of a 1D factor, by quadrature of its own log density."""
+    kinks = [end for _, _, lo, hi, _ in f.pieces for end in (lo, hi)]
+    return [gk_quad(lambda x, k=k: x**k * np.exp(f.log_density(x)), f.lo, f.hi,
+                    points=kinks, epsabs=1e-14, epsrel=1e-14, limit=400)[0]
+            for k in range(3)]
+
+
+def _radial_moments(spec):
+    """[mass, E |X|^2] of a rotation-invariant spec, by radial quadrature of its density."""
+    n = spec.dim
+    sphere = 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n)
+    edge = getattr(spec, "radius", np.inf)
+
+    def density(r):
+        x = np.zeros(r.shape + (n,))
+        x[..., 0] = r
+        return np.exp(spec.log_density(x))
+
+    return [gk_quad(lambda r, k=k: sphere * r ** (n - 1 + k) * density(r), 0.0, 2.0 * edge,
+                    points=(edge,), epsabs=1e-14, epsrel=1e-14, limit=400)[0]
+            for k in (0, 2)]
+
+
+@pytest.mark.parametrize("f", PEAK_FACTORS + [BallMarginalFactor(nu) for nu in (8, 64)],
+                         ids=lambda f: f.tag + str(getattr(f, "ambient_dim", "")))
+def test_factor_is_isotropic_by_its_density(f):
+    assert _factor_moments(f) == pytest.approx([1.0, 0.0, 1.0], abs=1e-12)
+
+
 @pytest.mark.parametrize("measure_id", DEFAULT_CATALOG)
 def test_catalog_is_isotropic(measure_id):
+    # from the densities alone: every product factor has mean 0 and variance
+    # 1; a ball or a Gaussian is rotation invariant, so mean 0 and E |X|^2 = n
+    # make its covariance Id
     spec = parse_measure_id(measure_id)
-    assert spec.isotropic
     assert spec.measure_id() == measure_id
+    if spec.factors is not None:
+        for f in spec.factors:
+            assert _factor_moments(f) == pytest.approx([1.0, 0.0, 1.0], abs=1e-12)
+        return
+    if isinstance(spec, BallSpec):
+        assert spec.radius**2 == pytest.approx(spec.dim + 2.0, rel=1e-15)
+    assert _radial_moments(spec) == pytest.approx([1.0, spec.dim], abs=1e-12 * spec.dim)
 
 
 MEASURE_IDS = st.one_of(
@@ -323,79 +363,6 @@ def test_parse_measure_id_errors():
         parse_measure_id("cube:two")
     with pytest.raises(UnknownMeasureError, match="dimension must be >= 1"):
         parse_measure_id("ball:0")
-
-
-# ---------------------------------------------------------------------------
-# Affine images and whitening
-
-
-def test_affine_image_moments_and_entropy():
-    mat = np.array([[2.0, 0.0], [1.0, 1.0]])
-    shift = np.array([1.0, -1.0])
-    spec = AffineImageSpec(make_gaussian(2), mat, shift)
-    assert np.allclose(spec.mean(), shift)
-    assert np.allclose(spec.cov(), mat @ mat.T)
-    assert spec.entropy() == pytest.approx(make_gaussian(2).entropy() + math.log(2.0))
-    x = spec.sample(generator(4, "affine"), 200_000)
-    assert np.abs(x.mean(axis=0) - shift).max() < 0.03
-    assert np.abs(np.cov(x.T) - mat @ mat.T).max() < 0.08
-
-
-def test_affine_image_density_change_of_variables():
-    mat = np.diag([2.0, 0.5])
-    spec = AffineImageSpec(make_cube(2), mat)
-    # density of the image at M x is rho(x) / |det M|
-    x = np.array([0.5, 0.5])
-    assert spec.log_density(mat @ x) == pytest.approx(make_cube(2).log_density(x) - math.log(1.0))
-    assert spec.potential(np.array([10.0, 0.0])) == np.inf
-
-
-def test_affine_image_rejects_singular_map():
-    with pytest.raises(InputValidationError, match="invertible"):
-        AffineImageSpec(make_gaussian(2), np.zeros((2, 2)))
-    with pytest.raises(InputValidationError, match="square"):
-        AffineImageSpec(make_gaussian(2), np.eye(3))
-
-
-def test_isotropize_identity_is_noop():
-    g = make_gaussian(4)
-    assert isotropize(g) is g
-    cube = make_cube(2)
-    assert isotropize(cube) is cube
-
-
-def test_isotropize_box():
-    box = ProductSpec([UniformFactor(1.0), UniformFactor(2.0)])
-    iso = isotropize(box)
-    assert isinstance(iso, AffineImageSpec)
-    assert np.allclose(iso.mat, np.diag([SQRT3, SQRT3 / 2.0]))
-    assert np.allclose(iso.cov(), np.eye(2))
-    assert isotropize(iso) is iso  # idempotent
-
-
-def test_isotropize_scaled_gaussian():
-    wide = AffineImageSpec(make_gaussian(2), 2.0 * np.eye(2))
-    iso = isotropize(wide)
-    assert np.allclose(iso.mat, 0.5 * np.eye(2))
-    assert iso.entropy() == pytest.approx(make_gaussian(2).entropy())
-    x = iso.sample(generator(9, "iso"), 100_000)
-    assert np.abs(np.cov(x.T) - np.eye(2)).max() < 0.05
-
-
-def test_isotropize_with_supplied_moments():
-    g = make_gaussian(2)
-    iso = isotropize(g, mean=np.array([3.0, 0.0]), cov=np.eye(2))
-    assert np.allclose(iso.mean(), [-3.0, 0.0])
-
-
-def test_isotropize_singular_covariance():
-    with pytest.raises(SingularCovariance):
-        isotropize(make_gaussian(2), mean=np.zeros(2), cov=np.array([[1.0, 1.0], [1.0, 1.0]]))
-
-
-def test_isotropize_shape_mismatch():
-    with pytest.raises(InputValidationError):
-        isotropize(make_gaussian(2), mean=np.zeros(3), cov=np.eye(3))
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,9 @@ from sloclab.cli import main
 from sloclab.errors import DivergentTilt, InputValidationError
 from sloclab.localization import make_uniform, simulate_ensemble
 from sloclab.measures import (
-    AffineImageSpec,
+    DEFAULT_CATALOG,
     BallMarginalFactor,
     SQRT3,
-    UniformFactor,
     make_ball,
     make_cube,
     make_factor,
@@ -42,8 +41,6 @@ from sloclab.tilt import (
     tilt_table,
 )
 
-# a sheared cube: an affine image, which has no tilt route
-SKEW = AffineImageSpec(make_cube(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 FACTOR_TAGS = ("gaussian", "uniform", "exp", "laplace", "truncgauss")
 
 
@@ -69,14 +66,23 @@ def test_gaussian_t_zero_tilt_is_mean_shift():
     assert state.log_z == pytest.approx(0.5 * float(theta @ theta))
 
 
-@pytest.mark.parametrize("measure_id", ["gaussian:2", "cube:2", "ball:3", "product:exp,laplace"])
+@pytest.mark.parametrize("measure_id", DEFAULT_CATALOG + ("product:exp,laplace",))
 def test_base_state_is_exact(measure_id):
+    # A_0 = Id with no rounding: the base state is isotropic by construction
     spec = parse_measure_id(measure_id)
-    state = tilt_moments(spec, 0.0, np.zeros(spec.dim))
+    m, n = 3, spec.dim
+    log_z, mean, cov, method = tilt_table(spec, 0.0, np.zeros((m, n)))
+    assert method == CLOSED_FORM
+    assert np.array_equal(log_z, np.zeros(m))
+    assert np.array_equal(mean, np.zeros((m, n)))
+    expect = np.tile(np.eye(n), (m, 1, 1)) if spec.family == "ball" else np.ones((m, n))
+    assert cov.shape == expect.shape
+    assert np.array_equal(cov, expect)
+    state = tilt_moments(spec, 0.0, np.zeros(n))
     assert state.method == CLOSED_FORM
     assert state.log_z == 0.0
-    assert np.allclose(state.mean, np.zeros(spec.dim))
-    assert np.allclose(state.cov, np.eye(spec.dim))
+    assert np.array_equal(state.mean, np.zeros(n))
+    assert np.array_equal(state.cov, np.eye(n))
 
 
 def test_cube_tilt_matches_truncated_normal():
@@ -135,15 +141,6 @@ def test_closed_tilt_against_quadrature(tag, t, theta):
     assert float(lz_c) == pytest.approx(lz_q, abs=1e-9)
     assert float(mu_c) == pytest.approx(mu_q, abs=1e-9)
     assert float(v_c) == pytest.approx(v_q, abs=1e-9)
-
-
-def test_narrow_uniform_factor_tilt():
-    f = UniformFactor(0.5)
-    lz_c, mu_c, v_c = f.tilt_stats(2.0, np.array(1.3))
-    lz_q, mu_q, v_q = factor_tilt_quadrature(f, 2.0, 1.3)
-    assert float(lz_c) == pytest.approx(lz_q, abs=1e-10)
-    assert float(mu_c) == pytest.approx(mu_q, abs=1e-10)
-    assert float(v_c) == pytest.approx(v_q, abs=1e-10)
 
 
 def test_quadrature_handles_ball_marginal():
@@ -225,16 +222,18 @@ def test_tilt_table_matches_tilt_moments(case):
         assert np.array_equal(cov[i], np.diag(state.cov) if cov.ndim == 2 else state.cov)
 
 
-def test_tilt_table_rejects_affine_images():
+def test_tilt_table_rejects_affine_images(outside_spec):
+    # MeasureSpec is public: a spec of no catalog family, an affine image
+    # among them, gets a message naming the families that have a route
     for t, thetas in ((2.0, np.array([[0.4, -0.2]])), (0.0, np.zeros((1, 2)))):
         with pytest.raises(InputValidationError,
-                           match=r"affine\(cube:2\) has no tilt route: tilts exist for "
+                           match=r"outside:2 has no tilt route: tilts exist for "
                                  r"Gaussians, coordinate products and balls"):
-            tilt_table(SKEW, t, thetas)
+            tilt_table(outside_spec, t, thetas)
     with pytest.raises(InputValidationError, match="no tilt route"):
-        tilt_moments(SKEW, 1.0, np.ones(2))
+        tilt_moments(outside_spec, 1.0, np.ones(2))
     with pytest.raises(InputValidationError, match="no tilt route"):
-        tilt_sample_batch(SKEW, 1.0, np.ones((1, 2)), streams.generator(0), 4)
+        tilt_sample_batch(outside_spec, 1.0, np.ones((1, 2)), streams.generator(0), 4)
 
 
 def test_tilt_table_validates_its_batch():
@@ -679,6 +678,20 @@ def test_ball_tilt_finite_where_rejection_stalls():
     lam = np.linalg.eigvalsh(cov)
     assert lam.min() > 0.0 and 0.05 * lam.max() <= 1.0
     assert (np.linalg.norm(mean, axis=1) < spec.radius).all()
+
+
+@pytest.mark.parametrize("n,t", [(512, 0.01), (1024, 0.05)])
+def test_ball_tilt_raises_where_it_is_not_finite(n, t):
+    # |theta| = sqrt(t (1 + t) n), the typical size of theta_t: at small t the
+    # chi-square mass of the radial weight underflows, and NaN moments would
+    # reach the driver's eigensolver
+    s = math.sqrt(t * (1.0 + t) * n)
+    thetas = np.zeros((2, n))
+    thetas[:, 0] = (0.5 * s, s)
+    with pytest.raises(DivergentTilt,
+                       match=rf"ball:{n} tilt at t={t:g} is not finite at \|theta\|="
+                             rf"{0.5 * s:.6g}$"):
+        ball_tilt_table(make_ball(n), t, thetas)
 
 
 # ---------------------------------------------------------------------------
