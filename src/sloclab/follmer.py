@@ -77,11 +77,12 @@ class FrameEnsemble:
 def to_follmer(ensemble: PathEnsemble) -> FrameEnsemble:
     t = ensemble.grid.points
     scale = (1.0 + t)[None, :, None]
+    v = ensemble.mean * scale
+    v -= ensemble.theta
     return FrameEnsemble(
         spec=ensemble.spec, driver=ensemble.driver,
         t=t, r=ensemble.grid.r_points,
-        x=ensemble.theta / scale,
-        v=ensemble.mean * scale - ensemble.theta,
+        x=ensemble.theta / scale, v=v,
         gamma=ensemble.cov * covariance.per_time(1.0 + t, ensemble.cov),
         cov_t=ensemble.cov)
 
@@ -98,9 +99,22 @@ class FisherCurve:
     bound: np.ndarray     # 4 n / (1 - r)^2
 
 
+def path_energy(frame: FrameEnsemble) -> np.ndarray:
+    """|v_r|^2 per path and grid time, (m, K), one grid time at a time.
+
+    No (m, K, n) temporary; each time's sum over coordinates is the one
+    ``(v ** 2).sum(axis=-1)`` takes, so the values match it bit for bit.
+    """
+    m, k_pts, _ = frame.v.shape
+    sq = np.empty((m, k_pts))
+    for k in range(k_pts):
+        sq[:, k] = np.square(frame.v[:, k]).sum(axis=-1)
+    return sq
+
+
 def fisher_energy(frame: FrameEnsemble) -> FisherCurve:
     """Monte Carlo Fisher energy E |v_r|^2 on the grid image, with s / sqrt(m) errors."""
-    sq = (frame.v ** 2).sum(axis=-1)
+    sq = path_energy(frame)
     return FisherCurve(
         r=frame.r, value=sq.mean(axis=0), stderr=jackknife_se(sq, axis=0),
         bound=4.0 * frame.dim / (1.0 - frame.r) ** 2)
@@ -117,7 +131,7 @@ def check_fisher_bound(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaReport:
 def check_fisher_monotone(frame: FrameEnsemble, sigma: float = 4.0,
                           atol: float = 1e-9) -> LemmaReport:
     """r -> E |v_r|^2 is non-decreasing (paired increments)."""
-    sq = (frame.v ** 2).sum(axis=-1)
+    sq = path_energy(frame)
     d = sq[:, 1:] - sq[:, :-1]
     mean = d.mean(axis=0)
     se = jackknife_se(d, axis=0)

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import covariance
 from .errors import InputValidationError
-from .follmer import FrameEnsemble
+from .follmer import FrameEnsemble, path_energy
 from .measures import GAUSSIAN_ENTROPY_RATE, BallSpec, GaussianSpec, MeasureSpec, require_pieces
 from .numerics import (U_CUT, beta_inc, jackknife_se, quad, trapezoid, trapezoid_budget,
                        trunc_normal_moments, xlogy)
@@ -82,7 +82,7 @@ def de_bruijn_check(spec: MeasureSpec, frame: FrameEnsemble, sigma: float = 4.0,
         raise InputValidationError("grid too coarse for the identity (need >= 10 r-points)")
     lhs = kl_to_gaussian(spec)
 
-    vsq = (frame.v ** 2).sum(axis=-1)
+    vsq = path_energy(frame)
     per_path = 0.5 * trapezoid(vsq, r, axis=1) + 0.5 * vsq[:, -1] * (1.0 - r[-1])
     rhs = float(per_path.mean())
     se = float(jackknife_se(per_path, axis=0))
@@ -329,7 +329,7 @@ def deficit_chain_audit(delta: EstimatorResult, frame: FrameEnsemble, xi: float 
     k0 = _snap_to_grid(r_full, xi)
     r = r_full[k0:]
     g = frame.gamma[:, k0:]
-    vsq_full = (frame.v ** 2).sum(axis=-1)
+    vsq_full = path_energy(frame)
     vsq = vsq_full[:, k0:]
     eye = covariance.identity(g)
     subs = []

@@ -138,30 +138,73 @@ class PathEnsemble:
         return self._stats_cache[0]
 
 
-def _simulate(spec, grid, keys, driver):
+def path_keys(seed: int, n_paths: int, salt: str = "") -> list:
+    """Stream keys of ``n_paths`` paths: ``(seed, i)``, or ``(seed, salt, i)``."""
+    if n_paths < 1:
+        raise InputValidationError("n_paths must be >= 1")
+    return [(seed, salt, i) if salt else (seed, i) for i in range(n_paths)]
+
+
+def brownian_increments(keys, t: np.ndarray, n: int, out=None) -> np.ndarray:
+    """Increments W_{t_{k+1}} - W_{t_k} of every key's path, (m, K - 1, n).
+
+    Path ``key`` draws them from the stream ``(*key, "w")``, so equal keys
+    mean equal increments whichever driver reads them.  ``out``, if given,
+    receives them in place.
+    """
+    dt = np.diff(t)
+    if out is None:
+        out = np.empty((len(keys), len(dt), n))
+    for row, rng in zip(out, streams.each((*key, "w") for key in keys)):
+        rng.standard_normal(out=row)
+    out *= np.sqrt(dt)[:, None]
+    return out
+
+
+def _draw_x(spec, keys) -> np.ndarray:
+    x = np.empty((len(keys), spec.dim))
+    for i, rng in enumerate(streams.each((*key, "x") for key in keys)):
+        x[i] = spec.sample(rng, 1)[0]
+    return x
+
+
+def direct_endpoint(spec: MeasureSpec, keys, t: np.ndarray, increments=None) -> np.ndarray:
+    """The direct driver's theta at t[-1], t[-1] X + sum of the increments, (m, n).
+
+    Holds no path array.  The increments add up in grid order, as the direct
+    driver's cumulative sum does, so the result is its ``theta[:, -1]`` bit
+    for bit.  They are drawn from ``keys`` unless given.
+    """
+    if increments is None:
+        increments = brownian_increments(keys, t, spec.dim)
+    w = increments[:, 0].copy()
+    for k in range(1, increments.shape[1]):
+        w += increments[:, k]
+    return t[-1] * _draw_x(spec, keys) + w
+
+
+def _simulate(spec, grid, keys, driver, incr):
     t = grid.points
     k_pts = len(t)
     dt = np.diff(t)
     n = spec.dim
     m = len(keys)
-
-    incr = np.empty((m, k_pts - 1, n))
-    for row, rng in zip(incr, streams.each((*key, "w") for key in keys)):
-        rng.standard_normal(out=row)
-    incr *= np.sqrt(dt)[:, None]
-
-    if driver == "direct":
-        x = np.empty((m, n))
-        for i, rng in enumerate(streams.each((*key, "x") for key in keys)):
-            x[i] = spec.sample(rng, 1)[0]
-        w = np.concatenate([np.zeros((m, 1, n)), np.cumsum(incr, axis=1)], axis=1)
-        theta = t[None, :, None] * x[:, None, :] + w
-    elif driver == "sde":
-        x = None
-        theta = np.empty((m, k_pts, n))
-        theta[:, 0] = 0.0
-    else:
+    if driver not in ("direct", "sde"):
         raise InputValidationError(f"unknown driver {driver!r}")
+
+    theta = np.empty((m, k_pts, n))
+    theta[:, 0] = 0.0
+    if driver == "direct":
+        # theta_t = t X + W_t, written in place: increments, their running sum, then t X
+        x = _draw_x(spec, keys)
+        w = brownian_increments(keys, t, n, out=theta[:, 1:])
+        np.cumsum(w, axis=1, out=w)
+        for k in range(1, k_pts):
+            theta[:, k] += t[k] * x
+    else:
+        x = None
+        if incr is None:
+            incr = brownian_increments(keys, t, n)
 
     mean = np.empty((m, k_pts, n))
     cov = None
@@ -177,17 +220,20 @@ def _simulate(spec, grid, keys, driver):
 
 
 def simulate_ensemble(spec: MeasureSpec, grid: TimeGrid, n_paths: int, seed: int,
-                      driver: str = "direct", *, salt: str = "") -> PathEnsemble:
+                      driver: str = "direct", *, salt: str = "",
+                      increments: np.ndarray | None = None) -> PathEnsemble:
     """Simulate ``n_paths`` independent paths.
 
     Path i uses the stream key ``(seed, i)`` (or ``(seed, salt, i)``), so its
     arrays do not depend on ``n_paths``, and the two drivers share Brownian
-    increments for equal keys.
+    increments for equal keys.  The sde driver takes ``increments``
+    ((n_paths, K - 1, n), from `brownian_increments`) instead of drawing them,
+    so a caller can share one draw with `direct_endpoint`.
     """
-    if n_paths < 1:
-        raise InputValidationError("n_paths must be >= 1")
-    keys = [(seed, salt, i) if salt else (seed, i) for i in range(n_paths)]
-    return _simulate(spec, grid, keys, driver)
+    keys = path_keys(seed, n_paths, salt)
+    if increments is not None and driver != "sde":
+        raise InputValidationError("only the sde driver takes increments")
+    return _simulate(spec, grid, keys, driver, increments)
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +415,20 @@ def check_driver_equivalence(spec: MeasureSpec, seed: int, t_max: float = 1.0,
                              atol: float = 1e-9) -> LemmaReport:
     """SDE and direct drivers agree in law at t_max.
 
-    Paired first/second moments via common random numbers, plus per-coordinate
-    two-sample KS against an independent direct ensemble (independence keeps
-    the KS null distribution valid), on the grid [0, t_max]: it reads only theta(t_max).
+    Paired first/second moments via common random numbers: the sde ensemble
+    runs on one draw of increments on the grid [0, t_max], and the direct
+    side's theta(t_max) = t_max X + sum of the same increments needs no
+    tilt.  Per-coordinate two-sample KS against an independent direct
+    theta(t_max) (independence keeps the KS null distribution valid).
     """
     grid = make_uniform(t_max, n_steps)
-    sde = simulate_ensemble(spec, grid, n_paths, seed, driver="sde")
-    direct = simulate_ensemble(spec, grid, n_paths, seed, driver="direct")
-    fresh = simulate_ensemble(spec, make_uniform(t_max, 1), n_paths, seed, driver="direct",
-                              salt="ks")
+    keys = path_keys(seed, n_paths)
+    incr = brownian_increments(keys, grid.points, spec.dim)
+    sde = simulate_ensemble(spec, grid, n_paths, seed, driver="sde", increments=incr)
+    a = sde.theta[:, -1]
+    b = direct_endpoint(spec, keys, grid.points, incr)
+    fresh = direct_endpoint(spec, path_keys(seed, n_paths, "ks"), make_uniform(t_max, 1).points)
 
-    a, b = sde.theta[:, -1], direct.theta[:, -1]
     d1 = a - b
     d2 = a * a - b * b
     m1, s1 = d1.mean(axis=0), jackknife_se(d1, axis=0)
@@ -389,7 +438,7 @@ def check_driver_equivalence(spec: MeasureSpec, seed: int, t_max: float = 1.0,
     r_var = entrywise_gate("driver-equivalence-second-moment", np.abs(m2),
                            sigma * s2 + atol, s2, notes="paired theta(t_max)^2,")
 
-    pvals = ks_pvalues(a, fresh.theta[:, -1])
+    pvals = ks_pvalues(a, fresh)
     worst = int(np.argmin(pvals))
     r_ks = gate("driver-equivalence-ks", float(-pvals[worst]), float(-ks_level),
                 notes=f"min p-value {pvals[worst]:.4f} (coordinate {worst}), level {ks_level}")

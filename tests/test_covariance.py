@@ -115,6 +115,26 @@ def test_simulate_path_peaks_below_one_full_covariance_array(measure):
     assert peak < one_full, (peak, one_full)
 
 
+def test_path_layer_peaks_in_units_of_one_path_array():
+    # theta, mean and the diagonal cov are the ensemble's three (m, K, n)
+    # arrays; the direct driver writes theta in place, and the frame adds
+    # x, v and gamma with no temporary path array beside them
+    grid = make_geometric()
+    m, n = 512, 16
+    one_path = m * grid.n_points * n * 8
+    tracemalloc.start()
+    try:
+        ens = simulate_ensemble(parse_measure_id("cube:16"), grid, m, seed=0)
+        simulated = tracemalloc.get_traced_memory()[1]
+        ens.stats()
+        fisher_energy(to_follmer(ens))
+        framed = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert simulated < 4.5 * one_path, simulated / one_path
+    assert framed < 7.0 * one_path, framed / one_path
+
+
 @pytest.mark.parametrize("layout", ["none", "diagonal", "full"])
 def test_outer_moments_match_per_path_outer_products(layout):
     rng = np.random.default_rng(3)

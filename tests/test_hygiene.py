@@ -37,9 +37,11 @@
   ``default_rng``, or calls ``Generator(``: every generator comes from a
   stream key, through the one batched seeding route.
 * ``simulate_ensemble`` is called in ``src/`` only by ``RunContext.ensemble``
-  (the run's one ensemble), ``check_driver_equivalence`` (its paired sde and
-  direct ensembles and its KS sample) and ``check_projection_domination``
-  (once, for the marginal): every other check reads the run's paths.
+  (the run's one ensemble), ``check_driver_equivalence`` (its one sde
+  ensemble) and ``check_projection_domination`` (once, for the marginal):
+  every other check reads the run's paths.  ``direct_endpoint`` is called
+  only by ``check_driver_equivalence``, for its direct side and its KS
+  sample, which need theta(t_max) and no tilt.
 """
 
 import ast
@@ -330,8 +332,11 @@ def test_paths_are_simulated_only_where_a_check_needs_its_own():
     found = Counter(f"{p.name}:{scope}" for p in PACKAGE
                     for _, scope in scoped_calls(_tree(p), "simulate_ensemble"))
     assert found == {"cli.py:RunContext.ensemble": 1,
-                     "localization.py:check_driver_equivalence": 3,
+                     "localization.py:check_driver_equivalence": 1,
                      "isoconst.py:check_projection_domination": 1}
+    endpoints = Counter(f"{p.name}:{scope}" for p in PACKAGE
+                        for _, scope in scoped_calls(_tree(p), "direct_endpoint"))
+    assert endpoints == {"localization.py:check_driver_equivalence": 2}
 
 
 def test_cli_import_loads_no_scipy():

@@ -12,6 +12,7 @@ from sloclab.errors import InputValidationError
 from sloclab.localization import (
     PathEnsemble,
     TimeGrid,
+    brownian_increments,
     check_density_martingale,
     check_derivative_identity,
     check_driver_equivalence,
@@ -19,8 +20,10 @@ from sloclab.localization import (
     check_orthogonality,
     check_spectral_bound,
     check_variance_decomposition,
+    direct_endpoint,
     make_geometric,
     make_uniform,
+    path_keys,
     simulate_ensemble,
     trace_square_ratio,
 )
@@ -99,6 +102,38 @@ def test_direct_driver_reproduces_documented_streams():
     expect = grid.points[:, None] * x[None, :] + w
     assert np.array_equal(ens.theta[i], expect)
     assert np.array_equal(ens.x[i], x)
+
+
+@pytest.mark.parametrize("measure", ["cube:3", "ball:3", "product:exp,laplace,uniform"])
+def test_in_place_direct_theta_matches_stream_keys_on_every_path(measure):
+    # the increments, their running sum and t X are written into theta in
+    # place; rebuilt per path from the documented keys, bitwise
+    spec = parse_measure_id(measure)
+    grid = make_geometric(0.05, 20.0, 16)
+    seed, m, n = 4, 24, spec.dim
+    ens = simulate_ensemble(spec, grid, m, seed)
+    dt = np.diff(grid.points)
+    for i in range(m):
+        x = spec.sample(streams.generator(seed, i, "x"), 1)[0]
+        incr = (streams.generator(seed, i, "w").standard_normal((len(dt), n))
+                * np.sqrt(dt)[:, None])
+        w = np.concatenate([np.zeros((1, n)), np.cumsum(incr, axis=0)])
+        assert np.array_equal(ens.theta[i], grid.points[:, None] * x[None, :] + w)
+
+
+@pytest.mark.parametrize("measure", ["cube:3", "ball:3", "gaussian:2",
+                                     "product:exp,laplace,uniform"])
+def test_direct_endpoint_is_the_direct_drivers_last_time_bitwise(measure):
+    # driver-equivalence's direct and KS sides: theta(t_max) without a tilt table
+    spec = parse_measure_id(measure)
+    m = 64
+    for grid, salt in ((make_uniform(1.0, 64), ""), (make_uniform(1.0, 1), "ks")):
+        keys = path_keys(7, m, salt)
+        ens = simulate_ensemble(spec, grid, m, 7, driver="direct", salt=salt)
+        assert np.array_equal(direct_endpoint(spec, keys, grid.points), ens.theta[:, -1])
+        incr = brownian_increments(keys, grid.points, spec.dim)
+        assert np.array_equal(direct_endpoint(spec, keys, grid.points, incr),
+                              ens.theta[:, -1])
 
 
 def test_direct_driver_marginal_variance():
@@ -184,6 +219,18 @@ def test_drivers_share_brownian_increments():
     a, b, c = sde.theta[:, -1, 0], direct.theta[:, -1, 0], fresh.theta[:, -1, 0]
     assert np.corrcoef(a, b)[0, 1] == pytest.approx(math.log(2.0), abs=0.05)
     assert abs(np.corrcoef(a, c)[0, 1]) < 0.07  # salted ensemble is independent
+
+
+def test_sde_driver_takes_a_shared_draw_of_increments():
+    spec = parse_measure_id("product:exp,uniform")
+    grid = make_uniform(1.0, 16)
+    incr = brownian_increments(path_keys(3, 32), grid.points, spec.dim)
+    shared = simulate_ensemble(spec, grid, 32, 3, driver="sde", increments=incr)
+    own = simulate_ensemble(spec, grid, 32, 3, driver="sde")
+    assert np.array_equal(shared.theta, own.theta)
+    assert np.array_equal(shared.mean, own.mean)
+    with pytest.raises(InputValidationError, match="only the sde driver"):
+        simulate_ensemble(spec, grid, 32, 3, driver="direct", increments=incr)
 
 
 def test_sde_path_runs_on_product_and_ball():
