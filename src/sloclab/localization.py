@@ -195,12 +195,16 @@ def _simulate(spec, grid, keys, driver, incr):
     theta = np.empty((m, k_pts, n))
     theta[:, 0] = 0.0
     if driver == "direct":
-        # theta_t = t X + W_t, written in place: increments, their running sum, then t X
+        # theta_t = t X + W_t, written in place: increments, their running sum, then t X.
+        # The t X product is freed before mean and cov exist, so it does not
+        # raise the peak.  Its free also lifts glibc's dynamic mmap and trim
+        # thresholds above the tilt's per-time temporaries; a per-time loop
+        # without it had them unmapped and faulted back in at every grid
+        # time (72,600 against 4,200 minor faults on cube:32, 1024 paths).
         x = _draw_x(spec, keys)
         w = brownian_increments(keys, t, n, out=theta[:, 1:])
         np.cumsum(w, axis=1, out=w)
-        for k in range(1, k_pts):
-            theta[:, k] += t[k] * x
+        w += t[1:, None] * x[:, None, :]
     else:
         x = None
         if incr is None:
