@@ -39,7 +39,8 @@ from . import covariance, streams
 from .errors import InputValidationError
 from .localization import PathEnsemble, spectral_margin
 from .measures import GaussianSpec, MeasureSpec, require_pieces
-from .numerics import U_CUT, jackknife_se, ks_pvalues, quad, trunc_normal_moments
+from .numerics import (U_CUT, familywise_level, jackknife_se, ks_pvalues, quad,
+                       trunc_normal_moments)
 from .reports import (EstimatorResult, LemmaReport, composite_gate, derivative_gate,
                       entrywise_gate, gate)
 
@@ -300,7 +301,9 @@ def check_xr_law(frame: FrameEnsemble, seed: int, r: float = 0.5,
 
     Moment part: E x_r = 0 and Cov x_r = r Id at every grid time (the catalog
     is isotropic).  Law part: per-coordinate KS against a freshly synthesized
-    independent sample at the grid point nearest the requested ``r``.
+    independent sample at the grid point nearest the requested ``r``; the
+    smallest of the n p-values is gated at `familywise_level`, so a healthy
+    product measure FAILs it with probability ``ks_level`` whatever n is.
     """
     if frame.spec is None:
         raise InputValidationError("frame lacks a measure reference")
@@ -325,7 +328,9 @@ def check_xr_law(frame: FrameEnsemble, seed: int, r: float = 0.5,
     synth = rk * fresh_x + math.sqrt(rk * (1.0 - rk)) * fresh_z
     pvals = ks_pvalues(frame.x[:, k], synth)
     worst = int(np.argmin(pvals))
-    r_ks = gate("xr-ks", float(-pvals[worst]), float(-ks_level),
-                notes=f"min p-value {pvals[worst]:.4f} at r={rk:.4g}, level {ks_level}")
+    level = familywise_level(ks_level, n)
+    r_ks = gate("xr-ks", float(-pvals[worst]), -level,
+                notes=f"min p-value {pvals[worst]:.4g} at r={rk:.4g}, "
+                      f"level {level:.4g} ({ks_level} over {n} coordinates)")
 
     return composite_gate("xr-law", (r_mean, r_cov, r_ks), notes=f"n_paths={m}")

@@ -33,7 +33,7 @@ import numpy as np
 from . import covariance, streams
 from .errors import InputValidationError
 from .measures import BallSpec, MeasureSpec
-from .numerics import jackknife_se, ks_pvalues
+from .numerics import familywise_level, jackknife_se, ks_pvalues
 from .reports import LemmaReport, composite_gate, derivative_gate, entrywise_gate, gate, info
 from .tilt import tilt_table
 
@@ -423,7 +423,8 @@ def check_driver_equivalence(spec: MeasureSpec, seed: int, t_max: float = 1.0,
     runs on one draw of increments on the grid [0, t_max], and the direct
     side's theta(t_max) = t_max X + sum of the same increments needs no
     tilt.  Per-coordinate two-sample KS against an independent direct
-    theta(t_max) (independence keeps the KS null distribution valid).
+    theta(t_max) (independence keeps the KS null distribution valid); the
+    smallest of the n p-values is gated at `familywise_level`.
     """
     grid = make_uniform(t_max, n_steps)
     keys = path_keys(seed, n_paths)
@@ -444,8 +445,10 @@ def check_driver_equivalence(spec: MeasureSpec, seed: int, t_max: float = 1.0,
 
     pvals = ks_pvalues(a, fresh)
     worst = int(np.argmin(pvals))
-    r_ks = gate("driver-equivalence-ks", float(-pvals[worst]), float(-ks_level),
-                notes=f"min p-value {pvals[worst]:.4f} (coordinate {worst}), level {ks_level}")
+    level = familywise_level(ks_level, spec.dim)
+    r_ks = gate("driver-equivalence-ks", float(-pvals[worst]), -level,
+                notes=f"min p-value {pvals[worst]:.4g} (coordinate {worst}), "
+                      f"level {level:.4g} ({ks_level} over {spec.dim} coordinates)")
 
     return composite_gate("driver-equivalence", (r_mean, r_var, r_ks),
                           notes=f"dt={t_max / n_steps:g}, n_paths={n_paths}")

@@ -392,6 +392,18 @@ def jackknife_se(values: np.ndarray, axis: int = 0) -> np.ndarray:
     return values.std(axis=axis, ddof=1) / np.sqrt(m)
 
 
+def familywise_level(level: float, n: int) -> float:
+    """Level 1 - (1 - level)^(1/n) at which to test the smallest of n p-values.
+
+    The smallest of n independent uniform p-values falls below it with
+    probability exactly ``level`` (Sidak), so a min-p gate over n
+    coordinates keeps its family-wise level instead of failing a healthy
+    measure with probability 1 - (1 - level)^n.  It is within level^2 of
+    Bonferroni's level / n, and ``level`` = 1 stays 1.
+    """
+    return 1.0 - (1.0 - level) ** (1.0 / n)
+
+
 def ks_pvalues(a, b) -> np.ndarray:
     """Two-sided two-sample Kolmogorov-Smirnov p-value of each column.
 

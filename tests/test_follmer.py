@@ -1,6 +1,7 @@
 """Clock change to r = t/(1+t): frame algebra, Fisher energy, Gamma process."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import truncnorm
 
+from sloclab.cli import main
 from sloclab.errors import InputValidationError
 from sloclab.follmer import (
     _closed_marginal,
@@ -328,6 +330,24 @@ def test_xr_law_headlines_the_failing_ks_part(cube2_frame):
     assert ks.failed and rep.failed
     assert (rep.statistic, rep.tolerance) == (ks.statistic, ks.tolerance)
     assert rep.statistic > rep.tolerance
+
+
+def test_xr_law_passes_cube8_at_the_family_wise_level(tmp_path):
+    # its smallest of 8 KS p-values is 0.0057: above the family-wise
+    # 1 - 0.99^(1/8) = 0.00126, below the per-coordinate 0.01
+    code = main(["verify", "--measure", "cube:8", "--paths", "4096", "--seed", "0",
+                 "--checks", "xr-law", "--out", str(tmp_path)])
+    assert code == 0
+    ks = json.loads((tmp_path / "reports.json").read_text())[0]
+    assert ks["check_id"] == "xr-law" and ks["verdict"] == "PASS"
+
+
+def test_xr_ks_still_fails_on_scaled_xr():
+    frame = to_follmer(simulate_ensemble(make_cube(8), make_geometric(), 4096, seed=0))
+    rep = check_xr_law(dataclasses.replace(frame, x=1.2 * frame.x), seed=0)
+    ks = next(s for s in rep.sub if s.check_id == "xr-ks")
+    assert ks.failed and ks.tolerance == pytest.approx(-0.0012556, rel=1e-4)
+    assert -ks.statistic < 1e-6
 
 
 def test_xr_law_needs_spec():

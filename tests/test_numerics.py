@@ -16,6 +16,7 @@ from sloclab.numerics import (
     beta_inc,
     central_difference,
     erfcx,
+    familywise_level,
     fd_error_budget,
     gamma_half_step,
     gamma_p,
@@ -333,6 +334,15 @@ class TestSpecialFunctions:
     def test_trunc_gauss_mass(self, cut):
         assert TruncGaussFactor(cut).z_cut == pytest.approx(2.0 * special.ndtr(cut) - 1.0,
                                                             rel=1e-14, abs=0.0)
+
+
+def test_familywise_level_keeps_the_min_p_gate_at_its_level():
+    assert familywise_level(0.01, 1) == pytest.approx(0.01, rel=1e-14)
+    assert familywise_level(1.0, 8) == 1.0
+    for n in (2, 8, 32):
+        level = familywise_level(0.01, n)
+        assert 0.01 / n <= level <= 0.01 / n + 0.01 ** 2
+        assert 1.0 - (1.0 - level) ** n == pytest.approx(0.01, rel=1e-12)
 
 
 class TestKsPvalues:
