@@ -200,7 +200,8 @@ def _simulate(spec, grid, keys, driver, incr):
         # raise the peak.  Its free also lifts glibc's dynamic mmap and trim
         # thresholds above the tilt's per-time temporaries; a per-time loop
         # without it had them unmapped and faulted back in at every grid
-        # time (72,600 against 4,200 minor faults on cube:32, 1024 paths).
+        # time (72,600 against 4,200 minor faults on cube:32 with 1024 paths,
+        # numpy 2.4 on x86-64 Linux).
         x = _draw_x(spec, keys)
         w = brownian_increments(keys, t, n, out=theta[:, 1:])
         np.cumsum(w, axis=1, out=w)
@@ -429,8 +430,7 @@ def check_driver_equivalence(spec: MeasureSpec, seed: int, t_max: float = 1.0,
     grid = make_uniform(t_max, n_steps)
     keys = path_keys(seed, n_paths)
     incr = brownian_increments(keys, grid.points, spec.dim)
-    sde = simulate_ensemble(spec, grid, n_paths, seed, driver="sde", increments=incr)
-    a = sde.theta[:, -1]
+    a = simulate_ensemble(spec, grid, n_paths, seed, driver="sde", increments=incr).theta[:, -1]
     b = direct_endpoint(spec, keys, grid.points, incr)
     fresh = direct_endpoint(spec, path_keys(seed, n_paths, "ks"), make_uniform(t_max, 1).points)
 
