@@ -338,8 +338,8 @@ def test_xr_law_passes_cube8_at_the_family_wise_level(tmp_path):
     code = main(["verify", "--measure", "cube:8", "--paths", "4096", "--seed", "0",
                  "--checks", "xr-law", "--out", str(tmp_path)])
     assert code == 0
-    ks = json.loads((tmp_path / "reports.json").read_text())[0]
-    assert ks["check_id"] == "xr-law" and ks["verdict"] == "PASS"
+    head = json.loads((tmp_path / "reports.json").read_text())[0]
+    assert head["check_id"] == "xr-law" and head["verdict"] == "PASS"
 
 
 def test_xr_ks_still_fails_on_scaled_xr():
