@@ -168,22 +168,21 @@ def _draw_x(spec, keys) -> np.ndarray:
     return x
 
 
-def direct_endpoint(spec: MeasureSpec, keys, t: np.ndarray, increments=None) -> np.ndarray:
+def direct_endpoint(spec: MeasureSpec, keys, t: np.ndarray) -> np.ndarray:
     """The direct driver's theta at t[-1], t[-1] X + sum of the increments, (m, n).
 
     Holds no path array.  The increments add up in grid order, as the direct
     driver's cumulative sum does, so the result is its ``theta[:, -1]`` bit
-    for bit.  They are drawn from ``keys`` unless given.
+    for bit.
     """
-    if increments is None:
-        increments = brownian_increments(keys, t, spec.dim)
+    increments = brownian_increments(keys, t, spec.dim)
     w = increments[:, 0].copy()
     for k in range(1, increments.shape[1]):
         w += increments[:, k]
     return t[-1] * _draw_x(spec, keys) + w
 
 
-def _simulate(spec, grid, keys, driver, incr):
+def _simulate(spec, grid, keys, driver):
     t = grid.points
     k_pts = len(t)
     dt = np.diff(t)
@@ -208,8 +207,7 @@ def _simulate(spec, grid, keys, driver, incr):
         w += t[1:, None] * x[:, None, :]
     else:
         x = None
-        if incr is None:
-            incr = brownian_increments(keys, t, n)
+        incr = brownian_increments(keys, t, n)
 
     mean = np.empty((m, k_pts, n))
     cov = None
@@ -225,20 +223,14 @@ def _simulate(spec, grid, keys, driver, incr):
 
 
 def simulate_ensemble(spec: MeasureSpec, grid: TimeGrid, n_paths: int, seed: int,
-                      driver: str = "direct", *, salt: str = "",
-                      increments: np.ndarray | None = None) -> PathEnsemble:
+                      driver: str = "direct", *, salt: str = "") -> PathEnsemble:
     """Simulate ``n_paths`` independent paths.
 
     Path i uses the stream key ``(seed, i)`` (or ``(seed, salt, i)``), so its
     arrays do not depend on ``n_paths``, and the two drivers share Brownian
-    increments for equal keys.  The sde driver takes ``increments``
-    ((n_paths, K - 1, n), from `brownian_increments`) instead of drawing them,
-    so a caller can share one draw with `direct_endpoint`.
+    increments for equal keys.
     """
-    keys = path_keys(seed, n_paths, salt)
-    if increments is not None and driver != "sde":
-        raise InputValidationError("only the sde driver takes increments")
-    return _simulate(spec, grid, keys, driver, increments)
+    return _simulate(spec, grid, path_keys(seed, n_paths, salt), driver)
 
 
 # ---------------------------------------------------------------------------
@@ -421,17 +413,16 @@ def check_driver_equivalence(spec: MeasureSpec, seed: int, t_max: float = 1.0,
     """SDE and direct drivers agree in law at t_max.
 
     Paired first/second moments via common random numbers: the sde ensemble
-    runs on one draw of increments on the grid [0, t_max], and the direct
-    side's theta(t_max) = t_max X + sum of the same increments needs no
-    tilt.  Per-coordinate two-sample KS against an independent direct
-    theta(t_max) (independence keeps the KS null distribution valid); the
-    smallest of the n p-values is gated at `familywise_level`.
+    and the direct side's theta(t_max) = t_max X + sum of the increments
+    draw equal increments from equal keys on the grid [0, t_max], and the
+    direct side needs no tilt.  Per-coordinate two-sample KS against an
+    independent direct theta(t_max) (independence keeps the KS null
+    distribution valid); the smallest of the n p-values is gated at
+    `familywise_level`.
     """
     grid = make_uniform(t_max, n_steps)
-    keys = path_keys(seed, n_paths)
-    incr = brownian_increments(keys, grid.points, spec.dim)
-    a = simulate_ensemble(spec, grid, n_paths, seed, driver="sde", increments=incr).theta[:, -1]
-    b = direct_endpoint(spec, keys, grid.points, incr)
+    a = simulate_ensemble(spec, grid, n_paths, seed, driver="sde").theta[:, -1]
+    b = direct_endpoint(spec, path_keys(seed, n_paths), grid.points)
     fresh = direct_endpoint(spec, path_keys(seed, n_paths, "ks"), make_uniform(t_max, 1).points)
 
     d1 = a - b

@@ -4,10 +4,8 @@ Every stochastic routine takes a stream key instead of a shared generator.
 A key is a tuple of ints and short strings, e.g. ``(seed, path_index, "w")``;
 the generator it produces depends only on the key, never on call order.  This
 is what makes ensembles reproducible under any chunking or worker count, and
-what gives the exact and Euler-Maruyama drivers the same Brownian increments
-for a common path index (the ``(seed, i, "w")`` key).  Where one call
-compares the two drivers, as driver-equivalence does, the increments are
-drawn once and the one array serves both sides.
+what lets the exact and Euler-Maruyama drivers share Brownian increments for
+a common path index (same ``(seed, i, "w")`` key on both sides).
 
 A key's generator is numpy's ``PCG64(SeedSequence(words))``, where ``words``
 are the key's parts folded to 64 bits.  Building numpy's objects costs about

@@ -12,7 +12,6 @@ from sloclab.errors import InputValidationError
 from sloclab.localization import (
     PathEnsemble,
     TimeGrid,
-    brownian_increments,
     check_density_martingale,
     check_derivative_identity,
     check_driver_equivalence,
@@ -131,9 +130,6 @@ def test_direct_endpoint_is_the_direct_drivers_last_time_bitwise(measure):
         keys = path_keys(7, m, salt)
         ens = simulate_ensemble(spec, grid, m, 7, driver="direct", salt=salt)
         assert np.array_equal(direct_endpoint(spec, keys, grid.points), ens.theta[:, -1])
-        incr = brownian_increments(keys, grid.points, spec.dim)
-        assert np.array_equal(direct_endpoint(spec, keys, grid.points, incr),
-                              ens.theta[:, -1])
 
 
 def test_direct_driver_marginal_variance():
@@ -219,18 +215,6 @@ def test_drivers_share_brownian_increments():
     a, b, c = sde.theta[:, -1, 0], direct.theta[:, -1, 0], fresh.theta[:, -1, 0]
     assert np.corrcoef(a, b)[0, 1] == pytest.approx(math.log(2.0), abs=0.05)
     assert abs(np.corrcoef(a, c)[0, 1]) < 0.07  # salted ensemble is independent
-
-
-def test_sde_driver_takes_a_shared_draw_of_increments():
-    spec = parse_measure_id("product:exp,uniform")
-    grid = make_uniform(1.0, 16)
-    incr = brownian_increments(path_keys(3, 32), grid.points, spec.dim)
-    shared = simulate_ensemble(spec, grid, 32, 3, driver="sde", increments=incr)
-    own = simulate_ensemble(spec, grid, 32, 3, driver="sde")
-    assert np.array_equal(shared.theta, own.theta)
-    assert np.array_equal(shared.mean, own.mean)
-    with pytest.raises(InputValidationError, match="only the sde driver"):
-        simulate_ensemble(spec, grid, 32, 3, driver="direct", increments=incr)
 
 
 def test_sde_path_runs_on_product_and_ball():
