@@ -343,12 +343,6 @@ class CheckDef:
     why_not: str = ""  # shown when an explicitly requested check cannot run
 
 
-def _run_conditional_covariance(ctx: RunContext) -> LemmaReport:
-    return tilt.conditional_covariance_identity_check(
-        ctx.ensemble(), ctx.nearest_index(1.0), ctx.cfg.seed,
-        n_outer=min(ctx.cfg.n_paths, 1024), n_inner=64, sigma=ctx.cfg.tolerance_sigma)
-
-
 def _run_deficit_chain(ctx: RunContext) -> LemmaReport:
     frame = ctx.frame()
     k = int(np.argmin(np.abs(frame.r - 0.5)))
@@ -412,7 +406,9 @@ _REGISTRY = (
         "conditional-covariance", "gate",
         "E A_t = E Cov(X | X + s^(1/2) Z) with s = 1/t",
         lambda ctx: True,
-        _run_conditional_covariance),
+        lambda ctx: tilt.conditional_covariance_identity_check(
+            ctx.ensemble(), ctx.nearest_index(1.0), ctx.cfg.seed,
+            sigma=ctx.cfg.tolerance_sigma)),
     CheckDef(
         "gamma-properties", "gate",
         "Gamma_r: rescaling, score covariance, 0 <= E Gamma <= Id, "

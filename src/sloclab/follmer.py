@@ -37,12 +37,12 @@ import numpy as np
 
 from . import covariance, streams
 from .errors import InputValidationError
-from .localization import PathEnsemble, spectral_margin
+from .localization import SPECTRAL_SLACK, PathEnsemble, spectral_margin
 from .measures import GaussianSpec, MeasureSpec, require_pieces
-from .numerics import (U_CUT, familywise_level, jackknife_se, ks_pvalues, quad,
+from .numerics import (KS_LEVEL, U_CUT, familywise_level, jackknife_se, ks_pvalues, quad,
                        trunc_normal_moments)
-from .reports import (EstimatorResult, LemmaReport, composite_gate, derivative_gate,
-                      entrywise_gate, gate)
+from .reports import (COV_IDENTITY_FLOOR, ROUNDING_FLOOR, EstimatorResult, LemmaReport,
+                      composite_gate, derivative_gate, entrywise_gate, gate)
 
 _QUAD_KW = dict(epsabs=1e-12, epsrel=1e-11, limit=200)
 
@@ -125,18 +125,17 @@ def check_fisher_bound(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaReport:
     """E |v_r|^2 <= 4 n / (1 - r)^2 along the whole grid."""
     cur = fisher_energy(frame)
     gap = cur.value - cur.bound
-    return entrywise_gate("fisher-bound", gap, sigma * cur.stderr + 1e-9, cur.stderr,
+    return entrywise_gate("fisher-bound", gap, sigma * cur.stderr + ROUNDING_FLOOR, cur.stderr,
                           notes=f"n={frame.dim}, n_paths={frame.n_paths},")
 
 
-def check_fisher_monotone(frame: FrameEnsemble, sigma: float = 4.0,
-                          atol: float = 1e-9) -> LemmaReport:
+def check_fisher_monotone(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaReport:
     """r -> E |v_r|^2 is non-decreasing (paired increments)."""
     sq = path_energy(frame)
     d = sq[:, 1:] - sq[:, :-1]
     mean = d.mean(axis=0)
     se = jackknife_se(d, axis=0)
-    return entrywise_gate("fisher-monotone", -mean, sigma * se + atol, se,
+    return entrywise_gate("fisher-monotone", -mean, sigma * se + ROUNDING_FLOOR, se,
                           notes="consecutive r increments,")
 
 
@@ -211,19 +210,17 @@ def marginal_fisher_information(spec: MeasureSpec, r: float) -> EstimatorResult:
                            sum(count * e for count, (_, e) in parts), method="quadrature")
 
 
-def check_fisher_identity(frame: FrameEnsemble, indices=None, sigma: float = 4.0,
-                          atol: float = 1e-9) -> LemmaReport:
+def check_fisher_identity(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaReport:
     """E |v_r|^2 equals the marginal relative Fisher information J(nu_r || gamma_r).
 
-    The left side is the simulated energy, the right side an independent
-    density quadrature; disagreement beyond sigma Monte Carlo standard errors
-    plus the quadrature's error estimate, floored at ``atol`` for rounding
-    (on a Gaussian both sides are 0 up to 1e-33), fails the check.
+    Checked at the grid r nearest 0.2, 0.5 and 0.8.  The left side is the
+    simulated energy, the right side an independent density quadrature;
+    disagreement beyond sigma Monte Carlo standard errors plus the
+    quadrature's error estimate, floored at `ROUNDING_FLOOR` (on a Gaussian
+    both sides are 0 up to 1e-33), fails the check.
     """
     cur = fisher_energy(frame)
-    if indices is None:
-        targets = (0.2, 0.5, 0.8)
-        indices = sorted({int(np.argmin(np.abs(frame.r - rt))) for rt in targets})
+    indices = sorted({int(np.argmin(np.abs(frame.r - rt))) for rt in (0.2, 0.5, 0.8)})
     subs = []
     for k in indices:
         r = float(frame.r[k])
@@ -231,7 +228,7 @@ def check_fisher_identity(frame: FrameEnsemble, indices=None, sigma: float = 4.0
             continue
         j_quad = marginal_fisher_information(frame.spec, r)
         gap = abs(float(cur.value[k]) - j_quad.value)
-        tol = max(sigma * float(cur.stderr[k]) + j_quad.stderr, atol)
+        tol = max(sigma * float(cur.stderr[k]) + j_quad.stderr, ROUNDING_FLOOR)
         subs.append(gate(f"fisher-identity@r={r:.4g}", gap, tol,
                          stderr=float(cur.stderr[k]),
                          notes=f"mc={cur.value[k]:.6g} quad={j_quad.value:.6g}"))
@@ -244,8 +241,7 @@ def check_fisher_identity(frame: FrameEnsemble, indices=None, sigma: float = 4.0
 # Gamma process properties
 
 
-def check_gamma_properties(frame: FrameEnsemble, sigma: float = 4.0,
-                           atol: float = 1e-8) -> LemmaReport:
+def check_gamma_properties(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaReport:
     """All five structural properties of the Gamma process, as sub-reports."""
     r = frame.r
     m, k_pts, n = frame.v.shape
@@ -264,12 +260,12 @@ def check_gamma_properties(frame: FrameEnsemble, sigma: float = 4.0,
     mean_ii, se_ii = covariance.outer_mean_se(
         frame.v, frame.v, (gamma - eye) / covariance.per_time(one_minus_r, gamma))
     subs.append(entrywise_gate("score-covariance", np.abs(mean_ii),
-                               sigma * se_ii + atol, se_ii))
+                               sigma * se_ii + COV_IDENTITY_FLOOR, se_ii))
 
     # (ii') 0 <= E Gamma <= Id in the spectral sense
     lam_lo, lam_hi = covariance.eig_extremes(gamma.mean(axis=0, keepdims=True))
     se_g = jackknife_se(gamma, axis=0)
-    slack = sigma * n * se_g.reshape(k_pts, -1).max(axis=1) + atol
+    slack = sigma * n * se_g.reshape(k_pts, -1).max(axis=1) + COV_IDENTITY_FLOOR
     lo_rep = entrywise_gate("gamma-psd", -lam_lo[0], slack, notes="lambda_min >= 0,")
     hi_rep = entrywise_gate("gamma-below-identity", lam_hi[0] - 1.0, slack,
                             notes="lambda_max <= 1,")
@@ -281,56 +277,52 @@ def check_gamma_properties(frame: FrameEnsemble, sigma: float = 4.0,
         vv = np.einsum("mki,mkj->mkij", frame.v, frame.v)
         res_sq = covariance.dense(covariance.square(eye - gamma))
         rhs3 = res_sq / one_minus_r[None, :, None, None] ** 2
-        subs.append(derivative_gate("score-energy-derivative", vv, r, rhs3, sigma, atol))
+        subs.append(derivative_gate("score-energy-derivative", vv, r, rhs3, sigma))
 
         # (iv) d/dr E Gamma = (E Gamma - E Gamma^2) / (1 - r)
         rhs4 = (gamma - covariance.square(gamma)) / covariance.per_time(one_minus_r, gamma)
-        subs.append(derivative_gate("gamma-derivative", gamma, r, rhs4, sigma, atol))
+        subs.append(derivative_gate("gamma-derivative", gamma, r, rhs4, sigma))
 
     # (v) Gamma_r <= Id / r pathwise (r > 0), as the t-clock spectral check
-    subs.append(entrywise_gate("gamma-spectral-bound", spectral_margin(gamma, r), 1e-6,
+    subs.append(entrywise_gate("gamma-spectral-bound", spectral_margin(gamma, r), SPECTRAL_SLACK,
                                notes="pathwise r * lambda_max <= 1,"))
 
     return composite_gate("gamma-properties", subs, notes=f"{len(subs)} properties")
 
 
-def check_xr_law(frame: FrameEnsemble, seed: int, r: float = 0.5,
-                 sigma: float = 4.0, ks_level: float = 0.01,
-                 atol: float = 1e-9) -> LemmaReport:
+def check_xr_law(frame: FrameEnsemble, seed: int, sigma: float = 4.0) -> LemmaReport:
     """x_r is distributed as r X + sqrt(r (1 - r)) Z.
 
     Moment part: E x_r = 0 and Cov x_r = r Id at every grid time (the catalog
     is isotropic).  Law part: per-coordinate KS against a freshly synthesized
-    independent sample at the grid point nearest the requested ``r``; the
-    smallest of the n p-values is gated at `familywise_level`, so a healthy
-    product measure FAILs it with probability ``ks_level`` whatever n is.
+    independent sample at the grid point nearest r = 0.5; the smallest of
+    the n p-values is gated at `familywise_level`, so a healthy product
+    measure FAILs it with probability `KS_LEVEL` whatever n is.
     """
-    if frame.spec is None:
-        raise InputValidationError("frame lacks a measure reference")
-    r_target = float(r)
     r = frame.r
     m = frame.n_paths
     n = frame.dim
 
     mean = frame.x.mean(axis=0)
     se_mean = jackknife_se(frame.x, axis=0)
-    r_mean = entrywise_gate("xr-mean", np.abs(mean), sigma * se_mean + atol, se_mean)
+    r_mean = entrywise_gate("xr-mean", np.abs(mean), sigma * se_mean + ROUNDING_FLOOR,
+                            se_mean)
 
     mean_xx, se_cov = covariance.outer_mean_se(frame.x, frame.x)
     target = r[:, None, None] * np.eye(n)[None]
     gap_cov = np.abs(mean_xx - target)
-    r_cov = entrywise_gate("xr-covariance", gap_cov, sigma * se_cov + atol, se_cov)
+    r_cov = entrywise_gate("xr-covariance", gap_cov, sigma * se_cov + ROUNDING_FLOOR, se_cov)
 
-    k = int(np.argmin(np.abs(r - r_target)))
+    k = int(np.argmin(np.abs(r - 0.5)))
     rk = float(r[k])
     fresh_x = frame.spec.sample(streams.generator(seed, "xr-law", "x"), m)
     fresh_z = streams.generator(seed, "xr-law", "z").standard_normal((m, n))
     synth = rk * fresh_x + math.sqrt(rk * (1.0 - rk)) * fresh_z
     pvals = ks_pvalues(frame.x[:, k], synth)
     worst = int(np.argmin(pvals))
-    level = familywise_level(ks_level, n)
+    level = familywise_level(KS_LEVEL, n)
     r_ks = gate("xr-ks", float(-pvals[worst]), -level,
                 notes=f"min p-value {pvals[worst]:.4g} at r={rk:.4g}, "
-                      f"level {level:.4g} ({ks_level} over {n} coordinates)")
+                      f"level {level:.4g} ({KS_LEVEL} over {n} coordinates)")
 
     return composite_gate("xr-law", (r_mean, r_cov, r_ks), notes=f"n_paths={m}")

@@ -47,7 +47,8 @@ from .follmer import FrameEnsemble, path_energy
 from .measures import GAUSSIAN_ENTROPY_RATE, BallSpec, GaussianSpec, MeasureSpec, require_pieces
 from .numerics import (U_CUT, beta_inc, jackknife_se, quad, trapezoid, trapezoid_budget,
                        trunc_normal_moments, xlogy)
-from .reports import EstimatorResult, LemmaReport, composite_gate, entrywise_gate, gate, info
+from .reports import (ROUNDING_FLOOR, EstimatorResult, LemmaReport, composite_gate,
+                      entrywise_gate, gate, info)
 
 CLOSED_FORM = "closed-form"
 SUM_QUADRATURE = "sum-quadrature"
@@ -66,8 +67,7 @@ def kl_to_gaussian(spec: MeasureSpec) -> EstimatorResult:
 # de Bruijn identity
 
 
-def de_bruijn_check(spec: MeasureSpec, frame: FrameEnsemble, sigma: float = 4.0,
-                    rel_tol: float = 0.02, atol: float = 1e-12) -> LemmaReport:
+def de_bruijn_check(spec: MeasureSpec, frame: FrameEnsemble, sigma: float = 4.0) -> LemmaReport:
     """KL equals half the r-integral of the Fisher energy.
 
     The integral runs over the realized grid only; the tail over (r_max, 1)
@@ -75,7 +75,7 @@ def de_bruijn_check(spec: MeasureSpec, frame: FrameEnsemble, sigma: float = 4.0,
     underestimate by monotonicity.  The tolerance does not cover that
     shortfall: on product:exp,uniform,uniform with 1024 paths at seed 0 the
     gap is 0.152 against a tolerance of 0.102 (ROADMAP item 1).
-    Tolerance: max(rel_tol * KL, sigma * stderr) + atol.
+    Tolerance: max(0.02 * KL, sigma * stderr) + 1e-12.
     """
     r = frame.r
     if len(r) < 10:
@@ -90,7 +90,7 @@ def de_bruijn_check(spec: MeasureSpec, frame: FrameEnsemble, sigma: float = 4.0,
     budget = trapezoid_budget(0.5 * vsq.mean(axis=0), r)
 
     gap = abs(lhs.value - rhs)
-    tol = max(rel_tol * abs(lhs.value), sigma * se) + atol
+    tol = max(0.02 * abs(lhs.value), sigma * se) + 1e-12
     tail = 0.5 * float(vsq[:, -1].mean()) * (1.0 - r[-1])
     notes = (f"kl={lhs.value:.8g} integral={rhs:.8g} tail-rectangle={tail:.3g} "
              f"trapezoid-budget={budget:.2g} r_max={r[-1]:.8g} n_paths={frame.n_paths}")
@@ -247,18 +247,15 @@ def _snap_to_grid(r: np.ndarray, xi: float) -> int:
 @dataclass(frozen=True)
 class DeficitLowerBound:
     estimate: EstimatorResult
-    xi: float
-    eps: float
-    r_max: float
     parity: LemmaReport
 
 
 def deficit_lower_bound(frame: FrameEnsemble, xi: float = 0.5,
-                        eps: float | None = None, sigma: float = 4.0) -> DeficitLowerBound:
-    """eps * integral_xi^{r_max} E |Gamma_r - E Gamma_r|^2 / (4 (1-r)) dr.
+                        sigma: float = 4.0) -> DeficitLowerBound:
+    """xi * integral_xi^{r_max} E |Gamma_r - E Gamma_r|^2 / (4 (1-r)) dr.
 
-    Default eps = xi is admissible because Gamma_r <= Id / r <= Id / xi on
-    (xi, 1).  The integrand is estimated by the plug-in variance (which
+    The factor is eps = xi, admissible because Gamma_r <= Id / r <= Id / xi
+    on (xi, 1).  The integrand is estimated by the plug-in variance (which
     undercounts by the 1/m Bessel factor, keeping the bound conservative);
     the unobserved tail over (r_max, 1) is dropped, not extrapolated, which
     again only lowers the bound.  The parity sub-report cross-checks the
@@ -267,15 +264,13 @@ def deficit_lower_bound(frame: FrameEnsemble, xi: float = 0.5,
     """
     if not 0.0 < xi < 1.0:
         raise InputValidationError("need 0 < xi < 1")
-    if eps is None:
-        eps = xi
     k0 = _snap_to_grid(frame.r, xi)
     r = frame.r[k0:]
     if len(r) < 3:
         raise InputValidationError("too few grid points above xi")
     g = frame.gamma[:, k0:]
     m = g.shape[0]
-    weight = eps / (4.0 * (1.0 - r))
+    weight = xi / (4.0 * (1.0 - r))
 
     gbar = g.mean(axis=0)
     per_path = trapezoid(covariance.frob_sq(g - gbar) * weight, r, axis=1)
@@ -296,7 +291,7 @@ def deficit_lower_bound(frame: FrameEnsemble, xi: float = 0.5,
 
     est = EstimatorResult(value, se, m, PLUGIN_MC,
                           notes=f"truncated at r_max={r[-1]:.6g}; tail not extrapolated")
-    return DeficitLowerBound(est, xi, float(eps), float(r[-1]), parity)
+    return DeficitLowerBound(est, parity)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +299,7 @@ def deficit_lower_bound(frame: FrameEnsemble, xi: float = 0.5,
 
 
 def deficit_chain_audit(delta: EstimatorResult, frame: FrameEnsemble, xi: float = 0.5,
-                        sigma: float = 4.0, atol: float = 1e-9) -> LemmaReport:
+                        sigma: float = 4.0) -> LemmaReport:
     """Numerical walk through the deficit inequality chain, one verdict per line.
 
     ``delta`` is the measure's EPI deficit, `epi_deficit`'s ``.delta``, which a
@@ -351,7 +346,7 @@ def deficit_chain_audit(delta: EstimatorResult, frame: FrameEnsemble, xi: float 
                                                           resid_sq.mean(axis=0)))
     se_b = float(jackknife_se(balance, axis=0))
     subs.append(gate("ibp-balance", abs(float(balance.mean())),
-                     sigma * se_b + budget + atol, stderr=se_b,
+                     sigma * se_b + budget + ROUNDING_FLOOR, stderr=se_b,
                      notes=f"trapezoid budget {budget:.3g}"))
 
     # 3. trace bound with the empirical spectral floor
@@ -363,7 +358,7 @@ def deficit_chain_audit(delta: EstimatorResult, frame: FrameEnsemble, xi: float 
     loo_v = (m * vsq.mean(axis=0)[None] - vsq) / (m - 1.0)
     reps = covariance.frob_sq(eye - loo_g) / (1.0 - r) - (1.0 - c_tilde) * loo_v
     se3 = _jack_se_from_replicates(reps)
-    subs.append(entrywise_gate("score-trace-bound", lhs - rhs, sigma * se3 + atol,
+    subs.append(entrywise_gate("score-trace-bound", lhs - rhs, sigma * se3 + ROUNDING_FLOOR,
                                se3, notes=f"empirical floor c={c_tilde:.4g},"))
 
     # 4. r * EGamma_r monotone in the PSD order (whole grid)
@@ -372,15 +367,15 @@ def deficit_chain_audit(delta: EstimatorResult, frame: FrameEnsemble, xi: float 
     lam_min = covariance.eig_extremes(d.mean(axis=0, keepdims=True))[0][0]
     se4 = jackknife_se(d, axis=0).reshape(len(r_full) - 1, -1).max(axis=1) * n
     subs.append(entrywise_gate("clocked-gamma-monotone", -lam_min,
-                               sigma * se4 + atol,
+                               sigma * se4 + ROUNDING_FLOOR,
                                notes="lambda_min of consecutive increments,"))
 
     # 5. the deficit chain
     low = deficit_lower_bound(frame, xi=xi, sigma=sigma)
-    up = gate("chain-upper", delta.value - 2.0 * n, sigma * delta.stderr + atol,
+    up = gate("chain-upper", delta.value - 2.0 * n, sigma * delta.stderr + ROUNDING_FLOOR,
               stderr=delta.stderr, notes=f"delta={delta.value:.6g} <= 2n={2 * n}")
     comb = math.hypot(delta.stderr, low.estimate.stderr)
-    lo = gate("chain-lower", low.estimate.value - delta.value, sigma * comb + atol,
+    lo = gate("chain-lower", low.estimate.value - delta.value, sigma * comb + ROUNDING_FLOOR,
               stderr=comb,
               notes=f"lower={low.estimate.value:.6g} <= delta={delta.value:.6g}")
     subs.extend([up, lo, low.parity])
@@ -389,7 +384,7 @@ def deficit_chain_audit(delta: EstimatorResult, frame: FrameEnsemble, xi: float 
     val_xi = float(vsq[:, 0].mean())
     se_xi = float(jackknife_se(vsq[:, 0], axis=0))
     bound_xi = 4.0 * n / (1.0 - r[0]) ** 2
-    subs.append(gate("fisher-bound-at-xi", val_xi - bound_xi, sigma * se_xi + atol,
+    subs.append(gate("fisher-bound-at-xi", val_xi - bound_xi, sigma * se_xi + ROUNDING_FLOOR,
                      stderr=se_xi, notes=f"E|v_xi|^2={val_xi:.6g}, bound={bound_xi:.6g}"))
 
     # 7. empirical energy constant

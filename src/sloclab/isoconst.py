@@ -38,7 +38,8 @@ from .measures import (BallMarginalFactor, BallSpec, GaussianSpec, MeasureSpec,
                        ProductSpec, SubspaceBasis,
                        DEFAULT_CATALOG, parse_measure_id)
 from .numerics import jackknife_se
-from .reports import EstimatorResult, LemmaReport, composite_gate, entrywise_gate, gate
+from .reports import (ROUNDING_FLOOR, EstimatorResult, LemmaReport, composite_gate,
+                      entrywise_gate, gate)
 
 GAUSSIAN_L = 1.0 / math.sqrt(2.0 * math.pi * math.e)
 
@@ -107,8 +108,7 @@ def marginal(spec: MeasureSpec, basis: SubspaceBasis) -> MeasureSpec:
 
 
 def check_projection_domination(ensemble: PathEnsemble, basis: SubspaceBasis, k: int,
-                                seed: int = 0, sigma: float = 4.0,
-                                atol: float = 1e-9) -> LemmaReport:
+                                seed: int = 0, sigma: float = 4.0) -> LemmaReport:
     """Localizing the marginal keeps at least the projected covariance.
 
     Reads A_t at grid index k > 0 of the run's ensemble; the marginal, another
@@ -128,14 +128,15 @@ def check_projection_domination(ensemble: PathEnsemble, basis: SubspaceBasis, k:
     lhs = covariance.dense_rows(part.cov[:, 1])
     diff = lhs.mean(axis=0) - proj.mean(axis=0)
     se = np.hypot(jackknife_se(lhs, axis=0), jackknife_se(proj, axis=0))
-    slack = sigma * v.shape[1] * float(se.max()) + atol
+    slack = sigma * v.shape[1] * float(se.max()) + ROUNDING_FLOOR
     lam_min = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0])
 
     subs = ()
     exact_equality = (isinstance(spec, GaussianSpec)
                       or (spec.factors is not None and basis.is_coordinate))
     if exact_equality:
-        subs = (entrywise_gate("projection-equality", np.abs(diff), sigma * se + atol, se,
+        subs = (entrywise_gate("projection-equality", np.abs(diff),
+                               sigma * se + ROUNDING_FLOOR, se,
                                notes="independent blocks carry no cross-information,"),)
 
     return gate("projection-domination", -lam_min, slack, stderr=float(se.max()),

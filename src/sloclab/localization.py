@@ -33,8 +33,9 @@ import numpy as np
 from . import covariance, streams
 from .errors import InputValidationError
 from .measures import BallSpec, MeasureSpec
-from .numerics import familywise_level, jackknife_se, ks_pvalues
-from .reports import LemmaReport, composite_gate, derivative_gate, entrywise_gate, gate, info
+from .numerics import KS_LEVEL, familywise_level, jackknife_se, ks_pvalues
+from .reports import (COV_IDENTITY_FLOOR, ROUNDING_FLOOR, LemmaReport, composite_gate,
+                      derivative_gate, entrywise_gate, gate, info)
 from .tilt import tilt_table
 
 MAX_STEP_RATIO = 1.5
@@ -288,19 +289,17 @@ def ensemble_stats(ensemble: PathEnsemble) -> EnsembleStats:
 # Checks
 
 
-def check_variance_decomposition(ensemble: PathEnsemble, sigma: float = 4.0,
-                                 atol: float = 1e-8) -> LemmaReport:
+def check_variance_decomposition(ensemble: PathEnsemble, sigma: float = 4.0) -> LemmaReport:
     """E A_t + E a_t (x) a_t = Id at every grid time, entrywise."""
     stats = ensemble.stats()
     target = np.eye(stats.dim)
     gap = np.abs(stats.mean_decomp - target)
-    tol = sigma * stats.se_decomp + atol
+    tol = sigma * stats.se_decomp + COV_IDENTITY_FLOOR
     return entrywise_gate("variance-decomposition", gap, tol, stats.se_decomp,
                           notes=f"n_paths={stats.n_paths},")
 
 
-def check_derivative_identity(ensemble: PathEnsemble, sigma: float = 4.0,
-                              atol: float = 1e-8) -> LemmaReport:
+def check_derivative_identity(ensemble: PathEnsemble, sigma: float = 4.0) -> LemmaReport:
     """d/dt E A_t = -E A_t^2 by non-uniform central differences.
 
     Tolerance is sigma * (stderr + discretization budget); the budget comes
@@ -312,11 +311,16 @@ def check_derivative_identity(ensemble: PathEnsemble, sigma: float = 4.0,
         raise InputValidationError("need at least 5 grid times for the derivative check")
     cov = ensemble.cov
     cov_sq = covariance.square(cov)
-    mat = derivative_gate("derivative-identity", cov, t, -cov_sq, sigma, atol)
+    mat = derivative_gate("derivative-identity", cov, t, -cov_sq, sigma)
     tr = derivative_gate("derivative-identity-trace", covariance.trace(cov), t,
-                         -covariance.trace(cov_sq), sigma, atol)
+                         -covariance.trace(cov_sq), sigma)
     return composite_gate("derivative-identity", (mat, tr),
                           notes=f"interior times {len(t) - 2}")
+
+
+# Every tilt is exact, so A_t <= Id / t holds up to the rounding of the
+# eigenvalues; the spectral gates allow this slack over it.
+SPECTRAL_SLACK = 1e-6
 
 
 def spectral_margin(mats: np.ndarray, clock: np.ndarray) -> np.ndarray:
@@ -325,21 +329,21 @@ def spectral_margin(mats: np.ndarray, clock: np.ndarray) -> np.ndarray:
     ``mats`` is a covariance array on the grid ``clock`` (K,), diagonal
     (m, K, n) or full (m, K, n, n).  The first grid point is 0, where the
     margin is exactly -1, so it is never the worst entry.  Every tilt is
-    exact, so callers gate it with a flat slack.
+    exact, so callers gate it with the flat `SPECTRAL_SLACK`.
     """
     lam = covariance.eig_extremes(mats)[1]
     return lam * clock[None, :] - 1.0
 
 
-def check_spectral_bound(ensemble: PathEnsemble, slack_exact: float = 1e-6) -> LemmaReport:
-    """Pathwise bound t * lambda_max(A_t) <= 1 at every t > 0, up to ``slack_exact``."""
+def check_spectral_bound(ensemble: PathEnsemble) -> LemmaReport:
+    """Pathwise bound t * lambda_max(A_t) <= 1 at every t > 0, up to `SPECTRAL_SLACK`."""
     margin = spectral_margin(ensemble.cov, ensemble.grid.points)
-    bad = margin > slack_exact
+    bad = margin > SPECTRAL_SLACK
     notes = f"paths={ensemble.n_paths}, violations={int(bad.sum())},"
     if bad.any():
         ids = sorted(set(np.where(bad)[0].tolist()))[:8]
         notes += f" offending paths {ids},"
-    return entrywise_gate("spectral-bound", margin, slack_exact, notes=notes)
+    return entrywise_gate("spectral-bound", margin, SPECTRAL_SLACK, notes=notes)
 
 
 def trace_square_ratio(ensemble: PathEnsemble) -> LemmaReport:
@@ -357,41 +361,41 @@ def trace_square_ratio(ensemble: PathEnsemble) -> LemmaReport:
                 notes=f"max at t={stats.t[k]:g}; dimension-free bound expected O(1)")
 
 
-def check_orthogonality(ensemble: PathEnsemble, sigma: float = 4.0,
-                        atol: float = 1e-9) -> LemmaReport:
+def check_orthogonality(ensemble: PathEnsemble, sigma: float = 4.0) -> LemmaReport:
     """E (a_t - theta_t/(1+t)) (x) theta_t = 0 entrywise at every grid time."""
     t = ensemble.grid.points
     resid = ensemble.mean - ensemble.theta / (1.0 + t)[None, :, None]
     mean, se = covariance.outer_mean_se(resid, ensemble.theta)
-    return entrywise_gate("orthogonality", np.abs(mean), sigma * se + atol, se,
+    return entrywise_gate("orthogonality", np.abs(mean), sigma * se + ROUNDING_FLOOR, se,
                           notes=f"n_paths={ensemble.n_paths},")
 
 
-def check_monotone_trace(ensemble: PathEnsemble, sigma: float = 4.0,
-                         atol: float = 1e-9) -> LemmaReport:
+def check_monotone_trace(ensemble: PathEnsemble, sigma: float = 4.0) -> LemmaReport:
     """t -> E tr A_t is non-increasing (paired consecutive differences)."""
     tr = covariance.trace(ensemble.cov)
     d = tr[:, 1:] - tr[:, :-1]
     mean = d.mean(axis=0)
     se = jackknife_se(d, axis=0)
-    return entrywise_gate("monotone-trace", mean, sigma * se + atol, se,
+    return entrywise_gate("monotone-trace", mean, sigma * se + ROUNDING_FLOOR, se,
                           notes="consecutive grid increments,")
 
 
-def check_density_martingale(ensemble: PathEnsemble, x_grid=None, sigma: float = 4.0,
-                             atol: float = 1e-9) -> LemmaReport:
-    """E p_{t, theta_t}(x) = rho(x) at every grid time, on a 1D x-grid across the support."""
+def martingale_x_grid(spec: MeasureSpec) -> np.ndarray:
+    """21 points across the support of a 1D measure, cut to [-4, 4], 5% in from each end."""
+    f = spec.factors[0] if spec.factors else None
+    reach = spec.radius if isinstance(spec, BallSpec) else 4.0
+    lo = max(f.lo, -4.0) if f is not None else -reach
+    hi = min(f.hi, 4.0) if f is not None else reach
+    pad = 0.05 * (hi - lo)
+    return np.linspace(lo + pad, hi - pad, 21)
+
+
+def check_density_martingale(ensemble: PathEnsemble, sigma: float = 4.0) -> LemmaReport:
+    """E p_{t, theta_t}(x) = rho(x) at every grid time, on the `martingale_x_grid`."""
     spec = ensemble.spec
     if spec.dim != 1:
         raise InputValidationError("density martingale check is 1D")
-    if x_grid is None:
-        f = spec.factors[0] if spec.factors else None
-        reach = spec.radius if isinstance(spec, BallSpec) else 4.0
-        lo = max(f.lo, -4.0) if f is not None else -reach
-        hi = min(f.hi, 4.0) if f is not None else reach
-        pad = 0.05 * (hi - lo)
-        x_grid = np.linspace(lo + pad, hi - pad, 21)
-    x_grid = np.asarray(x_grid, float)
+    x_grid = martingale_x_grid(spec)
 
     log_rho = spec.log_density(x_grid[:, None])
     t = ensemble.grid.points
@@ -402,15 +406,13 @@ def check_density_martingale(ensemble: PathEnsemble, x_grid=None, sigma: float =
     mean = p.mean(axis=0)
     se = jackknife_se(p, axis=0)
     gap = np.abs(mean - np.exp(log_rho)[None, :])
-    return entrywise_gate("martingale", gap, sigma * se + atol, se,
+    return entrywise_gate("martingale", gap, sigma * se + ROUNDING_FLOOR, se,
                           notes=f"{len(x_grid)} x-points, n_paths={ensemble.n_paths},")
 
 
-def check_driver_equivalence(spec: MeasureSpec, seed: int, t_max: float = 1.0,
-                             n_steps: int = 64, n_paths: int = 10_000,
-                             sigma: float = 4.0, ks_level: float = 0.01,
-                             atol: float = 1e-9) -> LemmaReport:
-    """SDE and direct drivers agree in law at t_max.
+def check_driver_equivalence(spec: MeasureSpec, seed: int, n_paths: int = 10_000,
+                             sigma: float = 4.0) -> LemmaReport:
+    """SDE and direct drivers agree in law at t_max = 1, after 64 Euler steps.
 
     Paired first/second moments via common random numbers: the sde ensemble
     and the direct side's theta(t_max) = t_max X + sum of the increments
@@ -418,8 +420,9 @@ def check_driver_equivalence(spec: MeasureSpec, seed: int, t_max: float = 1.0,
     direct side needs no tilt.  Per-coordinate two-sample KS against an
     independent direct theta(t_max) (independence keeps the KS null
     distribution valid); the smallest of the n p-values is gated at
-    `familywise_level`.
+    `familywise_level` of `KS_LEVEL`.
     """
+    t_max, n_steps = 1.0, 64
     grid = make_uniform(t_max, n_steps)
     a = simulate_ensemble(spec, grid, n_paths, seed, driver="sde").theta[:, -1]
     b = direct_endpoint(spec, path_keys(seed, n_paths), grid.points)
@@ -430,16 +433,16 @@ def check_driver_equivalence(spec: MeasureSpec, seed: int, t_max: float = 1.0,
     m1, s1 = d1.mean(axis=0), jackknife_se(d1, axis=0)
     m2, s2 = d2.mean(axis=0), jackknife_se(d2, axis=0)
     r_mean = entrywise_gate("driver-equivalence-mean", np.abs(m1),
-                            sigma * s1 + atol, s1, notes="paired theta(t_max),")
+                            sigma * s1 + ROUNDING_FLOOR, s1, notes="paired theta(t_max),")
     r_var = entrywise_gate("driver-equivalence-second-moment", np.abs(m2),
-                           sigma * s2 + atol, s2, notes="paired theta(t_max)^2,")
+                           sigma * s2 + ROUNDING_FLOOR, s2, notes="paired theta(t_max)^2,")
 
     pvals = ks_pvalues(a, fresh)
     worst = int(np.argmin(pvals))
-    level = familywise_level(ks_level, spec.dim)
+    level = familywise_level(KS_LEVEL, spec.dim)
     r_ks = gate("driver-equivalence-ks", float(-pvals[worst]), -level,
                 notes=f"min p-value {pvals[worst]:.4g} (coordinate {worst}), "
-                      f"level {level:.4g} ({ks_level} over {spec.dim} coordinates)")
+                      f"level {level:.4g} ({KS_LEVEL} over {spec.dim} coordinates)")
 
     return composite_gate("driver-equivalence", (r_mean, r_var, r_ks),
                           notes=f"dt={t_max / n_steps:g}, n_paths={n_paths}")

@@ -184,14 +184,13 @@ class LaplaceFactor(Factor1D):
 
 
 class TruncGaussFactor(Factor1D):
-    """Standard normal conditioned on [-c, c], rescaled to unit variance."""
+    """Standard normal conditioned on [-1, 1], rescaled to unit variance."""
 
     tag = "truncgauss"
+    cut = 1.0
 
-    def __init__(self, cut: float = 1.0):
-        if cut <= 0:
-            raise InputValidationError("cut must be positive")
-        self.cut = float(cut)
+    def __init__(self):
+        cut = self.cut
         self.z_cut = math.erf(cut / math.sqrt(2.0))
         phi_c = math.exp(-0.5 * cut * cut) / math.sqrt(2.0 * math.pi)
         self.sigma = math.sqrt(1.0 - 2.0 * cut * phi_c / self.z_cut)

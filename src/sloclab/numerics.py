@@ -392,6 +392,10 @@ def jackknife_se(values: np.ndarray, axis: int = 0) -> np.ndarray:
     return values.std(axis=axis, ddof=1) / np.sqrt(m)
 
 
+# Family-wise level of the min-p KS sub-gates (`driver-equivalence`, `xr-law`).
+KS_LEVEL = 0.01
+
+
 def familywise_level(level: float, n: int) -> float:
     """Level 1 - (1 - level)^(1/n) at which to test the smallest of n p-values.
 

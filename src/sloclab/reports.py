@@ -13,6 +13,14 @@ PASS = "PASS"
 FAIL = "FAIL"
 INFO = "INFO"
 
+# Rounding floors that checks add to sigma * stderr, so that a statistic whose
+# standard error is 0 (an identity that holds exactly on some measure) is
+# compared at rounding level instead of demanding exact equality.  The
+# covariance identities (variance decomposition, the derivative identities,
+# the Gamma process, the conditional covariance) use the coarser one.
+ROUNDING_FLOOR = 1e-9
+COV_IDENTITY_FLOOR = 1e-8
+
 
 @dataclass(frozen=True)
 class EstimatorResult:
@@ -131,20 +139,20 @@ def entrywise_gate(check_id: str, gap, tol, se=None, notes: str = "",
 
 
 def derivative_gate(check_id: str, y: np.ndarray, x: np.ndarray, rhs: np.ndarray,
-                    sigma: float, atol: float) -> LemmaReport:
+                    sigma: float) -> LemmaReport:
     """Entrywise gate for d/dx E y = E rhs at the interior grid nodes.
 
     ``y`` and ``rhs`` are per-path arrays (m, K, ...) on the grid ``x`` (K,).
     The statistic is |mean over paths of the central difference of y minus
     rhs|; the tolerance is sigma * (its standard error + the step-doubling
-    budget of the mean curve E y) + atol.  The reported index is (k, ...)
-    for grid node x[k], 1 <= k <= K - 2.
+    budget of the mean curve E y) + COV_IDENTITY_FLOOR.  The reported index
+    is (k, ...) for grid node x[k], 1 <= k <= K - 2.
     """
     gap = central_difference(y, x, axis=1) - rhs[:, 1:-1]
     se = jackknife_se(gap, axis=0)
     budget = fd_error_budget(y.mean(axis=0), x, axis=0)
     return entrywise_gate(check_id, np.abs(gap.mean(axis=0)),
-                          sigma * (se + budget) + atol, se, first_row=1)
+                          sigma * (se + budget) + COV_IDENTITY_FLOOR, se, first_row=1)
 
 
 def info(check_id: str, statistic: float, stderr: float = 0.0, notes: str = "") -> LemmaReport:

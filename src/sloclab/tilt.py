@@ -41,7 +41,7 @@ from . import covariance, streams
 from .errors import DivergentTilt, InputValidationError
 from .measures import BallMarginalFactor, BallSpec, GaussianSpec, MeasureSpec, ProductSpec
 from .numerics import gamma_p, jackknife_se, quad, radial_tilt_moments, xlogy
-from .reports import LemmaReport, entrywise_gate
+from .reports import COV_IDENTITY_FLOOR, LemmaReport, entrywise_gate
 
 CLOSED_FORM = "closed_form"
 QUADRATURE = "quadrature"
@@ -507,18 +507,17 @@ def tilt_moments(spec: MeasureSpec, t: float, theta) -> TiltState:
 # Conditional-covariance identity
 
 
-def conditional_covariance_identity_check(ensemble, k: int, seed: int, n_outer: int = 1024,
-                                          n_inner: int = 64, sigma: float = 4.0,
-                                          atol: float = 1e-8) -> LemmaReport:
+def conditional_covariance_identity_check(ensemble, k: int, seed: int,
+                                          sigma: float = 4.0) -> LemmaReport:
     """Check E A_t = E cov(X | X + sqrt(s) Z) with s = 1/t, at grid time t = t_k.
 
     Left side: the mean over paths of A_t in the run's `PathEnsemble` at
     grid index k, exact tilts along theta_t = t X + W_t.
-    Right side: for n_outer fresh pairs y = x + sqrt(s) z the conditional
-    law of X given y is p_{t, t y}; one `tilt_sample_batch` call draws
-    n_inner exact points from each, and their empirical covariance
-    estimates cov(X | y).  Pairs and draws come from one stream key per
-    check, so they depend on n_outer (min(paths, 1024) in `verify`).  The
+    Right side: for n_outer = min(paths, 1024) fresh pairs y = x + sqrt(s) z
+    the conditional law of X given y is p_{t, t y}; one `tilt_sample_batch`
+    call draws n_inner = 64 exact points from each, and their empirical
+    covariance estimates cov(X | y).  Pairs and draws come from one stream
+    key per check, so they depend on n_outer.  The
     right side uses draws only and shares no quadrature with the left, and
     the two sides use disjoint streams, so their errors combine in
     quadrature.
@@ -528,6 +527,7 @@ def conditional_covariance_identity_check(ensemble, k: int, seed: int, n_outer: 
     if t <= 0:
         raise InputValidationError("t must be positive")
     dim = spec.dim
+    n_outer, n_inner = min(ensemble.n_paths, 1024), 64
 
     covs = covariance.dense_rows(ensemble.cov[:, k])
     lhs = covs.mean(axis=0)
@@ -542,5 +542,6 @@ def conditional_covariance_identity_check(ensemble, k: int, seed: int, n_outer: 
     se_rhs = jackknife_se(cond, axis=0)
 
     se = np.sqrt(se_lhs**2 + se_rhs**2)
-    return entrywise_gate("conditional-covariance", np.abs(lhs - rhs), sigma * se + atol, se,
+    return entrywise_gate("conditional-covariance", np.abs(lhs - rhs),
+                          sigma * se + COV_IDENTITY_FLOOR, se,
                           notes=f"t={t:g}, n_outer={n_outer}, n_inner={n_inner},")

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import truncnorm
 
+from sloclab import follmer
 from sloclab.cli import main
 from sloclab.errors import InputValidationError
 from sloclab.follmer import (
@@ -323,9 +324,10 @@ def test_xr_law_ks_fails_on_nan(cube2_frame):
     assert rep.failed
 
 
-def test_xr_law_headlines_the_failing_ks_part(cube2_frame):
+def test_xr_law_headlines_the_failing_ks_part(cube2_frame, monkeypatch):
     # a KS p-value below the level FAILs xr-law, and the headline shows it
-    rep = check_xr_law(cube2_frame, seed=11, ks_level=1.0)
+    monkeypatch.setattr(follmer, "KS_LEVEL", 1.0)
+    rep = check_xr_law(cube2_frame, seed=11)
     ks = next(s for s in rep.sub if s.check_id == "xr-ks")
     assert ks.failed and rep.failed
     assert (rep.statistic, rep.tolerance) == (ks.statistic, ks.tolerance)
@@ -349,10 +351,3 @@ def test_xr_ks_still_fails_on_scaled_xr():
     assert ks.failed and ks.tolerance == pytest.approx(-0.0012556, rel=1e-4)
     assert -ks.statistic < 1e-6
 
-
-def test_xr_law_needs_spec():
-    spec = make_product("exp,exp")
-    grid = make_geometric(0.1, 2.0, 9)
-    frame = dataclasses.replace(to_follmer(simulate_ensemble(spec, grid, 8, seed=7)), spec=None)
-    with pytest.raises(InputValidationError, match="measure reference"):
-        check_xr_law(frame, seed=0)

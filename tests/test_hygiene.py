@@ -26,6 +26,12 @@
   function takes a sampling or threading knob (``workers``, ``n_samples``,
   ``tilt_samples``, ``rng_for``, ``stream``): every tilt is exact and runs in
   one thread.
+* Every defaulted parameter of a public ``src/`` function or method (a
+  class's ``__init__`` counts as the class) is passed, by position or by
+  keyword, by some call in ``src/``: a value no caller changes is a constant
+  in the code, not a knob.  Calls match by name, so a method and a function
+  of one name share their calls.  ``cli.main``'s ``argv`` is the one
+  exception: the console script calls ``main()`` and tests pass ``argv``.
 * No loop body or comprehension in ``src/`` calls ``tilt_sample_batch``: it
   takes a batch of thetas, so one call serves every row, and per-row calls
   would repeat its mode search once per row.
@@ -47,6 +53,7 @@
 import ast
 import importlib
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -182,6 +189,60 @@ def knob_parameters(tree: ast.Module) -> list:
                   if a.arg in KNOBS)
 
 
+def call_arguments(trees) -> dict:
+    """Name -> [(positional count, keyword names)] of every call in ``trees``.
+
+    A ``*args`` call counts as passing every position, and ``**kwargs`` as
+    the keyword ``None``, which passes every name.
+    """
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                count = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                         else len(node.args))
+                calls.setdefault(name, []).append((count, {k.arg for k in node.keywords}))
+    return calls
+
+
+def _defaulted(node, bound: int) -> list:
+    """(position after ``bound`` bound ones, or None if keyword-only, name) of each default."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    out = [(i - bound, a.arg) for i, a in enumerate(positional)
+           if i >= len(positional) - len(args.defaults)]
+    return out + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+
+
+def unpassed_defaults(tree: ast.Module, calls: dict) -> list:
+    """(line, "callee(name)") of each defaulted parameter that no call in ``calls`` passes.
+
+    Public module-level functions and the public methods and ``__init__`` of
+    public classes count; ``__init__`` is called by its class's name.
+    """
+    signatures = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            signatures.append((node, node.name, 0))
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                bound = 0 if any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list) else 1
+                if item.name == "__init__":
+                    signatures.append((item, node.name, bound))
+                elif not item.name.startswith("_"):
+                    signatures.append((item, item.name, bound))
+    return sorted((node.lineno, f"{callee}({name})")
+                  for node, callee, bound in signatures
+                  for pos, name in _defaulted(node, bound)
+                  if not any(name in kw or None in kw or (pos is not None and count > pos)
+                             for count, kw in calls.get(callee, [])))
+
+
 def loop_calls(tree: ast.Module, name: str) -> list:
     """(line, name) of every call to ``name`` that a loop body or a comprehension repeats."""
     repeated = []
@@ -308,6 +369,14 @@ def test_no_sampling_knobs_in_library_signatures():
         params = inspect.signature(
             getattr(importlib.import_module("sloclab." + mod), fn)).parameters
         assert not KNOBS & set(params), f"{mod}.{fn}"
+
+
+def test_every_default_is_passed_by_some_source_call():
+    trees = {p: _tree(p) for p in PACKAGE}
+    calls = call_arguments(trees.values())
+    found = [f"{_rel(p)} {name}" for p, tree in trees.items()
+             for _, name in unpassed_defaults(tree, calls)]
+    assert found == ["src/sloclab/cli.py main(argv)"]
 
 
 def test_no_tilt_draws_repeated_in_loops():
@@ -444,6 +513,26 @@ def test_scanners_flag_what_they_look_for():
                       "    samples = 3\n")
     assert knob_parameters(knobs) == [(1, "table(n_samples)"), (1, "table(rng_for)"),
                                       (1, "table(workers)"), (3, "moments(stream)")]
+    defaults = ast.parse("def check(frame, seed, sigma=4.0, atol=1e-9, *, level=0.01):\n"
+                         "    pass\n"
+                         "def _private(x=1):\n"
+                         "    pass\n"
+                         "class Factor:\n"
+                         "    def __init__(self, cut=1.0, scale=2.0):\n"
+                         "        pass\n"
+                         "    def tilt(self, t, theta=0.0):\n"
+                         "        pass\n"
+                         "    @staticmethod\n"
+                         "    def rule(n, order=3):\n"
+                         "        pass\n"
+                         "def spread(a=1, b=2):\n"
+                         "    pass\n"
+                         "check(f, 0, 3.0)\n"
+                         "Factor(scale=3.0).tilt(1.0)\n"
+                         "Factor.rule(4, 5)\n"
+                         "spread(*pair)\n")
+    assert unpassed_defaults(defaults, call_arguments([defaults])) == [
+        (1, "check(atol)"), (1, "check(level)"), (6, "Factor(cut)"), (8, "tilt(theta)")]
     loops = ast.parse("for theta in thetas:\n"
                       "    draws = tilt.tilt_sample_batch(spec, t, theta[None], rng, 64)\n"
                       "while pending:\n"

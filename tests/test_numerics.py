@@ -330,9 +330,9 @@ class TestSpecialFunctions:
                   + e * (mpmath.psi(0, e + 1.5) - mpmath.psi(0, e + 1)), f.radius, e)
         assert f.entropy() == pytest.approx(ref, rel=4e-16, abs=0.0)
 
-    @pytest.mark.parametrize("cut", [0.1, 0.5, 1.0, 2.0, 5.0, 9.0])
+    @pytest.mark.parametrize("cut", [TruncGaussFactor.cut])
     def test_trunc_gauss_mass(self, cut):
-        assert TruncGaussFactor(cut).z_cut == pytest.approx(2.0 * special.ndtr(cut) - 1.0,
+        assert TruncGaussFactor().z_cut == pytest.approx(2.0 * special.ndtr(cut) - 1.0,
                                                             rel=1e-14, abs=0.0)
 
 

@@ -103,6 +103,6 @@ def test_derivative_gate_names_the_grid_time_of_a_defect(j):
     y = np.tile(x * x, (4, 1))[:, :, None] * np.ones(3)
     rhs = np.tile(2.0 * x, (4, 1))[:, :, None] * np.ones(3)
     rhs[:, j, 2] += 1.0
-    rep = derivative_gate("d", y, x, rhs, 4.0, 1e-8)
+    rep = derivative_gate("d", y, x, rhs, 4.0)
     assert rep.failed
     assert rep.notes == f" worst at index ({j}, 2)"

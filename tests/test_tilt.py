@@ -720,7 +720,7 @@ def test_tilt_state_is_frozen():
 
 def test_conditional_covariance_gaussian():
     ens = simulate_ensemble(make_gaussian(2), make_uniform(1.0, 1), 128, seed=3)
-    rep = conditional_covariance_identity_check(ens, 1, seed=3, n_outer=128, n_inner=16)
+    rep = conditional_covariance_identity_check(ens, 1, seed=3)
     assert not rep.failed
     assert rep.check_id == "conditional-covariance"
     assert rep.notes.startswith("t=1,")
@@ -728,7 +728,7 @@ def test_conditional_covariance_gaussian():
 
 def test_conditional_covariance_cube():
     ens = simulate_ensemble(make_cube(2), make_uniform(1.0, 1), 64, seed=4)
-    rep = conditional_covariance_identity_check(ens, 1, seed=4, n_outer=64, n_inner=32)
+    rep = conditional_covariance_identity_check(ens, 1, seed=4)
     assert not rep.failed
 
 
