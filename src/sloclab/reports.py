@@ -92,45 +92,51 @@ def gate(check_id: str, gap: float, tolerance: float, stderr: float = 0.0,
                        float(tolerance), notes, tuple(sub))
 
 
-def composite_gate(check_id: str, subs, notes: str = "") -> LemmaReport:
-    """`gate` over sub-reports, headlined by one of its gated parts.
+def _worst(gap: np.ndarray, tol: np.ndarray, failing: np.ndarray) -> int:
+    """Flat index of the comparison a report headlines: the largest ``gap / tol``.
 
-    The headline is the first gated part that FAILs, or else the one with
-    the largest ``statistic - tolerance``, so a FAIL line always shows the
-    comparison that failed and a PASS line the tightest margin.
+    The ratio is each comparison's margin in units of its own tolerance, so
+    a PASS names the one that came closest and a FAIL the one that failed
+    by the most.  One with tol <= 0 (a KS part's negated level, or an exact
+    zero) ranks above every ratio when it FAILs and below every one when it
+    PASSes, and a FAIL always names a ``failing`` one.  A non-finite gap,
+    and after it a non-finite tolerance, outranks everything, so the report
+    names the comparison that made it FAIL.
+    """
+    rank = 2 * ~np.isfinite(gap) + ~np.isfinite(tol)
+    if rank.any():
+        return int(np.argmax(rank))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.where(tol > 0.0, gap / tol, np.where(failing, np.inf, -np.inf))
+    return int(np.argmax(np.where(failing | ~failing.any(), ratio, -np.inf)))
+
+
+def composite_gate(check_id: str, subs, notes: str = "") -> LemmaReport:
+    """`gate` over sub-reports, headlined by the gated part `_worst` picks.
+
+    Parts rank by ``statistic / tolerance`` as an `entrywise_gate`'s
+    entries do, so a FAIL line shows the part that failed by the most and
+    a PASS line the one that came closest, whatever units each part's
+    statistic is in.
     """
     gated = [s for s in subs if s.verdict != INFO]
-    failing = [s for s in gated if s.failed]
-    head = failing[0] if failing else max(gated, key=lambda s: s.statistic - s.tolerance)
+    head = gated[_worst(np.array([s.statistic for s in gated]),
+                        np.array([s.tolerance for s in gated]),
+                        np.array([s.failed for s in gated]))]
     return gate(check_id, head.statistic, head.tolerance, head.stderr, notes=notes,
                 sub=tuple(subs))
 
 
 def entrywise_gate(check_id: str, gap, tol, se=None, notes: str = "",
                    first_row: int = 0) -> LemmaReport:
-    """`gate` at the entry where ``gap / tol`` is largest; ``notes`` gains its index.
+    """`gate` at the entry `_worst` picks, the largest ``gap / tol``; ``notes`` gains its index.
 
     The index counts axis 0 from ``first_row``: a gap that starts at grid
     node 1 passes 1, so the index names the grid time.
-
-    The ratio is each entry's margin in units of its own tolerance, so a
-    PASS names the entry that came closest and a FAIL the one that failed
-    by the most.  An entry with tol <= 0 ranks above every ratio when it
-    FAILs and below every one when it PASSes, and a FAIL always names a
-    failing entry.  A non-finite gap, and after it a non-finite tolerance,
-    outranks everything, so the report names the entry that made it FAIL.
     """
     gap = np.asarray(gap, float)
     tol = np.broadcast_to(np.asarray(tol, float), gap.shape)
-    rank = 2 * ~np.isfinite(gap) + ~np.isfinite(tol)
-    if rank.any():
-        flat = np.argmax(rank)
-    else:
-        failing = gap > tol
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio = np.where(tol > 0.0, gap / tol, np.where(failing, np.inf, -np.inf))
-        flat = np.argmax(np.where(failing | ~failing.any(), ratio, -np.inf))
-    worst = np.unravel_index(flat, gap.shape)
+    worst = np.unravel_index(_worst(gap, tol, gap > tol), gap.shape)
     stderr = 0.0 if se is None else float(np.broadcast_to(se, gap.shape)[worst])
     index = tuple(int(v) + (first_row if axis == 0 else 0) for axis, v in enumerate(worst))
     where = f" worst at index {index}"

@@ -46,10 +46,22 @@ def test_composite_headlines_the_first_failing_part():
 
 
 def test_composite_passes_on_the_tightest_part_and_skips_info():
+    # a passing part with a tolerance below 0 (a KS part's negated level)
+    # never headlines a PASS, however small its gap - tol
     rep = composite_gate("all", (gate("a", 0.1, 1.0), gate("b", -0.2, -0.25 + 0.1),
                                  info("i", 99.0)))
     assert rep.verdict == PASS
-    assert (rep.statistic, rep.tolerance) == (-0.2, -0.25 + 0.1)
+    assert (rep.statistic, rep.tolerance) == (0.1, 1.0)
+
+
+def test_composite_ranks_parts_in_units_of_their_own_tolerance():
+    # gap - tol would headline the small-scale part in both cases
+    rep = composite_gate("all", (gate("fine", 0.005, 0.01), gate("coarse", 0.9, 1.0)))
+    assert rep.verdict == PASS
+    assert (rep.statistic, rep.tolerance) == (0.9, 1.0)
+    rep = composite_gate("all", (gate("coarse", 2.0, 1.0), gate("fine", 0.03, 0.01)))
+    assert rep.verdict == FAIL
+    assert (rep.statistic, rep.tolerance) == (0.03, 0.01)
 
 
 @pytest.mark.parametrize("parts", [
