@@ -26,8 +26,9 @@ the catalog's families has no route.
 densities (`sample_log_concave`): a product's m n coordinates in one call,
 a ball's m rows of u, then m size rows of |y| given u, then y's direction.
 
-A t = 0 tilt is accepted only where the exponential moment is finite; the
-divergent cases raise DivergentTilt.
+A t = 0 tilt is accepted only where the exponential moment is finite, and
+`tilt_table` accepts no tilt whose moments are not finite in floating point,
+on any route; both raise DivergentTilt.
 """
 
 from __future__ import annotations
@@ -142,8 +143,9 @@ def ball_tilt_table(spec: BallSpec, t: float, thetas: np.ndarray):
     (n-1)/(n+1) (R^2 - u^2).  One `radial_tilt_moments` call integrates u,
     and mean = E[u] e, cov = Var(u) e e^T + E|y|^2/(n-1) (Id - e e^T).
 
-    Returns (log_z (m,), mean (m, n), cov (m, n, n)); raises DivergentTilt,
-    naming n, t and the first bad |theta|, where a row is not finite.
+    Returns (log_z (m,), mean (m, n), cov (m, n, n)).  At small t and large
+    n, P(chi2_{n-1} <= t (R^2 - u^2)) underflows at every node, and a row
+    is not finite; `tilt_table` rejects it.
     """
     m, n = thetas.shape
     radius = spec.radius
@@ -155,7 +157,7 @@ def ball_tilt_table(spec: BallSpec, t: float, thetas: np.ndarray):
         log_z, mean_u, var_u = BallMarginalFactor(n).tilt_stats(0.0, s)
         across = (radius * radius - mean_u * mean_u - var_u) / (n + 1)
     else:
-        with np.errstate(divide="ignore", invalid="ignore"):  # NaN rows raise below
+        with np.errstate(divide="ignore", invalid="ignore"):  # tilt_table rejects NaN rows
             log_int, mean_u, var_u, gap, log_h, prob = radial_tilt_moments(
                 s, t, radius, lambda gap: _log_inside(k, t, gap))
         log_z = log_int + 0.5 * k * math.log(2.0 * math.pi / t) - spec.entropy()
@@ -163,11 +165,6 @@ def ball_tilt_table(spec: BallSpec, t: float, thetas: np.ndarray):
         ratio = np.divide(gamma_p(0.5 * k + 1.0, 0.5 * t * gap), lower,
                           out=np.zeros_like(gap), where=lower > 0.0)
         across = (prob * ratio).sum(axis=1) / t
-    finite = np.isfinite(log_z) & np.isfinite(mean_u) & np.isfinite(var_u) & np.isfinite(across)
-    if not finite.all():
-        # at small t and large n, P(chi2_{n-1} <= t (R^2 - u^2)) underflows at every node
-        raise DivergentTilt(f"ball:{n} tilt at t={t:g} is not finite at "
-                            f"|theta|={s[~finite][0]:.6g}")
     cov = across[:, None, None] * np.eye(n) + ((var_u - across)[:, None, None]
                                                * e[:, :, None] * e[:, None, :])
     return log_z, mean_u[:, None] * e, cov
@@ -473,7 +470,9 @@ def tilt_table(spec: MeasureSpec, t: float, thetas: np.ndarray):
     form, with the ballmarg factor by quadrature, and adaptive quadrature
     for every factor at t = 0); balls use `ball_tilt_table` at every t.
     Other specs, a batch of another width, a non-finite entry and t < 0
-    raise InputValidationError.
+    raise InputValidationError.  A row whose moments are not finite in
+    floating point, on any route, raises DivergentTilt naming the measure,
+    t and the first such row's |theta|.
     """
     thetas = _validate(spec, t, thetas, batch=True)
     if not (isinstance(spec, (GaussianSpec, BallSpec)) or spec.factors is not None):
@@ -484,15 +483,22 @@ def tilt_table(spec: MeasureSpec, t: float, thetas: np.ndarray):
         cov = np.tile(np.eye(n), (m, 1, 1)) if isinstance(spec, BallSpec) else np.ones((m, n))
         return np.zeros(m), np.zeros((m, n)), cov, CLOSED_FORM
     if isinstance(spec, GaussianSpec):
-        return (*gaussian_tilt(n, t, thetas), CLOSED_FORM)
-    if spec.factors is not None:
-        if t == 0.0:
-            states = [tilt_moments_quadrature(spec, t, theta) for theta in thetas]
-            return (np.array([s.log_z for s in states]), np.stack([s.mean for s in states]),
-                    np.stack([np.diag(s.cov) for s in states]), QUADRATURE)
+        table = (*gaussian_tilt(n, t, thetas), CLOSED_FORM)
+    elif spec.factors is None:
+        table = (*ball_tilt_table(spec, t, thetas), QUADRATURE)
+    elif t == 0.0:
+        states = [tilt_moments_quadrature(spec, t, theta) for theta in thetas]
+        table = (np.array([s.log_z for s in states]), np.stack([s.mean for s in states]),
+                 np.stack([np.diag(s.cov) for s in states]), QUADRATURE)
+    else:
         closed = all(f.pieces for f in spec.factors)
-        return (*product_tilt_table(spec, t, thetas), CLOSED_FORM if closed else QUADRATURE)
-    return (*ball_tilt_table(spec, t, thetas), QUADRATURE)
+        table = (*product_tilt_table(spec, t, thetas), CLOSED_FORM if closed else QUADRATURE)
+    if not all(np.isfinite(a).all() for a in table[:3]):
+        bad = ~np.logical_and.reduce([np.isfinite(a).reshape(m, -1).all(axis=1)
+                                      for a in table[:3]])
+        raise DivergentTilt(f"{spec.measure_id()} tilt at t={t:g} is not finite at "
+                            f"|theta|={np.linalg.norm(thetas[bad][0]):.6g}")
+    return table
 
 
 def tilt_moments(spec: MeasureSpec, t: float, theta) -> TiltState:

@@ -518,6 +518,16 @@ def test_tilt_probe_t_zero_unbounded_factor_prints_nothing(capsys):
     assert "factor 0 (exp)" in captured.err
 
 
+def test_tilt_probe_rejects_a_tilt_that_is_not_finite(capsys):
+    # the closed cube tilt underflows at t = 1e-300; it must not print -inf and NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        code = main(["tilt-probe", "--measure", "cube:2", "--t", "1e-300", "--theta", "1,1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "cube:2 tilt at t=1e-300 is not finite at |theta|=1.41421" in captured.err
+
+
 def test_tilt_probe_ball_notes_reference_route(capsys):
     code = main(["tilt-probe", "--measure", "ball:3", "--t", "1.0",
                  "--theta", "0.2,0.0,0.0", "--tilt-samples", "20000"])

@@ -691,7 +691,16 @@ def test_ball_tilt_raises_where_it_is_not_finite(n, t):
     with pytest.raises(DivergentTilt,
                        match=rf"ball:{n} tilt at t={t:g} is not finite at \|theta\|="
                              rf"{0.5 * s:.6g}$"):
-        ball_tilt_table(make_ball(n), t, thetas)
+        tilt_table(make_ball(n), t, thetas)
+
+
+def test_product_tilt_raises_where_it_is_not_finite():
+    # at t = 1e-20 the closed uniform tilt's window mass underflows: log Z is
+    # -inf and the moments NaN, where quadrature gives finite values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(DivergentTilt, match=r"^product:uniform tilt at t=1e-20 is not "
+                                                r"finite at \|theta\|=0\.3$"):
+            tilt_table(make_product("uniform"), 1e-20, np.array([[0.0], [0.3]]))
 
 
 # ---------------------------------------------------------------------------
