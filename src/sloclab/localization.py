@@ -318,8 +318,7 @@ def check_derivative_identity(ensemble: PathEnsemble, sigma: float = 4.0) -> Lem
                           notes=f"interior times {len(t) - 2}")
 
 
-# Every tilt is exact, so A_t <= Id / t holds up to the rounding of the
-# eigenvalues; the spectral gates allow this slack over it.
+# exact tilts meet A_t <= Id / t up to eigenvalue rounding, far below this slack
 SPECTRAL_SLACK = 1e-6
 
 

@@ -13,11 +13,8 @@ PASS = "PASS"
 FAIL = "FAIL"
 INFO = "INFO"
 
-# Rounding floors that checks add to sigma * stderr, so that a statistic whose
-# standard error is 0 (an identity that holds exactly on some measure) is
-# compared at rounding level instead of demanding exact equality.  The
-# covariance identities (variance decomposition, the derivative identities,
-# the Gamma process, the conditional covariance) use the coarser one.
+# Rounding floors added to sigma * stderr, so that a statistic with stderr 0 is
+# not held to exact equality; the covariance identities take the coarser one.
 ROUNDING_FLOOR = 1e-9
 COV_IDENTITY_FLOOR = 1e-8
 
@@ -95,13 +92,10 @@ def gate(check_id: str, gap: float, tolerance: float, stderr: float = 0.0,
 def _worst(gap: np.ndarray, tol: np.ndarray, failing: np.ndarray) -> int:
     """Flat index of the comparison a report headlines: the largest ``gap / tol``.
 
-    The ratio is each comparison's margin in units of its own tolerance, so
-    a PASS names the one that came closest and a FAIL the one that failed
-    by the most.  One with tol <= 0 (a KS part's negated level, or an exact
-    zero) ranks above every ratio when it FAILs and below every one when it
-    PASSes, and a FAIL always names a ``failing`` one.  A non-finite gap,
-    and after it a non-finite tolerance, outranks everything, so the report
-    names the comparison that made it FAIL.
+    The ratio is a margin in units of its own tolerance.  One with tol <= 0
+    (a KS part's negated level) ranks above every ratio when it FAILs and
+    below every one when it PASSes, so a FAIL names a ``failing`` one.  A
+    non-finite gap, then a non-finite tolerance, outranks everything.
     """
     rank = 2 * ~np.isfinite(gap) + ~np.isfinite(tol)
     if rank.any():
@@ -114,10 +108,8 @@ def _worst(gap: np.ndarray, tol: np.ndarray, failing: np.ndarray) -> int:
 def composite_gate(check_id: str, subs, notes: str = "") -> LemmaReport:
     """`gate` over sub-reports, headlined by the gated part `_worst` picks.
 
-    Parts rank by ``statistic / tolerance`` as an `entrywise_gate`'s
-    entries do, so a FAIL line shows the part that failed by the most and
-    a PASS line the one that came closest, whatever units each part's
-    statistic is in.
+    Parts rank by ``statistic / tolerance``, whatever their units, so a FAIL
+    shows the part that failed by the most and a PASS the one that came closest.
     """
     gated = [s for s in subs if s.verdict != INFO]
     head = gated[_worst(np.array([s.statistic for s in gated]),

@@ -26,9 +26,8 @@ the catalog's families has no route.
 densities (`sample_log_concave`): a product's m n coordinates in one call,
 a ball's m rows of u, then m size rows of |y| given u, then y's direction.
 
-A t = 0 tilt is accepted only where the exponential moment is finite, and
-`tilt_table` accepts no tilt whose moments are not finite in floating point,
-on any route; both raise DivergentTilt.
+A t = 0 tilt with an infinite exponential moment, and any tilt that is not
+finite in floating point, raise DivergentTilt.
 """
 
 from __future__ import annotations
@@ -143,9 +142,8 @@ def ball_tilt_table(spec: BallSpec, t: float, thetas: np.ndarray):
     (n-1)/(n+1) (R^2 - u^2).  One `radial_tilt_moments` call integrates u,
     and mean = E[u] e, cov = Var(u) e e^T + E|y|^2/(n-1) (Id - e e^T).
 
-    Returns (log_z (m,), mean (m, n), cov (m, n, n)).  At small t and large
-    n, P(chi2_{n-1} <= t (R^2 - u^2)) underflows at every node, and a row
-    is not finite; `tilt_table` rejects it.
+    Returns (log_z (m,), mean (m, n), cov (m, n, n)); at small t and large n
+    a row's chi-square mass underflows and it is not finite (`tilt_table` rejects it).
     """
     m, n = thetas.shape
     radius = spec.radius
@@ -470,9 +468,8 @@ def tilt_table(spec: MeasureSpec, t: float, thetas: np.ndarray):
     form, with the ballmarg factor by quadrature, and adaptive quadrature
     for every factor at t = 0); balls use `ball_tilt_table` at every t.
     Other specs, a batch of another width, a non-finite entry and t < 0
-    raise InputValidationError.  A row whose moments are not finite in
-    floating point, on any route, raises DivergentTilt naming the measure,
-    t and the first such row's |theta|.
+    raise InputValidationError; a non-finite row, on any route, raises
+    DivergentTilt naming the measure, t and its |theta|.
     """
     thetas = _validate(spec, t, thetas, batch=True)
     if not (isinstance(spec, (GaussianSpec, BallSpec)) or spec.factors is not None):
