@@ -17,8 +17,6 @@ from .errors import (
 from .measures import (
     DEFAULT_CATALOG,
     MeasureSpec,
-    SubspaceBasis,
-    coordinate_subspace,
     make_ball,
     make_cube,
     make_gaussian,
@@ -36,9 +34,7 @@ __all__ = [
     "LemmaReport",
     "MeasureSpec",
     "SloclabError",
-    "SubspaceBasis",
     "UnknownMeasureError",
-    "coordinate_subspace",
     "gate",
     "info",
     "make_ball",

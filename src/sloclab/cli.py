@@ -33,7 +33,7 @@ import numpy as np
 from . import covariance, follmer, infotheory, isoconst, localization, streams, tilt
 from .errors import ConfigError, SloclabError
 from .localization import TimeGrid
-from .measures import DEFAULT_CATALOG, coordinate_subspace, parse_measure_id
+from .measures import DEFAULT_CATALOG, parse_measure_id
 from .reports import LemmaReport
 
 
@@ -325,8 +325,8 @@ def _fisher_quadrature(spec) -> bool:
 
 def _default_basis(spec):
     if spec.family == "ball":
-        return coordinate_subspace(spec.dim, (0,))
-    return coordinate_subspace(spec.dim, tuple(range((spec.dim + 1) // 2)))
+        return (0,)
+    return tuple(range((spec.dim + 1) // 2))
 
 
 # ---------------------------------------------------------------------------
@@ -596,13 +596,10 @@ def _cmd_lk_table(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     catalog = (cfg.measure,) if {"measure", "_dim"} & _given(args).keys() else DEFAULT_CATALOG
     rows, floor = isoconst.l_bounds_sweep(catalog)
 
-    lines = [["measure", "dim", "l_value", "l_stderr", "entropy",
-              "entropy_se", "sandwich", "floor"]]
+    lines = [["measure", "dim", "l_value", "entropy", "sandwich", "floor"]]
     for rep in rows:
         spec = parse_measure_id(rep.measure_id)
-        lines.append([rep.measure_id, str(spec.dim),
-                      _fmt(rep.l_value.value), _fmt(rep.l_value.stderr),
-                      _fmt(rep.entropy.value), _fmt(rep.entropy.stderr),
+        lines.append([rep.measure_id, str(spec.dim), _fmt(rep.l_value), _fmt(rep.entropy),
                       rep.sandwich.verdict, rep.lower_bound.verdict])
 
     if cfg.out:

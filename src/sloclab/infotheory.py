@@ -59,7 +59,7 @@ PLUGIN_MC = "plug-in-mc"
 def kl_to_gaussian(spec: MeasureSpec) -> EstimatorResult:
     """D(mu || gamma_1) = (n/2) ln(2 pi e) - Ent(mu); every spec is isotropic."""
     value = spec.dim * GAUSSIAN_ENTROPY_RATE - spec.entropy()
-    return EstimatorResult(float(value), 0.0, 0, CLOSED_FORM,
+    return EstimatorResult(float(value), 0.0, CLOSED_FORM,
                            notes="relative entropy against the standard Gaussian")
 
 
@@ -189,7 +189,7 @@ def _ball_deficit(spec: BallSpec) -> EstimatorResult:
 
     h_sum, err = quad(integrand, 0.0, 2.0 * spec.radius, epsabs=1e-12, epsrel=1e-11,
                       limit=200)
-    return EstimatorResult(h_sum - 0.5 * n * math.log(2.0) - spec.entropy(), err, 0,
+    return EstimatorResult(h_sum - 0.5 * n * math.log(2.0) - spec.entropy(), err,
                            LENS_QUADRATURE, notes="radial quadrature of the lens volume")
 
 
@@ -203,13 +203,13 @@ def epi_deficit(spec: MeasureSpec, sigma: float = 4.0) -> DeficitReport:
     """
     n = spec.dim
     if isinstance(spec, GaussianSpec):
-        delta = EstimatorResult(0.0, 0.0, 0, CLOSED_FORM,
+        delta = EstimatorResult(0.0, 0.0, CLOSED_FORM,
                                 notes="Gaussian is a fixed point of the convolution")
     elif spec.factors is not None:
         require_pieces(spec.factors, "the EPI deficit")
         parts = [(len(cols), _factor_deficit(f)) for f, cols in spec.laws]
         delta = EstimatorResult(sum(count * d for count, (d, _) in parts),
-                                sum(count * e for count, (_, e) in parts), 0, SUM_QUADRATURE,
+                                sum(count * e for count, (_, e) in parts), SUM_QUADRATURE,
                                 notes=f"sum-density quadrature, {len(parts)} distinct factors")
     elif isinstance(spec, BallSpec):
         delta = _ball_deficit(spec)
@@ -289,7 +289,7 @@ def deficit_lower_bound(frame: FrameEnsemble, xi: float = 0.5,
                   notes=f"plug-in (Bessel-corrected) {corrected:.6g} vs "
                         f"independent-copy {v2:.6g}")
 
-    est = EstimatorResult(value, se, m, PLUGIN_MC,
+    est = EstimatorResult(value, se, PLUGIN_MC,
                           notes=f"truncated at r_max={r[-1]:.6g}; tail not extrapolated")
     return DeficitLowerBound(est, parity)
 

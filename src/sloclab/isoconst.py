@@ -13,14 +13,16 @@ with density f the value is pinned by the density at the barycenter:
     L_mu <= f(0)^(1/n) <= e * L_mu.
 
 Marginals of log-concave measures are log-concave, and conditioning on less
-information keeps more variance: if E is a subspace with orthonormal columns
-V, the localization of the marginal mu_E dominates the projected localization
-of mu in the positive-semidefinite order,
+information keeps more variance: if E is a tuple of coordinates, the
+localization of the marginal mu_E dominates mu's localization restricted to
+those coordinates in the positive-semidefinite order,
 
-    E A_{E,t} >= V^T (E A_t) V,
+    E A_{E,t} >= (E A_t)_{E,E},
 
-with equality for independent blocks (products along coordinate subspaces)
-and for Gaussians.
+with equality for independent blocks (products) and for Gaussians.
+Marginals are taken on coordinates only: products have exact marginals only
+there, and Gaussians and balls are rotation invariant, so another subspace
+would give no law a coordinate tuple cannot.
 """
 
 from __future__ import annotations
@@ -32,14 +34,11 @@ import numpy as np
 
 from . import covariance
 from .errors import InputValidationError
-from .infotheory import CLOSED_FORM
 from .localization import PathEnsemble, make_uniform, simulate_ensemble
 from .measures import (BallMarginalFactor, BallSpec, GaussianSpec, MeasureSpec,
-                       ProductSpec, SubspaceBasis,
-                       DEFAULT_CATALOG, parse_measure_id)
+                       ProductSpec, DEFAULT_CATALOG, parse_measure_id)
 from .numerics import jackknife_se
-from .reports import (ROUNDING_FLOOR, EstimatorResult, LemmaReport, composite_gate,
-                      entrywise_gate, gate)
+from .reports import ROUNDING_FLOOR, LemmaReport, composite_gate, entrywise_gate, gate
 
 GAUSSIAN_L = 1.0 / math.sqrt(2.0 * math.pi * math.e)
 
@@ -47,8 +46,8 @@ GAUSSIAN_L = 1.0 / math.sqrt(2.0 * math.pi * math.e)
 @dataclass(frozen=True)
 class IsotropicConstantReport:
     measure_id: str
-    l_value: EstimatorResult
-    entropy: EstimatorResult
+    l_value: float              # closed form, as is the entropy
+    entropy: float
     sandwich: LemmaReport       # the f(0) two-sided pin
     lower_bound: LemmaReport    # universal Gaussian floor
 
@@ -60,9 +59,8 @@ def isotropic_constant(spec: MeasureSpec) -> IsotropicConstantReport:
     two-sided f(0) pin holds, is 0, and det cov(mu) = 1.
     """
     n = spec.dim
-    ent = EstimatorResult(spec.entropy(), 0.0, 0, CLOSED_FORM)
-    l_val = math.exp(-ent.value / n)
-    l_est = EstimatorResult(l_val, 0.0, 0, CLOSED_FORM)
+    ent = spec.entropy()
+    l_val = math.exp(-ent / n)
 
     log_f0 = float(np.asarray(spec.log_density(np.zeros(n)), float))
     mid = math.exp(log_f0 / n)
@@ -76,71 +74,71 @@ def isotropic_constant(spec: MeasureSpec) -> IsotropicConstantReport:
 
     lower = gate("l-lower-bound", GAUSSIAN_L - 1e-9 - l_val, 0.0,
                  stderr=0.0, notes=f"floor (2 pi e)^(-1/2) = {GAUSSIAN_L:.8g}")
-    return IsotropicConstantReport(spec.measure_id(), l_est, ent, sandwich, lower)
+    return IsotropicConstantReport(spec.measure_id(), l_val, ent, sandwich, lower)
 
 
 # ---------------------------------------------------------------------------
 # Marginals
 
 
-def marginal(spec: MeasureSpec, basis: SubspaceBasis) -> MeasureSpec:
-    """The pushforward of ``spec`` under projection onto the basis columns.
+def marginal(spec: MeasureSpec, coords: tuple) -> MeasureSpec:
+    """The law of the coordinates ``coords`` (distinct indices, in order) of X ~ ``spec``.
 
-    Exact routes: Gaussians (rotation invariance), coordinate subspaces of
-    products (independence), and one-dimensional subspaces of balls (rotation
-    invariance again; the radial exponent drops by ambient dimension minus
-    one).  Any other subspace raises InputValidationError.
+    Exact routes: Gaussians (any coordinates), products (independence keeps
+    the chosen factors), and one coordinate of a ball (rotation invariance;
+    the radial exponent drops by ambient dimension minus one).  An empty,
+    repeated or out-of-range index, and any other marginal, raise
+    InputValidationError.
     """
-    if basis.columns.shape[0] != spec.dim:
-        raise InputValidationError("basis ambient dimension does not match the measure")
-    k = basis.columns.shape[1]
+    if not coords or len(set(coords)) < len(coords) or not set(coords) <= set(range(spec.dim)):
+        raise InputValidationError(
+            f"coordinates must be distinct indices in [0, {spec.dim}), got {coords!r}")
     if isinstance(spec, GaussianSpec):
-        return GaussianSpec(k)
-    if spec.factors is not None and basis.is_coordinate:
-        idx = basis.coordinate_indices()
+        return GaussianSpec(len(coords))
+    if spec.factors is not None:
         family = "cube" if spec.family == "cube" else "product"
-        return ProductSpec([spec.factors[i] for i in idx], family=family)
-    if isinstance(spec, BallSpec) and k == 1:
+        return ProductSpec([spec.factors[i] for i in coords], family=family)
+    if isinstance(spec, BallSpec) and len(coords) == 1:
         return ProductSpec([BallMarginalFactor(spec.dim)])
     raise InputValidationError(
         "marginal is only sample-tractable; the domination check needs a "
-        "localizable marginal (coordinate product, Gaussian, or 1D ball slice)")
+        "localizable marginal (product or Gaussian coordinates, or one ball coordinate)")
 
 
-def check_projection_domination(ensemble: PathEnsemble, basis: SubspaceBasis, k: int,
+def check_projection_domination(ensemble: PathEnsemble, coords: tuple, k: int,
                                 seed: int = 0, sigma: float = 4.0) -> LemmaReport:
-    """Localizing the marginal keeps at least the projected covariance.
+    """Localizing the marginal keeps at least the restricted covariance.
 
-    Reads A_t at grid index k > 0 of the run's ensemble; the marginal, another
-    measure, is localized here with as many paths on the grid [0, t].  Gates
-    lambda_min(E A_{E,t} - V^T E A_t V) >= -slack.  For exact-equality families
-    (Gaussian, coordinate products) an entrywise equality sub-report is attached.
+    Reads A_t at grid index k > 0 of the run's ensemble; the marginal on
+    ``coords``, another measure, is localized here with as many paths on the
+    grid [0, t].  Gates lambda_min(E A_{E,t} - (E A_t)_{E,E}) >= -slack.  For
+    exact-equality families (Gaussians, products) an entrywise equality
+    sub-report is attached.
     """
     spec, n_paths = ensemble.spec, ensemble.n_paths
-    sub_spec = marginal(spec, basis)
+    sub_spec = marginal(spec, coords)
     t = float(ensemble.grid.points[k])
     if t <= 0:
         raise InputValidationError("need t > 0")
     part = simulate_ensemble(sub_spec, make_uniform(t, 1), n_paths, seed, salt="marginal")
 
-    v = basis.columns
-    proj = np.einsum("ik,mij,jl->mkl", v, covariance.dense_rows(ensemble.cov[:, k]), v)
+    idx = np.array(coords)
+    # C order fixes the summation order of the path mean below, and so its bits
+    proj = np.ascontiguousarray(covariance.dense_rows(ensemble.cov[:, k])[:, idx[:, None], idx])
     lhs = covariance.dense_rows(part.cov[:, 1])
     diff = lhs.mean(axis=0) - proj.mean(axis=0)
     se = np.hypot(jackknife_se(lhs, axis=0), jackknife_se(proj, axis=0))
-    slack = sigma * v.shape[1] * float(se.max()) + ROUNDING_FLOOR
+    slack = sigma * len(coords) * float(se.max()) + ROUNDING_FLOOR
     lam_min = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0])
 
     subs = ()
-    exact_equality = (isinstance(spec, GaussianSpec)
-                      or (spec.factors is not None and basis.is_coordinate))
-    if exact_equality:
+    if isinstance(spec, GaussianSpec) or spec.factors is not None:
         subs = (entrywise_gate("projection-equality", np.abs(diff),
                                sigma * se + ROUNDING_FLOOR, se,
                                notes="independent blocks carry no cross-information,"),)
 
     return gate("projection-domination", -lam_min, slack, stderr=float(se.max()),
-                notes=f"t={t:g}, subspace dim {v.shape[1]}, n_paths={n_paths}", sub=subs)
+                notes=f"t={t:g}, subspace dim {len(coords)}, n_paths={n_paths}", sub=subs)
 
 
 def l_bounds_sweep(catalog=DEFAULT_CATALOG):
@@ -158,5 +156,5 @@ def l_bounds_sweep(catalog=DEFAULT_CATALOG):
     floor = gate("l-lower-bound-sweep", worst.lower_bound.statistic,
                  worst.lower_bound.tolerance, stderr=worst.lower_bound.stderr,
                  notes=f"worst member {worst.measure_id}; "
-                       f"max L observed {max(r.l_value.value for r in rows):.8g}")
+                       f"max L observed {max(r.l_value for r in rows):.8g}")
     return rows, floor

@@ -207,8 +207,9 @@ def _simulate(spec, grid, keys, driver):
         np.cumsum(w, axis=1, out=w)
         w += t[1:, None] * x[:, None, :]
     else:
+        # the increments, written in place; each Euler step adds onto its own
         x = None
-        incr = brownian_increments(keys, t, n)
+        brownian_increments(keys, t, n, out=theta[:, 1:])
 
     mean = np.empty((m, k_pts, n))
     cov = None
@@ -219,7 +220,7 @@ def _simulate(spec, grid, keys, driver):
             cov = np.empty((m, k_pts) + cov_k.shape[1:])
         cov[:, k] = cov_k
         if driver == "sde" and k + 1 < k_pts:  # Euler step, drift a_t = mean of the tilt
-            theta[:, k + 1] = theta[:, k] + mean[:, k] * dt[k] + incr[:, k]
+            theta[:, k + 1] += theta[:, k] + mean[:, k] * dt[k]
     return PathEnsemble(spec, grid, driver, theta, mean, cov, log_z, x)
 
 

@@ -16,14 +16,14 @@ spec here carries its moments:
 (scale 1/sqrt(2)), ``truncgauss`` (standard normal cut at |x| <= 1 and
 rescaled to unit variance).  All have mean 0 and variance 1, and each is a
 list of truncated-Gaussian ``pieces`` (see `Factor1D`); ``ballmarg``, the
-ball's 1D marginal, is the one factor without them.
+ball's 1D marginal, is the one factor without them.  Marginals are taken by
+coordinate index (`isoconst.marginal`), so there is no subspace type.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -492,49 +492,3 @@ def _positive_int(arg: str, measure_id: str) -> int:
         raise UnknownMeasureError(f"dimension must be >= 1 in {measure_id!r}")
     return value
 
-
-# ---------------------------------------------------------------------------
-# Subspaces
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal basis (columns) of a k-dim subspace of R^n."""
-
-    columns: np.ndarray
-
-    def __post_init__(self):
-        cols = np.asarray(self.columns, float)
-        if cols.ndim != 2 or cols.shape[0] < cols.shape[1]:
-            raise InputValidationError("columns must be an (n, k) matrix with k <= n")
-        gram = cols.T @ cols
-        if np.abs(gram - np.eye(cols.shape[1])).max() > 1e-12:
-            raise InputValidationError("basis columns are not orthonormal")
-        object.__setattr__(self, "columns", cols)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.columns.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.columns.shape[1]
-
-    @property
-    def is_coordinate(self) -> bool:
-        cols = self.columns
-        return bool((np.abs(cols * (1.0 - cols)) < 1e-14).all()
-                    and (np.abs(cols).sum(axis=0) == 1.0).all())
-
-    def coordinate_indices(self) -> list[int]:
-        if not self.is_coordinate:
-            raise InputValidationError("not a coordinate subspace")
-        return [int(np.argmax(np.abs(self.columns[:, j]))) for j in range(self.dim)]
-
-
-def coordinate_subspace(ambient_dim: int, indices) -> SubspaceBasis:
-    indices = list(indices)
-    cols = np.zeros((ambient_dim, len(indices)))
-    for j, i in enumerate(indices):
-        cols[i, j] = 1.0
-    return SubspaceBasis(cols)

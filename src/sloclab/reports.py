@@ -25,7 +25,6 @@ class EstimatorResult:
 
     value: float
     stderr: float
-    n: int = 0
     method: str = ""
     notes: str = ""
 

@@ -479,17 +479,18 @@ def tilt_table(spec: MeasureSpec, t: float, thetas: np.ndarray):
         # the base measure, isotropic by construction: mean 0, covariance Id
         cov = np.tile(np.eye(n), (m, 1, 1)) if isinstance(spec, BallSpec) else np.ones((m, n))
         return np.zeros(m), np.zeros((m, n)), cov, CLOSED_FORM
-    if isinstance(spec, GaussianSpec):
-        table = (*gaussian_tilt(n, t, thetas), CLOSED_FORM)
-    elif spec.factors is None:
-        table = (*ball_tilt_table(spec, t, thetas), QUADRATURE)
-    elif t == 0.0:
-        states = [tilt_moments_quadrature(spec, t, theta) for theta in thetas]
-        table = (np.array([s.log_z for s in states]), np.stack([s.mean for s in states]),
-                 np.stack([np.diag(s.cov) for s in states]), QUADRATURE)
-    else:
-        closed = all(f.pieces for f in spec.factors)
-        table = (*product_tilt_table(spec, t, thetas), CLOSED_FORM if closed else QUADRATURE)
+    with np.errstate(divide="ignore", invalid="ignore"):  # non-finite rows raise below
+        if isinstance(spec, GaussianSpec):
+            table = (*gaussian_tilt(n, t, thetas), CLOSED_FORM)
+        elif spec.factors is None:
+            table = (*ball_tilt_table(spec, t, thetas), QUADRATURE)
+        elif t == 0.0:
+            states = [tilt_moments_quadrature(spec, t, theta) for theta in thetas]
+            table = (np.array([s.log_z for s in states]), np.stack([s.mean for s in states]),
+                     np.stack([np.diag(s.cov) for s in states]), QUADRATURE)
+        else:
+            closed = all(f.pieces for f in spec.factors)
+            table = (*product_tilt_table(spec, t, thetas), CLOSED_FORM if closed else QUADRATURE)
     if not all(np.isfinite(a).all() for a in table[:3]):
         bad = ~np.logical_and.reduce([np.isfinite(a).reshape(m, -1).all(axis=1)
                                       for a in table[:3]])

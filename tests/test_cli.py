@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -518,14 +519,17 @@ def test_tilt_probe_t_zero_unbounded_factor_prints_nothing(capsys):
     assert "factor 0 (exp)" in captured.err
 
 
-def test_tilt_probe_rejects_a_tilt_that_is_not_finite(capsys):
-    # the closed cube tilt underflows at t = 1e-300; it must not print -inf and NaN
-    with np.errstate(divide="ignore", invalid="ignore"):
+def test_tilt_probe_rejects_a_tilt_that_is_not_finite(capfd):
+    # the closed cube tilt underflows at t = 1e-300; it must not print -inf and NaN,
+    # and the log 0 and 0/0 on the way to that row warn nowhere: the error prints alone
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(["tilt-probe", "--measure", "cube:2", "--t", "1e-300", "--theta", "1,1"])
-    captured = capsys.readouterr()
+    captured = capfd.readouterr()
     assert code == 1
+    assert [str(w.message) for w in caught] == []
     assert captured.out == ""
-    assert "cube:2 tilt at t=1e-300 is not finite at |theta|=1.41421" in captured.err
+    assert captured.err == "error: cube:2 tilt at t=1e-300 is not finite at |theta|=1.41421\n"
 
 
 def test_tilt_probe_ball_notes_reference_route(capsys):
@@ -545,7 +549,7 @@ def test_lk_table_written(tmp_path, capsys):
     assert code == 0
     rows = (tmp_path / "lk_table.csv").read_text().splitlines()
     assert len(rows) == 10  # header plus the nine catalog measures
-    assert rows[0].startswith("measure,dim,l_value")
+    assert rows[0] == "measure,dim,l_value,entropy,sandwich,floor"
     assert "l-lower-bound-sweep" in out
 
 

@@ -140,6 +140,21 @@ def test_path_layer_peaks_in_units_of_one_path_array():
     assert framed < 7.0 * one_path, framed / one_path
 
 
+def test_sde_driver_peaks_below_a_separate_increment_array():
+    # the sde driver draws its increments into theta and steps onto them: theta,
+    # mean and cov, with no fourth (m, K, n) array of increments beside them
+    grid = make_geometric()
+    m, n = 512, 16
+    one_path = m * grid.n_points * n * 8
+    tracemalloc.start()
+    try:
+        simulate_ensemble(parse_measure_id("cube:16"), grid, m, seed=0, driver="sde")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.3 * one_path, peak / one_path
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="the fault count follows glibc's malloc thresholds")
 def test_direct_driver_does_not_refault_its_tilt_temporaries():

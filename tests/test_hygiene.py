@@ -12,6 +12,9 @@
   binds functions by name); dunder methods are called implicitly and are
   exempt.  ``__init__.py`` re-exports what tests and users import, so its
   imports and ``__all__`` are not reads.
+* Every annotated field of a ``src/`` class is read somewhere in ``src/`` or
+  ``perfbench/``, as an attribute load or an identifier string: no field is
+  written and never read.  A bare name of the same spelling is not a read.
 * Nothing in ``src/`` compares against a ``.tag`` attribute: a factor's
   behaviour follows from its data (its ``pieces``), never from branching on
   its name.
@@ -136,6 +139,28 @@ def unread_functions(tree: ast.Module, reads: Counter) -> list:
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                   and not (node.name.startswith("__") and node.name.endswith("__"))
                   and reads[node.name] <= names_read(node)[node.name])
+
+
+def attributes_read(modules) -> Counter:
+    """How often each attribute is loaded, or named by an identifier string, in ``modules``."""
+    out = Counter()
+    for tree in modules:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store):
+                out[n.attr] += 1
+            elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
+                  and n.value.isidentifier()):
+                out[n.value] += 1
+    return out
+
+
+def unread_fields(tree: ast.Module, reads: Counter) -> list:
+    """(line, "Class.field") of every annotated class field in ``tree`` that ``reads`` lacks."""
+    return sorted((stmt.lineno, f"{node.name}.{stmt.target.id}")
+                  for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                  for stmt in node.body
+                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                  and not reads[stmt.target.id])
 
 
 def tag_comparisons(tree: ast.Module) -> list:
@@ -336,6 +361,11 @@ def test_every_source_function_is_read_outside_tests():
     assert _scan(PACKAGE, lambda tree: unread_functions(tree, reads)) == []
 
 
+def test_every_source_field_is_read_outside_tests():
+    reads = attributes_read(_tree(p) for p in PACKAGE + BENCH if p.name != "__init__.py")
+    assert _scan(PACKAGE, lambda tree: unread_fields(tree, reads)) == []
+
+
 def test_no_branching_on_factor_tags():
     assert _scan(PACKAGE, tag_comparisons) == []
 
@@ -471,6 +501,15 @@ def test_scanners_flag_what_they_look_for():
     reads = source_reads([("__init__.py", init), ("measures.py", lib)])
     assert unread_functions(lib, reads) == [(3, "Unused"), (5, "whiten")]
     assert unread_functions(lib, names_read(init) + names_read(lib)) == [(3, "Unused")]
+    fields = ast.parse("class Result:\n"
+                       "    value: float\n"
+                       "    n: int = 0\n"
+                       "    label: str = ''\n"
+                       "    count = 3\n"
+                       "def show(r, n):\n"
+                       "    r.n = n\n"
+                       "    return f'{r.value}', getattr(r, 'label')\n")
+    assert unread_fields(fields, attributes_read([fields])) == [(3, "Result.n")]
     tags = ast.parse("if factor.tag == 'exp':\n"
                      "    pass\n"
                      "ok = 'laplace' != f.tag\n"

@@ -1,4 +1,4 @@
-"""Measure catalog: densities, moments, entropies, subspaces."""
+"""Measure catalog: densities, moments, entropies."""
 
 import math
 
@@ -8,16 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from sloclab.errors import InputValidationError, UnknownMeasureError
+from sloclab.errors import UnknownMeasureError
 from sloclab.measures import (
     DEFAULT_CATALOG,
     BallMarginalFactor,
     BallSpec,
     ProductSpec,
     SQRT3,
-    SubspaceBasis,
     UniformFactor,
-    coordinate_subspace,
     make_ball,
     make_cube,
     make_factor,
@@ -363,36 +361,3 @@ def test_parse_measure_id_errors():
         parse_measure_id("cube:two")
     with pytest.raises(UnknownMeasureError, match="dimension must be >= 1"):
         parse_measure_id("ball:0")
-
-
-# ---------------------------------------------------------------------------
-# Subspaces
-
-
-def test_coordinate_subspace_round_trip():
-    basis = coordinate_subspace(5, [0, 3])
-    assert basis.ambient_dim == 5
-    assert basis.dim == 2
-    assert basis.is_coordinate
-    assert basis.coordinate_indices() == [0, 3]
-    assert np.array_equal(np.arange(5.0) @ basis.columns, [0.0, 3.0])
-
-
-def test_random_subspace_is_orthonormal(random_subspace):
-    basis = random_subspace(6, 3, generator(2, "subspace"))
-    gram = basis.columns.T @ basis.columns
-    assert np.allclose(gram, np.eye(3), atol=1e-12)
-    assert not basis.is_coordinate
-
-
-def test_subspace_rejects_bad_columns():
-    with pytest.raises(InputValidationError, match="orthonormal"):
-        SubspaceBasis(np.ones((3, 2)))
-    with pytest.raises(InputValidationError, match="matrix"):
-        SubspaceBasis(np.ones((2, 3)))
-
-
-def test_non_coordinate_indices_raise(random_subspace):
-    q = random_subspace(4, 2, generator(3, "subspace"))
-    with pytest.raises(InputValidationError, match="coordinate"):
-        q.coordinate_indices()
