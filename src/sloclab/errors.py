@@ -14,7 +14,7 @@ class UnknownMeasureError(InputValidationError):
 
 
 class DivergentTilt(SloclabError):
-    """Tilted partition function is infinite, or not finite in floating point, at (t, theta)."""
+    """A tilt at t > 0, whose mass is always finite, is not finite in floating point."""
 
 
 class ConfigError(SloclabError):

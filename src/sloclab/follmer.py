@@ -44,8 +44,6 @@ from .numerics import (KS_LEVEL, U_CUT, familywise_level, jackknife_se, ks_pvalu
 from .reports import (COV_IDENTITY_FLOOR, ROUNDING_FLOOR, EstimatorResult, LemmaReport,
                       composite_gate, derivative_gate, entrywise_gate, gate)
 
-_QUAD_KW = dict(epsabs=1e-12, epsrel=1e-11, limit=200)
-
 
 @dataclass(frozen=True)
 class FrameEnsemble:
@@ -57,7 +55,6 @@ class FrameEnsemble:
     """
 
     spec: MeasureSpec
-    driver: str
     t: np.ndarray               # (K,) original times
     r: np.ndarray               # (K,) r = t / (1 + t)
     x: np.ndarray               # (m, K, n)
@@ -81,8 +78,7 @@ def to_follmer(ensemble: PathEnsemble) -> FrameEnsemble:
     v = ensemble.mean * scale
     v -= ensemble.theta
     return FrameEnsemble(
-        spec=ensemble.spec, driver=ensemble.driver,
-        t=t, r=ensemble.grid.r_points,
+        spec=ensemble.spec, t=t, r=ensemble.grid.r_points,
         x=ensemble.theta / scale, v=v,
         gamma=ensemble.cov * covariance.per_time(1.0 + t, ensemble.cov),
         cov_t=ensemble.cov)
@@ -188,7 +184,7 @@ def _factor_fisher(factor, r: float) -> tuple[float, float]:
     kinks = sorted({r * u for u in (factor.lo, 0.0, factor.hi) if math.isfinite(u)})
     lo_y = r * max(factor.lo, -U_CUT) - 10.0 * s
     hi_y = r * min(factor.hi, U_CUT) + 10.0 * s
-    return quad(integrand, lo_y, hi_y, points=kinks, **_QUAD_KW)
+    return quad(integrand, lo_y, hi_y, points=kinks)
 
 
 def marginal_fisher_information(spec: MeasureSpec, r: float) -> EstimatorResult:

@@ -162,8 +162,7 @@ def _factor_deficit(f) -> tuple[float, float]:
     lo, hi = 2.0 * max(f.lo, -U_CUT), 2.0 * min(f.hi, U_CUT)
     ends = [end for _, _, p_lo, p_hi, _ in f.pieces for end in (p_lo, p_hi)]
     kinks = sorted({u + v for u in ends for v in ends if lo < u + v < hi})
-    h_sum, err = quad(integrand, lo, hi, points=kinks, epsabs=1e-12, epsrel=1e-11,
-                      limit=200)
+    h_sum, err = quad(integrand, lo, hi, points=kinks)
     return h_sum - 0.5 * math.log(2.0) - f.entropy(), err
 
 
@@ -187,8 +186,7 @@ def _ball_deficit(spec: BallSpec) -> EstimatorResult:
         g = _ball_sum_density(spec, s)
         return -sphere * s ** (n - 1) * xlogy(g, g)
 
-    h_sum, err = quad(integrand, 0.0, 2.0 * spec.radius, epsabs=1e-12, epsrel=1e-11,
-                      limit=200)
+    h_sum, err = quad(integrand, 0.0, 2.0 * spec.radius)
     return EstimatorResult(h_sum - 0.5 * n * math.log(2.0) - spec.entropy(), err,
                            LENS_QUADRATURE, notes="radial quadrature of the lens volume")
 

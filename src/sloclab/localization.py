@@ -120,12 +120,10 @@ class PathEnsemble:
 
     spec: MeasureSpec
     grid: TimeGrid
-    driver: str
     theta: np.ndarray           # (m, K, n)
     mean: np.ndarray            # (m, K, n)
     cov: np.ndarray             # (m, K, n) or (m, K, n, n)
     log_z: np.ndarray           # (m, K)
-    x: np.ndarray | None = None
     # init=False: dataclasses.replace starts a fresh cache instead of sharing one
     _stats_cache: list = field(default_factory=list, init=False, repr=False, compare=False)
 
@@ -208,7 +206,6 @@ def _simulate(spec, grid, keys, driver):
         w += t[1:, None] * x[:, None, :]
     else:
         # the increments, written in place; each Euler step adds onto its own
-        x = None
         brownian_increments(keys, t, n, out=theta[:, 1:])
 
     mean = np.empty((m, k_pts, n))
@@ -221,7 +218,7 @@ def _simulate(spec, grid, keys, driver):
         cov[:, k] = cov_k
         if driver == "sde" and k + 1 < k_pts:  # Euler step, drift a_t = mean of the tilt
             theta[:, k + 1] += theta[:, k] + mean[:, k] * dt[k]
-    return PathEnsemble(spec, grid, driver, theta, mean, cov, log_z, x)
+    return PathEnsemble(spec, grid, theta, mean, cov, log_z)
 
 
 def simulate_ensemble(spec: MeasureSpec, grid: TimeGrid, n_paths: int, seed: int,

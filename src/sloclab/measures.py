@@ -1,10 +1,10 @@
 """Catalog of log-concave probability measures on R^n.
 
-Every measure is described by its potential psi with density
-rho(x) = exp(-psi(x)), psi convex (+inf outside the support).  Every catalog
-member is isotropic by construction (barycenter 0, covariance identity), as
-the slicing problem states its bodies; there is no whitening route, and no
-spec here carries its moments:
+Every measure is described by its log density log rho(x) = -psi(x), with
+psi convex (+inf outside the support).  Every catalog member is isotropic
+by construction (barycenter 0, covariance identity), as the slicing problem
+states its bodies; there is no whitening route, and no spec here carries
+its moments:
 
 * ``gaussian:n``   standard Gaussian
 * ``cube:n``       uniform on [-sqrt(3), sqrt(3)]^n
@@ -46,11 +46,10 @@ class Factor1D:
 
     A closed-form factor lists its density as ``pieces``, tuples
     (c, b, lo, hi, k) that each mean exp(k - c x^2/2 - b x) on [lo, hi] with
-    c >= 0.  The density, the tilted mode, the t = 0 decay rates and the
-    tilt all follow from them, and so do the sum law behind the EPI deficit
-    and the Fisher information of r X + sqrt(r (1 - r)) Z.  A factor without
-    pieces overrides the density and the tilt; its rates default to
-    (inf, inf), as for any bounded support, and it has no deficit or Fisher
+    c >= 0.  The density, the tilted mode and the tilt all follow from
+    them, and so do the sum law behind the EPI deficit and the Fisher
+    information of r X + sqrt(r (1 - r)) Z.  A factor without pieces
+    overrides the density and the tilt, and it has no deficit or Fisher
     route (`require_pieces`).
     """
 
@@ -77,31 +76,16 @@ class Factor1D:
     def tilt_mode(self, t: float, theta: np.ndarray) -> np.ndarray:
         """Batched mode of the tilted density exp(theta x - t x^2/2) rho(x); NaN without pieces.
 
-        Tilted, each piece peaks at (theta - b)/(t + c) clipped to [lo, hi],
-        or at the end its slope points to when t + c = 0; the mode is the
-        best of those points.  The tilt must have a finite mass.
+        Tilted at t > 0, each piece peaks at (theta - b)/(t + c) clipped to
+        [lo, hi]; the mode is the best of those points.
         """
         theta = np.asarray(theta, float)
         if not self.pieces:
             return np.full(theta.shape, np.nan)
-        modes = np.stack([np.clip((theta - b) / (t + c), lo, hi) if t + c
-                          else np.where(theta > b, hi, lo)
+        modes = np.stack([np.clip((theta - b) / (t + c), lo, hi)
                           for c, b, lo, hi, _ in self.pieces])
         best = np.argmax(theta * modes - 0.5 * t * modes * modes + self.log_density(modes), 0)
         return np.take_along_axis(modes, best[None], axis=0)[0]
-
-    def tilt_rates(self) -> tuple[float, float]:
-        """Exponential decay rates of the density at -inf / +inf.
-
-        The t = 0 tilt by exp(theta * x) has a finite partition function iff
-        -left_rate < theta < right_rate.  A Gaussian piece decays faster
-        than any exponential; a piece with c = 0 decays at rate |b|.
-        """
-        left = min((np.inf if c else -b for c, b, lo, _, _ in self.pieces if lo == -np.inf),
-                   default=np.inf)
-        right = min((np.inf if c else b for c, b, _, hi, _ in self.pieces if hi == np.inf),
-                    default=np.inf)
-        return left, right
 
     def tilt_stats(self, t: float, theta: np.ndarray):
         """Batched (log Z, mean, var) of the tilted factor, t > 0.
@@ -258,7 +242,7 @@ class BallMarginalFactor(Factor1D):
                 + self.exponent * self._psi_gap)
 
     def tilt_stats(self, t, theta):
-        # weight exp(theta y - t y^2 / 2) (R^2 - y^2)^exponent, any t >= 0
+        # weight exp(theta y - t y^2 / 2) (R^2 - y^2)^exponent, t > 0
         theta = np.asarray(theta, float)
         log_int, mean, var, _, _, _ = radial_tilt_moments(
             theta.ravel(), t, self.radius, lambda gap: xlogy(self.exponent, gap))
@@ -307,12 +291,9 @@ class MeasureSpec:
     # factors is not None exactly when the measure is a coordinate product
     factors: tuple[Factor1D, ...] | None = None
 
-    def potential(self, x: np.ndarray) -> np.ndarray:
-        """psi(x) = -log rho(x) for points x of shape (..., dim)."""
-        raise NotImplementedError
-
     def log_density(self, x: np.ndarray) -> np.ndarray:
-        return -self.potential(x)
+        """log rho(x) for points x of shape (..., dim); -inf outside the support."""
+        raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
@@ -336,9 +317,9 @@ class GaussianSpec(MeasureSpec):
             raise InputValidationError("dim must be >= 1")
         self.dim = int(dim)
 
-    def potential(self, x):
+    def log_density(self, x):
         x = np.asarray(x, float)
-        return 0.5 * (x * x).sum(axis=-1) + 0.5 * self.dim * _LOG_2PI
+        return -0.5 * (x * x).sum(axis=-1) - 0.5 * self.dim * _LOG_2PI
 
     def sample(self, rng, size):
         return rng.standard_normal((size, self.dim))
@@ -375,13 +356,13 @@ class ProductSpec(MeasureSpec):
                 itertools.groupby(factors, lambda f: (type(f), f.pieces or f))]
         self.runs = tuple((run[0], len(run)) for run in runs)
 
-    def potential(self, x):
+    def log_density(self, x):
         x = np.asarray(x, float)
         if x.shape[-1] != self.dim:
             raise InputValidationError(f"points must have {self.dim} coordinates")
         total = np.zeros(x.shape[:-1])
         for j, f in enumerate(self.factors):
-            total = total - f.log_density(x[..., j])
+            total = total + f.log_density(x[..., j])
         return total
 
     def sample(self, rng, size):
@@ -411,11 +392,11 @@ class BallSpec(MeasureSpec):
         log_unit_vol = 0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim + 1.0)
         self._log_vol = log_unit_vol + dim * math.log(self.radius)
 
-    def potential(self, x):
+    def log_density(self, x):
         x = np.asarray(x, float)
         rad2 = (x * x).sum(axis=-1)
         inside = rad2 <= self.radius**2 * (1.0 + _SUPPORT_TOL)
-        return np.where(inside, self._log_vol, np.inf)
+        return np.where(inside, -self._log_vol, -np.inf)
 
     def sample(self, rng, size):
         g = rng.standard_normal((size, self.dim))

@@ -4,30 +4,33 @@ For a measure rho and parameters (t, theta) the tilted probability density is
 
     p_{t,theta}(x) = exp(theta . x - t |x|^2 / 2) rho(x) / Z(t, theta).
 
+Localization tilts only at t > 0 and starts from theta_0 = 0, so every
+entry point takes t > 0, and `tilt_table` (with `tilt_moments`, its batch
+of one) also takes the base state t = 0, theta = 0: every catalog measure
+is isotropic by construction, so it is mean 0 and covariance Id, with no
+moments to look up.  Any other t = 0 call raises InputValidationError.
+
 This module computes log Z, the barycenter a(t, theta) and the covariance
 A(t, theta) of p_{t,theta} along two routes:
 
 * closed form   -- Gaussian conjugacy, and truncated-normal algebra for the
                    coordinate-product factors (the hot path for drivers);
 * quadrature    -- adaptive 1D integration per factor, abs tol ~1e-12, the
-                   independent oracle for the closed forms and the t = 0
-                   product route; and one fixed Gauss-Legendre rule over
-                   u = x . theta/|theta| for the ball and its 1D marginal
-                   (`ball_tilt_table`, `numerics.radial_tilt_moments`).
+                   independent oracle for the closed forms; and one fixed
+                   Gauss-Legendre rule over u = x . theta/|theta| for the
+                   ball and its 1D marginal (`ball_tilt_table`,
+                   `numerics.radial_tilt_moments`).
 
-`tilt_table` picks the route for a batch of thetas at one t; it is the one
-place that branches on the measure family.  Every catalog measure is
-isotropic by construction, so the untilted base state (t = 0, theta = 0)
-is mean 0 and covariance Id, with no moments to look up.  A spec outside
-the catalog's families has no route.
+`tilt_table` picks the route for a batch of thetas at one t.  A spec
+outside the catalog's families has no route.
 
 `tilt_sample_batch` draws exact points of p_{t,theta} for a batch of thetas
 (m, n), as `tilt_table` takes them, from one sampler for 1D log-concave
 densities (`sample_log_concave`): a product's m n coordinates in one call,
 a ball's m rows of u, then m size rows of |y| given u, then y's direction.
+It branches on the measure family as `tilt_table` does.
 
-A t = 0 tilt with an infinite exponential moment, and any tilt that is not
-finite in floating point, raise DivergentTilt.
+A tilt that is not finite in floating point raises DivergentTilt.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 
 from . import covariance, streams
 from .errors import DivergentTilt, InputValidationError
-from .measures import BallMarginalFactor, BallSpec, GaussianSpec, MeasureSpec, ProductSpec
+from .measures import BallSpec, GaussianSpec, MeasureSpec, ProductSpec
 from .numerics import gamma_p, jackknife_se, quad, radial_tilt_moments, xlogy
 from .reports import COV_IDENTITY_FLOOR, LemmaReport, entrywise_gate
 
@@ -61,29 +64,21 @@ class TiltState:
     method: str
 
 
-def _validate(spec: MeasureSpec, t: float, theta, batch: bool = False) -> np.ndarray:
-    """theta as floats of shape (n,), or (m, n) for a batch; t >= 0 and both finite."""
+def _validate(dim: int, t: float, theta, batch: bool = False, base: bool = False) -> np.ndarray:
+    """theta as floats of shape (dim,), or (m, dim) for a batch; both finite, t > 0.
+
+    ``base`` also admits the base state t = 0, theta = 0.
+    """
     theta = np.asarray(theta, float) if batch else np.atleast_1d(np.asarray(theta, float))
-    if theta.ndim != (2 if batch else 1) or theta.shape[-1] != spec.dim:
-        shape = f"(m, {spec.dim})" if batch else f"({spec.dim},)"
+    if theta.ndim != (2 if batch else 1) or theta.shape[-1] != dim:
+        shape = f"(m, {dim})" if batch else f"({dim},)"
         raise InputValidationError(f"theta must have shape {shape}")
     if not np.isfinite(theta).all() or not np.isfinite(t):
         raise InputValidationError("t and theta must be finite")
-    if t < 0:
-        raise InputValidationError("t must be >= 0")
+    if not (t > 0 or (base and t == 0 and not theta.any())):
+        raise InputValidationError("t must be > 0, or 0 at theta = 0" if base
+                                   else "t must be > 0")
     return theta
-
-
-def _check_rates(factors, theta) -> None:
-    """Raise DivergentTilt unless every t = 0 tilt by theta (..., n) has a finite mass."""
-    theta = np.asarray(theta, float)
-    for j, f in enumerate(factors):
-        left, right = f.tilt_rates()
-        bad = (theta[..., j] >= right) | (-theta[..., j] >= left)
-        if bad.any():
-            raise DivergentTilt(
-                f"t=0 tilt diverges on factor {j} ({f.tag}): theta={theta[..., j][bad][0]:.3g} "
-                f"outside (-{left:.3g}, {right:.3g})")
 
 
 # ---------------------------------------------------------------------------
@@ -132,15 +127,14 @@ def _directions(thetas: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def ball_tilt_table(spec: BallSpec, t: float, thetas: np.ndarray):
-    """Exact tilt moments of the uniform ball for a batch of thetas (m, n) at one t.
+    """Exact tilt moments of the uniform ball for a batch of thetas (m, n) at one t > 0.
 
     Write x = u e + y with e = theta/|theta| and y orthogonal to e.  Given u,
     y is N(0, Id/t) cut to the (n-1)-ball of radius (R^2 - u^2)^(1/2), so u
     has the weight exp(|theta| u - t u^2/2) P(chi2_{n-1} <= t (R^2 - u^2))
-    and E[|y|^2 | u] = (n-1)/t P(chi2_{n+1} <= .)/P(chi2_{n-1} <= .).  At
-    t = 0 u follows the tilted 1D marginal and E[|y|^2 | u] is
-    (n-1)/(n+1) (R^2 - u^2).  One `radial_tilt_moments` call integrates u,
-    and mean = E[u] e, cov = Var(u) e e^T + E|y|^2/(n-1) (Id - e e^T).
+    and E[|y|^2 | u] = (n-1)/t P(chi2_{n+1} <= .)/P(chi2_{n-1} <= .).  One
+    `radial_tilt_moments` call integrates u, and mean = E[u] e,
+    cov = Var(u) e e^T + E|y|^2/(n-1) (Id - e e^T).
 
     Returns (log_z (m,), mean (m, n), cov (m, n, n)); at small t and large n
     a row's chi-square mass underflows and it is not finite (`tilt_table` rejects it).
@@ -151,18 +145,14 @@ def ball_tilt_table(spec: BallSpec, t: float, thetas: np.ndarray):
     s = np.linalg.norm(thetas, axis=1)
     e = _directions(thetas, s)
 
-    if t == 0.0:
-        log_z, mean_u, var_u = BallMarginalFactor(n).tilt_stats(0.0, s)
-        across = (radius * radius - mean_u * mean_u - var_u) / (n + 1)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):  # tilt_table rejects NaN rows
-            log_int, mean_u, var_u, gap, log_h, prob = radial_tilt_moments(
-                s, t, radius, lambda gap: _log_inside(k, t, gap))
-        log_z = log_int + 0.5 * k * math.log(2.0 * math.pi / t) - spec.entropy()
-        lower = np.exp(log_h)
-        ratio = np.divide(gamma_p(0.5 * k + 1.0, 0.5 * t * gap), lower,
-                          out=np.zeros_like(gap), where=lower > 0.0)
-        across = (prob * ratio).sum(axis=1) / t
+    with np.errstate(divide="ignore", invalid="ignore"):  # tilt_table rejects NaN rows
+        log_int, mean_u, var_u, gap, log_h, prob = radial_tilt_moments(
+            s, t, radius, lambda gap: _log_inside(k, t, gap))
+    log_z = log_int + 0.5 * k * math.log(2.0 * math.pi / t) - spec.entropy()
+    lower = np.exp(log_h)
+    ratio = np.divide(gamma_p(0.5 * k + 1.0, 0.5 * t * gap), lower,
+                      out=np.zeros_like(gap), where=lower > 0.0)
+    across = (prob * ratio).sum(axis=1) / t
     cov = across[:, None, None] * np.eye(n) + ((var_u - across)[:, None, None]
                                                * e[:, :, None] * e[:, None, :])
     return log_z, mean_u[:, None] * e, cov
@@ -173,9 +163,8 @@ def ball_tilt_table(spec: BallSpec, t: float, thetas: np.ndarray):
 
 
 def factor_tilt_quadrature(f, t: float, theta: float):
-    """(log Z, mean, var) of one tilted 1D factor by adaptive quadrature."""
-    if t == 0.0:
-        _check_rates([f], [theta])
+    """(log Z, mean, var) of one tilted 1D factor, t > 0, by adaptive quadrature."""
+    theta = float(_validate(1, t, theta)[0])
 
     def exponent(x):
         return theta * x - 0.5 * t * x * x + f.log_density(np.asarray(x, float))
@@ -201,12 +190,10 @@ def factor_tilt_quadrature(f, t: float, theta: float):
 
 
 def tilt_moments_quadrature(spec: MeasureSpec, t: float, theta) -> TiltState:
-    """Per-factor adaptive quadrature; defined for coordinate products."""
-    theta = _validate(spec, t, theta)
+    """Per-factor adaptive quadrature, t > 0; defined for coordinate products."""
+    theta = _validate(spec.dim, t, theta)
     if spec.factors is None:
         raise InputValidationError("quadrature route needs a coordinate product")
-    if t == 0.0:
-        _check_rates(spec.factors, theta)
     log_z, mean, var = zip(*(factor_tilt_quadrature(f, t, float(th))
                              for f, th in zip(spec.factors, theta)))
     return TiltState(t, theta, float(sum(log_z)), np.array(mean), np.diag(var), QUADRATURE)
@@ -387,21 +374,17 @@ def _product_draws(spec: ProductSpec, t: float, thetas: np.ndarray, rng, size: i
 
 
 def _ball_draws(spec: BallSpec, t: float, thetas: np.ndarray, rng, size: int):
-    """x = u e + y as in `ball_tilt_table`, (m, size, n): u from its weight
-    (at t = 0 the tilted `ballmarg` density), m rows; then |y| from
-    rho^(n-2) exp(-t rho^2/2) on [0, (R^2 - u^2)^(1/2)], m size rows; then
-    y's direction uniformly in e's orthogonal complement."""
+    """x = u e + y as in `ball_tilt_table`, (m, size, n): u from its weight,
+    m rows; then |y| from rho^(n-2) exp(-t rho^2/2) on [0, (R^2 - u^2)^(1/2)],
+    m size rows; then y's direction uniformly in e's orthogonal complement."""
     m, n = thetas.shape
     radius = spec.radius
     # |theta| by one dot product per row, as np.linalg.norm takes it for one
     # theta: the axis=1 norm can differ by an ulp, which moves every seeded draw
     s = np.sqrt((thetas[:, None, :] @ thetas[:, :, None])[:, 0, 0])
     e = _directions(thetas, s)
-    marginal = BallMarginalFactor(n)
 
     def u_weight(u):
-        if t == 0.0:
-            return s[:, None] * u + marginal.log_density(u)
         with np.errstate(divide="ignore", invalid="ignore"):
             inside = _log_inside(n - 1, t, (radius - u) * (radius + u))
         return np.where(np.abs(u) <= radius, s[:, None] * u - 0.5 * t * u * u + inside,
@@ -418,9 +401,8 @@ def _ball_draws(spec: BallSpec, t: float, thetas: np.ndarray, rng, size: int):
             inside = (rho >= 0.0) & (rho <= reach[:, None])
             return np.where(inside, xlogy(n - 2, rho) - 0.5 * t * rho * rho, -np.inf)
 
-    peak = math.sqrt((n - 2) / t) if t > 0.0 else np.inf
     rho, p, a = sample_log_concave(radial, np.zeros(m * size), reach, rng, 1,
-                                   mode=np.minimum(peak, reach))
+                                   mode=np.minimum(math.sqrt((n - 2) / t), reach))
     g = rng.standard_normal((m, size, n))
     g -= (g @ e[:, :, None]) * e[:, None, :]
     g /= np.linalg.norm(g, axis=2, keepdims=True)
@@ -430,20 +412,18 @@ def _ball_draws(spec: BallSpec, t: float, thetas: np.ndarray, rng, size: int):
 
 def tilt_sample_batch(spec: MeasureSpec, t: float, thetas, rng: np.random.Generator,
                       size: int):
-    """Draw ``size`` exact points of p_{t,theta} for each row of thetas (m, n).
+    """Draw ``size`` exact points of p_{t,theta} for each row of thetas (m, n), t > 0.
 
     Returns (samples (m, size, n), proposals, accepted), the counts summed
     over every 1D draw (m size, m size for Gaussians, which are conjugate).
     """
-    thetas = _validate(spec, t, thetas, batch=True)
+    thetas = _validate(spec.dim, t, thetas, batch=True)
     m, n = thetas.shape
     if isinstance(spec, GaussianSpec):
         tau = 1.0 + t
         return (thetas[:, None, :] / tau + rng.standard_normal((m, size, n)) / math.sqrt(tau),
                 m * size, m * size)
     if spec.factors is not None:
-        if t == 0.0:
-            _check_rates(spec.factors, thetas)
         return _product_draws(spec, t, thetas, rng, size)
     if isinstance(spec, BallSpec):
         return _ball_draws(spec, t, thetas, rng, size)
@@ -462,20 +442,19 @@ def tilt_table(spec: MeasureSpec, t: float, thetas: np.ndarray):
     Returns (log_z (m,), mean (m, n), cov, method).  ``cov`` is in the shape
     of its structure: the variances (m, n) for Gaussians and coordinate
     products, whose tilts have diagonal covariances, and full matrices
-    (m, n, n) for balls.  At t = 0 with theta = 0 every measure is its own
-    base state, isotropic by construction: log Z = 0, mean 0, covariance
-    Id.  Gaussians are conjugate; coordinate products are exact (closed
-    form, with the ballmarg factor by quadrature, and adaptive quadrature
-    for every factor at t = 0); balls use `ball_tilt_table` at every t.
-    Other specs, a batch of another width, a non-finite entry and t < 0
-    raise InputValidationError; a non-finite row, on any route, raises
-    DivergentTilt naming the measure, t and its |theta|.
+    (m, n, n) for balls.  t = 0 is the base state, theta = 0, isotropic by
+    construction: log Z = 0, mean 0, covariance Id.  At t > 0 Gaussians
+    are conjugate; coordinate products are exact (closed form, with the
+    ballmarg factor by quadrature); balls use `ball_tilt_table`.  Other
+    specs, a batch of another width, a non-finite entry, t < 0 and t = 0
+    with theta != 0 raise InputValidationError; a non-finite row, on any
+    route, raises DivergentTilt naming the measure, t and its |theta|.
     """
-    thetas = _validate(spec, t, thetas, batch=True)
+    thetas = _validate(spec.dim, t, thetas, batch=True, base=True)
     if not (isinstance(spec, (GaussianSpec, BallSpec)) or spec.factors is not None):
         raise InputValidationError(_NO_ROUTE.format(spec.measure_id()))
     m, n = thetas.shape
-    if t == 0.0 and not np.any(thetas):
+    if t == 0.0:
         # the base measure, isotropic by construction: mean 0, covariance Id
         cov = np.tile(np.eye(n), (m, 1, 1)) if isinstance(spec, BallSpec) else np.ones((m, n))
         return np.zeros(m), np.zeros((m, n)), cov, CLOSED_FORM
@@ -484,10 +463,6 @@ def tilt_table(spec: MeasureSpec, t: float, thetas: np.ndarray):
             table = (*gaussian_tilt(n, t, thetas), CLOSED_FORM)
         elif spec.factors is None:
             table = (*ball_tilt_table(spec, t, thetas), QUADRATURE)
-        elif t == 0.0:
-            states = [tilt_moments_quadrature(spec, t, theta) for theta in thetas]
-            table = (np.array([s.log_z for s in states]), np.stack([s.mean for s in states]),
-                     np.stack([np.diag(s.cov) for s in states]), QUADRATURE)
         else:
             closed = all(f.pieces for f in spec.factors)
             table = (*product_tilt_table(spec, t, thetas), CLOSED_FORM if closed else QUADRATURE)
@@ -501,7 +476,7 @@ def tilt_table(spec: MeasureSpec, t: float, thetas: np.ndarray):
 
 def tilt_moments(spec: MeasureSpec, t: float, theta) -> TiltState:
     """Moments of p_{t,theta}: `tilt_table` on a batch of one."""
-    theta = _validate(spec, t, theta)
+    theta = _validate(spec.dim, t, theta, base=True)
     log_z, mean, cov, method = tilt_table(spec, t, theta[None, :])
     return TiltState(t, theta, float(log_z[0]), mean[0], covariance.dense_rows(cov)[0],
                      method)

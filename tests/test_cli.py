@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import math
 import os
 import re
 import shutil
@@ -19,7 +18,6 @@ import sloclab
 from sloclab.cli import (_CHECK_IDS, _REGISTRY, SETTINGS, RunContext, _build_parser,
                          build_config, main)
 from sloclab.errors import ConfigError
-from sloclab.measures import SQRT3
 
 
 def parse_cfg(argv):
@@ -489,34 +487,30 @@ def test_tilt_probe_routes_agree(capsys):
     _sample_agrees(routes, "analytic")
 
 
-def test_tilt_probe_t_zero_on_a_product(capsys):
-    code = main(["tilt-probe", "--measure", "cube:2", "--t", "0",
-                 "--theta", "0.3,0", "--tilt-samples", "20000"])
-    routes = _probe_routes(capsys.readouterr().out)
-    assert code == 0
-    # at t = 0 a product's tilt is the per-factor quadrature itself, printed once
-    assert list(routes) == ["quadrature", "sample"]
-    # closed form: log of sinh(sqrt(3) theta) / (sqrt(3) theta)
-    closed = math.log(math.sinh(SQRT3 * 0.3) / (SQRT3 * 0.3))
-    assert routes["quadrature"]["log_z"][0] == pytest.approx(closed, abs=1e-9)
-    _sample_agrees(routes, "quadrature")
-
-
-def test_tilt_probe_t_zero_unbounded_factor_prints_nothing(capsys):
-    # exp's t = 0 tilt by theta < 1 is log-concave with an exponential tail,
-    # so both routes print; theta >= 1 diverges and prints nothing
-    code = main(["tilt-probe", "--measure", "product:exp,uniform", "--t", "0",
-                 "--theta", "0.3,0.1"])
-    routes = _probe_routes(capsys.readouterr().out)
-    assert code == 0
-    assert list(routes) == ["quadrature", "sample"]
-    _sample_agrees(routes, "quadrature")
-    code = main(["tilt-probe", "--measure", "product:exp,uniform", "--t", "0",
-                 "--theta", "1.3,0.1"])
-    captured = capsys.readouterr()
+def _probe_error(capfd, measure, t, theta) -> str:
+    """stderr of a tilt-probe that must fail: exit 1, nothing printed, no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["tilt-probe", "--measure", measure, "--t", t, "--theta", theta])
+    captured = capfd.readouterr()
     assert code == 1
+    assert [str(w.message) for w in caught] == []
     assert captured.out == ""
-    assert "factor 0 (exp)" in captured.err
+    return captured.err
+
+
+def test_tilt_probe_t_zero_on_a_product(capfd):
+    # localization tilts only at t > 0; the base state t = 0, theta = 0 has
+    # moments but no quadrature or draws, so every t = 0 probe ends on one error
+    assert _probe_error(capfd, "cube:2", "0", "0.3,0.1") == (
+        "error: t must be > 0, or 0 at theta = 0\n")
+    assert _probe_error(capfd, "cube:2", "0", "0,0") == "error: t must be > 0\n"
+
+
+def test_tilt_probe_t_zero_unbounded_factor_prints_nothing(capfd):
+    # exp's t = 0 tilt by theta >= 1 would diverge: it is rejected before any arithmetic
+    assert _probe_error(capfd, "product:exp,uniform", "0", "2,0") == (
+        "error: t must be > 0, or 0 at theta = 0\n")
 
 
 def test_tilt_probe_rejects_a_tilt_that_is_not_finite(capfd):

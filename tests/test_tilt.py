@@ -1,4 +1,4 @@
-"""Tilted measures: closed forms vs quadrature vs exact draws, t=0 edge cases."""
+"""Tilted measures: closed forms vs quadrature vs exact draws; t = 0 is the base state."""
 
 import dataclasses
 import math
@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.special import gammainc, ndtr, xlogy
 from scipy.stats import kstest
 
-from sloclab import streams
+from sloclab import covariance, streams
 from sloclab.cli import main
 from sloclab.errors import DivergentTilt, InputValidationError
 from sloclab.localization import make_uniform, simulate_ensemble
@@ -58,14 +58,6 @@ def test_gaussian_conjugacy():
     assert state.log_z == pytest.approx(expect_log_z, rel=1e-14)
 
 
-def test_gaussian_t_zero_tilt_is_mean_shift():
-    theta = np.array([0.7, -0.2])
-    state = tilt_moments(make_gaussian(2), 0.0, theta)
-    assert np.allclose(state.mean, theta)
-    assert np.allclose(state.cov, np.eye(2))
-    assert state.log_z == pytest.approx(0.5 * float(theta @ theta))
-
-
 @pytest.mark.parametrize("measure_id", DEFAULT_CATALOG + ("product:exp,laplace",))
 def test_base_state_is_exact(measure_id):
     # A_0 = Id with no rounding: the base state is isotropic by construction
@@ -83,6 +75,28 @@ def test_base_state_is_exact(measure_id):
     assert state.log_z == 0.0
     assert np.array_equal(state.mean, np.zeros(n))
     assert np.array_equal(state.cov, np.eye(n))
+
+
+@pytest.mark.parametrize("measure_id", DEFAULT_CATALOG)
+def test_t_zero_admits_only_the_base_state(measure_id):
+    # localization starts at theta_0 = 0, so t = 0 is the base state and nothing else
+    spec = parse_measure_id(measure_id)
+    m, n = 2, spec.dim
+    log_z, mean, cov, _ = tilt_table(spec, 0.0, np.zeros((m, n)))
+    assert np.array_equal(log_z, np.zeros(m)) and np.array_equal(mean, np.zeros((m, n)))
+    assert np.array_equal(covariance.dense_rows(cov), np.tile(np.eye(n), (m, 1, 1)))
+    theta = np.zeros((m, n))
+    theta[1, -1] = 0.5
+    with pytest.raises(InputValidationError, match=r"^t must be > 0, or 0 at theta = 0$"):
+        tilt_table(spec, 0.0, theta)
+    for th in (np.zeros(n), theta[1]):
+        with pytest.raises(InputValidationError, match=r"^t must be > 0$"):
+            tilt_moments_quadrature(spec, 0.0, th)
+        with pytest.raises(InputValidationError, match=r"^t must be > 0$"):
+            tilt_sample_batch(spec, 0.0, th[None], streams.generator(0), 4)
+        for f in spec.factors or ():
+            with pytest.raises(InputValidationError, match=r"^t must be > 0$"):
+                factor_tilt_quadrature(f, 0.0, float(th[-1]))
 
 
 def test_cube_tilt_matches_truncated_normal():
@@ -106,26 +120,6 @@ def test_cube_large_t_variance_saturates_spectral_bound():
     # at moderate t the cut at sqrt(3) still bites and var sits strictly below
     mid = tilt_moments(make_cube(1), 4.0, np.zeros(1))
     assert 0.24 < mid.cov[0, 0] < 0.25
-
-
-def test_exp_t_zero_tilt_closed_oracle():
-    # exp factor tilted at t=0 by theta < 1 stays exponential:
-    # rate 1 - theta, support [-1, inf)
-    theta = 0.9
-    state = tilt_moments(make_product("exp"), 0.0, np.array([theta]))
-    assert state.method == QUADRATURE
-    assert state.log_z == pytest.approx(-theta - math.log(1.0 - theta), rel=1e-9)
-    assert state.mean[0] == pytest.approx(1.0 / (1.0 - theta) - 1.0, rel=1e-8)
-    assert state.cov[0, 0] == pytest.approx(1.0 / (1.0 - theta) ** 2, rel=1e-7)
-
-
-def test_laplace_t_zero_tilt_closed_oracle():
-    # laplace rate lambda = sqrt(2): Z = lambda^2/(lambda^2 - theta^2)
-    theta = 1.0
-    state = tilt_moments(make_product("laplace"), 0.0, np.array([theta]))
-    assert state.log_z == pytest.approx(math.log(2.0), rel=1e-9)
-    assert state.mean[0] == pytest.approx(2.0, rel=1e-8)
-    assert state.cov[0, 0] == pytest.approx(6.0, rel=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +192,7 @@ TABLE_CASES = {  # case -> (measure, t, thetas, expected route)
     "gaussian": ("gaussian:3", 1.5, [[0.2, -0.4, 1.0], [0.0, 0.0, 0.0], [3.0, 1.0, -2.0]],
                  CLOSED_FORM),
     "cube": ("cube:2", 0.8, [[0.5, -0.3], [0.0, 0.0], [-2.0, 4.0]], CLOSED_FORM),
-    "product-t0": ("product:exp,laplace,uniform", 0.0, [[-0.5, 0.3, 1.0], [0.4, -0.6, 0.0]],
-                   QUADRATURE),
     "ball": ("ball:3", 2.0, [[0.4, -0.2, 0.1], [0.0, 0.0, 0.0], [2.0, 1.0, -1.0]], QUADRATURE),
-    "ball-t0": ("ball:3", 0.0, [[0.4, -0.2, 0.1], [-1.0, 0.5, 2.0]], QUADRATURE),
     "ball-base": ("ball:3", 0.0, [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], CLOSED_FORM),
 }
 
@@ -244,7 +235,7 @@ def test_tilt_table_validates_its_batch():
     cases = ((make_cube(2), 1.0, np.zeros((3, 3)), r"theta must have shape \(m, 2\)"),
              (make_ball(2), 1.0, np.zeros((3, 3)), r"theta must have shape \(m, 2\)"),
              (make_cube(2), 1.0, nan_row, "t and theta must be finite"),
-             (make_cube(2), -1.0, np.zeros((3, 2)), r"t must be >= 0"))
+             (make_cube(2), -1.0, np.zeros((3, 2)), r"t must be > 0, or 0 at theta = 0"))
     for spec, t, thetas, message in cases:
         with pytest.raises(InputValidationError, match=message):
             tilt_table(spec, t, thetas)
@@ -286,24 +277,7 @@ def test_covariance_is_hessian_of_log_z():
 
 
 # ---------------------------------------------------------------------------
-# Divergent t = 0 tilts
-
-
-def test_exp_divergent_tilt():
-    with pytest.raises(DivergentTilt, match="factor 0"):
-        tilt_moments(make_product("exp,exp"), 0.0, np.array([2.0, 0.0]))
-    # the left tail is unbounded in rate, so large negative theta is fine
-    state = tilt_moments(make_product("exp,exp"), 0.0, np.array([-5.0, 0.0]))
-    assert np.isfinite(state.log_z)
-
-
-def test_laplace_divergent_tilt_both_sides():
-    lap = make_product("laplace")
-    for theta in (1.5, -1.5, math.sqrt(2.0)):
-        with pytest.raises(DivergentTilt):
-            tilt_moments(lap, 0.0, np.array([theta]))
-    state = tilt_moments(lap, 0.0, np.array([1.2]))
-    assert state.mean[0] > 0.0
+# Large tilts
 
 
 def test_positive_t_never_diverges():
@@ -317,16 +291,13 @@ def test_positive_t_never_diverges():
 
 
 def _factor_cases():
-    """(t, theta): two t = 0 tilts inside every factor's rates, then theta/t
-    from -50 to 50 at t = 0.05, 1 and 20."""
-    return [(0.0, -0.9), (0.0, 0.6)] + [(t, r * t) for t in (0.05, 1.0, 20.0)
-                                        for r in (-50.0, -3.0, 0.4, 2.5, 50.0)]
+    """(t, theta): theta/t from -50 to 50 at t = 0.05, 1 and 20."""
+    return [(t, r * t) for t in (0.05, 1.0, 20.0) for r in (-50.0, -3.0, 0.4, 2.5, 50.0)]
 
 
 def _ball_cases():
-    """(t, |theta|): two t = 0 tilts, then |theta|/t up to 50 at t = 0.05, 1 and 20."""
-    return [(0.0, 0.5), (0.0, 3.0)] + [(t, r * t) for t in (0.05, 1.0, 20.0)
-                                       for r in (0.0, 0.4, 2.5, 50.0)]
+    """(t, |theta|): |theta|/t up to 50 at t = 0.05, 1 and 20."""
+    return [(t, r * t) for t in (0.05, 1.0, 20.0) for r in (0.0, 0.4, 2.5, 50.0)]
 
 
 def _tilted(f, t, theta):
@@ -341,9 +312,7 @@ def _ball_u_weight(n, t, s):
     def log_w(u):
         gap = np.maximum((radius - u) * (radius + u), 0.0)
         with np.errstate(divide="ignore"):
-            if t == 0.0:
-                inside = xlogy(0.5 * (n - 1), gap)
-            elif n > 1:
+            if n > 1:
                 inside = np.log(gammainc(0.5 * (n - 1), 0.5 * t * gap))
             else:
                 inside = 0.0 * gap
@@ -359,7 +328,7 @@ def _radial(n, t, reach):
             return np.where((r >= 0.0) & (r <= reach), xlogy(n - 2, r) - 0.5 * t * r * r,
                             -np.inf)
 
-    return log_w, min(math.sqrt((n - 2) / t), reach) if t > 0.0 else reach
+    return log_w, min(math.sqrt((n - 2) / t), reach)
 
 
 def _swept_densities():
@@ -440,10 +409,7 @@ def test_ball_draws_pass_ks_for_u_and_radius(n):
             cdf = _grid_cdf(_ball_u_weight(n, t, s), -radius, radius, mu @ e,
                             math.sqrt(e @ c @ e))
             reach2 = (radius - u) * (radius + u)
-            if t == 0.0:
-                pit = (y2 / reach2) ** (0.5 * k)
-            else:
-                pit = gammainc(0.5 * k, 0.5 * t * y2) / gammainc(0.5 * k, 0.5 * t * reach2)
+            pit = gammainc(0.5 * k, 0.5 * t * y2) / gammainc(0.5 * k, 0.5 * t * reach2)
             worst = min(worst, kstest(u, cdf).pvalue, kstest(pit, "uniform").pvalue)
     assert worst > 1e-4
 
@@ -483,8 +449,9 @@ def test_rejection_acceptance_rate_oracle():
     se = math.sqrt(p_true * (1.0 - p_true) / proposed)
     assert accepted / proposed == pytest.approx(p_true, abs=4.0 * se)
     # a flat density never drops by 1, so its envelope is the density itself
-    pts, proposed, accepted = tilt_sample_batch(make_cube(2), 0.0, np.zeros((1, 2)),
-                                                streams.generator(5, "flat"), 1000)
+    flat = lambda x: np.where(np.abs(x) <= SQRT3, 0.0, -np.inf)
+    pts, proposed, accepted = sample_log_concave(flat, np.full(2, -SQRT3), np.full(2, SQRT3),
+                                                 streams.generator(5, "flat"), 1000)
     assert accepted == proposed
     assert (np.abs(pts) <= SQRT3).all()
 
@@ -523,35 +490,6 @@ def test_rejection_sample_mean_cube():
     assert np.abs(pts.mean(axis=0) - closed.mean).max() < 4.0 * se.max()
 
 
-def test_ball_t_zero_tilt_against_marginal_quadrature():
-    # theta = (c, 0, 0): everything reduces to the first-coordinate marginal
-    spec = make_ball(3)
-    theta = np.array([0.5, 0.0, 0.0])
-    pts = tilt_sample_batch(spec, 0.0, theta[None], streams.generator(8, "ballt0"), 8192)[0][0]
-    f = BallMarginalFactor(3)
-    rho = lambda y: np.exp(f.log_density(y))
-    z, _ = quad(lambda y: math.exp(0.5 * y) * rho(y), f.lo, f.hi, limit=200)
-    m1, _ = quad(lambda y: y * math.exp(0.5 * y) * rho(y), f.lo, f.hi, limit=200)
-    se = pts[:, 0].std(ddof=1) / math.sqrt(len(pts))
-    assert pts[:, 0].mean() == pytest.approx(m1 / z, abs=4.0 * se)
-    assert tilt_moments(spec, 0.0, theta).log_z == pytest.approx(math.log(z), abs=1e-9)
-
-
-def test_product_t_zero_rejection_matches_quadrature():
-    spec = make_product("exp,uniform")
-    theta = np.array([-0.3, 0.4])
-    pts = tilt_sample_batch(spec, 0.0, theta[None], streams.generator(10, "t0prod"), 8192)[0][0]
-    ref = tilt_moments_quadrature(spec, 0.0, theta)
-    root = math.sqrt(len(pts))
-    assert np.all(np.abs(pts.mean(axis=0) - ref.mean) <= 4.0 * pts.std(axis=0, ddof=1) / root)
-    sq = (pts - ref.mean) ** 2
-    assert np.all(np.abs(sq.mean(axis=0) - np.diag(ref.cov))
-                  <= 4.0 * sq.std(axis=0, ddof=1) / root)
-    # exp decays at rate 1, so theta_0 >= 1 has no finite t = 0 tilt
-    with pytest.raises(DivergentTilt, match=r"factor 0 \(exp\)"):
-        tilt_sample_batch(spec, 0.0, np.array([[1.3, 0.4]]), streams.generator(9, "t0"), 16)
-
-
 def test_tilt_sample_single_draw():
     def draw():
         pts, _, _ = tilt_sample_batch(make_ball(3), 1.0, np.zeros((1, 3)),
@@ -577,8 +515,8 @@ def test_ball_tilt_matches_rejection(n):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     size = 4096
     worst = 0.0
-    for t in (0.0, 0.05, 1.0, 4.0, 20.0):
-        for j, scale in enumerate((0.3, 1.5 * t or 1.0)):
+    for t in (0.05, 1.0, 4.0, 20.0):
+        for j, scale in enumerate((0.3, 1.5 * t)):
             theta = scale * dirs[j]
             exact = tilt_moments(spec, t, theta)
             assert exact.method == QUADRATURE
@@ -603,8 +541,6 @@ def _ball_phi_oracle(n, t, s):
 
     def parts(phi):
         u, gap = radius * np.cos(phi), (radius * np.sin(phi)) ** 2
-        if t == 0.0:
-            return s * u + xlogy(0.5 * k, gap), gap * k / (n + 1)
         lower = gammainc(0.5 * k, 0.5 * t * gap) if k else np.ones_like(gap)
         upper = gammainc(0.5 * k + 1.0, 0.5 * t * gap)
         return (s * u - 0.5 * t * u * u + np.log(lower),
@@ -626,18 +562,14 @@ def _ball_phi_oracle(n, t, s):
     kw = dict(epsabs=0.0, epsrel=1e-13, limit=500, points=[peak])
     i0, i1, i2, iy = (quad(integrand, 0.0, math.pi, args=(p,), **kw)[0]
                       for p in (0, 1, 2, "y"))
-    if t == 0.0:
-        log_z = top + math.log(i0) - n * math.log(radius) - math.log(
-            math.gamma(0.5) * math.gamma(0.5 * n + 0.5) / math.gamma(0.5 * n + 1.0))
-    else:
-        log_z = top + math.log(i0) + 0.5 * k * math.log(2.0 * math.pi / t) - spec.entropy()
+    log_z = top + math.log(i0) + 0.5 * k * math.log(2.0 * math.pi / t) - spec.entropy()
     d1 = i1 / i0
     return log_z, radius * math.cos(peak) + d1, i2 / i0 - d1 * d1, iy / i0 / max(k, 1)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("n", [1, 3, 4])
-@pytest.mark.parametrize("t", [0.0, 0.05, 1.0, 20.0, 100.0, 1e4])
+@pytest.mark.parametrize("t", [0.05, 1.0, 20.0, 100.0, 1e4])
 def test_ball_tilt_matches_adaptive_quadrature(n, t):
     spec = make_ball(n)
     sizes = [0.0, 1.8, 0.9 * t * spec.radius + 0.5, 1.1 * t * spec.radius + 3.0]
@@ -658,7 +590,7 @@ def test_ball_tilt_matches_adaptive_quadrature(n, t):
 def test_ball_marginal_batch_matches_adaptive_quadrature(nu):
     f = BallMarginalFactor(nu)
     thetas = np.array([-2.5, 0.0, 0.7, 3.0])
-    for t in (0.0, 0.05, 1.0, 20.0, 100.0):
+    for t in (0.05, 1.0, 20.0, 100.0):
         log_z, mean, var = f.tilt_stats(t, thetas)
         for i, theta in enumerate(thetas):
             lz_q, mu_q, v_q = factor_tilt_quadrature(f, t, float(theta))
@@ -713,7 +645,7 @@ def test_validate_rejects_bad_inputs():
         tilt_moments(g, 1.0, np.zeros(3))
     with pytest.raises(InputValidationError, match="finite"):
         tilt_moments(g, 1.0, np.array([np.nan, 0.0]))
-    with pytest.raises(InputValidationError, match=">= 0"):
+    with pytest.raises(InputValidationError, match="t must be > 0"):
         tilt_moments(g, -1.0, np.zeros(2))
 
 
