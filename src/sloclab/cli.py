@@ -549,7 +549,13 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
                         _fmt(dev)])
 
     curve = follmer.fisher_energy(frame)
-    geig_min, geig_max = covariance.eig_extremes(frame.gamma.mean(axis=0, keepdims=True))
+    # E Gamma_r block by block: each block's product (1 + t) A_t, then its
+    # path mean, so no whole Gamma array is built
+    cov_t, scale = frame.cov_t, 1.0 + frame.t
+    mean_gamma = np.concatenate(
+        [(cov_t[:, b] * covariance.per_time(scale[b], cov_t)).mean(axis=0, keepdims=True)
+         for b in localization.time_blocks(cov_t)], axis=1)
+    geig_min, geig_max = covariance.eig_extremes(mean_gamma)
     follmer_path = os.path.join(cfg.out, "follmer.csv")
     with open(follmer_path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")

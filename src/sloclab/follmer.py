@@ -26,10 +26,14 @@ rejected with its name.  The Gamma process satisfies
 and E |v_r|^2 <= 4 n / (1 - r)^2 on the whole catalog.  Gamma_r keeps the
 layout of A_t: the diagonals (m, K, n) for Gaussians and coordinate
 products, full matrices (m, K, n, n) otherwise (see `covariance`).
+
+The frame is a view of the ensemble: it holds theta_t, a_t and A_t by
+reference, and x_r, v_r and Gamma_r are each computed on first read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,41 +51,58 @@ from .reports import (COV_IDENTITY_FLOOR, ROUNDING_FLOOR, EstimatorResult, Lemma
 
 @dataclass(frozen=True)
 class FrameEnsemble:
-    """Localization ensemble transported to the r-clock.
+    """Localization ensemble transported to the r-clock, as a view of it.
 
+    ``theta``, ``mean`` and ``cov_t`` are the ensemble's ``theta``, ``mean``
+    and ``cov`` themselves, not copies.  ``x``, ``v`` and ``gamma`` are
+    computed from them on first read and kept, so every read returns the
+    same array; numpy's matmul takes another BLAS route when both operands
+    are one buffer, so a recomputed equal copy could move a statistic's
+    last bits.  A frame that reads none of them allocates no path array.
     ``gamma`` and ``cov_t`` have the layout of the ensemble's ``cov``:
     (m, K, n) diagonals for Gaussians and coordinate products, (m, K, n, n)
-    otherwise.  ``cov_t`` is the ensemble's ``cov`` itself, not a copy.
+    otherwise.
     """
 
     spec: MeasureSpec
     t: np.ndarray               # (K,) original times
     r: np.ndarray               # (K,) r = t / (1 + t)
-    x: np.ndarray               # (m, K, n)
-    v: np.ndarray               # (m, K, n)
-    gamma: np.ndarray           # (m, K, n) or (m, K, n, n)
+    theta: np.ndarray           # (m, K, n) theta_t
+    mean: np.ndarray            # (m, K, n) a_t
     cov_t: np.ndarray           # original A_t, kept for (i)
     se_gamma: np.ndarray | None = None   # always None; only perfbench/spans.py reads it
 
+    @functools.cached_property
+    def x(self) -> np.ndarray:
+        """x_r = theta_t / (1 + t), (m, K, n)."""
+        return self.theta / (1.0 + self.t)[None, :, None]
+
+    @functools.cached_property
+    def v(self) -> np.ndarray:
+        """v_r = (1 + t) a_t - theta_t, (m, K, n)."""
+        v = self.mean * (1.0 + self.t)[None, :, None]
+        v -= self.theta
+        return v
+
+    @functools.cached_property
+    def gamma(self) -> np.ndarray:
+        """Gamma_r = (1 + t) A_t, in the layout of ``cov_t``."""
+        return self.cov_t * covariance.per_time(1.0 + self.t, self.cov_t)
+
     @property
     def n_paths(self) -> int:
-        return self.x.shape[0]
+        return self.theta.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.x.shape[-1]
+        return self.theta.shape[-1]
 
 
 def to_follmer(ensemble: PathEnsemble) -> FrameEnsemble:
-    t = ensemble.grid.points
-    scale = (1.0 + t)[None, :, None]
-    v = ensemble.mean * scale
-    v -= ensemble.theta
+    """The ensemble's frame on the r-clock; it allocates no path array."""
     return FrameEnsemble(
-        spec=ensemble.spec, t=t, r=ensemble.grid.r_points,
-        x=ensemble.theta / scale, v=v,
-        gamma=ensemble.cov * covariance.per_time(1.0 + t, ensemble.cov),
-        cov_t=ensemble.cov)
+        spec=ensemble.spec, t=ensemble.grid.points, r=ensemble.grid.r_points,
+        theta=ensemble.theta, mean=ensemble.mean, cov_t=ensemble.cov)
 
 
 # ---------------------------------------------------------------------------

@@ -257,21 +257,50 @@ class EnsembleStats:
     eig_max: np.ndarray
 
 
+# Bytes of a covariance array that one block of grid times covers (see
+# ensemble_stats)
+BLOCK_BYTES = 1 << 20
+
+
+def time_blocks(cov: np.ndarray) -> list[slice]:
+    """Slices of consecutive grid times, each about `BLOCK_BYTES` of ``cov``.
+
+    ``cov`` is a covariance array (m, K, n) or (m, K, n, n); a block holds at
+    least one grid time.
+    """
+    k_pts = cov.shape[1]
+    step = max(1, BLOCK_BYTES // (cov.nbytes // k_pts))
+    return [slice(k, min(k + step, k_pts)) for k in range(0, k_pts, step)]
+
+
 def ensemble_stats(ensemble: PathEnsemble) -> EnsembleStats:
     """Reduce an ensemble to per-time statistics.
 
     E[a (x) a + A] and its error come from `covariance.outer_mean_se`: for
     diagonal covariances (Gaussians and coordinate products) by moment
     reductions, with no per-path outer product; full covariances (balls)
-    still take the per-path route.
+    still take the per-path route.  It and tr A_t^2 run over `time_blocks`,
+    blocks of grid times that each cover about `BLOCK_BYTES` = 1 MiB of
+    ``cov``, so their temporaries are a few block-sized arrays instead of
+    whole (m, K, n) or (m, K, n, n) ones.  At that size the temporaries stay
+    small beside the path arrays (10.75 MiB each on cube:32 with 1024
+    paths, which takes 11 blocks), each block still gives numpy whole
+    matrices of work per call, and a 3-dimensional product with 1024 paths
+    or ball:4 with 64 fits in one block.  Every statistic is per
+    grid time, so the blocks give the whole-array values bit for bit.
     """
     a = ensemble.mean
     cov = ensemble.cov
-    m, _, n = a.shape
+    m, k_pts, n = a.shape
 
-    mean_decomp, se_decomp = covariance.outer_mean_se(a, a, cov)
+    mean_decomp = np.empty((k_pts, n, n))
+    se_decomp = np.empty((k_pts, n, n))
+    tr_cov_sq = np.empty((m, k_pts))
+    for b in time_blocks(cov):
+        a_b, cov_b = a[:, b], cov[:, b]
+        mean_decomp[b], se_decomp[b] = covariance.outer_mean_se(a_b, a_b, cov_b)
+        tr_cov_sq[:, b] = covariance.trace(covariance.square(cov_b))
     tr_cov = covariance.trace(cov)
-    tr_cov_sq = covariance.trace(covariance.square(cov))
     eig_min, eig_max = covariance.eig_extremes(cov.mean(axis=0, keepdims=True))
 
     return EnsembleStats(

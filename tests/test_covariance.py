@@ -19,8 +19,9 @@ from sloclab.infotheory import (de_bruijn_check, deficit_chain_audit, deficit_lo
                                  epi_deficit)
 from sloclab.localization import (check_derivative_identity, check_monotone_trace,
                                   check_orthogonality, check_spectral_bound,
-                                  check_variance_decomposition, make_geometric,
-                                  simulate_ensemble, trace_square_ratio)
+                                  check_variance_decomposition, ensemble_stats,
+                                  make_geometric, simulate_ensemble, time_blocks,
+                                  trace_square_ratio)
 from sloclab.measures import parse_measure_id
 from sloclab.numerics import jackknife_se
 
@@ -72,8 +73,7 @@ def test_diagonal_storage_matches_full_matrices(measure):
     assert ens.cov.shape == ens.mean.shape and frame.gamma.shape == frame.v.shape
 
     full_ens = dataclasses.replace(ens, cov=_full(ens.cov))
-    full_frame = dataclasses.replace(frame, gamma=_full(frame.gamma),
-                                     cov_t=full_ens.cov)
+    full_frame = dataclasses.replace(frame, cov_t=full_ens.cov)
     stored, low = _reports(spec, ens, frame)
     full, full_low = _reports(spec, full_ens, full_frame)
 
@@ -122,8 +122,8 @@ def test_simulate_path_peaks_below_one_full_covariance_array(measure):
 
 def test_path_layer_peaks_in_units_of_one_path_array():
     # theta, mean and the diagonal cov are the ensemble's three (m, K, n)
-    # arrays; the direct driver writes theta in place, and the frame adds
-    # x, v and gamma with no temporary path array beside them
+    # arrays; the direct driver writes theta in place, and the Fisher energy
+    # adds only the frame's v beside them
     grid = make_geometric()
     m, n = 512, 16
     one_path = m * grid.n_points * n * 8
@@ -138,6 +138,40 @@ def test_path_layer_peaks_in_units_of_one_path_array():
         tracemalloc.stop()
     assert simulated < 4.5 * one_path, simulated / one_path
     assert framed < 7.0 * one_path, framed / one_path
+
+
+def test_frame_and_stats_allocate_no_whole_path_array():
+    # one (m, K, n) array is 10.75 MiB here: to_follmer builds none of x, v
+    # and gamma, and ensemble_stats' temporaries cover one block of grid
+    # times (21.5 MiB above its inputs when they covered whole arrays)
+    ens = simulate_ensemble(parse_measure_id("cube:32"), make_geometric(), 1024, seed=0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        frame = to_follmer(ens)
+        framed = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ensemble_stats(ens)
+        stats_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert not {"x", "v", "gamma"} & vars(frame).keys()
+    assert framed < 1 << 20, framed
+    assert stats_peak < 4 << 20, stats_peak
+
+
+@pytest.mark.parametrize("measure, n_paths, n_blocks", [
+    ("cube:32", 1024, 11), ("ball:8", 256, 6), ("product:exp,laplace,uniform", 4096, 5)])
+def test_blocked_stats_match_whole_arrays_bitwise(measure, n_paths, n_blocks):
+    ens = simulate_ensemble(parse_measure_id(measure), make_geometric(), n_paths, seed=0)
+    assert len(time_blocks(ens.cov)) == n_blocks
+    stats = ensemble_stats(ens)
+    mean, se = covariance.outer_mean_se(ens.mean, ens.mean, ens.cov)
+    assert np.array_equal(stats.mean_decomp, mean)
+    assert np.array_equal(stats.se_decomp, se)
+    tr_sq = covariance.trace(covariance.square(ens.cov)).mean(axis=0)
+    assert np.array_equal(stats.mean_tr_cov_sq, tr_sq)
 
 
 def test_sde_driver_peaks_below_a_separate_increment_array():

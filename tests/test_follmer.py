@@ -37,6 +37,17 @@ from sloclab.measures import (
 )
 
 
+def _with_arrays(frame, **arrays):
+    """A copy of ``frame`` whose ``x``, ``v`` or ``gamma`` reads ``arrays``.
+
+    The three are cached properties, so an array written to the instance
+    ``__dict__`` is what every read returns, as if the frame had computed it.
+    """
+    out = dataclasses.replace(frame)
+    out.__dict__.update(arrays)
+    return out
+
+
 @pytest.fixture(scope="module")
 def cube1_frame():
     ens = simulate_ensemble(make_cube(1), make_geometric(0.05, 20.0, 16, include=(1.0,)),
@@ -74,10 +85,14 @@ def test_clock_round_trip(cube2_frame):
 def test_gamma_is_rescaled_covariance_bitwise():
     ens = simulate_ensemble(make_cube(2), make_geometric(0.1, 2.0, 9), 8, seed=3)
     frame = to_follmer(ens)
-    expect = ens.cov * (1.0 + ens.grid.points)[None, :, None]
-    assert np.array_equal(frame.gamma, expect)
-    assert np.array_equal(frame.cov_t, ens.cov)
-    assert np.array_equal(frame.x, ens.theta / (1.0 + ens.grid.points)[None, :, None])
+    scale = (1.0 + ens.grid.points)[None, :, None]
+    assert frame.theta is ens.theta and frame.mean is ens.mean and frame.cov_t is ens.cov
+    assert np.array_equal(frame.gamma, ens.cov * scale)
+    assert np.array_equal(frame.x, ens.theta / scale)
+    assert np.array_equal(frame.v, ens.mean * scale - ens.theta)
+    # each derived array is built once: a second read is the same object
+    for name in ("x", "v", "gamma"):
+        assert getattr(frame, name) is getattr(frame, name), name
 
 
 def test_frame_at_r_zero(cube2_frame):
@@ -276,7 +291,7 @@ def test_fisher_identity_flags_scaled_drift():
     spec = make_product("exp,laplace,truncgauss")
     frame = to_follmer(simulate_ensemble(spec, make_geometric(0.05, 20.0, 16), 8192, seed=0))
     assert not check_fisher_identity(frame).failed
-    rep = check_fisher_identity(dataclasses.replace(frame, v=1.1 * frame.v))
+    rep = check_fisher_identity(_with_arrays(frame, v=1.1 * frame.v))
     assert rep.failed
 
 
@@ -292,7 +307,7 @@ def test_gamma_properties_pass(cube2_frame):
 def test_gamma_derivative_flags_scaled_time(cube2_frame):
     gamma = cube2_frame.gamma.copy()
     gamma[:, 8] *= 1.2
-    rep = check_gamma_properties(dataclasses.replace(cube2_frame, gamma=gamma))
+    rep = check_gamma_properties(_with_arrays(cube2_frame, gamma=gamma))
     assert rep.failed
     assert {s.check_id: s for s in rep.sub}["gamma-derivative"].failed
 
@@ -300,7 +315,7 @@ def test_gamma_derivative_flags_scaled_time(cube2_frame):
 def test_gamma_derivatives_fail_on_a_non_finite_path(cube2_frame):
     gamma = cube2_frame.gamma.copy()
     gamma[0, :, 0] = np.nan
-    rep = check_gamma_properties(dataclasses.replace(cube2_frame, gamma=gamma))
+    rep = check_gamma_properties(_with_arrays(cube2_frame, gamma=gamma))
     subs = {s.check_id: s for s in rep.sub}
     for check_id in ("score-energy-derivative", "gamma-derivative"):
         assert subs[check_id].failed
@@ -317,7 +332,7 @@ def test_xr_law_passes(cube2_frame):
 def test_xr_law_ks_fails_on_nan(cube2_frame):
     x = cube2_frame.x.copy()
     x[3, :, 1] = np.nan
-    rep = check_xr_law(dataclasses.replace(cube2_frame, x=x), seed=11)
+    rep = check_xr_law(_with_arrays(cube2_frame, x=x), seed=11)
     ks = next(s for s in rep.sub if s.check_id == "xr-ks")
     assert ks.failed
     assert "non-finite statistic" in ks.notes
@@ -346,7 +361,7 @@ def test_xr_law_passes_cube8_at_the_family_wise_level(tmp_path):
 
 def test_xr_ks_still_fails_on_scaled_xr():
     frame = to_follmer(simulate_ensemble(make_cube(8), make_geometric(), 4096, seed=0))
-    rep = check_xr_law(dataclasses.replace(frame, x=1.2 * frame.x), seed=0)
+    rep = check_xr_law(_with_arrays(frame, x=1.2 * frame.x), seed=0)
     ks = next(s for s in rep.sub if s.check_id == "xr-ks")
     assert ks.failed and ks.tolerance == pytest.approx(-0.0012556, rel=1e-4)
     assert -ks.statistic < 1e-6
