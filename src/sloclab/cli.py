@@ -530,7 +530,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
         raise ConfigError("simulate needs an output directory "
                           "(--out, config output_dir, or SLOCLAB_OUT)")
     ctx = RunContext(cfg)
-    stats = ctx.ensemble().stats()
+    stats = ctx.ensemble().stats
     frame = ctx.frame()
     os.makedirs(cfg.out, exist_ok=True)
 

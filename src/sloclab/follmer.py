@@ -8,14 +8,11 @@ In the new frame the driving data become
 
 with r running over [0, 1).  The energy E |v_r|^2 equals the relative Fisher
 information J(nu_r || N(0, r Id)) of the law nu_r of x_r.  For product
-measures this module also computes J independently of the tilts: every
-truncated-Gaussian piece exp(k - c x^2/2 - b x) on [lo, hi] of a catalog
-factor convolves with the Gaussian into one closed formula for the density
-and score of r X + sqrt(r (1 - r)) Z (a Gaussian times a Phi-window, whose
-log mass and ratio come from ``numerics.trunc_normal_moments``), so J is
-one scalar quadrature per factor law.  A factor without pieces (``ballmarg``,
-which only the ball's projections build) has no Fisher route and is
-rejected with its name.  The Gamma process satisfies
+measures this module also computes J independently of the tilts: the law
+of r X + sqrt(r (1 - r)) Z is `measures.sum_law` of the two summands'
+rescaled pieces, so J is one scalar quadrature per factor law.  A factor
+without pieces (``ballmarg``, which only the ball's projections build) has
+no Fisher route and is rejected with its name.  The Gamma process satisfies
 
     (i)   (1 - r) Gamma_r = A_t                       (algebraic rescaling)
     (ii)  E v (x) v = (Id - E Gamma) / (1 - r),  0 <= E Gamma <= Id
@@ -42,9 +39,8 @@ import numpy as np
 from . import covariance, streams
 from .errors import InputValidationError
 from .localization import SPECTRAL_SLACK, PathEnsemble, spectral_margin
-from .measures import GaussianSpec, MeasureSpec, require_pieces
-from .numerics import (KS_LEVEL, U_CUT, familywise_level, jackknife_se, ks_pvalues, quad,
-                       trunc_normal_moments)
+from .measures import GaussianFactor, GaussianSpec, MeasureSpec, require_pieces, sum_law
+from .numerics import KS_LEVEL, U_CUT, familywise_level, jackknife_se, ks_pvalues, quad
 from .reports import (COV_IDENTITY_FLOOR, ROUNDING_FLOOR, EstimatorResult, LemmaReport,
                       composite_gate, derivative_gate, entrywise_gate, gate)
 
@@ -156,53 +152,28 @@ def check_fisher_monotone(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaRepo
                           notes="consecutive r increments,")
 
 
-def _closed_marginal(factor, r: float):
-    """y -> (log f(y), f'(y) / f(y)) elementwise, for the law of r X + s Z.
-
-    X ~ ``factor``, s = sqrt(r (1 - r)).  A piece exp(k - c x^2/2 - b x) on
-    [lo, hi] convolves with the Gaussian in closed form: with q = c s^2 + r^2,
-    P = q / s^2 and mu = (r y / s^2 - b) / P,
-
-        log f = k + (-c y^2 - 2 r b y + b^2 s^2) / 2q - log(q) / 2
-                + log(Phi(sqrt(P) (hi - mu)) - Phi(sqrt(P) (lo - mu))),
-        score = -(c y + r b) / q - ratio r / (s^2 sqrt(P)),
-
-    with ratio the Phi-window's (phi(hi') - phi(lo')) / (Phi(hi') - Phi(lo'))
-    at the same two arguments, and several pieces add.  Both come from
-    `trunc_normal_moments` of N(mu, 1/P) on [lo, hi]: its log mass is the
-    log window and ratio / sqrt(P) = mu - mean.  The formula comes from the
-    convolution, not from the tilt, so a wrong closed tilt cannot cancel
-    against it.
-    """
-    s2 = r * (1.0 - r)
-
-    def piece(y, c, b, lo, hi, k):
-        q = c * s2 + r * r
-        mu = (r * y - b * s2) / q
-        log_d, mean, _ = trunc_normal_moments(mu, math.sqrt(s2 / q), lo, hi)
-        return (k + (-c * y * y - 2.0 * r * b * y + b * b * s2) / (2.0 * q)
-                - 0.5 * math.log(q) + log_d,
-                -(c * y + r * b) / q - (mu - mean) * r / s2)
-
-    def marginal(y):
-        parts = [piece(y, *p) for p in factor.pieces]
-        if len(parts) == 1:
-            return parts[0]
-        log_f = np.logaddexp.reduce(np.array([log_p for log_p, _ in parts]), axis=0)
-        return log_f, sum(np.exp(log_p - log_f) * score for log_p, score in parts)
-    return marginal
+def _scaled(pieces, a: float) -> tuple:
+    """The pieces of a X for a > 0, given those of X."""
+    return tuple((c / (a * a), b / a, a * lo, a * hi, k - math.log(a))
+                 for c, b, lo, hi, k in pieces)
 
 
 def _factor_fisher(factor, r: float) -> tuple[float, float]:
-    """(J(nu_r || N(0, r)), its quadrature error estimate) for one 1D factor."""
-    s = math.sqrt(r * (1.0 - r))
-    dens = _closed_marginal(factor, r)
+    """(J(nu_r || N(0, r)), its quadrature error estimate) for one 1D factor.
+
+    nu_r is the `sum_law` of r X and s Z, s^2 = r (1 - r), and its score is
+    (E[r X | y] - y) / s^2.  The breakpoints are the images r u of the
+    factor's finite piece ends u.
+    """
+    s2 = r * (1.0 - r)
+    s = math.sqrt(s2)
+    first = _scaled(factor.pieces, r)
+    law = sum_law(first, _scaled(GaussianFactor.pieces, s))
 
     def integrand(y):
-        log_f, score = dens(y)
-        return (score + y / r) ** 2 * np.exp(log_f)
-    # images of the factor's kinks: its support ends, and 0 for laplace
-    kinks = sorted({r * u for u in (factor.lo, 0.0, factor.hi) if math.isfinite(u)})
+        log_f, mean = law(y)
+        return ((mean - y) / s2 + y / r) ** 2 * np.exp(log_f)
+    kinks = sorted({end for _, _, lo, hi, _ in first for end in (lo, hi) if math.isfinite(end)})
     lo_y = r * max(factor.lo, -U_CUT) - 10.0 * s
     hi_y = r * min(factor.hi, U_CUT) + 10.0 * s
     return quad(integrand, lo_y, hi_y, points=kinks)
@@ -218,13 +189,13 @@ def marginal_fisher_information(spec: MeasureSpec, r: float) -> EstimatorResult:
     if not 0.0 < r < 1.0:
         raise InputValidationError("need 0 < r < 1")
     if isinstance(spec, GaussianSpec):
-        return EstimatorResult(0.0, 0.0, method="closed form")
+        return EstimatorResult(0.0, 0.0)
     if spec.factors is None:
         raise InputValidationError("quadrature route needs a product (or Gaussian) measure")
     require_pieces(spec.factors, "the Fisher quadrature")
     parts = [(len(cols), _factor_fisher(f, r)) for f, cols in spec.laws]
     return EstimatorResult(sum(count * v for count, (v, _) in parts),
-                           sum(count * e for count, (_, e) in parts), method="quadrature")
+                           sum(count * e for count, (_, e) in parts))
 
 
 def check_fisher_identity(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaReport:

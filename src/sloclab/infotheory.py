@@ -21,11 +21,10 @@ The EPI deficit of mu is
 which is nonnegative, at most 2n for isotropic log-concave mu, and invariant
 under invertible affine maps.  Every catalog measure has an exact route:
 zero for the Gaussian; for products, a sum over factors, each one
-quadrature of -g log g with g the closed convolution of the factor's
-truncated-Gaussian pieces (a Phi-window, from
-``numerics.trunc_normal_moments``, or an exponential per pair of pieces);
-and for the ball one radial quadrature of the lens volume of two balls.  It
-is bounded below by the variance of the Gamma process:
+quadrature of -g log g with g the density of X1 + X2 from
+`measures.sum_law`, the closed convolution of the factor's pieces; and for
+the ball one radial quadrature of the lens volume of two balls.  It is
+bounded below by the variance of the Gamma process:
 
     delta(mu) >= eps * integral_xi^1 E |Gamma_r - E Gamma_r|^2 / (4 (1-r)) dr
 
@@ -44,22 +43,17 @@ import numpy as np
 from . import covariance
 from .errors import InputValidationError
 from .follmer import FrameEnsemble, path_energy
-from .measures import GAUSSIAN_ENTROPY_RATE, BallSpec, GaussianSpec, MeasureSpec, require_pieces
-from .numerics import (U_CUT, beta_inc, jackknife_se, quad, trapezoid, trapezoid_budget,
-                       trunc_normal_moments, xlogy)
+from .measures import (GAUSSIAN_ENTROPY_RATE, BallSpec, GaussianSpec, MeasureSpec,
+                       require_pieces, sum_law)
+from .numerics import U_CUT, beta_inc, jackknife_se, quad, trapezoid, trapezoid_budget, xlogy
 from .reports import (ROUNDING_FLOOR, EstimatorResult, LemmaReport, composite_gate,
                       entrywise_gate, gate, info)
-
-CLOSED_FORM = "closed-form"
-SUM_QUADRATURE = "sum-quadrature"
-LENS_QUADRATURE = "lens-quadrature"
-PLUGIN_MC = "plug-in-mc"
 
 
 def kl_to_gaussian(spec: MeasureSpec) -> EstimatorResult:
     """D(mu || gamma_1) = (n/2) ln(2 pi e) - Ent(mu); every spec is isotropic."""
     value = spec.dim * GAUSSIAN_ENTROPY_RATE - spec.entropy()
-    return EstimatorResult(float(value), 0.0, CLOSED_FORM,
+    return EstimatorResult(float(value), 0.0,
                            notes="relative entropy against the standard Gaussian")
 
 
@@ -107,45 +101,6 @@ class DeficitReport:
     bounds: LemmaReport         # nonnegativity and the dimension bound 2n
 
 
-def _sum_log_density(pieces):
-    """y -> log g(y) elementwise, g the density of X1 + X2 for X1, X2 iid with these pieces.
-
-    Each pair of pieces (p, q) adds the integral of
-    exp(k_p + k_q - c_p x^2/2 - b_p x - c_q (y-x)^2/2 - b_q (y-x)) over
-    [max(lo_p, y - hi_q), min(hi_p, y - lo_q)], at the y where that window
-    is not empty.  In x the exponent is -C x^2/2 + L x + const with
-    C = c_p + c_q and L = c_q y - b_p + b_q: a Gaussian Phi-window when C > 0
-    (the log mass of N(L/C, 1/C) on the interval, by `trunc_normal_moments`),
-    an exponential when C = 0, and the interval length when L = 0 as well.
-    """
-    pairs = [(p, q) for p in pieces for q in pieces]
-
-    def log_g(y):
-        y = np.asarray(y, float)
-        flat = y.ravel()
-        logs = np.full((len(pairs), flat.size), -np.inf)
-        for row, ((cp, bp, lop, hip, kp), (cq, bq, loq, hiq, kq)) in zip(logs, pairs):
-            a, b = np.maximum(lop, flat - hiq), np.minimum(hip, flat - loq)
-            some = a < b
-            ys, a, b = flat[some], a[some], b[some]
-            cc, lin = cp + cq, cq * ys - bp + bq
-            const = kp + kq - ys * (0.5 * cq * ys + bq)
-            if cc > 0.0:
-                centre = lin / cc
-                log_w = trunc_normal_moments(centre, 1.0 / math.sqrt(cc), a, b)[0]
-                row[some] = (const + 0.5 * lin * centre + 0.5 * math.log(2.0 * math.pi / cc)
-                             + log_w)
-            elif bq != bp:  # C = 0, so c_q = 0 and L = b_q - b_p
-                lin = bq - bp
-                row[some] = (const + np.maximum(lin * a, lin * b)
-                             + np.log(-np.expm1(-abs(lin) * (b - a))) - math.log(abs(lin)))
-            else:
-                row[some] = const + np.log(b - a)
-        return np.logaddexp.reduce(logs, axis=0).reshape(y.shape)
-
-    return log_g
-
-
 def _factor_deficit(f) -> tuple[float, float]:
     """(delta of one factor, its quadrature error estimate): Ent(X1 + X2) by one
     quadrature of -g log g, minus ln(2)/2 and Ent(X).
@@ -153,10 +108,10 @@ def _factor_deficit(f) -> tuple[float, float]:
     The breakpoints are the sums of piece ends, where g has its kinks; an
     unbounded support is cut at 2 * U_CUT, where g is below e^-40.
     """
-    log_g = _sum_log_density(f.pieces)
+    law = sum_law(f.pieces, f.pieces)
 
     def integrand(y):
-        lg = log_g(y)
+        lg = law(y)[0]
         return -np.exp(lg) * np.where(lg > -np.inf, lg, 0.0)  # 0 where g = 0; NaN stays
 
     lo, hi = 2.0 * max(f.lo, -U_CUT), 2.0 * min(f.hi, U_CUT)
@@ -188,7 +143,7 @@ def _ball_deficit(spec: BallSpec) -> EstimatorResult:
 
     h_sum, err = quad(integrand, 0.0, 2.0 * spec.radius)
     return EstimatorResult(h_sum - 0.5 * n * math.log(2.0) - spec.entropy(), err,
-                           LENS_QUADRATURE, notes="radial quadrature of the lens volume")
+                           notes="radial quadrature of the lens volume")
 
 
 def epi_deficit(spec: MeasureSpec, sigma: float = 4.0) -> DeficitReport:
@@ -201,13 +156,12 @@ def epi_deficit(spec: MeasureSpec, sigma: float = 4.0) -> DeficitReport:
     """
     n = spec.dim
     if isinstance(spec, GaussianSpec):
-        delta = EstimatorResult(0.0, 0.0, CLOSED_FORM,
-                                notes="Gaussian is a fixed point of the convolution")
+        delta = EstimatorResult(0.0, 0.0, notes="Gaussian is a fixed point of the convolution")
     elif spec.factors is not None:
         require_pieces(spec.factors, "the EPI deficit")
         parts = [(len(cols), _factor_deficit(f)) for f, cols in spec.laws]
         delta = EstimatorResult(sum(count * d for count, (d, _) in parts),
-                                sum(count * e for count, (_, e) in parts), SUM_QUADRATURE,
+                                sum(count * e for count, (_, e) in parts),
                                 notes=f"sum-density quadrature, {len(parts)} distinct factors")
     elif isinstance(spec, BallSpec):
         delta = _ball_deficit(spec)
@@ -287,7 +241,7 @@ def deficit_lower_bound(frame: FrameEnsemble, xi: float = 0.5,
                   notes=f"plug-in (Bessel-corrected) {corrected:.6g} vs "
                         f"independent-copy {v2:.6g}")
 
-    est = EstimatorResult(value, se, PLUGIN_MC,
+    est = EstimatorResult(value, se,
                           notes=f"truncated at r_max={r[-1]:.6g}; tail not extrapolated")
     return DeficitLowerBound(est, parity)
 
@@ -332,12 +286,13 @@ def deficit_chain_audit(delta: EstimatorResult, frame: FrameEnsemble, xi: float 
     gbar = g.mean(axis=0, keepdims=True)
     plug = covariance.frob_sq(g - gbar).mean(axis=0)
     resid_bar = covariance.frob_sq(eye - gbar)[0]
-    split = covariance.frob_sq(eye - g).mean(axis=0) - resid_bar
+    resid = covariance.frob_sq(eye - g)  # |Id - Gamma|^2 per path, for lines 1 and 2
+    split = resid.mean(axis=0) - resid_bar
     subs.append(entrywise_gate("variance-split-exact", np.abs(plug - split), 1e-10,
                                notes="algebraic identity of estimators,"))
 
     # 2. truncated integration by parts
-    resid_sq = covariance.frob_sq(eye - g) / (1.0 - r)
+    resid_sq = resid / (1.0 - r)
     balance = (trapezoid(vsq, r, axis=1) - trapezoid(resid_sq, r, axis=1)
                - (1.0 - r[0]) * vsq[:, 0] + (1.0 - r[-1]) * vsq[:, -1])
     budget = sum(trapezoid_budget(curve, r) for curve in (vsq.mean(axis=0),

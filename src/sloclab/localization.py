@@ -26,7 +26,8 @@ plus the diagnostic ratio sup_{t > 0} E tr[A_t^2] / n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,17 +125,15 @@ class PathEnsemble:
     mean: np.ndarray            # (m, K, n)
     cov: np.ndarray             # (m, K, n) or (m, K, n, n)
     log_z: np.ndarray           # (m, K)
-    # init=False: dataclasses.replace starts a fresh cache instead of sharing one
-    _stats_cache: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def n_paths(self) -> int:
         return self.theta.shape[0]
 
+    @functools.cached_property
     def stats(self) -> "EnsembleStats":
-        if not self._stats_cache:
-            self._stats_cache.append(ensemble_stats(self))
-        return self._stats_cache[0]
+        """`ensemble_stats` of this ensemble, reduced on first read."""
+        return ensemble_stats(self)
 
 
 def path_keys(seed: int, n_paths: int, salt: str = "") -> list:
@@ -318,7 +317,7 @@ def ensemble_stats(ensemble: PathEnsemble) -> EnsembleStats:
 
 def check_variance_decomposition(ensemble: PathEnsemble, sigma: float = 4.0) -> LemmaReport:
     """E A_t + E a_t (x) a_t = Id at every grid time, entrywise."""
-    stats = ensemble.stats()
+    stats = ensemble.stats
     target = np.eye(stats.dim)
     gap = np.abs(stats.mean_decomp - target)
     tol = sigma * stats.se_decomp + COV_IDENTITY_FLOOR
@@ -380,7 +379,7 @@ def trace_square_ratio(ensemble: PathEnsemble) -> LemmaReport:
     covariance of rho, so at t = 0 the ratio is 1 on every isotropic
     measure and says nothing; the grid's t = 0 is left out.
     """
-    stats = ensemble.stats()
+    stats = ensemble.stats
     ratio = stats.mean_tr_cov_sq / stats.dim
     k = 1 + int(np.argmax(ratio[1:]))
     return info("trace-ratio", float(ratio[k]), float(stats.se_tr_cov_sq[k] / stats.dim),

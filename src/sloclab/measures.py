@@ -47,10 +47,11 @@ class Factor1D:
     A closed-form factor lists its density as ``pieces``, tuples
     (c, b, lo, hi, k) that each mean exp(k - c x^2/2 - b x) on [lo, hi] with
     c >= 0.  The density, the tilted mode and the tilt all follow from
-    them, and so do the sum law behind the EPI deficit and the Fisher
-    information of r X + sqrt(r (1 - r)) Z.  A factor without pieces
-    overrides the density and the tilt, and it has no deficit or Fisher
-    route (`require_pieces`).
+    them, and so does `sum_law`, the law of a sum of two independent
+    factors: X1 + X2 for the EPI deficit, and r X + sqrt(r (1 - r)) Z, with
+    each summand's pieces rescaled, for the Fisher information.  A factor
+    without pieces overrides the density and the tilt, and it has no
+    deficit or Fisher route (`require_pieces`).
     """
 
     tag = ""
@@ -256,6 +257,57 @@ def require_pieces(factors, route: str) -> None:
         if not f.pieces:
             raise InputValidationError(
                 f"{route} needs truncated-Gaussian pieces; factor {f.tag!r} has none")
+
+
+def sum_law(first, second):
+    """y -> (log g(y), E[X1 | X1 + X2 = y]) elementwise, g the density of X1 + X2.
+
+    X1 and X2 are independent with the piece lists ``first`` and ``second``
+    (see `Factor1D`).  Each pair of pieces (p, q) adds the integral of
+    exp(k_p + k_q - c_p x^2/2 - b_p x - c_q (y-x)^2/2 - b_q (y-x)) over
+    [max(lo_p, y - hi_q), min(hi_p, y - lo_q)], at the y where that window
+    is not empty.  In x the exponent is -C x^2/2 + L x + const with
+    C = c_p + c_q and L = c_q y - b_p + b_q: a Gaussian window when C > 0,
+    N(L/C, 1/C) cut to the interval, whose log mass and mean come from
+    `trunc_normal_moments`; an exponential when C = 0, and the interval
+    length when L = 0 as well.  The conditional mean mixes the pairs' means
+    in proportion to their mass, so it is NaN where g = 0 and where a pair
+    with C = 0 has mass (the EPI deficit, the one caller with such pairs,
+    reads only log g).
+    """
+    pairs = [(p, q) for p in first for q in second]
+
+    def law(y):
+        y = np.asarray(y, float)
+        flat = y.ravel()
+        logs = np.full((len(pairs), flat.size), -np.inf)
+        means = np.zeros_like(logs)  # a pair without mass adds 0, not NaN * 0
+        for row, mean, (p, q) in zip(logs, means, pairs):
+            (cp, bp, lop, hip, kp), (cq, bq, loq, hiq, kq) = p, q
+            a, b = np.maximum(lop, flat - hiq), np.minimum(hip, flat - loq)
+            some = a < b
+            ys, a, b = flat[some], a[some], b[some]
+            cc, lin = cp + cq, cq * ys - bp + bq
+            const = kp + kq - ys * (0.5 * cq * ys + bq)
+            if cc > 0.0:
+                centre = lin / cc
+                log_w, mean[some], _ = trunc_normal_moments(centre, 1.0 / math.sqrt(cc), a, b)
+                row[some] = (const + 0.5 * lin * centre + 0.5 * math.log(2.0 * math.pi / cc)
+                             + log_w)
+                continue
+            mean[some] = np.nan
+            if bq != bp:  # C = 0, so c_q = 0 and L = b_q - b_p
+                lin = bq - bp
+                row[some] = (const + np.maximum(lin * a, lin * b)
+                             + np.log(-np.expm1(-abs(lin) * (b - a))) - math.log(abs(lin)))
+            else:
+                row[some] = const + np.log(b - a)
+        log_g = np.logaddexp.reduce(logs, axis=0)
+        with np.errstate(invalid="ignore"):  # -inf - -inf where g = 0
+            cond_mean = (np.exp(logs - log_g) * means).sum(axis=0)
+        return log_g.reshape(y.shape), cond_mean.reshape(y.shape)
+
+    return law
 
 
 _FACTORY = {

@@ -25,11 +25,7 @@ class EstimatorResult:
 
     value: float
     stderr: float
-    method: str = ""
     notes: str = ""
-
-    def __str__(self):
-        return f"{self.value:.6g} +- {self.stderr:.2g} ({self.method or 'exact'})"
 
 
 @dataclass(frozen=True)

@@ -112,7 +112,7 @@ def test_simulate_path_peaks_below_one_full_covariance_array(measure):
     tracemalloc.start()
     try:
         ens = simulate_ensemble(parse_measure_id(measure), grid, m, seed=0)
-        ens.stats()
+        ens.stats
         fisher_energy(to_follmer(ens))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -131,7 +131,7 @@ def test_path_layer_peaks_in_units_of_one_path_array():
     try:
         ens = simulate_ensemble(parse_measure_id("cube:16"), grid, m, seed=0)
         simulated = tracemalloc.get_traced_memory()[1]
-        ens.stats()
+        ens.stats
         fisher_energy(to_follmer(ens))
         framed = tracemalloc.get_traced_memory()[1]
     finally:

@@ -14,7 +14,6 @@ from sloclab import follmer
 from sloclab.cli import main
 from sloclab.errors import InputValidationError
 from sloclab.follmer import (
-    _closed_marginal,
     check_fisher_bound,
     check_fisher_identity,
     check_fisher_monotone,
@@ -28,12 +27,14 @@ from sloclab.localization import make_geometric, simulate_ensemble
 from sloclab.measures import (
     SQRT3,
     BallMarginalFactor,
+    GaussianFactor,
     ProductSpec,
     make_ball,
     make_cube,
     make_factor,
     make_gaussian,
     make_product,
+    sum_law,
 )
 
 
@@ -188,6 +189,12 @@ def _support_y(factor, r):
     return lo, hi, sorted({r * u for u in kinks}), kinks
 
 
+def _fisher_law(factor, r):
+    """`sum_law` of r X and s Z, with the pieces rescaled as the Fisher route does."""
+    s = math.sqrt(r * (1.0 - r))
+    return sum_law(follmer._scaled(factor.pieces, r), follmer._scaled(GaussianFactor.pieces, s))
+
+
 def _nested_fisher_oracle(factor, r):
     """J(nu_r || N(0, r)) from the factor's log density alone.
 
@@ -224,12 +231,12 @@ def _nested_fisher_oracle(factor, r):
 @pytest.mark.parametrize("r", [0.05, 0.2, 0.5, 0.8, 0.95])
 @pytest.mark.parametrize("tag", FACTOR_TAGS)
 def test_closed_marginal_route(tag, r):
-    """Each factor's closed density is the law of r X + s Z, and J matches the oracle."""
+    """Each factor's sum law is the law of r X + s Z, and J matches the oracle."""
     factor = make_factor(tag)
-    dens = _closed_marginal(factor, r)
+    law = _fisher_law(factor, r)
     lo_y, hi_y, kinks_y, _ = _support_y(factor, r)
     mass, mean, second = (
-        quad(lambda y: y ** k * math.exp(dens(y)[0]), lo_y, hi_y, points=kinks_y,
+        quad(lambda y: y ** k * math.exp(law(y)[0]), lo_y, hi_y, points=kinks_y,
              epsabs=1e-13, epsrel=1e-12, limit=200)[0] for k in range(3))
     assert abs(mass - 1.0) < 1e-10
     assert abs(mean) < 1e-10
@@ -237,6 +244,40 @@ def test_closed_marginal_route(tag, r):
     j = marginal_fisher_information(make_product(tag), r)
     assert j.value == pytest.approx(_nested_fisher_oracle(factor, r), rel=1e-8, abs=1e-15)
     assert 0.0 <= j.stderr < 1e-9
+
+
+@pytest.mark.parametrize("r", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("tag", FACTOR_TAGS)
+def test_sum_law_conditional_mean(tag, r):
+    """E[r X | r X + s Z = y] and log g against a quadrature over x, for y within 4 sd."""
+    factor = make_factor(tag)
+    law = _fisher_law(factor, r)
+    s = math.sqrt(r * (1.0 - r))
+    x_lo, x_hi = r * factor.lo, r * factor.hi
+    kinks = [r * u for u in (factor.lo, 0.0, factor.hi) if math.isfinite(u)]
+    ys = np.linspace(-4.0, 4.0, 17) * math.sqrt(r)  # nu_r has variance r
+    log_g, cond_mean = law(ys)
+    for y, lg, mean in zip(ys, log_g, cond_mean):
+        # the mass may sit at a support end far from y, so the window is wide
+        # and the quadrature also breaks at the integrand's largest node
+        a, b = max(x_lo, y - 40.0 * s), min(x_hi, y + 40.0 * s)
+
+        def log_joint(x):  # log p_1(x) + log p_2(y - x), p_1 the density of r X
+            return (float(factor.log_density(x / r)) - math.log(r)
+                    - 0.5 * ((y - x) / s) ** 2 - math.log(math.sqrt(2.0 * math.pi) * s))
+        nodes = np.linspace(a, b, 4001)
+        logs = [log_joint(x) for x in nodes]
+        shift, peak = max(zip(logs, nodes))
+        den, num = (quad(lambda x: x ** k * math.exp(log_joint(x) - shift), a, b,
+                         points=[u for u in (*kinks, peak) if a < u < b], epsabs=1e-14,
+                         epsrel=1e-13, limit=200)[0] for k in range(2))
+        assert abs(mean - num / den) < 1e-10
+        assert abs(lg - (shift + math.log(den))) < 1e-10
+    # two uniform pieces make a pair with C = 0, whose mean the law leaves NaN
+    uniform = make_factor("uniform").pieces
+    log_g, cond_mean = sum_law(uniform, uniform)(np.linspace(-3.0, 3.0, 7))
+    assert np.isfinite(log_g).all()
+    assert np.isnan(cond_mean).all()
 
 
 @pytest.mark.parametrize("r", [1e-3, 0.999])

@@ -42,6 +42,10 @@
   ``erfcx``: every Gaussian window goes through
   ``numerics.trunc_normal_moments``, and the chi-square CDF that needs
   ``erfcx`` sits beside it, so the tail arithmetic lives in one place.
+* No ``src/`` module but ``numerics.py`` and ``measures.py`` imports or
+  reads ``trunc_normal_moments``: the pieces' tilt and their one
+  convolution, ``measures.sum_law``, are its only users, so the EPI deficit
+  and the Fisher identity share one sum law.
 * No ``src/`` module but ``streams.py`` reads ``SeedSequence``, ``PCG64`` or
   ``default_rng``, or calls ``Generator(``: every generator comes from a
   stream key, through the one batched seeding route.
@@ -286,13 +290,13 @@ def loop_calls(tree: ast.Module, name: str) -> list:
 WINDOW_SPECIALS = {"log_ndtr", "erfcx"}
 
 
-def special_uses(tree: ast.Module) -> list:
-    """(line, name) of every import or attribute read of a name in WINDOW_SPECIALS."""
+def special_uses(tree: ast.Module, names) -> list:
+    """(line, name) of every import or attribute read of a name in ``names``."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            out += [(node.lineno, a.name) for a in node.names if a.name in WINDOW_SPECIALS]
-        elif isinstance(node, ast.Attribute) and node.attr in WINDOW_SPECIALS:
+            out += [(node.lineno, a.name) for a in node.names if a.name in names]
+        elif isinstance(node, ast.Attribute) and node.attr in names:
             out.append((node.lineno, node.attr))
     return sorted(out)
 
@@ -416,7 +420,14 @@ def test_no_tilt_draws_repeated_in_loops():
 def test_gaussian_window_tails_only_in_numerics():
     outside = [p for p in PACKAGE if p != ROOT / "src" / "sloclab" / "numerics.py"]
     assert len(outside) == len(PACKAGE) - 1
-    assert _scan(outside, special_uses) == []
+    assert _scan(outside, lambda tree: special_uses(tree, WINDOW_SPECIALS)) == []
+
+
+def test_truncated_normal_moments_only_in_numerics_and_measures():
+    users = {ROOT / "src" / "sloclab" / name for name in ("numerics.py", "measures.py")}
+    outside = [p for p in PACKAGE if p not in users]
+    assert len(outside) == len(PACKAGE) - 2
+    assert _scan(outside, lambda tree: special_uses(tree, {"trunc_normal_moments"})) == []
 
 
 def test_generators_are_built_only_in_streams_module():
@@ -588,7 +599,14 @@ def test_scanners_flag_what_they_look_for():
                          "import scipy.special\n"
                          "z = scipy.special.log_ndtr(3.0) + ndtr(1.0)\n"
                          "erfcx = 2\n")
-    assert special_uses(specials) == [(1, "erfcx"), (2, "log_ndtr"), (4, "log_ndtr")]
+    assert special_uses(specials, WINDOW_SPECIALS) == [(1, "erfcx"), (2, "log_ndtr"),
+                                                       (4, "log_ndtr")]
+    moments = ast.parse("from .numerics import quad, trunc_normal_moments\n"
+                        "from . import numerics\n"
+                        "w = numerics.trunc_normal_moments(0.0, 1.0, -1.0, 1.0)\n"
+                        "trunc_normal_moments = None\n")
+    assert special_uses(moments, {"trunc_normal_moments"}) == [(1, "trunc_normal_moments"),
+                                                               (3, "trunc_normal_moments")]
     rngs = ast.parse("import numpy as np\n"
                      "from numpy.random import default_rng, SeedSequence\n"
                      "a = np.random.Generator(np.random.PCG64(3))\n"

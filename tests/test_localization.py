@@ -282,7 +282,7 @@ def test_workers_do_not_change_results(tmp_path, capsys):
 def test_gaussian_stats_are_deterministic_in_cov():
     ens = simulate_ensemble(make_gaussian(3), make_geometric(0.1, 10.0, 13), 32, seed=1)
     assert np.ptp(ens.cov, axis=0).max() == 0.0  # A_t = Id/(1+t) on every path
-    stats = ens.stats()
+    stats = ens.stats
     tau = 1.0 + stats.t
     assert np.allclose(ens.cov.mean(axis=0), 1.0 / tau[:, None], atol=1e-14)
     assert np.allclose(stats.eig_min, 1.0 / tau, atol=1e-14)
@@ -291,7 +291,7 @@ def test_gaussian_stats_are_deterministic_in_cov():
 
 def test_trace_square_at_time_zero():
     ens = simulate_ensemble(make_cube(8), make_geometric(0.1, 1.0, 7), 3, seed=0)
-    stats = ens.stats()
+    stats = ens.stats
     assert stats.mean_tr_cov_sq[0] == pytest.approx(8.0, abs=1e-12)
     # A_0 = Id says nothing about the bound, so the maximum runs over t > 0 only
     rep = trace_square_ratio(ens)
@@ -370,7 +370,7 @@ def test_spectral_bound_flags_offending_path():
 
 
 def test_derivative_identity_flags_scaled_time(cube2_ensemble):
-    cube2_ensemble.stats()  # a cached reduction must not leak into the copy
+    cube2_ensemble.stats  # a cached reduction must not leak into the copy
     cov = cube2_ensemble.cov.copy()
     cov[:, 8] *= 1.2
     bad = dataclasses.replace(cube2_ensemble, cov=cov)
