@@ -530,11 +530,26 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
         raise ConfigError("simulate needs an output directory "
                           "(--out, config output_dir, or SLOCLAB_OUT)")
     ctx = RunContext(cfg)
-    stats = ctx.ensemble().stats
-    frame = ctx.frame()
+    spec, grid = ctx.spec, ctx.grid
+    t, k_pts, m, n = grid.points, grid.n_points, cfg.n_paths, spec.dim
+    # each block of grid times is folded in as the driver tilts it, so of the
+    # path arrays only theta is held whole: no mean, cov or v
+    theta = localization.start_paths(spec, grid, localization.path_keys(cfg.seed, m), cfg.driver)
+    fold = localization.StatsFold(grid, m, n)
+    energy = np.empty((m, k_pts))
+    geig_min, geig_max = np.empty(k_pts), np.empty(k_pts)
+    for b, mean, cov, _ in localization.tilt_blocks(spec, grid, theta, cfg.driver, None):
+        fold.add(b, mean, cov)
+        energy[:, b] = follmer.path_energy(theta[:, b], mean, t[b])
+        # E Gamma_r = E (1 + t) A_t, the path mean of the block's product
+        mean_gamma = (cov * covariance.per_time(1.0 + t[b], cov)).mean(axis=0, keepdims=True)
+        lo, hi = covariance.eig_extremes(mean_gamma)
+        geig_min[b], geig_max[b] = lo[0], hi[0]
+    stats = fold.stats()
+    curve = follmer.energy_curve(energy, grid.r_points, n)
     os.makedirs(cfg.out, exist_ok=True)
 
-    eye = np.eye(stats.dim)
+    eye = np.eye(n)
     stats_path = os.path.join(cfg.out, "stats.csv")
     with open(stats_path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -548,14 +563,6 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
                         _fmt(stats.eig_min[k]), _fmt(stats.eig_max[k]),
                         _fmt(dev)])
 
-    curve = follmer.fisher_energy(frame)
-    # E Gamma_r block by block: each block's product (1 + t) A_t, then its
-    # path mean, so no whole Gamma array is built
-    cov_t, scale = frame.cov_t, 1.0 + frame.t
-    mean_gamma = np.concatenate(
-        [(cov_t[:, b] * covariance.per_time(scale[b], cov_t)).mean(axis=0, keepdims=True)
-         for b in localization.time_blocks(cov_t)], axis=1)
-    geig_min, geig_max = covariance.eig_extremes(mean_gamma)
     follmer_path = os.path.join(cfg.out, "follmer.csv")
     with open(follmer_path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -564,7 +571,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
         for k in range(len(curve.r)):
             w.writerow([_fmt(curve.r[k]), _fmt(curve.value[k]),
                         _fmt(curve.stderr[k]), _fmt(curve.bound[k]),
-                        _fmt(geig_min[0, k]), _fmt(geig_max[0, k])])
+                        _fmt(geig_min[k]), _fmt(geig_max[k])])
 
     print(f"wrote {stats_path} and {follmer_path} "
           f"({len(stats.t)} grid times, {cfg.n_paths} paths, measure {cfg.measure})")

@@ -113,25 +113,32 @@ class FisherCurve:
     bound: np.ndarray     # 4 n / (1 - r)^2
 
 
-def path_energy(frame: FrameEnsemble) -> np.ndarray:
-    """|v_r|^2 per path and grid time, (m, K), one grid time at a time.
+def path_energy(theta: np.ndarray, mean: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """|v_r|^2 per path and grid time, (m, k), from theta_t and a_t (m, k, n) at times t (k,).
 
-    No (m, K, n) temporary; each time's sum over coordinates is the one
-    ``(v ** 2).sum(axis=-1)`` takes, so the values match it bit for bit.
+    One grid time at a time, so no (m, k, n) array is built: each time's
+    v_r = (1 + t) a_t - theta_t is formed as the frame's ``v`` forms it, and
+    its sum over coordinates is the one ``(v ** 2).sum(axis=-1)`` takes, so
+    the values match them bit for bit.
     """
-    m, k_pts, _ = frame.v.shape
+    m, k_pts, _ = theta.shape
     sq = np.empty((m, k_pts))
     for k in range(k_pts):
-        sq[:, k] = np.square(frame.v[:, k]).sum(axis=-1)
+        v = mean[:, k] * (1.0 + t[k])
+        v -= theta[:, k]
+        sq[:, k] = np.square(v).sum(axis=-1)
     return sq
+
+
+def energy_curve(sq: np.ndarray, r: np.ndarray, dim: int) -> FisherCurve:
+    """E |v_r|^2 with s / sqrt(m) errors, from |v_r|^2 per path at each r (m, K)."""
+    return FisherCurve(r=r, value=sq.mean(axis=0), stderr=jackknife_se(sq, axis=0),
+                       bound=4.0 * dim / (1.0 - r) ** 2)
 
 
 def fisher_energy(frame: FrameEnsemble) -> FisherCurve:
     """Monte Carlo Fisher energy E |v_r|^2 on the grid image, with s / sqrt(m) errors."""
-    sq = path_energy(frame)
-    return FisherCurve(
-        r=frame.r, value=sq.mean(axis=0), stderr=jackknife_se(sq, axis=0),
-        bound=4.0 * frame.dim / (1.0 - frame.r) ** 2)
+    return energy_curve(path_energy(frame.theta, frame.mean, frame.t), frame.r, frame.dim)
 
 
 def check_fisher_bound(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaReport:
@@ -144,7 +151,7 @@ def check_fisher_bound(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaReport:
 
 def check_fisher_monotone(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaReport:
     """r -> E |v_r|^2 is non-decreasing (paired increments)."""
-    sq = path_energy(frame)
+    sq = path_energy(frame.theta, frame.mean, frame.t)
     d = sq[:, 1:] - sq[:, :-1]
     mean = d.mean(axis=0)
     se = jackknife_se(d, axis=0)

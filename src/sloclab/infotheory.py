@@ -76,7 +76,7 @@ def de_bruijn_check(spec: MeasureSpec, frame: FrameEnsemble, sigma: float = 4.0)
         raise InputValidationError("grid too coarse for the identity (need >= 10 r-points)")
     lhs = kl_to_gaussian(spec)
 
-    vsq = path_energy(frame)
+    vsq = path_energy(frame.theta, frame.mean, frame.t)
     per_path = 0.5 * trapezoid(vsq, r, axis=1) + 0.5 * vsq[:, -1] * (1.0 - r[-1])
     rhs = float(per_path.mean())
     se = float(jackknife_se(per_path, axis=0))
@@ -276,7 +276,7 @@ def deficit_chain_audit(delta: EstimatorResult, frame: FrameEnsemble, xi: float 
     k0 = _snap_to_grid(r_full, xi)
     r = r_full[k0:]
     g = frame.gamma[:, k0:]
-    vsq_full = path_energy(frame)
+    vsq_full = path_energy(frame.theta, frame.mean, frame.t)
     vsq = vsq_full[:, k0:]
     eye = covariance.identity(g)
     subs = []

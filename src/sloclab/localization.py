@@ -12,8 +12,12 @@ Both drivers derive Brownian increments from the stream key
 ``(seed, path_index, "w")``, so a common path index means common randomness
 and sharp paired comparisons.
 
-Along each path the tilt moments (a, A, log Z) are recorded at every grid
-time; the checks below verify, with Monte Carlo error bars, the identities
+Along each path the tilt moments (a, A, log Z) are computed at every grid
+time, one block of grid times at a time (`tilt_blocks`, `time_blocks`).
+``simulate`` folds each block into its per-time statistics (`StatsFold`)
+as the driver tilts it, and keeps only theta whole; `simulate_ensemble`
+keeps every block in a `PathEnsemble`, which the checks below read.  They
+verify, with Monte Carlo error bars, the identities
 
     E A_t + E a_t (x) a_t = Id                    (conservation of variance)
     d/dt E A_t = -E A_t^2                          (covariance decay)
@@ -27,6 +31,7 @@ plus the diagnostic ratio sup_{t > 0} E tr[A_t^2] / n.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +42,7 @@ from .measures import BallSpec, MeasureSpec
 from .numerics import KS_LEVEL, familywise_level, jackknife_se, ks_pvalues
 from .reports import (COV_IDENTITY_FLOOR, ROUNDING_FLOOR, LemmaReport, composite_gate,
                       derivative_gate, entrywise_gate, gate, info)
-from .tilt import tilt_table
+from .tilt import cov_shape, tilt_table
 
 MAX_STEP_RATIO = 1.5
 
@@ -180,20 +185,22 @@ def direct_endpoint(spec: MeasureSpec, keys, t: np.ndarray) -> np.ndarray:
     return t[-1] * _draw_x(spec, keys) + w
 
 
-def _simulate(spec, grid, keys, driver):
+def start_paths(spec: MeasureSpec, grid: TimeGrid, keys, driver: str) -> np.ndarray:
+    """theta (m, K, n) of every key's path before any tilt.
+
+    For ``direct`` it is final, theta_t = t X + W_t; for ``sde`` it holds
+    the Brownian increments, onto which `tilt_blocks` adds each Euler step.
+    """
     t = grid.points
-    k_pts = len(t)
-    dt = np.diff(t)
     n = spec.dim
-    m = len(keys)
     if driver not in ("direct", "sde"):
         raise InputValidationError(f"unknown driver {driver!r}")
 
-    theta = np.empty((m, k_pts, n))
+    theta = np.empty((len(keys), len(t), n))
     theta[:, 0] = 0.0
     if driver == "direct":
         # theta_t = t X + W_t, written in place: increments, their running sum, then t X.
-        # The t X product is freed before mean and cov exist, so it does not
+        # The t X product is freed before the first tilt, so it does not
         # raise the peak.  Its free also lifts glibc's dynamic mmap and trim
         # thresholds above the tilt's per-time temporaries; a per-time loop
         # without it had them unmapped and faulted back in at every grid
@@ -206,29 +213,53 @@ def _simulate(spec, grid, keys, driver):
     else:
         # the increments, written in place; each Euler step adds onto its own
         brownian_increments(keys, t, n, out=theta[:, 1:])
+    return theta
 
-    mean = np.empty((m, k_pts, n))
-    cov = None
-    log_z = np.empty((m, k_pts))
-    for k in range(k_pts):
-        log_z[:, k], mean[:, k], cov_k, _ = tilt_table(spec, t[k], theta[:, k])
-        if cov is None:
-            cov = np.empty((m, k_pts) + cov_k.shape[1:])
-        cov[:, k] = cov_k
-        if driver == "sde" and k + 1 < k_pts:  # Euler step, drift a_t = mean of the tilt
-            theta[:, k + 1] += theta[:, k] + mean[:, k] * dt[k]
-    return PathEnsemble(spec, grid, theta, mean, cov, log_z)
+
+def tilt_blocks(spec: MeasureSpec, grid: TimeGrid, theta: np.ndarray, driver: str, out):
+    """Tilt the paths ``theta`` of `start_paths`, yielding one block of grid times at a time.
+
+    Yields ``(b, mean, cov, log_z)`` for the consecutive blocks ``b`` of
+    `time_blocks`: mean (m, k, n), cov (m, k) + `tilt.cov_shape` and log_z
+    (m, k).  With ``out`` None each block's arrays are new; ``out`` =
+    (mean, cov, log_z), whole (m, K, ...) arrays, receives them in place and
+    the blocks are its views.  The ``sde`` driver's Euler steps complete
+    ``theta`` as it goes: when a block is yielded, theta is final at its
+    grid times.
+    """
+    t = grid.points
+    m, k_pts, n = theta.shape
+    dt = np.diff(t)
+    row = cov_shape(spec)
+    for b in time_blocks(k_pts, m * math.prod(row) * theta.itemsize):
+        if out is None:
+            width = b.stop - b.start
+            mean, cov, log_z = (np.empty((m, width, n)), np.empty((m, width) + row),
+                                np.empty((m, width)))
+        else:
+            mean, cov, log_z = (a[:, b] for a in out)
+        for j, k in enumerate(range(b.start, b.stop)):
+            log_z[:, j], mean[:, j], cov[:, j], _ = tilt_table(spec, t[k], theta[:, k])
+            if driver == "sde" and k + 1 < k_pts:  # Euler step, drift a_t = mean of the tilt
+                theta[:, k + 1] += theta[:, k] + mean[:, j] * dt[k]
+        yield b, mean, cov, log_z
 
 
 def simulate_ensemble(spec: MeasureSpec, grid: TimeGrid, n_paths: int, seed: int,
                       driver: str = "direct", *, salt: str = "") -> PathEnsemble:
-    """Simulate ``n_paths`` independent paths.
+    """Simulate ``n_paths`` independent paths and keep every path array.
 
     Path i uses the stream key ``(seed, i)`` (or ``(seed, salt, i)``), so its
     arrays do not depend on ``n_paths``, and the two drivers share Brownian
-    increments for equal keys.
+    increments for equal keys.  `tilt_blocks` writes into the ensemble's
+    arrays in place.
     """
-    return _simulate(spec, grid, path_keys(seed, n_paths, salt), driver)
+    theta = start_paths(spec, grid, path_keys(seed, n_paths, salt), driver)
+    shape = (n_paths, grid.n_points)
+    out = (np.empty(shape + (spec.dim,)), np.empty(shape + cov_shape(spec)), np.empty(shape))
+    for _ in tilt_blocks(spec, grid, theta, driver, out):
+        pass
+    return PathEnsemble(spec, grid, theta, *out)
 
 
 # ---------------------------------------------------------------------------
@@ -256,59 +287,79 @@ class EnsembleStats:
     eig_max: np.ndarray
 
 
-# Bytes of a covariance array that one block of grid times covers (see
-# ensemble_stats)
+# Bytes of covariances that one block of grid times covers (see StatsFold)
 BLOCK_BYTES = 1 << 20
 
 
-def time_blocks(cov: np.ndarray) -> list[slice]:
-    """Slices of consecutive grid times, each about `BLOCK_BYTES` of ``cov``.
+def time_blocks(k_pts: int, time_bytes: int) -> list[slice]:
+    """Slices of ``k_pts`` consecutive grid times, each about `BLOCK_BYTES` of covariances.
 
-    ``cov`` is a covariance array (m, K, n) or (m, K, n, n); a block holds at
-    least one grid time.
+    ``time_bytes`` is the size of one grid time's covariances, (m, n) or
+    (m, n, n); a block holds at least one grid time.
     """
-    k_pts = cov.shape[1]
-    step = max(1, BLOCK_BYTES // (cov.nbytes // k_pts))
+    step = max(1, BLOCK_BYTES // time_bytes)
     return [slice(k, min(k + step, k_pts)) for k in range(0, k_pts, step)]
 
 
-def ensemble_stats(ensemble: PathEnsemble) -> EnsembleStats:
-    """Reduce an ensemble to per-time statistics.
+class StatsFold:
+    """`EnsembleStats` reduced one block of grid times at a time.
 
-    E[a (x) a + A] and its error come from `covariance.outer_mean_se`: for
-    diagonal covariances (Gaussians and coordinate products) by moment
-    reductions, with no per-path outer product; full covariances (balls)
-    still take the per-path route.  It and tr A_t^2 run over `time_blocks`,
-    blocks of grid times that each cover about `BLOCK_BYTES` = 1 MiB of
-    ``cov``, so their temporaries are a few block-sized arrays instead of
-    whole (m, K, n) or (m, K, n, n) ones.  At that size the temporaries stay
-    small beside the path arrays (10.75 MiB each on cube:32 with 1024
-    paths, which takes 11 blocks), each block still gives numpy whole
-    matrices of work per call, and a 3-dimensional product with 1024 paths
-    or ball:4 with 64 fits in one block.  Every statistic is per
-    grid time, so the blocks give the whole-array values bit for bit.
+    ``add`` takes a block's tilt means (m, k, n) and covariances, in the
+    layout of `covariance`; `ensemble_stats` feeds it slices of a stored
+    ensemble, and ``simulate`` the blocks of `tilt_blocks` as the driver
+    tilts them.  E[a (x) a + A] and its error come from
+    `covariance.outer_mean_se`: for diagonal covariances (Gaussians and
+    coordinate products) by moment reductions, with no per-path outer
+    product; full covariances (balls) still take the per-path route.  Blocks
+    of `time_blocks` cover about `BLOCK_BYTES` = 1 MiB of covariances, so
+    the temporaries are a few block-sized arrays instead of whole (m, K, n)
+    or (m, K, n, n) ones.  At that size they stay small beside a path array
+    (10.75 MiB on cube:32 with 1024 paths, which takes 11 blocks), each
+    block still gives numpy whole matrices of work per call, and a
+    3-dimensional product with 1024 paths or ball:4 with 64 fits in one
+    block.  Every statistic is per grid time, so the blocks give the
+    whole-array values bit for bit.  What it keeps whole is per path and
+    time scalars (tr A_t and tr A_t^2, (m, K) each) and per-time reductions.
     """
-    a = ensemble.mean
-    cov = ensemble.cov
-    m, k_pts, n = a.shape
 
-    mean_decomp = np.empty((k_pts, n, n))
-    se_decomp = np.empty((k_pts, n, n))
-    tr_cov_sq = np.empty((m, k_pts))
-    for b in time_blocks(cov):
-        a_b, cov_b = a[:, b], cov[:, b]
-        mean_decomp[b], se_decomp[b] = covariance.outer_mean_se(a_b, a_b, cov_b)
-        tr_cov_sq[:, b] = covariance.trace(covariance.square(cov_b))
-    tr_cov = covariance.trace(cov)
-    eig_min, eig_max = covariance.eig_extremes(cov.mean(axis=0, keepdims=True))
+    def __init__(self, grid: TimeGrid, n_paths: int, dim: int):
+        k_pts = grid.n_points
+        self.grid = grid
+        self.mean_decomp = np.empty((k_pts, dim, dim))
+        self.se_decomp = np.empty((k_pts, dim, dim))
+        self.tr_cov = np.empty((n_paths, k_pts))
+        self.tr_cov_sq = np.empty((n_paths, k_pts))
+        self.eig_min = np.empty(k_pts)
+        self.eig_max = np.empty(k_pts)
 
-    return EnsembleStats(
-        t=ensemble.grid.points, r=ensemble.grid.r_points, n_paths=m, dim=n,
-        mean_decomp=mean_decomp, se_decomp=se_decomp,
-        mean_tr_cov=tr_cov.mean(axis=0), se_tr_cov=jackknife_se(tr_cov, axis=0),
-        mean_tr_cov_sq=tr_cov_sq.mean(axis=0), se_tr_cov_sq=jackknife_se(tr_cov_sq, axis=0),
-        eig_min=eig_min[0], eig_max=eig_max[0],
-    )
+    def add(self, b: slice, mean: np.ndarray, cov: np.ndarray) -> None:
+        """Fold in grid times ``b``: their tilt means and covariances."""
+        self.mean_decomp[b], self.se_decomp[b] = covariance.outer_mean_se(mean, mean, cov)
+        self.tr_cov[:, b] = covariance.trace(cov)
+        self.tr_cov_sq[:, b] = covariance.trace(covariance.square(cov))
+        lo, hi = covariance.eig_extremes(cov.mean(axis=0, keepdims=True))
+        self.eig_min[b], self.eig_max[b] = lo[0], hi[0]
+
+    def stats(self) -> EnsembleStats:
+        """The statistics, once every grid time is folded in."""
+        m, _ = self.tr_cov.shape
+        return EnsembleStats(
+            t=self.grid.points, r=self.grid.r_points, n_paths=m, dim=self.mean_decomp.shape[-1],
+            mean_decomp=self.mean_decomp, se_decomp=self.se_decomp,
+            mean_tr_cov=self.tr_cov.mean(axis=0), se_tr_cov=jackknife_se(self.tr_cov, axis=0),
+            mean_tr_cov_sq=self.tr_cov_sq.mean(axis=0),
+            se_tr_cov_sq=jackknife_se(self.tr_cov_sq, axis=0),
+            eig_min=self.eig_min, eig_max=self.eig_max,
+        )
+
+
+def ensemble_stats(ensemble: PathEnsemble) -> EnsembleStats:
+    """Reduce a stored ensemble to per-time statistics, a `StatsFold` over its `time_blocks`."""
+    m, k_pts, n = ensemble.mean.shape
+    fold = StatsFold(ensemble.grid, m, n)
+    for b in time_blocks(k_pts, ensemble.cov[:, 0].nbytes):
+        fold.add(b, ensemble.mean[:, b], ensemble.cov[:, b])
+    return fold.stats()
 
 
 # ---------------------------------------------------------------------------

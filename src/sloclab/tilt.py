@@ -436,14 +436,20 @@ def tilt_sample_batch(spec: MeasureSpec, t: float, thetas, rng: np.random.Genera
 _NO_ROUTE = "{} has no tilt route: tilts exist for Gaussians, coordinate products and balls"
 
 
+def cov_shape(spec: MeasureSpec) -> tuple:
+    """Shape of one row's covariance from `tilt_table`: (n, n) for balls, else variances (n,)."""
+    n = spec.dim
+    return (n, n) if isinstance(spec, BallSpec) else (n,)
+
+
 def tilt_table(spec: MeasureSpec, t: float, thetas: np.ndarray):
     """Tilt moments for a batch of thetas (m, n) at one t, by the best route.
 
     Returns (log_z (m,), mean (m, n), cov, method).  ``cov`` is in the shape
-    of its structure: the variances (m, n) for Gaussians and coordinate
-    products, whose tilts have diagonal covariances, and full matrices
-    (m, n, n) for balls.  t = 0 is the base state, theta = 0, isotropic by
-    construction: log Z = 0, mean 0, covariance Id.  At t > 0 Gaussians
+    of its structure (`cov_shape`): the variances (m, n) for Gaussians and
+    coordinate products, whose tilts have diagonal covariances, and full
+    matrices (m, n, n) for balls.  t = 0 is the base state, theta = 0,
+    isotropic by construction: log Z = 0, mean 0, covariance Id.  At t > 0 Gaussians
     are conjugate; coordinate products are exact (closed form, with the
     ballmarg factor by quadrature); balls use `ball_tilt_table`.  Other
     specs, a batch of another width, a non-finite entry, t < 0 and t = 0
@@ -456,7 +462,7 @@ def tilt_table(spec: MeasureSpec, t: float, thetas: np.ndarray):
     m, n = thetas.shape
     if t == 0.0:
         # the base measure, isotropic by construction: mean 0, covariance Id
-        cov = np.tile(np.eye(n), (m, 1, 1)) if isinstance(spec, BallSpec) else np.ones((m, n))
+        cov = np.ones((m, n)) if cov_shape(spec) == (n,) else np.tile(np.eye(n), (m, 1, 1))
         return np.zeros(m), np.zeros((m, n)), cov, CLOSED_FORM
     with np.errstate(divide="ignore", invalid="ignore"):  # non-finite rows raise below
         if isinstance(spec, GaussianSpec):

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 import sloclab
+from sloclab import localization
 from sloclab.cli import (_CHECK_IDS, _REGISTRY, SETTINGS, RunContext, _build_parser,
                          build_config, main)
-from sloclab.errors import ConfigError
+from sloclab.errors import ConfigError, DivergentTilt
 
 
 def parse_cfg(argv):
@@ -429,6 +430,25 @@ def test_simulate_artifacts_are_deterministic(tmp_path, capsys):
     assert (a / "stats.csv").read_bytes() != (c / "stats.csv").read_bytes()
     header = (a / "stats.csv").read_text().splitlines()[0]
     assert header.startswith("t,r,trace_cov")
+
+
+def test_simulate_that_fails_at_its_last_tilt_writes_nothing(tmp_path, capsys, monkeypatch):
+    # simulate folds each block in as the driver tilts it, and makes its
+    # output directory only once every grid time has been tilted
+    t_last = localization.make_geometric().points[-1]
+    tilt_table = localization.tilt_table
+
+    def diverging(spec, t, thetas):
+        if t == t_last:
+            raise DivergentTilt(f"{spec.measure_id()} tilt at t={t:g} is not finite")
+        return tilt_table(spec, t, thetas)
+    monkeypatch.setattr(localization, "tilt_table", diverging)
+    out = tmp_path / "out"
+    assert main(["simulate", "--measure", "cube:4", "--paths", "64", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cube:4 tilt at t=100 is not finite\n"
+    assert not out.exists()
 
 
 def test_simulate_t_zero_row_is_exactly_isotropic(tmp_path, capsys):

@@ -13,14 +13,16 @@ import numpy as np
 import pytest
 
 from sloclab import covariance
-from sloclab.follmer import (check_gamma_properties, check_xr_law, fisher_energy,
-                             to_follmer)
+from sloclab.cli import main
+from sloclab.follmer import (check_gamma_properties, check_xr_law, energy_curve,
+                             fisher_energy, path_energy, to_follmer)
 from sloclab.infotheory import (de_bruijn_check, deficit_chain_audit, deficit_lower_bound,
                                  epi_deficit)
-from sloclab.localization import (check_derivative_identity, check_monotone_trace,
-                                  check_orthogonality, check_spectral_bound,
-                                  check_variance_decomposition, ensemble_stats,
-                                  make_geometric, simulate_ensemble, time_blocks,
+from sloclab.localization import (StatsFold, check_derivative_identity,
+                                  check_monotone_trace, check_orthogonality,
+                                  check_spectral_bound, check_variance_decomposition,
+                                  ensemble_stats, make_geometric, path_keys,
+                                  simulate_ensemble, start_paths, tilt_blocks, time_blocks,
                                   trace_square_ratio)
 from sloclab.measures import parse_measure_id
 from sloclab.numerics import jackknife_se
@@ -123,7 +125,8 @@ def test_simulate_path_peaks_below_one_full_covariance_array(measure):
 def test_path_layer_peaks_in_units_of_one_path_array():
     # theta, mean and the diagonal cov are the ensemble's three (m, K, n)
     # arrays; the direct driver writes theta in place, and the Fisher energy
-    # adds only the frame's v beside them
+    # reads |v_r|^2 from theta and mean one grid time at a time, so it adds
+    # no path array beside them
     grid = make_geometric()
     m, n = 512, 16
     one_path = m * grid.n_points * n * 8
@@ -137,7 +140,7 @@ def test_path_layer_peaks_in_units_of_one_path_array():
     finally:
         tracemalloc.stop()
     assert simulated < 4.5 * one_path, simulated / one_path
-    assert framed < 7.0 * one_path, framed / one_path
+    assert framed < 4.5 * one_path, framed / one_path
 
 
 def test_frame_and_stats_allocate_no_whole_path_array():
@@ -161,17 +164,58 @@ def test_frame_and_stats_allocate_no_whole_path_array():
     assert stats_peak < 4 << 20, stats_peak
 
 
+def _streamed(spec, grid, n_paths, driver):
+    """simulate's fold: statistics and Fisher curve, a block at a time as the driver tilts."""
+    theta = start_paths(spec, grid, path_keys(0, n_paths), driver)
+    fold = StatsFold(grid, n_paths, spec.dim)
+    energy = np.empty((n_paths, grid.n_points))
+    for b, mean, cov, _ in tilt_blocks(spec, grid, theta, driver, None):
+        fold.add(b, mean, cov)
+        energy[:, b] = path_energy(theta[:, b], mean, grid.points[b])
+    return fold.stats(), energy_curve(energy, grid.r_points, spec.dim)
+
+
 @pytest.mark.parametrize("measure, n_paths, n_blocks", [
     ("cube:32", 1024, 11), ("ball:8", 256, 6), ("product:exp,laplace,uniform", 4096, 5)])
 def test_blocked_stats_match_whole_arrays_bitwise(measure, n_paths, n_blocks):
-    ens = simulate_ensemble(parse_measure_id(measure), make_geometric(), n_paths, seed=0)
-    assert len(time_blocks(ens.cov)) == n_blocks
-    stats = ensemble_stats(ens)
-    mean, se = covariance.outer_mean_se(ens.mean, ens.mean, ens.cov)
-    assert np.array_equal(stats.mean_decomp, mean)
-    assert np.array_equal(stats.se_decomp, se)
-    tr_sq = covariance.trace(covariance.square(ens.cov)).mean(axis=0)
-    assert np.array_equal(stats.mean_tr_cov_sq, tr_sq)
+    spec, grid = parse_measure_id(measure), make_geometric()
+    for driver in ("direct", "sde"):
+        ens = simulate_ensemble(spec, grid, n_paths, seed=0, driver=driver)
+        assert len(time_blocks(grid.n_points, ens.cov[:, 0].nbytes)) == n_blocks
+        stats = ensemble_stats(ens)
+        mean, se = covariance.outer_mean_se(ens.mean, ens.mean, ens.cov)
+        assert np.array_equal(stats.mean_decomp, mean)
+        assert np.array_equal(stats.se_decomp, se)
+        tr_sq = covariance.trace(covariance.square(ens.cov)).mean(axis=0)
+        assert np.array_equal(stats.mean_tr_cov_sq, tr_sq)
+        assert np.array_equal(stats.mean_tr_cov, covariance.trace(ens.cov).mean(axis=0))
+        lo, hi = covariance.eig_extremes(ens.cov.mean(axis=0, keepdims=True))
+        assert np.array_equal(stats.eig_min, lo[0]) and np.array_equal(stats.eig_max, hi[0])
+        # simulate's fold holds no whole mean or cov, and gives the same bits
+        streamed, curve = _streamed(spec, grid, n_paths, driver)
+        for field in dataclasses.fields(stats):
+            assert np.array_equal(getattr(streamed, field.name), getattr(stats, field.name)), \
+                (driver, field.name)
+        stored = fisher_energy(to_follmer(ens))
+        assert np.array_equal(curve.value, stored.value), driver
+        assert np.array_equal(curve.stderr, stored.stderr), driver
+
+
+def test_streamed_simulate_peaks_below_two_and_a_half_path_arrays(tmp_path, capsys):
+    # simulate holds only theta whole and folds mean, cov and |v_r|^2 in a
+    # block of grid times at a time; its peak is theta beside the direct
+    # driver's transient t X product (2.36 path arrays), where the stored
+    # ensemble and the frame's v peaked at 4.3
+    one_path = 1024 * 41 * 32 * 8
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--measure", "cube:32", "--paths", "1024",
+                     "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "(41 grid times" in capsys.readouterr().out
+    assert peak < 2.5 * one_path, peak / one_path
 
 
 def test_sde_driver_peaks_below_a_separate_increment_array():
@@ -191,25 +235,30 @@ def test_sde_driver_peaks_below_a_separate_increment_array():
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="the fault count follows glibc's malloc thresholds")
-def test_direct_driver_does_not_refault_its_tilt_temporaries():
+def test_direct_driver_does_not_refault_its_tilt_temporaries(tmp_path):
     # the direct driver frees its t X product before the tilt loop, which lifts
     # glibc's dynamic mmap threshold above the per-time tilt temporaries; without
     # it they are unmapped and faulted back in at every grid time (about 4,200
-    # minor faults against 73,000 on glibc 2.36 with numpy 2.4)
+    # minor faults against 73,000 on glibc 2.36 with numpy 2.4).  Both the
+    # stored ensemble and simulate's streamed fold run the one driver.
     probe = ("import resource\n"
+             "from sloclab.cli import main\n"
              "from sloclab.localization import make_geometric, simulate_ensemble\n"
              "from sloclab.measures import make_cube\n"
-             "spec, grid = make_cube(32), make_geometric(0.01, 100.0, 40)\n"
              "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-             "simulate_ensemble(spec, grid, 1024, 0)\n"
+             "{run}\n"
              "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    runs = ("simulate_ensemble(make_cube(32), make_geometric(0.01, 100.0, 40), 1024, 0)",
+            "main(['simulate', '--measure', 'cube:32', '--paths', '1024', "
+            f"'--out', {str(tmp_path)!r}])")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 20_000
+    for run in runs:
+        proc = subprocess.run([sys.executable, "-c", probe.format(run=run)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.split()[-1]) < 20_000, run
 
 
 @pytest.mark.parametrize("layout", ["none", "diagonal", "full"])

@@ -328,11 +328,13 @@ def test_fisher_identity_passes_on_a_gaussian():
 
 def test_fisher_identity_flags_scaled_drift():
     # 1.1 v raises E |v_r|^2 by 21%; with 8192 paths the gap at r = 0.8 is 1.75-2.45
-    # times the 4-sigma tolerance at seeds 0-3
+    # times the 4-sigma tolerance at seeds 0-3.  The energy is read from theta
+    # and a_t, so the drift is scaled through the a_t that gives v_r = 1.1 v.
     spec = make_product("exp,laplace,truncgauss")
     frame = to_follmer(simulate_ensemble(spec, make_geometric(0.05, 20.0, 16), 8192, seed=0))
     assert not check_fisher_identity(frame).failed
-    rep = check_fisher_identity(_with_arrays(frame, v=1.1 * frame.v))
+    mean = (1.1 * frame.v + frame.theta) / (1.0 + frame.t)[None, :, None]
+    rep = check_fisher_identity(dataclasses.replace(frame, mean=mean))
     assert rep.failed
 
 

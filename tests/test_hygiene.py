@@ -54,7 +54,10 @@
   ensemble) and ``check_projection_domination`` (once, for the marginal):
   every other check reads the run's paths.  ``direct_endpoint`` is called
   only by ``check_driver_equivalence``, for its direct side and its KS
-  sample, which need theta(t_max) and no tilt.
+  sample, which need theta(t_max) and no tilt.  The block driver,
+  ``start_paths`` and ``tilt_blocks``, runs only in ``simulate_ensemble``,
+  which keeps every block, and in ``_cmd_simulate``, which folds each block
+  into its statistics as it comes: one tilt and Euler loop serves both.
 """
 
 import ast
@@ -447,6 +450,10 @@ def test_paths_are_simulated_only_where_a_check_needs_its_own():
     endpoints = Counter(f"{p.name}:{scope}" for p in PACKAGE
                         for _, scope in scoped_calls(_tree(p), "direct_endpoint"))
     assert endpoints == {"localization.py:check_driver_equivalence": 2}
+    for driver in ("start_paths", "tilt_blocks"):
+        runs = Counter(f"{p.name}:{scope}" for p in PACKAGE
+                       for _, scope in scoped_calls(_tree(p), driver))
+        assert runs == {"localization.py:simulate_ensemble": 1, "cli.py:_cmd_simulate": 1}, driver
 
 
 def test_cli_import_loads_no_scipy():

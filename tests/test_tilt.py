@@ -30,6 +30,7 @@ from sloclab.tilt import (
     QUADRATURE,
     ball_tilt_table,
     conditional_covariance_identity_check,
+    cov_shape,
     envelope,
     factor_tilt_quadrature,
     gaussian_tilt,
@@ -56,6 +57,16 @@ def test_gaussian_conjugacy():
     assert np.allclose(state.cov, np.eye(3) / 3.0, atol=1e-14)
     expect_log_z = -1.5 * math.log(3.0) + float(theta @ theta) / 6.0
     assert state.log_z == pytest.approx(expect_log_z, rel=1e-14)
+
+
+@pytest.mark.parametrize("measure_id", DEFAULT_CATALOG)
+def test_cov_shape_is_the_layout_tilt_table_returns(measure_id):
+    # the driver allocates its covariance arrays from cov_shape before any tilt
+    spec = parse_measure_id(measure_id)
+    thetas = np.full((4, spec.dim), 0.3)
+    for t in (0.0, 0.5):
+        cov = tilt_table(spec, t, thetas if t else np.zeros_like(thetas))[2]
+        assert cov.shape == (4,) + cov_shape(spec), t
 
 
 @pytest.mark.parametrize("measure_id", DEFAULT_CATALOG + ("product:exp,laplace",))
