@@ -268,15 +268,23 @@ def check_gamma_properties(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaRep
 
     if k_pts >= 5:
         # (iii) d/dr E v (x) v = E (Id - Gamma)^2 / (1 - r)^2, entrywise
-        # over the full matrices, since v (x) v is not diagonal
-        vv = np.einsum("mki,mkj->mkij", frame.v, frame.v)
-        res_sq = covariance.dense(covariance.square(eye - gamma))
-        rhs3 = res_sq / one_minus_r[None, :, None, None] ** 2
+        # over the full matrices, since v (x) v is not diagonal; both sides
+        # are built one block of grid times at a time
+        v = frame.v
+
+        def vv(s):
+            return np.einsum("mki,mkj->mkij", v[:, s], v[:, s])
+
+        def rhs3(s):
+            res_sq = covariance.dense(covariance.square(eye - gamma[:, s]))
+            return res_sq / one_minus_r[None, s, None, None] ** 2
         subs.append(derivative_gate("score-energy-derivative", vv, r, rhs3, sigma))
 
         # (iv) d/dr E Gamma = (E Gamma - E Gamma^2) / (1 - r)
-        rhs4 = (gamma - covariance.square(gamma)) / covariance.per_time(one_minus_r, gamma)
-        subs.append(derivative_gate("gamma-derivative", gamma, r, rhs4, sigma))
+        def rhs4(s):
+            g = gamma[:, s]
+            return (g - covariance.square(g)) / covariance.per_time(one_minus_r[s], g)
+        subs.append(derivative_gate("gamma-derivative", lambda s: gamma[:, s], r, rhs4, sigma))
 
     # (v) Gamma_r <= Id / r pathwise (r > 0), as the t-clock spectral check
     subs.append(entrywise_gate("gamma-spectral-bound", spectral_margin(gamma, r), SPECTRAL_SLACK,

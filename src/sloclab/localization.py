@@ -39,7 +39,7 @@ import numpy as np
 from . import covariance, streams
 from .errors import InputValidationError
 from .measures import BallSpec, MeasureSpec
-from .numerics import KS_LEVEL, familywise_level, jackknife_se, ks_pvalues
+from .numerics import KS_LEVEL, familywise_level, jackknife_se, ks_pvalues, time_blocks
 from .reports import (COV_IDENTITY_FLOOR, ROUNDING_FLOOR, LemmaReport, composite_gate,
                       derivative_gate, entrywise_gate, gate, info)
 from .tilt import cov_shape, tilt_table
@@ -270,7 +270,9 @@ def simulate_ensemble(spec: MeasureSpec, grid: TimeGrid, n_paths: int, seed: int
 class EnsembleStats:
     """Per-time ensemble means and their standard errors s / sqrt(m).
 
-    Holds only what the checks and `simulate`'s stats.csv read.
+    Holds only what the checks and `simulate`'s stats.csv read, and the
+    per-path traces those means come from, which `derivative-identity`'s
+    trace gate differentiates.
     """
 
     t: np.ndarray
@@ -285,20 +287,8 @@ class EnsembleStats:
     se_tr_cov_sq: np.ndarray
     eig_min: np.ndarray           # (K,) of E A_t
     eig_max: np.ndarray
-
-
-# Bytes of covariances that one block of grid times covers (see StatsFold)
-BLOCK_BYTES = 1 << 20
-
-
-def time_blocks(k_pts: int, time_bytes: int) -> list[slice]:
-    """Slices of ``k_pts`` consecutive grid times, each about `BLOCK_BYTES` of covariances.
-
-    ``time_bytes`` is the size of one grid time's covariances, (m, n) or
-    (m, n, n); a block holds at least one grid time.
-    """
-    step = max(1, BLOCK_BYTES // time_bytes)
-    return [slice(k, min(k + step, k_pts)) for k in range(0, k_pts, step)]
+    tr_cov: np.ndarray            # (m, K) tr A_t per path
+    tr_cov_sq: np.ndarray         # (m, K) tr A_t^2 per path
 
 
 class StatsFold:
@@ -311,7 +301,7 @@ class StatsFold:
     `covariance.outer_mean_se`: for diagonal covariances (Gaussians and
     coordinate products) by moment reductions, with no per-path outer
     product; full covariances (balls) still take the per-path route.  Blocks
-    of `time_blocks` cover about `BLOCK_BYTES` = 1 MiB of covariances, so
+    of `time_blocks` cover about `numerics.BLOCK_BYTES` = 1 MiB of covariances, so
     the temporaries are a few block-sized arrays instead of whole (m, K, n)
     or (m, K, n, n) ones.  At that size they stay small beside a path array
     (10.75 MiB on cube:32 with 1024 paths, which takes 11 blocks), each
@@ -350,6 +340,7 @@ class StatsFold:
             mean_tr_cov_sq=self.tr_cov_sq.mean(axis=0),
             se_tr_cov_sq=jackknife_se(self.tr_cov_sq, axis=0),
             eig_min=self.eig_min, eig_max=self.eig_max,
+            tr_cov=self.tr_cov, tr_cov_sq=self.tr_cov_sq,
         )
 
 
@@ -381,16 +372,19 @@ def check_derivative_identity(ensemble: PathEnsemble, sigma: float = 4.0) -> Lem
 
     Tolerance is sigma * (stderr + discretization budget); the budget comes
     from step-doubling Richardson on the ensemble mean curve, so it is
-    conservative where the mean curve is noisy.
+    conservative where the mean curve is noisy.  Both gates read a block of
+    grid times at a time (`derivative_gate`); the trace gate reads the
+    per-path tr A_t and tr A_t^2 that `ensemble.stats` already holds.
     """
     t = ensemble.grid.points
     if len(t) < 5:
         raise InputValidationError("need at least 5 grid times for the derivative check")
     cov = ensemble.cov
-    cov_sq = covariance.square(cov)
-    mat = derivative_gate("derivative-identity", cov, t, -cov_sq, sigma)
-    tr = derivative_gate("derivative-identity-trace", covariance.trace(cov), t,
-                         -covariance.trace(cov_sq), sigma)
+    stats = ensemble.stats
+    mat = derivative_gate("derivative-identity", lambda s: cov[:, s], t,
+                          lambda s: -covariance.square(cov[:, s]), sigma)
+    tr = derivative_gate("derivative-identity-trace", lambda s: stats.tr_cov[:, s], t,
+                         lambda s: -stats.tr_cov_sq[:, s], sigma)
     return composite_gate("derivative-identity", (mat, tr),
                           notes=f"interior times {len(t) - 2}")
 

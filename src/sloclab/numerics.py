@@ -2,7 +2,8 @@
 normal moments (the one Gaussian window), the radial Gauss-Legendre rule
 for ball tilts, adaptive Gauss-Kronrod quadrature, standard errors of
 ensemble means, the exact two-sample Kolmogorov-Smirnov p-value,
-non-uniform finite differences and the trapezoid's step-halving budget.
+non-uniform finite differences, the trapezoid's step-halving budget, and
+the blocks of grid times that per-path arrays are reduced in.
 
 Every special function is numpy or ``math``: ``erfcx`` on [0, inf], the
 chi-square CDF ``gamma_p``, the incomplete beta ``beta_inc`` of the ball's
@@ -453,6 +454,21 @@ def trapezoid_budget(curve: np.ndarray, x: np.ndarray) -> float:
     """
     coarse = sorted(set(range(0, len(x), 2)) | {len(x) - 1})
     return abs(float(trapezoid(curve, x)) - float(trapezoid(curve[coarse], x[coarse]))) / 3.0
+
+
+# Bytes of per-path arrays that one block of grid times covers
+BLOCK_BYTES = 1 << 20
+
+
+def time_blocks(k_pts: int, time_bytes: int) -> list[slice]:
+    """Slices of ``k_pts`` consecutive grid times, each about `BLOCK_BYTES` of arrays.
+
+    ``time_bytes`` is the size of one grid time's per-path array, such as
+    its covariances, (m, n) or (m, n, n); a block holds at least one grid
+    time.
+    """
+    step = max(1, BLOCK_BYTES // time_bytes)
+    return [slice(k, min(k + step, k_pts)) for k in range(0, k_pts, step)]
 
 
 def _stencil(y: np.ndarray, x: np.ndarray, stride: int) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import central_difference, fd_error_budget, jackknife_se
+from .numerics import central_difference, fd_error_budget, jackknife_se, time_blocks
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -131,21 +131,52 @@ def entrywise_gate(check_id: str, gap, tol, se=None, notes: str = "",
                 notes=notes + where)
 
 
-def derivative_gate(check_id: str, y: np.ndarray, x: np.ndarray, rhs: np.ndarray,
-                    sigma: float) -> LemmaReport:
-    """Entrywise gate for d/dx E y = E rhs at the interior grid nodes.
+def derivative_gate(check_id: str, y, x: np.ndarray, rhs, sigma: float) -> LemmaReport:
+    """Entrywise gate for d/dx E y = E rhs at the interior grid nodes, in blocks of grid times.
 
-    ``y`` and ``rhs`` are per-path arrays (m, K, ...) on the grid ``x`` (K,).
-    The statistic is |mean over paths of the central difference of y minus
-    rhs|; the tolerance is sigma * (its standard error + the step-doubling
-    budget of the mean curve E y) + COV_IDENTITY_FLOOR.  The reported index
-    is (k, ...) for grid node x[k], 1 <= k <= K - 2.
+    ``y`` and ``rhs`` take a slice of grid nodes and return the per-path
+    arrays (m, len, ...) there, on the grid ``x`` (K,).  The interior nodes
+    1 .. K - 2 are walked in the blocks of `time_blocks`, sized from the
+    bytes of one node's y, and each block reads y with one more node on
+    either side, so no (m, K, ...) array is built.  The statistic is |mean
+    over paths of the central difference of y minus rhs|; the tolerance is
+    sigma * (its standard error + the step-doubling budget of the mean curve
+    E y, gathered from the blocks) + COV_IDENTITY_FLOOR.  Every number is
+    per grid node and its paths are summed in order, so the blocks give the
+    whole-array values bit for bit.  The reported index is (k, ...) for grid
+    node x[k], 1 <= k <= K - 2.
     """
-    gap = central_difference(y, x, axis=1) - rhs[:, 1:-1]
-    se = jackknife_se(gap, axis=0)
-    budget = fd_error_budget(y.mean(axis=0), x, axis=0)
-    return entrywise_gate(check_id, np.abs(gap.mean(axis=0)),
+    first = y(slice(0, 1))
+    _, _, *rest = first.shape
+    k_pts = len(x)
+    mean_y = np.empty([k_pts] + rest)
+    mean = np.empty([k_pts - 2] + rest)
+    se = np.empty_like(mean)
+    for b in time_blocks(k_pts - 2, first.nbytes):
+        halo = slice(b.start, b.stop + 2)
+        y_b = y(halo)
+        mean_y[halo] = y_b.mean(axis=0)
+        gap = central_difference(y_b, x[halo], axis=1) - rhs(slice(b.start + 1, b.stop + 1))
+        mean[b], se[b] = _path_mean_se(gap)
+    budget = fd_error_budget(mean_y, x, axis=0)
+    return entrywise_gate(check_id, np.abs(mean),
                           sigma * (se + budget) + COV_IDENTITY_FLOOR, se, first_row=1)
+
+
+def _path_mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over paths (axis 0) and its s / sqrt(m), each path added in order.
+
+    numpy adds the paths in order when each holds two or more numbers, but
+    pairwise when each holds one, as a one-node block of a scalar curve
+    does; such a block is reduced beside a copy of itself, so that its bits
+    are the whole curve's.
+    """
+    flat = values.reshape(len(values), -1)
+    if flat.shape[1] == 1:
+        flat = np.repeat(flat, 2, axis=1)
+    width = values[0].size
+    return (flat.mean(axis=0)[:width].reshape(values.shape[1:]),
+            jackknife_se(flat, axis=0)[:width].reshape(values.shape[1:]))
 
 
 def info(check_id: str, statistic: float, stderr: float = 0.0, notes: str = "") -> LemmaReport:

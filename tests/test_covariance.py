@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sloclab import covariance
+from sloclab import covariance, numerics
 from sloclab.cli import main
 from sloclab.follmer import (check_gamma_properties, check_xr_law, energy_curve,
                              fisher_energy, path_energy, to_follmer)
@@ -22,10 +22,10 @@ from sloclab.localization import (StatsFold, check_derivative_identity,
                                   check_monotone_trace, check_orthogonality,
                                   check_spectral_bound, check_variance_decomposition,
                                   ensemble_stats, make_geometric, path_keys,
-                                  simulate_ensemble, start_paths, tilt_blocks, time_blocks,
+                                  simulate_ensemble, start_paths, tilt_blocks,
                                   trace_square_ratio)
 from sloclab.measures import parse_measure_id
-from sloclab.numerics import jackknife_se
+from sloclab.numerics import jackknife_se, time_blocks
 
 MEASURES = ("cube:4", "product:exp,laplace,uniform", "gaussian:3")
 _INDEX = re.compile(r" worst at index \(([\d, ]+)\)")
@@ -199,6 +199,50 @@ def test_blocked_stats_match_whole_arrays_bitwise(measure, n_paths, n_blocks):
         stored = fisher_energy(to_follmer(ens))
         assert np.array_equal(curve.value, stored.value), driver
         assert np.array_equal(curve.stderr, stored.stderr), driver
+
+
+DERIVATIVE_GATES = ("derivative-identity", "derivative-identity-trace",
+                    "score-energy-derivative", "gamma-derivative")
+
+
+def _derivative_reports(ens):
+    """The four derivative sub-reports of an ensemble and its frame, by id."""
+    subs = check_derivative_identity(ens).sub + check_gamma_properties(to_follmer(ens)).sub
+    return {s.check_id: s for s in subs if s.check_id in DERIVATIVE_GATES}
+
+
+@pytest.mark.parametrize("measure", ["cube:2", "ball:3"])
+def test_derivative_gates_match_in_one_node_blocks(measure, monkeypatch):
+    # cube:2 stores diagonal covariances and ball:3 full ones; at BLOCK_BYTES
+    # 1 MiB each gate takes its 14 interior nodes in one block, at 1 byte in 14
+    ens = simulate_ensemble(parse_measure_id(measure), make_geometric(0.05, 20.0, 16), 512,
+                            seed=0)
+    node_bytes = 512 * 9 * 8  # one node of ball:3's largest y, v (x) v or A_t
+    assert len(time_blocks(14, node_bytes)) == 1
+    whole = _derivative_reports(ens)
+    assert sorted(whole) == sorted(DERIVATIVE_GATES)
+    monkeypatch.setattr(numerics, "BLOCK_BYTES", 1)
+    assert len(time_blocks(14, 8)) == 14
+    assert _derivative_reports(ens) == whole
+
+
+def test_gamma_properties_peaks_below_one_dense_path_array():
+    # one (m, K, n, n) array is 41 MiB here; v (x) v and (Id - Gamma)^2 are
+    # built a block of grid times at a time, where building them whole made
+    # the check peak at 206 MiB
+    grid = make_geometric()
+    m, n = 512, 16
+    one_dense = m * grid.n_points * n * n * 8
+    frame = to_follmer(simulate_ensemble(parse_measure_id("cube:16"), grid, m, seed=0))
+    frame.v, frame.gamma
+    tracemalloc.start()
+    try:
+        rep = check_gamma_properties(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "score-energy-derivative" in {s.check_id for s in rep.sub}
+    assert peak < one_dense, peak / one_dense
 
 
 def test_streamed_simulate_peaks_below_two_and_a_half_path_arrays(tmp_path, capsys):

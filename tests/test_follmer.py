@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import truncnorm
 
-from sloclab import follmer
+from sloclab import follmer, numerics
 from sloclab.cli import main
 from sloclab.errors import InputValidationError
 from sloclab.follmer import (
@@ -364,6 +364,20 @@ def test_gamma_derivatives_fail_on_a_non_finite_path(cube2_frame):
         assert subs[check_id].failed
         assert "non-finite" in subs[check_id].notes
     assert rep.failed and not rep.statistic <= rep.tolerance
+
+
+@pytest.mark.parametrize("k", [0, 8, 15])
+def test_score_energy_derivative_fails_on_a_non_finite_v_in_one_node_blocks(
+        k, cube2_frame, monkeypatch):
+    # every interior node its own block: a NaN in one path's v at grid time k
+    # reaches the gate through the blocks' one-node halos, ends included
+    monkeypatch.setattr(numerics, "BLOCK_BYTES", 1)
+    v = cube2_frame.v.copy()
+    v[3, k, 1] = np.nan
+    rep = check_gamma_properties(_with_arrays(cube2_frame, v=v))
+    sub = {s.check_id: s for s in rep.sub}["score-energy-derivative"]
+    assert sub.failed
+    assert "non-finite statistic" in sub.notes
 
 
 def test_xr_law_passes(cube2_frame):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sloclab import numerics
 from sloclab.reports import (FAIL, PASS, composite_gate, derivative_gate, entrywise_gate,
                              gate, info)
 
@@ -107,14 +108,39 @@ def test_entrywise_gate_ranks_a_failing_zero_tolerance_first():
     assert rep.notes == " worst at index (2,)"
 
 
-@pytest.mark.parametrize("j", [1, 4, 8])
-def test_derivative_gate_names_the_grid_time_of_a_defect(j):
-    # y = x^2 on every path, so dy/dx = 2x exactly at every interior node; a
-    # defect in the right-hand side at grid time j must be reported at x[j]
+def _curve(j, where):
+    """y = x^2 on 4 paths and 3 columns, so dy/dx = 2x exactly at every interior node,
+    and its right-hand side; ``where`` ("y" or "rhs") gains 1 at grid time j, column 2."""
     x = np.geomspace(0.1, 10.0, 10)
     y = np.tile(x * x, (4, 1))[:, :, None] * np.ones(3)
     rhs = np.tile(2.0 * x, (4, 1))[:, :, None] * np.ones(3)
-    rhs[:, j, 2] += 1.0
-    rep = derivative_gate("d", y, x, rhs, 4.0)
+    {"y": y, "rhs": rhs}[where][:, j, 2] += 1.0
+    return x, y, rhs
+
+
+def _gate(x, y, rhs):
+    return derivative_gate("d", lambda s: y[:, s], x, lambda s: rhs[:, s], 4.0)
+
+
+@pytest.mark.parametrize("j", [1, 4, 8])
+def test_derivative_gate_names_the_grid_time_of_a_defect(j):
+    # a defect in the right-hand side at grid time j must be reported at x[j]
+    rep = _gate(*_curve(j, "rhs"))
     assert rep.failed
     assert rep.notes == f" worst at index ({j}, 2)"
+
+
+@pytest.mark.parametrize("j", [3, 4, 6, 7])
+@pytest.mark.parametrize("where", ["y", "rhs"])
+def test_derivative_gate_blocks_keep_a_defect_on_a_block_boundary(j, where, monkeypatch):
+    # blocks of three interior nodes, grid times 1-3, 4-6 and 7-8: a defect at
+    # either side of a boundary, in y (read again as the next block's halo)
+    # or in rhs, gives the one-block report field for field
+    x, y, rhs = _curve(j, where)
+    whole = _gate(x, y, rhs)
+    assert whole.failed
+    monkeypatch.setattr(numerics, "BLOCK_BYTES", 3 * y[:, 0].nbytes)
+    assert numerics.time_blocks(8, y[:, 0].nbytes) == [slice(0, 3), slice(3, 6), slice(6, 8)]
+    assert _gate(x, y, rhs) == whole
+    if where == "rhs":
+        assert whole.notes == f" worst at index ({j}, 2)"
