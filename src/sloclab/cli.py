@@ -319,10 +319,6 @@ class RunContext:
         return 1 + int(np.argmin(np.abs(self.grid.points[1:] - target)))
 
 
-def _fisher_quadrature(spec) -> bool:
-    return spec.family == "gaussian" or spec.factors is not None
-
-
 def _default_basis(spec):
     if spec.family == "ball":
         return (0,)
@@ -431,10 +427,10 @@ _REGISTRY = (
     CheckDef(
         "fisher-identity", "gate",
         "E |v_r|^2 = J(law(x_r) || N(0, r Id)) by direct quadrature",
-        lambda ctx: _fisher_quadrature(ctx.spec),
+        lambda ctx: ctx.spec.factors is not None,
         lambda ctx: follmer.check_fisher_identity(
             ctx.frame(), sigma=ctx.cfg.tolerance_sigma),
-        why_not="quadrature route needs a Gaussian or coordinate product"),
+        why_not="quadrature route needs a coordinate product"),
     CheckDef(
         "xr-law", "gate",
         "x_r is distributed as r X + (r (1 - r))^(1/2) Z",

@@ -21,8 +21,9 @@ no Fisher route and is rejected with its name.  The Gamma process satisfies
     (v)   Gamma_r <= Id / r almost surely
 
 and E |v_r|^2 <= 4 n / (1 - r)^2 on the whole catalog.  Gamma_r keeps the
-layout of A_t: the diagonals (m, K, n) for Gaussians and coordinate
-products, full matrices (m, K, n, n) otherwise (see `covariance`).
+layout of A_t: the diagonals (m, K, n) for coordinate products, the
+Gaussian among them, full matrices (m, K, n, n) otherwise (see
+`covariance`).
 
 The frame is a view of the ensemble: it holds theta_t, a_t and A_t by
 reference, and x_r, v_r and Gamma_r are each computed on first read.
@@ -39,7 +40,7 @@ import numpy as np
 from . import covariance, streams
 from .errors import InputValidationError
 from .localization import SPECTRAL_SLACK, PathEnsemble, spectral_margin
-from .measures import GaussianFactor, GaussianSpec, MeasureSpec, require_pieces, sum_law
+from .measures import GaussianFactor, MeasureSpec, require_pieces, sum_law
 from .numerics import KS_LEVEL, U_CUT, familywise_level, jackknife_se, ks_pvalues, quad
 from .reports import (COV_IDENTITY_FLOOR, ROUNDING_FLOOR, EstimatorResult, LemmaReport,
                       composite_gate, derivative_gate, entrywise_gate, gate)
@@ -56,8 +57,8 @@ class FrameEnsemble:
     are one buffer, so a recomputed equal copy could move a statistic's
     last bits.  A frame that reads none of them allocates no path array.
     ``gamma`` and ``cov_t`` have the layout of the ensemble's ``cov``:
-    (m, K, n) diagonals for Gaussians and coordinate products, (m, K, n, n)
-    otherwise.
+    (m, K, n) diagonals for coordinate products, the Gaussian among them,
+    (m, K, n, n) otherwise.
     """
 
     spec: MeasureSpec
@@ -190,15 +191,14 @@ def marginal_fisher_information(spec: MeasureSpec, r: float) -> EstimatorResult:
     """J(nu_r || N(0, r Id)) by density quadrature; nu_r = law(r X + sqrt(r(1-r)) Z).
 
     Factorizes over coordinates for products: one quadrature per factor law,
-    counted per column; identically zero for the Gaussian (nu_r is exactly
-    N(0, r Id)).  ``stderr`` sums the per-coordinate quadrature errors.
+    counted per column.  On the Gaussian nu_r is exactly N(0, r Id) and J
+    is 0 up to rounding.  ``stderr`` sums the per-coordinate quadrature
+    errors.
     """
     if not 0.0 < r < 1.0:
         raise InputValidationError("need 0 < r < 1")
-    if isinstance(spec, GaussianSpec):
-        return EstimatorResult(0.0, 0.0)
     if spec.factors is None:
-        raise InputValidationError("quadrature route needs a product (or Gaussian) measure")
+        raise InputValidationError("quadrature route needs a coordinate product")
     require_pieces(spec.factors, "the Fisher quadrature")
     parts = [(len(cols), _factor_fisher(f, r)) for f, cols in spec.laws]
     return EstimatorResult(sum(count * v for count, (v, _) in parts),
@@ -212,7 +212,7 @@ def check_fisher_identity(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaRepo
     simulated energy, the right side an independent density quadrature;
     disagreement beyond sigma Monte Carlo standard errors plus the
     quadrature's error estimate, floored at `ROUNDING_FLOOR` (on a Gaussian
-    both sides are 0 up to 1e-33), fails the check.
+    both sides are rounding noise below 1e-30), fails the check.
     """
     cur = fisher_energy(frame)
     indices = sorted({int(np.argmin(np.abs(frame.r - rt))) for rt in (0.2, 0.5, 0.8)})

@@ -20,11 +20,13 @@ The EPI deficit of mu is
 
 which is nonnegative, at most 2n for isotropic log-concave mu, and invariant
 under invertible affine maps.  Every catalog measure has an exact route:
-zero for the Gaussian; for products, a sum over factors, each one
+for products, the Gaussian among them, a sum over factors, each one
 quadrature of -g log g with g the density of X1 + X2 from
 `measures.sum_law`, the closed convolution of the factor's pieces; and for
-the ball one radial quadrature of the lens volume of two balls.  It is
-bounded below by the variance of the Gamma process:
+the ball one radial quadrature of the lens volume of two balls.  The
+Gaussian, the fixed point of the convolution, gets 0 up to rounding and
+the quadrature's error.  The deficit is bounded below by the variance of
+the Gamma process:
 
     delta(mu) >= eps * integral_xi^1 E |Gamma_r - E Gamma_r|^2 / (4 (1-r)) dr
 
@@ -43,8 +45,7 @@ import numpy as np
 from . import covariance
 from .errors import InputValidationError
 from .follmer import FrameEnsemble, path_energy
-from .measures import (GAUSSIAN_ENTROPY_RATE, BallSpec, GaussianSpec, MeasureSpec,
-                       require_pieces, sum_law)
+from .measures import GAUSSIAN_ENTROPY_RATE, BallSpec, MeasureSpec, require_pieces, sum_law
 from .numerics import U_CUT, beta_inc, jackknife_se, quad, trapezoid, trapezoid_budget, xlogy
 from .reports import (ROUNDING_FLOOR, EstimatorResult, LemmaReport, composite_gate,
                       entrywise_gate, gate, info)
@@ -155,9 +156,7 @@ def epi_deficit(spec: MeasureSpec, sigma: float = 4.0) -> DeficitReport:
     quadratures' error estimates (`numerics.quad`).
     """
     n = spec.dim
-    if isinstance(spec, GaussianSpec):
-        delta = EstimatorResult(0.0, 0.0, notes="Gaussian is a fixed point of the convolution")
-    elif spec.factors is not None:
+    if spec.factors is not None:
         require_pieces(spec.factors, "the EPI deficit")
         parts = [(len(cols), _factor_deficit(f)) for f, cols in spec.laws]
         delta = EstimatorResult(sum(count * d for count, (d, _) in parts),

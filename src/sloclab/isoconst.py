@@ -19,7 +19,7 @@ those coordinates in the positive-semidefinite order,
 
     E A_{E,t} >= (E A_t)_{E,E},
 
-with equality for independent blocks (products) and for Gaussians.
+with equality for independent blocks (products, the Gaussian among them).
 Marginals are taken on coordinates only: products have exact marginals only
 there, and Gaussians and balls are rotation invariant, so another subspace
 would give no law a coordinate tuple cannot.
@@ -35,8 +35,8 @@ import numpy as np
 from . import covariance
 from .errors import InputValidationError
 from .localization import PathEnsemble, make_uniform, simulate_ensemble
-from .measures import (BallMarginalFactor, BallSpec, GaussianSpec, MeasureSpec,
-                       ProductSpec, DEFAULT_CATALOG, parse_measure_id)
+from .measures import (BallMarginalFactor, BallSpec, MeasureSpec, ProductSpec, DEFAULT_CATALOG,
+                       parse_measure_id)
 from .numerics import jackknife_se
 from .reports import ROUNDING_FLOOR, LemmaReport, composite_gate, entrywise_gate, gate
 
@@ -84,25 +84,23 @@ def isotropic_constant(spec: MeasureSpec) -> IsotropicConstantReport:
 def marginal(spec: MeasureSpec, coords: tuple) -> MeasureSpec:
     """The law of the coordinates ``coords`` (distinct indices, in order) of X ~ ``spec``.
 
-    Exact routes: Gaussians (any coordinates), products (independence keeps
-    the chosen factors), and one coordinate of a ball (rotation invariance;
-    the radial exponent drops by ambient dimension minus one).  An empty,
+    Exact routes: products (independence keeps the chosen factors and the
+    family, so ``gaussian:4`` gives ``gaussian:2`` and ``cube:4`` gives
+    ``cube:2``), and one coordinate of a ball (rotation invariance; the
+    radial exponent drops by ambient dimension minus one).  An empty,
     repeated or out-of-range index, and any other marginal, raise
     InputValidationError.
     """
     if not coords or len(set(coords)) < len(coords) or not set(coords) <= set(range(spec.dim)):
         raise InputValidationError(
             f"coordinates must be distinct indices in [0, {spec.dim}), got {coords!r}")
-    if isinstance(spec, GaussianSpec):
-        return GaussianSpec(len(coords))
     if spec.factors is not None:
-        family = "cube" if spec.family == "cube" else "product"
-        return ProductSpec([spec.factors[i] for i in coords], family=family)
+        return ProductSpec([spec.factors[i] for i in coords], family=spec.family)
     if isinstance(spec, BallSpec) and len(coords) == 1:
         return ProductSpec([BallMarginalFactor(spec.dim)])
     raise InputValidationError(
         "marginal is only sample-tractable; the domination check needs a "
-        "localizable marginal (product or Gaussian coordinates, or one ball coordinate)")
+        "localizable marginal (product coordinates, or one ball coordinate)")
 
 
 def check_projection_domination(ensemble: PathEnsemble, coords: tuple, k: int,
@@ -112,8 +110,8 @@ def check_projection_domination(ensemble: PathEnsemble, coords: tuple, k: int,
     Reads A_t at grid index k > 0 of the run's ensemble; the marginal on
     ``coords``, another measure, is localized here with as many paths on the
     grid [0, t].  Gates lambda_min(E A_{E,t} - (E A_t)_{E,E}) >= -slack.  For
-    exact-equality families (Gaussians, products) an entrywise equality
-    sub-report is attached.
+    exact-equality families (products, the Gaussian among them) an
+    entrywise equality sub-report is attached.
     """
     spec, n_paths = ensemble.spec, ensemble.n_paths
     sub_spec = marginal(spec, coords)
@@ -132,7 +130,7 @@ def check_projection_domination(ensemble: PathEnsemble, coords: tuple, k: int,
     lam_min = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0])
 
     subs = ()
-    if isinstance(spec, GaussianSpec) or spec.factors is not None:
+    if spec.factors is not None:
         subs = (entrywise_gate("projection-equality", np.abs(diff),
                                sigma * se + ROUNDING_FLOOR, se,
                                notes="independent blocks carry no cross-information,"),)

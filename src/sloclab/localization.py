@@ -38,7 +38,7 @@ import numpy as np
 
 from . import covariance, streams
 from .errors import InputValidationError
-from .measures import BallSpec, MeasureSpec
+from .measures import MeasureSpec
 from .numerics import KS_LEVEL, familywise_level, jackknife_se, ks_pvalues, time_blocks
 from .reports import (COV_IDENTITY_FLOOR, ROUNDING_FLOOR, LemmaReport, composite_gate,
                       derivative_gate, entrywise_gate, gate, info)
@@ -120,8 +120,8 @@ class PathEnsemble:
     """Path-indexed arrays for a whole ensemble (axis 0 = path).
 
     ``cov`` holds the tilt covariances A_t in the shape of their structure
-    (see `covariance`): the diagonals (m, K, n) for Gaussians and coordinate
-    products, full matrices (m, K, n, n) for balls.
+    (see `covariance`): the diagonals (m, K, n) for coordinate products, the
+    Gaussian among them, full matrices (m, K, n, n) for balls.
     """
 
     spec: MeasureSpec
@@ -453,9 +453,8 @@ def check_monotone_trace(ensemble: PathEnsemble, sigma: float = 4.0) -> LemmaRep
 def martingale_x_grid(spec: MeasureSpec) -> np.ndarray:
     """21 points across the support of a 1D measure, cut to [-4, 4], 5% in from each end."""
     f = spec.factors[0] if spec.factors else None
-    reach = spec.radius if isinstance(spec, BallSpec) else 4.0
-    lo = max(f.lo, -4.0) if f is not None else -reach
-    hi = min(f.hi, 4.0) if f is not None else reach
+    lo = max(f.lo, -4.0) if f is not None else -spec.radius
+    hi = min(f.hi, 4.0) if f is not None else spec.radius
     pad = 0.05 * (hi - lo)
     return np.linspace(lo + pad, hi - pad, 21)
 

@@ -6,8 +6,8 @@ by construction (barycenter 0, covariance identity), as the slicing problem
 states its bodies; there is no whitening route, and no spec here carries
 its moments:
 
-* ``gaussian:n``   standard Gaussian
-* ``cube:n``       uniform on [-sqrt(3), sqrt(3)]^n
+* ``gaussian:n``   standard Gaussian, the product of n ``gaussian`` factors
+* ``cube:n``       uniform on [-sqrt(3), sqrt(3)]^n, n ``uniform`` factors
 * ``ball:n``       uniform on the centered ball of radius sqrt(n+2)
 * ``product:a,b``  product of standardized 1D factors (tags below)
 
@@ -361,30 +361,8 @@ class MeasureSpec:
         return f"<{type(self).__name__} {self.measure_id()}>"
 
 
-class GaussianSpec(MeasureSpec):
-    family = "gaussian"
-
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise InputValidationError("dim must be >= 1")
-        self.dim = int(dim)
-
-    def log_density(self, x):
-        x = np.asarray(x, float)
-        return -0.5 * (x * x).sum(axis=-1) - 0.5 * self.dim * _LOG_2PI
-
-    def sample(self, rng, size):
-        return rng.standard_normal((size, self.dim))
-
-    def entropy(self):
-        return self.dim * GAUSSIAN_ENTROPY_RATE
-
-    def measure_id(self):
-        return f"gaussian:{self.dim}"
-
-
 class ProductSpec(MeasureSpec):
-    """Product of independent 1D factors; covers cubes and mixed products.
+    """Product of independent 1D factors; covers Gaussians, cubes and mixed products.
 
     ``laws``: the distinct factor laws in order of first appearance, each as
     (factor, its columns).  Equal ``pieces`` make one law; a factor without
@@ -426,8 +404,8 @@ class ProductSpec(MeasureSpec):
         return float(sum(f.entropy() for f in self.factors))
 
     def measure_id(self):
-        if self.family == "cube":
-            return f"cube:{self.dim}"
+        if self.family != "product":
+            return f"{self.family}:{self.dim}"
         return "product:" + ",".join(f.tag for f in self.factors)
 
 
@@ -467,8 +445,9 @@ class BallSpec(MeasureSpec):
 # Constructors, catalog, ids
 
 
-def make_gaussian(dim: int) -> GaussianSpec:
-    return GaussianSpec(dim)
+def make_gaussian(dim: int) -> ProductSpec:
+    """Standard Gaussian: the product of n ``gaussian`` factors."""
+    return ProductSpec([GaussianFactor() for _ in range(dim)], family="gaussian")
 
 
 def make_cube(dim: int) -> ProductSpec:
@@ -499,20 +478,19 @@ DEFAULT_CATALOG = (
 )
 
 
+_BY_DIMENSION = {"gaussian": make_gaussian, "cube": make_cube, "ball": make_ball}
+
+
 def parse_measure_id(measure_id: str) -> MeasureSpec:
     """Build a catalog spec from an id like 'cube:8' or 'product:exp,laplace'."""
     measure_id = measure_id.strip()
     if ":" not in measure_id:
         raise UnknownMeasureError(f"malformed measure id {measure_id!r}")
     family, _, arg = measure_id.partition(":")
-    if family == "gaussian":
-        return make_gaussian(_positive_int(arg, measure_id))
-    if family == "cube":
-        return make_cube(_positive_int(arg, measure_id))
-    if family == "ball":
-        return make_ball(_positive_int(arg, measure_id))
     if family == "product":
         return make_product(arg)
+    if family in _BY_DIMENSION:
+        return _BY_DIMENSION[family](_positive_int(arg, measure_id))
     raise UnknownMeasureError(f"unknown measure family {family!r}")
 
 

@@ -13,8 +13,9 @@ moments to look up.  Any other t = 0 call raises InputValidationError.
 This module computes log Z, the barycenter a(t, theta) and the covariance
 A(t, theta) of p_{t,theta} along two routes:
 
-* closed form   -- Gaussian conjugacy, and truncated-normal algebra for the
-                   coordinate-product factors (the hot path for drivers);
+* closed form   -- truncated-normal algebra for the coordinate-product
+                   factors, the Gaussian's ``gaussian`` factors among them
+                   (the hot path for drivers);
 * quadrature    -- adaptive 1D integration per factor, abs tol ~1e-12, the
                    independent oracle for the closed forms; and one fixed
                    Gauss-Legendre rule over u = x . theta/|theta| for the
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import covariance, streams
 from .errors import DivergentTilt, InputValidationError
-from .measures import BallSpec, GaussianSpec, MeasureSpec, ProductSpec
+from .measures import BallSpec, MeasureSpec, ProductSpec
 from .numerics import gamma_p, jackknife_se, quad, radial_tilt_moments, xlogy
 from .reports import COV_IDENTITY_FLOOR, LemmaReport, entrywise_gate
 
@@ -91,6 +92,11 @@ def gaussian_tilt(dim: int, t: float, theta: np.ndarray):
     ``theta`` has shape (..., dim), a batch of thetas.  Returns (log_z (...),
     mean (..., dim), var (..., dim)); var is the diagonal of the covariance,
     1/(1+t) for every theta.
+
+    No route calls it: ``gaussian:n`` is a coordinate product and tilts
+    through its factors' pieces.  It stays as the conjugate reference that
+    the tests hold `tilt_table` to, and because `perfbench/spans.py` binds it
+    by name; it goes with that binding (ROADMAP item 7).
     """
     tau = 1.0 + t
     log_z = -0.5 * dim * np.log(tau) + 0.5 * (theta ** 2).sum(axis=-1) / tau
@@ -415,14 +421,10 @@ def tilt_sample_batch(spec: MeasureSpec, t: float, thetas, rng: np.random.Genera
     """Draw ``size`` exact points of p_{t,theta} for each row of thetas (m, n), t > 0.
 
     Returns (samples (m, size, n), proposals, accepted), the counts summed
-    over every 1D draw (m size, m size for Gaussians, which are conjugate).
+    over every 1D draw: m n size on a product; on a ball m size for u and,
+    when n > 1, m size more for |y|.
     """
     thetas = _validate(spec.dim, t, thetas, batch=True)
-    m, n = thetas.shape
-    if isinstance(spec, GaussianSpec):
-        tau = 1.0 + t
-        return (thetas[:, None, :] / tau + rng.standard_normal((m, size, n)) / math.sqrt(tau),
-                m * size, m * size)
     if spec.factors is not None:
         return _product_draws(spec, t, thetas, rng, size)
     if isinstance(spec, BallSpec):
@@ -433,6 +435,8 @@ def tilt_sample_batch(spec: MeasureSpec, t: float, thetas, rng: np.random.Genera
 # ---------------------------------------------------------------------------
 # Dispatch
 
+# the Gaussian is one of the coordinate products; the message still names the
+# family a user types
 _NO_ROUTE = "{} has no tilt route: tilts exist for Gaussians, coordinate products and balls"
 
 
@@ -446,18 +450,18 @@ def tilt_table(spec: MeasureSpec, t: float, thetas: np.ndarray):
     """Tilt moments for a batch of thetas (m, n) at one t, by the best route.
 
     Returns (log_z (m,), mean (m, n), cov, method).  ``cov`` is in the shape
-    of its structure (`cov_shape`): the variances (m, n) for Gaussians and
-    coordinate products, whose tilts have diagonal covariances, and full
-    matrices (m, n, n) for balls.  t = 0 is the base state, theta = 0,
-    isotropic by construction: log Z = 0, mean 0, covariance Id.  At t > 0 Gaussians
-    are conjugate; coordinate products are exact (closed form, with the
-    ballmarg factor by quadrature); balls use `ball_tilt_table`.  Other
+    of its structure (`cov_shape`): the variances (m, n) for coordinate
+    products, Gaussians among them, whose tilts have diagonal covariances,
+    and full matrices (m, n, n) for balls.  t = 0 is the base state,
+    theta = 0, isotropic by construction: log Z = 0, mean 0, covariance Id.
+    At t > 0 coordinate products are exact (closed form, with the ballmarg
+    factor by quadrature); balls use `ball_tilt_table`.  Other
     specs, a batch of another width, a non-finite entry, t < 0 and t = 0
     with theta != 0 raise InputValidationError; a non-finite row, on any
     route, raises DivergentTilt naming the measure, t and its |theta|.
     """
     thetas = _validate(spec.dim, t, thetas, batch=True, base=True)
-    if not (isinstance(spec, (GaussianSpec, BallSpec)) or spec.factors is not None):
+    if not (isinstance(spec, BallSpec) or spec.factors is not None):
         raise InputValidationError(_NO_ROUTE.format(spec.measure_id()))
     m, n = thetas.shape
     if t == 0.0:
@@ -465,9 +469,7 @@ def tilt_table(spec: MeasureSpec, t: float, thetas: np.ndarray):
         cov = np.ones((m, n)) if cov_shape(spec) == (n,) else np.tile(np.eye(n), (m, 1, 1))
         return np.zeros(m), np.zeros((m, n)), cov, CLOSED_FORM
     with np.errstate(divide="ignore", invalid="ignore"):  # non-finite rows raise below
-        if isinstance(spec, GaussianSpec):
-            table = (*gaussian_tilt(n, t, thetas), CLOSED_FORM)
-        elif spec.factors is None:
+        if spec.factors is None:
             table = (*ball_tilt_table(spec, t, thetas), QUADRATURE)
         else:
             closed = all(f.pieces for f in spec.factors)
@@ -503,9 +505,10 @@ def conditional_covariance_identity_check(ensemble, k: int, seed: int,
     call draws n_inner = 64 exact points from each, and their empirical
     covariance estimates cov(X | y).  Pairs and draws come from one stream
     key per check, so they depend on n_outer.  The
-    right side uses draws only and shares no quadrature with the left, and
-    the two sides use disjoint streams, so their errors combine in
-    quadrature.
+    right side uses draws only, from the envelope sampler, and shares no
+    formula with the left's tilt table on any family, the Gaussian
+    included; the two sides use disjoint streams, so their errors combine
+    in quadrature.
     """
     spec = ensemble.spec
     t = float(ensemble.grid.points[k])

@@ -498,13 +498,16 @@ def _sample_agrees(routes, exact, k=5.0):
 
 
 def test_tilt_probe_routes_agree(capsys):
-    code = main(["tilt-probe", "--measure", "product:exp,uniform",
-                 "--t", "1.5", "--theta", "0.3,-0.2", "--tilt-samples", "20000"])
-    routes = _probe_routes(capsys.readouterr().out)
-    assert code == 0
-    assert list(routes) == ["analytic", "quadrature", "sample"]
-    assert routes["analytic"]["log_z"] == pytest.approx(routes["quadrature"]["log_z"], abs=1e-9)
-    _sample_agrees(routes, "analytic")
+    # the Gaussian is a product of gaussian factors, so it has every route a product has
+    for measure in ("product:exp,uniform", "gaussian:2"):
+        code = main(["tilt-probe", "--measure", measure,
+                     "--t", "1.5", "--theta", "0.3,-0.2", "--tilt-samples", "20000"])
+        routes = _probe_routes(capsys.readouterr().out)
+        assert code == 0
+        assert list(routes) == ["analytic", "quadrature", "sample"]
+        assert routes["analytic"]["log_z"] == pytest.approx(routes["quadrature"]["log_z"],
+                                                            abs=1e-9)
+        _sample_agrees(routes, "analytic")
 
 
 def _probe_error(capfd, measure, t, theta) -> str:

@@ -117,8 +117,9 @@ def test_de_bruijn_needs_fine_grid():
 
 
 def test_epi_deficit_gaussian_zero():
+    # the Gaussian is the convolution's fixed point: 0 up to the quadrature's error
     rep = epi_deficit(make_gaussian(3))
-    assert rep.delta.value == 0.0
+    assert abs(rep.delta.value) <= rep.delta.stderr <= 1e-10
     assert not rep.bounds.failed
 
 

@@ -18,7 +18,6 @@ from sloclab.isoconst import (
 from sloclab.localization import make_geometric, make_uniform, simulate_ensemble
 from sloclab.measures import (
     BallMarginalFactor,
-    GaussianSpec,
     LaplaceFactor,
     ProductSpec,
     make_ball,
@@ -104,8 +103,9 @@ def test_mc_entropy_route_keeps_gates():
 
 def test_marginal_gaussian_any_subspace():
     sub = marginal(make_gaussian(4), (3, 1))
-    assert isinstance(sub, GaussianSpec)
+    assert sub.measure_id() == "gaussian:2"
     assert sub.dim == 2
+    assert marginal(make_cube(4), (3, 1)).measure_id() == "cube:2"
 
 
 def test_marginal_coordinate_product_keeps_factors():

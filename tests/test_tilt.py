@@ -173,6 +173,33 @@ def test_untruncated_gaussian_piece_matches_conjugate_form(t):
     assert (np.abs(log_z - ref_log_z) <= 1e-15 * np.maximum(1.0, np.abs(ref_log_z))).all()
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 32])
+def test_gaussian_tilt_table_matches_conjugate_form(n):
+    # gaussian:n tilts through its factors' pieces, bit for bit as the product
+    # of n gaussian factors does; the conjugate N(theta/tau, Id/tau), tau = 1 + t, is its oracle.  |theta| is
+    # 0, 1 and 3 times its typical norm (t (1 + t) n)^(1/2), four directions each
+    spec = make_gaussian(n)
+    product_of_factors = make_product(",".join(["gaussian"] * n))
+    eps = np.finfo(float).eps
+    directions = streams.generator(n, "gaussian-conjugate").standard_normal((4, n))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    for t in (1e-6, 0.01, 0.5, 3.0, 100.0, 1e4):
+        tau = 1.0 + t
+        thetas = np.concatenate([k * math.sqrt(t * tau * n) * directions for k in (0, 1, 3)])
+        log_z, mean, var, method = tilt_table(spec, t, thetas)
+        ref_log_z, ref_mean, ref_var = gaussian_tilt(n, t, thetas)
+        assert method == CLOSED_FORM
+        for got, product in zip((log_z, mean, var), tilt_table(product_of_factors, t, thetas)):
+            assert np.array_equal(got, product), t
+        assert np.array_equal(mean, ref_mean), t
+        # (tau^-1/2)^2 and 1/tau round apart by up to 1.55 eps relative
+        assert (np.abs(var - ref_var) <= 2.0 * eps * ref_var).all(), t
+        # each coordinate's log Z adds terms of size theta_j^2/2tau, |log tau|/2 and log(2 pi)/2
+        scale = (thetas ** 2).sum(axis=1) / (2.0 * tau) + 0.5 * n * (abs(math.log(tau))
+                                                                     + math.log(2.0 * math.pi))
+        assert (np.abs(log_z - ref_log_z) <= 8.0 * eps * scale).all(), t
+
+
 def test_product_tilt_table_matches_scalar_route():
     # one law per column, laws out of column order, and one law for 32
     # columns: mean and var are bit-equal to each coordinate's own
