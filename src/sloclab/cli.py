@@ -339,12 +339,16 @@ class CheckDef:
     why_not: str = ""  # shown when an explicitly requested check cannot run
 
 
+def _chain_xi(r: np.ndarray) -> int:
+    """Index of the deficit chain's xi: the grid's r nearest 0.5, short of the last."""
+    return min(int(np.argmin(np.abs(r - 0.5))), len(r) - 2)
+
+
 def _run_deficit_chain(ctx: RunContext) -> LemmaReport:
     frame = ctx.frame()
-    k = int(np.argmin(np.abs(frame.r - 0.5)))
-    k = min(k, len(frame.r) - 2)
-    return infotheory.deficit_chain_audit(
-        ctx.deficit().delta, frame, xi=float(frame.r[k]), sigma=ctx.cfg.tolerance_sigma)
+    xi = float(frame.r[_chain_xi(frame.r)])
+    return infotheory.deficit_chain_audit(ctx.deficit().delta, frame, xi=xi,
+                                          sigma=ctx.cfg.tolerance_sigma)
 
 
 def _run_projection(ctx: RunContext) -> LemmaReport:
@@ -453,9 +457,9 @@ _REGISTRY = (
         "deficit-chain", "gate",
         "delta_EPI >= (xi / 4) integral on (xi, 1) of "
         "E |Gamma_r - E Gamma_r|^2 / (1 - r), plus the supporting algebra",
-        lambda ctx: ctx.grid.n_points >= 10,
+        lambda ctx: ctx.grid.n_points >= max(10, _chain_xi(ctx.grid.r_points) + 3),
         _run_deficit_chain,
-        why_not="needs at least 10 grid times"),
+        why_not="needs at least 10 grid times, 3 of them from the r nearest 0.5"),
     CheckDef(
         "trace-ratio", "info",
         "sup_{t>0} E tr A_t^2 / n; no universal constant is gated, value only",
@@ -578,13 +582,18 @@ def _cmd_tilt_probe(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     spec = parse_measure_id(cfg.measure)
     theta = np.asarray(_from_text("--theta", args.theta, float, many=True))
     t = float(args.t)
+    if len(theta) != spec.dim:
+        raise ConfigError(f"--theta needs {spec.dim} values for {cfg.measure}, got {len(theta)}")
 
     # every route runs before any prints, so a route that cannot run prints nothing
-    first = tilt.tilt_moments(spec, t, theta)
-    states = [("analytic" if first.method == tilt.CLOSED_FORM else "quadrature", first)]
-    if spec.factors is not None and states[0][0] == "analytic":
-        states.append(("quadrature", tilt.tilt_moments_quadrature(spec, t, theta)))
-    routes = [(route, f"log_z={_fmt(s.log_z)} ", s.mean, s.cov, "") for route, s in states]
+    log_z, mean, cov = tilt.tilt_table(spec, t, theta[None])
+    states = [("analytic" if spec.factors is not None else "quadrature", log_z[0], mean[0],
+               covariance.dense_rows(cov)[0])]
+    if spec.factors is not None:
+        log_z, mean, var = zip(*(tilt.factor_tilt_quadrature(f, t, th)
+                                 for f, th in zip(spec.factors, theta)))
+        states.append(("quadrature", sum(log_z), np.array(mean), np.diag(var)))
+    routes = [(route, f"log_z={_fmt(lz)} ", m, c, "") for route, lz, m, c in states]
     # the sample route: moments of exact draws, with the standard error of their mean
     draws = tilt.tilt_sample_batch(spec, t, theta[None, :],
                                    streams.generator(cfg.seed, "tilt-probe"),

@@ -171,20 +171,6 @@ def _draw_x(spec, keys) -> np.ndarray:
     return x
 
 
-def direct_endpoint(spec: MeasureSpec, keys, t: np.ndarray) -> np.ndarray:
-    """The direct driver's theta at t[-1], t[-1] X + sum of the increments, (m, n).
-
-    Holds no path array.  The increments add up in grid order, as the direct
-    driver's cumulative sum does, so the result is its ``theta[:, -1]`` bit
-    for bit.
-    """
-    increments = brownian_increments(keys, t, spec.dim)
-    w = increments[:, 0].copy()
-    for k in range(1, increments.shape[1]):
-        w += increments[:, k]
-    return t[-1] * _draw_x(spec, keys) + w
-
-
 def start_paths(spec: MeasureSpec, grid: TimeGrid, keys, driver: str) -> np.ndarray:
     """theta (m, K, n) of every key's path before any tilt.
 
@@ -239,7 +225,7 @@ def tilt_blocks(spec: MeasureSpec, grid: TimeGrid, theta: np.ndarray, driver: st
         else:
             mean, cov, log_z = (a[:, b] for a in out)
         for j, k in enumerate(range(b.start, b.stop)):
-            log_z[:, j], mean[:, j], cov[:, j], _ = tilt_table(spec, t[k], theta[:, k])
+            log_z[:, j], mean[:, j], cov[:, j] = tilt_table(spec, t[k], theta[:, k])
             if driver == "sde" and k + 1 < k_pts:  # Euler step, drift a_t = mean of the tilt
                 theta[:, k + 1] += theta[:, k] + mean[:, j] * dt[k]
         yield b, mean, cov, log_z
@@ -442,7 +428,7 @@ def check_orthogonality(ensemble: PathEnsemble, sigma: float = 4.0) -> LemmaRepo
 
 def check_monotone_trace(ensemble: PathEnsemble, sigma: float = 4.0) -> LemmaReport:
     """t -> E tr A_t is non-increasing (paired consecutive differences)."""
-    tr = covariance.trace(ensemble.cov)
+    tr = ensemble.stats.tr_cov
     d = tr[:, 1:] - tr[:, :-1]
     mean = d.mean(axis=0)
     se = jackknife_se(d, axis=0)
@@ -484,18 +470,19 @@ def check_driver_equivalence(spec: MeasureSpec, seed: int, n_paths: int = 10_000
     """SDE and direct drivers agree in law at t_max = 1, after 64 Euler steps.
 
     Paired first/second moments via common random numbers: the sde ensemble
-    and the direct side's theta(t_max) = t_max X + sum of the increments
-    draw equal increments from equal keys on the grid [0, t_max], and the
-    direct side needs no tilt.  Per-coordinate two-sample KS against an
-    independent direct theta(t_max) (independence keeps the KS null
-    distribution valid); the smallest of the n p-values is gated at
-    `familywise_level` of `KS_LEVEL`.
+    and the direct side's theta(t_max) = t_max X + W_(t_max), the last time
+    of `start_paths`, draw equal increments from equal keys on the grid
+    [0, t_max], and the direct side needs no tilt.  Per-coordinate
+    two-sample KS against an independent direct theta(t_max) (independence
+    keeps the KS null distribution valid); the smallest of the n p-values
+    is gated at `familywise_level` of `KS_LEVEL`.
     """
     t_max, n_steps = 1.0, 64
     grid = make_uniform(t_max, n_steps)
     a = simulate_ensemble(spec, grid, n_paths, seed, driver="sde").theta[:, -1]
-    b = direct_endpoint(spec, path_keys(seed, n_paths), grid.points)
-    fresh = direct_endpoint(spec, path_keys(seed, n_paths, "ks"), make_uniform(t_max, 1).points)
+    b = start_paths(spec, grid, path_keys(seed, n_paths), "direct")[:, -1]
+    fresh = start_paths(spec, make_uniform(t_max, 1), path_keys(seed, n_paths, "ks"),
+                        "direct")[:, -1]
 
     d1 = a - b
     d2 = a * a - b * b

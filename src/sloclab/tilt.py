@@ -4,11 +4,11 @@ For a measure rho and parameters (t, theta) the tilted probability density is
 
     p_{t,theta}(x) = exp(theta . x - t |x|^2 / 2) rho(x) / Z(t, theta).
 
-Localization tilts only at t > 0 and starts from theta_0 = 0, so every
-entry point takes t > 0, and `tilt_table` (with `tilt_moments`, its batch
-of one) also takes the base state t = 0, theta = 0: every catalog measure
-is isotropic by construction, so it is mean 0 and covariance Id, with no
-moments to look up.  Any other t = 0 call raises InputValidationError.
+The tables and the draws take a batch of thetas (m, n), one theta being a
+batch of one, at one t > 0; `tilt_table` also takes the base state t = 0,
+theta = 0, where localization starts: every catalog measure is isotropic
+by construction, so it is mean 0 and covariance Id, with no moments to
+look up.  Any other t = 0 call raises InputValidationError.
 
 This module computes log Z, the barycenter a(t, theta) and the covariance
 A(t, theta) of p_{t,theta} along two routes:
@@ -16,14 +16,15 @@ A(t, theta) of p_{t,theta} along two routes:
 * closed form   -- truncated-normal algebra for the coordinate-product
                    factors, the Gaussian's ``gaussian`` factors among them
                    (the hot path for drivers);
-* quadrature    -- adaptive 1D integration per factor, abs tol ~1e-12, the
+* quadrature    -- adaptive 1D integration, one factor and theta at a time
+                   (`factor_tilt_quadrature`), abs tol ~1e-12, the
                    independent oracle for the closed forms; and one fixed
                    Gauss-Legendre rule over u = x . theta/|theta| for the
                    ball and its 1D marginal (`ball_tilt_table`,
                    `numerics.radial_tilt_moments`).
 
-`tilt_table` picks the route for a batch of thetas at one t.  A spec
-outside the catalog's families has no route.
+`tilt_table` picks the route by family.  A spec outside the catalog's
+families has no route.
 
 `tilt_sample_batch` draws exact points of p_{t,theta} for a batch of thetas
 (m, n), as `tilt_table` takes them, from one sampler for 1D log-concave
@@ -47,33 +48,17 @@ from .measures import BallSpec, MeasureSpec, ProductSpec
 from .numerics import gamma_p, jackknife_se, quad, radial_tilt_moments, xlogy
 from .reports import COV_IDENTITY_FLOOR, LemmaReport, entrywise_gate
 
-CLOSED_FORM = "closed_form"
-QUADRATURE = "quadrature"
-
 _QUAD_KW = dict(epsabs=1e-13, epsrel=1e-12, limit=300)
 
 
-@dataclass(frozen=True)
-class TiltState:
-    """Moments of one tilted measure p_{t,theta}."""
-
-    t: float
-    theta: np.ndarray
-    log_z: float
-    mean: np.ndarray          # a(t, theta)
-    cov: np.ndarray           # A(t, theta)
-    method: str
-
-
-def _validate(dim: int, t: float, theta, batch: bool = False, base: bool = False) -> np.ndarray:
-    """theta as floats of shape (dim,), or (m, dim) for a batch; both finite, t > 0.
+def _validate(dim: int, t: float, theta, base: bool = False) -> np.ndarray:
+    """theta, a batch of thetas, as floats of shape (m, dim); both finite, t > 0.
 
     ``base`` also admits the base state t = 0, theta = 0.
     """
-    theta = np.asarray(theta, float) if batch else np.atleast_1d(np.asarray(theta, float))
-    if theta.ndim != (2 if batch else 1) or theta.shape[-1] != dim:
-        shape = f"(m, {dim})" if batch else f"({dim},)"
-        raise InputValidationError(f"theta must have shape {shape}")
+    theta = np.asarray(theta, float)
+    if theta.ndim != 2 or theta.shape[1] != dim:
+        raise InputValidationError(f"theta must have shape (m, {dim})")
     if not np.isfinite(theta).all() or not np.isfinite(t):
         raise InputValidationError("t and theta must be finite")
     if not (t > 0 or (base and t == 0 and not theta.any())):
@@ -170,7 +155,7 @@ def ball_tilt_table(spec: BallSpec, t: float, thetas: np.ndarray):
 
 def factor_tilt_quadrature(f, t: float, theta: float):
     """(log Z, mean, var) of one tilted 1D factor, t > 0, by adaptive quadrature."""
-    theta = float(_validate(1, t, theta)[0])
+    theta = float(_validate(1, t, [[theta]])[0, 0])
 
     def exponent(x):
         return theta * x - 0.5 * t * x * x + f.log_density(np.asarray(x, float))
@@ -193,16 +178,6 @@ def factor_tilt_quadrature(f, t: float, theta: float):
     mean_c = i1 / i0
     var = i2 / i0 - mean_c * mean_c
     return m_log + math.log(i0), x_star + mean_c, max(var, 0.0)
-
-
-def tilt_moments_quadrature(spec: MeasureSpec, t: float, theta) -> TiltState:
-    """Per-factor adaptive quadrature, t > 0; defined for coordinate products."""
-    theta = _validate(spec.dim, t, theta)
-    if spec.factors is None:
-        raise InputValidationError("quadrature route needs a coordinate product")
-    log_z, mean, var = zip(*(factor_tilt_quadrature(f, t, float(th))
-                             for f, th in zip(spec.factors, theta)))
-    return TiltState(t, theta, float(sum(log_z)), np.array(mean), np.diag(var), QUADRATURE)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +399,7 @@ def tilt_sample_batch(spec: MeasureSpec, t: float, thetas, rng: np.random.Genera
     over every 1D draw: m n size on a product; on a ball m size for u and,
     when n > 1, m size more for |y|.
     """
-    thetas = _validate(spec.dim, t, thetas, batch=True)
+    thetas = _validate(spec.dim, t, thetas)
     if spec.factors is not None:
         return _product_draws(spec, t, thetas, rng, size)
     if isinstance(spec, BallSpec):
@@ -447,47 +422,36 @@ def cov_shape(spec: MeasureSpec) -> tuple:
 
 
 def tilt_table(spec: MeasureSpec, t: float, thetas: np.ndarray):
-    """Tilt moments for a batch of thetas (m, n) at one t, by the best route.
+    """Tilt moments for a batch of thetas (m, n) at one t, by the family's route.
 
-    Returns (log_z (m,), mean (m, n), cov, method).  ``cov`` is in the shape
-    of its structure (`cov_shape`): the variances (m, n) for coordinate
-    products, Gaussians among them, whose tilts have diagonal covariances,
-    and full matrices (m, n, n) for balls.  t = 0 is the base state,
-    theta = 0, isotropic by construction: log Z = 0, mean 0, covariance Id.
-    At t > 0 coordinate products are exact (closed form, with the ballmarg
-    factor by quadrature); balls use `ball_tilt_table`.  Other
+    Returns (log_z (m,), mean (m, n), cov).  ``cov`` is in the shape of its
+    structure (`cov_shape`): the variances (m, n) for coordinate products,
+    Gaussians among them, whose tilts have diagonal covariances, and full
+    matrices (m, n, n) for balls.  t = 0 is the base state, theta = 0,
+    isotropic by construction: log Z = 0, mean 0, covariance Id.  At t > 0
+    coordinate products are exact (`product_tilt_table`: closed form, with
+    the ballmarg factor by quadrature); balls use `ball_tilt_table`.  Other
     specs, a batch of another width, a non-finite entry, t < 0 and t = 0
     with theta != 0 raise InputValidationError; a non-finite row, on any
     route, raises DivergentTilt naming the measure, t and its |theta|.
     """
-    thetas = _validate(spec.dim, t, thetas, batch=True, base=True)
+    thetas = _validate(spec.dim, t, thetas, base=True)
     if not (isinstance(spec, BallSpec) or spec.factors is not None):
         raise InputValidationError(_NO_ROUTE.format(spec.measure_id()))
     m, n = thetas.shape
     if t == 0.0:
         # the base measure, isotropic by construction: mean 0, covariance Id
         cov = np.ones((m, n)) if cov_shape(spec) == (n,) else np.tile(np.eye(n), (m, 1, 1))
-        return np.zeros(m), np.zeros((m, n)), cov, CLOSED_FORM
+        return np.zeros(m), np.zeros((m, n)), cov
     with np.errstate(divide="ignore", invalid="ignore"):  # non-finite rows raise below
-        if spec.factors is None:
-            table = (*ball_tilt_table(spec, t, thetas), QUADRATURE)
-        else:
-            closed = all(f.pieces for f in spec.factors)
-            table = (*product_tilt_table(spec, t, thetas), CLOSED_FORM if closed else QUADRATURE)
-    if not all(np.isfinite(a).all() for a in table[:3]):
+        table = (ball_tilt_table(spec, t, thetas) if spec.factors is None
+                 else product_tilt_table(spec, t, thetas))
+    if not all(np.isfinite(a).all() for a in table):
         bad = ~np.logical_and.reduce([np.isfinite(a).reshape(m, -1).all(axis=1)
-                                      for a in table[:3]])
+                                      for a in table])
         raise DivergentTilt(f"{spec.measure_id()} tilt at t={t:g} is not finite at "
                             f"|theta|={np.linalg.norm(thetas[bad][0]):.6g}")
     return table
-
-
-def tilt_moments(spec: MeasureSpec, t: float, theta) -> TiltState:
-    """Moments of p_{t,theta}: `tilt_table` on a batch of one."""
-    theta = _validate(spec.dim, t, theta, base=True)
-    log_z, mean, cov, method = tilt_table(spec, t, theta[None, :])
-    return TiltState(t, theta, float(log_z[0]), mean[0], covariance.dense_rows(cov)[0],
-                     method)
 
 
 # ---------------------------------------------------------------------------

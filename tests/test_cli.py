@@ -392,6 +392,25 @@ def test_verify_rejects_non_applicable_request(capsys):
     assert "one-dimensional" in err
 
 
+@pytest.mark.parametrize("t_max", ["1", "1.2"])
+def test_verify_skips_deficit_chain_on_a_short_grid(tmp_path, capsys, t_max):
+    # xi is the grid's r nearest 0.5, and the chain needs 3 grid points from it:
+    # a default run leaves the check out and still writes its reports
+    short = ["--paths", "64", "--grid-points", "12", "--t-min", "0.05", "--t-max", t_max]
+    code = main(["verify", "--measure", "cube:2", *short, "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code in (0, 2)  # verdicts, not an error
+    ids = {r["check_id"] for r in json.loads((tmp_path / "reports.json").read_text())}
+    assert "deficit-bounds" in ids and "deficit-chain" not in ids
+    # asked for by name, it is rejected before any check runs
+    code = main(["verify", "--measure", "cube:2", *short, "--checks", "deficit-chain"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: check 'deficit-chain' does not apply to cube:2: needs at "
+                            "least 10 grid times, 3 of them from the r nearest 0.5\n")
+
+
 def test_simulate_needs_out(capsys):
     code = main(["simulate", "--measure", "gaussian:2", *FAST])
     assert code == 1
@@ -528,6 +547,13 @@ def test_tilt_probe_t_zero_on_a_product(capfd):
     assert _probe_error(capfd, "cube:2", "0", "0.3,0.1") == (
         "error: t must be > 0, or 0 at theta = 0\n")
     assert _probe_error(capfd, "cube:2", "0", "0,0") == "error: t must be > 0\n"
+
+
+def test_tilt_probe_rejects_a_theta_of_the_wrong_length(capfd):
+    assert _probe_error(capfd, "cube:2", "1", "0.3,0.1,0.2") == (
+        "error: --theta needs 2 values for cube:2, got 3\n")
+    assert _probe_error(capfd, "ball:3", "1", "0.3") == (
+        "error: --theta needs 3 values for ball:3, got 1\n")
 
 
 def test_tilt_probe_t_zero_unbounded_factor_prints_nothing(capfd):

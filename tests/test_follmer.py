@@ -266,8 +266,9 @@ def test_sum_law_conditional_mean(tag, r):
             return (float(factor.log_density(x / r)) - math.log(r)
                     - 0.5 * ((y - x) / s) ** 2 - math.log(math.sqrt(2.0 * math.pi) * s))
         nodes = np.linspace(a, b, 4001)
-        logs = [log_joint(x) for x in nodes]
-        shift, peak = max(zip(logs, nodes))
+        logs = (factor.log_density(nodes / r) - math.log(r) - 0.5 * ((y - nodes) / s) ** 2
+                - math.log(math.sqrt(2.0 * math.pi) * s))
+        shift, peak = float(logs.max()), float(nodes[np.argmax(logs)])
         den, num = (quad(lambda x: x ** k * math.exp(log_joint(x) - shift), a, b,
                          points=[u for u in (*kinks, peak) if a < u < b], epsabs=1e-14,
                          epsrel=1e-13, limit=200)[0] for k in range(2))

@@ -52,12 +52,12 @@
 * ``simulate_ensemble`` is called in ``src/`` only by ``RunContext.ensemble``
   (the run's one ensemble), ``check_driver_equivalence`` (its one sde
   ensemble) and ``check_projection_domination`` (once, for the marginal):
-  every other check reads the run's paths.  ``direct_endpoint`` is called
-  only by ``check_driver_equivalence``, for its direct side and its KS
-  sample, which need theta(t_max) and no tilt.  The block driver,
+  every other check reads the run's paths.  The block driver,
   ``start_paths`` and ``tilt_blocks``, runs only in ``simulate_ensemble``,
   which keeps every block, and in ``_cmd_simulate``, which folds each block
   into its statistics as it comes: one tilt and Euler loop serves both.
+  ``start_paths`` also runs twice in ``check_driver_equivalence``, for its
+  direct side and its KS sample, which read theta(t_max) and need no tilt.
 """
 
 import ast
@@ -400,8 +400,7 @@ def test_no_concurrent_futures_in_package():
 
 def test_no_sampling_knobs_in_library_signatures():
     assert _scan(PACKAGE, knob_parameters) == []
-    for mod, fn in (("tilt", "tilt_table"), ("tilt", "tilt_moments"),
-                    ("localization", "simulate_ensemble"),
+    for mod, fn in (("tilt", "tilt_table"), ("localization", "simulate_ensemble"),
                     ("isoconst", "check_projection_domination")):
         params = inspect.signature(
             getattr(importlib.import_module("sloclab." + mod), fn)).parameters
@@ -447,13 +446,14 @@ def test_paths_are_simulated_only_where_a_check_needs_its_own():
     assert found == {"cli.py:RunContext.ensemble": 1,
                      "localization.py:check_driver_equivalence": 1,
                      "isoconst.py:check_projection_domination": 1}
-    endpoints = Counter(f"{p.name}:{scope}" for p in PACKAGE
-                        for _, scope in scoped_calls(_tree(p), "direct_endpoint"))
-    assert endpoints == {"localization.py:check_driver_equivalence": 2}
-    for driver in ("start_paths", "tilt_blocks"):
-        runs = Counter(f"{p.name}:{scope}" for p in PACKAGE
-                       for _, scope in scoped_calls(_tree(p), driver))
-        assert runs == {"localization.py:simulate_ensemble": 1, "cli.py:_cmd_simulate": 1}, driver
+    runs = {driver: Counter(f"{p.name}:{scope}" for p in PACKAGE
+                            for _, scope in scoped_calls(_tree(p), driver))
+            for driver in ("start_paths", "tilt_blocks")}
+    assert runs["tilt_blocks"] == {"localization.py:simulate_ensemble": 1,
+                                   "cli.py:_cmd_simulate": 1}
+    assert runs["start_paths"] == {"localization.py:simulate_ensemble": 1,
+                                   "cli.py:_cmd_simulate": 1,
+                                   "localization.py:check_driver_equivalence": 2}
 
 
 def test_cli_import_loads_no_scipy():

@@ -19,11 +19,9 @@ from sloclab.localization import (
     check_orthogonality,
     check_spectral_bound,
     check_variance_decomposition,
-    direct_endpoint,
     make_geometric,
     make_uniform,
     martingale_x_grid,
-    path_keys,
     simulate_ensemble,
     trace_square_ratio,
 )
@@ -120,18 +118,6 @@ def test_in_place_direct_theta_matches_stream_keys_on_every_path(measure):
                 * np.sqrt(dt)[:, None])
         w = np.concatenate([np.zeros((1, n)), np.cumsum(incr, axis=0)])
         assert np.array_equal(ens.theta[i], grid.points[:, None] * x[None, :] + w)
-
-
-@pytest.mark.parametrize("measure", ["cube:3", "ball:3", "gaussian:2",
-                                     "product:exp,laplace,uniform"])
-def test_direct_endpoint_is_the_direct_drivers_last_time_bitwise(measure):
-    # driver-equivalence's direct and KS sides: theta(t_max) without a tilt table
-    spec = parse_measure_id(measure)
-    m = 64
-    for grid, salt in ((make_uniform(1.0, 64), ""), (make_uniform(1.0, 1), "ks")):
-        keys = path_keys(7, m, salt)
-        ens = simulate_ensemble(spec, grid, m, 7, driver="direct", salt=salt)
-        assert np.array_equal(direct_endpoint(spec, keys, grid.points), ens.theta[:, -1])
 
 
 def test_direct_driver_marginal_variance():
