@@ -20,6 +20,7 @@ Exit codes: 0 when every gated check passes (INFO verdicts never count),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -44,6 +45,13 @@ def _fmt(x) -> str:
 
 def _fmt_vec(v) -> str:
     return ",".join(_fmt(x) for x in np.asarray(v, float).ravel())
+
+
+def _write_csv(path: str | None, rows) -> None:
+    """``rows``, lists of cells, as CSV with '\\n' line ends, to ``path`` or, if None, stdout."""
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="")) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -541,37 +549,25 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     for b, mean, cov, _ in localization.tilt_blocks(spec, grid, theta, cfg.driver, None):
         fold.add(b, mean, cov)
         energy[:, b] = follmer.path_energy(theta[:, b], mean, t[b])
-        # E Gamma_r = E (1 + t) A_t, the path mean of the block's product
-        mean_gamma = (cov * covariance.per_time(1.0 + t[b], cov)).mean(axis=0, keepdims=True)
-        lo, hi = covariance.eig_extremes(mean_gamma)
+        lo, hi = covariance.eig_extremes(follmer.gamma_r(cov, t[b]).mean(axis=0, keepdims=True))
         geig_min[b], geig_max[b] = lo[0], hi[0]
     stats = fold.stats()
     curve = follmer.energy_curve(energy, grid.r_points, n)
     os.makedirs(cfg.out, exist_ok=True)
 
-    eye = np.eye(n)
     stats_path = os.path.join(cfg.out, "stats.csv")
-    with open(stats_path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "r", "trace_cov", "trace_cov_se", "trace_cov_sq",
-                    "trace_cov_sq_se", "eig_min", "eig_max", "decomp_dev"])
-        for k in range(len(stats.t)):
-            dev = float(np.abs(stats.mean_decomp[k] - eye).max())
-            w.writerow([_fmt(stats.t[k]), _fmt(stats.r[k]),
-                        _fmt(stats.mean_tr_cov[k]), _fmt(stats.se_tr_cov[k]),
-                        _fmt(stats.mean_tr_cov_sq[k]), _fmt(stats.se_tr_cov_sq[k]),
-                        _fmt(stats.eig_min[k]), _fmt(stats.eig_max[k]),
-                        _fmt(dev)])
-
+    dev = np.abs(stats.mean_decomp - np.eye(n)).max(axis=(1, 2))
+    _write_csv(stats_path, [
+        ["t", "r", "trace_cov", "trace_cov_se", "trace_cov_sq", "trace_cov_sq_se",
+         "eig_min", "eig_max", "decomp_dev"],
+        *([_fmt(x) for x in row] for row in zip(
+            stats.t, stats.r, stats.mean_tr_cov, stats.se_tr_cov, stats.mean_tr_cov_sq,
+            stats.se_tr_cov_sq, stats.eig_min, stats.eig_max, dev))])
     follmer_path = os.path.join(cfg.out, "follmer.csv")
-    with open(follmer_path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["r", "fisher", "fisher_se", "fisher_bound",
-                    "gamma_eig_min", "gamma_eig_max"])
-        for k in range(len(curve.r)):
-            w.writerow([_fmt(curve.r[k]), _fmt(curve.value[k]),
-                        _fmt(curve.stderr[k]), _fmt(curve.bound[k]),
-                        _fmt(geig_min[k]), _fmt(geig_max[k])])
+    _write_csv(follmer_path, [
+        ["r", "fisher", "fisher_se", "fisher_bound", "gamma_eig_min", "gamma_eig_max"],
+        *([_fmt(x) for x in row] for row in zip(
+            curve.r, curve.value, curve.stderr, curve.bound, geig_min, geig_max))])
 
     print(f"wrote {stats_path} and {follmer_path} "
           f"({len(stats.t)} grid times, {cfg.n_paths} paths, measure {cfg.measure})")
@@ -623,12 +619,10 @@ def _cmd_lk_table(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)
         path = os.path.join(cfg.out, "lk_table.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(lines)
+        _write_csv(path, lines)
         print(f"wrote {path} ({len(rows)} measures)")
     else:
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerows(lines)
+        _write_csv(None, lines)
     print(str(floor))
 
     bad = floor.failed or any(
@@ -693,10 +687,7 @@ def main(argv=None) -> int:
         if args.command == "lk-table":
             return _cmd_lk_table(cfg, args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except SloclabError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (SloclabError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -94,7 +94,7 @@ def outer_mean_se(u: np.ndarray, w: np.ndarray, cov: np.ndarray | None = None):
     """
     if cov is not None and not _diagonal(cov):
         per_path = np.einsum("mki,mkj->mkij", u, w) + cov
-        return per_path.mean(axis=0), jackknife_se(per_path, axis=0)
+        return per_path.mean(axis=0), jackknife_se(per_path)
     m, _, n = u.shape
     mean = np.moveaxis(u, 0, -1) @ np.moveaxis(w, 0, 1) / m
     if m > 1:
@@ -107,5 +107,5 @@ def outer_mean_se(u: np.ndarray, w: np.ndarray, cov: np.ndarray | None = None):
         diag += cov
     idx = np.arange(n)
     mean[:, idx, idx] = diag.mean(axis=0)
-    se[:, idx, idx] = jackknife_se(diag, axis=0)
+    se[:, idx, idx] = jackknife_se(diag)
     return mean, se

@@ -40,10 +40,22 @@ import numpy as np
 from . import covariance, streams
 from .errors import InputValidationError
 from .localization import SPECTRAL_SLACK, PathEnsemble, spectral_margin
-from .measures import GaussianFactor, MeasureSpec, require_pieces, sum_law
-from .numerics import KS_LEVEL, U_CUT, familywise_level, jackknife_se, ks_pvalues, quad
+from .measures import GaussianFactor, MeasureSpec, sum_law
+from .numerics import U_CUT, jackknife_se, quad
 from .reports import (COV_IDENTITY_FLOOR, ROUNDING_FLOOR, EstimatorResult, LemmaReport,
-                      composite_gate, derivative_gate, entrywise_gate, gate)
+                      composite_gate, derivative_gate, entrywise_gate, gate, ks_gate)
+
+
+def v_r(theta: np.ndarray, mean: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """v_r = (1 + t) a_t - theta_t, (m, k, n), from theta_t and a_t (m, k, n) at times t (k,)."""
+    v = mean * (1.0 + t)[:, None]
+    v -= theta
+    return v
+
+
+def gamma_r(cov: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Gamma_r = (1 + t) A_t from a covariance array at times t (k,), in its layout."""
+    return cov * covariance.per_time(1.0 + t, cov)
 
 
 @dataclass(frozen=True)
@@ -67,7 +79,7 @@ class FrameEnsemble:
     theta: np.ndarray           # (m, K, n) theta_t
     mean: np.ndarray            # (m, K, n) a_t
     cov_t: np.ndarray           # original A_t, kept for (i)
-    se_gamma: np.ndarray | None = None   # always None; only perfbench/spans.py reads it
+    se_gamma = None             # not a field: always None, and only perfbench/spans.py reads it
 
     @functools.cached_property
     def x(self) -> np.ndarray:
@@ -76,15 +88,13 @@ class FrameEnsemble:
 
     @functools.cached_property
     def v(self) -> np.ndarray:
-        """v_r = (1 + t) a_t - theta_t, (m, K, n)."""
-        v = self.mean * (1.0 + self.t)[None, :, None]
-        v -= self.theta
-        return v
+        """`v_r`, (m, K, n)."""
+        return v_r(self.theta, self.mean, self.t)
 
     @functools.cached_property
     def gamma(self) -> np.ndarray:
-        """Gamma_r = (1 + t) A_t, in the layout of ``cov_t``."""
-        return self.cov_t * covariance.per_time(1.0 + self.t, self.cov_t)
+        """`gamma_r`, in the layout of ``cov_t``."""
+        return gamma_r(self.cov_t, self.t)
 
     @property
     def n_paths(self) -> int:
@@ -118,22 +128,20 @@ def path_energy(theta: np.ndarray, mean: np.ndarray, t: np.ndarray) -> np.ndarra
     """|v_r|^2 per path and grid time, (m, k), from theta_t and a_t (m, k, n) at times t (k,).
 
     One grid time at a time, so no (m, k, n) array is built: each time's
-    v_r = (1 + t) a_t - theta_t is formed as the frame's ``v`` forms it, and
-    its sum over coordinates is the one ``(v ** 2).sum(axis=-1)`` takes, so
-    the values match them bit for bit.
+    `v_r` is the frame's ``v`` there, and its sum over coordinates is the one
+    ``(v ** 2).sum(axis=-1)`` takes, so the values match them bit for bit.
     """
     m, k_pts, _ = theta.shape
     sq = np.empty((m, k_pts))
     for k in range(k_pts):
-        v = mean[:, k] * (1.0 + t[k])
-        v -= theta[:, k]
-        sq[:, k] = np.square(v).sum(axis=-1)
+        at = slice(k, k + 1)
+        sq[:, k] = np.square(v_r(theta[:, at], mean[:, at], t[at])).sum(axis=-1)[:, 0]
     return sq
 
 
 def energy_curve(sq: np.ndarray, r: np.ndarray, dim: int) -> FisherCurve:
     """E |v_r|^2 with s / sqrt(m) errors, from |v_r|^2 per path at each r (m, K)."""
-    return FisherCurve(r=r, value=sq.mean(axis=0), stderr=jackknife_se(sq, axis=0),
+    return FisherCurve(r=r, value=sq.mean(axis=0), stderr=jackknife_se(sq),
                        bound=4.0 * dim / (1.0 - r) ** 2)
 
 
@@ -155,7 +163,7 @@ def check_fisher_monotone(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaRepo
     sq = path_energy(frame.theta, frame.mean, frame.t)
     d = sq[:, 1:] - sq[:, :-1]
     mean = d.mean(axis=0)
-    se = jackknife_se(d, axis=0)
+    se = jackknife_se(d)
     return entrywise_gate("fisher-monotone", -mean, sigma * se + ROUNDING_FLOOR, se,
                           notes="consecutive r increments,")
 
@@ -199,10 +207,8 @@ def marginal_fisher_information(spec: MeasureSpec, r: float) -> EstimatorResult:
         raise InputValidationError("need 0 < r < 1")
     if spec.factors is None:
         raise InputValidationError("quadrature route needs a coordinate product")
-    require_pieces(spec.factors, "the Fisher quadrature")
-    parts = [(len(cols), _factor_fisher(f, r)) for f, cols in spec.laws]
-    return EstimatorResult(sum(count * v for count, (v, _) in parts),
-                           sum(count * e for count, (_, e) in parts))
+    return EstimatorResult(*spec.law_total(lambda f: _factor_fisher(f, r),
+                                           "the Fisher quadrature"))
 
 
 def check_fisher_identity(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaReport:
@@ -243,11 +249,10 @@ def check_gamma_properties(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaRep
     gamma = frame.gamma
     subs = []
 
-    # (i) algebraic rescaling back to the t-frame covariance
-    back = gamma / covariance.per_time(1.0 + frame.t, gamma)
-    gap_i = np.abs(back - frame.cov_t)
-    subs.append(entrywise_gate("gamma-rescaling", gap_i, 1e-13,
-                               notes="float roundoff only,"))
+    # (i) algebraic rescaling back to the t-frame covariance; no Gamma-sized gap outlives the call
+    subs.append(entrywise_gate(
+        "gamma-rescaling", np.abs(gamma / covariance.per_time(1.0 + frame.t, gamma) - frame.cov_t),
+        1e-13, notes="float roundoff only,"))
 
     # (ii) E v (x) v = (Id - E Gamma) / (1 - r), entrywise, t > 0
     one_minus_r = 1.0 - r
@@ -259,7 +264,7 @@ def check_gamma_properties(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaRep
 
     # (ii') 0 <= E Gamma <= Id in the spectral sense
     lam_lo, lam_hi = covariance.eig_extremes(gamma.mean(axis=0, keepdims=True))
-    se_g = jackknife_se(gamma, axis=0)
+    se_g = jackknife_se(gamma)
     slack = sigma * n * se_g.reshape(k_pts, -1).max(axis=1) + COV_IDENTITY_FLOOR
     lo_rep = entrywise_gate("gamma-psd", -lam_lo[0], slack, notes="lambda_min >= 0,")
     hi_rep = entrywise_gate("gamma-below-identity", lam_hi[0] - 1.0, slack,
@@ -298,16 +303,15 @@ def check_xr_law(frame: FrameEnsemble, seed: int, sigma: float = 4.0) -> LemmaRe
 
     Moment part: E x_r = 0 and Cov x_r = r Id at every grid time (the catalog
     is isotropic).  Law part: per-coordinate KS against a freshly synthesized
-    independent sample at the grid point nearest r = 0.5; the smallest of
-    the n p-values is gated at `familywise_level`, so a healthy product
-    measure FAILs it with probability `KS_LEVEL` whatever n is.
+    independent sample at the grid point nearest r = 0.5, gated by
+    `reports.ks_gate`.
     """
     r = frame.r
     m = frame.n_paths
     n = frame.dim
 
     mean = frame.x.mean(axis=0)
-    se_mean = jackknife_se(frame.x, axis=0)
+    se_mean = jackknife_se(frame.x)
     r_mean = entrywise_gate("xr-mean", np.abs(mean), sigma * se_mean + ROUNDING_FLOOR,
                             se_mean)
 
@@ -321,11 +325,6 @@ def check_xr_law(frame: FrameEnsemble, seed: int, sigma: float = 4.0) -> LemmaRe
     fresh_x = frame.spec.sample(streams.generator(seed, "xr-law", "x"), m)
     fresh_z = streams.generator(seed, "xr-law", "z").standard_normal((m, n))
     synth = rk * fresh_x + math.sqrt(rk * (1.0 - rk)) * fresh_z
-    pvals = ks_pvalues(frame.x[:, k], synth)
-    worst = int(np.argmin(pvals))
-    level = familywise_level(KS_LEVEL, n)
-    r_ks = gate("xr-ks", float(-pvals[worst]), -level,
-                notes=f"min p-value {pvals[worst]:.4g} at r={rk:.4g}, "
-                      f"level {level:.4g} ({KS_LEVEL} over {n} coordinates)")
+    r_ks = ks_gate("xr-ks", frame.x[:, k], synth, f"at r={rk:.4g}")
 
     return composite_gate("xr-law", (r_mean, r_cov, r_ks), notes=f"n_paths={m}")

@@ -45,7 +45,7 @@ import numpy as np
 from . import covariance
 from .errors import InputValidationError
 from .follmer import FrameEnsemble, path_energy
-from .measures import GAUSSIAN_ENTROPY_RATE, BallSpec, MeasureSpec, require_pieces, sum_law
+from .measures import GAUSSIAN_ENTROPY_RATE, BallSpec, MeasureSpec, sum_law
 from .numerics import U_CUT, beta_inc, jackknife_se, quad, trapezoid, trapezoid_budget, xlogy
 from .reports import (ROUNDING_FLOOR, EstimatorResult, LemmaReport, composite_gate,
                       entrywise_gate, gate, info)
@@ -80,7 +80,7 @@ def de_bruijn_check(spec: MeasureSpec, frame: FrameEnsemble, sigma: float = 4.0)
     vsq = path_energy(frame.theta, frame.mean, frame.t)
     per_path = 0.5 * trapezoid(vsq, r, axis=1) + 0.5 * vsq[:, -1] * (1.0 - r[-1])
     rhs = float(per_path.mean())
-    se = float(jackknife_se(per_path, axis=0))
+    se = float(jackknife_se(per_path))
 
     budget = trapezoid_budget(0.5 * vsq.mean(axis=0), r)
 
@@ -157,11 +157,8 @@ def epi_deficit(spec: MeasureSpec, sigma: float = 4.0) -> DeficitReport:
     """
     n = spec.dim
     if spec.factors is not None:
-        require_pieces(spec.factors, "the EPI deficit")
-        parts = [(len(cols), _factor_deficit(f)) for f, cols in spec.laws]
-        delta = EstimatorResult(sum(count * d for count, (d, _) in parts),
-                                sum(count * e for count, (_, e) in parts),
-                                notes=f"sum-density quadrature, {len(parts)} distinct factors")
+        delta = EstimatorResult(*spec.law_total(_factor_deficit, "the EPI deficit"),
+                                notes=f"sum-density quadrature, {len(spec.laws)} distinct factors")
     elif isinstance(spec, BallSpec):
         delta = _ball_deficit(spec)
     else:
@@ -201,17 +198,17 @@ class DeficitLowerBound:
     parity: LemmaReport
 
 
-def deficit_lower_bound(frame: FrameEnsemble, xi: float = 0.5,
+def deficit_lower_bound(frame: FrameEnsemble, xi: float,
                         sigma: float = 4.0) -> DeficitLowerBound:
     """xi * integral_xi^{r_max} E |Gamma_r - E Gamma_r|^2 / (4 (1-r)) dr.
 
-    The factor is eps = xi, admissible because Gamma_r <= Id / r <= Id / xi
-    on (xi, 1).  The integrand is estimated by the plug-in variance (which
-    undercounts by the 1/m Bessel factor, keeping the bound conservative);
-    the unobserved tail over (r_max, 1) is dropped, not extrapolated, which
-    again only lowers the bound.  The parity sub-report cross-checks the
-    plug-in against the independent-copy form E |Gamma^1 - Gamma^2|^2 / 2
-    computed from disjoint path pairs.
+    ``xi`` is a grid r in (0, 1), and the factor eps = xi is admissible
+    because Gamma_r <= Id / r <= Id / xi on (xi, 1).  The integrand is
+    estimated by the plug-in variance (which undercounts by the 1/m Bessel
+    factor, keeping the bound conservative); the unobserved tail over
+    (r_max, 1) is dropped, not extrapolated, which again only lowers the
+    bound.  The parity sub-report cross-checks the plug-in against the
+    independent-copy form E |Gamma^1 - Gamma^2|^2 / 2 of disjoint path pairs.
     """
     if not 0.0 < xi < 1.0:
         raise InputValidationError("need 0 < xi < 1")
@@ -226,13 +223,13 @@ def deficit_lower_bound(frame: FrameEnsemble, xi: float = 0.5,
     gbar = g.mean(axis=0)
     per_path = trapezoid(covariance.frob_sq(g - gbar) * weight, r, axis=1)
     value = float(per_path.mean())
-    se = float(jackknife_se(per_path, axis=0))
+    se = float(jackknife_se(per_path))
 
     q = m // 2
     pair_sq = 0.5 * covariance.frob_sq(g[0:2 * q:2] - g[1:2 * q:2])
     per_pair = trapezoid(pair_sq * weight, r, axis=1)
     v2 = float(per_pair.mean())
-    se2 = float(jackknife_se(per_pair, axis=0))
+    se2 = float(jackknife_se(per_pair))
     corrected = value * m / (m - 1.0)
     parity = gate("parity-split", abs(corrected - v2),
                   sigma * math.hypot(se * m / (m - 1.0), se2) + 1e-12,
@@ -249,12 +246,13 @@ def deficit_lower_bound(frame: FrameEnsemble, xi: float = 0.5,
 # Proof-chain audit
 
 
-def deficit_chain_audit(delta: EstimatorResult, frame: FrameEnsemble, xi: float = 0.5,
+def deficit_chain_audit(delta: EstimatorResult, frame: FrameEnsemble, xi: float,
                         sigma: float = 4.0) -> LemmaReport:
     """Numerical walk through the deficit inequality chain, one verdict per line.
 
     ``delta`` is the measure's EPI deficit, `epi_deficit`'s ``.delta``, which a
-    run computes once for this check and ``deficit-bounds``.
+    run computes once for this check and ``deficit-bounds``; ``xi`` is a grid
+    r, in a run the one nearest 0.5.
 
     Lines, in the order they are glued together:
       1. exact split E|Gamma - EGamma|^2 = E|Id - Gamma|^2 - |Id - EGamma|^2
@@ -296,7 +294,7 @@ def deficit_chain_audit(delta: EstimatorResult, frame: FrameEnsemble, xi: float 
                - (1.0 - r[0]) * vsq[:, 0] + (1.0 - r[-1]) * vsq[:, -1])
     budget = sum(trapezoid_budget(curve, r) for curve in (vsq.mean(axis=0),
                                                           resid_sq.mean(axis=0)))
-    se_b = float(jackknife_se(balance, axis=0))
+    se_b = float(jackknife_se(balance))
     subs.append(gate("ibp-balance", abs(float(balance.mean())),
                      sigma * se_b + budget + ROUNDING_FLOOR, stderr=se_b,
                      notes=f"trapezoid budget {budget:.3g}"))
@@ -306,18 +304,19 @@ def deficit_chain_audit(delta: EstimatorResult, frame: FrameEnsemble, xi: float 
     c_tilde = max(0.0, floor)
     lhs = resid_bar / (1.0 - r)
     rhs = (1.0 - c_tilde) * vsq.mean(axis=0)
-    loo_g = (m * gbar - g) / (m - 1.0)
+    # the leave-one-out means of Gamma live only inside the expression
     loo_v = (m * vsq.mean(axis=0)[None] - vsq) / (m - 1.0)
-    reps = covariance.frob_sq(eye - loo_g) / (1.0 - r) - (1.0 - c_tilde) * loo_v
+    reps = (covariance.frob_sq(eye - (m * gbar - g) / (m - 1.0)) / (1.0 - r)
+            - (1.0 - c_tilde) * loo_v)
     se3 = _jack_se_from_replicates(reps)
     subs.append(entrywise_gate("score-trace-bound", lhs - rhs, sigma * se3 + ROUNDING_FLOOR,
                                se3, notes=f"empirical floor c={c_tilde:.4g},"))
 
     # 4. r * EGamma_r monotone in the PSD order (whole grid)
-    rg = frame.gamma * covariance.per_time(r_full, frame.gamma)
-    d = rg[:, 1:] - rg[:, :-1]
+    d = np.diff(frame.gamma * covariance.per_time(r_full, frame.gamma), axis=1)
     lam_min = covariance.eig_extremes(d.mean(axis=0, keepdims=True))[0][0]
-    se4 = jackknife_se(d, axis=0).reshape(len(r_full) - 1, -1).max(axis=1) * n
+    se4 = jackknife_se(d).reshape(len(r_full) - 1, -1).max(axis=1) * n
+    del d  # Gamma-sized, and line 5 builds its own
     subs.append(entrywise_gate("clocked-gamma-monotone", -lam_min,
                                sigma * se4 + ROUNDING_FLOOR,
                                notes="lambda_min of consecutive increments,"))
@@ -334,7 +333,7 @@ def deficit_chain_audit(delta: EstimatorResult, frame: FrameEnsemble, xi: float 
 
     # 6. a-priori Fisher bound at xi
     val_xi = float(vsq[:, 0].mean())
-    se_xi = float(jackknife_se(vsq[:, 0], axis=0))
+    se_xi = float(jackknife_se(vsq[:, 0]))
     bound_xi = 4.0 * n / (1.0 - r[0]) ** 2
     subs.append(gate("fisher-bound-at-xi", val_xi - bound_xi, sigma * se_xi + ROUNDING_FLOOR,
                      stderr=se_xi, notes=f"E|v_xi|^2={val_xi:.6g}, bound={bound_xi:.6g}"))
@@ -342,7 +341,7 @@ def deficit_chain_audit(delta: EstimatorResult, frame: FrameEnsemble, xi: float 
     # 7. empirical energy constant
     per_c = trapezoid(vsq_full, r_full, axis=1) / n
     subs.append(info("energy-constant", float(per_c.mean()),
-                     float(jackknife_se(per_c, axis=0)),
+                     float(jackknife_se(per_c)),
                      notes="(1/n) integral of E|v_r|^2 over the realized grid"))
 
     return composite_gate("deficit-chain", subs, notes=f"xi={xi}, n_paths={m}")

@@ -125,7 +125,7 @@ def check_projection_domination(ensemble: PathEnsemble, coords: tuple, k: int,
     proj = np.ascontiguousarray(covariance.dense_rows(ensemble.cov[:, k])[:, idx[:, None], idx])
     lhs = covariance.dense_rows(part.cov[:, 1])
     diff = lhs.mean(axis=0) - proj.mean(axis=0)
-    se = np.hypot(jackknife_se(lhs, axis=0), jackknife_se(proj, axis=0))
+    se = np.hypot(jackknife_se(lhs), jackknife_se(proj))
     slack = sigma * len(coords) * float(se.max()) + ROUNDING_FLOOR
     lam_min = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0])
 

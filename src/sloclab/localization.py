@@ -39,9 +39,9 @@ import numpy as np
 from . import covariance, streams
 from .errors import InputValidationError
 from .measures import MeasureSpec
-from .numerics import KS_LEVEL, familywise_level, jackknife_se, ks_pvalues, time_blocks
+from .numerics import jackknife_se, time_blocks
 from .reports import (COV_IDENTITY_FLOOR, ROUNDING_FLOOR, LemmaReport, composite_gate,
-                      derivative_gate, entrywise_gate, gate, info)
+                      derivative_gate, entrywise_gate, info, ks_gate)
 from .tilt import cov_shape, tilt_table
 
 MAX_STEP_RATIO = 1.5
@@ -148,16 +148,13 @@ def path_keys(seed: int, n_paths: int, salt: str = "") -> list:
     return [(seed, salt, i) if salt else (seed, i) for i in range(n_paths)]
 
 
-def brownian_increments(keys, t: np.ndarray, n: int, out=None) -> np.ndarray:
-    """Increments W_{t_{k+1}} - W_{t_k} of every key's path, (m, K - 1, n).
+def brownian_increments(keys, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Increments W_{t_{k+1}} - W_{t_k} of every key's path, written into ``out`` (m, K - 1, n).
 
     Path ``key`` draws them from the stream ``(*key, "w")``, so equal keys
-    mean equal increments whichever driver reads them.  ``out``, if given,
-    receives them in place.
+    mean equal increments whichever driver reads them.
     """
     dt = np.diff(t)
-    if out is None:
-        out = np.empty((len(keys), len(dt), n))
     for row, rng in zip(out, streams.each((*key, "w") for key in keys)):
         rng.standard_normal(out=row)
     out *= np.sqrt(dt)[:, None]
@@ -184,21 +181,19 @@ def start_paths(spec: MeasureSpec, grid: TimeGrid, keys, driver: str) -> np.ndar
 
     theta = np.empty((len(keys), len(t), n))
     theta[:, 0] = 0.0
+    # the increments, written in place; each sde Euler step adds onto its own
+    w = brownian_increments(keys, t, theta[:, 1:])
     if driver == "direct":
-        # theta_t = t X + W_t, written in place: increments, their running sum, then t X.
+        # theta_t = t X + W_t, in place: the increments' running sum, then t X.
         # The t X product is freed before the first tilt, so it does not
         # raise the peak.  Its free also lifts glibc's dynamic mmap and trim
         # thresholds above the tilt's per-time temporaries; a per-time loop
         # without it had them unmapped and faulted back in at every grid
         # time (72,600 against 4,200 minor faults on cube:32 with 1024 paths,
-        # numpy 2.4 on x86-64 Linux).
-        x = _draw_x(spec, keys)
-        w = brownian_increments(keys, t, n, out=theta[:, 1:])
+        # numpy 2.4 on x86-64 Linux).  X and W come from their own streams,
+        # so the order of the draws moves no number.
         np.cumsum(w, axis=1, out=w)
-        w += t[1:, None] * x[:, None, :]
-    else:
-        # the increments, written in place; each Euler step adds onto its own
-        brownian_increments(keys, t, n, out=theta[:, 1:])
+        w += t[1:, None] * _draw_x(spec, keys)[:, None, :]
     return theta
 
 
@@ -322,9 +317,9 @@ class StatsFold:
         return EnsembleStats(
             t=self.grid.points, r=self.grid.r_points, n_paths=m, dim=self.mean_decomp.shape[-1],
             mean_decomp=self.mean_decomp, se_decomp=self.se_decomp,
-            mean_tr_cov=self.tr_cov.mean(axis=0), se_tr_cov=jackknife_se(self.tr_cov, axis=0),
+            mean_tr_cov=self.tr_cov.mean(axis=0), se_tr_cov=jackknife_se(self.tr_cov),
             mean_tr_cov_sq=self.tr_cov_sq.mean(axis=0),
-            se_tr_cov_sq=jackknife_se(self.tr_cov_sq, axis=0),
+            se_tr_cov_sq=jackknife_se(self.tr_cov_sq),
             eig_min=self.eig_min, eig_max=self.eig_max,
             tr_cov=self.tr_cov, tr_cov_sq=self.tr_cov_sq,
         )
@@ -431,7 +426,7 @@ def check_monotone_trace(ensemble: PathEnsemble, sigma: float = 4.0) -> LemmaRep
     tr = ensemble.stats.tr_cov
     d = tr[:, 1:] - tr[:, :-1]
     mean = d.mean(axis=0)
-    se = jackknife_se(d, axis=0)
+    se = jackknife_se(d)
     return entrywise_gate("monotone-trace", mean, sigma * se + ROUNDING_FLOOR, se,
                           notes="consecutive grid increments,")
 
@@ -454,20 +449,20 @@ def check_density_martingale(ensemble: PathEnsemble, sigma: float = 4.0) -> Lemm
 
     log_rho = spec.log_density(x_grid[:, None])
     t = ensemble.grid.points
-    expo = (ensemble.theta[:, :, 0, None] * x_grid[None, None, :]
-            - 0.5 * t[None, :, None] * x_grid[None, None, :] ** 2
-            + log_rho[None, None, :] - ensemble.log_z[:, :, None])
-    p = np.exp(expo)
+    p = (ensemble.theta[:, :, 0, None] * x_grid[None, None, :]
+         - 0.5 * t[None, :, None] * x_grid[None, None, :] ** 2
+         + log_rho[None, None, :] - ensemble.log_z[:, :, None])
+    np.exp(p, out=p)  # in place: one (m, K, 21) array
     mean = p.mean(axis=0)
-    se = jackknife_se(p, axis=0)
+    se = jackknife_se(p)
     gap = np.abs(mean - np.exp(log_rho)[None, :])
     return entrywise_gate("martingale", gap, sigma * se + ROUNDING_FLOOR, se,
                           notes=f"{len(x_grid)} x-points, n_paths={ensemble.n_paths},")
 
 
-def check_driver_equivalence(spec: MeasureSpec, seed: int, n_paths: int = 10_000,
+def check_driver_equivalence(spec: MeasureSpec, seed: int, n_paths: int,
                              sigma: float = 4.0) -> LemmaReport:
-    """SDE and direct drivers agree in law at t_max = 1, after 64 Euler steps.
+    """SDE and direct drivers, ``n_paths`` paths each, agree in law at t = 1 after 64 Euler steps.
 
     Paired first/second moments via common random numbers: the sde ensemble
     and the direct side's theta(t_max) = t_max X + W_(t_max), the last time
@@ -475,7 +470,7 @@ def check_driver_equivalence(spec: MeasureSpec, seed: int, n_paths: int = 10_000
     [0, t_max], and the direct side needs no tilt.  Per-coordinate
     two-sample KS against an independent direct theta(t_max) (independence
     keeps the KS null distribution valid); the smallest of the n p-values
-    is gated at `familywise_level` of `KS_LEVEL`.
+    is gated by `reports.ks_gate`.
     """
     t_max, n_steps = 1.0, 64
     grid = make_uniform(t_max, n_steps)
@@ -486,19 +481,14 @@ def check_driver_equivalence(spec: MeasureSpec, seed: int, n_paths: int = 10_000
 
     d1 = a - b
     d2 = a * a - b * b
-    m1, s1 = d1.mean(axis=0), jackknife_se(d1, axis=0)
-    m2, s2 = d2.mean(axis=0), jackknife_se(d2, axis=0)
+    m1, s1 = d1.mean(axis=0), jackknife_se(d1)
+    m2, s2 = d2.mean(axis=0), jackknife_se(d2)
     r_mean = entrywise_gate("driver-equivalence-mean", np.abs(m1),
                             sigma * s1 + ROUNDING_FLOOR, s1, notes="paired theta(t_max),")
     r_var = entrywise_gate("driver-equivalence-second-moment", np.abs(m2),
                            sigma * s2 + ROUNDING_FLOOR, s2, notes="paired theta(t_max)^2,")
 
-    pvals = ks_pvalues(a, fresh)
-    worst = int(np.argmin(pvals))
-    level = familywise_level(KS_LEVEL, spec.dim)
-    r_ks = gate("driver-equivalence-ks", float(-pvals[worst]), -level,
-                notes=f"min p-value {pvals[worst]:.4g} (coordinate {worst}), "
-                      f"level {level:.4g} ({KS_LEVEL} over {spec.dim} coordinates)")
+    r_ks = ks_gate("driver-equivalence-ks", a, fresh, "(coordinate {j})")
 
     return composite_gate("driver-equivalence", (r_mean, r_var, r_ks),
                           notes=f"dt={t_max / n_steps:g}, n_paths={n_paths}")

@@ -51,7 +51,7 @@ class Factor1D:
     factors: X1 + X2 for the EPI deficit, and r X + sqrt(r (1 - r)) Z, with
     each summand's pieces rescaled, for the Fisher information.  A factor
     without pieces overrides the density and the tilt, and it has no
-    deficit or Fisher route (`require_pieces`).
+    deficit or Fisher route (`ProductSpec.law_total`).
     """
 
     tag = ""
@@ -251,14 +251,6 @@ class BallMarginalFactor(Factor1D):
                 var.reshape(theta.shape))
 
 
-def require_pieces(factors, route: str) -> None:
-    """Raise InputValidationError naming the first factor without pieces."""
-    for f in factors:
-        if not f.pieces:
-            raise InputValidationError(
-                f"{route} needs truncated-Gaussian pieces; factor {f.tag!r} has none")
-
-
 def sum_law(first, second):
     """y -> (log g(y), E[X1 | X1 + X2 = y]) elementwise, g the density of X1 + X2.
 
@@ -402,6 +394,17 @@ class ProductSpec(MeasureSpec):
 
     def entropy(self):
         return float(sum(f.entropy() for f in self.factors))
+
+    def law_total(self, part, route: str) -> tuple[float, float]:
+        """Sum over the columns of ``part(factor)``, a (value, error) pair, one call per law.
+
+        A factor without pieces raises InputValidationError naming ``route`` first.
+        """
+        if bare := [f.tag for f in self.factors if not f.pieces]:
+            raise InputValidationError(
+                f"{route} needs truncated-Gaussian pieces; factor {bare[0]!r} has none")
+        parts = [(len(cols), part(f)) for f, cols in self.laws]
+        return sum(n * v for n, (v, _) in parts), sum(n * e for n, (_, e) in parts)
 
     def measure_id(self):
         if self.family != "product":

@@ -380,21 +380,21 @@ def quad(f, lo: float, hi: float, points=(), epsabs: float = 1e-12,
                              for old, new in zip((value, err, floor), parts))
 
 
-def jackknife_se(values: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Standard error of the mean along ``axis``: s / sqrt(m).
+def jackknife_se(values: np.ndarray) -> np.ndarray:
+    """Standard error of the mean over axis 0, the draws: s / sqrt(m).
 
     For a plain mean of i.i.d. draws this equals the leave-one-out jackknife
     error exactly; callers pass per-draw values of whatever they average.
     Zero for fewer than two draws.
     """
     values = np.asarray(values, float)
-    m = values.shape[axis]
+    m = len(values)
     if m < 2:
-        return np.zeros_like(values.mean(axis=axis))
-    return values.std(axis=axis, ddof=1) / np.sqrt(m)
+        return np.zeros_like(values.mean(axis=0))
+    return values.std(axis=0, ddof=1) / np.sqrt(m)
 
 
-# Family-wise level of the min-p KS sub-gates (`driver-equivalence`, `xr-law`).
+# Family-wise level of `reports.ks_gate`, the min-p KS sub-gates.
 KS_LEVEL = 0.01
 
 
@@ -492,8 +492,8 @@ def central_difference(y: np.ndarray, x: np.ndarray, axis: int = 0) -> np.ndarra
     return np.moveaxis(_stencil(y, np.asarray(x, float), 1), 0, axis)
 
 
-def fd_error_budget(mean_y: np.ndarray, x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Discretization error estimate for `central_difference` at interior nodes.
+def fd_error_budget(mean_y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Discretization error estimate for `central_difference` along axis 0 at interior nodes.
 
     Step-doubling Richardson: the stride-2 stencil shares the leading
     f''' h1 h2 / 6 error with a larger h1 h2, so the difference of the two
@@ -504,10 +504,10 @@ def fd_error_budget(mean_y: np.ndarray, x: np.ndarray, axis: int = 0) -> np.ndar
     x = np.asarray(x, float)
     if len(x) < 5:
         raise ValueError("need at least 5 grid points for an error budget")
-    y = np.moveaxis(np.asarray(mean_y, float), axis, 0)
+    y = np.asarray(mean_y, float)
     pad = (slice(None),) + (None,) * (y.ndim - 1)
     prod_fine = ((x[1:-1] - x[:-2]) * (x[2:] - x[1:-1]))[1:-1]    # nodes 2 .. K-3
     prod_coarse = (x[2:-2] - x[:-4]) * (x[4:] - x[2:-2])
     scale = prod_fine / np.maximum(prod_coarse - prod_fine, 1e-300)
     budget = np.abs(_stencil(y, x, 1)[1:-1] - _stencil(y, x, 2)) * scale[pad]
-    return np.moveaxis(np.concatenate([budget[:1], budget, budget[-1:]]), 0, axis)
+    return np.concatenate([budget[:1], budget, budget[-1:]])

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import central_difference, fd_error_budget, jackknife_se, time_blocks
+from .numerics import (KS_LEVEL, central_difference, familywise_level, fd_error_budget,
+                       jackknife_se, ks_pvalues, time_blocks)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -41,9 +42,9 @@ class LemmaReport:
     check_id: str
     verdict: str
     statistic: float
-    stderr: float = 0.0
-    tolerance: float = 0.0
-    notes: str = ""
+    stderr: float
+    tolerance: float
+    notes: str
     sub: tuple["LemmaReport", ...] = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -158,7 +159,7 @@ def derivative_gate(check_id: str, y, x: np.ndarray, rhs, sigma: float) -> Lemma
         mean_y[halo] = y_b.mean(axis=0)
         gap = central_difference(y_b, x[halo], axis=1) - rhs(slice(b.start + 1, b.stop + 1))
         mean[b], se[b] = _path_mean_se(gap)
-    budget = fd_error_budget(mean_y, x, axis=0)
+    budget = fd_error_budget(mean_y, x)
     return entrywise_gate(check_id, np.abs(mean),
                           sigma * (se + budget) + COV_IDENTITY_FLOOR, se, first_row=1)
 
@@ -176,7 +177,22 @@ def _path_mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         flat = np.repeat(flat, 2, axis=1)
     width = values[0].size
     return (flat.mean(axis=0)[:width].reshape(values.shape[1:]),
-            jackknife_se(flat, axis=0)[:width].reshape(values.shape[1:]))
+            jackknife_se(flat)[:width].reshape(values.shape[1:]))
+
+
+def ks_gate(check_id: str, a: np.ndarray, b: np.ndarray, where: str) -> LemmaReport:
+    """Per-coordinate two-sample KS of ``a`` against ``b`` (m, n), gated on the smallest p-value.
+
+    Its level is `familywise_level` of `KS_LEVEL`, so a healthy measure FAILs
+    with probability `KS_LEVEL` whatever n is.  ``where`` places the minimum
+    in the notes; its ``{j}`` becomes the minimum's coordinate.
+    """
+    pvals = ks_pvalues(a, b)
+    j = int(np.argmin(pvals))
+    level = familywise_level(KS_LEVEL, len(pvals))
+    return gate(check_id, float(-pvals[j]), -level,
+                notes=f"min p-value {pvals[j]:.4g} {where.format(j=j)}, "
+                      f"level {level:.4g} ({KS_LEVEL} over {len(pvals)} coordinates)")
 
 
 def info(check_id: str, statistic: float, stderr: float = 0.0, notes: str = "") -> LemmaReport:

@@ -280,7 +280,7 @@ class Envelope:
         return x, self.top[:, None] - np.where(in_tail, self.drops[side, rows] + depth, 0.0)
 
 
-def envelope(log_density, lo, hi, mode=None) -> Envelope:
+def envelope(log_density, lo, hi, mode) -> Envelope:
     """The `Envelope` of m log-concave densities on [lo, hi] (each (m,)).
 
     ``log_density`` maps x (m, k) to log rho (m, k), each row up to its own
@@ -483,7 +483,7 @@ def conditional_covariance_identity_check(ensemble, k: int, seed: int,
 
     covs = covariance.dense_rows(ensemble.cov[:, k])
     lhs = covs.mean(axis=0)
-    se_lhs = jackknife_se(covs, axis=0)
+    se_lhs = jackknife_se(covs)
 
     rng = streams.generator(seed, "cond-empirical")
     y = spec.sample(rng, n_outer) + rng.standard_normal((n_outer, dim)) / math.sqrt(t)
@@ -491,7 +491,7 @@ def conditional_covariance_identity_check(ensemble, k: int, seed: int,
     centred = draws - draws.mean(axis=1, keepdims=True)
     cond = centred.transpose(0, 2, 1) @ centred / (n_inner - 1)
     rhs = cond.mean(axis=0)
-    se_rhs = jackknife_se(cond, axis=0)
+    se_rhs = jackknife_se(cond)
 
     se = np.sqrt(se_lhs**2 + se_rhs**2)
     return entrywise_gate("conditional-covariance", np.abs(lhs - rhs),

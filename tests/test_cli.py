@@ -392,6 +392,29 @@ def test_verify_rejects_non_applicable_request(capsys):
     assert "one-dimensional" in err
 
 
+def test_verify_runs_deficit_chain_at_the_r_nearest_one_half(tmp_path, capsys):
+    # the default grid admits the chain; its xi is the grid's r nearest 0.5
+    code = main(["verify", "--measure", "cube:2", "--paths", "256",
+                 "--checks", "deficit-chain", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code in (0, 2)  # verdicts, not an error
+    records = json.loads((tmp_path / "reports.json").read_text())
+    assert [r["check_id"] for r in records] == [
+        "deficit-chain", "variance-split-exact", "ibp-balance", "score-trace-bound",
+        "clocked-gamma-monotone", "chain-upper", "chain-lower", "parity-split",
+        "fisher-bound-at-xi", "energy-constant"]
+    r = localization.make_geometric(0.01, 100.0, 40).r_points
+    xi = float(r[np.argmin(np.abs(r - 0.5))])
+    assert records[0]["notes"] == f"xi={xi}, n_paths=256"
+
+
+def test_verify_projects_a_ball_onto_one_coordinate(capsys):
+    code = main(["verify", "--measure", "ball:3", "--paths", "256",
+                 "--checks", "projection-domination"])
+    assert code in (0, 2)
+    assert "subspace dim 1," in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("t_max", ["1", "1.2"])
 def test_verify_skips_deficit_chain_on_a_short_grid(tmp_path, capsys, t_max):
     # xi is the grid's r nearest 0.5, and the chain needs 3 grid points from it:

@@ -1,5 +1,6 @@
 """Diagonal covariance storage: same verdicts as full matrices, a fraction of the memory."""
 
+import csv
 import dataclasses
 import os
 import platform
@@ -13,17 +14,14 @@ import numpy as np
 import pytest
 
 from sloclab import covariance, numerics
-from sloclab.cli import main
-from sloclab.follmer import (check_gamma_properties, check_xr_law, energy_curve,
-                             fisher_energy, path_energy, to_follmer)
+from sloclab.cli import _fmt, main
+from sloclab.follmer import check_gamma_properties, check_xr_law, fisher_energy, to_follmer
 from sloclab.infotheory import (de_bruijn_check, deficit_chain_audit, deficit_lower_bound,
                                  epi_deficit)
-from sloclab.localization import (StatsFold, check_derivative_identity,
-                                  check_monotone_trace, check_orthogonality,
-                                  check_spectral_bound, check_variance_decomposition,
-                                  ensemble_stats, make_geometric, path_keys,
-                                  simulate_ensemble, start_paths, tilt_blocks,
-                                  trace_square_ratio)
+from sloclab.localization import (check_derivative_identity, check_monotone_trace,
+                                  check_orthogonality, check_spectral_bound,
+                                  check_variance_decomposition, ensemble_stats, make_geometric,
+                                  simulate_ensemble, trace_square_ratio)
 from sloclab.measures import parse_measure_id
 from sloclab.numerics import jackknife_se, time_blocks
 
@@ -164,17 +162,6 @@ def test_frame_and_stats_allocate_no_whole_path_array():
     assert stats_peak < 4 << 20, stats_peak
 
 
-def _streamed(spec, grid, n_paths, driver):
-    """simulate's fold: statistics and Fisher curve, a block at a time as the driver tilts."""
-    theta = start_paths(spec, grid, path_keys(0, n_paths), driver)
-    fold = StatsFold(grid, n_paths, spec.dim)
-    energy = np.empty((n_paths, grid.n_points))
-    for b, mean, cov, _ in tilt_blocks(spec, grid, theta, driver, None):
-        fold.add(b, mean, cov)
-        energy[:, b] = path_energy(theta[:, b], mean, grid.points[b])
-    return fold.stats(), energy_curve(energy, grid.r_points, spec.dim)
-
-
 @pytest.mark.parametrize("measure, n_paths, n_blocks", [
     ("cube:32", 1024, 11), ("ball:8", 256, 6), ("product:exp,laplace,uniform", 4096, 5)])
 def test_blocked_stats_match_whole_arrays_bitwise(measure, n_paths, n_blocks):
@@ -191,14 +178,37 @@ def test_blocked_stats_match_whole_arrays_bitwise(measure, n_paths, n_blocks):
         assert np.array_equal(stats.mean_tr_cov, covariance.trace(ens.cov).mean(axis=0))
         lo, hi = covariance.eig_extremes(ens.cov.mean(axis=0, keepdims=True))
         assert np.array_equal(stats.eig_min, lo[0]) and np.array_equal(stats.eig_max, hi[0])
-        # simulate's fold holds no whole mean or cov, and gives the same bits
-        streamed, curve = _streamed(spec, grid, n_paths, driver)
-        for field in dataclasses.fields(stats):
-            assert np.array_equal(getattr(streamed, field.name), getattr(stats, field.name)), \
-                (driver, field.name)
-        stored = fisher_energy(to_follmer(ens))
-        assert np.array_equal(curve.value, stored.value), driver
-        assert np.array_equal(curve.stderr, stored.stderr), driver
+
+
+@pytest.mark.parametrize("driver", ["direct", "sde"])
+@pytest.mark.parametrize("measure, n_paths", [("cube:32", 1024), ("ball:8", 256),
+                                              ("product:exp,laplace,uniform", 4096)])
+def test_simulate_writes_the_stored_ensembles_values(tmp_path, capsys, measure, n_paths, driver):
+    # simulate folds each block of grid times as the driver tilts it and holds
+    # no whole mean or cov; every cell it writes is the stored route's value
+    assert main(["simulate", "--measure", measure, "--paths", str(n_paths),
+                 "--driver", driver, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    ens = simulate_ensemble(parse_measure_id(measure), make_geometric(0.01, 100.0, 40),
+                            n_paths, seed=0, driver=driver)
+    stats, frame = ensemble_stats(ens), to_follmer(ens)
+    curve = fisher_energy(frame)
+    lo, hi = covariance.eig_extremes(frame.gamma.mean(axis=0, keepdims=True))
+    dev = np.abs(stats.mean_decomp - np.eye(stats.dim)).max(axis=(1, 2))
+    expected = {
+        "stats.csv": {"t": stats.t, "r": stats.r, "trace_cov": stats.mean_tr_cov,
+                      "trace_cov_se": stats.se_tr_cov, "trace_cov_sq": stats.mean_tr_cov_sq,
+                      "trace_cov_sq_se": stats.se_tr_cov_sq, "eig_min": stats.eig_min,
+                      "eig_max": stats.eig_max, "decomp_dev": dev},
+        "follmer.csv": {"r": curve.r, "fisher": curve.value, "fisher_se": curve.stderr,
+                        "fisher_bound": curve.bound, "gamma_eig_min": lo[0],
+                        "gamma_eig_max": hi[0]},
+    }
+    for name, columns in expected.items():
+        with open(tmp_path / name, encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == list(columns), name
+        assert rows == [[_fmt(x) for x in row] for row in zip(*columns.values())], name
 
 
 DERIVATIVE_GATES = ("derivative-identity", "derivative-identity-trace",
@@ -318,7 +328,7 @@ def test_outer_moments_match_per_path_outer_products(layout):
         per_path = per_path + (_full(cov) if cov.ndim == 3 else cov)
     mean, se = covariance.outer_mean_se(u, w, cov)
     assert np.allclose(mean, per_path.mean(axis=0), rtol=1e-12, atol=1e-14)
-    assert np.allclose(se, jackknife_se(per_path, axis=0), rtol=1e-10, atol=1e-14)
+    assert np.allclose(se, jackknife_se(per_path), rtol=1e-10, atol=1e-14)
 
 
 def test_diagonal_helpers_match_full_matrix_algebra():

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import truncnorm
 
-from sloclab import follmer, numerics
+from sloclab import follmer, numerics, reports
 from sloclab.cli import main
 from sloclab.errors import InputValidationError
 from sloclab.follmer import (
@@ -399,7 +399,7 @@ def test_xr_law_ks_fails_on_nan(cube2_frame):
 
 def test_xr_law_headlines_the_failing_ks_part(cube2_frame, monkeypatch):
     # a KS p-value below the level FAILs xr-law, and the headline shows it
-    monkeypatch.setattr(follmer, "KS_LEVEL", 1.0)
+    monkeypatch.setattr(reports, "KS_LEVEL", 1.0)
     rep = check_xr_law(cube2_frame, seed=11)
     ks = next(s for s in rep.sub if s.check_id == "xr-ks")
     assert ks.failed and rep.failed

@@ -30,11 +30,15 @@
   ``tilt_samples``, ``rng_for``, ``stream``): every tilt is exact and runs in
   one thread.
 * Every defaulted parameter of a public ``src/`` function or method (a
-  class's ``__init__`` counts as the class) is passed, by position or by
-  keyword, by some call in ``src/``: a value no caller changes is a constant
-  in the code, not a knob.  Calls match by name, so a method and a function
-  of one name share their calls.  ``cli.main``'s ``argv`` is the one
-  exception: the console script calls ``main()`` and tests pass ``argv``.
+  class's ``__init__`` counts as the class) is a real knob, both ways:
+  some call in ``src/`` passes it, by position or by keyword, a value other
+  than the default's own literal (a ``*args`` or ``**kwargs`` splat counts
+  as such a value), so a value no caller changes is a constant in the code;
+  and some call in ``src/`` or ``tests/`` omits it, so a value every caller
+  spells out is a required parameter.  Calls match by name, so a method and
+  a function of one name share their calls.  ``cli.main``'s ``argv`` is the
+  one exception to the first rule: the console script calls ``main()`` and
+  tests pass ``argv``.
 * No loop body or comprehension in ``src/`` calls ``tilt_sample_batch``: it
   takes a batch of thetas, so one call serves every row, and per-row calls
   would repeat its mode search once per row.
@@ -63,7 +67,6 @@
 import ast
 import importlib
 import inspect
-import math
 import os
 import subprocess
 import sys
@@ -221,38 +224,45 @@ def knob_parameters(tree: ast.Module) -> list:
                   if a.arg in KNOBS)
 
 
-def call_arguments(trees) -> dict:
-    """Name -> [(positional count, keyword names)] of every call in ``trees``.
-
-    A ``*args`` call counts as passing every position, and ``**kwargs`` as
-    the keyword ``None``, which passes every name.
-    """
+def call_sites(trees) -> dict:
+    """Name -> every call in ``trees`` of a function or method of that name."""
     calls = {}
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                count = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
-                         else len(node.args))
-                calls.setdefault(name, []).append((count, {k.arg for k in node.keywords}))
+                calls.setdefault(name, []).append(node)
     return calls
 
 
-def _defaulted(node, bound: int) -> list:
-    """(position after ``bound`` bound ones, or None if keyword-only, name) of each default."""
-    args = node.args
-    positional = args.posonlyargs + args.args
-    out = [(i - bound, a.arg) for i, a in enumerate(positional)
-           if i >= len(positional) - len(args.defaults)]
-    return out + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
-                  if d is not None]
+SPLAT = "splat"
 
 
-def unpassed_defaults(tree: ast.Module, calls: dict) -> list:
-    """(line, "callee(name)") of each defaulted parameter that no call in ``calls`` passes.
+def passed_argument(call: ast.Call, pos, name: str):
+    """What ``call`` passes for parameter ``name`` at position ``pos`` (None: keyword-only).
+
+    The argument's node; `SPLAT` for a ``*args`` or ``**kwargs`` that may
+    hold it; None when the call omits it.
+    """
+    for k in call.keywords:
+        if k.arg == name:
+            return k.value
+    if any(k.arg is None for k in call.keywords):
+        return SPLAT
+    for i, a in enumerate(call.args if pos is not None else ()):
+        if isinstance(a, ast.Starred):
+            return SPLAT
+        if i == pos:
+            return a
+    return None
+
+
+def defaults(tree: ast.Module) -> list:
+    """(line, callee, position or None if keyword-only, name, default node) of each default.
 
     Public module-level functions and the public methods and ``__init__`` of
-    public classes count; ``__init__`` is called by its class's name.
+    public classes count; ``__init__`` is called by its class's name, and a
+    method's position counts after ``self``.
     """
     signatures = []
     for node in tree.body:
@@ -268,11 +278,35 @@ def unpassed_defaults(tree: ast.Module, calls: dict) -> list:
                     signatures.append((item, node.name, bound))
                 elif not item.name.startswith("_"):
                     signatures.append((item, item.name, bound))
-    return sorted((node.lineno, f"{callee}({name})")
-                  for node, callee, bound in signatures
-                  for pos, name in _defaulted(node, bound)
-                  if not any(name in kw or None in kw or (pos is not None and count > pos)
-                             for count, kw in calls.get(callee, [])))
+    out = []
+    for node, callee, bound in signatures:
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        out += [(node.lineno, callee, i - bound, a.arg, d)
+                for i, (a, d) in enumerate(zip(positional[first:], args.defaults), first)]
+        out += [(node.lineno, callee, None, a.arg, d)
+                for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def unchanged_defaults(tree: ast.Module, calls: dict) -> list:
+    """(line, "callee(name)") of each default that no call in ``calls`` passes another value.
+
+    A value is another when it is a splat or not the default's own literal.
+    """
+    def changes(value, default):
+        return value is SPLAT or (value is not None and ast.dump(value) != ast.dump(default))
+    return sorted((line, f"{callee}({name})") for line, callee, pos, name, d in defaults(tree)
+                  if not any(changes(passed_argument(c, pos, name), d)
+                             for c in calls.get(callee, [])))
+
+
+def never_omitted_defaults(tree: ast.Module, calls: dict) -> list:
+    """(line, "callee(name)") of each default that every call in ``calls`` passes."""
+    return sorted((line, f"{callee}({name})") for line, callee, pos, name, _ in defaults(tree)
+                  if all(passed_argument(c, pos, name) is not None
+                         for c in calls.get(callee, [])))
 
 
 def loop_calls(tree: ast.Module, name: str) -> list:
@@ -408,11 +442,16 @@ def test_no_sampling_knobs_in_library_signatures():
 
 
 def test_every_default_is_passed_by_some_source_call():
-    trees = {p: _tree(p) for p in PACKAGE}
-    calls = call_arguments(trees.values())
-    found = [f"{_rel(p)} {name}" for p, tree in trees.items()
-             for _, name in unpassed_defaults(tree, calls)]
+    # with a value other than the default's own literal
+    calls = call_sites(_tree(p) for p in PACKAGE)
+    found = [f"{_rel(p)} {name}" for p in PACKAGE
+             for _, name in unchanged_defaults(_tree(p), calls)]
     assert found == ["src/sloclab/cli.py main(argv)"]
+
+
+def test_every_default_is_omitted_by_some_call():
+    calls = call_sites(_tree(p) for p in SOURCES)
+    assert _scan(PACKAGE, lambda tree: never_omitted_defaults(tree, calls)) == []
 
 
 def test_no_tilt_draws_repeated_in_loops():
@@ -584,12 +623,31 @@ def test_scanners_flag_what_they_look_for():
                          "        pass\n"
                          "def spread(a=1, b=2):\n"
                          "    pass\n"
+                         "def axis_knob(x, axis=0):\n"
+                         "    pass\n"
+                         "def mode_knob(x, mode=None):\n"
+                         "    pass\n"
+                         "def quad_knob(f, limit=200):\n"
+                         "    pass\n"
                          "check(f, 0, 3.0)\n"
                          "Factor(scale=3.0).tilt(1.0)\n"
                          "Factor.rule(4, 5)\n"
-                         "spread(*pair)\n")
-    assert unpassed_defaults(defaults, call_arguments([defaults])) == [
-        (1, "check(atol)"), (1, "check(level)"), (6, "Factor(cut)"), (8, "tilt(theta)")]
+                         "spread(*pair)\n"
+                         "axis_knob(x, 0)\n"
+                         "axis_knob(y)\n"
+                         "mode_knob(x, m)\n"
+                         "mode_knob(y, mode=np.nan)\n"
+                         "quad_knob(f, **kw)\n"
+                         "quad_knob(g)\n")
+    sites = call_sites([defaults])
+    # axis_knob's callers pass only its default: a constant, not a knob
+    assert unchanged_defaults(defaults, sites) == [
+        (1, "check(atol)"), (1, "check(level)"), (6, "Factor(cut)"), (8, "tilt(theta)"),
+        (15, "axis_knob(axis)")]
+    # mode_knob's callers all spell out its mode: a required parameter
+    assert never_omitted_defaults(defaults, sites) == [
+        (1, "check(sigma)"), (6, "Factor(scale)"), (11, "rule(order)"), (13, "spread(a)"),
+        (13, "spread(b)"), (17, "mode_knob(mode)")]
     loops = ast.parse("for theta in thetas:\n"
                       "    draws = tilt.tilt_sample_batch(spec, t, theta[None], rng, 64)\n"
                       "while pending:\n"

@@ -125,9 +125,8 @@ class TestTruncNormal:
         assert log_mass.shape == mean.shape == var.shape == (3, 4)
 
 
-def _leave_one_out_se(x, axis=0):
-    """Reference: the jackknife standard error from the leave-one-out means."""
-    x = np.moveaxis(x, axis, 0)
+def _leave_one_out_se(x):
+    """Reference: the jackknife standard error over axis 0 from the leave-one-out means."""
     m = len(x)
     loo = (x.sum(axis=0) - x) / (m - 1)
     return np.sqrt((m - 1) / m * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
@@ -141,13 +140,6 @@ class TestJackknife:
             se = jackknife_se(x)
             assert se.shape == (5, 3, 3)
             assert np.allclose(se, _leave_one_out_se(x), rtol=1e-12, atol=0.0)
-
-    def test_axis_and_shape(self):
-        rng = np.random.default_rng(12)
-        x = rng.normal(size=(4, 50, 3))
-        se = jackknife_se(x, axis=1)
-        assert se.shape == (4, 3)
-        assert np.allclose(se, _leave_one_out_se(x, axis=1), rtol=1e-12, atol=0.0)
 
     def test_single_draw_returns_zero(self):
         assert jackknife_se(np.array([3.0])) == 0.0
@@ -185,8 +177,7 @@ class TestCentralDifference:
         with pytest.raises(ValueError):
             fd_error_budget(np.zeros(4), np.linspace(0, 1, 4))
 
-    @pytest.mark.parametrize("shape, axis", [((41,), 0), ((41, 3), 0), ((41, 3, 3), 0),
-                                             ((3, 41), 1)])
+    @pytest.mark.parametrize("shape, axis", [((41,), 0), ((41, 3), 0), ((41, 3, 3), 0)])
     def test_error_budget_matches_per_node_stencils(self, shape, axis):
         # node by node: the fine three-point derivative against the one from
         # (i - 2, i, i + 2), scaled by h1 h2 / (H1 H2 - h1 h2); nodes 1 and
@@ -194,8 +185,8 @@ class TestCentralDifference:
         rng = np.random.default_rng(3)
         x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, 40))])
         y = rng.standard_normal(shape)
-        got = np.moveaxis(fd_error_budget(y, x, axis=axis), axis, 0)
-        y = np.moveaxis(y, axis, 0)
+        y = np.moveaxis(y, axis, 0)  # the budget runs along axis 0
+        got = fd_error_budget(y, x)
         for i in range(2, 39):
             fine = central_difference(y[i - 1:i + 2], x[i - 1:i + 2])[0]
             coarse = central_difference(y[i - 2:i + 3:2], x[i - 2:i + 3:2])[0]
