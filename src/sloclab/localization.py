@@ -173,6 +173,9 @@ def start_paths(spec: MeasureSpec, grid: TimeGrid, keys, driver: str) -> np.ndar
 
     For ``direct`` it is final, theta_t = t X + W_t; for ``sde`` it holds
     the Brownian increments, onto which `tilt_blocks` adds each Euler step.
+    Both are built in theta itself: the increments are drawn into it, the
+    direct driver sums them in place and adds t X one grid time at a time
+    through one (m, n) buffer, so nothing else of theta's size is built.
     """
     t = grid.points
     n = spec.dim
@@ -184,16 +187,13 @@ def start_paths(spec: MeasureSpec, grid: TimeGrid, keys, driver: str) -> np.ndar
     # the increments, written in place; each sde Euler step adds onto its own
     w = brownian_increments(keys, t, theta[:, 1:])
     if driver == "direct":
-        # theta_t = t X + W_t, in place: the increments' running sum, then t X.
-        # The t X product is freed before the first tilt, so it does not
-        # raise the peak.  Its free also lifts glibc's dynamic mmap and trim
-        # thresholds above the tilt's per-time temporaries; a per-time loop
-        # without it had them unmapped and faulted back in at every grid
-        # time (72,600 against 4,200 minor faults on cube:32 with 1024 paths,
-        # numpy 2.4 on x86-64 Linux).  X and W come from their own streams,
-        # so the order of the draws moves no number.
+        # theta_t = t X + W_t: the increments' running sum, then t X.  X and W
+        # come from their own streams, so the order of the draws moves no number.
         np.cumsum(w, axis=1, out=w)
-        w += t[1:, None] * _draw_x(spec, keys)[:, None, :]
+        x = _draw_x(spec, keys)
+        tx = np.empty_like(x)
+        for k in range(1, len(t)):
+            theta[:, k] += np.multiply(x, t[k], out=tx)
     return theta
 
 
@@ -202,27 +202,36 @@ def tilt_blocks(spec: MeasureSpec, grid: TimeGrid, theta: np.ndarray, driver: st
 
     Yields ``(b, mean, cov, log_z)`` for the consecutive blocks ``b`` of
     `time_blocks`: mean (m, k, n), cov (m, k) + `tilt.cov_shape` and log_z
-    (m, k).  With ``out`` None each block's arrays are new; ``out`` =
-    (mean, cov, log_z), whole (m, K, ...) arrays, receives them in place and
-    the blocks are its views.  The ``sde`` driver's Euler steps complete
-    ``theta`` as it goes: when a block is yielded, theta is final at its
-    grid times.
+    (m, k).  With ``out`` None one set of block arrays, allocated for the
+    widest block, serves every block, so each yielded block is valid until
+    the next one, as with `streams.each`; ``out`` = (mean, cov, log_z),
+    whole (m, K, ...) arrays, receives them in place and the blocks are its
+    views.  The ``sde`` driver's Euler steps complete ``theta`` as it goes,
+    through one (m, n) buffer: when a block is yielded, theta is final at
+    its grid times.
     """
     t = grid.points
     m, k_pts, n = theta.shape
     dt = np.diff(t)
     row = cov_shape(spec)
-    for b in time_blocks(k_pts, m * math.prod(row) * theta.itemsize):
+    blocks = time_blocks(k_pts, m * math.prod(row) * theta.itemsize)
+    tails = ((n,), row, ())
+    widest = m * (blocks[0].stop - blocks[0].start)
+    scratch = [np.empty(widest * math.prod(tail)) for tail in tails] if out is None else None
+    step = np.empty((m, n))  # the sde driver's Euler step
+    for b in blocks:
         if out is None:
             width = b.stop - b.start
-            mean, cov, log_z = (np.empty((m, width, n)), np.empty((m, width) + row),
-                                np.empty((m, width)))
+            mean, cov, log_z = (a[:m * width * math.prod(tail)].reshape((m, width) + tail)
+                                for a, tail in zip(scratch, tails))
         else:
             mean, cov, log_z = (a[:, b] for a in out)
         for j, k in enumerate(range(b.start, b.stop)):
             log_z[:, j], mean[:, j], cov[:, j] = tilt_table(spec, t[k], theta[:, k])
             if driver == "sde" and k + 1 < k_pts:  # Euler step, drift a_t = mean of the tilt
-                theta[:, k + 1] += theta[:, k] + mean[:, j] * dt[k]
+                np.multiply(mean[:, j], dt[k], out=step)
+                step += theta[:, k]
+                theta[:, k + 1] += step
         yield b, mean, cov, log_z
 
 

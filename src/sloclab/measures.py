@@ -100,10 +100,12 @@ class Factor1D:
         for c, b, lo, hi, k in self.pieces:
             tau = t + c
             shifted = theta - b
-            log_mass, mean, var = trunc_normal_moments(shifted / tau, 1.0 / math.sqrt(tau),
-                                                       lo, hi)
-            parts.append((k + 0.5 * math.log(2.0 * math.pi / tau)
-                          + shifted * shifted / (2.0 * tau) + log_mass, mean, var))
+            log_z, mean, var = trunc_normal_moments(shifted / tau, 1.0 / math.sqrt(tau), lo, hi)
+            shifted *= shifted  # onto the log mass in place, as (theta - b)^2/2tau + ...
+            shifted /= 2.0 * tau
+            shifted += k + 0.5 * math.log(2.0 * math.pi / tau)
+            log_z += shifted
+            parts.append((log_z, mean, var))
         if len(parts) == 1:
             return parts[0]
         log_zs, means, variances = (np.stack(column) for column in zip(*parts))

@@ -15,11 +15,19 @@ within 1e-13 for the lens exponents of n <= 64.
 The truncated-normal kernel is the one code that evaluates a Gaussian
 window Phi(beta) - Phi(alpha): the closed-form tilts, the Fisher identity's
 convolution and the EPI deficit's sum density all call it.  Both ends go
-through ``erfcx``, no exponent is ever positive, and ``np.where`` picks the
+through ``erfcx``, no exponent is ever positive, and a mask picks the
 regime, so one formula serves every window.  On [z, inf), [z, z + 1] and
 their reflections for z from 5 to 300, the log mass and the mean agree with
 a quadrature free of cancellation to 1e-13 relative, and the variance,
 whose rounding grows as z^4 eps, to 1.5e-6 at z = 300.
+
+The kernel walks its windows in blocks of `WINDOW_BLOCK` (8,192), each
+computed in place in one workspace that the module allocates once, so a
+call of any size makes no temporary and the results are its only new
+arrays.  Callers with larger batches feed it blocks of that budget too
+(`tilt.product_tilt_table` goes by rows), so no tilt builds a temporary of
+its batch's size.  A window's numbers do not depend on the block it falls
+in, nor on the batch.
 """
 
 from __future__ import annotations
@@ -58,13 +66,23 @@ _ERFCX_POLY = (
 
 def erfcx(x):
     """exp(x^2) erfc(x) for x >= 0 (inf gives 0), within 1e-15 relative."""
-    t = 2.0 / (2.0 + np.asarray(x, float))
-    y = 2.0 * t - 1.0
-    p = np.full_like(y, _ERFCX_POLY[0])
+    x = np.array(x, float)
+    return _erfcx_into(x, np.empty_like(x), np.empty_like(x))[()]
+
+
+def _erfcx_into(x, y, p):
+    """erfcx(x) into ``p``, with ``x`` overwritten by t and ``y`` by 2t - 1: no new array."""
+    x += 2.0
+    np.divide(2.0, x, out=x)
+    np.multiply(x, 2.0, out=y)
+    y -= 1.0
+    p.fill(_ERFCX_POLY[0])
     for c in _ERFCX_POLY[1:]:
         p *= y
         p += c
-    return t * np.exp(p)
+    np.exp(p, out=p)
+    p *= x
+    return p
 
 
 def gamma_p(a: float, x):
@@ -181,6 +199,22 @@ def gamma_half_step(a: float) -> tuple[float, float]:
     return log_step, dig
 
 
+# Bytes of per-path arrays that one block of grid times covers (`time_blocks`)
+BLOCK_BYTES = 1 << 20
+# Windows that one block of `trunc_normal_moments` covers.  Its workspace,
+# twelve floats and two flags a window (784 KiB), is allocated once, here,
+# and every call reuses it; calls never overlap, as the lab runs in one
+# thread.  On cube:128 with 4096 rows one grid time's tilt takes 50 ms in
+# blocks of 8,192 windows, 57 ms in blocks of 4,096 and 130 ms in one pass
+# over the whole batch (numpy 2.4, x86-64).  Blocks of 16,384 are no
+# faster, and their 128 KiB arrays reach glibc's default mmap threshold, so
+# the tilt's few block-sized temporaries would be mapped and faulted in
+# afresh at every block.
+WINDOW_BLOCK = 1 << 13
+_WORK = np.empty(12 * WINDOW_BLOCK)
+_FLAGS = np.empty(2 * WINDOW_BLOCK, bool)
+
+
 def trunc_normal_moments(m, s, lo, hi):
     """Moments of N(m, s^2) conditioned on [lo, hi].
 
@@ -193,26 +227,102 @@ def trunc_normal_moments(m, s, lo, hi):
     (e(u) - e(v))/2 when it is an upper tail (u > 0), where both Gaussian
     factors are taken relative to exp(-u^2/2) so that no exponent is
     positive.  Scalars in give numpy scalars out.
+
+    The windows are walked flat, in blocks of `WINDOW_BLOCK`, each computed
+    in the module's one workspace: the three results are the only new
+    arrays, and an argument that is not a scalar is copied only when it
+    broadcasts or is not contiguous.  Every window goes through the same
+    operations whichever block it falls in, so the results do not depend on
+    the batch.
     """
-    alpha = (lo - m) / s
-    beta = (hi - m) / s
-    sign = 1.0 - 2.0 * (beta < 0.0)  # -1 reflects a lower-tail window
-    ends = sign * alpha, sign * beta
-    u, v = np.minimum(*ends), np.maximum(*ends)
-    tail = u > 0.0
-    pivot = np.where(tail, 0.5 * u * u, 0.0)
-    z = np.stack((u, v))  # both ends in one call of each kernel
-    g = np.exp(pivot - 0.5 * z * z)  # Gaussian factors over the pivot's: 1 at a
-    e_u, e_v = g * erfcx(np.abs(z) / _SQRT2)  # tail's u, 0 at an infinite end
-    mass = np.where(tail, 0.5 * (e_u - e_v), np.maximum(1.0 - 0.5 * (e_u + e_v), 1e-300))
-    with np.errstate(invalid="ignore"):  # z * g at z = +-inf, where g = 0
-        zg_u, zg_v = np.where(g > 0.0, z * g, 0.0)
-    scale = _SQRT_2PI * mass
-    r1 = sign * (g[0] - g[1]) / scale
-    r2 = (zg_u - zg_v) / scale
-    mean = m + s * r1
-    var = np.maximum(s * s * (1.0 + r2 - r1 * r1), 0.0)
-    return np.log(mass) - pivot, mean, var
+    args = [np.asarray(a, float) for a in (m, s, lo, hi)]
+    shape = np.broadcast_shapes(*(a.shape for a in args))
+    flat = [a.reshape(()) if a.size == 1 else np.broadcast_to(a, shape).reshape(-1)
+            for a in args]
+    out = [np.empty(shape) for _ in range(3)]
+    log_mass, mean, var = (a.reshape(-1) for a in out)
+    for start in range(0, log_mass.size, WINDOW_BLOCK):
+        b = slice(start, start + WINDOW_BLOCK)
+        _window_block(*(a if a.ndim == 0 else a[b] for a in flat), log_mass[b], mean[b], var[b])
+    return tuple(a[()] for a in out)
+
+
+def _window_block(m, s, lo, hi, log_mass, mean, var):
+    """`trunc_normal_moments` of one block of windows into its results, in `_WORK`.
+
+    Each step is the whole-array formula's, in its order, written in place.
+    """
+    k = len(log_mass)
+    pair, z, g, e, q = (_WORK[i * k:(i + 2) * k].reshape(2, k) for i in range(0, 10, 2))
+    sign, pivot = _WORK[10 * k:11 * k], _WORK[11 * k:12 * k]
+    flags = _FLAGS[:2 * k].reshape(2, k)
+    tail, straddle = flags
+    # the ends in standard units; sign = 1 - 2 (beta < 0) reflects a lower tail
+    alpha, beta = pair
+    np.subtract(lo, m, out=alpha)
+    alpha /= s
+    np.subtract(hi, m, out=beta)
+    beta /= s
+    np.less(beta, 0.0, out=sign)
+    sign *= -2.0
+    sign += 1.0
+    alpha *= sign
+    beta *= sign
+    u, v = z  # both ends in one call of each kernel
+    np.minimum(alpha, beta, out=u)
+    np.maximum(alpha, beta, out=v)
+    # pivot = u^2/2 in a tail (u > 0), else 0
+    np.greater(u, 0.0, out=tail)
+    np.logical_not(tail, out=straddle)
+    np.multiply(u, 0.5, out=pivot)
+    pivot *= u
+    np.copyto(pivot, 0.0, where=straddle)
+    # g = exp(pivot - z^2/2), the Gaussian factors over the pivot's: 1 at a
+    # tail's u, 0 at an infinite end; then e = g erfcx(|z|/sqrt 2)
+    np.multiply(z, 0.5, out=g)
+    g *= z
+    np.subtract(pivot, g, out=g)
+    np.exp(g, out=g)
+    np.abs(z, out=e)
+    e /= _SQRT2
+    e_uv = _erfcx_into(e, pair, q)
+    e_uv *= g
+    e_u, e_v = e_uv
+    # mass: (e_u - e_v)/2 in a tail, else max(1 - (e_u + e_v)/2, 1e-300)
+    mass, scale = e
+    np.subtract(e_u, e_v, out=mass)
+    mass *= 0.5
+    np.add(e_u, e_v, out=scale)
+    scale *= 0.5
+    np.subtract(1.0, scale, out=scale)
+    np.maximum(scale, 1e-300, out=scale)
+    np.copyto(mass, scale, where=straddle)
+    # z g, 0 where g = 0 (z g is NaN at z = +-inf)
+    with np.errstate(invalid="ignore"):
+        z *= g
+    np.greater(g, 0.0, out=flags)
+    np.logical_not(flags, out=flags)
+    np.copyto(z, 0.0, where=flags)
+    zg_u, zg_v = z
+    # r1 = sign (g_u - g_v)/scale and r2 = (zg_u - zg_v)/scale, scale = sqrt(2 pi) mass
+    np.multiply(mass, _SQRT_2PI, out=scale)
+    r1, r2 = pair
+    np.subtract(g[0], g[1], out=r1)
+    r1 *= sign
+    r1 /= scale
+    np.subtract(zg_u, zg_v, out=r2)
+    r2 /= scale
+    # mean = m + s r1, var = max(s^2 (1 + r2 - r1^2), 0), log mass = log(mass) - pivot
+    np.multiply(r1, s, out=mean)
+    mean += m
+    r2 += 1.0
+    r1 *= r1
+    r2 -= r1
+    np.multiply(s, s, out=var)
+    var *= r2
+    np.maximum(var, 0.0, out=var)
+    np.log(mass, out=log_mass)
+    log_mass -= pivot
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
@@ -456,10 +566,6 @@ def trapezoid_budget(curve: np.ndarray, x: np.ndarray) -> float:
     return abs(float(trapezoid(curve, x)) - float(trapezoid(curve[coarse], x[coarse]))) / 3.0
 
 
-# Bytes of per-path arrays that one block of grid times covers
-BLOCK_BYTES = 1 << 20
-
-
 def time_blocks(k_pts: int, time_bytes: int) -> list[slice]:
     """Slices of ``k_pts`` consecutive grid times, each about `BLOCK_BYTES` of arrays.
 
@@ -472,28 +578,27 @@ def time_blocks(k_pts: int, time_bytes: int) -> list[slice]:
 
 
 def _stencil(y: np.ndarray, x: np.ndarray, stride: int) -> np.ndarray:
-    """Three-point derivative along axis 0 from nodes i - stride, i, i + stride."""
+    """Three-point derivative along axis 1 from nodes i - stride, i, i + stride."""
     h1 = x[stride:-stride] - x[:-2 * stride]
     h2 = x[2 * stride:] - x[stride:-stride]
-    pad = (slice(None),) + (None,) * (y.ndim - 1)
+    pad = (slice(None),) + (None,) * (y.ndim - 2)
     h1p, h2p = h1[pad], h2[pad]
-    num = (h1p**2 * y[2 * stride:] + (h2p**2 - h1p**2) * y[stride:-stride]
-           - h2p**2 * y[:-2 * stride])
+    num = (h1p**2 * y[:, 2 * stride:] + (h2p**2 - h1p**2) * y[:, stride:-stride]
+           - h2p**2 * y[:, :-2 * stride])
     return num / (h1p * h2p * (h1p + h2p))
 
 
-def central_difference(y: np.ndarray, x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Three-point derivative of y(x) at interior nodes of a non-uniform grid.
+def central_difference(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Three-point derivative of each path's y(x) at the interior nodes of a non-uniform grid.
 
-    Exact for quadratics; leading error f'''(x) h1 h2 / 6.  Returns an array
-    shaped like y with the ``axis`` dimension shortened by 2.
+    ``y`` is per path, (m, K, ...) on the grid ``x`` (K,), and the result
+    (m, K - 2, ...).  Exact for quadratics; leading error f'''(x) h1 h2 / 6.
     """
-    y = np.moveaxis(np.asarray(y, float), axis, 0)
-    return np.moveaxis(_stencil(y, np.asarray(x, float), 1), 0, axis)
+    return _stencil(np.asarray(y, float), np.asarray(x, float), 1)
 
 
 def fd_error_budget(mean_y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Discretization error estimate for `central_difference` along axis 0 at interior nodes.
+    """Discretization error estimate for `central_difference` at interior nodes, along axis 0.
 
     Step-doubling Richardson: the stride-2 stencil shares the leading
     f''' h1 h2 / 6 error with a larger h1 h2, so the difference of the two
@@ -504,10 +609,10 @@ def fd_error_budget(mean_y: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, float)
     if len(x) < 5:
         raise ValueError("need at least 5 grid points for an error budget")
-    y = np.asarray(mean_y, float)
-    pad = (slice(None),) + (None,) * (y.ndim - 1)
+    y = np.asarray(mean_y, float)[None]  # one curve (K, ...), the stencil's grid on axis 1
+    pad = (slice(None),) + (None,) * (y.ndim - 2)
     prod_fine = ((x[1:-1] - x[:-2]) * (x[2:] - x[1:-1]))[1:-1]    # nodes 2 .. K-3
     prod_coarse = (x[2:-2] - x[:-4]) * (x[4:] - x[2:-2])
     scale = prod_fine / np.maximum(prod_coarse - prod_fine, 1e-300)
-    budget = np.abs(_stencil(y, x, 1)[1:-1] - _stencil(y, x, 2)) * scale[pad]
+    budget = np.abs(_stencil(y, x, 1)[0, 1:-1] - _stencil(y, x, 2)[0]) * scale[pad]
     return np.concatenate([budget[:1], budget, budget[-1:]])

@@ -157,7 +157,7 @@ def derivative_gate(check_id: str, y, x: np.ndarray, rhs, sigma: float) -> Lemma
         halo = slice(b.start, b.stop + 2)
         y_b = y(halo)
         mean_y[halo] = y_b.mean(axis=0)
-        gap = central_difference(y_b, x[halo], axis=1) - rhs(slice(b.start + 1, b.stop + 1))
+        gap = central_difference(y_b, x[halo]) - rhs(slice(b.start + 1, b.stop + 1))
         mean[b], se[b] = _path_mean_se(gap)
     budget = fd_error_budget(mean_y, x)
     return entrywise_gate(check_id, np.abs(mean),

@@ -45,7 +45,8 @@ import numpy as np
 from . import covariance, streams
 from .errors import DivergentTilt, InputValidationError
 from .measures import BallSpec, MeasureSpec, ProductSpec
-from .numerics import gamma_p, jackknife_se, quad, radial_tilt_moments, xlogy
+from .numerics import (WINDOW_BLOCK, gamma_p, jackknife_se, quad, radial_tilt_moments,
+                       xlogy)
 from .reports import COV_IDENTITY_FLOOR, LemmaReport, entrywise_gate
 
 _QUAD_KW = dict(epsabs=1e-13, epsrel=1e-12, limit=300)
@@ -92,15 +93,28 @@ def product_tilt_table(spec: ProductSpec, t: float, thetas: np.ndarray):
     """Vectorized tilt moments for a batch of thetas at one t > 0.
 
     Each factor law's batched `tilt_stats` serves all of its columns at
-    once.  Returns (log_z (m,), mean (m, n), var (m, n)); var is the
-    diagonal of A, which is diagonal for coordinate products.
+    once, in blocks of rows of about `WINDOW_BLOCK` windows, so that no
+    temporary is larger than a block.  Returns (log_z (m,), mean (m, n),
+    var (m, n)); var is the diagonal of A, which is diagonal for coordinate
+    products.  Every number is per row, so the blocks do not move it.
     """
     thetas = np.asarray(thetas, float)
-    log_zs, mean, var = (np.empty((len(thetas), spec.dim)) for _ in range(3))
-    for f, cols in spec.laws:
-        log_zs[:, cols], mean[:, cols], var[:, cols] = f.tilt_stats(t, thetas[:, cols])
-    # summed in column order, so log_z does not depend on how the laws group
-    return np.cumsum(log_zs, axis=1)[:, -1], mean, var
+    m, n = thetas.shape
+    log_z, mean, var = np.empty(m), np.empty((m, n)), np.empty((m, n))
+    step = max(1, WINDOW_BLOCK // n)
+    log_zs, sums = np.empty((2, min(step, m), n))
+    for start in range(0, m, step):
+        rows = slice(start, start + step)
+        block = thetas[rows]
+        width = len(block)
+        for f, cols in spec.laws:
+            if len(cols) == n:  # one law for every column: views, not gathered copies
+                cols = slice(None)
+            log_zs[:width, cols], mean[rows, cols], var[rows, cols] = f.tilt_stats(
+                t, block[:, cols])
+        # summed in column order, so log_z does not depend on how the laws group
+        log_z[rows] = np.cumsum(log_zs[:width], axis=1, out=sums[:width])[:, -1]
+    return log_z, mean, var
 
 
 def _log_inside(k: int, t: float, gap):

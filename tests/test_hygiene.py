@@ -38,7 +38,11 @@
   spells out is a required parameter.  Calls match by name, so a method and
   a function of one name share their calls.  ``cli.main``'s ``argv`` is the
   one exception to the first rule: the console script calls ``main()`` and
-  tests pass ``argv``.
+  tests pass ``argv``.  The defaulted fields of a public ``@dataclass`` are
+  its class's parameters, in field order, under the same two rules, except
+  that a splat may also omit a field: ``Setting(kind, key, flag, **where)``
+  builds records of many shapes, and ``EstimatorResult(*pair)`` passes only
+  the leading fields.
 * No loop body or comprehension in ``src/`` calls ``tilt_sample_batch``: it
   takes a batch of thetas, so one call serves every row, and per-row calls
   would repeat its mode search once per row.
@@ -257,18 +261,57 @@ def passed_argument(call: ast.Call, pos, name: str):
     return None
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(d, "id", None) == "dataclass" or getattr(d, "attr", None) == "dataclass"
+               for d in (getattr(d, "func", d) for d in node.decorator_list))
+
+
+def _field_keyword(value, name: str):
+    """The ``name=`` argument of a ``field(...)`` call, else None."""
+    if isinstance(value, ast.Call) and (getattr(value.func, "id", None) == "field"
+                                        or getattr(value.func, "attr", None) == "field"):
+        return next((k.value for k in value.keywords if k.arg == name), None)
+    return None
+
+
+def _dataclass_defaults(node: ast.ClassDef) -> list:
+    """(line, class, position, field, default node) of each defaulted ``__init__`` field.
+
+    A ``field(default=...)`` stands for its default; a ``field(init=False)``
+    takes no position; ``ClassVar`` annotations are no fields.
+    """
+    out, pos = [], 0
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.dump(stmt.annotation):
+            continue
+        init = _field_keyword(stmt.value, "init")
+        if isinstance(init, ast.Constant) and init.value is False:
+            continue
+        if stmt.value is not None:
+            default = _field_keyword(stmt.value, "default") or stmt.value
+            out.append((stmt.lineno, node.name, pos, stmt.target.id, default))
+        pos += 1
+    return out
+
+
 def defaults(tree: ast.Module) -> list:
-    """(line, callee, position or None if keyword-only, name, default node) of each default.
+    """(line, callee, position or None if keyword-only, name, default node, field) of each default.
 
     Public module-level functions and the public methods and ``__init__`` of
     public classes count; ``__init__`` is called by its class's name, and a
-    method's position counts after ``self``.
+    method's position counts after ``self``.  So do the defaulted fields of
+    a public ``@dataclass``, its class's parameters in field order; ``field``
+    is True for them.
     """
-    signatures = []
+    signatures, out = [], []
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
             signatures.append((node, node.name, 0))
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            if _is_dataclass(node):
+                out += [(*d, True) for d in _dataclass_defaults(node)]
             for item in node.body:
                 if not isinstance(item, ast.FunctionDef):
                     continue
@@ -278,14 +321,13 @@ def defaults(tree: ast.Module) -> list:
                     signatures.append((item, node.name, bound))
                 elif not item.name.startswith("_"):
                     signatures.append((item, item.name, bound))
-    out = []
     for node, callee, bound in signatures:
         args = node.args
         positional = args.posonlyargs + args.args
         first = len(positional) - len(args.defaults)
-        out += [(node.lineno, callee, i - bound, a.arg, d)
+        out += [(node.lineno, callee, i - bound, a.arg, d, False)
                 for i, (a, d) in enumerate(zip(positional[first:], args.defaults), first)]
-        out += [(node.lineno, callee, None, a.arg, d)
+        out += [(node.lineno, callee, None, a.arg, d, False)
                 for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
     return out
 
@@ -297,15 +339,25 @@ def unchanged_defaults(tree: ast.Module, calls: dict) -> list:
     """
     def changes(value, default):
         return value is SPLAT or (value is not None and ast.dump(value) != ast.dump(default))
-    return sorted((line, f"{callee}({name})") for line, callee, pos, name, d in defaults(tree)
+    return sorted((line, f"{callee}({name})")
+                  for line, callee, pos, name, d, _ in defaults(tree)
                   if not any(changes(passed_argument(c, pos, name), d)
                              for c in calls.get(callee, [])))
 
 
 def never_omitted_defaults(tree: ast.Module, calls: dict) -> list:
-    """(line, "callee(name)") of each default that every call in ``calls`` passes."""
-    return sorted((line, f"{callee}({name})") for line, callee, pos, name, _ in defaults(tree)
-                  if all(passed_argument(c, pos, name) is not None
+    """(line, "callee(name)") of each default that every call in ``calls`` passes.
+
+    A splat may pass a function's parameter; for a dataclass field it may
+    as well leave it out, since one splat call builds records of many shapes
+    (``Setting(kind, key, flag, **where)``), and a ``*`` splat holds only
+    the leading fields (``EstimatorResult(*pair)``).
+    """
+    def passes(value, field):
+        return value is not None and not (field and value is SPLAT)
+    return sorted((line, f"{callee}({name})")
+                  for line, callee, pos, name, _, field in defaults(tree)
+                  if all(passes(passed_argument(c, pos, name), field)
                          for c in calls.get(callee, [])))
 
 
@@ -648,6 +700,33 @@ def test_scanners_flag_what_they_look_for():
     assert never_omitted_defaults(defaults, sites) == [
         (1, "check(sigma)"), (6, "Factor(scale)"), (11, "rule(order)"), (13, "spread(a)"),
         (13, "spread(b)"), (17, "mode_knob(mode)")]
+    fields = ast.parse("@dataclass(frozen=True)\n"
+                       "class Grid:\n"
+                       "    points: np.ndarray\n"
+                       "    kind: str = 'geometric'\n"
+                       "    scale: float = field(default=1.0)\n"
+                       "    cache: dict = field(init=False, default=None)\n"
+                       "    unit: ClassVar[str] = 's'\n"
+                       "    label: str = ''\n"
+                       "@dataclasses.dataclass\n"
+                       "class Record:\n"
+                       "    value: float\n"
+                       "    notes: str = ''\n"
+                       "    tags: tuple = ()\n"
+                       "class Plain:\n"
+                       "    size: int = 3\n"
+                       "Grid(pts, 'geometric', 2.0)\n"
+                       "Grid(pts, 'geometric', label='x')\n"
+                       "Record(*pair)\n"
+                       "Record(1.0, tags=t)\n"
+                       "Plain()\n")
+    sites = call_sites([fields])
+    # every call spells out Grid's kind, as the default's own value: a
+    # constant and a required field at once.  Record(*pair) may pass notes
+    # and tags, and may leave them out, where a function's splat counts as
+    # passing them; the field(init=False) and the ClassVar are no parameters
+    assert unchanged_defaults(fields, sites) == [(4, "Grid(kind)")]
+    assert never_omitted_defaults(fields, sites) == [(4, "Grid(kind)")]
     loops = ast.parse("for theta in thetas:\n"
                       "    draws = tilt.tilt_sample_batch(spec, t, theta[None], rng, 64)\n"
                       "while pending:\n"

@@ -21,6 +21,7 @@ from sloclab.numerics import (
     gamma_half_step,
     gamma_p,
     jackknife_se,
+    WINDOW_BLOCK,
     ks_pvalues,
     trapezoid,
     trapezoid_budget,
@@ -124,6 +125,25 @@ class TestTruncNormal:
         log_mass, mean, var = trunc_normal_moments(m, 1.0, lo, lo + 1.0)
         assert log_mass.shape == mean.shape == var.shape == (3, 4)
 
+    def test_windows_do_not_depend_on_their_batch(self):
+        # two whole blocks and a ragged third: every window, computed alone,
+        # has the bits it has in the batch
+        rng = np.random.default_rng(11)
+        count = 2 * WINDOW_BLOCK + 37
+        ends = np.array([(-1.0, 2.0), (-np.inf, 0.3), (0.5, 3.0), (2.0, np.inf),
+                         (-4.0, -1.0), (-np.inf, -2.0), (-np.inf, np.inf), (30.0, 31.0),
+                         (-300.0, -299.0), (40.0, np.inf)])
+        m = rng.normal(scale=2.0, size=count)
+        s = np.exp(rng.normal(scale=0.5, size=count))
+        lo, hi = (m + s * ends[np.arange(count) % len(ends)].T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = trunc_normal_moments(m, s, lo, hi)
+            for i in range(count):
+                alone = trunc_normal_moments(m[i], s[i], lo[i], hi[i])
+                assert all(np.array_equal(a[i], b) for a, b in zip(batch, alone)), i
+        assert all(np.isfinite(a).all() for a in batch)
+
 
 def _leave_one_out_se(x):
     """Reference: the jackknife standard error over axis 0 from the leave-one-out means."""
@@ -149,13 +169,13 @@ class TestCentralDifference:
     def test_exact_on_quadratic_nonuniform(self):
         x = np.array([0.0, 0.3, 1.0, 1.1, 2.5, 4.0])
         y = 2.0 * x**2 - 3.0 * x + 7.0
-        d = central_difference(y, x)
+        d = central_difference(y[None], x)[0]  # one path
         assert np.allclose(d, 4.0 * x[1:-1] - 3.0, atol=1e-12)
 
     def test_axis_handling(self):
         x = np.linspace(0.0, 1.0, 9)
-        y = np.stack([x**2, 3.0 * x], axis=0)  # (2, 9)
-        d = central_difference(y, x, axis=1)
+        y = np.stack([x**2, 3.0 * x], axis=0)  # two paths on the grid axis 1
+        d = central_difference(y, x)
         assert d.shape == (2, 7)
         assert np.allclose(d[0], 2.0 * x[1:-1])
         assert np.allclose(d[1], 3.0)
@@ -164,7 +184,7 @@ class TestCentralDifference:
         # f = x^3 has f''' = 6, so the  h1 h2 / 6 error term is exactly h1 h2
         x = np.geomspace(1.0, 3.0, 17)
         y = x**3
-        d = central_difference(y, x)
+        d = central_difference(y[None], x)[0]
         budget = fd_error_budget(y, x)
         true_err = np.abs(d - 3.0 * x[1:-1] ** 2)
         assert budget.shape == true_err.shape
@@ -188,8 +208,8 @@ class TestCentralDifference:
         y = np.moveaxis(y, axis, 0)  # the budget runs along axis 0
         got = fd_error_budget(y, x)
         for i in range(2, 39):
-            fine = central_difference(y[i - 1:i + 2], x[i - 1:i + 2])[0]
-            coarse = central_difference(y[i - 2:i + 3:2], x[i - 2:i + 3:2])[0]
+            fine = central_difference(y[None, i - 1:i + 2], x[i - 1:i + 2])[0, 0]
+            coarse = central_difference(y[None, i - 2:i + 3:2], x[i - 2:i + 3:2])[0, 0]
             h = (x[i] - x[i - 1]) * (x[i + 1] - x[i])
             big = (x[i] - x[i - 2]) * (x[i + 2] - x[i])
             assert np.allclose(got[i - 1], np.abs(fine - coarse) * h / (big - h),

@@ -51,6 +51,21 @@ def _tilt_row(spec, t, theta):
 # Closed forms
 
 
+@pytest.mark.parametrize("measure, rows", [("cube:32", 1024),
+                                           ("product:exp,laplace,uniform", 1500)])
+def test_product_table_rows_do_not_depend_on_their_batch(measure, rows):
+    # the table runs its rows in blocks (the second case ends in a ragged
+    # one); each row, tilted alone, has the bits it has in the batch
+    spec = parse_measure_id(measure)
+    t = 0.7
+    thetas = t * spec.sample(np.random.default_rng(4), rows) + np.random.default_rng(
+        5).standard_normal((rows, spec.dim)) * math.sqrt(t)
+    batch = product_tilt_table(spec, t, thetas)
+    for i in range(rows):
+        alone = product_tilt_table(spec, t, thetas[i:i + 1])
+        assert all(np.array_equal(a[i:i + 1], b) for a, b in zip(batch, alone)), i
+
+
 def test_gaussian_conjugacy():
     theta = np.array([1.0, -1.0, 0.5])
     log_z, mean, cov = _tilt_row(make_gaussian(3), 2.0, theta)
