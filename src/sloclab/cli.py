@@ -540,15 +540,15 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     ctx = RunContext(cfg)
     spec, grid = ctx.spec, ctx.grid
     t, k_pts, m, n = grid.points, grid.n_points, cfg.n_paths, spec.dim
-    # each block of grid times is folded in as the driver tilts it, so of the
-    # path arrays only theta is held whole: no mean, cov or v
-    theta = localization.start_paths(spec, grid, localization.path_keys(cfg.seed, m), cfg.driver)
+    # theta comes a chunk of grid times at a time and each block of them is
+    # folded in as the driver tilts it, so no path array is held whole
+    paths = localization.start_paths(spec, grid, localization.path_keys(cfg.seed, m), cfg.driver)
     fold = localization.StatsFold(grid, m, n)
     energy = np.empty((m, k_pts))
     geig_min, geig_max = np.empty(k_pts), np.empty(k_pts)
-    for b, mean, cov, _ in localization.tilt_blocks(spec, grid, theta, cfg.driver, None):
+    for b, theta, mean, cov, _ in localization.tilt_blocks(spec, grid, paths, cfg.driver, None):
         fold.add(b, mean, cov)
-        energy[:, b] = follmer.path_energy(theta[:, b], mean, t[b])
+        energy[:, b] = follmer.path_energy(theta, mean, t[b])
         lo, hi = covariance.eig_extremes(follmer.gamma_r(cov, t[b]).mean(axis=0, keepdims=True))
         geig_min[b], geig_max[b] = lo[0], hi[0]
     stats = fold.stats()

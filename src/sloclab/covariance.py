@@ -63,9 +63,13 @@ def trace(cov: np.ndarray) -> np.ndarray:
     return cov.sum(axis=-1) if _diagonal(cov) else np.trace(cov, axis1=-2, axis2=-1)
 
 
-def square(cov: np.ndarray) -> np.ndarray:
-    """The matrix square of every matrix, in ``cov``'s layout."""
-    return cov * cov if _diagonal(cov) else cov @ cov
+def square(cov: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """The matrix square of every matrix, in ``cov``'s layout.
+
+    ``work``, an array of a diagonal ``cov``'s shape, receives a diagonal
+    square; a full one is a new array.
+    """
+    return np.multiply(cov, cov, out=work) if _diagonal(cov) else cov @ cov
 
 
 def frob_sq(cov: np.ndarray) -> np.ndarray:
@@ -81,7 +85,7 @@ def eig_extremes(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam[..., 0], lam[..., -1]
 
 
-def outer_mean_se(u: np.ndarray, w: np.ndarray, cov: np.ndarray | None = None):
+def outer_mean_se(u: np.ndarray, w: np.ndarray, cov: np.ndarray | None = None, work=None):
     """Mean over paths of u (x) w + cov and its s / sqrt(m), each (K, n, n).
 
     ``u`` and ``w`` are (m, K, n) and ``cov`` an optional covariance array.
@@ -90,22 +94,30 @@ def outer_mean_se(u: np.ndarray, w: np.ndarray, cov: np.ndarray | None = None):
     matmuls u^T w / m and (u o u)^T (w o w) / m, with
     s^2 = (sum x^2 - m mean^2) / (m - 1), and the diagonal, where a diagonal
     ``cov`` adds and the mean can dominate the spread, from its per-path
-    values u_i w_i + cov_i.
+    values u_i w_i + cov_i.  ``work``, two C-contiguous arrays of ``u``'s
+    shape, takes that route's (m, K, n) temporaries, so a caller that folds
+    block after block reuses them; the numbers are the same either way.
     """
     if cov is not None and not _diagonal(cov):
-        per_path = np.einsum("mki,mkj->mkij", u, w) + cov
-        return per_path.mean(axis=0), jackknife_se(per_path)
+        per_path = np.einsum("mki,mkj->mkij", u, w)
+        per_path += cov
+        # the deviations overwrite per_path, which nothing reads after
+        return per_path.mean(axis=0), jackknife_se(per_path, per_path)
     m, _, n = u.shape
+    work_a, work_b = (None, None) if work is None else work
     mean = np.moveaxis(u, 0, -1) @ np.moveaxis(w, 0, 1) / m
     if m > 1:
-        second = np.moveaxis(u * u, 0, -1) @ np.moveaxis(w * w, 0, 1)
+        # two buffers, as two products would be: one buffer would take BLAS syrk
+        uu = np.multiply(u, u, out=work_a)
+        ww = np.multiply(w, w, out=work_b)
+        second = np.moveaxis(uu, 0, -1) @ np.moveaxis(ww, 0, 1)
         se = np.sqrt(np.maximum(second - m * mean * mean, 0.0) / (m * (m - 1.0)))
     else:
         se = np.zeros_like(mean)
-    diag = u * w
+    diag = np.multiply(u, w, out=work_a)
     if cov is not None:
         diag += cov
     idx = np.arange(n)
     mean[:, idx, idx] = diag.mean(axis=0)
-    se[:, idx, idx] = jackknife_se(diag)
+    se[:, idx, idx] = jackknife_se(diag, work_b)
     return mean, se

@@ -13,9 +13,10 @@ Both drivers derive Brownian increments from the stream key
 and sharp paired comparisons.
 
 Along each path the tilt moments (a, A, log Z) are computed at every grid
-time, one block of grid times at a time (`tilt_blocks`, `time_blocks`).
+time, one block of grid times at a time (`tilt_blocks`, `time_blocks`), on
+theta built one chunk of blocks at a time (`start_paths`, `path_chunks`).
 ``simulate`` folds each block into its per-time statistics (`StatsFold`)
-as the driver tilts it, and keeps only theta whole; `simulate_ensemble`
+as the driver tilts it and keeps no path array whole; `simulate_ensemble`
 keeps every block in a `PathEnsemble`, which the checks below read.  They
 verify, with Monte Carlo error bars, the identities
 
@@ -130,6 +131,7 @@ class PathEnsemble:
     mean: np.ndarray            # (m, K, n)
     cov: np.ndarray             # (m, K, n) or (m, K, n, n)
     log_z: np.ndarray           # (m, K)
+    w_end: np.ndarray           # (m, n) W at the grid's last time (`start_paths`)
 
     @property
     def n_paths(self) -> int:
@@ -148,19 +150,6 @@ def path_keys(seed: int, n_paths: int, salt: str = "") -> list:
     return [(seed, salt, i) if salt else (seed, i) for i in range(n_paths)]
 
 
-def brownian_increments(keys, t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Increments W_{t_{k+1}} - W_{t_k} of every key's path, written into ``out`` (m, K - 1, n).
-
-    Path ``key`` draws them from the stream ``(*key, "w")``, so equal keys
-    mean equal increments whichever driver reads them.
-    """
-    dt = np.diff(t)
-    for row, rng in zip(out, streams.each((*key, "w") for key in keys)):
-        rng.standard_normal(out=row)
-    out *= np.sqrt(dt)[:, None]
-    return out
-
-
 def _draw_x(spec, keys) -> np.ndarray:
     x = np.empty((len(keys), spec.dim))
     for i, rng in enumerate(streams.each((*key, "x") for key in keys)):
@@ -168,71 +157,148 @@ def _draw_x(spec, keys) -> np.ndarray:
     return x
 
 
-def start_paths(spec: MeasureSpec, grid: TimeGrid, keys, driver: str) -> np.ndarray:
-    """theta (m, K, n) of every key's path before any tilt.
+# Bytes of theta that one chunk of `start_paths` covers.  Every chunk costs
+# one draw call a path, about 1 us, so a chunk also spans at least
+# `CHUNK_TIMES` grid times: on cube:32 with 1024 paths the 41 grid times take
+# 6 chunks of 8 (2 MiB each), on cube:128 with 4096 paths, whose one grid
+# time is 4 MiB, 11 chunks of 4.
+CHUNK_BYTES = 2 << 20
+CHUNK_TIMES = 4
 
-    For ``direct`` it is final, theta_t = t X + W_t; for ``sde`` it holds
-    the Brownian increments, onto which `tilt_blocks` adds each Euler step.
-    Both are built in theta itself: the increments are drawn into it, the
-    direct driver sums them in place and adds t X one grid time at a time
-    through one (m, n) buffer, so nothing else of theta's size is built.
+
+def path_chunks(spec: MeasureSpec, k_pts: int, n_paths: int) -> list[slice]:
+    """Consecutive chunks of grid times that `start_paths` builds theta in.
+
+    Each is a run of whole `time_blocks` of the tilt's covariances, as
+    `tilt_blocks` walks them, covering about `CHUNK_BYTES` of theta and at
+    least `CHUNK_TIMES` grid times.
+    """
+    width = time_blocks(k_pts, n_paths * math.prod(cov_shape(spec)) * 8)[0].stop
+    per_block = width * n_paths * spec.dim * 8
+    step = width * max(1, CHUNK_BYTES // per_block, -(-CHUNK_TIMES // width))
+    return [slice(k, min(k + step, k_pts)) for k in range(0, k_pts, step)]
+
+
+def start_paths(spec: MeasureSpec, grid: TimeGrid, keys, driver: str, out=None):
+    """theta of every key's path before any tilt, one chunk of grid times at a time.
+
+    Yields ``(c, theta)`` for the consecutive chunks ``c`` of `path_chunks`,
+    theta (m, k, n) at c's grid times.  For ``direct`` it is final,
+    theta_t = t X + W_t; for ``sde`` it holds the Brownian increments
+    W_t - W_s from the grid time s before, onto which `tilt_blocks` adds
+    each Euler step.  Path ``key`` draws its increments from the stream
+    ``(*key, "w")``, whose generator it keeps from chunk to chunk, so its
+    draws are one unbroken run and equal keys mean equal increments
+    whichever driver reads them.  The direct driver carries each path's
+    running W from one chunk into the next.  So every number is the one a
+    whole (m, K, n) array would hold, computed in the same order.
+
+    With ``out`` None one chunk array, allocated for the widest chunk,
+    serves every chunk, so each yielded theta is valid until the next one.
+    ``out`` = (theta, w), a whole (m, K, n) array and an (m, n) one,
+    receives theta whole, as one chunk, and ``w`` receives W at the grid's
+    last time: each path's increments summed in order, the W_t that the
+    direct driver adds t X to.
     """
     t = grid.points
-    n = spec.dim
+    k_pts, m, n = len(t), len(keys), spec.dim
     if driver not in ("direct", "sde"):
         raise InputValidationError(f"unknown driver {driver!r}")
-
-    theta = np.empty((len(keys), len(t), n))
-    theta[:, 0] = 0.0
-    # the increments, written in place; each sde Euler step adds onto its own
-    w = brownian_increments(keys, t, theta[:, 1:])
+    if out is None:
+        chunks = path_chunks(spec, k_pts, m)
+        flat = np.empty(m * (chunks[0].stop - chunks[0].start) * n)
+        w = np.empty((m, n))
+    else:
+        chunks = [slice(0, k_pts)]
+        whole, w = out
+    root_dt = np.sqrt(np.diff(t))
     if driver == "direct":
-        # theta_t = t X + W_t: the increments' running sum, then t X.  X and W
-        # come from their own streams, so the order of the draws moves no number.
-        np.cumsum(w, axis=1, out=w)
         x = _draw_x(spec, keys)
         tx = np.empty_like(x)
-        for k in range(1, len(t)):
-            theta[:, k] += np.multiply(x, t[k], out=tx)
-    return theta
+    rngs = list(streams.each((*key, "w") for key in keys))
+    for c in chunks:
+        width = c.stop - c.start
+        theta = whole[:, c] if out is not None else flat[:m * width * n].reshape(m, width, n)
+        first = max(c.start, 1)  # the chunk's first grid time past t = 0
+        if c.start == 0:
+            theta[:, 0] = 0.0
+        # the increments into the chunk's t_k, k >= first, drawn in place
+        dw = theta[:, first - c.start:]
+        for row, rng in zip(dw, rngs):
+            rng.standard_normal(out=row)
+        dw *= root_dt[first - 1:c.stop - 1, None]
+        if driver == "direct":
+            # theta_t = t X + W_t: the running sum, carried on from the chunk
+            # before, then t X.  X and W come from their own streams, so the
+            # order of the draws moves no number.
+            if first > 1:
+                dw[:, 0] += w
+            np.cumsum(dw, axis=1, out=dw)
+            if dw.shape[1]:
+                w[...] = dw[:, -1]
+            for j, k in enumerate(range(first, c.stop)):
+                dw[:, j] += np.multiply(x, t[k], out=tx)
+        else:
+            # the same running sum, kept beside the increments
+            for j, k in enumerate(range(first, c.stop)):
+                if k == 1:
+                    w[...] = dw[:, j]
+                else:
+                    w += dw[:, j]
+        yield c, theta
 
 
-def tilt_blocks(spec: MeasureSpec, grid: TimeGrid, theta: np.ndarray, driver: str, out):
-    """Tilt the paths ``theta`` of `start_paths`, yielding one block of grid times at a time.
+def tilt_blocks(spec: MeasureSpec, grid: TimeGrid, paths, driver: str, out):
+    """Tilt the paths of `start_paths`, yielding one block of grid times at a time.
 
-    Yields ``(b, mean, cov, log_z)`` for the consecutive blocks ``b`` of
-    `time_blocks`: mean (m, k, n), cov (m, k) + `tilt.cov_shape` and log_z
-    (m, k).  With ``out`` None one set of block arrays, allocated for the
-    widest block, serves every block, so each yielded block is valid until
-    the next one, as with `streams.each`; ``out`` = (mean, cov, log_z),
-    whole (m, K, ...) arrays, receives them in place and the blocks are its
-    views.  The ``sde`` driver's Euler steps complete ``theta`` as it goes,
-    through one (m, n) buffer: when a block is yielded, theta is final at
-    its grid times.
+    ``paths`` is `start_paths`' iterator of chunks, with the same ``driver``.
+    Yields ``(b, theta, mean, cov, log_z)`` for the consecutive blocks ``b``
+    of `time_blocks` within each chunk: theta and mean (m, k, n), cov (m, k)
+    + `tilt.cov_shape` and log_z (m, k).  With ``out`` None one set of
+    block arrays, allocated for the widest block, serves every block, so
+    each yielded block is valid until the next one; a block of one grid
+    time, such as a dense ball's at large n, is `tilt_table`'s own arrays.
+    ``out`` = (mean, cov, log_z), whole (m, K, ...) arrays, receives them
+    in place and the blocks are its views.  The ``sde`` driver's Euler
+    steps complete each chunk of theta as it goes, through one (m, n)
+    buffer, which carries the step from a chunk's last grid time onto the
+    next chunk's first: when a block is yielded, theta is final at its grid
+    times.
     """
     t = grid.points
-    m, k_pts, n = theta.shape
+    k_pts = len(t)
     dt = np.diff(t)
     row = cov_shape(spec)
-    blocks = time_blocks(k_pts, m * math.prod(row) * theta.itemsize)
-    tails = ((n,), row, ())
-    widest = m * (blocks[0].stop - blocks[0].start)
-    scratch = [np.empty(widest * math.prod(tail)) for tail in tails] if out is None else None
-    step = np.empty((m, n))  # the sde driver's Euler step
-    for b in blocks:
-        if out is None:
+    scratch = None
+    for c, theta in paths:
+        m, _, n = theta.shape
+        tails = ((n,), row, ())
+        if driver == "sde" and c.start:
+            theta[:, 0] += step  # the Euler step from the chunk before
+        elif driver == "sde":
+            step = np.empty((m, n))
+        for local in time_blocks(c.stop - c.start, m * math.prod(row) * theta.itemsize):
+            b = slice(c.start + local.start, c.start + local.stop)
             width = b.stop - b.start
-            mean, cov, log_z = (a[:m * width * math.prod(tail)].reshape((m, width) + tail)
-                                for a, tail in zip(scratch, tails))
-        else:
-            mean, cov, log_z = (a[:, b] for a in out)
-        for j, k in enumerate(range(b.start, b.stop)):
-            log_z[:, j], mean[:, j], cov[:, j] = tilt_table(spec, t[k], theta[:, k])
-            if driver == "sde" and k + 1 < k_pts:  # Euler step, drift a_t = mean of the tilt
-                np.multiply(mean[:, j], dt[k], out=step)
-                step += theta[:, k]
-                theta[:, k + 1] += step
-        yield b, mean, cov, log_z
+            if out is not None:
+                mean, cov, log_z = (a[:, b] for a in out)
+            elif width > 1:
+                if scratch is None:
+                    scratch = [np.empty(m * width * math.prod(tail)) for tail in tails]
+                mean, cov, log_z = (a[:m * width * math.prod(tail)].reshape((m, width) + tail)
+                                    for a, tail in zip(scratch, tails))
+            for j, k in enumerate(range(b.start, b.stop)):
+                table = tilt_table(spec, t[k], theta[:, k - c.start])
+                if out is None and width == 1:
+                    log_z, mean, cov = (a[:, None] for a in table)
+                else:
+                    log_z[:, j], mean[:, j], cov[:, j] = table
+                if driver == "sde" and k + 1 < k_pts:  # Euler step, drift a_t = mean of the tilt
+                    np.multiply(mean[:, j], dt[k], out=step)
+                    step += theta[:, k - c.start]
+                    if k + 1 < c.stop:
+                        theta[:, k + 1 - c.start] += step
+            yield b, theta[:, local], mean, cov, log_z
 
 
 def simulate_ensemble(spec: MeasureSpec, grid: TimeGrid, n_paths: int, seed: int,
@@ -241,15 +307,16 @@ def simulate_ensemble(spec: MeasureSpec, grid: TimeGrid, n_paths: int, seed: int
 
     Path i uses the stream key ``(seed, i)`` (or ``(seed, salt, i)``), so its
     arrays do not depend on ``n_paths``, and the two drivers share Brownian
-    increments for equal keys.  `tilt_blocks` writes into the ensemble's
-    arrays in place.
+    increments for equal keys.  `start_paths` and `tilt_blocks` write into
+    the ensemble's arrays in place.
     """
-    theta = start_paths(spec, grid, path_keys(seed, n_paths, salt), driver)
     shape = (n_paths, grid.n_points)
+    theta, w_end = np.empty(shape + (spec.dim,)), np.empty((n_paths, spec.dim))
     out = (np.empty(shape + (spec.dim,)), np.empty(shape + cov_shape(spec)), np.empty(shape))
-    for _ in tilt_blocks(spec, grid, theta, driver, out):
+    paths = start_paths(spec, grid, path_keys(seed, n_paths, salt), driver, (theta, w_end))
+    for _ in tilt_blocks(spec, grid, paths, driver, out):
         pass
-    return PathEnsemble(spec, grid, theta, *out)
+    return PathEnsemble(spec, grid, theta, *out, w_end=w_end)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +364,11 @@ class StatsFold:
     (10.75 MiB on cube:32 with 1024 paths, which takes 11 blocks), each
     block still gives numpy whole matrices of work per call, and a
     3-dimensional product with 1024 paths or ball:4 with 64 fits in one
-    block.  Every statistic is per grid time, so the blocks give the
+    block.  The (m, k, n) temporaries go into two scratch arrays that the
+    fold allocates for its first, widest block and reuses for every other,
+    so no block faults fresh pages in; a full covariance's (m, k, n, n)
+    ones are made per block, and its deviations overwrite its per-path
+    terms.  Every statistic is per grid time, so the blocks give the
     whole-array values bit for bit.  What it keeps whole is per path and
     time scalars (tr A_t and tr A_t^2, (m, K) each) and per-time reductions.
     """
@@ -311,12 +382,16 @@ class StatsFold:
         self.tr_cov_sq = np.empty((n_paths, k_pts))
         self.eig_min = np.empty(k_pts)
         self.eig_max = np.empty(k_pts)
+        self._work = np.empty(0)
 
     def add(self, b: slice, mean: np.ndarray, cov: np.ndarray) -> None:
         """Fold in grid times ``b``: their tilt means and covariances."""
-        self.mean_decomp[b], self.se_decomp[b] = covariance.outer_mean_se(mean, mean, cov)
+        if self._work.size < 2 * mean.size:  # sized by the first, widest block
+            self._work = np.empty(2 * mean.size)
+        work = [a.reshape(mean.shape) for a in np.split(self._work[:2 * mean.size], 2)]
+        self.mean_decomp[b], self.se_decomp[b] = covariance.outer_mean_se(mean, mean, cov, work)
         self.tr_cov[:, b] = covariance.trace(cov)
-        self.tr_cov_sq[:, b] = covariance.trace(covariance.square(cov))
+        self.tr_cov_sq[:, b] = covariance.trace(covariance.square(cov, work[0]))
         lo, hi = covariance.eig_extremes(cov.mean(axis=0, keepdims=True))
         self.eig_min[b], self.eig_max[b] = lo[0], hi[0]
 
@@ -473,20 +548,21 @@ def check_driver_equivalence(spec: MeasureSpec, seed: int, n_paths: int,
                              sigma: float = 4.0) -> LemmaReport:
     """SDE and direct drivers, ``n_paths`` paths each, agree in law at t = 1 after 64 Euler steps.
 
-    Paired first/second moments via common random numbers: the sde ensemble
-    and the direct side's theta(t_max) = t_max X + W_(t_max), the last time
-    of `start_paths`, draw equal increments from equal keys on the grid
-    [0, t_max], and the direct side needs no tilt.  Per-coordinate
-    two-sample KS against an independent direct theta(t_max) (independence
-    keeps the KS null distribution valid); the smallest of the n p-values
-    is gated by `reports.ks_gate`.
+    Paired first/second moments via common random numbers: the direct side
+    theta(t_max) = t_max X + W_(t_max) takes W_(t_max) from the sde
+    ensemble's own increments (`PathEnsemble.w_end`), so it draws no
+    increment and needs no tilt.  Per-coordinate two-sample KS against an
+    independent direct theta(t_max), the last time of `start_paths` under
+    stream salt ``ks`` (independence keeps the KS null distribution valid);
+    the smallest of the n p-values is gated by `reports.ks_gate`.
     """
     t_max, n_steps = 1.0, 64
-    grid = make_uniform(t_max, n_steps)
-    a = simulate_ensemble(spec, grid, n_paths, seed, driver="sde").theta[:, -1]
-    b = start_paths(spec, grid, path_keys(seed, n_paths), "direct")[:, -1]
-    fresh = start_paths(spec, make_uniform(t_max, 1), path_keys(seed, n_paths, "ks"),
-                        "direct")[:, -1]
+    sde = simulate_ensemble(spec, make_uniform(t_max, n_steps), n_paths, seed, driver="sde")
+    a = sde.theta[:, -1]
+    b = sde.w_end + _draw_x(spec, path_keys(seed, n_paths)) * t_max
+    *_, (_, fresh) = start_paths(spec, make_uniform(t_max, 1), path_keys(seed, n_paths, "ks"),
+                                 "direct")
+    fresh = fresh[:, -1]
 
     d1 = a - b
     d2 = a * a - b * b

@@ -325,7 +325,35 @@ def _window_block(m, s, lo, hi, log_mass, mean, var):
     log_mass -= pivot
 
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
+# The 64-point Gauss-Legendre rule on [-1, 1], numpy's ``leggauss(64)`` bit for
+# bit (a test checks it), held as a table so that no run imports
+# ``numpy.polynomial`` (0.8 MiB and a few ms at import).  The rule is symmetric
+# to the bit, so half of it is kept: the positive nodes, ascending, and their
+# weights.
+_GL_HALF_X = (
+    0.02435029266342443, 0.07299312178779904, 0.12146281929612054, 0.16964442042399283,
+    0.21742364374000708, 0.2646871622087674, 0.31132287199021097, 0.3572201583376681,
+    0.4022701579639916, 0.4463660172534641, 0.48940314570705296, 0.5312794640198946,
+    0.571895646202634, 0.6111553551723933, 0.6489654712546573, 0.6852363130542333,
+    0.7198818501716109, 0.7528199072605319, 0.7839723589433414, 0.8132653151227975,
+    0.8406292962525803, 0.8659993981540928, 0.8893154459951141, 0.9105221370785028,
+    0.9295691721319396, 0.9464113748584028, 0.9610087996520538, 0.973326827789911,
+    0.983336253884626, 0.9910133714767443, 0.9963401167719552, 0.9993050417357722,
+)
+_GL_HALF_W = (
+    0.048690957009139814, 0.04857546744150351, 0.048344762234802996,
+    0.04799938859645842, 0.04754016571483042, 0.046968182816210076,
+    0.04628479658131447, 0.045491627927418184, 0.044590558163756566,
+    0.04358372452932355, 0.04247351512365361, 0.041262563242623576,
+    0.039953741132720544, 0.03855015317861564, 0.03705512854024009, 0.0354722132568823,
+    0.033805161837141794, 0.032057928354851495, 0.030234657072402554,
+    0.028339672614259535, 0.02637746971505491, 0.0243527025687112, 0.02227017380838297,
+    0.020134823153530088, 0.017951715775697284, 0.01572603047602503,
+    0.01346304789671786, 0.011168139460131028, 0.008846759826363397,
+    0.006504457968978502, 0.004147033260564499, 0.00178328072169414,
+)
+_GL_X = np.concatenate([-np.array(_GL_HALF_X[::-1]), _GL_HALF_X])
+_GL_W = np.concatenate([_GL_HALF_W[::-1], _GL_HALF_W])
 _SCAN = np.linspace(0.0, 1.0, 33)
 _WINDOW_DROP = 40.0  # e^-40 ~ 4e-18: the log-weight drop that ends the window
 
@@ -490,18 +518,26 @@ def quad(f, lo: float, hi: float, points=(), epsabs: float = 1e-12,
                              for old, new in zip((value, err, floor), parts))
 
 
-def jackknife_se(values: np.ndarray) -> np.ndarray:
+def jackknife_se(values: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Standard error of the mean over axis 0, the draws: s / sqrt(m).
 
     For a plain mean of i.i.d. draws this equals the leave-one-out jackknife
     error exactly; callers pass per-draw values of whatever they average.
-    Zero for fewer than two draws.
+    Zero for fewer than two draws.  Each step is ``std(axis=0, ddof=1)``'s
+    own, so the result is its bits.  ``work``, a C-contiguous array of the
+    C-contiguous ``values``' shape, receives the squared deviations, which
+    are otherwise a new array; it may be ``values`` itself, which is then
+    overwritten.
     """
     values = np.asarray(values, float)
     m = len(values)
     if m < 2:
         return np.zeros_like(values.mean(axis=0))
-    return values.std(axis=0, ddof=1) / np.sqrt(m)
+    mean = np.add.reduce(values, axis=0, keepdims=True)
+    mean /= m
+    dev = np.subtract(values, mean, out=work)
+    dev *= dev
+    return np.sqrt(np.add.reduce(dev, axis=0) / (m - 1)) / np.sqrt(m)
 
 
 # Family-wise level of `reports.ks_gate`, the min-p KS sub-gates.

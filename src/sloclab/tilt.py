@@ -92,11 +92,13 @@ def gaussian_tilt(dim: int, t: float, theta: np.ndarray):
 def product_tilt_table(spec: ProductSpec, t: float, thetas: np.ndarray):
     """Vectorized tilt moments for a batch of thetas at one t > 0.
 
-    Each factor law's batched `tilt_stats` serves all of its columns at
-    once, in blocks of rows of about `WINDOW_BLOCK` windows, so that no
-    temporary is larger than a block.  Returns (log_z (m,), mean (m, n),
-    var (m, n)); var is the diagonal of A, which is diagonal for coordinate
-    products.  Every number is per row, so the blocks do not move it.
+    Each run of consecutive columns of one factor law (`ProductSpec.runs`)
+    is one call of its batched `tilt_stats` on a column slice, so no column
+    is gathered or scattered, in blocks of rows of about `WINDOW_BLOCK`
+    windows, so that no temporary is larger than a block.  Returns (log_z
+    (m,), mean (m, n), var (m, n)); var is the diagonal of A, which is
+    diagonal for coordinate products.  Every number is per row and column,
+    so neither the blocks nor the runs move it.
     """
     thetas = np.asarray(thetas, float)
     m, n = thetas.shape
@@ -107,9 +109,10 @@ def product_tilt_table(spec: ProductSpec, t: float, thetas: np.ndarray):
         rows = slice(start, start + step)
         block = thetas[rows]
         width = len(block)
-        for f, cols in spec.laws:
-            if len(cols) == n:  # one law for every column: views, not gathered copies
-                cols = slice(None)
+        stop = 0
+        for f, run in spec.runs:
+            cols = slice(stop, stop + run)
+            stop += run
             log_zs[:width, cols], mean[rows, cols], var[rows, cols] = f.tilt_stats(
                 t, block[:, cols])
         # summed in column order, so log_z does not depend on how the laws group
@@ -158,8 +161,10 @@ def ball_tilt_table(spec: BallSpec, t: float, thetas: np.ndarray):
     ratio = np.divide(gamma_p(0.5 * k + 1.0, 0.5 * t * gap), lower,
                       out=np.zeros_like(gap), where=lower > 0.0)
     across = (prob * ratio).sum(axis=1) / t
-    cov = across[:, None, None] * np.eye(n) + ((var_u - across)[:, None, None]
-                                               * e[:, :, None] * e[:, None, :])
+    # Var(u) e e^T + E|y|^2/(n-1) (Id - e e^T), built in its one (m, n, n) array
+    cov = (var_u - across)[:, None, None] * e[:, :, None] * e[:, None, :]
+    diag = np.arange(n)
+    cov[:, diag, diag] += across[:, None]
     return log_z, mean_u[:, None] * e, cov
 
 

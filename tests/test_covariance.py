@@ -21,7 +21,8 @@ from sloclab.infotheory import (de_bruijn_check, deficit_chain_audit, deficit_lo
 from sloclab.localization import (check_derivative_identity, check_monotone_trace,
                                   check_orthogonality, check_spectral_bound,
                                   check_variance_decomposition, ensemble_stats, make_geometric,
-                                  simulate_ensemble, trace_square_ratio)
+                                  path_chunks, path_keys, simulate_ensemble, start_paths,
+                                  tilt_blocks, trace_square_ratio)
 from sloclab.measures import parse_measure_id
 from sloclab.numerics import jackknife_se, time_blocks
 
@@ -256,22 +257,45 @@ def test_gamma_properties_peaks_below_one_dense_path_array():
 
 
 def test_streamed_simulate_peaks_below_two_path_arrays(tmp_path, capsys):
-    # simulate holds only theta whole and folds mean, cov and |v_r|^2 in a
-    # block of grid times at a time; the tilt builds no (m, n) temporary
-    # beyond its results, and t X is added a grid time at a time, so the
-    # peak (1.69 path arrays) is theta beside one block's fold in
-    # StatsFold.add, where a whole-row tilt peaked at 2.36 and the stored
-    # ensemble and the frame's v at 4.3
+    # simulate holds no path array whole: theta comes in chunks of 8 grid
+    # times (2 MiB, `path_chunks`) and mean, cov and |v_r|^2 are folded a
+    # block of grid times at a time, so the peak (1.08 path arrays under the
+    # direct driver, 1.06 under sde) is one chunk of theta, one block and
+    # the fold's reused scratch, where whole theta beside a block peaked at
+    # 1.69, a whole-row tilt at 2.36 and the stored ensemble and the
+    # frame's v at 4.3
     one_path = 1024 * 41 * 32 * 8
+    for driver in ("direct", "sde"):
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--measure", "cube:32", "--paths", "1024",
+                         "--driver", driver, "--out", str(tmp_path / driver)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "(41 grid times" in capsys.readouterr().out
+        assert peak < 1.2 * one_path, (driver, peak / one_path)
+
+
+def test_dense_ball_tilt_loop_copies_no_grid_time():
+    # one grid time's covariances (m n^2 8 = 2.25 MiB) exceed BLOCK_BYTES, so
+    # each block is one grid time and is tilt_table's own arrays, which
+    # build the covariances in one (m, n, n) array: the loop holds the block
+    # it yielded and builds the next one, about 2.4 grid times above theta's
+    # chunk, where a copy into a block array of its own took 3.3
+    spec, grid, m, n = parse_measure_id("ball:48"), make_geometric(), 128, 48
+    one_time = m * n * n * 8
+    assert one_time > numerics.BLOCK_BYTES
+    chunk = max(c.stop - c.start for c in path_chunks(spec, grid.n_points, m)) * m * n * 8
     tracemalloc.start()
     try:
-        assert main(["simulate", "--measure", "cube:32", "--paths", "1024",
-                     "--out", str(tmp_path)]) == 0
+        for b, *_ in tilt_blocks(spec, grid, start_paths(spec, grid, path_keys(0, m), "direct"),
+                                 "direct", None):
+            assert b.stop - b.start == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "(41 grid times" in capsys.readouterr().out
-    assert peak < 2.0 * one_path, peak / one_path
+    assert peak - chunk < 2.6 * one_time, (peak - chunk) / one_time
 
 
 def test_sde_driver_peaks_below_a_separate_increment_array():
@@ -294,10 +318,11 @@ def test_sde_driver_peaks_below_a_separate_increment_array():
 def test_tilt_loop_does_not_refault_its_temporaries(tmp_path):
     # the tilt loop's temporaries are block-sized and the kernel's workspace
     # and the block arrays are reused, so neither driver faults pages back in
-    # at every grid time: about 7,800 minor faults for the stored ensemble
-    # and 12,200 for simulate, where whole-row temporaries took 82,000 under
-    # the sde driver (glibc 2.36, numpy 2.4).  Both the stored ensemble and
-    # simulate's streamed fold run the one driver.
+    # at every grid time: about 5,200 minor faults for the stored ensemble,
+    # where whole-row temporaries took 82,000 under the sde driver (glibc
+    # 2.36, numpy 2.4).  simulate's fold reuses its scratch too, so it takes
+    # about 3,600, where folding into fresh temporaries took 12,100.  Both
+    # the stored ensemble and simulate's streamed fold run the one driver.
     probe = ("import resource\n"
              "from sloclab.cli import main\n"
              "from sloclab.localization import make_geometric, simulate_ensemble\n"
@@ -306,19 +331,19 @@ def test_tilt_loop_does_not_refault_its_temporaries(tmp_path):
              "{run}\n"
              "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
     grid = "make_geometric(0.01, 100.0, 40)"
-    runs = [f"simulate_ensemble(make_cube(32), {grid}, 1024, 0, driver={driver!r})"
+    runs = [(f"simulate_ensemble(make_cube(32), {grid}, 1024, 0, driver={driver!r})", 20_000)
             for driver in ("direct", "sde")]
-    runs += ["main(['simulate', '--measure', 'cube:32', '--paths', '1024', "
-             f"'--driver', {driver!r}, '--out', {str(tmp_path)!r}])"
+    runs += [("main(['simulate', '--measure', 'cube:32', '--paths', '1024', "
+              f"'--driver', {driver!r}, '--out', {str(tmp_path)!r}])", 5_000)
              for driver in ("direct", "sde")]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
-    for run in runs:
+    for run, bound in runs:
         proc = subprocess.run([sys.executable, "-c", probe.format(run=run)], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout.split()[-1]) < 20_000, run
+        assert int(proc.stdout.split()[-1]) < bound, run
 
 
 @pytest.mark.parametrize("layout", ["none", "diagonal", "full"])

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sloclab import streams
+from sloclab import localization, numerics, streams
 from sloclab.cli import main
 from sloclab.errors import InputValidationError
 from sloclab.localization import (
@@ -22,7 +22,11 @@ from sloclab.localization import (
     make_geometric,
     make_uniform,
     martingale_x_grid,
+    path_chunks,
+    path_keys,
     simulate_ensemble,
+    start_paths,
+    tilt_blocks,
     trace_square_ratio,
 )
 from sloclab.measures import make_ball, make_cube, make_gaussian, parse_measure_id
@@ -230,6 +234,49 @@ def test_ensemble_prefix_matches_bitwise():
             assert np.array_equal(getattr(six, name)[:3], getattr(three, name)), name
 
 
+@pytest.mark.parametrize("driver", ["direct", "sde"])
+@pytest.mark.parametrize("measure, m, block_bytes, chunk_bytes, chunk_times, widths", [
+    # blocks of one grid time, chunks of three: the last chunk is ragged
+    ("cube:2", 8, 1, 1, 3, [3] * 5 + [2]),
+    # chunks of one grid time, the first of them t = 0 alone
+    ("ball:3", 8, 1, 1, 1, [1] * 17),
+    # one grid time's theta (m n 8 = 48 bytes) exceeds the chunk's budget:
+    # a chunk is still one block, here of two grid times
+    ("ball:3", 2, 288, 47, 1, [2] * 8 + [1]),
+    # one path, chunks of two blocks of two grid times
+    ("cube:3", 1, 48, 96, 1, [4] * 4 + [1]),
+])
+def test_chunked_paths_are_the_whole_arrays_bits(monkeypatch, driver, measure, m, block_bytes,
+                                                 chunk_bytes, chunk_times, widths):
+    # start_paths carries each path's stream, its running W (direct) and the
+    # Euler step (sde) from chunk to chunk, so every chunked number is the
+    # one the whole-array route computes
+    spec, grid = parse_measure_id(measure), make_geometric(0.05, 20.0, 16)
+    whole = simulate_ensemble(spec, grid, m, seed=3, driver=driver)
+    monkeypatch.setattr(numerics, "BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(localization, "CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(localization, "CHUNK_TIMES", chunk_times)
+    chunks = path_chunks(spec, grid.n_points, m)
+    assert [c.stop - c.start for c in chunks] == widths
+    blocks = [(b, *(a.copy() for a in arrays)) for b, *arrays in tilt_blocks(
+        spec, grid, start_paths(spec, grid, path_keys(3, m), driver), driver, None)]
+    assert [b.start for b, *_ in blocks] == [0] + [b.stop for b, *_ in blocks[:-1]]
+    assert blocks[-1][0].stop == grid.n_points
+    for i, name in enumerate(("theta", "mean", "cov", "log_z"), 1):
+        chunked = np.concatenate([block[i] for block in blocks], axis=1)
+        assert chunked.tobytes() == getattr(whole, name).tobytes(), name
+
+
+def test_sde_ensemble_keeps_the_direct_drivers_brownian_end():
+    # driver-equivalence pairs the sde paths with t X + W_t, W_t taken from
+    # the sde ensemble's own increments: the direct driver's W_t to the bit
+    spec, grid = parse_measure_id("product:exp,uniform"), make_uniform(1.0, 16)
+    sde = simulate_ensemble(spec, grid, 64, seed=2, driver="sde")
+    direct = simulate_ensemble(spec, grid, 64, seed=2)
+    assert sde.w_end.tobytes() == direct.w_end.tobytes()
+    assert not np.array_equal(direct.theta[:, -1], direct.w_end)
+
+
 def test_simulation_is_deterministic():
     spec = make_ball(3)
     grid = make_geometric(0.5, 2.0, 5)
@@ -347,7 +394,7 @@ def test_spectral_bound_flags_offending_path():
     cov[3, 2] = np.eye(n) * 1.8  # t=1: 1.8 > 1/t
     ens = PathEnsemble(spec=None, grid=grid,
                        theta=np.zeros((m, k, n)), mean=np.zeros((m, k, n)),
-                       cov=cov, log_z=np.zeros((m, k)))
+                       cov=cov, log_z=np.zeros((m, k)), w_end=np.zeros((m, n)))
     rep = check_spectral_bound(ens)
     assert rep.failed
     assert "offending paths [3]" in rep.notes

@@ -10,6 +10,7 @@ from scipy import special
 from scipy.integrate import quad
 from scipy.stats import ks_2samp, truncnorm
 
+from sloclab import numerics
 from sloclab.infotheory import epi_deficit
 from sloclab.measures import BallMarginalFactor, ProductSpec, TruncGaussFactor, make_factor
 from sloclab.numerics import (
@@ -163,6 +164,16 @@ class TestJackknife:
 
     def test_single_draw_returns_zero(self):
         assert jackknife_se(np.array([3.0])) == 0.0
+
+    @pytest.mark.parametrize("shape", [(2, 3), (17, 4, 5), (200, 1, 1), (64, 3, 1), (33,)])
+    def test_gives_std_bits_with_or_without_a_work_buffer(self, shape):
+        # std's own steps, the deviations in a new array or the caller's buffer
+        x = np.random.default_rng(12).normal(size=shape) * 3.0 + 1.0
+        ref = x.std(axis=0, ddof=1) / np.sqrt(len(x))
+        assert np.array_equal(jackknife_se(x), ref)
+        assert np.array_equal(jackknife_se(x, np.full(shape, np.nan)), ref)
+        y = x.copy()
+        assert np.array_equal(jackknife_se(y, y), ref)  # in place
 
 
 class TestCentralDifference:
@@ -487,3 +498,10 @@ class TestQuad:
     def test_rejects_an_empty_or_reversed_range(self):
         with pytest.raises(ValueError, match="lo < hi"):
             gk_quad(np.exp, 1.0, 1.0)
+
+
+def test_gauss_legendre_table_is_leggauss_bit_for_bit():
+    # the radial rule is a literal table, so no run imports numpy.polynomial
+    x, w = np.polynomial.legendre.leggauss(64)
+    assert numerics._GL_X.tobytes() == x.tobytes()
+    assert numerics._GL_W.tobytes() == w.tobytes()

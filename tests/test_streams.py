@@ -36,6 +36,15 @@ def test_batched_draws_match_numpy():
         assert np.array_equal(rng.uniform(-1.0, 1.0, 4), ref.uniform(-1.0, 1.0, 4))
 
 
+def test_kept_generators_draw_one_unbroken_run():
+    # a path keeps its generator and draws its stream a chunk at a time
+    rngs = list(each(KEYS))
+    first = [rng.standard_normal(3) for rng in rngs]
+    rest = [rng.standard_normal(5) for rng in rngs]
+    for key, a, b in zip(KEYS, first, rest):
+        assert np.array_equal(np.concatenate([a, b]), numpy_generator(*key).standard_normal(8))
+
+
 def test_generator_is_one_key_of_a_batch():
     for key in KEYS:
         assert np.array_equal(generator(*key).standard_normal(8),

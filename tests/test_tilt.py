@@ -52,10 +52,13 @@ def _tilt_row(spec, t, theta):
 
 
 @pytest.mark.parametrize("measure, rows", [("cube:32", 1024),
-                                           ("product:exp,laplace,uniform", 1500)])
+                                           ("product:exp,laplace,uniform", 1500),
+                                           ("product:uniform,exp,uniform", 1500)])
 def test_product_table_rows_do_not_depend_on_their_batch(measure, rows):
-    # the table runs its rows in blocks (the second case ends in a ragged
-    # one); each row, tilted alone, has the bits it has in the batch
+    # the table runs its rows in blocks (the last two cases end in a ragged
+    # one) and each run of one law's columns as a slice (the last case
+    # interleaves two laws); each row, tilted alone, has the bits it has in
+    # the batch
     spec = parse_measure_id(measure)
     t = 0.7
     thetas = t * spec.sample(np.random.default_rng(4), rows) + np.random.default_rng(
