@@ -540,7 +540,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     ctx = RunContext(cfg)
     spec, grid = ctx.spec, ctx.grid
     t, k_pts, m, n = grid.points, grid.n_points, cfg.n_paths, spec.dim
-    # theta comes a chunk of grid times at a time and each block of them is
+    # theta comes a chunk of grid times at a time and each grid time is
     # folded in as the driver tilts it, so no path array is held whole
     paths = localization.start_paths(spec, grid, localization.path_keys(cfg.seed, m), cfg.driver)
     fold = localization.StatsFold(grid, m, n)
@@ -549,7 +549,10 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     for b, theta, mean, cov, _ in localization.tilt_blocks(spec, grid, paths, cfg.driver, None):
         fold.add(b, mean, cov)
         energy[:, b] = follmer.path_energy(theta, mean, t[b])
-        lo, hi = covariance.eig_extremes(follmer.gamma_r(cov, t[b]).mean(axis=0, keepdims=True))
+        # Gamma_r overwrites the step's own covariances, which nothing reads
+        # after the fold, so it takes no array of its own
+        gamma = follmer.gamma_r(cov, t[b], out=cov).mean(axis=0, keepdims=True)
+        lo, hi = covariance.eig_extremes(gamma)
         geig_min[b], geig_max[b] = lo[0], hi[0]
     stats = fold.stats()
     curve = follmer.energy_curve(energy, grid.r_points, n)

@@ -53,9 +53,12 @@ def v_r(theta: np.ndarray, mean: np.ndarray, t: np.ndarray) -> np.ndarray:
     return v
 
 
-def gamma_r(cov: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Gamma_r = (1 + t) A_t from a covariance array at times t (k,), in its layout."""
-    return cov * covariance.per_time(1.0 + t, cov)
+def gamma_r(cov: np.ndarray, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Gamma_r = (1 + t) A_t from a covariance array at times t (k,), in its layout.
+
+    ``out``, an array of ``cov``'s shape, receives it instead of a new array.
+    """
+    return np.multiply(cov, covariance.per_time(1.0 + t, cov), out=out)
 
 
 @dataclass(frozen=True)

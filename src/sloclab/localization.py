@@ -12,13 +12,13 @@ Both drivers derive Brownian increments from the stream key
 ``(seed, path_index, "w")``, so a common path index means common randomness
 and sharp paired comparisons.
 
-Along each path the tilt moments (a, A, log Z) are computed at every grid
-time, one block of grid times at a time (`tilt_blocks`, `time_blocks`), on
-theta built one chunk of blocks at a time (`start_paths`, `path_chunks`).
-``simulate`` folds each block into its per-time statistics (`StatsFold`)
-as the driver tilts it and keeps no path array whole; `simulate_ensemble`
-keeps every block in a `PathEnsemble`, which the checks below read.  They
-verify, with Monte Carlo error bars, the identities
+Along each path the tilt moments (a, A, log Z) are computed one grid time
+at a time (`tilt_blocks`), on theta built one chunk of grid times at a time
+(`start_paths`, `path_chunks`).  ``simulate`` folds each grid time into its
+per-time statistics (`StatsFold`) as the driver tilts it and keeps no path
+array whole; `simulate_ensemble` writes every grid time into a
+`PathEnsemble`, which the checks below read.  They verify, with Monte Carlo
+error bars, the identities
 
     E A_t + E a_t (x) a_t = Id                    (conservation of variance)
     d/dt E A_t = -E A_t^2                          (covariance decay)
@@ -32,7 +32,6 @@ plus the diagnostic ratio sup_{t > 0} E tr[A_t^2] / n.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,11 +156,12 @@ def _draw_x(spec, keys) -> np.ndarray:
     return x
 
 
-# Bytes of theta that one chunk of `start_paths` covers.  Every chunk costs
-# one draw call a path, about 1 us, so a chunk also spans at least
-# `CHUNK_TIMES` grid times: on cube:32 with 1024 paths the 41 grid times take
-# 6 chunks of 8 (2 MiB each), on cube:128 with 4096 paths, whose one grid
-# time is 4 MiB, 11 chunks of 4.
+# Bytes of theta that one chunk of `start_paths` covers.  Only theta comes
+# in chunks: `tilt_blocks` tilts and yields a chunk one grid time at a time.
+# Every chunk costs one draw call a path, about 1 us, so a chunk also spans
+# at least `CHUNK_TIMES` grid times: on cube:32 with 1024 paths the 41 grid
+# times take 6 chunks of 8 (2 MiB each), on cube:128 with 4096 paths, whose
+# one grid time is 4 MiB, 11 chunks of 4.
 CHUNK_BYTES = 2 << 20
 CHUNK_TIMES = 4
 
@@ -169,13 +169,10 @@ CHUNK_TIMES = 4
 def path_chunks(spec: MeasureSpec, k_pts: int, n_paths: int) -> list[slice]:
     """Consecutive chunks of grid times that `start_paths` builds theta in.
 
-    Each is a run of whole `time_blocks` of the tilt's covariances, as
-    `tilt_blocks` walks them, covering about `CHUNK_BYTES` of theta and at
-    least `CHUNK_TIMES` grid times.
+    Each covers about `CHUNK_BYTES` of theta and at least `CHUNK_TIMES` grid
+    times; `tilt_blocks` tilts them one grid time at a time.
     """
-    width = time_blocks(k_pts, n_paths * math.prod(cov_shape(spec)) * 8)[0].stop
-    per_block = width * n_paths * spec.dim * 8
-    step = width * max(1, CHUNK_BYTES // per_block, -(-CHUNK_TIMES // width))
+    step = max(CHUNK_TIMES, CHUNK_BYTES // (n_paths * spec.dim * 8))
     return [slice(k, min(k + step, k_pts)) for k in range(0, k_pts, step)]
 
 
@@ -249,56 +246,44 @@ def start_paths(spec: MeasureSpec, grid: TimeGrid, keys, driver: str, out=None):
 
 
 def tilt_blocks(spec: MeasureSpec, grid: TimeGrid, paths, driver: str, out):
-    """Tilt the paths of `start_paths`, yielding one block of grid times at a time.
+    """Tilt the paths of `start_paths`, yielding one grid time at a time.
 
     ``paths`` is `start_paths`' iterator of chunks, with the same ``driver``.
-    Yields ``(b, theta, mean, cov, log_z)`` for the consecutive blocks ``b``
-    of `time_blocks` within each chunk: theta and mean (m, k, n), cov (m, k)
-    + `tilt.cov_shape` and log_z (m, k).  With ``out`` None one set of
-    block arrays, allocated for the widest block, serves every block, so
-    each yielded block is valid until the next one; a block of one grid
-    time, such as a dense ball's at large n, is `tilt_table`'s own arrays.
-    ``out`` = (mean, cov, log_z), whole (m, K, ...) arrays, receives them
-    in place and the blocks are its views.  The ``sde`` driver's Euler
-    steps complete each chunk of theta as it goes, through one (m, n)
-    buffer, which carries the step from a chunk's last grid time onto the
-    next chunk's first: when a block is yielded, theta is final at its grid
-    times.
+    Yields ``(b, theta, mean, cov, log_z)`` for each grid time, b the
+    one-wide slice of it: theta and mean (m, 1, n), cov (m, 1) +
+    `tilt.cov_shape` and log_z (m, 1).  With ``out`` None they are
+    `tilt_table`'s own arrays, so no block array is copied or kept; each is
+    valid until the next step.  ``out`` = (mean, cov, log_z), whole
+    (m, K, ...) arrays, receives each grid time at ``[:, k]`` and the steps
+    are its views.  The ``sde`` driver's Euler steps complete each chunk of
+    theta as it goes, through one (m, n) buffer, which carries the step
+    from a chunk's last grid time onto the next chunk's first: when a grid
+    time is yielded, theta is final there.
     """
     t = grid.points
     k_pts = len(t)
     dt = np.diff(t)
-    row = cov_shape(spec)
-    scratch = None
     for c, theta in paths:
         m, _, n = theta.shape
-        tails = ((n,), row, ())
         if driver == "sde" and c.start:
             theta[:, 0] += step  # the Euler step from the chunk before
         elif driver == "sde":
             step = np.empty((m, n))
-        for local in time_blocks(c.stop - c.start, m * math.prod(row) * theta.itemsize):
-            b = slice(c.start + local.start, c.start + local.stop)
-            width = b.stop - b.start
-            if out is not None:
-                mean, cov, log_z = (a[:, b] for a in out)
-            elif width > 1:
-                if scratch is None:
-                    scratch = [np.empty(m * width * math.prod(tail)) for tail in tails]
-                mean, cov, log_z = (a[:m * width * math.prod(tail)].reshape((m, width) + tail)
-                                    for a, tail in zip(scratch, tails))
-            for j, k in enumerate(range(b.start, b.stop)):
-                table = tilt_table(spec, t[k], theta[:, k - c.start])
-                if out is None and width == 1:
-                    log_z, mean, cov = (a[:, None] for a in table)
-                else:
-                    log_z[:, j], mean[:, j], cov[:, j] = table
-                if driver == "sde" and k + 1 < k_pts:  # Euler step, drift a_t = mean of the tilt
-                    np.multiply(mean[:, j], dt[k], out=step)
-                    step += theta[:, k - c.start]
-                    if k + 1 < c.stop:
-                        theta[:, k + 1 - c.start] += step
-            yield b, theta[:, local], mean, cov, log_z
+        for k in range(c.start, c.stop):
+            here = theta[:, k - c.start]
+            log_z, mean, cov = tilt_table(spec, t[k], here)
+            if driver == "sde" and k + 1 < k_pts:  # Euler step, drift a_t = mean of the tilt
+                np.multiply(mean, dt[k], out=step)
+                step += here
+                if k + 1 < c.stop:
+                    theta[:, k + 1 - c.start] += step
+            b = slice(k, k + 1)
+            if out is None:
+                arrays = (a[:, None] for a in (mean, cov, log_z))
+            else:
+                out[0][:, k], out[1][:, k], out[2][:, k] = mean, cov, log_z
+                arrays = (a[:, b] for a in out)
+            yield (b, here[:, None], *arrays)
 
 
 def simulate_ensemble(spec: MeasureSpec, grid: TimeGrid, n_paths: int, seed: int,
@@ -349,26 +334,23 @@ class EnsembleStats:
 
 
 class StatsFold:
-    """`EnsembleStats` reduced one block of grid times at a time.
+    """`EnsembleStats` reduced a few grid times at a time.
 
-    ``add`` takes a block's tilt means (m, k, n) and covariances, in the
-    layout of `covariance`; `ensemble_stats` feeds it slices of a stored
-    ensemble, and ``simulate`` the blocks of `tilt_blocks` as the driver
-    tilts them.  E[a (x) a + A] and its error come from
-    `covariance.outer_mean_se`: for diagonal covariances (Gaussians and
-    coordinate products) by moment reductions, with no per-path outer
-    product; full covariances (balls) still take the per-path route.  Blocks
-    of `time_blocks` cover about `numerics.BLOCK_BYTES` = 1 MiB of covariances, so
-    the temporaries are a few block-sized arrays instead of whole (m, K, n)
-    or (m, K, n, n) ones.  At that size they stay small beside a path array
-    (10.75 MiB on cube:32 with 1024 paths, which takes 11 blocks), each
-    block still gives numpy whole matrices of work per call, and a
-    3-dimensional product with 1024 paths or ball:4 with 64 fits in one
-    block.  The (m, k, n) temporaries go into two scratch arrays that the
-    fold allocates for its first, widest block and reuses for every other,
-    so no block faults fresh pages in; a full covariance's (m, k, n, n)
-    ones are made per block, and its deviations overwrite its per-path
-    terms.  Every statistic is per grid time, so the blocks give the
+    ``add`` takes the tilt means (m, k, n) and covariances, in the layout of
+    `covariance`, at consecutive grid times: ``simulate`` feeds it each grid
+    time of `tilt_blocks` as the driver tilts it, `ensemble_stats` the
+    blocks of `time_blocks` of a stored ensemble, each about
+    `numerics.BLOCK_BYTES` = 1 MiB of covariances.  E[a (x) a + A] and its
+    error come from `covariance.outer_mean_se`: for diagonal covariances
+    (Gaussians and coordinate products) by moment reductions, with no
+    per-path outer product; full covariances (balls) still take the
+    per-path route.  The (m, k, n) temporaries go into two scratch arrays
+    that the fold allocates for its first, widest call and reuses for every
+    other, so no call faults fresh pages in: two (m, 1, n) arrays in
+    ``simulate`` (0.5 MiB on cube:32 with 1024 paths), two blocks in
+    `ensemble_stats`.  A full covariance's (m, k, n, n) temporaries are made
+    per call, and its deviations overwrite its per-path terms.  Every
+    statistic is per grid time, so any split of the grid gives the
     whole-array values bit for bit.  What it keeps whole is per path and
     time scalars (tr A_t and tr A_t^2, (m, K) each) and per-time reductions.
     """
@@ -386,7 +368,7 @@ class StatsFold:
 
     def add(self, b: slice, mean: np.ndarray, cov: np.ndarray) -> None:
         """Fold in grid times ``b``: their tilt means and covariances."""
-        if self._work.size < 2 * mean.size:  # sized by the first, widest block
+        if self._work.size < 2 * mean.size:  # sized by the first, widest call
             self._work = np.empty(2 * mean.size)
         work = [a.reshape(mean.shape) for a in np.split(self._work[:2 * mean.size], 2)]
         self.mean_decomp[b], self.se_decomp[b] = covariance.outer_mean_se(mean, mean, cov, work)

@@ -199,7 +199,10 @@ def gamma_half_step(a: float) -> tuple[float, float]:
     return log_step, dig
 
 
-# Bytes of per-path arrays that one block of grid times covers (`time_blocks`)
+# Bytes of stored per-path arrays that one block of grid times covers
+# (`time_blocks`): `ensemble_stats` and the derivative gates walk a stored
+# ensemble's arrays in such blocks.  `simulate` folds one grid time at a time
+# as the driver tilts it and reads no block size.
 BLOCK_BYTES = 1 << 20
 # Windows that one block of `trunc_normal_moments` covers.  Its workspace,
 # twelve floats and two flags a window (784 KiB), is allocated once, here,

@@ -475,7 +475,7 @@ def test_simulate_artifacts_are_deterministic(tmp_path, capsys):
 
 
 def test_simulate_that_fails_at_its_last_tilt_writes_nothing(tmp_path, capsys, monkeypatch):
-    # simulate folds each block in as the driver tilts it, and makes its
+    # simulate folds each grid time in as the driver tilts it, and makes its
     # output directory only once every grid time has been tilted
     t_last = localization.make_geometric().points[-1]
     tilt_table = localization.tilt_table

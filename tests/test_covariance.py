@@ -185,7 +185,7 @@ def test_blocked_stats_match_whole_arrays_bitwise(measure, n_paths, n_blocks):
 @pytest.mark.parametrize("measure, n_paths", [("cube:32", 1024), ("ball:8", 256),
                                               ("product:exp,laplace,uniform", 4096)])
 def test_simulate_writes_the_stored_ensembles_values(tmp_path, capsys, measure, n_paths, driver):
-    # simulate folds each block of grid times as the driver tilts it and holds
+    # simulate folds each grid time as the driver tilts it and holds
     # no whole mean or cov; every cell it writes is the stored route's value
     assert main(["simulate", "--measure", measure, "--paths", str(n_paths),
                  "--driver", driver, "--out", str(tmp_path)]) == 0
@@ -256,36 +256,39 @@ def test_gamma_properties_peaks_below_one_dense_path_array():
     assert peak < one_dense, peak / one_dense
 
 
-def test_streamed_simulate_peaks_below_two_path_arrays(tmp_path, capsys):
-    # simulate holds no path array whole: theta comes in chunks of 8 grid
-    # times (2 MiB, `path_chunks`) and mean, cov and |v_r|^2 are folded a
-    # block of grid times at a time, so the peak (1.08 path arrays under the
-    # direct driver, 1.06 under sde) is one chunk of theta, one block and
-    # the fold's reused scratch, where whole theta beside a block peaked at
-    # 1.69, a whole-row tilt at 2.36 and the stored ensemble and the
-    # frame's v at 4.3
-    one_path = 1024 * 41 * 32 * 8
-    for driver in ("direct", "sde"):
-        tracemalloc.start()
-        try:
-            assert main(["simulate", "--measure", "cube:32", "--paths", "1024",
-                         "--driver", driver, "--out", str(tmp_path / driver)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert "(41 grid times" in capsys.readouterr().out
-        assert peak < 1.2 * one_path, (driver, peak / one_path)
+def test_streamed_simulate_peaks_within_its_path_array_bounds(tmp_path, capsys):
+    # simulate holds no path array whole: theta comes in chunks of grid
+    # times (`path_chunks`) and mean, cov, |v_r|^2 and Gamma_r are folded one
+    # grid time at a time, in `tilt_table`'s own arrays and reused buffers.
+    # On cube:32 (8 grid times a chunk) the peak is one chunk of theta, one
+    # grid time's tilt and the fold's scratch: 0.73 path arrays under the
+    # direct driver, 0.68 under sde, where tilt blocks of four grid times
+    # peaked at 1.08, whole theta beside a block at 1.69, a whole-row tilt
+    # at 2.36 and the stored ensemble and the frame's v at 4.3.  The
+    # 3-dimensional product takes its 41 grid times in one chunk, and its
+    # per-path scalars, (m, K) each, are a third of a path array: 3.3 path
+    # arrays, where one tilt block of all 41 grid times peaked at 8.4
+    for measure, n, bound in (("cube:32", 32, 0.8), ("product:exp,uniform,uniform", 3, 4.0)):
+        one_path = 1024 * 41 * n * 8
+        for driver in ("direct", "sde"):
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--measure", measure, "--paths", "1024",
+                             "--driver", driver, "--out", str(tmp_path / driver)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert "(41 grid times" in capsys.readouterr().out
+            assert peak < bound * one_path, (measure, driver, peak / one_path)
 
 
 def test_dense_ball_tilt_loop_copies_no_grid_time():
-    # one grid time's covariances (m n^2 8 = 2.25 MiB) exceed BLOCK_BYTES, so
-    # each block is one grid time and is tilt_table's own arrays, which
-    # build the covariances in one (m, n, n) array: the loop holds the block
-    # it yielded and builds the next one, about 2.4 grid times above theta's
-    # chunk, where a copy into a block array of its own took 3.3
+    # each step is tilt_table's own arrays, which build the covariances in
+    # one (m, n, n) array: the loop holds the step it yielded and builds the
+    # next one, about 2.4 grid times above theta's chunk, where a copy into
+    # a block array of its own took 3.3
     spec, grid, m, n = parse_measure_id("ball:48"), make_geometric(), 128, 48
     one_time = m * n * n * 8
-    assert one_time > numerics.BLOCK_BYTES
     chunk = max(c.stop - c.start for c in path_chunks(spec, grid.n_points, m)) * m * n * 8
     tracemalloc.start()
     try:
@@ -317,12 +320,13 @@ def test_sde_driver_peaks_below_a_separate_increment_array():
                     reason="the fault count follows glibc's malloc")
 def test_tilt_loop_does_not_refault_its_temporaries(tmp_path):
     # the tilt loop's temporaries are block-sized and the kernel's workspace
-    # and the block arrays are reused, so neither driver faults pages back in
-    # at every grid time: about 5,200 minor faults for the stored ensemble,
-    # where whole-row temporaries took 82,000 under the sde driver (glibc
-    # 2.36, numpy 2.4).  simulate's fold reuses its scratch too, so it takes
-    # about 3,600, where folding into fresh temporaries took 12,100.  Both
-    # the stored ensemble and simulate's streamed fold run the one driver.
+    # is reused, so neither driver faults pages back in at every grid time:
+    # about 5,500 minor faults for the stored ensemble, where whole-row
+    # temporaries took 82,000 under the sde driver (glibc 2.36, numpy 2.4).
+    # simulate's fold reuses its scratch too and the tilt copies into no
+    # block array, so it takes about 2,100, where tilt blocks of four grid
+    # times took 3,600 and folding into fresh temporaries 12,100.  Both the
+    # stored ensemble and simulate's streamed fold run the one driver.
     probe = ("import resource\n"
              "from sloclab.cli import main\n"
              "from sloclab.localization import make_geometric, simulate_ensemble\n"

@@ -63,10 +63,11 @@
 * ``simulate_ensemble`` is called in ``src/`` only by ``RunContext.ensemble``
   (the run's one ensemble), ``check_driver_equivalence`` (its one sde
   ensemble) and ``check_projection_domination`` (once, for the marginal):
-  every other check reads the run's paths.  The block driver,
+  every other check reads the run's paths.  The path driver,
   ``start_paths`` and ``tilt_blocks``, runs only in ``simulate_ensemble``,
-  which keeps every block, and in ``_cmd_simulate``, which folds each block
-  into its statistics as it comes: one tilt and Euler loop serves both.
+  which keeps every grid time, and in ``_cmd_simulate``, which folds each
+  grid time into its statistics as it comes: one tilt and Euler loop serves
+  both.
   ``start_paths`` also runs once in ``check_driver_equivalence``, for its KS
   sample, which reads theta(t_max) and needs no tilt; its paired direct
   side takes W(t_max) from the sde ensemble's increments and draws none.

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sloclab import localization, numerics, streams
+from sloclab import localization, streams
 from sloclab.cli import main
 from sloclab.errors import InputValidationError
 from sloclab.localization import (
@@ -235,35 +235,34 @@ def test_ensemble_prefix_matches_bitwise():
 
 
 @pytest.mark.parametrize("driver", ["direct", "sde"])
-@pytest.mark.parametrize("measure, m, block_bytes, chunk_bytes, chunk_times, widths", [
-    # blocks of one grid time, chunks of three: the last chunk is ragged
-    ("cube:2", 8, 1, 1, 3, [3] * 5 + [2]),
+@pytest.mark.parametrize("measure, m, chunk_bytes, chunk_times, widths", [
+    # chunks of three grid times: the last chunk is ragged
+    ("cube:2", 8, 1, 3, [3] * 5 + [2]),
     # chunks of one grid time, the first of them t = 0 alone
-    ("ball:3", 8, 1, 1, 1, [1] * 17),
+    ("ball:3", 8, 1, 1, [1] * 17),
     # one grid time's theta (m n 8 = 48 bytes) exceeds the chunk's budget:
-    # a chunk is still one block, here of two grid times
-    ("ball:3", 2, 288, 47, 1, [2] * 8 + [1]),
-    # one path, chunks of two blocks of two grid times
-    ("cube:3", 1, 48, 96, 1, [4] * 4 + [1]),
+    # a chunk is still one grid time
+    ("ball:3", 2, 47, 1, [1] * 17),
+    # one path, chunks of four grid times
+    ("cube:3", 1, 96, 1, [4] * 4 + [1]),
 ])
-def test_chunked_paths_are_the_whole_arrays_bits(monkeypatch, driver, measure, m, block_bytes,
-                                                 chunk_bytes, chunk_times, widths):
+def test_chunked_paths_are_the_whole_arrays_bits(monkeypatch, driver, measure, m, chunk_bytes,
+                                                 chunk_times, widths):
     # start_paths carries each path's stream, its running W (direct) and the
     # Euler step (sde) from chunk to chunk, so every chunked number is the
     # one the whole-array route computes
     spec, grid = parse_measure_id(measure), make_geometric(0.05, 20.0, 16)
     whole = simulate_ensemble(spec, grid, m, seed=3, driver=driver)
-    monkeypatch.setattr(numerics, "BLOCK_BYTES", block_bytes)
     monkeypatch.setattr(localization, "CHUNK_BYTES", chunk_bytes)
     monkeypatch.setattr(localization, "CHUNK_TIMES", chunk_times)
     chunks = path_chunks(spec, grid.n_points, m)
     assert [c.stop - c.start for c in chunks] == widths
-    blocks = [(b, *(a.copy() for a in arrays)) for b, *arrays in tilt_blocks(
+    steps = [(b, *(a.copy() for a in arrays)) for b, *arrays in tilt_blocks(
         spec, grid, start_paths(spec, grid, path_keys(3, m), driver), driver, None)]
-    assert [b.start for b, *_ in blocks] == [0] + [b.stop for b, *_ in blocks[:-1]]
-    assert blocks[-1][0].stop == grid.n_points
+    assert [b for b, *_ in steps] == [slice(k, k + 1) for k in range(grid.n_points)]
     for i, name in enumerate(("theta", "mean", "cov", "log_z"), 1):
-        chunked = np.concatenate([block[i] for block in blocks], axis=1)
+        assert all(step[i].shape[1] == 1 for step in steps), name
+        chunked = np.concatenate([step[i] for step in steps], axis=1)
         assert chunked.tobytes() == getattr(whole, name).tobytes(), name
 
 
