@@ -85,10 +85,10 @@ def eig_extremes(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam[..., 0], lam[..., -1]
 
 
-def outer_mean_se(u: np.ndarray, w: np.ndarray, cov: np.ndarray | None = None, work=None):
+def outer_mean_se(u: np.ndarray, w: np.ndarray, cov: np.ndarray | None, work=None):
     """Mean over paths of u (x) w + cov and its s / sqrt(m), each (K, n, n).
 
-    ``u`` and ``w`` are (m, K, n) and ``cov`` an optional covariance array.
+    ``u`` and ``w`` are (m, K, n) and ``cov`` a covariance array or None.
     A full ``cov`` is added path by path.  Otherwise no per-path outer
     product is built: per grid time the entries come from the moment
     matmuls u^T w / m and (u o u)^T (w o w) / m, with
@@ -121,3 +121,19 @@ def outer_mean_se(u: np.ndarray, w: np.ndarray, cov: np.ndarray | None = None, w
     mean[:, idx, idx] = diag.mean(axis=0)
     se[:, idx, idx] = jackknife_se(diag, work_b)
     return mean, se
+
+
+def block_outer_mean_se(u: np.ndarray, w: np.ndarray, cov: np.ndarray | None = None):
+    """`outer_mean_se` of a block of grid times: its rows of the whole-grid result, bit for bit.
+
+    numpy reduces the per-path diagonal over paths in order when each path
+    holds two or more numbers, but pairwise when it holds one: one grid time
+    of one coordinate.  Such a block is reduced as two copies of its grid
+    time, and the first kept.  ``u`` and ``w`` stay one buffer when they are.
+    """
+    if u[0].size > 1:
+        return outer_mean_se(u, w, cov)
+    uu = np.repeat(u, 2, axis=1)
+    ww = uu if w is u else np.repeat(w, 2, axis=1)
+    mean, se = outer_mean_se(uu, ww, None if cov is None else np.repeat(cov, 2, axis=1))
+    return mean[:1], se[:1]

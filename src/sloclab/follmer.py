@@ -26,7 +26,8 @@ Gaussian among them, full matrices (m, K, n, n) otherwise (see
 `covariance`).
 
 The frame is a view of the ensemble: it holds theta_t, a_t and A_t by
-reference, and x_r, v_r and Gamma_r are each computed on first read.
+reference, and the checks compute x_r, v_r and Gamma_r from them a block of
+grid times at a time.
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ from . import covariance, streams
 from .errors import InputValidationError
 from .localization import SPECTRAL_SLACK, PathEnsemble, spectral_margin
 from .measures import GaussianFactor, MeasureSpec, sum_law
-from .numerics import U_CUT, jackknife_se, quad
-from .reports import (COV_IDENTITY_FLOOR, ROUNDING_FLOOR, EstimatorResult, LemmaReport,
-                      composite_gate, derivative_gate, entrywise_gate, gate, ks_gate)
+from .numerics import U_CUT, jackknife_se, path_mean_se, quad, time_blocks
+from .reports import (COV_IDENTITY_FLOOR, ROUNDING_FLOOR, EntrywiseFold, EstimatorResult,
+                      LemmaReport, composite_gate, derivative_gate, entrywise_gate, gate,
+                      ks_gate)
 
 
 def v_r(theta: np.ndarray, mean: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -66,14 +68,16 @@ class FrameEnsemble:
     """Localization ensemble transported to the r-clock, as a view of it.
 
     ``theta``, ``mean`` and ``cov_t`` are the ensemble's ``theta``, ``mean``
-    and ``cov`` themselves, not copies.  ``x``, ``v`` and ``gamma`` are
-    computed from them on first read and kept, so every read returns the
-    same array; numpy's matmul takes another BLAS route when both operands
-    are one buffer, so a recomputed equal copy could move a statistic's
-    last bits.  A frame that reads none of them allocates no path array.
-    ``gamma`` and ``cov_t`` have the layout of the ensemble's ``cov``:
-    (m, K, n) diagonals for coordinate products, the Gaussian among them,
-    (m, K, n, n) otherwise.
+    and ``cov`` themselves, not copies.  The checks read x_r, v_r and
+    Gamma_r a block of grid times at a time (`blocks`, `x_at`, `v_at`,
+    `gamma_at`), each computed from those three arrays, so a check holds a
+    few blocks of them and never a whole path array.  ``x``, ``v`` and
+    ``gamma`` are the whole arrays, computed on first read and kept; only
+    the benchmark's span counters read them.  Every number is elementwise
+    in its grid time, so a block's values are the whole array's there bit
+    for bit.  ``gamma`` and ``cov_t`` have the layout of the ensemble's
+    ``cov``: (m, K, n) diagonals for coordinate products, the Gaussian among
+    them, (m, K, n, n) otherwise.
     """
 
     spec: MeasureSpec
@@ -84,20 +88,36 @@ class FrameEnsemble:
     cov_t: np.ndarray           # original A_t, kept for (i)
     se_gamma = None             # not a field: always None, and only perfbench/spans.py reads it
 
+    def x_at(self, s: slice) -> np.ndarray:
+        """x_r = theta_t / (1 + t) at the grid times ``s``, (m, k, n)."""
+        return self.theta[:, s] / (1.0 + self.t[s])[None, :, None]
+
+    def v_at(self, s: slice) -> np.ndarray:
+        """`v_r` at the grid times ``s``, (m, k, n)."""
+        return v_r(self.theta[:, s], self.mean[:, s], self.t[s])
+
+    def gamma_at(self, s: slice) -> np.ndarray:
+        """`gamma_r` at the grid times ``s``, in the layout of ``cov_t``."""
+        return gamma_r(self.cov_t[:, s], self.t[s])
+
+    def blocks(self, start: int = 0) -> list[slice]:
+        """`time_blocks` of the grid from ``start``, each about `numerics.BLOCK_BYTES` of Gamma."""
+        return time_blocks(len(self.t), self.cov_t[:, 0].nbytes, start)
+
     @functools.cached_property
     def x(self) -> np.ndarray:
-        """x_r = theta_t / (1 + t), (m, K, n)."""
-        return self.theta / (1.0 + self.t)[None, :, None]
+        """x_r on the whole grid, (m, K, n)."""
+        return self.x_at(slice(None))
 
     @functools.cached_property
     def v(self) -> np.ndarray:
-        """`v_r`, (m, K, n)."""
-        return v_r(self.theta, self.mean, self.t)
+        """`v_r` on the whole grid, (m, K, n)."""
+        return self.v_at(slice(None))
 
     @functools.cached_property
     def gamma(self) -> np.ndarray:
-        """`gamma_r`, in the layout of ``cov_t``."""
-        return gamma_r(self.cov_t, self.t)
+        """`gamma_r` on the whole grid, in the layout of ``cov_t``."""
+        return self.gamma_at(slice(None))
 
     @property
     def n_paths(self) -> int:
@@ -246,56 +266,69 @@ def check_fisher_identity(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaRepo
 
 
 def check_gamma_properties(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaReport:
-    """All five structural properties of the Gamma process, as sub-reports."""
+    """All five structural properties of the Gamma process, as sub-reports.
+
+    Each reads Gamma_r and v_r a block of grid times at a time (`FrameEnsemble.blocks`):
+    the rescaling gap is folded block by block (`EntrywiseFold`), the
+    score covariance, E Gamma's extreme eigenvalues with their jackknife
+    slack and the pathwise spectral margins are reduced per block, and the
+    derivative gates read their own blocks (`derivative_gate`).  No
+    Gamma-sized array is built, and every number is the whole-array one.
+    """
     r = frame.r
-    m, k_pts, n = frame.v.shape
-    gamma = frame.gamma
-    subs = []
-
-    # (i) algebraic rescaling back to the t-frame covariance; no Gamma-sized gap outlives the call
-    subs.append(entrywise_gate(
-        "gamma-rescaling", np.abs(gamma / covariance.per_time(1.0 + frame.t, gamma) - frame.cov_t),
-        1e-13, notes="float roundoff only,"))
-
-    # (ii) E v (x) v = (Id - E Gamma) / (1 - r), entrywise, t > 0
+    m, k_pts, n = frame.theta.shape
     one_minus_r = 1.0 - r
-    eye = covariance.identity(gamma)
-    mean_ii, se_ii = covariance.outer_mean_se(
-        frame.v, frame.v, (gamma - eye) / covariance.per_time(one_minus_r, gamma))
+    eye = covariance.identity(frame.cov_t)
+    rescaling = EntrywiseFold()
+    mean_ii, se_ii = np.empty((k_pts, n, n)), np.empty((k_pts, n, n))
+    lam_lo, lam_hi, se_max = np.empty(k_pts), np.empty(k_pts), np.empty(k_pts)
+    margin = np.empty((m, k_pts))
+    for b in frame.blocks():
+        gamma = frame.gamma_at(b)
+        # (i) algebraic rescaling back to the t-frame covariance
+        rescaling.add(np.abs(gamma / covariance.per_time(1.0 + frame.t[b], gamma)
+                             - frame.cov_t[:, b]), 1e-13, start=b.start)
+        # (ii) E v (x) v = (Id - E Gamma) / (1 - r); v is one buffer, as the
+        # two operands of its outer product
+        v = frame.v_at(b)
+        mean_ii[b], se_ii[b] = covariance.block_outer_mean_se(
+            v, v, (gamma - eye) / covariance.per_time(one_minus_r[b], gamma))
+        # (ii') the extreme eigenvalues of E Gamma and the largest entry of its error
+        g_mean, g_se = path_mean_se(gamma)
+        lo, hi = covariance.eig_extremes(g_mean[None])
+        lam_lo[b], lam_hi[b] = lo[0], hi[0]
+        se_max[b] = g_se.reshape(b.stop - b.start, -1).max(axis=1)
+        # (v) the pathwise margin of Gamma_r <= Id / r
+        margin[:, b] = spectral_margin(gamma, r[b])
+
+    subs = [rescaling.report("gamma-rescaling", notes="float roundoff only,")]
     subs.append(entrywise_gate("score-covariance", np.abs(mean_ii),
                                sigma * se_ii + COV_IDENTITY_FLOOR, se_ii))
-
-    # (ii') 0 <= E Gamma <= Id in the spectral sense
-    lam_lo, lam_hi = covariance.eig_extremes(gamma.mean(axis=0, keepdims=True))
-    se_g = jackknife_se(gamma)
-    slack = sigma * n * se_g.reshape(k_pts, -1).max(axis=1) + COV_IDENTITY_FLOOR
-    lo_rep = entrywise_gate("gamma-psd", -lam_lo[0], slack, notes="lambda_min >= 0,")
-    hi_rep = entrywise_gate("gamma-below-identity", lam_hi[0] - 1.0, slack,
-                            notes="lambda_max <= 1,")
-    subs.extend([lo_rep, hi_rep])
+    slack = sigma * n * se_max + COV_IDENTITY_FLOOR
+    subs.append(entrywise_gate("gamma-psd", -lam_lo, slack, notes="lambda_min >= 0,"))
+    subs.append(entrywise_gate("gamma-below-identity", lam_hi - 1.0, slack,
+                               notes="lambda_max <= 1,"))
 
     if k_pts >= 5:
         # (iii) d/dr E v (x) v = E (Id - Gamma)^2 / (1 - r)^2, entrywise
-        # over the full matrices, since v (x) v is not diagonal; both sides
-        # are built one block of grid times at a time
-        v = frame.v
-
+        # over the full matrices, since v (x) v is not diagonal
         def vv(s):
-            return np.einsum("mki,mkj->mkij", v[:, s], v[:, s])
+            v = frame.v_at(s)
+            return np.einsum("mki,mkj->mkij", v, v)
 
         def rhs3(s):
-            res_sq = covariance.dense(covariance.square(eye - gamma[:, s]))
+            res_sq = covariance.dense(covariance.square(eye - frame.gamma_at(s)))
             return res_sq / one_minus_r[None, s, None, None] ** 2
         subs.append(derivative_gate("score-energy-derivative", vv, r, rhs3, sigma))
 
         # (iv) d/dr E Gamma = (E Gamma - E Gamma^2) / (1 - r)
         def rhs4(s):
-            g = gamma[:, s]
+            g = frame.gamma_at(s)
             return (g - covariance.square(g)) / covariance.per_time(one_minus_r[s], g)
-        subs.append(derivative_gate("gamma-derivative", lambda s: gamma[:, s], r, rhs4, sigma))
+        subs.append(derivative_gate("gamma-derivative", frame.gamma_at, r, rhs4, sigma))
 
     # (v) Gamma_r <= Id / r pathwise (r > 0), as the t-clock spectral check
-    subs.append(entrywise_gate("gamma-spectral-bound", spectral_margin(gamma, r), SPECTRAL_SLACK,
+    subs.append(entrywise_gate("gamma-spectral-bound", margin, SPECTRAL_SLACK,
                                notes="pathwise r * lambda_max <= 1,"))
 
     return composite_gate("gamma-properties", subs, notes=f"{len(subs)} properties")
@@ -310,15 +343,17 @@ def check_xr_law(frame: FrameEnsemble, seed: int, sigma: float = 4.0) -> LemmaRe
     `reports.ks_gate`.
     """
     r = frame.r
-    m = frame.n_paths
-    n = frame.dim
+    m, k_pts, n = frame.theta.shape
 
-    mean = frame.x.mean(axis=0)
-    se_mean = jackknife_se(frame.x)
+    mean, se_mean = np.empty((k_pts, n)), np.empty((k_pts, n))
+    mean_xx, se_cov = np.empty((k_pts, n, n)), np.empty((k_pts, n, n))
+    for b in frame.blocks():
+        x = frame.x_at(b)
+        mean[b], se_mean[b] = path_mean_se(x)
+        mean_xx[b], se_cov[b] = covariance.block_outer_mean_se(x, x)
     r_mean = entrywise_gate("xr-mean", np.abs(mean), sigma * se_mean + ROUNDING_FLOOR,
                             se_mean)
 
-    mean_xx, se_cov = covariance.outer_mean_se(frame.x, frame.x)
     target = r[:, None, None] * np.eye(n)[None]
     gap_cov = np.abs(mean_xx - target)
     r_cov = entrywise_gate("xr-covariance", gap_cov, sigma * se_cov + ROUNDING_FLOOR, se_cov)
@@ -328,6 +363,6 @@ def check_xr_law(frame: FrameEnsemble, seed: int, sigma: float = 4.0) -> LemmaRe
     fresh_x = frame.spec.sample(streams.generator(seed, "xr-law", "x"), m)
     fresh_z = streams.generator(seed, "xr-law", "z").standard_normal((m, n))
     synth = rk * fresh_x + math.sqrt(rk * (1.0 - rk)) * fresh_z
-    r_ks = ks_gate("xr-ks", frame.x[:, k], synth, f"at r={rk:.4g}")
+    r_ks = ks_gate("xr-ks", frame.x_at(slice(k, k + 1))[:, 0], synth, f"at r={rk:.4g}")
 
     return composite_gate("xr-law", (r_mean, r_cov, r_ks), notes=f"n_paths={m}")

@@ -46,7 +46,8 @@ from . import covariance
 from .errors import InputValidationError
 from .follmer import FrameEnsemble, path_energy
 from .measures import GAUSSIAN_ENTROPY_RATE, BallSpec, MeasureSpec, sum_law
-from .numerics import U_CUT, beta_inc, jackknife_se, quad, trapezoid, trapezoid_budget, xlogy
+from .numerics import (U_CUT, beta_inc, jackknife_se, path_mean_se, quad, time_blocks, trapezoid,
+                       trapezoid_budget, xlogy)
 from .reports import (ROUNDING_FLOOR, EstimatorResult, LemmaReport, composite_gate,
                       entrywise_gate, gate, info)
 
@@ -179,8 +180,9 @@ def epi_deficit(spec: MeasureSpec, sigma: float = 4.0) -> DeficitReport:
 
 def _jack_se_from_replicates(reps: np.ndarray) -> np.ndarray:
     m = reps.shape[0]
-    center = reps.mean(axis=0)
-    return np.sqrt((m - 1.0) / m * ((reps - center) ** 2).sum(axis=0))
+    dev = reps - reps.mean(axis=0)
+    dev *= dev
+    return np.sqrt((m - 1.0) / m * dev.sum(axis=0))
 
 
 def _snap_to_grid(r: np.ndarray, xi: float) -> int:
@@ -193,14 +195,62 @@ def _snap_to_grid(r: np.ndarray, xi: float) -> int:
 
 
 @dataclass(frozen=True)
+class GammaSpread:
+    """Per-path curves of Gamma_r on the grid from xi, gathered in one pass over its blocks.
+
+    `deficit_lower_bound` reads ``dev_sq`` and ``pair_sq``, and `deficit_chain_audit`
+    every curve, so the |Gamma_r - E Gamma_r|^2 curve is computed once for both.
+    """
+
+    xi: float
+    r: np.ndarray               # (K',) the grid's r from xi on
+    mean: np.ndarray            # E Gamma_r with its path axis: a covariance array of one path
+    dev_sq: np.ndarray          # (m, K') |Gamma_r - E Gamma_r|^2
+    pair_sq: np.ndarray         # (m // 2, K') |Gamma^1 - Gamma^2|^2 / 2 of disjoint path pairs
+    resid: np.ndarray           # (m, K') |Id - Gamma_r|^2
+    loo_resid: np.ndarray       # (m, K') |Id - (m E Gamma_r - Gamma_r) / (m - 1)|^2
+
+
+def gamma_spread(frame: FrameEnsemble, xi: float) -> GammaSpread:
+    """The `GammaSpread` of ``frame`` from the grid r ``xi`` on, a block of grid times at a time.
+
+    Each block's Gamma_r and its mean over paths give the block's columns
+    of every curve, so no Gamma-sized array is built.  The means are each
+    path added in order (`path_mean_se`), and every curve is per path and
+    grid time, so the numbers are the whole-array ones bit for bit.
+    """
+    if not 0.0 < xi < 1.0:
+        raise InputValidationError("need 0 < xi < 1")
+    k0 = _snap_to_grid(frame.r, xi)
+    r = frame.r[k0:]
+    if len(r) < 3:
+        raise InputValidationError("too few grid points above xi")
+    m, k_pts, _ = frame.theta.shape
+    q = m // 2
+    eye = covariance.identity(frame.cov_t)
+    mean = np.empty((1, k_pts - k0) + frame.cov_t.shape[2:])
+    dev_sq, resid, loo_resid = (np.empty((m, k_pts - k0)) for _ in range(3))
+    pair_sq = np.empty((q, k_pts - k0))
+    for b in frame.blocks(k0):
+        g = frame.gamma_at(b)
+        s = slice(b.start - k0, b.stop - k0)
+        gbar = path_mean_se(g)[0][None]
+        mean[:, s] = gbar
+        dev_sq[:, s] = covariance.frob_sq(g - gbar)
+        pair_sq[:, s] = 0.5 * covariance.frob_sq(g[0:2 * q:2] - g[1:2 * q:2])
+        resid[:, s] = covariance.frob_sq(eye - g)
+        loo_resid[:, s] = covariance.frob_sq(eye - (m * gbar - g) / (m - 1.0))
+    return GammaSpread(xi, r, mean, dev_sq, pair_sq, resid, loo_resid)
+
+
+@dataclass(frozen=True)
 class DeficitLowerBound:
     estimate: EstimatorResult
     parity: LemmaReport
 
 
-def deficit_lower_bound(frame: FrameEnsemble, xi: float,
-                        sigma: float = 4.0) -> DeficitLowerBound:
-    """xi * integral_xi^{r_max} E |Gamma_r - E Gamma_r|^2 / (4 (1-r)) dr.
+def deficit_lower_bound(spread: GammaSpread, sigma: float = 4.0) -> DeficitLowerBound:
+    """xi * integral_xi^{r_max} E |Gamma_r - E Gamma_r|^2 / (4 (1-r)) dr, from a `gamma_spread`.
 
     ``xi`` is a grid r in (0, 1), and the factor eps = xi is admissible
     because Gamma_r <= Id / r <= Id / xi on (xi, 1).  The integrand is
@@ -210,24 +260,15 @@ def deficit_lower_bound(frame: FrameEnsemble, xi: float,
     bound.  The parity sub-report cross-checks the plug-in against the
     independent-copy form E |Gamma^1 - Gamma^2|^2 / 2 of disjoint path pairs.
     """
-    if not 0.0 < xi < 1.0:
-        raise InputValidationError("need 0 < xi < 1")
-    k0 = _snap_to_grid(frame.r, xi)
-    r = frame.r[k0:]
-    if len(r) < 3:
-        raise InputValidationError("too few grid points above xi")
-    g = frame.gamma[:, k0:]
-    m = g.shape[0]
-    weight = xi / (4.0 * (1.0 - r))
+    r = spread.r
+    m = len(spread.dev_sq)
+    weight = spread.xi / (4.0 * (1.0 - r))
 
-    gbar = g.mean(axis=0)
-    per_path = trapezoid(covariance.frob_sq(g - gbar) * weight, r, axis=1)
+    per_path = trapezoid(spread.dev_sq * weight, r, axis=1)
     value = float(per_path.mean())
     se = float(jackknife_se(per_path))
 
-    q = m // 2
-    pair_sq = 0.5 * covariance.frob_sq(g[0:2 * q:2] - g[1:2 * q:2])
-    per_pair = trapezoid(pair_sq * weight, r, axis=1)
+    per_pair = trapezoid(spread.pair_sq * weight, r, axis=1)
     v2 = float(per_pair.mean())
     se2 = float(jackknife_se(per_pair))
     corrected = value * m / (m - 1.0)
@@ -266,30 +307,31 @@ def deficit_chain_audit(delta: EstimatorResult, frame: FrameEnsemble, xi: float,
       5. the chain 2n >= delta(mu) >= lower bound, with the parity cross-check;
       6. the a-priori bound E|v_xi|^2 <= 4n/(1-xi)^2;
       7. INFO: the empirical constant (1/n) int_0^{r_max} E|v|^2 dr.
+
+    Gamma_r is read a block of grid times at a time: lines 1, 2, 3 and 5
+    read the per-path curves of one `gamma_spread`, line 4 its own blocks of
+    increments, so no Gamma-sized array is built.
     """
     n = frame.dim
     m = frame.n_paths
     r_full = frame.r
-    k0 = _snap_to_grid(r_full, xi)
-    r = r_full[k0:]
-    g = frame.gamma[:, k0:]
+    spread = gamma_spread(frame, xi)
+    r = spread.r
+    k0 = len(r_full) - len(r)
     vsq_full = path_energy(frame.theta, frame.mean, frame.t)
     vsq = vsq_full[:, k0:]
-    eye = covariance.identity(g)
     subs = []
 
-    # 1. exact plug-in split; gbar keeps its path axis, so it is a
+    # 1. exact plug-in split; E Gamma keeps its path axis, so it is a
     # covariance array of one path
-    gbar = g.mean(axis=0, keepdims=True)
-    plug = covariance.frob_sq(g - gbar).mean(axis=0)
-    resid_bar = covariance.frob_sq(eye - gbar)[0]
-    resid = covariance.frob_sq(eye - g)  # |Id - Gamma|^2 per path, for lines 1 and 2
-    split = resid.mean(axis=0) - resid_bar
+    plug = spread.dev_sq.mean(axis=0)
+    resid_bar = covariance.frob_sq(covariance.identity(frame.cov_t) - spread.mean)[0]
+    split = spread.resid.mean(axis=0) - resid_bar
     subs.append(entrywise_gate("variance-split-exact", np.abs(plug - split), 1e-10,
                                notes="algebraic identity of estimators,"))
 
     # 2. truncated integration by parts
-    resid_sq = resid / (1.0 - r)
+    resid_sq = spread.resid / (1.0 - r)
     balance = (trapezoid(vsq, r, axis=1) - trapezoid(resid_sq, r, axis=1)
                - (1.0 - r[0]) * vsq[:, 0] + (1.0 - r[-1]) * vsq[:, -1])
     budget = sum(trapezoid_budget(curve, r) for curve in (vsq.mean(axis=0),
@@ -300,29 +342,35 @@ def deficit_chain_audit(delta: EstimatorResult, frame: FrameEnsemble, xi: float,
                      notes=f"trapezoid budget {budget:.3g}"))
 
     # 3. trace bound with the empirical spectral floor
-    floor = float(covariance.eig_extremes(gbar)[0].min())
+    floor = float(covariance.eig_extremes(spread.mean)[0].min())
     c_tilde = max(0.0, floor)
     lhs = resid_bar / (1.0 - r)
     rhs = (1.0 - c_tilde) * vsq.mean(axis=0)
-    # the leave-one-out means of Gamma live only inside the expression
-    loo_v = (m * vsq.mean(axis=0)[None] - vsq) / (m - 1.0)
-    reps = (covariance.frob_sq(eye - (m * gbar - g) / (m - 1.0)) / (1.0 - r)
-            - (1.0 - c_tilde) * loo_v)
+    # the leave-one-out means of Gamma enter only through |Id - mean|^2
+    loo_v = m * vsq.mean(axis=0)[None] - vsq
+    loo_v /= m - 1.0
+    reps = spread.loo_resid / (1.0 - r)
+    reps -= (1.0 - c_tilde) * loo_v
     se3 = _jack_se_from_replicates(reps)
     subs.append(entrywise_gate("score-trace-bound", lhs - rhs, sigma * se3 + ROUNDING_FLOOR,
                                se3, notes=f"empirical floor c={c_tilde:.4g},"))
 
-    # 4. r * EGamma_r monotone in the PSD order (whole grid)
-    d = np.diff(frame.gamma * covariance.per_time(r_full, frame.gamma), axis=1)
-    lam_min = covariance.eig_extremes(d.mean(axis=0, keepdims=True))[0][0]
-    se4 = jackknife_se(d).reshape(len(r_full) - 1, -1).max(axis=1) * n
-    del d  # Gamma-sized, and line 5 builds its own
+    # 4. r * EGamma_r monotone in the PSD order (whole grid), a block of
+    # increments at a time, each block reading one grid time past its end
+    k_pts = len(r_full)
+    lam_min, se4 = np.empty(k_pts - 1), np.empty(k_pts - 1)
+    for b in time_blocks(k_pts - 1, frame.cov_t[:, 0].nbytes):
+        halo = slice(b.start, b.stop + 1)
+        g = frame.gamma_at(halo)
+        d_mean, d_se = path_mean_se(np.diff(g * covariance.per_time(r_full[halo], g), axis=1))
+        lam_min[b] = covariance.eig_extremes(d_mean[None])[0][0]
+        se4[b] = d_se.reshape(b.stop - b.start, -1).max(axis=1) * n
     subs.append(entrywise_gate("clocked-gamma-monotone", -lam_min,
                                sigma * se4 + ROUNDING_FLOOR,
                                notes="lambda_min of consecutive increments,"))
 
     # 5. the deficit chain
-    low = deficit_lower_bound(frame, xi=xi, sigma=sigma)
+    low = deficit_lower_bound(spread, sigma=sigma)
     up = gate("chain-upper", delta.value - 2.0 * n, sigma * delta.stderr + ROUNDING_FLOOR,
               stderr=delta.stderr, notes=f"delta={delta.value:.6g} <= 2n={2 * n}")
     comb = math.hypot(delta.stderr, low.estimate.stderr)

@@ -39,7 +39,7 @@ import numpy as np
 from . import covariance, streams
 from .errors import InputValidationError
 from .measures import MeasureSpec
-from .numerics import jackknife_se, time_blocks
+from .numerics import jackknife_se, path_mean_se, time_blocks
 from .reports import (COV_IDENTITY_FLOOR, ROUNDING_FLOOR, LemmaReport, composite_gate,
                       derivative_gate, entrywise_gate, info, ks_gate)
 from .tilt import cov_shape, tilt_table
@@ -130,11 +130,14 @@ class PathEnsemble:
     mean: np.ndarray            # (m, K, n)
     cov: np.ndarray             # (m, K, n) or (m, K, n, n)
     log_z: np.ndarray           # (m, K)
-    w_end: np.ndarray           # (m, n) W at the grid's last time (`start_paths`)
 
     @property
     def n_paths(self) -> int:
         return self.theta.shape[0]
+
+    def blocks(self) -> list[slice]:
+        """The grid's `time_blocks`, each about `numerics.BLOCK_BYTES` of covariances."""
+        return time_blocks(self.grid.n_points, self.cov[:, 0].nbytes)
 
     @functools.cached_property
     def stats(self) -> "EnsembleStats":
@@ -192,10 +195,7 @@ def start_paths(spec: MeasureSpec, grid: TimeGrid, keys, driver: str, out=None):
 
     With ``out`` None one chunk array, allocated for the widest chunk,
     serves every chunk, so each yielded theta is valid until the next one.
-    ``out`` = (theta, w), a whole (m, K, n) array and an (m, n) one,
-    receives theta whole, as one chunk, and ``w`` receives W at the grid's
-    last time: each path's increments summed in order, the W_t that the
-    direct driver adds t X to.
+    ``out``, a whole (m, K, n) array, receives theta whole, as one chunk.
     """
     t = grid.points
     k_pts, m, n = len(t), len(keys), spec.dim
@@ -204,18 +204,16 @@ def start_paths(spec: MeasureSpec, grid: TimeGrid, keys, driver: str, out=None):
     if out is None:
         chunks = path_chunks(spec, k_pts, m)
         flat = np.empty(m * (chunks[0].stop - chunks[0].start) * n)
-        w = np.empty((m, n))
     else:
         chunks = [slice(0, k_pts)]
-        whole, w = out
     root_dt = np.sqrt(np.diff(t))
     if driver == "direct":
         x = _draw_x(spec, keys)
-        tx = np.empty_like(x)
+        tx, w = np.empty_like(x), np.empty_like(x)
     rngs = list(streams.each((*key, "w") for key in keys))
     for c in chunks:
         width = c.stop - c.start
-        theta = whole[:, c] if out is not None else flat[:m * width * n].reshape(m, width, n)
+        theta = out[:, c] if out is not None else flat[:m * width * n].reshape(m, width, n)
         first = max(c.start, 1)  # the chunk's first grid time past t = 0
         if c.start == 0:
             theta[:, 0] = 0.0
@@ -235,13 +233,6 @@ def start_paths(spec: MeasureSpec, grid: TimeGrid, keys, driver: str, out=None):
                 w[...] = dw[:, -1]
             for j, k in enumerate(range(first, c.stop)):
                 dw[:, j] += np.multiply(x, t[k], out=tx)
-        else:
-            # the same running sum, kept beside the increments
-            for j, k in enumerate(range(first, c.stop)):
-                if k == 1:
-                    w[...] = dw[:, j]
-                else:
-                    w += dw[:, j]
         yield c, theta
 
 
@@ -296,12 +287,12 @@ def simulate_ensemble(spec: MeasureSpec, grid: TimeGrid, n_paths: int, seed: int
     the ensemble's arrays in place.
     """
     shape = (n_paths, grid.n_points)
-    theta, w_end = np.empty(shape + (spec.dim,)), np.empty((n_paths, spec.dim))
+    theta = np.empty(shape + (spec.dim,))
     out = (np.empty(shape + (spec.dim,)), np.empty(shape + cov_shape(spec)), np.empty(shape))
-    paths = start_paths(spec, grid, path_keys(seed, n_paths, salt), driver, (theta, w_end))
+    paths = start_paths(spec, grid, path_keys(seed, n_paths, salt), driver, theta)
     for _ in tilt_blocks(spec, grid, paths, driver, out):
         pass
-    return PathEnsemble(spec, grid, theta, *out, w_end=w_end)
+    return PathEnsemble(spec, grid, theta, *out)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +331,7 @@ class StatsFold:
     `covariance`, at consecutive grid times: ``simulate`` feeds it each grid
     time of `tilt_blocks` as the driver tilts it, `ensemble_stats` the
     blocks of `time_blocks` of a stored ensemble, each about
-    `numerics.BLOCK_BYTES` = 1 MiB of covariances.  E[a (x) a + A] and its
+    `numerics.BLOCK_BYTES` = 256 KiB of covariances.  E[a (x) a + A] and its
     error come from `covariance.outer_mean_se`: for diagonal covariances
     (Gaussians and coordinate products) by moment reductions, with no
     per-path outer product; full covariances (balls) still take the
@@ -393,9 +384,9 @@ class StatsFold:
 
 def ensemble_stats(ensemble: PathEnsemble) -> EnsembleStats:
     """Reduce a stored ensemble to per-time statistics, a `StatsFold` over its `time_blocks`."""
-    m, k_pts, n = ensemble.mean.shape
+    m, _, n = ensemble.mean.shape
     fold = StatsFold(ensemble.grid, m, n)
-    for b in time_blocks(k_pts, ensemble.cov[:, 0].nbytes):
+    for b in ensemble.blocks():
         fold.add(b, ensemble.mean[:, b], ensemble.cov[:, b])
     return fold.stats()
 
@@ -441,20 +432,27 @@ SPECTRAL_SLACK = 1e-6
 
 
 def spectral_margin(mats: np.ndarray, clock: np.ndarray) -> np.ndarray:
-    """Pathwise margin clock * lambda_max(mats) - 1, (m, K), indexed by grid time.
+    """Pathwise margin clock * lambda_max(mats) - 1, (m, k), indexed by grid time.
 
-    ``mats`` is a covariance array on the grid ``clock`` (K,), diagonal
-    (m, K, n) or full (m, K, n, n).  The first grid point is 0, where the
-    margin is exactly -1, so it is never the worst entry.  Every tilt is
-    exact, so callers gate it with the flat `SPECTRAL_SLACK`.
+    ``mats`` is a covariance array on the grid times ``clock`` (k,), a block
+    of them or all, diagonal (m, k, n) or full (m, k, n, n).  At the first
+    grid point, 0, the margin is exactly -1, so it is never the worst entry.
+    Every tilt is exact, so callers gate it with the flat `SPECTRAL_SLACK`.
     """
     lam = covariance.eig_extremes(mats)[1]
     return lam * clock[None, :] - 1.0
 
 
 def check_spectral_bound(ensemble: PathEnsemble) -> LemmaReport:
-    """Pathwise bound t * lambda_max(A_t) <= 1 at every t > 0, up to `SPECTRAL_SLACK`."""
-    margin = spectral_margin(ensemble.cov, ensemble.grid.points)
+    """Pathwise bound t * lambda_max(A_t) <= 1 at every t > 0, up to `SPECTRAL_SLACK`.
+
+    The margins, one number a path and grid time, come a block of grid
+    times at a time.
+    """
+    t = ensemble.grid.points
+    margin = np.empty((ensemble.n_paths, len(t)))
+    for b in ensemble.blocks():
+        margin[:, b] = spectral_margin(ensemble.cov[:, b], t[b])
     bad = margin > SPECTRAL_SLACK
     notes = f"paths={ensemble.n_paths}, violations={int(bad.sum())},"
     if bad.any():
@@ -479,10 +477,14 @@ def trace_square_ratio(ensemble: PathEnsemble) -> LemmaReport:
 
 
 def check_orthogonality(ensemble: PathEnsemble, sigma: float = 4.0) -> LemmaReport:
-    """E (a_t - theta_t/(1+t)) (x) theta_t = 0 entrywise at every grid time."""
+    """E (a_t - theta_t/(1+t)) (x) theta_t = 0 entrywise at every grid time, a block at a time."""
     t = ensemble.grid.points
-    resid = ensemble.mean - ensemble.theta / (1.0 + t)[None, :, None]
-    mean, se = covariance.outer_mean_se(resid, ensemble.theta)
+    n = ensemble.spec.dim
+    mean, se = np.empty((len(t), n, n)), np.empty((len(t), n, n))
+    for b in ensemble.blocks():
+        theta = ensemble.theta[:, b]
+        resid = ensemble.mean[:, b] - theta / (1.0 + t[b])[None, :, None]
+        mean[b], se[b] = covariance.block_outer_mean_se(resid, theta)
     return entrywise_gate("orthogonality", np.abs(mean), sigma * se + ROUNDING_FLOOR, se,
                           notes=f"n_paths={ensemble.n_paths},")
 
@@ -515,36 +517,46 @@ def check_density_martingale(ensemble: PathEnsemble, sigma: float = 4.0) -> Lemm
 
     log_rho = spec.log_density(x_grid[:, None])
     t = ensemble.grid.points
-    p = (ensemble.theta[:, :, 0, None] * x_grid[None, None, :]
-         - 0.5 * t[None, :, None] * x_grid[None, None, :] ** 2
-         + log_rho[None, None, :] - ensemble.log_z[:, :, None])
-    np.exp(p, out=p)  # in place: one (m, K, 21) array
-    mean = p.mean(axis=0)
-    se = jackknife_se(p)
+    m, k_pts = ensemble.log_z.shape
+    mean, se = np.empty((k_pts, len(x_grid))), np.empty((k_pts, len(x_grid)))
+    for b in time_blocks(k_pts, m * len(x_grid) * 8):
+        p = (ensemble.theta[:, b, 0, None] * x_grid[None, None, :]
+             - 0.5 * t[None, b, None] * x_grid[None, None, :] ** 2
+             + log_rho[None, None, :] - ensemble.log_z[:, b, None])
+        np.exp(p, out=p)  # in place: one (m, k, 21) array a block
+        mean[b], se[b] = path_mean_se(p)
     gap = np.abs(mean - np.exp(log_rho)[None, :])
     return entrywise_gate("martingale", gap, sigma * se + ROUNDING_FLOOR, se,
                           notes=f"{len(x_grid)} x-points, n_paths={ensemble.n_paths},")
+
+
+def _theta_end(steps) -> np.ndarray:
+    """theta at the grid's last time, a copy, from `start_paths` chunks or `tilt_blocks` steps."""
+    for _, theta, *_ in steps:
+        pass
+    return theta[:, -1].copy()
 
 
 def check_driver_equivalence(spec: MeasureSpec, seed: int, n_paths: int,
                              sigma: float = 4.0) -> LemmaReport:
     """SDE and direct drivers, ``n_paths`` paths each, agree in law at t = 1 after 64 Euler steps.
 
-    Paired first/second moments via common random numbers: the direct side
-    theta(t_max) = t_max X + W_(t_max) takes W_(t_max) from the sde
-    ensemble's own increments (`PathEnsemble.w_end`), so it draws no
-    increment and needs no tilt.  Per-coordinate two-sample KS against an
-    independent direct theta(t_max), the last time of `start_paths` under
-    stream salt ``ks`` (independence keeps the KS null distribution valid);
-    the smallest of the n p-values is gated by `reports.ks_gate`.
+    Paired first/second moments via common random numbers: the sde and
+    direct sides take the same keys, so the direct side
+    theta(t_max) = t_max X + W_(t_max) adds t_max X to the very increments
+    the sde paths were driven by, and needs no tilt.  Per-coordinate
+    two-sample KS against an independent direct theta(t_max) under stream
+    salt ``ks`` (independence keeps the KS null distribution valid); the
+    smallest of the n p-values is gated by `reports.ks_gate`.  Each side
+    streams its paths (`start_paths`, `tilt_blocks`) and keeps only
+    theta(t_max), so no path array is stored.
     """
     t_max, n_steps = 1.0, 64
-    sde = simulate_ensemble(spec, make_uniform(t_max, n_steps), n_paths, seed, driver="sde")
-    a = sde.theta[:, -1]
-    b = sde.w_end + _draw_x(spec, path_keys(seed, n_paths)) * t_max
-    *_, (_, fresh) = start_paths(spec, make_uniform(t_max, 1), path_keys(seed, n_paths, "ks"),
-                                 "direct")
-    fresh = fresh[:, -1]
+    grid, keys = make_uniform(t_max, n_steps), path_keys(seed, n_paths)
+    a = _theta_end(tilt_blocks(spec, grid, start_paths(spec, grid, keys, "sde"), "sde", None))
+    b = _theta_end(start_paths(spec, grid, keys, "direct"))
+    fresh = _theta_end(start_paths(spec, make_uniform(t_max, 1),
+                                   path_keys(seed, n_paths, "ks"), "direct"))
 
     d1 = a - b
     d2 = a * a - b * b

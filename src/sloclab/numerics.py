@@ -200,10 +200,14 @@ def gamma_half_step(a: float) -> tuple[float, float]:
 
 
 # Bytes of stored per-path arrays that one block of grid times covers
-# (`time_blocks`): `ensemble_stats` and the derivative gates walk a stored
-# ensemble's arrays in such blocks.  `simulate` folds one grid time at a time
-# as the driver tilts it and reads no block size.
-BLOCK_BYTES = 1 << 20
+# (`time_blocks`): `ensemble_stats`, the derivative gates and every check
+# that reads a stored ensemble or its frame walk its arrays in such blocks,
+# and each check's temporaries are a few blocks.  At 1 MiB the whole
+# 41-time ensemble of a 3-dimensional product with 1024 paths (24 KiB of
+# covariances a grid time) was one block, so blocking saved it nothing; at
+# 256 KiB it takes five.  `simulate` folds one grid time at a time as the
+# driver tilts it and reads no block size.
+BLOCK_BYTES = 1 << 18
 # Windows that one block of `trunc_normal_moments` covers.  Its workspace,
 # twelve floats and two flags a window (784 KiB), is allocated once, here,
 # and every call reuses it; calls never overlap, as the lab runs in one
@@ -605,15 +609,32 @@ def trapezoid_budget(curve: np.ndarray, x: np.ndarray) -> float:
     return abs(float(trapezoid(curve, x)) - float(trapezoid(curve[coarse], x[coarse]))) / 3.0
 
 
-def time_blocks(k_pts: int, time_bytes: int) -> list[slice]:
-    """Slices of ``k_pts`` consecutive grid times, each about `BLOCK_BYTES` of arrays.
+def time_blocks(k_pts: int, time_bytes: int, start: int = 0) -> list[slice]:
+    """Slices of grid times ``start`` .. ``k_pts`` - 1, each about `BLOCK_BYTES` of arrays.
 
     ``time_bytes`` is the size of one grid time's per-path array, such as
     its covariances, (m, n) or (m, n, n); a block holds at least one grid
     time.
     """
     step = max(1, BLOCK_BYTES // time_bytes)
-    return [slice(k, min(k + step, k_pts)) for k in range(0, k_pts, step)]
+    return [slice(k, min(k + step, k_pts)) for k in range(start, k_pts, step)]
+
+
+def path_mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over paths (axis 0) and its s / sqrt(m), each path added in order.
+
+    numpy adds the paths in order when each holds two or more numbers, but
+    pairwise when each holds one, as a one-time block of a per-path scalar
+    curve does; such a block is reduced beside a copy of itself, so that its
+    bits are the whole curve's.  So a block of grid times gets the numbers
+    that ``values.mean(axis=0)`` and `jackknife_se` take on the whole array.
+    """
+    flat = values.reshape(len(values), -1)
+    if flat.shape[1] == 1:
+        flat = np.repeat(flat, 2, axis=1)
+    width = values[0].size
+    return (flat.mean(axis=0)[:width].reshape(values.shape[1:]),
+            jackknife_se(flat)[:width].reshape(values.shape[1:]))
 
 
 def _stencil(y: np.ndarray, x: np.ndarray, stride: int) -> np.ndarray:

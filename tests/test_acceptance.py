@@ -20,6 +20,7 @@ from sloclab.infotheory import (
     deficit_chain_audit,
     deficit_lower_bound,
     epi_deficit,
+    gamma_spread,
     kl_to_gaussian,
 )
 from sloclab.isoconst import (
@@ -195,7 +196,7 @@ def test_c08_epi_deficit_bounds(cube2_frame):
         if rep.bounds.failed:
             ok = False
             worst += f" {mid}!"
-    low = deficit_lower_bound(cube2_frame, xi=0.5)
+    low = deficit_lower_bound(gamma_spread(cube2_frame, xi=0.5))
     delta2 = epi_deficit(make_cube(2)).delta.value
     gap = delta2 + 4.0 * low.estimate.stderr - low.estimate.value
     ok = ok and low.estimate.value >= 0.0 and gap >= 0.0

@@ -17,8 +17,9 @@ from sloclab import covariance, numerics
 from sloclab.cli import _fmt, main
 from sloclab.follmer import check_gamma_properties, check_xr_law, fisher_energy, to_follmer
 from sloclab.infotheory import (de_bruijn_check, deficit_chain_audit, deficit_lower_bound,
-                                 epi_deficit)
-from sloclab.localization import (check_derivative_identity, check_monotone_trace,
+                                 epi_deficit, gamma_spread)
+from sloclab.localization import (check_density_martingale, check_derivative_identity,
+                                  check_driver_equivalence, check_monotone_trace,
                                   check_orthogonality, check_spectral_bound,
                                   check_variance_decomposition, ensemble_stats, make_geometric,
                                   path_chunks, path_keys, simulate_ensemble, start_paths,
@@ -51,7 +52,8 @@ def _reports(spec, ens, frame):
               check_gamma_properties(frame), check_xr_law(frame, seed=0),
               de_bruijn_check(spec, frame), trace_square_ratio(ens),
               deficit_chain_audit(epi_deficit(spec).delta, frame, xi=0.5)]
-    return [f for rep in checks for f in rep.flat()], deficit_lower_bound(frame, xi=0.5)
+    low = deficit_lower_bound(gamma_spread(frame, xi=0.5))
+    return [f for rep in checks for f in rep.flat()], low
 
 
 def _structural_zero(full, diagonal):
@@ -164,7 +166,7 @@ def test_frame_and_stats_allocate_no_whole_path_array():
 
 
 @pytest.mark.parametrize("measure, n_paths, n_blocks", [
-    ("cube:32", 1024, 11), ("ball:8", 256, 6), ("product:exp,laplace,uniform", 4096, 5)])
+    ("cube:32", 1024, 41), ("ball:8", 256, 21), ("product:exp,laplace,uniform", 4096, 21)])
 def test_blocked_stats_match_whole_arrays_bitwise(measure, n_paths, n_blocks):
     spec, grid = parse_measure_id(measure), make_geometric()
     for driver in ("direct", "sde"):
@@ -225,11 +227,12 @@ def _derivative_reports(ens):
 @pytest.mark.parametrize("measure", ["cube:2", "ball:3"])
 def test_derivative_gates_match_in_one_node_blocks(measure, monkeypatch):
     # cube:2 stores diagonal covariances and ball:3 full ones; at BLOCK_BYTES
-    # 1 MiB each gate takes its 14 interior nodes in one block, at 1 byte in 14
+    # 256 KiB each gate takes ball:3's 14 interior nodes in two blocks of 7,
+    # at 1 byte in 14
     ens = simulate_ensemble(parse_measure_id(measure), make_geometric(0.05, 20.0, 16), 512,
                             seed=0)
     node_bytes = 512 * 9 * 8  # one node of ball:3's largest y, v (x) v or A_t
-    assert len(time_blocks(14, node_bytes)) == 1
+    assert len(time_blocks(14, node_bytes)) == 2
     whole = _derivative_reports(ens)
     assert sorted(whole) == sorted(DERIVATIVE_GATES)
     monkeypatch.setattr(numerics, "BLOCK_BYTES", 1)
@@ -396,3 +399,70 @@ def test_helpers_reject_arrays_without_path_and_time_axes(helper):
         helper(np.ones((5, 3)))
     with pytest.raises(ValueError, match="covariance per row"):
         covariance.dense_rows(np.ones((6, 5, 3, 3)))
+
+
+def _blocked_reports(spec, ens, frame, delta):
+    """Every check that reads the stored ensemble or its frame in blocks of grid times."""
+    reports = {"orthogonality": check_orthogonality(ens),
+               "spectral-bound": check_spectral_bound(ens),
+               "gamma-properties": check_gamma_properties(frame),
+               "xr-law": check_xr_law(frame, seed=0),
+               "deficit-chain": deficit_chain_audit(delta, frame, xi=0.5),
+               "deficit-lower-bound": deficit_lower_bound(gamma_spread(frame, xi=0.5))}
+    if spec.dim == 1:
+        reports["martingale"] = check_density_martingale(ens)
+    return reports
+
+
+@pytest.mark.parametrize("measure", ["cube:2", "ball:3", "product:exp,laplace,uniform",
+                                     "product:exp"])
+def test_block_budget_moves_no_report(measure, monkeypatch):
+    # verdicts, statistics, tolerances and notes (with the worst index) are
+    # the same whether one block holds the whole grid or one grid time; the
+    # one-coordinate product reduces one number a path in its one-time blocks
+    spec = parse_measure_id(measure)
+    ens = simulate_ensemble(spec, make_geometric(0.01, 100.0, 40, include=(1.0,)), 256, seed=0)
+    frame, delta = to_follmer(ens), epi_deficit(spec).delta
+    monkeypatch.setattr(numerics, "BLOCK_BYTES", 1 << 40)
+    assert ens.blocks() == [slice(0, ens.grid.n_points)]
+    whole = _blocked_reports(spec, ens, frame, delta)
+    monkeypatch.setattr(numerics, "BLOCK_BYTES", 1)
+    assert len(ens.blocks()) == ens.grid.n_points
+    assert _blocked_reports(spec, ens, frame, delta) == whole
+    assert not {"x", "v", "gamma"} & vars(frame).keys()
+
+
+@pytest.mark.parametrize("measure, n_paths", [("product:exp,uniform,uniform", 1024),
+                                              ("ball:8", 256)])
+def test_blocked_checks_peak_within_a_few_blocks(measure, n_paths):
+    # above the stored ensemble each check holds a few blocks of grid times
+    # (256 KiB, BLOCK_BYTES) and a few per-path scalar curves (one number a
+    # path and grid time); driver-equivalence one chunk of its theta and its
+    # tilts.  Reading whole x, v or Gamma arrays, or storing the sde
+    # ensemble, peaked at 3.4-33 MiB on ball:8 and 1.8-7.2 MiB on the
+    # product (the deficit chain's 3.1 MiB there is mostly its scalar curves)
+    spec = parse_measure_id(measure)
+    grid = make_geometric(0.01, 100.0, 40, include=(1.0,))
+    ens = simulate_ensemble(spec, grid, n_paths, seed=0)
+    frame, delta = to_follmer(ens), epi_deficit(spec).delta
+    big, scalars = 1 << 18, n_paths * grid.n_points * 8
+    chunk = path_chunks(spec, 65, n_paths)[0]
+    theta_chunk = n_paths * (chunk.stop - chunk.start) * spec.dim * 8
+    runs = {"orthogonality": (lambda: check_orthogonality(ens), 6 * big),
+            "spectral-bound": (lambda: check_spectral_bound(ens), 2 * scalars + 4 * big),
+            "gamma-properties": (lambda: check_gamma_properties(frame), 2 * scalars + 12 * big),
+            "xr-law": (lambda: check_xr_law(frame, seed=0), 6 * big),
+            "deficit-chain": (lambda: deficit_chain_audit(delta, frame, xi=0.5),
+                              8 * scalars + 6 * big),
+            "driver-equivalence": (lambda: check_driver_equivalence(spec, 0, n_paths),
+                                   theta_chunk + 12 * big)}
+    for name, (run, bound) in runs.items():
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (name, peak / big)
+    assert not {"x", "v", "gamma"} & vars(frame).keys()

@@ -38,17 +38,6 @@ from sloclab.measures import (
 )
 
 
-def _with_arrays(frame, **arrays):
-    """A copy of ``frame`` whose ``x``, ``v`` or ``gamma`` reads ``arrays``.
-
-    The three are cached properties, so an array written to the instance
-    ``__dict__`` is what every read returns, as if the frame had computed it.
-    """
-    out = dataclasses.replace(frame)
-    out.__dict__.update(arrays)
-    return out
-
-
 @pytest.fixture(scope="module")
 def cube1_frame():
     ens = simulate_ensemble(make_cube(1), make_geometric(0.05, 20.0, 16, include=(1.0,)),
@@ -349,17 +338,19 @@ def test_gamma_properties_pass(cube2_frame):
 
 
 def test_gamma_derivative_flags_scaled_time(cube2_frame):
-    gamma = cube2_frame.gamma.copy()
-    gamma[:, 8] *= 1.2
-    rep = check_gamma_properties(_with_arrays(cube2_frame, gamma=gamma))
+    # the checks compute Gamma_r = (1 + t) A_t from the frame's cov_t, so the
+    # defect goes into A_t: Gamma_r at grid time 8 is 1.2 times its own
+    cov = cube2_frame.cov_t.copy()
+    cov[:, 8] *= 1.2
+    rep = check_gamma_properties(dataclasses.replace(cube2_frame, cov_t=cov))
     assert rep.failed
     assert {s.check_id: s for s in rep.sub}["gamma-derivative"].failed
 
 
 def test_gamma_derivatives_fail_on_a_non_finite_path(cube2_frame):
-    gamma = cube2_frame.gamma.copy()
-    gamma[0, :, 0] = np.nan
-    rep = check_gamma_properties(_with_arrays(cube2_frame, gamma=gamma))
+    cov = cube2_frame.cov_t.copy()
+    cov[0, :, 0] = np.nan  # Gamma_r = (1 + t) A_t is NaN there too
+    rep = check_gamma_properties(dataclasses.replace(cube2_frame, cov_t=cov))
     subs = {s.check_id: s for s in rep.sub}
     for check_id in ("score-energy-derivative", "gamma-derivative"):
         assert subs[check_id].failed
@@ -371,11 +362,13 @@ def test_gamma_derivatives_fail_on_a_non_finite_path(cube2_frame):
 def test_score_energy_derivative_fails_on_a_non_finite_v_in_one_node_blocks(
         k, cube2_frame, monkeypatch):
     # every interior node its own block: a NaN in one path's v at grid time k
-    # reaches the gate through the blocks' one-node halos, ends included
+    # reaches the gate through the blocks' one-node halos, ends included.
+    # v_r = (1 + t) a_t - theta_t is computed from the frame's mean, so the
+    # NaN goes into a_t
     monkeypatch.setattr(numerics, "BLOCK_BYTES", 1)
-    v = cube2_frame.v.copy()
-    v[3, k, 1] = np.nan
-    rep = check_gamma_properties(_with_arrays(cube2_frame, v=v))
+    mean = cube2_frame.mean.copy()
+    mean[3, k, 1] = np.nan
+    rep = check_gamma_properties(dataclasses.replace(cube2_frame, mean=mean))
     sub = {s.check_id: s for s in rep.sub}["score-energy-derivative"]
     assert sub.failed
     assert "non-finite statistic" in sub.notes
@@ -388,9 +381,9 @@ def test_xr_law_passes(cube2_frame):
 
 
 def test_xr_law_ks_fails_on_nan(cube2_frame):
-    x = cube2_frame.x.copy()
-    x[3, :, 1] = np.nan
-    rep = check_xr_law(_with_arrays(cube2_frame, x=x), seed=11)
+    theta = cube2_frame.theta.copy()
+    theta[3, :, 1] = np.nan  # x_r = theta_t / (1 + t) is NaN there too
+    rep = check_xr_law(dataclasses.replace(cube2_frame, theta=theta), seed=11)
     ks = next(s for s in rep.sub if s.check_id == "xr-ks")
     assert ks.failed
     assert "non-finite statistic" in ks.notes
@@ -419,7 +412,8 @@ def test_xr_law_passes_cube8_at_the_family_wise_level(tmp_path):
 
 def test_xr_ks_still_fails_on_scaled_xr():
     frame = to_follmer(simulate_ensemble(make_cube(8), make_geometric(), 4096, seed=0))
-    rep = check_xr_law(_with_arrays(frame, x=1.2 * frame.x), seed=0)
+    # x_r = theta_t / (1 + t), so 1.2 theta_t is x_r scaled by 1.2
+    rep = check_xr_law(dataclasses.replace(frame, theta=1.2 * frame.theta), seed=0)
     ks = next(s for s in rep.sub if s.check_id == "xr-ks")
     assert ks.failed and ks.tolerance == pytest.approx(-0.0012556, rel=1e-4)
     assert -ks.statistic < 1e-6

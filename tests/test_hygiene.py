@@ -545,16 +545,18 @@ def test_paths_are_simulated_only_where_a_check_needs_its_own():
     found = Counter(f"{p.name}:{scope}" for p in PACKAGE
                     for _, scope in scoped_calls(_tree(p), "simulate_ensemble"))
     assert found == {"cli.py:RunContext.ensemble": 1,
-                     "localization.py:check_driver_equivalence": 1,
                      "isoconst.py:check_projection_domination": 1}
     runs = {driver: Counter(f"{p.name}:{scope}" for p in PACKAGE
                             for _, scope in scoped_calls(_tree(p), driver))
             for driver in ("start_paths", "tilt_blocks")}
+    # driver-equivalence streams its sde paths, its paired direct paths and
+    # its independent KS sample, and stores none of them
     assert runs["tilt_blocks"] == {"localization.py:simulate_ensemble": 1,
-                                   "cli.py:_cmd_simulate": 1}
-    assert runs["start_paths"] == {"localization.py:simulate_ensemble": 1,
                                    "cli.py:_cmd_simulate": 1,
                                    "localization.py:check_driver_equivalence": 1}
+    assert runs["start_paths"] == {"localization.py:simulate_ensemble": 1,
+                                   "cli.py:_cmd_simulate": 1,
+                                   "localization.py:check_driver_equivalence": 3}
 
 
 def test_cli_import_loads_no_scipy():

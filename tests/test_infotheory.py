@@ -16,6 +16,7 @@ from sloclab.infotheory import (
     deficit_chain_audit,
     deficit_lower_bound,
     epi_deficit,
+    gamma_spread,
     kl_to_gaussian,
 )
 from sloclab.localization import make_geometric, simulate_ensemble
@@ -309,7 +310,7 @@ def cube2_frame_anchored():
 
 
 def test_deficit_lower_bound_cube(cube2_frame_anchored):
-    low = deficit_lower_bound(cube2_frame_anchored, xi=0.5)
+    low = deficit_lower_bound(gamma_spread(cube2_frame_anchored, xi=0.5))
     assert low.estimate.value >= 0.0
     assert not low.parity.failed
     # the bound must sit below the actual deficit
@@ -319,9 +320,9 @@ def test_deficit_lower_bound_cube(cube2_frame_anchored):
 
 def test_deficit_lower_bound_xi_snap(cube2_frame_anchored):
     with pytest.raises(InputValidationError, match="add the matching time"):
-        deficit_lower_bound(cube2_frame_anchored, xi=0.4321)
+        gamma_spread(cube2_frame_anchored, xi=0.4321)
     with pytest.raises(InputValidationError, match="0 < xi < 1"):
-        deficit_lower_bound(cube2_frame_anchored, xi=1.5)
+        gamma_spread(cube2_frame_anchored, xi=1.5)
 
 
 def test_deficit_chain_audit_cube(cube2_frame_anchored):

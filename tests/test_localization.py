@@ -266,14 +266,27 @@ def test_chunked_paths_are_the_whole_arrays_bits(monkeypatch, driver, measure, m
         assert chunked.tobytes() == getattr(whole, name).tobytes(), name
 
 
-def test_sde_ensemble_keeps_the_direct_drivers_brownian_end():
-    # driver-equivalence pairs the sde paths with t X + W_t, W_t taken from
-    # the sde ensemble's own increments: the direct driver's W_t to the bit
-    spec, grid = parse_measure_id("product:exp,uniform"), make_uniform(1.0, 16)
-    sde = simulate_ensemble(spec, grid, 64, seed=2, driver="sde")
-    direct = simulate_ensemble(spec, grid, 64, seed=2)
-    assert sde.w_end.tobytes() == direct.w_end.tobytes()
-    assert not np.array_equal(direct.theta[:, -1], direct.w_end)
+def test_driver_equivalence_pairs_the_stored_ensembles_last_theta(monkeypatch):
+    # driver-equivalence streams each side and keeps theta(t_max) alone: its
+    # sde side, its paired direct side (t X + W_t on the very increments the
+    # sde paths took, as both read the same keys) and its independent KS
+    # sample are the stored ensembles' last grid time, to the bit
+    spec, grid = parse_measure_id("product:exp,uniform"), make_uniform(1.0, 64)
+    kept = []
+
+    def theta_end(steps):
+        kept.append(real(steps))
+        return kept[-1]
+    real = localization._theta_end
+    monkeypatch.setattr(localization, "_theta_end", theta_end)
+    check_driver_equivalence(spec, seed=2, n_paths=64)
+    stored = [simulate_ensemble(spec, grid, 64, seed=2, driver="sde"),
+              simulate_ensemble(spec, grid, 64, seed=2),
+              simulate_ensemble(spec, make_uniform(1.0, 1), 64, seed=2, salt="ks")]
+    assert len(kept) == 3
+    for side, ens in zip(kept, stored):
+        assert side.tobytes() == ens.theta[:, -1].tobytes()
+    assert not np.array_equal(kept[0], kept[1])
 
 
 def test_simulation_is_deterministic():
@@ -393,7 +406,7 @@ def test_spectral_bound_flags_offending_path():
     cov[3, 2] = np.eye(n) * 1.8  # t=1: 1.8 > 1/t
     ens = PathEnsemble(spec=None, grid=grid,
                        theta=np.zeros((m, k, n)), mean=np.zeros((m, k, n)),
-                       cov=cov, log_z=np.zeros((m, k)), w_end=np.zeros((m, n)))
+                       cov=cov, log_z=np.zeros((m, k)))
     rep = check_spectral_bound(ens)
     assert rep.failed
     assert "offending paths [3]" in rep.notes

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from sloclab import numerics
-from sloclab.reports import (FAIL, PASS, composite_gate, derivative_gate, entrywise_gate,
-                             gate, info)
+from sloclab.reports import (FAIL, PASS, EntrywiseFold, _worst, composite_gate,
+                             derivative_gate, entrywise_gate, gate, info)
 
 
 def test_gate_finite_inputs():
@@ -144,3 +144,91 @@ def test_derivative_gate_blocks_keep_a_defect_on_a_block_boundary(j, where, monk
     assert _gate(x, y, rhs) == whole
     if where == "rhs":
         assert whole.notes == f" worst at index ({j}, 2)"
+
+
+def _worst_whole(gap, tol, failing):
+    """The whole-array ranking that `_worst`'s chunks must reproduce: four
+    full-size temporaries, the first index of the largest rank."""
+    rank = 2 * ~np.isfinite(gap) + ~np.isfinite(tol)
+    if rank.any():
+        return int(np.argmax(rank))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.where(tol > 0.0, gap / tol, np.where(failing, np.inf, -np.inf))
+    return int(np.argmax(np.where(failing | ~failing.any(), ratio, -np.inf)))
+
+
+def _crafted_gaps():
+    """(name, gap, tol) on 12 rows of 5: three rows a chunk at a 120-byte budget."""
+    tol = np.full((12, 5), 2.0)
+    tie = np.full((12, 5), 1.0)
+    tie[2, 4] = tie[3, 0] = 1.5                      # equal ratios either side of a chunk boundary
+    fail = tie.copy()
+    fail[5, 1] = fail[8, 2] = fail[6, 0] = 4.0       # equal FAILs across chunks
+    fail[11, 4] = 3.0
+    nan_gap, inf_tol = tie.copy(), tol.copy()
+    nan_gap[9, 1] = np.nan
+    inf_tol[1, 3] = np.inf                           # a non-finite gap outranks it
+    both_gap, both_tol = fail.copy(), inf_tol.copy()
+    both_gap[10, 2], both_tol[10, 2] = np.inf, np.nan
+    both_gap[4, 4] = -np.inf
+    ks_tol = tol.copy()
+    ks_tol[0, 0] = ks_tol[7, 3] = -0.01              # KS parts: tol <= 0
+    ks_pass = tie.copy()
+    ks_pass[0, 0] = ks_pass[7, 3] = -0.5
+    ks_fail = ks_pass.copy()
+    ks_fail[7, 3] = 0.5
+    all_ks = np.full((12, 5), -0.01)
+    return [("all-pass-ties", tie, tol), ("partial-fail-ties", fail, tol),
+            ("nan-gap-over-inf-tol", nan_gap, inf_tol), ("inf-tol", tie, inf_tol),
+            ("both-non-finite", both_gap, both_tol), ("ks-parts-pass", ks_pass, ks_tol),
+            ("ks-part-fails", ks_fail, ks_tol), ("ks-parts-only", all_ks - 0.5, all_ks),
+            ("zero-gaps", np.zeros((12, 5)), tol)]
+
+
+CRAFTED = pytest.mark.parametrize("name, gap, tol", _crafted_gaps(),
+                                  ids=[case[0] for case in _crafted_gaps()])
+
+
+@CRAFTED
+def test_worst_in_chunks_matches_the_whole_array_ranking(name, gap, tol, monkeypatch):
+    whole = _worst_whole(gap, tol, gap > tol)
+    monkeypatch.setattr(numerics, "BLOCK_BYTES", 3 * 5 * 8)
+    assert _worst(gap, tol)[1] == whole, name
+    # the same with failing flags given, as composite_gate gives them
+    flags = np.zeros(gap.shape, bool)
+    flags[6:, 2] = True
+    assert _worst(gap, tol, flags)[1] == _worst_whole(gap, tol, flags), name
+    # and on a flat array, in chunks of 15
+    assert _worst(gap.ravel(), tol.ravel())[1] == whole, name
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_worst_in_chunks_matches_on_random_ties_and_non_finite_entries(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    gap = rng.integers(0, 4, (9, 4, 3)).astype(float)
+    tol = rng.integers(1, 3, (9, 4, 3)).astype(float)
+    tol[rng.random(tol.shape) < 0.05] = -0.01
+    for arr, value in ((gap, np.nan), (gap, np.inf), (tol, np.nan), (tol, np.inf)):
+        if rng.random() < 0.3:
+            arr[tuple(rng.integers(0, s) for s in arr.shape)] = value
+    monkeypatch.setattr(numerics, "BLOCK_BYTES", int(rng.integers(1, 4)) * 12 * 8)
+    assert _worst(gap, tol)[1] == _worst_whole(gap, tol, gap > tol)
+
+
+@CRAFTED
+def test_entrywise_fold_over_blocks_matches_the_whole_gap(name, gap, tol, monkeypatch):
+    # blocks split axis 1, so block order is not whole-array order: path 1's
+    # first grid time comes after path 0's last, and a tie goes to it only
+    # if it is first in whole-array order
+    gap, tol = gap.reshape(4, 3, 5), tol.reshape(4, 3, 5)
+    se = np.arange(gap.size, dtype=float).reshape(gap.shape)
+    whole = entrywise_gate("g", gap, tol, se, notes="n,", first_row=1)
+    monkeypatch.setattr(numerics, "BLOCK_BYTES", 8)
+    for blocks in ([slice(0, 1), slice(1, 3)], [slice(0, 2), slice(2, 3)],
+                   [slice(k, k + 1) for k in range(3)]):
+        for order in (blocks, blocks[::-1]):
+            fold = EntrywiseFold()
+            for b in order:
+                fold.add(gap[:, b], tol[:, b], se[:, b], start=b.start)
+            # repr, as a NaN statistic is not equal to itself
+            assert repr(fold.report("g", "n,", first_row=1)) == repr(whole), (name, order)
