@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import jackknife_se
+from .numerics import path_mean_se
 
 
 def _diagonal(cov: np.ndarray) -> bool:
@@ -97,12 +97,14 @@ def outer_mean_se(u: np.ndarray, w: np.ndarray, cov: np.ndarray | None, work=Non
     values u_i w_i + cov_i.  ``work``, two C-contiguous arrays of ``u``'s
     shape, takes that route's (m, K, n) temporaries, so a caller that folds
     block after block reuses them; the numbers are the same either way.
+    Per-path values are reduced by `path_mean_se`, so a block of grid times
+    gets its rows of the whole-grid result bit for bit.
     """
     if cov is not None and not _diagonal(cov):
         per_path = np.einsum("mki,mkj->mkij", u, w)
         per_path += cov
         # the deviations overwrite per_path, which nothing reads after
-        return per_path.mean(axis=0), jackknife_se(per_path, per_path)
+        return path_mean_se(per_path, per_path)
     m, _, n = u.shape
     work_a, work_b = (None, None) if work is None else work
     mean = np.moveaxis(u, 0, -1) @ np.moveaxis(w, 0, 1) / m
@@ -118,22 +120,5 @@ def outer_mean_se(u: np.ndarray, w: np.ndarray, cov: np.ndarray | None, work=Non
     if cov is not None:
         diag += cov
     idx = np.arange(n)
-    mean[:, idx, idx] = diag.mean(axis=0)
-    se[:, idx, idx] = jackknife_se(diag, work_b)
+    mean[:, idx, idx], se[:, idx, idx] = path_mean_se(diag, work_b)
     return mean, se
-
-
-def block_outer_mean_se(u: np.ndarray, w: np.ndarray, cov: np.ndarray | None = None):
-    """`outer_mean_se` of a block of grid times: its rows of the whole-grid result, bit for bit.
-
-    numpy reduces the per-path diagonal over paths in order when each path
-    holds two or more numbers, but pairwise when it holds one: one grid time
-    of one coordinate.  Such a block is reduced as two copies of its grid
-    time, and the first kept.  ``u`` and ``w`` stay one buffer when they are.
-    """
-    if u[0].size > 1:
-        return outer_mean_se(u, w, cov)
-    uu = np.repeat(u, 2, axis=1)
-    ww = uu if w is u else np.repeat(w, 2, axis=1)
-    mean, se = outer_mean_se(uu, ww, None if cov is None else np.repeat(cov, 2, axis=1))
-    return mean[:1], se[:1]

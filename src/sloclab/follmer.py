@@ -73,11 +73,13 @@ class FrameEnsemble:
     `gamma_at`), each computed from those three arrays, so a check holds a
     few blocks of them and never a whole path array.  ``x``, ``v`` and
     ``gamma`` are the whole arrays, computed on first read and kept; only
-    the benchmark's span counters read them.  Every number is elementwise
-    in its grid time, so a block's values are the whole array's there bit
-    for bit.  ``gamma`` and ``cov_t`` have the layout of the ensemble's
-    ``cov``: (m, K, n) diagonals for coordinate products, the Gaussian among
-    them, (m, K, n, n) otherwise.
+    the benchmark's span counters read them.  ``energy``, `path_energy`'s
+    (m, K) |v_r|^2, is computed on first read and kept for the Fisher and
+    deficit checks.  Every number is elementwise in its grid time, so a
+    block's values are the whole array's there bit for bit.  ``gamma`` and
+    ``cov_t`` have the layout of the ensemble's ``cov``: (m, K, n) diagonals
+    for coordinate products, the Gaussian among them, (m, K, n, n)
+    otherwise.
     """
 
     spec: MeasureSpec
@@ -118,6 +120,11 @@ class FrameEnsemble:
     def gamma(self) -> np.ndarray:
         """`gamma_r` on the whole grid, in the layout of ``cov_t``."""
         return self.gamma_at(slice(None))
+
+    @functools.cached_property
+    def energy(self) -> np.ndarray:
+        """|v_r|^2 per path and grid time, (m, K): `path_energy` of the whole grid."""
+        return path_energy(self.theta, self.mean, self.t)
 
     @property
     def n_paths(self) -> int:
@@ -170,7 +177,7 @@ def energy_curve(sq: np.ndarray, r: np.ndarray, dim: int) -> FisherCurve:
 
 def fisher_energy(frame: FrameEnsemble) -> FisherCurve:
     """Monte Carlo Fisher energy E |v_r|^2 on the grid image, with s / sqrt(m) errors."""
-    return energy_curve(path_energy(frame.theta, frame.mean, frame.t), frame.r, frame.dim)
+    return energy_curve(frame.energy, frame.r, frame.dim)
 
 
 def check_fisher_bound(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaReport:
@@ -183,7 +190,7 @@ def check_fisher_bound(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaReport:
 
 def check_fisher_monotone(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaReport:
     """r -> E |v_r|^2 is non-decreasing (paired increments)."""
-    sq = path_energy(frame.theta, frame.mean, frame.t)
+    sq = frame.energy
     d = sq[:, 1:] - sq[:, :-1]
     mean = d.mean(axis=0)
     se = jackknife_se(d)
@@ -291,7 +298,7 @@ def check_gamma_properties(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaRep
         # (ii) E v (x) v = (Id - E Gamma) / (1 - r); v is one buffer, as the
         # two operands of its outer product
         v = frame.v_at(b)
-        mean_ii[b], se_ii[b] = covariance.block_outer_mean_se(
+        mean_ii[b], se_ii[b] = covariance.outer_mean_se(
             v, v, (gamma - eye) / covariance.per_time(one_minus_r[b], gamma))
         # (ii') the extreme eigenvalues of E Gamma and the largest entry of its error
         g_mean, g_se = path_mean_se(gamma)
@@ -350,7 +357,7 @@ def check_xr_law(frame: FrameEnsemble, seed: int, sigma: float = 4.0) -> LemmaRe
     for b in frame.blocks():
         x = frame.x_at(b)
         mean[b], se_mean[b] = path_mean_se(x)
-        mean_xx[b], se_cov[b] = covariance.block_outer_mean_se(x, x)
+        mean_xx[b], se_cov[b] = covariance.outer_mean_se(x, x, None)
     r_mean = entrywise_gate("xr-mean", np.abs(mean), sigma * se_mean + ROUNDING_FLOOR,
                             se_mean)
 

@@ -44,10 +44,10 @@ import numpy as np
 
 from . import covariance
 from .errors import InputValidationError
-from .follmer import FrameEnsemble, path_energy
+from .follmer import FrameEnsemble
 from .measures import GAUSSIAN_ENTROPY_RATE, BallSpec, MeasureSpec, sum_law
-from .numerics import (U_CUT, beta_inc, jackknife_se, path_mean_se, quad, time_blocks, trapezoid,
-                       trapezoid_budget, xlogy)
+from .numerics import (U_CUT, beta_inc, jackknife_se, path_mean, path_mean_se, quad, time_blocks,
+                       trapezoid, trapezoid_budget, xlogy)
 from .reports import (ROUNDING_FLOOR, EstimatorResult, LemmaReport, composite_gate,
                       entrywise_gate, gate, info)
 
@@ -78,7 +78,7 @@ def de_bruijn_check(spec: MeasureSpec, frame: FrameEnsemble, sigma: float = 4.0)
         raise InputValidationError("grid too coarse for the identity (need >= 10 r-points)")
     lhs = kl_to_gaussian(spec)
 
-    vsq = path_energy(frame.theta, frame.mean, frame.t)
+    vsq = frame.energy
     per_path = 0.5 * trapezoid(vsq, r, axis=1) + 0.5 * vsq[:, -1] * (1.0 - r[-1])
     rhs = float(per_path.mean())
     se = float(jackknife_se(per_path))
@@ -216,7 +216,7 @@ def gamma_spread(frame: FrameEnsemble, xi: float) -> GammaSpread:
 
     Each block's Gamma_r and its mean over paths give the block's columns
     of every curve, so no Gamma-sized array is built.  The means are each
-    path added in order (`path_mean_se`), and every curve is per path and
+    path added in order (`path_mean`), and every curve is per path and
     grid time, so the numbers are the whole-array ones bit for bit.
     """
     if not 0.0 < xi < 1.0:
@@ -234,7 +234,7 @@ def gamma_spread(frame: FrameEnsemble, xi: float) -> GammaSpread:
     for b in frame.blocks(k0):
         g = frame.gamma_at(b)
         s = slice(b.start - k0, b.stop - k0)
-        gbar = path_mean_se(g)[0][None]
+        gbar = path_mean(g)[None]
         mean[:, s] = gbar
         dev_sq[:, s] = covariance.frob_sq(g - gbar)
         pair_sq[:, s] = 0.5 * covariance.frob_sq(g[0:2 * q:2] - g[1:2 * q:2])
@@ -318,7 +318,7 @@ def deficit_chain_audit(delta: EstimatorResult, frame: FrameEnsemble, xi: float,
     spread = gamma_spread(frame, xi)
     r = spread.r
     k0 = len(r_full) - len(r)
-    vsq_full = path_energy(frame.theta, frame.mean, frame.t)
+    vsq_full = frame.energy
     vsq = vsq_full[:, k0:]
     subs = []
 

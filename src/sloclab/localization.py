@@ -39,7 +39,7 @@ import numpy as np
 from . import covariance, streams
 from .errors import InputValidationError
 from .measures import MeasureSpec
-from .numerics import jackknife_se, path_mean_se, time_blocks
+from .numerics import jackknife_se, path_mean, path_mean_se, time_blocks
 from .reports import (COV_IDENTITY_FLOOR, ROUNDING_FLOOR, LemmaReport, composite_gate,
                       derivative_gate, entrywise_gate, info, ks_gate)
 from .tilt import cov_shape, tilt_table
@@ -236,20 +236,19 @@ def start_paths(spec: MeasureSpec, grid: TimeGrid, keys, driver: str, out=None):
         yield c, theta
 
 
-def tilt_blocks(spec: MeasureSpec, grid: TimeGrid, paths, driver: str, out):
+def tilt_blocks(spec: MeasureSpec, grid: TimeGrid, paths, driver: str):
     """Tilt the paths of `start_paths`, yielding one grid time at a time.
 
     ``paths`` is `start_paths`' iterator of chunks, with the same ``driver``.
     Yields ``(b, theta, mean, cov, log_z)`` for each grid time, b the
     one-wide slice of it: theta and mean (m, 1, n), cov (m, 1) +
-    `tilt.cov_shape` and log_z (m, 1).  With ``out`` None they are
-    `tilt_table`'s own arrays, so no block array is copied or kept; each is
-    valid until the next step.  ``out`` = (mean, cov, log_z), whole
-    (m, K, ...) arrays, receives each grid time at ``[:, k]`` and the steps
-    are its views.  The ``sde`` driver's Euler steps complete each chunk of
-    theta as it goes, through one (m, n) buffer, which carries the step
-    from a chunk's last grid time onto the next chunk's first: when a grid
-    time is yielded, theta is final there.
+    `tilt.cov_shape` and log_z (m, 1).  Theta is a view of the chunk; mean,
+    cov and log_z are `tilt_table`'s own arrays, so no block array is
+    copied or kept, and each is valid until the next step.  The ``sde``
+    driver's Euler steps complete each chunk of theta as it goes, through
+    one (m, n) buffer, which carries the step from a chunk's last grid time
+    onto the next chunk's first: when a grid time is yielded, theta is
+    final there.
     """
     t = grid.points
     k_pts = len(t)
@@ -268,13 +267,7 @@ def tilt_blocks(spec: MeasureSpec, grid: TimeGrid, paths, driver: str, out):
                 step += here
                 if k + 1 < c.stop:
                     theta[:, k + 1 - c.start] += step
-            b = slice(k, k + 1)
-            if out is None:
-                arrays = (a[:, None] for a in (mean, cov, log_z))
-            else:
-                out[0][:, k], out[1][:, k], out[2][:, k] = mean, cov, log_z
-                arrays = (a[:, b] for a in out)
-            yield (b, here[:, None], *arrays)
+            yield (slice(k, k + 1), here[:, None], mean[:, None], cov[:, None], log_z[:, None])
 
 
 def simulate_ensemble(spec: MeasureSpec, grid: TimeGrid, n_paths: int, seed: int,
@@ -283,16 +276,18 @@ def simulate_ensemble(spec: MeasureSpec, grid: TimeGrid, n_paths: int, seed: int
 
     Path i uses the stream key ``(seed, i)`` (or ``(seed, salt, i)``), so its
     arrays do not depend on ``n_paths``, and the two drivers share Brownian
-    increments for equal keys.  `start_paths` and `tilt_blocks` write into
-    the ensemble's arrays in place.
+    increments for equal keys.  `start_paths` writes theta into the
+    ensemble's array in place, and each grid time of `tilt_blocks` is
+    copied into its mean, cov and log_z.
     """
     shape = (n_paths, grid.n_points)
     theta = np.empty(shape + (spec.dim,))
-    out = (np.empty(shape + (spec.dim,)), np.empty(shape + cov_shape(spec)), np.empty(shape))
+    mean, cov = np.empty(shape + (spec.dim,)), np.empty(shape + cov_shape(spec))
+    log_z = np.empty(shape)
     paths = start_paths(spec, grid, path_keys(seed, n_paths, salt), driver, theta)
-    for _ in tilt_blocks(spec, grid, paths, driver, out):
-        pass
-    return PathEnsemble(spec, grid, theta, *out)
+    for b, _, *step in tilt_blocks(spec, grid, paths, driver):
+        mean[:, b], cov[:, b], log_z[:, b] = step
+    return PathEnsemble(spec, grid, theta, mean, cov, log_z)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +336,10 @@ class StatsFold:
     ``simulate`` (0.5 MiB on cube:32 with 1024 paths), two blocks in
     `ensemble_stats`.  A full covariance's (m, k, n, n) temporaries are made
     per call, and its deviations overwrite its per-path terms.  Every
-    statistic is per grid time, so any split of the grid gives the
-    whole-array values bit for bit.  What it keeps whole is per path and
+    statistic is per grid time and adds the paths in order
+    (`numerics.path_mean`), also where one grid time of one coordinate gives
+    a path one number, so any split of the grid gives the whole-array values
+    bit for bit.  What it keeps whole is per path and
     time scalars (tr A_t and tr A_t^2, (m, K) each) and per-time reductions.
     """
 
@@ -365,7 +362,7 @@ class StatsFold:
         self.mean_decomp[b], self.se_decomp[b] = covariance.outer_mean_se(mean, mean, cov, work)
         self.tr_cov[:, b] = covariance.trace(cov)
         self.tr_cov_sq[:, b] = covariance.trace(covariance.square(cov, work[0]))
-        lo, hi = covariance.eig_extremes(cov.mean(axis=0, keepdims=True))
+        lo, hi = covariance.eig_extremes(path_mean(cov)[None])
         self.eig_min[b], self.eig_max[b] = lo[0], hi[0]
 
     def stats(self) -> EnsembleStats:
@@ -484,7 +481,7 @@ def check_orthogonality(ensemble: PathEnsemble, sigma: float = 4.0) -> LemmaRepo
     for b in ensemble.blocks():
         theta = ensemble.theta[:, b]
         resid = ensemble.mean[:, b] - theta / (1.0 + t[b])[None, :, None]
-        mean[b], se[b] = covariance.block_outer_mean_se(resid, theta)
+        mean[b], se[b] = covariance.outer_mean_se(resid, theta, None)
     return entrywise_gate("orthogonality", np.abs(mean), sigma * se + ROUNDING_FLOOR, se,
                           notes=f"n_paths={ensemble.n_paths},")
 
@@ -553,7 +550,7 @@ def check_driver_equivalence(spec: MeasureSpec, seed: int, n_paths: int,
     """
     t_max, n_steps = 1.0, 64
     grid, keys = make_uniform(t_max, n_steps), path_keys(seed, n_paths)
-    a = _theta_end(tilt_blocks(spec, grid, start_paths(spec, grid, keys, "sde"), "sde", None))
+    a = _theta_end(tilt_blocks(spec, grid, start_paths(spec, grid, keys, "sde"), "sde"))
     b = _theta_end(start_paths(spec, grid, keys, "direct"))
     fresh = _theta_end(start_paths(spec, make_uniform(t_max, 1),
                                    path_keys(seed, n_paths, "ks"), "direct"))

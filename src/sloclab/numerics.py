@@ -620,21 +620,28 @@ def time_blocks(k_pts: int, time_bytes: int, start: int = 0) -> list[slice]:
     return [slice(k, min(k + step, k_pts)) for k in range(start, k_pts, step)]
 
 
-def path_mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean over paths (axis 0) and its s / sqrt(m), each path added in order.
+def path_mean(values: np.ndarray) -> np.ndarray:
+    """Mean over paths (axis 0), each path added in order.
 
     numpy adds the paths in order when each holds two or more numbers, but
-    pairwise when each holds one, as a one-time block of a per-path scalar
-    curve does; such a block is reduced beside a copy of itself, so that its
-    bits are the whole curve's.  So a block of grid times gets the numbers
-    that ``values.mean(axis=0)`` and `jackknife_se` take on the whole array.
+    pairwise when each holds one: one grid time of one coordinate, or of a
+    per-path scalar curve.  Such an array is reduced beside a copy of
+    itself.  So a block of grid times, or one grid time as `simulate` folds
+    it, gets the bits that ``mean(axis=0)`` takes on the whole (m, K, ...)
+    array.  Every mean over paths of a block of grid times goes through
+    here or `path_mean_se`.
     """
-    flat = values.reshape(len(values), -1)
-    if flat.shape[1] == 1:
-        flat = np.repeat(flat, 2, axis=1)
-    width = values[0].size
-    return (flat.mean(axis=0)[:width].reshape(values.shape[1:]),
-            jackknife_se(flat)[:width].reshape(values.shape[1:]))
+    if values[0].size > 1:
+        return values.mean(axis=0)
+    return np.repeat(values.reshape(-1, 1), 2, axis=1).mean(axis=0)[:1].reshape(values.shape[1:])
+
+
+def path_mean_se(values: np.ndarray, work=None) -> tuple[np.ndarray, np.ndarray]:
+    """`path_mean` and its s / sqrt(m) (`jackknife_se`, ``work`` its buffer), by the same rule."""
+    if values[0].size > 1:
+        return path_mean(values), jackknife_se(values, work)
+    pair = np.repeat(values.reshape(-1, 1), 2, axis=1)
+    return tuple(a[:1].reshape(values.shape[1:]) for a in path_mean_se(pair, pair))
 
 
 def _stencil(y: np.ndarray, x: np.ndarray, stride: int) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import numerics
 from .numerics import (KS_LEVEL, central_difference, familywise_level, fd_error_budget,
-                       ks_pvalues, path_mean_se, time_blocks)
+                       ks_pvalues, path_mean, path_mean_se, time_blocks)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -212,7 +212,7 @@ def derivative_gate(check_id: str, y, x: np.ndarray, rhs, sigma: float) -> Lemma
     for b in time_blocks(k_pts - 2, first.nbytes):
         halo = slice(b.start, b.stop + 2)
         y_b = y(halo)
-        mean_y[halo] = y_b.mean(axis=0)
+        mean_y[halo] = path_mean(y_b)
         gap = central_difference(y_b, x[halo]) - rhs(slice(b.start + 1, b.stop + 1))
         mean[b], se[b] = path_mean_se(gap)
     budget = fd_error_budget(mean_y, x)

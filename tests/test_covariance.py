@@ -185,10 +185,13 @@ def test_blocked_stats_match_whole_arrays_bitwise(measure, n_paths, n_blocks):
 
 @pytest.mark.parametrize("driver", ["direct", "sde"])
 @pytest.mark.parametrize("measure, n_paths", [("cube:32", 1024), ("ball:8", 256),
-                                              ("product:exp,laplace,uniform", 4096)])
+                                              ("product:exp,laplace,uniform", 4096),
+                                              ("product:exp", 1024), ("gaussian:1", 1024),
+                                              ("ball:1", 1024)])
 def test_simulate_writes_the_stored_ensembles_values(tmp_path, capsys, measure, n_paths, driver):
     # simulate folds each grid time as the driver tilts it and holds
-    # no whole mean or cov; every cell it writes is the stored route's value
+    # no whole mean or cov; every cell it writes is the stored route's value,
+    # also where a grid time of one coordinate gives each path one number
     assert main(["simulate", "--measure", measure, "--paths", str(n_paths),
                  "--driver", driver, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
@@ -296,7 +299,7 @@ def test_dense_ball_tilt_loop_copies_no_grid_time():
     tracemalloc.start()
     try:
         for b, *_ in tilt_blocks(spec, grid, start_paths(spec, grid, path_keys(0, m), "direct"),
-                                 "direct", None):
+                                 "direct"):
             assert b.stop - b.start == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -430,6 +433,26 @@ def test_block_budget_moves_no_report(measure, monkeypatch):
     assert len(ens.blocks()) == ens.grid.n_points
     assert _blocked_reports(spec, ens, frame, delta) == whole
     assert not {"x", "v", "gamma"} & vars(frame).keys()
+
+
+@pytest.mark.parametrize("measure", ["product:exp", "gaussian:1", "ball:1"])
+def test_block_budget_moves_no_ensemble_stat(measure, monkeypatch):
+    # a one-time block of a one-coordinate ensemble gives each path one
+    # number, which numpy would add pairwise; every statistic is the one of
+    # a single block of the whole grid.  Each budget simulates its own
+    # ensemble, as `PathEnsemble.stats` is cached
+    spec, grid = parse_measure_id(measure), make_geometric()
+    runs = []
+    for budget in (1 << 40, 1):
+        monkeypatch.setattr(numerics, "BLOCK_BYTES", budget)
+        ens = simulate_ensemble(spec, grid, 1024, seed=0)
+        assert len(ens.blocks()) == (1 if budget > 1 else grid.n_points)
+        runs.append((ensemble_stats(ens), check_variance_decomposition(ens),
+                     check_spectral_bound(ens), trace_square_ratio(ens)))
+    (whole, *whole_reports), (split, *split_reports) = runs
+    for field in dataclasses.fields(whole):
+        assert np.array_equal(getattr(whole, field.name), getattr(split, field.name)), field.name
+    assert split_reports == whole_reports
 
 
 @pytest.mark.parametrize("measure, n_paths", [("product:exp,uniform,uniform", 1024),

@@ -61,16 +61,23 @@
   ``default_rng``, or calls ``Generator(``: every generator comes from a
   stream key, through the one batched seeding route.
 * ``simulate_ensemble`` is called in ``src/`` only by ``RunContext.ensemble``
-  (the run's one ensemble), ``check_driver_equivalence`` (its one sde
-  ensemble) and ``check_projection_domination`` (once, for the marginal):
-  every other check reads the run's paths.  The path driver,
-  ``start_paths`` and ``tilt_blocks``, runs only in ``simulate_ensemble``,
-  which keeps every grid time, and in ``_cmd_simulate``, which folds each
-  grid time into its statistics as it comes: one tilt and Euler loop serves
-  both.
-  ``start_paths`` also runs once in ``check_driver_equivalence``, for its KS
-  sample, which reads theta(t_max) and needs no tilt; its paired direct
-  side takes W(t_max) from the sde ensemble's increments and draws none.
+  (the run's one ensemble) and ``check_projection_domination`` (once, for
+  the marginal): every other check reads the run's paths.  The path
+  driver, ``start_paths`` and ``tilt_blocks``, runs once each in
+  ``simulate_ensemble``, which keeps every grid time, and in
+  ``_cmd_simulate``, which folds each grid time into its statistics as it
+  comes: one tilt and Euler loop serves both.  ``check_driver_equivalence``
+  stores no ensemble: it streams its sde paths through one
+  ``tilt_blocks`` call and makes three ``start_paths`` calls, for those sde
+  paths, for its paired direct paths on the same keys, which need no tilt,
+  and for its independent KS sample; it keeps theta(t_max) of each.
+* Only ``numerics.py`` calls ``np.repeat``: every mean over paths of a
+  block of grid times goes through ``numerics.path_mean`` or
+  ``path_mean_se``, which own the rule for a block that gives each path
+  one number.
+* ``path_energy`` is called only by ``FrameEnsemble.energy``, which every
+  check reads, and by ``_cmd_simulate``, which folds it one grid time at a
+  time: the per-path Fisher energy of a run is computed once.
 """
 
 import ast
@@ -557,6 +564,20 @@ def test_paths_are_simulated_only_where_a_check_needs_its_own():
     assert runs["start_paths"] == {"localization.py:simulate_ensemble": 1,
                                    "cli.py:_cmd_simulate": 1,
                                    "localization.py:check_driver_equivalence": 3}
+
+
+def test_paths_are_reduced_by_one_rule():
+    numerics = ROOT / "src" / "sloclab" / "numerics.py"
+    outside = [p for p in PACKAGE if p != numerics]
+    assert len(outside) == len(PACKAGE) - 1
+    assert _scan(outside, lambda tree: special_uses(tree, {"repeat"})) == []
+    assert _scan([numerics], lambda tree: special_uses(tree, {"repeat"}))
+
+
+def test_fisher_energy_is_computed_once_a_run():
+    found = Counter(f"{p.name}:{scope}" for p in PACKAGE
+                    for _, scope in scoped_calls(_tree(p), "path_energy"))
+    assert found == {"follmer.py:FrameEnsemble.energy": 1, "cli.py:_cmd_simulate": 1}
 
 
 def test_cli_import_loads_no_scipy():

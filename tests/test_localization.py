@@ -258,7 +258,7 @@ def test_chunked_paths_are_the_whole_arrays_bits(monkeypatch, driver, measure, m
     chunks = path_chunks(spec, grid.n_points, m)
     assert [c.stop - c.start for c in chunks] == widths
     steps = [(b, *(a.copy() for a in arrays)) for b, *arrays in tilt_blocks(
-        spec, grid, start_paths(spec, grid, path_keys(3, m), driver), driver, None)]
+        spec, grid, start_paths(spec, grid, path_keys(3, m), driver), driver)]
     assert [b for b, *_ in steps] == [slice(k, k + 1) for k in range(grid.n_points)]
     for i, name in enumerate(("theta", "mean", "cov", "log_z"), 1):
         assert all(step[i].shape[1] == 1 for step in steps), name
