@@ -66,9 +66,9 @@ class Setting:
     kind: type                # int, float or str; for a list, the kind of its items
     key: str                  # JSON key; "grid.<k>" sits inside the grid object
     flag: str                 # its argparse dest is the field name
+    command: tuple            # the subcommands that take the flag
     alias: str = ""           # a second JSON key
     env: str = ""             # SLOCLAB_* variable, if any
-    command: str = ""         # the one subcommand that takes the flag, else all but list-checks
     choices: tuple = ()
     many: str = ""            # a list (JSON array, comma-separated text): its JSON type name
     if_empty: str = ""        # a list that may not be empty: the error's tail
@@ -76,44 +76,49 @@ class Setting:
     help: str | None = None
 
 
-def _setting(default, kind, key, flag, **where):
+def _setting(default, kind, key, flag, command, **where):
     return dataclasses.field(default=default,
-                             metadata={"setting": Setting(kind, key, flag, **where)})
+                             metadata={"setting": Setting(kind, key, flag, command, **where)})
+
+
+# the commands that simulate paths on a time grid
+_PATHS = ("simulate", "verify")
 
 
 @dataclass
 class ExperimentConfig:
-    measure: str = _setting("gaussian:2", str, "measure", "--measure", alias="measure_id",
+    measure: str = _setting("gaussian:2", str, "measure", "--measure",
+                            (*_PATHS, "tilt-probe", "lk-table"), alias="measure_id",
                             env="SLOCLAB_MEASURE", metavar="ID", help="measure id, e.g. cube:8")
-    n_paths: int = _setting(1024, int, "n_paths", "--paths", env="SLOCLAB_PATHS",
+    n_paths: int = _setting(1024, int, "n_paths", "--paths", _PATHS, env="SLOCLAB_PATHS",
                             metavar="N", help="ensemble size")
-    seed: int = _setting(0, int, "seed", "--seed", env="SLOCLAB_SEED", metavar="U64",
-                         help="master seed")
-    grid_kind: str = _setting("geometric", str, "grid.kind", "--grid-kind",
+    seed: int = _setting(0, int, "seed", "--seed", (*_PATHS, "tilt-probe"),
+                         env="SLOCLAB_SEED", metavar="U64", help="master seed")
+    grid_kind: str = _setting("geometric", str, "grid.kind", "--grid-kind", _PATHS,
                               choices=("geometric", "uniform"))
     # geometric grids only; build_config fills the default
-    t_min: float | None = _setting(None, float, "grid.t_min", "--t-min", metavar="T")
-    t_max: float = _setting(100.0, float, "grid.t_max", "--t-max", metavar="T")
-    grid_points: int = _setting(40, int, "grid.points", "--grid-points", metavar="K")
-    include: tuple = _setting((), float, "grid.include", "--include", many="list",
+    t_min: float | None = _setting(None, float, "grid.t_min", "--t-min", _PATHS, metavar="T")
+    t_max: float = _setting(100.0, float, "grid.t_max", "--t-max", _PATHS, metavar="T")
+    grid_points: int = _setting(40, int, "grid.points", "--grid-points", _PATHS, metavar="K")
+    include: tuple = _setting((), float, "grid.include", "--include", _PATHS, many="list",
                               metavar="T1,T2,...", help="extra grid times, comma separated")
     checks: tuple = _setting(
-        (), str, "checks", "--checks", command="verify", many="list of ids",
+        (), str, "checks", "--checks", ("verify",), many="list of ids",
         if_empty="names no check id; leave it out to run every check that applies",
         metavar="ID1,ID2,...", help="subset of check ids (default: all that apply)")
-    out: str = _setting("", str, "out", "--out", alias="output_dir", env="SLOCLAB_OUT",
-                        metavar="DIR", help="output directory")
-    tolerance_sigma: float = _setting(4.0, float, "tolerance_sigma", "--sigma",
+    out: str = _setting("", str, "out", "--out", (*_PATHS, "lk-table"), alias="output_dir",
+                        env="SLOCLAB_OUT", metavar="DIR", help="output directory")
+    tolerance_sigma: float = _setting(4.0, float, "tolerance_sigma", "--sigma", ("verify",),
                                       env="SLOCLAB_SIGMA", metavar="S",
                                       help="tolerance multiplier for stochastic gates")
-    workers: int = _setting(1, int, "workers", "--workers", env="SLOCLAB_WORKERS", metavar="W",
-                            help="accepted and validated, but has no effect: every "
-                                 "tilt is exact and runs in one thread")
+    workers: int = _setting(1, int, "workers", "--workers", _PATHS, env="SLOCLAB_WORKERS",
+                            metavar="W", help="accepted and validated, but has no effect: "
+                                              "every tilt is exact and runs in one thread")
     tilt_samples: int = _setting(1024, int, "tilt_samples", "--tilt-samples",
-                                 env="SLOCLAB_TILT_SAMPLES", metavar="N",
-                                 help="exact draws on tilt-probe's sample route; "
-                                      "no other command uses it")
-    driver: str = _setting("direct", str, "driver", "--driver", command="simulate",
+                                 ("verify", "tilt-probe"), env="SLOCLAB_TILT_SAMPLES",
+                                 metavar="N", help="exact draws on tilt-probe's sample route; "
+                                                   "verify accepts it and draws none")
+    driver: str = _setting("direct", str, "driver", "--driver", ("simulate",),
                            choices=("direct", "sde"))
 
 
@@ -341,11 +346,11 @@ def _default_basis(spec):
 @dataclass(frozen=True)
 class CheckDef:
     check_id: str
-    kind: str          # "gate" or "info"
+    kind: str                        # "gate" or "info"
     statement: str
-    applies: object    # RunContext -> bool
-    run: object        # RunContext -> LemmaReport
-    why_not: str = ""  # shown when an explicitly requested check cannot run
+    run: object                      # RunContext -> LemmaReport
+    applies: object = lambda ctx: True  # RunContext -> bool
+    why_not: str = ""                # shown when an explicitly requested check cannot run
 
 
 def _chain_xi(r: np.ndarray) -> int:
@@ -370,115 +375,99 @@ _REGISTRY = (
     CheckDef(
         "variance-decomposition", "gate",
         "E A_t + E a_t (x) a_t = Id at every grid time",
-        lambda ctx: True,
         lambda ctx: localization.check_variance_decomposition(
             ctx.ensemble(), sigma=ctx.cfg.tolerance_sigma)),
     CheckDef(
         "derivative-identity", "gate",
         "d/dt E A_t = -E A_t^2, finite differences with a step-halving budget",
-        lambda ctx: ctx.grid.n_points >= 5,
         lambda ctx: localization.check_derivative_identity(
-            ctx.ensemble(), sigma=ctx.cfg.tolerance_sigma),
-        why_not="needs at least 5 grid times"),
+            ctx.ensemble(), sigma=ctx.cfg.tolerance_sigma)),
     CheckDef(
         "spectral-bound", "gate",
         "t lambda_max(A_t) <= 1 for every path and time",
-        lambda ctx: True,
         lambda ctx: localization.check_spectral_bound(ctx.ensemble())),
     CheckDef(
         "orthogonality", "gate",
         "E (a_t - theta_t / (1 + t)) (x) theta_t = 0",
-        lambda ctx: True,
         lambda ctx: localization.check_orthogonality(
             ctx.ensemble(), sigma=ctx.cfg.tolerance_sigma)),
     CheckDef(
         "monotone-trace", "gate",
         "t -> tr E A_t is non-increasing",
-        lambda ctx: True,
         lambda ctx: localization.check_monotone_trace(
             ctx.ensemble(), sigma=ctx.cfg.tolerance_sigma)),
     CheckDef(
         "martingale", "gate",
         "E p_(t, theta_t)(x) = rho(x) pointwise on a fixed x-grid",
-        lambda ctx: ctx.spec.dim == 1,
         lambda ctx: localization.check_density_martingale(
             ctx.ensemble(), sigma=ctx.cfg.tolerance_sigma),
+        applies=lambda ctx: ctx.spec.dim == 1,
         why_not="needs a one-dimensional measure"),
     CheckDef(
         "driver-equivalence", "gate",
         "theta_t from the Euler scheme agrees in law with t X + W_t",
-        lambda ctx: True,
         lambda ctx: localization.check_driver_equivalence(
             ctx.spec, ctx.cfg.seed, n_paths=ctx.cfg.n_paths,
             sigma=ctx.cfg.tolerance_sigma)),
     CheckDef(
         "conditional-covariance", "gate",
         "E A_t = E Cov(X | X + s^(1/2) Z) with s = 1/t",
-        lambda ctx: True,
         lambda ctx: tilt.conditional_covariance_identity_check(
             ctx.ensemble(), ctx.nearest_index(1.0), ctx.cfg.seed,
             sigma=ctx.cfg.tolerance_sigma)),
     CheckDef(
         "gamma-properties", "gate",
-        "Gamma_r: rescaling, score covariance, 0 <= E Gamma <= Id, "
+        "Gamma_r = (1 + t) A_t: score covariance, 0 <= E Gamma <= Id, "
         "derivative identities, r lambda_max(Gamma_r) <= 1",
-        lambda ctx: True,
         lambda ctx: follmer.check_gamma_properties(
             ctx.frame(), sigma=ctx.cfg.tolerance_sigma)),
     CheckDef(
         "fisher-bound", "gate",
         "E |v_r|^2 <= 4 n / (1 - r)^2",
-        lambda ctx: True,
         lambda ctx: follmer.check_fisher_bound(
             ctx.frame(), sigma=ctx.cfg.tolerance_sigma)),
     CheckDef(
         "fisher-monotone", "gate",
         "r -> E |v_r|^2 is non-decreasing",
-        lambda ctx: True,
         lambda ctx: follmer.check_fisher_monotone(
             ctx.frame(), sigma=ctx.cfg.tolerance_sigma)),
     CheckDef(
         "fisher-identity", "gate",
         "E |v_r|^2 = J(law(x_r) || N(0, r Id)) by direct quadrature",
-        lambda ctx: ctx.spec.factors is not None,
         lambda ctx: follmer.check_fisher_identity(
             ctx.frame(), sigma=ctx.cfg.tolerance_sigma),
+        applies=lambda ctx: ctx.spec.factors is not None,
         why_not="quadrature route needs a coordinate product"),
     CheckDef(
         "xr-law", "gate",
         "x_r is distributed as r X + (r (1 - r))^(1/2) Z",
-        lambda ctx: True,
         lambda ctx: follmer.check_xr_law(
             ctx.frame(), ctx.cfg.seed, sigma=ctx.cfg.tolerance_sigma)),
     CheckDef(
         "de-bruijn", "gate",
         "KL(mu || gamma) = 1/2 integral over r of E |v_r|^2",
-        lambda ctx: ctx.grid.n_points >= 10,
         lambda ctx: infotheory.de_bruijn_check(
-            ctx.spec, ctx.frame(), sigma=ctx.cfg.tolerance_sigma),
-        why_not="needs at least 10 grid times"),
+            ctx.spec, ctx.frame(), sigma=ctx.cfg.tolerance_sigma)),
     CheckDef(
         "deficit-bounds", "gate",
         "0 <= delta_EPI(mu) <= 2 n",
-        lambda ctx: True,
         lambda ctx: ctx.deficit().bounds),
     CheckDef(
         "deficit-chain", "gate",
         "delta_EPI >= (xi / 4) integral on (xi, 1) of "
         "E |Gamma_r - E Gamma_r|^2 / (1 - r), plus the supporting algebra",
-        lambda ctx: ctx.grid.n_points >= max(10, _chain_xi(ctx.grid.r_points) + 3),
         _run_deficit_chain,
-        why_not="needs at least 10 grid times, 3 of them from the r nearest 0.5"),
+        applies=lambda ctx: ctx.grid.n_points >= _chain_xi(ctx.grid.r_points) + 3,
+        why_not="needs 3 grid times from the r nearest 0.5"),
     CheckDef(
         "trace-ratio", "info",
         "sup_{t>0} E tr A_t^2 / n; no universal constant is gated, value only",
-        lambda ctx: True,
         lambda ctx: localization.trace_square_ratio(ctx.ensemble())),
     CheckDef(
         "projection-domination", "gate",
         "E A_t of a marginal dominates the projection of E A_t",
-        lambda ctx: ctx.spec.dim >= 2,
         _run_projection,
+        applies=lambda ctx: ctx.spec.dim >= 2,
         why_not="needs dimension at least 2"),
 )
 
@@ -589,7 +578,7 @@ def _cmd_tilt_probe(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     # every route runs before any prints, so a route that cannot run prints nothing
     log_z, mean, cov = tilt.tilt_table(spec, t, theta[None])
     states = [("analytic" if spec.factors is not None else "quadrature", log_z[0], mean[0],
-               covariance.dense_rows(cov)[0])]
+               covariance.dense(cov[:, None])[0, 0])]
     if spec.factors is not None:
         log_z, mean, var = zip(*(tilt.factor_tilt_quadrature(f, t, th)
                                  for f, th in zip(spec.factors, theta)))
@@ -666,7 +655,7 @@ def _build_parser() -> _Parser:
         cmd = sub.add_parser(command, help=text)
         cmd.add_argument("--config", metavar="FILE", help="JSON config file")
         for name, s in SETTINGS.items():
-            if s.command in ("", command):
+            if command in s.command:
                 cmd.add_argument(s.flag, dest=name, type=None if s.many else s.kind,
                                  choices=s.choices or None, metavar=s.metavar, help=s.help)
         if command == "tilt-probe":

@@ -42,20 +42,12 @@ def identity(cov: np.ndarray) -> np.ndarray:
 
 
 def dense(cov: np.ndarray) -> np.ndarray:
-    """Full matrices (m, K, n, n) in either layout."""
-    return _embed(cov) if _diagonal(cov) else cov
+    """Full matrices (m, K, n, n) in either layout.
 
-
-def dense_rows(cov: np.ndarray) -> np.ndarray:
-    """Full matrices (m, n, n) from one covariance per row.
-
-    ``cov`` is (m, n) diagonals or (m, n, n) matrices, as `tilt.tilt_table`
-    returns them and as a covariance array holds them at one grid time.
+    One grid time, as `tilt.tilt_table` returns it or a covariance array
+    holds it, goes in as a one-wide time slice: ``dense(cov[:, k:k + 1])[:, 0]``.
     """
-    if cov.ndim not in (2, 3):
-        raise ValueError("a covariance per row is (m, n) or (m, n, n), "
-                         f"got shape {cov.shape}")
-    return _embed(cov) if cov.ndim == 2 else cov
+    return _embed(cov) if _diagonal(cov) else cov
 
 
 def trace(cov: np.ndarray) -> np.ndarray:

@@ -20,10 +20,12 @@ no Fisher route and is rejected with its name.  The Gamma process satisfies
     (iv)  d/dr E Gamma = (E Gamma - E Gamma^2) / (1 - r)
     (v)   Gamma_r <= Id / r almost surely
 
-and E |v_r|^2 <= 4 n / (1 - r)^2 on the whole catalog.  Gamma_r keeps the
-layout of A_t: the diagonals (m, K, n) for coordinate products, the
-Gaussian among them, full matrices (m, K, n, n) otherwise (see
-`covariance`).
+and E |v_r|^2 <= 4 n / (1 - r)^2 on the whole catalog.  (i) holds by
+construction: `FrameEnsemble.gamma_at` computes Gamma_r as (1 + t) A_t
+from the stored A_t on every read, so no check tests it; (ii)-(v) are
+`check_gamma_properties`' gates.  Gamma_r keeps the layout of A_t: the
+diagonals (m, K, n) for coordinate products, the Gaussian among them,
+full matrices (m, K, n, n) otherwise (see `covariance`).
 
 The frame is a view of the ensemble: it holds theta_t, a_t and A_t by
 reference, and the checks compute x_r, v_r and Gamma_r from them a block of
@@ -43,9 +45,8 @@ from .errors import InputValidationError
 from .localization import SPECTRAL_SLACK, PathEnsemble, spectral_margin
 from .measures import GaussianFactor, MeasureSpec, sum_law
 from .numerics import U_CUT, jackknife_se, path_mean_se, quad, time_blocks
-from .reports import (COV_IDENTITY_FLOOR, ROUNDING_FLOOR, EntrywiseFold, EstimatorResult,
-                      LemmaReport, composite_gate, derivative_gate, entrywise_gate, gate,
-                      ks_gate)
+from .reports import (COV_IDENTITY_FLOOR, ROUNDING_FLOOR, EstimatorResult, LemmaReport,
+                      composite_gate, derivative_gate, entrywise_gate, gate, ks_gate)
 
 
 def v_r(theta: np.ndarray, mean: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -87,7 +88,7 @@ class FrameEnsemble:
     r: np.ndarray               # (K,) r = t / (1 + t)
     theta: np.ndarray           # (m, K, n) theta_t
     mean: np.ndarray            # (m, K, n) a_t
-    cov_t: np.ndarray           # original A_t, kept for (i)
+    cov_t: np.ndarray           # (m, K, n) or (m, K, n, n) A_t
     se_gamma = None             # not a field: always None, and only perfbench/spans.py reads it
 
     def x_at(self, s: slice) -> np.ndarray:
@@ -273,11 +274,10 @@ def check_fisher_identity(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaRepo
 
 
 def check_gamma_properties(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaReport:
-    """All five structural properties of the Gamma process, as sub-reports.
+    """Properties (ii)-(v) of the Gamma process, as sub-reports; (i) holds by construction.
 
     Each reads Gamma_r and v_r a block of grid times at a time (`FrameEnsemble.blocks`):
-    the rescaling gap is folded block by block (`EntrywiseFold`), the
-    score covariance, E Gamma's extreme eigenvalues with their jackknife
+    the score covariance, E Gamma's extreme eigenvalues with their jackknife
     slack and the pathwise spectral margins are reduced per block, and the
     derivative gates read their own blocks (`derivative_gate`).  No
     Gamma-sized array is built, and every number is the whole-array one.
@@ -286,15 +286,11 @@ def check_gamma_properties(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaRep
     m, k_pts, n = frame.theta.shape
     one_minus_r = 1.0 - r
     eye = covariance.identity(frame.cov_t)
-    rescaling = EntrywiseFold()
     mean_ii, se_ii = np.empty((k_pts, n, n)), np.empty((k_pts, n, n))
     lam_lo, lam_hi, se_max = np.empty(k_pts), np.empty(k_pts), np.empty(k_pts)
     margin = np.empty((m, k_pts))
     for b in frame.blocks():
         gamma = frame.gamma_at(b)
-        # (i) algebraic rescaling back to the t-frame covariance
-        rescaling.add(np.abs(gamma / covariance.per_time(1.0 + frame.t[b], gamma)
-                             - frame.cov_t[:, b]), 1e-13, start=b.start)
         # (ii) E v (x) v = (Id - E Gamma) / (1 - r); v is one buffer, as the
         # two operands of its outer product
         v = frame.v_at(b)
@@ -308,9 +304,8 @@ def check_gamma_properties(frame: FrameEnsemble, sigma: float = 4.0) -> LemmaRep
         # (v) the pathwise margin of Gamma_r <= Id / r
         margin[:, b] = spectral_margin(gamma, r[b])
 
-    subs = [rescaling.report("gamma-rescaling", notes="float roundoff only,")]
-    subs.append(entrywise_gate("score-covariance", np.abs(mean_ii),
-                               sigma * se_ii + COV_IDENTITY_FLOOR, se_ii))
+    subs = [entrywise_gate("score-covariance", np.abs(mean_ii),
+                           sigma * se_ii + COV_IDENTITY_FLOOR, se_ii)]
     slack = sigma * n * se_max + COV_IDENTITY_FLOOR
     subs.append(entrywise_gate("gamma-psd", -lam_lo, slack, notes="lambda_min >= 0,"))
     subs.append(entrywise_gate("gamma-below-identity", lam_hi - 1.0, slack,

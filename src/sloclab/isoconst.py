@@ -121,9 +121,10 @@ def check_projection_domination(ensemble: PathEnsemble, coords: tuple, k: int,
     part = simulate_ensemble(sub_spec, make_uniform(t, 1), n_paths, seed, salt="marginal")
 
     idx = np.array(coords)
+    full = covariance.dense(ensemble.cov[:, k:k + 1])[:, 0]
     # C order fixes the summation order of the path mean below, and so its bits
-    proj = np.ascontiguousarray(covariance.dense_rows(ensemble.cov[:, k])[:, idx[:, None], idx])
-    lhs = covariance.dense_rows(part.cov[:, 1])
+    proj = np.ascontiguousarray(full[:, idx[:, None], idx])
+    lhs = covariance.dense(part.cov[:, 1:2])[:, 0]
     diff = lhs.mean(axis=0) - proj.mean(axis=0)
     se = np.hypot(jackknife_se(lhs), jackknife_se(proj))
     slack = sigma * len(coords) * float(se.max()) + ROUNDING_FLOOR

@@ -162,9 +162,10 @@ def _draw_x(spec, keys) -> np.ndarray:
 # Bytes of theta that one chunk of `start_paths` covers.  Only theta comes
 # in chunks: `tilt_blocks` tilts and yields a chunk one grid time at a time.
 # Every chunk costs one draw call a path, about 1 us, so a chunk also spans
-# at least `CHUNK_TIMES` grid times: on cube:32 with 1024 paths the 41 grid
-# times take 6 chunks of 8 (2 MiB each), on cube:128 with 4096 paths, whose
-# one grid time is 4 MiB, 11 chunks of 4.
+# at least `CHUNK_TIMES` grid times.  `path_chunks` spreads the grid evenly
+# over as many chunks as those two rules give: on cube:32 with 1024 paths
+# the 41 grid times take 6 chunks of 7 (1.75 MiB each), on cube:128 with
+# 4096 paths, whose one grid time is 4 MiB, 11 chunks of 4.
 CHUNK_BYTES = 2 << 20
 CHUNK_TIMES = 4
 
@@ -172,14 +173,18 @@ CHUNK_TIMES = 4
 def path_chunks(spec: MeasureSpec, k_pts: int, n_paths: int) -> list[slice]:
     """Consecutive chunks of grid times that `start_paths` builds theta in.
 
-    Each covers about `CHUNK_BYTES` of theta and at least `CHUNK_TIMES` grid
-    times; `tilt_blocks` tilts them one grid time at a time.
+    The fewest chunks of about `CHUNK_BYTES` of theta, or of `CHUNK_TIMES`
+    grid times where that is more, split evenly: every chunk but the last is
+    as wide as the first and the last is no wider, so the one chunk array
+    `start_paths` reuses is no wider than the split needs.  `tilt_blocks`
+    tilts them one grid time at a time.
     """
     step = max(CHUNK_TIMES, CHUNK_BYTES // (n_paths * spec.dim * 8))
+    step = -(-k_pts // -(-k_pts // step))  # ceil(K / the number of chunks)
     return [slice(k, min(k + step, k_pts)) for k in range(0, k_pts, step)]
 
 
-def start_paths(spec: MeasureSpec, grid: TimeGrid, keys, driver: str, out=None):
+def start_paths(spec: MeasureSpec, grid: TimeGrid, keys, driver: str):
     """theta of every key's path before any tilt, one chunk of grid times at a time.
 
     Yields ``(c, theta)`` for the consecutive chunks ``c`` of `path_chunks`,
@@ -191,21 +196,16 @@ def start_paths(spec: MeasureSpec, grid: TimeGrid, keys, driver: str, out=None):
     draws are one unbroken run and equal keys mean equal increments
     whichever driver reads them.  The direct driver carries each path's
     running W from one chunk into the next.  So every number is the one a
-    whole (m, K, n) array would hold, computed in the same order.
-
-    With ``out`` None one chunk array, allocated for the widest chunk,
-    serves every chunk, so each yielded theta is valid until the next one.
-    ``out``, a whole (m, K, n) array, receives theta whole, as one chunk.
+    whole (m, K, n) array would hold, computed in the same order.  One
+    chunk array, allocated for the widest chunk, serves every chunk, so
+    each yielded theta is valid until the next one.
     """
     t = grid.points
     k_pts, m, n = len(t), len(keys), spec.dim
     if driver not in ("direct", "sde"):
         raise InputValidationError(f"unknown driver {driver!r}")
-    if out is None:
-        chunks = path_chunks(spec, k_pts, m)
-        flat = np.empty(m * (chunks[0].stop - chunks[0].start) * n)
-    else:
-        chunks = [slice(0, k_pts)]
+    chunks = path_chunks(spec, k_pts, m)
+    flat = np.empty(m * (chunks[0].stop - chunks[0].start) * n)
     root_dt = np.sqrt(np.diff(t))
     if driver == "direct":
         x = _draw_x(spec, keys)
@@ -213,7 +213,7 @@ def start_paths(spec: MeasureSpec, grid: TimeGrid, keys, driver: str, out=None):
     rngs = list(streams.each((*key, "w") for key in keys))
     for c in chunks:
         width = c.stop - c.start
-        theta = out[:, c] if out is not None else flat[:m * width * n].reshape(m, width, n)
+        theta = flat[:m * width * n].reshape(m, width, n)
         first = max(c.start, 1)  # the chunk's first grid time past t = 0
         if c.start == 0:
             theta[:, 0] = 0.0
@@ -276,17 +276,16 @@ def simulate_ensemble(spec: MeasureSpec, grid: TimeGrid, n_paths: int, seed: int
 
     Path i uses the stream key ``(seed, i)`` (or ``(seed, salt, i)``), so its
     arrays do not depend on ``n_paths``, and the two drivers share Brownian
-    increments for equal keys.  `start_paths` writes theta into the
-    ensemble's array in place, and each grid time of `tilt_blocks` is
-    copied into its mean, cov and log_z.
+    increments for equal keys.  Each grid time of `tilt_blocks` is copied
+    into its theta, mean, cov and log_z.
     """
     shape = (n_paths, grid.n_points)
     theta = np.empty(shape + (spec.dim,))
     mean, cov = np.empty(shape + (spec.dim,)), np.empty(shape + cov_shape(spec))
     log_z = np.empty(shape)
-    paths = start_paths(spec, grid, path_keys(seed, n_paths, salt), driver, theta)
-    for b, _, *step in tilt_blocks(spec, grid, paths, driver):
-        mean[:, b], cov[:, b], log_z[:, b] = step
+    paths = start_paths(spec, grid, path_keys(seed, n_paths, salt), driver)
+    for b, *step in tilt_blocks(spec, grid, paths, driver):
+        theta[:, b], mean[:, b], cov[:, b], log_z[:, b] = step
     return PathEnsemble(spec, grid, theta, mean, cov, log_z)
 
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numerics
 from .numerics import (KS_LEVEL, central_difference, familywise_level, fd_error_budget,
                        ks_pvalues, path_mean, path_mean_se, time_blocks)
 
@@ -86,46 +85,28 @@ def gate(check_id: str, gap: float, tolerance: float, stderr: float = 0.0,
                        float(tolerance), notes, tuple(sub))
 
 
-def _worst(gap: np.ndarray, tol: np.ndarray, failing: np.ndarray | None = None):
-    """Rank and flat index of the comparison a report headlines: the largest ``gap / tol``.
+def _worst(gap: np.ndarray, tol: np.ndarray, failing: np.ndarray | None = None) -> int:
+    """Flat index of the comparison a report headlines: the largest ``gap / tol``.
 
     The ratio is a margin in units of its own tolerance.  One with tol <= 0
     (a KS part's negated level) ranks above every ratio when it FAILs and
     below every one when it PASSes, so a FAIL names a ``failing`` one;
     ``failing`` None means ``gap > tol``.  A non-finite gap, then a
     non-finite tolerance, outranks everything, and a tie goes to the first
-    index.  The rank, a tuple, orders these across calls as they order
-    entries within one.  ``tol`` may be a broadcast view; the arrays are
-    ranked in chunks of rows along axis 0 of about `BLOCK_BYTES`, so no
-    temporary is larger than a chunk.
+    index.  ``tol`` may be a broadcast view.
     """
-    if gap.ndim == 0:
-        gap, tol = gap.reshape(1), tol.reshape(1)
-    width = gap[0].size  # entries a row
-    step = max(1, numerics.BLOCK_BYTES // (8 * width))
-    best = None
-    for start in range(0, len(gap), step):
-        rows = slice(start, start + step)
-        g, t = gap[rows], tol[rows]
-        fail = g > t if failing is None else failing[rows]
-        bad_g, bad_t = ~np.isfinite(g), ~np.isfinite(t)
-        if bad_g.any() or bad_t.any():
-            tier, i = next((tier, int(np.argmax(bad))) for tier, bad in
-                           ((5, bad_g & bad_t), (4, bad_g), (3, bad_t)) if bad.any())
-            rank = (tier, 0.0)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                ratio = np.divide(g, t)
-            unscaled = t <= 0.0
-            ratio[unscaled] = -np.inf
-            ratio[unscaled & fail] = np.inf
-            if fail.any():
-                ratio[~fail] = -np.inf
-            i = int(np.argmax(ratio))
-            rank = (int(fail.flat[i]), float(ratio.flat[i]))
-        if best is None or rank > best[0]:
-            best = (rank, start * width + i)
-    return best
+    bad_g, bad_t = ~np.isfinite(gap), ~np.isfinite(tol)
+    if bad_g.any() or bad_t.any():
+        return next(int(np.argmax(bad)) for bad in (bad_g & bad_t, bad_g, bad_t) if bad.any())
+    fail = gap > tol if failing is None else failing
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.divide(gap, tol)
+    unscaled = tol <= 0.0
+    ratio[unscaled] = -np.inf
+    ratio[unscaled & fail] = np.inf
+    if fail.any():
+        ratio[~fail] = -np.inf
+    return int(np.argmax(ratio))
 
 
 def composite_gate(check_id: str, subs, notes: str = "") -> LemmaReport:
@@ -137,43 +118,9 @@ def composite_gate(check_id: str, subs, notes: str = "") -> LemmaReport:
     gated = [s for s in subs if s.verdict != INFO]
     head = gated[_worst(np.array([s.statistic for s in gated]),
                         np.array([s.tolerance for s in gated]),
-                        np.array([s.failed for s in gated]))[1]]
+                        np.array([s.failed for s in gated]))]
     return gate(check_id, head.statistic, head.tolerance, head.stderr, notes=notes,
                 sub=tuple(subs))
-
-
-class EntrywiseFold:
-    """`entrywise_gate` over a gap given a block of grid times at a time.
-
-    ``add`` takes the gap, tolerance and standard error of the grid times
-    ``start`` .. on axis 1, as `entrywise_gate` takes them whole, and keeps
-    only the entry `_worst` ranks first so far.  A tie goes to the first
-    index in whole-array order, which is not block order: path 1's first
-    grid time comes after path 0's last.  So ``report`` names the entry,
-    and gives the numbers, that `entrywise_gate` gives on the whole gap.
-    """
-
-    def __init__(self):
-        self._best = None
-
-    def add(self, gap, tol, se=None, start: int = 0) -> None:
-        gap = np.asarray(gap, float)
-        tol = np.broadcast_to(np.asarray(tol, float), gap.shape)
-        rank, flat = _worst(gap, tol)
-        local = np.unravel_index(flat, gap.shape)
-        index = tuple(int(v) + (start if axis == 1 else 0) for axis, v in enumerate(local))
-        if self._best is not None:
-            best_rank, best_index = self._best[:2]
-            if rank < best_rank or (rank == best_rank and index > best_index):
-                return
-        stderr = 0.0 if se is None else float(np.broadcast_to(se, gap.shape)[local])
-        self._best = (rank, index, float(gap[local]), float(tol[local]), stderr)
-
-    def report(self, check_id: str, notes: str, first_row: int = 0) -> LemmaReport:
-        """The gate at the worst entry; its index counts axis 0 from ``first_row``."""
-        _, index, gap, tol, stderr = self._best
-        index = tuple(v + (first_row if axis == 0 else 0) for axis, v in enumerate(index))
-        return gate(check_id, gap, tol, stderr=stderr, notes=notes + f" worst at index {index}")
 
 
 def entrywise_gate(check_id: str, gap, tol, se=None, notes: str = "",
@@ -183,9 +130,13 @@ def entrywise_gate(check_id: str, gap, tol, se=None, notes: str = "",
     The index counts axis 0 from ``first_row``: a gap that starts at grid
     node 1 passes 1, so the index names the grid time.
     """
-    fold = EntrywiseFold()
-    fold.add(gap, tol, se)
-    return fold.report(check_id, notes, first_row)
+    gap = np.asarray(gap, float)
+    tol = np.broadcast_to(np.asarray(tol, float), gap.shape)
+    at = np.unravel_index(_worst(gap, tol), gap.shape)
+    stderr = 0.0 if se is None else float(np.broadcast_to(se, gap.shape)[at])
+    index = tuple(int(v) + (first_row if axis == 0 else 0) for axis, v in enumerate(at))
+    return gate(check_id, float(gap[at]), float(tol[at]), stderr=stderr,
+                notes=notes + f" worst at index {index}")
 
 
 def derivative_gate(check_id: str, y, x: np.ndarray, rhs, sigma: float) -> LemmaReport:

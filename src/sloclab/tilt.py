@@ -500,7 +500,7 @@ def conditional_covariance_identity_check(ensemble, k: int, seed: int,
     dim = spec.dim
     n_outer, n_inner = min(ensemble.n_paths, 1024), 64
 
-    covs = covariance.dense_rows(ensemble.cov[:, k])
+    covs = covariance.dense(ensemble.cov[:, k:k + 1])[:, 0]
     lhs = covs.mean(axis=0)
     se_lhs = jackknife_se(covs)
 

@@ -266,9 +266,9 @@ def test_streamed_simulate_peaks_within_its_path_array_bounds(tmp_path, capsys):
     # simulate holds no path array whole: theta comes in chunks of grid
     # times (`path_chunks`) and mean, cov, |v_r|^2 and Gamma_r are folded one
     # grid time at a time, in `tilt_table`'s own arrays and reused buffers.
-    # On cube:32 (8 grid times a chunk) the peak is one chunk of theta, one
-    # grid time's tilt and the fold's scratch: 0.73 path arrays under the
-    # direct driver, 0.68 under sde, where tilt blocks of four grid times
+    # On cube:32 (7 grid times a chunk) the peak is one chunk of theta, one
+    # grid time's tilt and the fold's scratch: 0.70 path arrays under the
+    # direct driver, 0.63 under sde, where tilt blocks of four grid times
     # peaked at 1.08, whole theta beside a block at 1.69, a whole-row tilt
     # at 2.36 and the stored ensemble and the frame's v at 4.3.  The
     # 3-dimensional product takes its 41 grid times in one chunk, and its
@@ -308,8 +308,9 @@ def test_dense_ball_tilt_loop_copies_no_grid_time():
 
 
 def test_sde_driver_peaks_below_a_separate_increment_array():
-    # the sde driver draws its increments into theta and steps onto them: theta,
-    # mean and cov, with no fourth (m, K, n) array of increments beside them
+    # the sde driver draws its increments into theta's chunk and steps onto
+    # them: theta, mean and cov, the chunk (21 of the 41 grid times here) and
+    # no (m, K, n) array of increments beside them, 4.05 path arrays
     grid = make_geometric()
     m, n = 512, 16
     one_path = m * grid.n_points * n * 8
@@ -387,10 +388,10 @@ def test_diagonal_helpers_match_full_matrix_algebra():
         assert np.allclose(covariance.dense(cov - covariance.identity(cov)), full - np.eye(3))
         scaled = cov * covariance.per_time(np.arange(1.0, 6.0), cov)
         assert np.allclose(covariance.dense(scaled), full * np.arange(1.0, 6.0)[:, None, None])
-    # one grid time, as tilt_table returns it
-    assert np.array_equal(covariance.dense_rows(diag[:, 2]), full[:, 2])
-    rows = full[:, 2]
-    assert covariance.dense_rows(rows) is rows
+    # one grid time, as tilt_table returns it, goes in as a one-wide time slice
+    assert np.array_equal(covariance.dense(diag[:, 2][:, None])[:, 0], full[:, 2])
+    rows = full[:, 2][:, None]
+    assert covariance.dense(rows) is rows
 
 
 @pytest.mark.parametrize("helper", [covariance.trace, covariance.square, covariance.frob_sq,
@@ -400,8 +401,6 @@ def test_helpers_reject_arrays_without_path_and_time_axes(helper):
     # a path reduction without keepdims has lost an axis and is no layout
     with pytest.raises(ValueError, match="covariance array"):
         helper(np.ones((5, 3)))
-    with pytest.raises(ValueError, match="covariance per row"):
-        covariance.dense_rows(np.ones((6, 5, 3, 3)))
 
 
 def _blocked_reports(spec, ens, frame, delta):

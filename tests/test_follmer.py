@@ -332,9 +332,8 @@ def test_gamma_properties_pass(cube2_frame):
     rep = check_gamma_properties(cube2_frame)
     assert not rep.failed
     ids = [s.check_id for s in rep.sub]
-    assert ids == ["gamma-rescaling", "score-covariance", "gamma-psd",
-                   "gamma-below-identity", "score-energy-derivative",
-                   "gamma-derivative", "gamma-spectral-bound"]
+    assert ids == ["score-covariance", "gamma-psd", "gamma-below-identity",
+                   "score-energy-derivative", "gamma-derivative", "gamma-spectral-bound"]
 
 
 def test_gamma_derivative_flags_scaled_time(cube2_frame):

@@ -44,7 +44,7 @@ FACTOR_TAGS = ("gaussian", "uniform", "exp", "laplace", "truncgauss")
 def _tilt_row(spec, t, theta):
     """`tilt_table` on a batch of one: (log Z, mean (n,), covariance (n, n))."""
     log_z, mean, cov = tilt_table(spec, t, np.asarray(theta, float)[None])
-    return float(log_z[0]), mean[0], covariance.dense_rows(cov)[0]
+    return float(log_z[0]), mean[0], covariance.dense(cov[:, None])[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +112,7 @@ def test_t_zero_admits_only_the_base_state(measure_id):
     m, n = 2, spec.dim
     log_z, mean, cov = tilt_table(spec, 0.0, np.zeros((m, n)))
     assert np.array_equal(log_z, np.zeros(m)) and np.array_equal(mean, np.zeros((m, n)))
-    assert np.array_equal(covariance.dense_rows(cov), np.tile(np.eye(n), (m, 1, 1)))
+    assert np.array_equal(covariance.dense(cov[:, None])[:, 0], np.tile(np.eye(n), (m, 1, 1)))
     theta = np.zeros((m, n))
     theta[1, -1] = 0.5
     with pytest.raises(InputValidationError, match=r"^t must be > 0, or 0 at theta = 0$"):
